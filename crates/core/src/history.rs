@@ -29,9 +29,11 @@ impl HistoryElement {
     }
 }
 
-/// A fixed-capacity ring of the most recent history elements.
+/// A shift register of the most recent history elements, newest first.
 ///
-/// Index `0` of [`recent`](HistoryRegister::recent) is the *newest* element.
+/// Index `0` of [`recent`](HistoryRegister::recent) is the *newest* element,
+/// and [`path`](HistoryRegister::path) is the whole register as one
+/// contiguous newest-first slice, which is the order table keys read it in.
 /// Slots that have not been filled yet read as [`Addr::ZERO`], matching the
 /// cold-start behaviour of a hardware shift register.
 ///
@@ -47,12 +49,12 @@ impl HistoryElement {
 /// assert_eq!(h.recent(0), Addr::new(0x200));
 /// assert_eq!(h.recent(1), Addr::new(0x100));
 /// assert_eq!(h.recent(2), Addr::ZERO); // not yet filled
+/// assert_eq!(h.path(), [Addr::new(0x200), Addr::new(0x100), Addr::ZERO]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistoryRegister {
-    ring: [Addr; MAX_PATH],
-    /// Next write position.
-    pos: usize,
+    /// Newest first; only the first `depth` elements are live.
+    elems: [Addr; MAX_PATH],
     /// Path length (number of elements considered).
     depth: usize,
 }
@@ -67,8 +69,7 @@ impl HistoryRegister {
     pub fn new(depth: usize) -> Self {
         assert!(depth <= MAX_PATH, "path length {depth} exceeds {MAX_PATH}");
         HistoryRegister {
-            ring: [Addr::ZERO; MAX_PATH],
-            pos: 0,
+            elems: [Addr::ZERO; MAX_PATH],
             depth,
         }
     }
@@ -84,8 +85,8 @@ impl HistoryRegister {
         if self.depth == 0 {
             return;
         }
-        self.ring[self.pos] = element;
-        self.pos = (self.pos + 1) % self.depth;
+        self.elems.copy_within(..self.depth - 1, 1);
+        self.elems[0] = element;
     }
 
     /// The `i`-th most recent element (`0` = newest). Unfilled slots read as
@@ -101,22 +102,24 @@ impl HistoryRegister {
             "history index {i} out of depth {}",
             self.depth
         );
-        // pos points at the oldest element (next overwrite target); newest is
-        // pos-1.
-        let idx = (self.pos + self.depth - 1 - i) % self.depth;
-        self.ring[idx]
+        self.elems[i]
     }
 
     /// All `depth` elements, newest first.
     #[must_use]
+    pub fn path(&self) -> &[Addr] {
+        &self.elems[..self.depth]
+    }
+
+    /// All `depth` elements, newest first, as an owned vector.
+    #[must_use]
     pub fn snapshot(&self) -> Vec<Addr> {
-        (0..self.depth).map(|i| self.recent(i)).collect()
+        self.path().to_vec()
     }
 
     /// Clears the register to the cold state.
     pub fn clear(&mut self) {
-        self.ring = [Addr::ZERO; MAX_PATH];
-        self.pos = 0;
+        self.elems = [Addr::ZERO; MAX_PATH];
     }
 }
 
@@ -237,7 +240,7 @@ impl Histories {
         {
             let mut add = |reg: &HistoryRegister| {
                 let mut h = DefaultHasher::new();
-                reg.snapshot().hash(&mut h);
+                reg.path().hash(&mut h);
                 *snap.states.entry(h.finish()).or_insert(0) += 1;
                 snap.registers += 1;
             };

@@ -9,10 +9,11 @@
 //! [`FoldKernel::fold_chunk`] dispatches **once per chunk** into a
 //! monomorphized fold whose per-event step is the family's `fused_step` —
 //! register and key computed once, table probe and training fused (a single
-//! hash for unbounded backends). Everything the enum does not name falls
-//! back to [`FoldKernel::Dyn`], which runs the exact legacy
-//! predict-then-update sequence through the same fold skeleton, so every
-//! `Box<dyn Predictor>` keeps working.
+//! probe for unbounded tables, whose unprobed folds also compute a whole
+//! chunk's keys before probing; see [`fold_two_level_chunk`]). Everything
+//! the enum does not name falls back to [`FoldKernel::Dyn`], which runs the
+//! exact legacy predict-then-update sequence through the same fold
+//! skeleton, so every `Box<dyn Predictor>` keeps working.
 //!
 //! Scoring and probing stay caller-owned: the fold reports into a
 //! [`ChunkScorer`], which counts scored/mispredicted events and, when a
@@ -175,6 +176,17 @@ impl AsDynPredictor for dyn Predictor + 'static {
     }
 }
 
+/// Counts one indirect event off the warmup prefix: `true` when the event
+/// is scored, `false` while the prefix lasts.
+fn take_scored(to_warm: &mut u64) -> bool {
+    if *to_warm > 0 {
+        *to_warm -= 1;
+        false
+    } else {
+        true
+    }
+}
+
 /// The shared fold skeleton: `step` performs one fused
 /// predict(-when-scored)+train step and returns the prediction. The fast
 /// path (no probe) is branch-light; the probed path replays the probe
@@ -196,12 +208,7 @@ where
             for event in events {
                 match event {
                     TraceEvent::Indirect(b) => {
-                        let scored = if *to_warm > 0 {
-                            *to_warm -= 1;
-                            false
-                        } else {
-                            true
-                        };
+                        let scored = take_scored(to_warm);
                         let predicted = step(p, b.pc, b.target, scored);
                         if scored {
                             *indirect += 1;
@@ -218,12 +225,7 @@ where
             for event in events {
                 match event {
                     TraceEvent::Indirect(b) => {
-                        let scored = if *to_warm > 0 {
-                            *to_warm -= 1;
-                            false
-                        } else {
-                            true
-                        };
+                        let scored = take_scored(to_warm);
                         // This event exhausts the warmup prefix.
                         let crossed = !scored && *to_warm == 0;
                         if scored && probe.warm_pending {
@@ -281,14 +283,39 @@ pub fn fold_dyn_chunk(
 }
 
 /// Folds a chunk through a borrowed [`TwoLevelPredictor`] on the
-/// monomorphized fused path — for analysis folds (miss classification,
-/// pattern censuses) that keep ownership of their predictor instead of
-/// wrapping it in a [`FoldKernel`].
+/// monomorphized path — the [`FoldKernel::TwoLevel`] fold, also used by
+/// analysis folds (miss classification, pattern censuses) that keep
+/// ownership of their predictor instead of wrapping it in a
+/// [`FoldKernel`].
+///
+/// Over an unbounded table an unprobed fold runs in two passes: first the
+/// key and hash tag of every indirect event in the chunk, then the probes
+/// and training over those keys. The history depends only on the events,
+/// so the keys are exactly what the per-event step would compute. A fold
+/// with a [`ProbeSink`] keeps the per-event `fused_step`, because its
+/// mid-chunk samples read the live history.
 pub fn fold_two_level_chunk(
     p: &mut TwoLevelPredictor,
     events: &[TraceEvent],
     scorer: &mut ChunkScorer<'_>,
 ) {
+    if scorer.probe.is_none() {
+        if let Some((table, batch, rule)) = p.batch_keys(events) {
+            let width = table.key_words();
+            let branches = events.iter().filter_map(TraceEvent::as_indirect);
+            for (b, (key, tag)) in branches.zip(batch.keys(width)) {
+                let scored = take_scored(&mut scorer.to_warm);
+                let hit = table.lookup_update_tagged(key, tag, b.target, rule, scored);
+                if scored {
+                    scorer.indirect += 1;
+                    if hit.map(|h| h.target) != Some(b.target) {
+                        scorer.mispredicted += 1;
+                    }
+                }
+            }
+            return;
+        }
+    }
     fold_events(p, events, scorer, |p, pc, actual, scored| {
         p.fused_step(pc, actual, scored).map(|h| h.target)
     });
@@ -374,9 +401,7 @@ impl FoldKernel {
     /// [`fold_dyn_chunk`].
     pub fn fold_chunk(&mut self, events: &[TraceEvent], scorer: &mut ChunkScorer<'_>) {
         match self {
-            FoldKernel::TwoLevel(p) => fold_events(p, events, scorer, |p, pc, actual, scored| {
-                p.fused_step(pc, actual, scored).map(|h| h.target)
-            }),
+            FoldKernel::TwoLevel(p) => fold_two_level_chunk(p, events, scorer),
             FoldKernel::Hybrid(p) => fold_events(p, events, scorer, |p, pc, actual, scored| {
                 p.fused_step(pc, actual, scored).map(|h| h.target)
             }),

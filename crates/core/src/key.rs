@@ -281,20 +281,21 @@ impl CompressedKeySpec {
         if p == 0 || b == 0 {
             return 0;
         }
-        debug_assert!(history.depth() >= p, "history shallower than path length");
+        let path = &history.path()[..p];
         if self.compressor.is_chunked() {
             let mut chunks = [0u32; MAX_PATH];
-            for (i, chunk) in chunks.iter_mut().take(p).enumerate() {
-                *chunk = self.compressor.chunk(history.recent(i), b);
+            for (chunk, &t) in chunks.iter_mut().zip(path) {
+                *chunk = self.compressor.chunk(t, b);
             }
             self.interleaving.layout(&chunks[..p], b)
         } else {
             // Shift-xor folds oldest-to-newest over the full addresses.
-            let mut oldest_first: Vec<Addr> = history.snapshot();
-            oldest_first.truncate(p);
-            oldest_first.reverse();
+            let mut oldest_first = [Addr::ZERO; MAX_PATH];
+            for (slot, &t) in oldest_first.iter_mut().zip(path.iter().rev()) {
+                *slot = t;
+            }
             self.compressor
-                .fold_history(&oldest_first, b, self.pattern_width())
+                .fold_history(&oldest_first[..p], b, self.pattern_width())
         }
     }
 
@@ -310,76 +311,83 @@ impl CompressedKeySpec {
     }
 }
 
-/// A full-precision key for unconstrained predictors (§3): the table
-/// identifier (`pc >> h`) plus the complete target addresses of the path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FullKey {
-    table: u32,
-    len: u8,
-    elems: [u32; MAX_PATH],
+/// The recipe for full-precision keys of unconstrained predictors (§3):
+/// the table identifier (`pc >> h`) followed by the `p` most recent
+/// history elements, newest first — `1 + p` words of an
+/// [`UnboundedTable`](crate::table::UnboundedTable) key.
+///
+/// With a `precision` of `b` bits each element is reduced to its bits
+/// `[2..2+b-1]` above the alignment bits: the paper's Figure 10 setting of
+/// limited-precision patterns on unconstrained tables. `None` keeps the
+/// full 32-bit addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FullKeySpec {
+    path_len: usize,
+    sharing: TableSharing,
+    precision: Option<u32>,
 }
 
-impl FullKey {
-    /// Builds the key for a branch at `pc` from the `path_len` most recent
-    /// history elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `path_len > MAX_PATH` or the history is shallower than
-    /// `path_len`.
-    #[must_use]
-    pub fn build(
-        pc: Addr,
-        history: &HistoryRegister,
-        path_len: usize,
-        sharing: TableSharing,
-    ) -> Self {
-        FullKey::build_with_precision(pc, history, path_len, sharing, None)
-    }
-
-    /// Like [`build`](FullKey::build), but each history element is reduced
-    /// to its `b` low-order bits above the alignment bits (`[2..2+b-1]`).
-    ///
-    /// This is the paper's Figure 10 setting: limited-precision patterns
-    /// evaluated on unconstrained tables. `None` keeps full precision.
+impl FullKeySpec {
+    /// Creates the recipe for path length `path_len`.
     ///
     /// # Panics
     ///
     /// Panics if `path_len > MAX_PATH`.
     #[must_use]
-    pub fn build_with_precision(
-        pc: Addr,
-        history: &HistoryRegister,
-        path_len: usize,
-        sharing: TableSharing,
-        precision: Option<u32>,
-    ) -> Self {
-        assert!(path_len <= MAX_PATH);
-        let mut elems = [0u32; MAX_PATH];
-        for (i, e) in elems.iter_mut().take(path_len).enumerate() {
-            let t = history.recent(i);
-            *e = match precision {
-                None => t.raw(),
-                Some(b) => t.bits(2, b),
-            };
-        }
-        FullKey {
-            table: sharing.address_component(pc),
-            len: path_len as u8,
-            elems,
+    pub(crate) fn new(path_len: usize, sharing: TableSharing, precision: Option<u32>) -> Self {
+        assert!(
+            path_len <= MAX_PATH,
+            "path length {path_len} exceeds {MAX_PATH}"
+        );
+        FullKeySpec {
+            path_len,
+            sharing,
+            precision,
         }
     }
 
-    /// The table identifier component (`pc >> h`).
+    /// The table-sharing policy (the first key word is `pc >> h`).
     #[must_use]
-    pub fn table(&self) -> u32 {
-        self.table
+    pub(crate) fn table_sharing(&self) -> TableSharing {
+        self.sharing
     }
 
-    /// The path length of the key.
+    /// Bits kept per history element, or `None` for full precision.
     #[must_use]
-    pub fn path_len(&self) -> usize {
-        usize::from(self.len)
+    pub(crate) fn precision(&self) -> Option<u32> {
+        self.precision
+    }
+
+    /// The key width in words: `1 + p`.
+    #[must_use]
+    pub(crate) fn words(&self) -> usize {
+        1 + self.path_len
+    }
+
+    /// Writes the key of a branch at `pc` into `out`, which must be
+    /// [`words`](FullKeySpec::words) long.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` has the wrong length or the history is shallower
+    /// than the path length.
+    pub(crate) fn write(&self, pc: Addr, history: &HistoryRegister, out: &mut [u32]) {
+        assert_eq!(out.len(), self.words(), "full key width");
+        let (table, path) = out.split_first_mut().expect("one table word");
+        *table = self.sharing.address_component(pc);
+        let elems = &history.path()[..self.path_len];
+        match self.precision {
+            None => {
+                for (word, t) in path.iter_mut().zip(elems) {
+                    *word = t.raw();
+                }
+            }
+            Some(b) => {
+                for (word, t) in path.iter_mut().zip(elems) {
+                    *word = t.bits(2, b);
+                }
+            }
+        }
     }
 }
 
@@ -502,29 +510,49 @@ mod tests {
         assert_eq!(pat, expect);
     }
 
+    fn full_key(spec: FullKeySpec, pc: Addr, h: &HistoryRegister) -> Vec<u32> {
+        let mut out = vec![0; spec.words()];
+        spec.write(pc, h, &mut out);
+        out
+    }
+
     #[test]
     fn full_key_equality_by_path() {
+        let spec = FullKeySpec::new(2, TableSharing::PER_ADDRESS, None);
         let h1 = hist(&[0x100, 0x200], 4);
         let h2 = hist(&[0x100, 0x200], 4);
-        let k1 = FullKey::build(a(0x1000), &h1, 2, TableSharing::PER_ADDRESS);
-        let k2 = FullKey::build(a(0x1000), &h2, 2, TableSharing::PER_ADDRESS);
-        assert_eq!(k1, k2);
-        assert_eq!(k1.path_len(), 2);
-        assert_eq!(k1.table(), a(0x1000).word());
+        let k1 = full_key(spec, a(0x1000), &h1);
+        assert_eq!(k1, full_key(spec, a(0x1000), &h2));
+        assert_eq!(
+            k1,
+            vec![a(0x1000).word(), 0x200, 0x100],
+            "table word, newest first"
+        );
+        assert_eq!(spec.words(), 3);
         // Deeper history content beyond the path is irrelevant.
         let h3 = hist(&[0x998, 0x100, 0x200], 4);
-        let k3 = FullKey::build(a(0x1000), &h3, 2, TableSharing::PER_ADDRESS);
-        assert_eq!(k1, k3);
+        assert_eq!(k1, full_key(spec, a(0x1000), &h3));
     }
 
     #[test]
     fn full_key_differs_per_table() {
         let h = hist(&[0x100], 2);
-        let k1 = FullKey::build(a(0x1000), &h, 1, TableSharing::PER_ADDRESS);
-        let k2 = FullKey::build(a(0x2000), &h, 1, TableSharing::PER_ADDRESS);
-        assert_ne!(k1, k2);
-        let g1 = FullKey::build(a(0x1000), &h, 1, TableSharing::GLOBAL);
-        let g2 = FullKey::build(a(0x2000), &h, 1, TableSharing::GLOBAL);
-        assert_eq!(g1, g2);
+        let per = FullKeySpec::new(1, TableSharing::PER_ADDRESS, None);
+        assert_ne!(full_key(per, a(0x1000), &h), full_key(per, a(0x2000), &h));
+        let global = FullKeySpec::new(1, TableSharing::GLOBAL, None);
+        assert_eq!(
+            full_key(global, a(0x1000), &h),
+            full_key(global, a(0x2000), &h)
+        );
+    }
+
+    #[test]
+    fn full_key_precision_keeps_low_bits() {
+        let spec = FullKeySpec::new(2, TableSharing::PER_ADDRESS, Some(4));
+        let h = hist(&[0x1234, 0xABC8], 2);
+        assert_eq!(
+            full_key(spec, a(0x1000), &h),
+            vec![a(0x1000).word(), a(0xABC8).bits(2, 4), a(0x1234).bits(2, 4)]
+        );
     }
 }

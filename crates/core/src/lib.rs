@@ -75,7 +75,7 @@ pub use interleave::Interleaving;
 pub use kernel::{
     fold_dyn_chunk, fold_two_level_chunk, ChunkScorer, FoldKernel, ProbeSink, WarmTrigger,
 };
-pub use key::{CompressedKeySpec, FullKey, KeyScheme, TableSharing};
+pub use key::{CompressedKeySpec, KeyScheme, TableSharing};
 pub use meta::{BpstMetaPredictor, MetaSpec, MetaState};
 pub use pattern::PatternCompressor;
 pub use predictor::{Predictor, UpdateRule};

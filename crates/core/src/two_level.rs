@@ -1,18 +1,37 @@
 //! The two-level indirect branch predictor (§3–§5).
 
-use ibp_trace::Addr;
+use ibp_trace::{Addr, TraceEvent};
 
-use crate::history::{Histories, HistoryElement, HistorySharing};
-use crate::key::{CompressedKeySpec, FullKey, TableSharing};
+use crate::history::{Histories, HistoryElement, HistoryRegister, HistorySharing, MAX_PATH};
+use crate::key::{CompressedKeySpec, FullKeySpec, TableSharing};
 use crate::predictor::{Predictor, UpdateRule};
 use crate::snapshot::{ComponentSnapshot, Snapshot, StructuralSnapshot, TableSnapshot};
 use crate::table::{FullyAssocTable, SetAssocTable, TableHit, TaglessTable, UnboundedTable};
+
+/// A compressed key as the two words of an [`UnboundedTable`] key.
+fn key_words(key: u64) -> [u32; 2] {
+    [key as u32, (key >> 32) as u32]
+}
+
+/// Runs `f` on the full-precision key of a branch at `pc`, built on the
+/// stack.
+fn with_full_key<R>(
+    key: &FullKeySpec,
+    pc: Addr,
+    register: &HistoryRegister,
+    f: impl FnOnce(&[u32]) -> R,
+) -> R {
+    let mut buf = [0u32; MAX_PATH + 1];
+    let words = &mut buf[..key.words()];
+    key.write(pc, register, words);
+    f(words)
+}
 
 /// Second-level storage for a compressed-key predictor.
 #[derive(Debug, Clone)]
 pub(crate) enum Backend {
     /// No size limit (§4: isolates precision loss from capacity loss).
-    Unbounded(UnboundedTable<u64>),
+    Unbounded(UnboundedTable),
     /// Bounded, fully associative, LRU (§5.1: adds capacity misses).
     FullAssoc(FullyAssocTable),
     /// Bounded, limited associativity (§5.2: adds conflict misses).
@@ -25,7 +44,7 @@ pub(crate) enum Backend {
 impl Backend {
     fn lookup(&self, key: u64) -> Option<TableHit> {
         match self {
-            Backend::Unbounded(t) => t.lookup(&key),
+            Backend::Unbounded(t) => t.lookup(&key_words(key)),
             Backend::FullAssoc(t) => t.lookup(key),
             Backend::SetAssoc(t) => t.lookup(key),
             Backend::Tagless(t) => t.lookup(key),
@@ -34,7 +53,7 @@ impl Backend {
 
     fn update(&mut self, key: u64, actual: Addr, rule: UpdateRule) {
         match self {
-            Backend::Unbounded(t) => t.update(key, actual, rule),
+            Backend::Unbounded(t) => t.update(&key_words(key), actual, rule),
             Backend::FullAssoc(t) => t.update(key, actual, rule),
             Backend::SetAssoc(t) => t.update(key, actual, rule),
             Backend::Tagless(t) => t.update(key, actual, rule),
@@ -94,9 +113,8 @@ enum Mode {
     /// Full 32-bit target addresses in the key (§3), optionally reduced to
     /// `precision` bits each (§4.1 / Figure 10). Always unbounded.
     Full {
-        sharing: TableSharing,
-        precision: Option<u32>,
-        table: UnboundedTable<FullKey>,
+        key: FullKeySpec,
+        table: UnboundedTable,
     },
     /// Compressed ≤ 64-bit keys over any backend (§4.2, §5).
     Compressed {
@@ -142,6 +160,24 @@ pub struct TwoLevelPredictor {
     rule: UpdateRule,
     mode: Mode,
     include_cond: bool,
+    batch: KeyBatch,
+}
+
+/// One chunk's precomputed unbounded-table keys: the words of every
+/// indirect event's key, back to back, and each key's hash tag.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeyBatch {
+    words: Vec<u32>,
+    tags: Vec<u32>,
+}
+
+impl KeyBatch {
+    /// The batched keys in event order, each with its tag.
+    pub(crate) fn keys(&self, width: usize) -> impl Iterator<Item = (&[u32], u32)> {
+        self.words
+            .chunks_exact(width)
+            .zip(self.tags.iter().copied())
+    }
 }
 
 impl TwoLevelPredictor {
@@ -171,11 +207,11 @@ impl TwoLevelPredictor {
             path_len,
             rule: UpdateRule::TwoBitCounter,
             mode: Mode::Full {
-                sharing: table_sharing,
-                precision,
-                table: UnboundedTable::new(2),
+                key: FullKeySpec::new(path_len, table_sharing, precision),
+                table: UnboundedTable::new(1 + path_len, 2),
             },
             include_cond: false,
+            batch: KeyBatch::default(),
         }
     }
 
@@ -195,13 +231,14 @@ impl TwoLevelPredictor {
             rule: UpdateRule::TwoBitCounter,
             mode: Mode::Compressed { spec, backend },
             include_cond: false,
+            batch: KeyBatch::default(),
         }
     }
 
     /// A compressed-key predictor with an unbounded table (§4).
     #[must_use]
     pub fn compressed_unbounded(spec: CompressedKeySpec) -> Self {
-        TwoLevelPredictor::compressed(spec, Backend::Unbounded(UnboundedTable::new(2)))
+        TwoLevelPredictor::compressed(spec, Backend::Unbounded(UnboundedTable::new(2, 2)))
     }
 
     /// A compressed-key predictor with a bounded fully-associative LRU
@@ -269,9 +306,11 @@ impl TwoLevelPredictor {
     #[must_use]
     pub fn with_confidence_bits(mut self, bits: u8) -> Self {
         match &mut self.mode {
-            Mode::Full { table, .. } => *table = UnboundedTable::new(bits),
+            Mode::Full { key, table } => *table = UnboundedTable::new(key.words(), bits),
             Mode::Compressed { backend, .. } => match backend {
-                Backend::Unbounded(_) => *backend = Backend::Unbounded(UnboundedTable::new(bits)),
+                Backend::Unbounded(_) => {
+                    *backend = Backend::Unbounded(UnboundedTable::new(2, bits));
+                }
                 Backend::FullAssoc(t) => {
                     *backend = Backend::FullAssoc(FullyAssocTable::new(t.capacity(), bits));
                 }
@@ -322,20 +361,11 @@ impl TwoLevelPredictor {
         use std::hash::{Hash, Hasher};
         let register = self.histories.register(pc);
         match &self.mode {
-            Mode::Full {
-                sharing, precision, ..
-            } => {
-                let key = FullKey::build_with_precision(
-                    pc,
-                    register,
-                    self.path_len,
-                    *sharing,
-                    *precision,
-                );
+            Mode::Full { key, .. } => with_full_key(key, pc, register, |words| {
                 let mut h = std::collections::hash_map::DefaultHasher::new();
-                key.hash(&mut h);
+                words.hash(&mut h);
                 h.finish()
-            }
+            }),
             Mode::Compressed { spec, backend: _ } => spec.key(pc, register),
         }
     }
@@ -350,29 +380,20 @@ impl TwoLevelPredictor {
     /// This is the hot inner step of the chunk-fold kernels
     /// ([`FoldKernel`](crate::FoldKernel)): the legacy dyn fold pays two
     /// virtual calls and two register/key computations per event; this pays
-    /// none and one. Unbounded backends additionally fold the table's
-    /// lookup and update into a single hash probe.
+    /// none and one. Unbounded tables additionally fold the lookup and
+    /// the update into a single probe.
     pub fn fused_step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<TableHit> {
         let register = self.histories.register(pc);
         let hit = match &mut self.mode {
-            Mode::Full {
-                sharing,
-                precision,
-                table,
-            } => {
-                let key = FullKey::build_with_precision(
-                    pc,
-                    register,
-                    self.path_len,
-                    *sharing,
-                    *precision,
-                );
-                table.lookup_update(key, actual, self.rule, want_lookup)
-            }
+            Mode::Full { key, table } => with_full_key(key, pc, register, |words| {
+                table.lookup_update(words, actual, self.rule, want_lookup)
+            }),
             Mode::Compressed { spec, backend } => {
                 let key = spec.key(pc, register);
                 match backend {
-                    Backend::Unbounded(t) => t.lookup_update(key, actual, self.rule, want_lookup),
+                    Backend::Unbounded(t) => {
+                        t.lookup_update(&key_words(key), actual, self.rule, want_lookup)
+                    }
                     _ => {
                         let hit = if want_lookup { backend.lookup(key) } else { None };
                         backend.update(key, actual, self.rule);
@@ -385,27 +406,87 @@ impl TwoLevelPredictor {
         hit
     }
 
+    /// The key pass of a batched chunk fold over an unbounded table, whose
+    /// probe dominates the fold: runs the history forward over the whole
+    /// chunk and records every indirect event's key words and tag. This is
+    /// exact because history depends only on the events, never on a
+    /// prediction. Returns what the probe pass needs — the table, the
+    /// batch and the update rule — or `None`, touching nothing, for a
+    /// bounded backend.
+    pub(crate) fn batch_keys(
+        &mut self,
+        events: &[TraceEvent],
+    ) -> Option<(&mut UnboundedTable, &KeyBatch, UpdateRule)> {
+        let TwoLevelPredictor {
+            histories,
+            rule,
+            mode,
+            include_cond,
+            batch,
+            ..
+        } = self;
+        let table = match mode {
+            Mode::Full { key, table } => {
+                let write = |pc, reg: &HistoryRegister, out: &mut [u32]| key.write(pc, reg, out);
+                fill_batch(batch, histories, *include_cond, events, key.words(), write);
+                table
+            }
+            Mode::Compressed {
+                spec,
+                backend: Backend::Unbounded(table),
+            } => {
+                let write = |pc, reg: &HistoryRegister, out: &mut [u32]| {
+                    out.copy_from_slice(&key_words(spec.key(pc, reg)));
+                };
+                fill_batch(batch, histories, *include_cond, events, 2, write);
+                table
+            }
+            Mode::Compressed { .. } => return None,
+        };
+        Some((table, batch, *rule))
+    }
+
     /// Looks up the prediction and its confidence — the interface hybrid
     /// metaprediction builds on (§6.1).
     #[must_use]
     pub fn lookup(&self, pc: Addr) -> Option<TableHit> {
         let register = self.histories.register(pc);
         match &self.mode {
-            Mode::Full {
-                sharing,
-                precision,
-                table,
-            } => {
-                let key = FullKey::build_with_precision(
-                    pc,
-                    register,
-                    self.path_len,
-                    *sharing,
-                    *precision,
-                );
-                table.lookup(&key)
+            Mode::Full { key, table } => {
+                with_full_key(key, pc, register, |words| table.lookup(words))
             }
             Mode::Compressed { spec, backend } => backend.lookup(spec.key(pc, register)),
+        }
+    }
+}
+
+/// Fills `batch` with the `width`-word key and tag of every indirect event
+/// in `events`, shifting the history as the events go by.
+fn fill_batch(
+    batch: &mut KeyBatch,
+    histories: &mut Histories,
+    include_cond: bool,
+    events: &[TraceEvent],
+    width: usize,
+    mut write: impl FnMut(Addr, &HistoryRegister, &mut [u32]),
+) {
+    batch.words.clear();
+    batch.tags.clear();
+    for event in events {
+        match event {
+            TraceEvent::Indirect(b) => {
+                let start = batch.words.len();
+                batch.words.resize(start + width, 0);
+                let words = &mut batch.words[start..];
+                write(b.pc, histories.register(b.pc), words);
+                batch.tags.push(UnboundedTable::tag(words));
+                histories.record(b.pc, b.target);
+            }
+            TraceEvent::Cond(b) => {
+                if include_cond {
+                    histories.record(b.pc, b.outcome());
+                }
+            }
         }
     }
 }
@@ -439,19 +520,10 @@ impl Predictor for TwoLevelPredictor {
     fn update(&mut self, pc: Addr, actual: Addr) {
         let register = self.histories.register(pc);
         match &mut self.mode {
-            Mode::Full {
-                sharing,
-                precision,
-                table,
-            } => {
-                let key = FullKey::build_with_precision(
-                    pc,
-                    register,
-                    self.path_len,
-                    *sharing,
-                    *precision,
-                );
-                table.update(key, actual, self.rule);
+            Mode::Full { key, table } => {
+                with_full_key(key, pc, register, |words| {
+                    table.update(words, actual, self.rule);
+                });
             }
             Mode::Compressed { spec, backend } => {
                 let key = spec.key(pc, register);
@@ -482,19 +554,15 @@ impl Predictor for TwoLevelPredictor {
             format!("s={}", self.histories.sharing().s())
         };
         match &self.mode {
-            Mode::Full {
-                sharing: ts,
-                precision,
-                ..
-            } => {
-                let prec = match precision {
+            Mode::Full { key, .. } => {
+                let prec = match key.precision() {
                     None => "full-precision".to_string(),
                     Some(b) => format!("{b}-bit"),
                 };
                 format!(
                     "two-level p={} {sharing} history, h={}, {prec}, unbounded",
                     self.path_len,
-                    ts.h()
+                    key.table_sharing().h()
                 )
             }
             Mode::Compressed { spec, backend } => format!(

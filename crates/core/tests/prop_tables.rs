@@ -1,6 +1,8 @@
 //! Property-based tests for the table substrates.
 
-use ibp_core::table::{FullyAssocTable, LruMap, SetAssocTable, TaglessTable};
+use std::collections::HashMap;
+
+use ibp_core::table::{FullyAssocTable, LruMap, SetAssocTable, Slot, TaglessTable, UnboundedTable};
 use ibp_core::UpdateRule;
 use ibp_trace::Addr;
 use proptest::prelude::*;
@@ -54,7 +56,87 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One operation on an unbounded table. Keys are drawn from a few hundred
+/// seeds, so they repeat, and clears are rare enough that a run stores
+/// hundreds of keys, growing the index from 16 buckets several times.
+#[derive(Debug, Clone)]
+enum FlatOp {
+    Lookup(u16),
+    LookupUpdate(u16, u32, bool),
+    Clear,
+}
+
+fn flat_op_strategy() -> impl Strategy<Value = FlatOp> {
+    prop_oneof![
+        250 => (0u16..600).prop_map(FlatOp::Lookup),
+        750 => (0u16..600, 0u32..4, any::<bool>())
+            .prop_map(|(k, t, want)| FlatOp::LookupUpdate(k, t, want)),
+        1 => Just(FlatOp::Clear),
+    ]
+}
+
+/// The `width`-word key of a seed. Keys share their first word in groups
+/// of eight and differ in their last, so long keys are told apart only by
+/// a full comparison.
+fn flat_key(seed: u16, width: usize) -> Vec<u32> {
+    let seed = u32::from(seed);
+    let mut key: Vec<u32> = (0..width as u32)
+        .map(|i| (seed >> 3) ^ (i * 0x9E37))
+        .collect();
+    key[0] = seed & 7;
+    key[width - 1] = seed;
+    key
+}
+
 proptest! {
+    /// The flat unbounded table agrees with a `HashMap` model on every
+    /// sequence of lookups, fused lookup-updates and clears: same hits,
+    /// same occupancy, same confidence histogram.
+    #[test]
+    fn unbounded_table_matches_hash_map_model(
+        width in prop_oneof![Just(1usize), Just(2usize), Just(19usize)],
+        bits in 1u8..=7,
+        ops in proptest::collection::vec(flat_op_strategy(), 1..1_500),
+    ) {
+        let mut table = UnboundedTable::new(width, bits);
+        let mut model: HashMap<Vec<u32>, Slot> = HashMap::new();
+        for op in ops {
+            match op {
+                FlatOp::Lookup(seed) => {
+                    let key = flat_key(seed, width);
+                    prop_assert_eq!(table.lookup(&key), model.get(&key).map(Slot::hit));
+                }
+                FlatOp::LookupUpdate(seed, t, want) => {
+                    let key = flat_key(seed, width);
+                    let target = Addr::from_word(0x100 + t);
+                    let expect = match model.get_mut(&key) {
+                        Some(slot) => {
+                            let hit = want.then(|| slot.hit());
+                            slot.train(target, UpdateRule::TwoBitCounter);
+                            hit
+                        }
+                        None => {
+                            model.insert(key.clone(), Slot::new(target, bits));
+                            None
+                        }
+                    };
+                    let got = table.lookup_update(&key, target, UpdateRule::TwoBitCounter, want);
+                    prop_assert_eq!(got, expect);
+                }
+                FlatOp::Clear => {
+                    table.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(table.len(), model.len());
+            let mut hist = vec![0u64; (1usize << bits).min(128)];
+            for slot in model.values() {
+                hist[usize::from(slot.hit().confidence)] += 1;
+            }
+            prop_assert_eq!(table.confidence_histogram(), hist);
+        }
+    }
+
     /// The hand-rolled LRU map agrees with a brute-force model on every
     /// operation sequence.
     #[test]

@@ -335,7 +335,7 @@ fn component_worker(
                     TraceEvent::Indirect(b) => {
                         // Fused pre-update lookup + train: one key
                         // computation and (for unbounded backends) one
-                        // hash probe per event, same record as
+                        // table probe per event, same record as
                         // `lookup` followed by `update`.
                         records.push(PredRecord::pack(predictor.fused_step(b.pc, b.target, true)));
                         if probing {
@@ -449,12 +449,14 @@ pub fn simulate_source_components_with_chunk<S: EventSource + ?Sized>(
     let mut record_hwm = 0u64;
     let mut merge_probe = policy.on().then(MergeProbe::default);
     type WorkerProbe = Option<(Option<Snapshot>, Snapshot)>;
+    let fault_scope = faults::current_scope();
     let (routed, worker_probes) = std::thread::scope(
         |scope| -> Result<(u64, Vec<WorkerProbe>), PipelineError> {
             let mut handles = Vec::with_capacity(2);
             for (i, cfg) in configs.into_iter().enumerate() {
                 let (input, output) = (&inputs[i], &outputs[i]);
                 handles.push(scope.spawn(move || {
+                    faults::enter_scope(fault_scope);
                     // The containment boundary: a panic anywhere in the
                     // component fold becomes a fault report, and the dying
                     // worker closes both of its queues so the router's
@@ -578,7 +580,8 @@ pub fn simulate_source_components_with_chunk<S: EventSource + ?Sized>(
                 .collect();
             // Prefer a worker's own fault over the router/merge-side
             // symptom it causes: the worker knows the true site.
-            if let Some(fault) = joined.iter().find_map(|r| r.as_ref().err()) {
+            let faults = joined.iter().filter_map(|r| r.as_ref().err());
+            if let Some(fault) = WorkerFault::root_cause(faults) {
                 return Err(PipelineError::Fault(fault.clone()));
             }
             if let Some(failure) = failure {

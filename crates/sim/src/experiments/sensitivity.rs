@@ -7,12 +7,12 @@
 //! slope. This runner quantifies that, and backs the deviation note in
 //! EXPERIMENTS.md.
 
-use ibp_core::{Predictor, PredictorConfig};
+use ibp_core::{FoldKernel, PredictorConfig};
 use ibp_workload::Benchmark;
 
 use crate::parallel_map;
 use crate::report::{Cell, Table};
-use crate::run::simulate_source_multi;
+use crate::run::simulate_source_kernels;
 use crate::suite::{streaming_enabled, Suite};
 
 /// Path lengths probed.
@@ -47,17 +47,15 @@ pub fn run_with_lengths(lengths: &[u64]) -> Vec<Table> {
         // path-length predictors at once (results are identical to
         // dedicated passes). Long lengths stream instead of materialising.
         let rates: Vec<Vec<f64>> = parallel_map(&BENCHMARKS, |&b| {
-            let mut predictors: Vec<Box<dyn Predictor>> = PATHS
+            let mut kernels: Vec<FoldKernel> = PATHS
                 .iter()
-                .map(|&p| PredictorConfig::unconstrained(p).build())
+                .map(|&p| PredictorConfig::unconstrained(p).build_kernel())
                 .collect();
-            let mut refs: Vec<&mut (dyn Predictor + 'static)> =
-                predictors.iter_mut().map(|p| &mut **p).collect();
             let stats = if streaming_enabled(events) {
-                simulate_source_multi(&mut b.source(events), &mut refs, 0)
+                simulate_source_kernels(&mut b.source(events), &mut kernels, 0)
             } else {
                 let trace = b.trace_with_len(events);
-                simulate_source_multi(&mut trace.cursor(), &mut refs, 0)
+                simulate_source_kernels(&mut trace.cursor(), &mut kernels, 0)
             }
             .expect("generator sources cannot fail");
             stats.into_iter().map(|s| s.misprediction_rate()).collect()

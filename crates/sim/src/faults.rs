@@ -35,8 +35,17 @@
 //!
 //! The registered sites are listed in [`SITES`]; `fault_matrix` sweeps
 //! all of them under every scheduling mode.
+//!
+//! # Scopes
+//!
+//! A plan parsed from `IBP_FAULTS` counts occurrences on every thread. A
+//! plan armed through [`override_spec`] counts them only in the arming
+//! thread's *scope*: that thread and the workers it spawns, which join its
+//! scope with `enter_scope`. So two tests in one process never trip each
+//! other's faults or watchdog bounds, whichever sites they cross.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -149,12 +158,50 @@ struct Arm {
 struct Plan {
     arms: HashMap<&'static str, Arm>,
     watchdog_ms: Option<u64>,
+    /// The scope whose threads the plan applies to; `None` for every
+    /// thread.
+    scope: Option<u64>,
 }
 
 impl Plan {
     fn is_armed(&self) -> bool {
         !self.arms.is_empty()
     }
+
+    /// Whether the calling thread is in the plan's scope.
+    fn applies_here(&self) -> bool {
+        self.scope.is_none_or(|scope| scope == current_scope())
+    }
+}
+
+thread_local! {
+    /// The calling thread's fault scope; zero until the thread arms a plan
+    /// or joins its spawner's scope.
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The calling thread's fault scope, to hand to the workers it spawns.
+#[must_use]
+pub(crate) fn current_scope() -> u64 {
+    SCOPE.with(Cell::get)
+}
+
+/// Puts the calling thread (a freshly spawned worker) in `scope`, the
+/// [`current_scope`] of the thread that spawned it, so the faults armed
+/// there fire here too.
+pub(crate) fn enter_scope(scope: u64) {
+    SCOPE.with(|s| s.set(scope));
+}
+
+/// The calling thread's scope, opening a fresh one if it has none.
+fn own_scope() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    SCOPE.with(|s| {
+        if s.get() == 0 {
+            s.set(NEXT.fetch_add(1, Ordering::Relaxed));
+        }
+        s.get()
+    })
 }
 
 /// Default bound on pipeline condvar waits. Generous enough that no
@@ -165,8 +212,6 @@ const DEFAULT_WATCHDOG_MS: u64 = 30_000;
 
 /// Whether any fault site is armed — the hot-path gate.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Current watchdog bound in ms (read on the queue *slow* path only).
-static WATCHDOG_MS: AtomicU64 = AtomicU64::new(DEFAULT_WATCHDOG_MS);
 
 fn plan() -> &'static Mutex<Plan> {
     static PLAN: OnceLock<Mutex<Plan>> = OnceLock::new();
@@ -190,12 +235,11 @@ fn lock_plan() -> std::sync::MutexGuard<'static, Plan> {
     plan().lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Publishes a plan's derived state: the hot-path flag, the watchdog
-/// bound, and the journal write-fault hook (the journal lives below this
-/// crate, so injection reaches it through `ibp_obs`'s hook slot).
+/// Publishes a plan's derived state: the hot-path flag and the journal
+/// write-fault hook (the journal lives below this crate, so injection
+/// reaches it through `ibp_obs`'s hook slot).
 fn apply(p: &Plan) {
     ACTIVE.store(p.is_armed(), Ordering::Relaxed);
-    WATCHDOG_MS.store(p.watchdog_ms.unwrap_or(DEFAULT_WATCHDOG_MS), Ordering::Relaxed);
     if p.arms.contains_key("journal.write") {
         ibp_obs::journal::set_fault_hook(Some(Box::new(|| io_error("journal.write"))));
     } else {
@@ -286,7 +330,8 @@ pub fn active() -> bool {
 }
 
 /// Counts one occurrence of `site` and reports whether the armed fault
-/// fires *now* (exactly once, at the configured occurrence).
+/// fires *now* (exactly once, at the configured occurrence). Occurrences
+/// outside the plan's scope are not counted.
 #[must_use]
 pub fn should_fire(site: &'static str) -> bool {
     debug_assert!(site_known(site), "unregistered fault site {site:?}");
@@ -294,6 +339,9 @@ pub fn should_fire(site: &'static str) -> bool {
         return false;
     }
     let mut plan = lock_plan();
+    if !plan.applies_here() {
+        return false;
+    }
     let Some(arm) = plan.arms.get_mut(site) else {
         return false;
     };
@@ -345,18 +393,23 @@ pub fn seen(site: &str) -> u64 {
         .map_or(0, |a| a.seen)
 }
 
-/// The bound on pipeline condvar waits. Consulted only once a wait is
-/// actually necessary — the uncontended queue fast path never reads it.
+/// The bound on pipeline condvar waits: the plan's in its scope, the
+/// default elsewhere. Consulted only once a wait is actually necessary —
+/// the uncontended queue fast path never reads it.
 #[must_use]
 pub fn watchdog() -> Duration {
-    let _ = plan();
-    Duration::from_millis(WATCHDOG_MS.load(Ordering::Relaxed))
+    let plan = lock_plan();
+    let ms = match plan.watchdog_ms {
+        Some(ms) if plan.applies_here() => ms,
+        _ => DEFAULT_WATCHDOG_MS,
+    };
+    Duration::from_millis(ms)
 }
 
 /// Replaces the plan for this process: `Some(spec)` arms the spec
-/// (counters zeroed), `None` restores the `IBP_FAULTS` environment
-/// parse. Harness plumbing (`fault_matrix`, tests) — the env itself is
-/// read once.
+/// (counters zeroed) in the calling thread's scope, `None` restores the
+/// `IBP_FAULTS` environment parse. Harness plumbing (`fault_matrix`,
+/// tests) — the env itself is read once.
 ///
 /// # Errors
 ///
@@ -364,7 +417,10 @@ pub fn watchdog() -> Duration {
 /// plan stays armed.
 pub fn override_spec(spec: Option<&str>) -> Result<(), String> {
     let next = match spec {
-        Some(raw) => parse_spec(raw)?,
+        Some(raw) => Plan {
+            scope: Some(own_scope()),
+            ..parse_spec(raw)?
+        },
         None => match std::env::var("IBP_FAULTS") {
             Ok(raw) if !raw.trim().is_empty() => parse_spec(&raw).unwrap_or_default(),
             _ => Plan::default(),
@@ -389,6 +445,8 @@ pub fn panic_detail(payload: &(dyn Any + Send)) -> String {
     }
 }
 
+/// Serialises the tests that arm a plan: there is one plan per process,
+/// even though each fires only in its arming test's scope.
 #[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
@@ -470,6 +528,29 @@ mod tests {
         assert!(override_spec(Some("shard.worker@0")).is_err());
         assert!(override_spec(Some("watchdog=banana")).is_err());
         assert!(override_spec(Some("shard.worker@two")).is_err());
+        override_spec(None).unwrap();
+    }
+
+    #[test]
+    fn armed_plans_fire_only_in_their_scope() {
+        let _guard = test_guard();
+        override_spec(Some("shard.worker@1;watchdog=250")).unwrap();
+        let scope = current_scope();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!should_fire("shard.worker"), "outsider does not count");
+                assert_eq!(watchdog(), Duration::from_millis(DEFAULT_WATCHDOG_MS));
+            });
+        });
+        assert_eq!(seen("shard.worker"), 0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                enter_scope(scope);
+                assert_eq!(watchdog(), Duration::from_millis(250));
+                assert!(should_fire("shard.worker"), "joined worker counts");
+            });
+        });
+        assert_eq!(fired("shard.worker"), 1);
         override_spec(None).unwrap();
     }
 

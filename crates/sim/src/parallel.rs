@@ -128,10 +128,12 @@ where
     // hot path — and the joined batches are scattered back into input
     // order afterwards.
     let cursor = AtomicUsize::new(0);
+    let fault_scope = faults::current_scope();
     let batches: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    faults::enter_scope(fault_scope);
                     let mut span = obs::span("worker");
                     let mut clock = WorkClock::start();
                     let mut local = Vec::new();

@@ -67,6 +67,17 @@ pub struct WorkerFault {
 }
 
 impl WorkerFault {
+    /// The fault to report for a pipeline whose workers joined with
+    /// `faults`: the first that is not a watchdogged queue wait. A worker
+    /// that stalls or panics leaves its peers waiting on their queues too,
+    /// and any of them may time out first; only the faulting worker knows
+    /// the true site.
+    pub(crate) fn root_cause<'a>(
+        faults: impl Iterator<Item = &'a WorkerFault>,
+    ) -> Option<&'a WorkerFault> {
+        faults.min_by_key(|f| f.site.ends_with(".queue"))
+    }
+
     pub(crate) fn from_panic(
         site: &'static str,
         payload: Box<dyn std::any::Any + Send>,
@@ -613,12 +624,14 @@ pub fn simulate_source_sharded<S: EventSource + ?Sized>(
     runs_counter().incr();
     let policy = probe::active_policy();
     let queues: Vec<SpscQueue<Batch>> = (0..shards).map(|_| SpscQueue::new()).collect();
+    let fault_scope = faults::current_scope();
     let outcome = std::thread::scope(|scope| {
         let handles: Vec<_> = queues
             .iter()
             .enumerate()
             .map(|(i, queue)| {
                 scope.spawn(move || {
+                    faults::enter_scope(fault_scope);
                     // The containment boundary: a panic anywhere in the
                     // fold (including an injected one) becomes a fault
                     // report on the worker's result channel, and the
@@ -651,7 +664,8 @@ pub fn simulate_source_sharded<S: EventSource + ?Sized>(
             .collect();
         // Prefer a worker's own fault over the router-side symptom it
         // causes (a stalled push): the worker knows the true site.
-        if let Some(fault) = joined.iter().find_map(|r| r.as_ref().err()) {
+        let faults = joined.iter().filter_map(|r| r.as_ref().err());
+        if let Some(fault) = WorkerFault::root_cause(faults) {
             return Err(PipelineError::Fault(fault.clone()));
         }
         let routed = routed?;

@@ -300,9 +300,32 @@ fn remove_stale_fingerprints(dir: &Path, benchmark: Benchmark, events: u64, keep
 }
 
 /// Ensures a verified segment for `(benchmark, events)` exists under
-/// `root`, generating it on a miss. `None` when the cache directory is
-/// unusable (the caller falls back to direct generation).
-fn ensure_segment_at(root: &Path, benchmark: Benchmark, events: u64) -> Option<PathBuf> {
+/// `root`, generating it on a miss. Returns the segment, `None` when the
+/// cache directory is unusable (the caller falls back to direct
+/// generation), together with the counts this request added to the
+/// process-wide counters: a tally no other request can move.
+fn ensure_segment_at(
+    root: &Path,
+    benchmark: Benchmark,
+    events: u64,
+) -> (Option<PathBuf>, TraceCacheStats) {
+    let mut tally = TraceCacheStats::default();
+    let path = find_or_publish(root, benchmark, events, &mut tally);
+    let c = counters();
+    c.hits.add(tally.hits);
+    c.misses.add(tally.misses);
+    c.bytes_read.add(tally.bytes_read);
+    c.bytes_written.add(tally.bytes_written);
+    (path, tally)
+}
+
+/// [`ensure_segment_at`]'s work, counting into `tally`.
+fn find_or_publish(
+    root: &Path,
+    benchmark: Benchmark,
+    events: u64,
+    tally: &mut TraceCacheStats,
+) -> Option<PathBuf> {
     let dir = version_dir(root);
     let path = dir.join(segment_file_name(benchmark, events));
     let lock = key_lock(&path);
@@ -313,15 +336,15 @@ fn ensure_segment_at(root: &Path, benchmark: Benchmark, events: u64) -> Option<P
         .unwrap_or_else(PoisonError::into_inner)
         .contains(&path)
     {
-        counters().hits.incr();
+        tally.hits += 1;
         return Some(path);
     }
     evict_stale(root);
     if path.exists() {
         match verify_file(&path) {
             Ok(len) => {
-                counters().hits.incr();
-                counters().bytes_read.add(len);
+                tally.hits += 1;
+                tally.bytes_read += len;
                 verified()
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -341,7 +364,7 @@ fn ensure_segment_at(root: &Path, benchmark: Benchmark, events: u64) -> Option<P
 
     // Miss: run the generator once, teed through the binary writer, and
     // publish atomically so concurrent readers never see a partial file.
-    counters().misses.incr();
+    tally.misses += 1;
     if let Err(e) = fs::create_dir_all(&dir) {
         obs::warn!("trace cache: cannot create {}: {e}", dir.display());
         return None;
@@ -378,7 +401,7 @@ fn ensure_segment_at(root: &Path, benchmark: Benchmark, events: u64) -> Option<P
     }
     span.note("bytes", bytes);
     remove_stale_fingerprints(&dir, benchmark, events, &path);
-    counters().bytes_written.add(bytes);
+    tally.bytes_written += bytes;
     // We wrote and fsynced it ourselves; no verification pass needed.
     verified()
         .lock()
@@ -405,7 +428,7 @@ pub fn source_for(benchmark: Benchmark, events: u64) -> Option<BinarySource<fs::
     if !engaged(events) {
         return None;
     }
-    let path = ensure_segment_at(&traces_root(), benchmark, events)?;
+    let path = ensure_segment_at(&traces_root(), benchmark, events).0?;
     match open_segment(&path) {
         Ok(source) => Some(source),
         Err(e) => {
@@ -490,16 +513,15 @@ mod tests {
     #[test]
     fn miss_generates_then_hit_replays_identically() {
         let root = scratch_root("roundtrip");
-        let before = stats();
-        let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("segment");
+        let (path, miss) = ensure_segment_at(&root, Benchmark::Ixx, EVENTS);
+        let path = path.expect("segment");
         assert!(path.exists());
-        let after_miss = stats().since(before);
-        assert_eq!(after_miss.misses, 1);
-        assert!(after_miss.bytes_written > 0);
+        assert_eq!(miss.misses, 1);
+        assert!(miss.bytes_written > 0);
 
-        let again = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("segment");
-        assert_eq!(again, path);
-        assert_eq!(stats().since(before).hits, 1);
+        let (again, hit) = ensure_segment_at(&root, Benchmark::Ixx, EVENTS);
+        assert_eq!(again.expect("segment"), path);
+        assert_eq!(miss.hits + hit.hits, 1);
 
         let mut source = open_segment(&path).expect("open");
         let replay = collect_source(&mut source).expect("replay");
@@ -514,7 +536,7 @@ mod tests {
     #[test]
     fn corrupt_segment_is_evicted_and_regenerated() {
         let root = scratch_root("corrupt");
-        let path = ensure_segment_at(&root, Benchmark::Gcc, EVENTS).expect("segment");
+        let path = ensure_segment_at(&root, Benchmark::Gcc, EVENTS).0.expect("segment");
         // Garble one payload byte, then pretend we are a new process.
         let mut bytes = fs::read(&path).expect("read");
         let last = bytes.len() - 1;
@@ -522,10 +544,9 @@ mod tests {
         fs::write(&path, &bytes).expect("garble");
         forget(&path);
 
-        let before = stats();
-        let regenerated = ensure_segment_at(&root, Benchmark::Gcc, EVENTS).expect("segment");
-        assert_eq!(regenerated, path);
-        assert_eq!(stats().since(before).misses, 1, "verify failed -> regenerate");
+        let (regenerated, tally) = ensure_segment_at(&root, Benchmark::Gcc, EVENTS);
+        assert_eq!(regenerated.expect("segment"), path);
+        assert_eq!(tally.misses, 1, "verify failed -> regenerate");
         let mut source = open_segment(&path).expect("open");
         let replay = collect_source(&mut source).expect("replay after regeneration");
         assert_eq!(replay.events(), Benchmark::Gcc.trace_with_len(EVENTS).events());
@@ -535,14 +556,14 @@ mod tests {
     #[test]
     fn truncated_segment_is_evicted_and_regenerated() {
         let root = scratch_root("truncated");
-        let path = ensure_segment_at(&root, Benchmark::Perl, EVENTS).expect("segment");
+        let path = ensure_segment_at(&root, Benchmark::Perl, EVENTS).0.expect("segment");
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
         forget(&path);
 
-        let before = stats();
-        ensure_segment_at(&root, Benchmark::Perl, EVENTS).expect("segment");
-        assert_eq!(stats().since(before).misses, 1);
+        let (regenerated, tally) = ensure_segment_at(&root, Benchmark::Perl, EVENTS);
+        regenerated.expect("segment");
+        assert_eq!(tally.misses, 1);
         verify_file(&path).expect("regenerated segment verifies");
         let _ = fs::remove_dir_all(&root);
     }
@@ -558,7 +579,7 @@ mod tests {
         let stale_fp = dir.join(format!("{}-{EVENTS}-{:016x}.ibpb", Benchmark::Ixx.name(), 0));
         fs::write(&stale_fp, b"old fingerprint").expect("stale fp");
 
-        ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("segment");
+        ensure_segment_at(&root, Benchmark::Ixx, EVENTS).0.expect("segment");
         assert!(!stale_dir.exists(), "v0 evicted");
         assert!(!stale_fp.exists(), "old fingerprint evicted");
         let _ = fs::remove_dir_all(&root);
@@ -567,7 +588,7 @@ mod tests {
     #[test]
     fn streamed_cursors_are_independent() {
         let root = scratch_root("cursors");
-        let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("segment");
+        let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).0.expect("segment");
         let mut a = open_segment(&path).expect("open a");
         let mut b = open_segment(&path).expect("open b");
         let ta = collect_source(&mut a).expect("a");
@@ -580,14 +601,13 @@ mod tests {
     fn injected_read_fault_evicts_and_regenerates() {
         let _faults = crate::faults::test_guard();
         let root = scratch_root("read-fault");
-        let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("segment");
+        let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).0.expect("segment");
         forget(&path);
         crate::faults::override_spec(Some("trace_cache.read@1")).unwrap();
-        let before = stats();
-        let again = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("segment");
+        let (again, tally) = ensure_segment_at(&root, Benchmark::Ixx, EVENTS);
         crate::faults::override_spec(None).unwrap();
-        assert_eq!(again, path);
-        assert_eq!(stats().since(before).misses, 1, "read fault -> evict + regenerate");
+        assert_eq!(again.expect("segment"), path);
+        assert_eq!(tally.misses, 1, "read fault -> evict + regenerate");
         verify_file(&path).expect("regenerated segment verifies");
         let _ = fs::remove_dir_all(&root);
     }
@@ -598,7 +618,7 @@ mod tests {
         let root = scratch_root("write-fault");
         crate::faults::override_spec(Some("trace_cache.write@1")).unwrap();
         assert!(
-            ensure_segment_at(&root, Benchmark::Ixx, EVENTS).is_none(),
+            ensure_segment_at(&root, Benchmark::Ixx, EVENTS).0.is_none(),
             "write fault -> caller falls back to direct generation"
         );
         crate::faults::override_spec(None).unwrap();
@@ -611,7 +631,9 @@ mod tests {
                 );
             }
         }
-        ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("clean retry publishes");
+        ensure_segment_at(&root, Benchmark::Ixx, EVENTS)
+            .0
+            .expect("clean retry publishes");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -620,7 +642,7 @@ mod tests {
         let _faults = crate::faults::test_guard();
         let root = scratch_root("rename-fault");
         crate::faults::override_spec(Some("trace_cache.rename@1")).unwrap();
-        assert!(ensure_segment_at(&root, Benchmark::Ixx, EVENTS).is_none());
+        assert!(ensure_segment_at(&root, Benchmark::Ixx, EVENTS).0.is_none());
         crate::faults::override_spec(None).unwrap();
         if let Ok(entries) = fs::read_dir(version_dir(&root)) {
             for entry in entries.flatten() {
@@ -631,7 +653,9 @@ mod tests {
                 );
             }
         }
-        ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("clean retry publishes");
+        ensure_segment_at(&root, Benchmark::Ixx, EVENTS)
+            .0
+            .expect("clean retry publishes");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -13,7 +13,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use ibp_core::ext::CascadePredictor;
 use ibp_core::{
-    CompressedKeySpec, FoldKernel, Predictor, PredictorConfig, TwoLevelPredictor,
+    fold_dyn_chunk, ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing,
+    Predictor, PredictorConfig, TwoLevelPredictor,
 };
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
@@ -52,6 +53,14 @@ fn dyn_fallback() -> Box<dyn Predictor> {
     ]))
 }
 
+/// The journal sink and the probe override are process-global: a fold in
+/// one test would journal probe records into another test's capture, so
+/// every test that folds holds this lock.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The legacy result: the pre-kernel per-event dyn-dispatch fold.
 fn legacy(
     trace: &ibp_trace::Trace,
@@ -65,6 +74,7 @@ fn legacy(
 /// monomorphized fold must reproduce the dyn fold's `RunStats` exactly.
 #[test]
 fn kernel_matches_dyn_fold_on_every_benchmark() {
+    let _guard = serial();
     let traces: Vec<(Benchmark, ibp_trace::Trace)> = Benchmark::ALL
         .iter()
         .map(|&b| (b, b.trace_with_len(2_500)))
@@ -96,6 +106,7 @@ fn kernel_matches_dyn_fold_on_every_benchmark() {
 /// through the kernel driver and still matches the legacy fold.
 #[test]
 fn dyn_fallback_arm_matches_legacy_fold() {
+    let _guard = serial();
     for b in [Benchmark::Ixx, Benchmark::SelfVm, Benchmark::Gcc] {
         let trace = b.trace_with_len(3_000);
         for warmup in [0u64, 200] {
@@ -109,10 +120,74 @@ fn dyn_fallback_arm_matches_legacy_fold() {
     }
 }
 
+/// Over unbounded tables an unprobed kernel fold computes a whole chunk's
+/// keys before its first probe. That must be invisible at every chunk
+/// boundary: for each unbounded configuration the §3–§4 sweeps use, the
+/// batched fold's `RunStats` equal `fold_dyn_chunk`'s at chunk fill sizes
+/// 1, c−1, c and c+1 (c = the default chunk capacity), cold and with a
+/// warmup that ends mid-chunk.
+#[test]
+fn batched_unbounded_fold_matches_dyn_fold_at_every_chunk_fill() {
+    let _guard = serial();
+    let c = usize::try_from(ibp_trace::chunk_events()).expect("chunk fits usize");
+    let trace = Benchmark::Gcc.trace_with_len(2 * c as u64 + 500);
+    let events = trace.events();
+    assert!(
+        events.iter().any(|e| e.as_cond().is_some()),
+        "test premise: the trace carries conditional branches"
+    );
+    let warm = c as u64 / 2 + 37;
+    let last_warm = events
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.as_indirect().is_some())
+        .nth(warm as usize - 1)
+        .expect("trace longer than the warmup")
+        .0;
+    for fill in [c - 1, c, c + 1] {
+        assert_ne!(last_warm % fill, fill - 1, "test premise: warmup ends mid-chunk");
+    }
+    let configs = [
+        PredictorConfig::unconstrained(0),
+        PredictorConfig::unconstrained(1),
+        PredictorConfig::unconstrained(6),
+        PredictorConfig::unconstrained(18),
+        PredictorConfig::unconstrained(6).with_history_sharing(HistorySharing::PER_ADDRESS),
+        PredictorConfig::unconstrained(6).with_cond_targets(true),
+        PredictorConfig::unconstrained(6).with_history_element(HistoryElement::AddressXorTarget),
+        PredictorConfig::unconstrained(6).with_precision(4),
+        PredictorConfig::compressed_unbounded(3),
+    ];
+    let stats = |s: &ChunkScorer<'_>| RunStats {
+        indirect: s.indirect(),
+        mispredicted: s.mispredicted(),
+    };
+    for cfg in &configs {
+        for warmup in [0, warm] {
+            let mut reference = ChunkScorer::new(warmup);
+            fold_dyn_chunk(cfg.build().as_mut(), events, &mut reference);
+            for fill in [1, c - 1, c, c + 1] {
+                let mut kernel = cfg.build_kernel();
+                let mut scorer = ChunkScorer::new(warmup);
+                for chunk in events.chunks(fill) {
+                    kernel.fold_chunk(chunk, &mut scorer);
+                }
+                assert_eq!(
+                    stats(&scorer),
+                    stats(&reference),
+                    "{} warmup={warmup} fill={fill}",
+                    cfg.cache_key()
+                );
+            }
+        }
+    }
+}
+
 /// A demoted kernel (the `IBP_KERNEL=0` escape hatch) is the same
 /// predictor behind the `Dyn` arm — its results must not move either.
 #[test]
 fn demoted_kernel_matches_monomorphized_kernel() {
+    let _guard = serial();
     let trace = Benchmark::Jhm.trace_with_len(3_000);
     for cfg in kernel_configs() {
         let mut fast = cfg.build_kernel();
@@ -125,14 +200,8 @@ fn demoted_kernel_matches_monomorphized_kernel() {
 }
 
 // ---------------------------------------------------------------------------
-// Probe-level and scheduling-mode equivalence. The journal sink and the
-// probe override are process-global, so these tests hold one serial lock.
+// Probe-level and scheduling-mode equivalence.
 // ---------------------------------------------------------------------------
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 #[derive(Clone, Default)]
 struct Capture(Arc<Mutex<Vec<u8>>>);

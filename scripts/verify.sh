@@ -2,7 +2,7 @@
 # Tier-1 verification: exactly what CI runs.
 #
 #   scripts/verify.sh          # build + tests + clippy
-#   scripts/verify.sh --fast   # skip the release build (debug tests + clippy)
+#   scripts/verify.sh --fast   # skip the release build of the binaries (tests + clippy)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,8 +19,8 @@ if [ "$fast" -eq 0 ]; then
     cargo build --release
 fi
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace --release -q"
+cargo test --workspace --release -q
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
