@@ -87,6 +87,13 @@ impl Btb {
     pub fn lookup(&self, pc: Addr) -> Option<TableHit> {
         self.inner.lookup(pc)
     }
+
+    /// Looks up and trains in one step: the hit [`lookup`](Btb::lookup)
+    /// returns now, then [`update`](Predictor::update)'s training (see
+    /// [`TwoLevelPredictor::fused_step`]).
+    pub(crate) fn fused_step(&mut self, pc: Addr, actual: Addr) -> Option<TableHit> {
+        self.inner.fused_step(pc, actual, true)
+    }
 }
 
 impl Predictor for Btb {

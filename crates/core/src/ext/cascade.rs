@@ -67,10 +67,20 @@ impl Predictor for CascadePredictor {
     }
 
     fn update(&mut self, pc: Addr, actual: Addr) {
-        // Train every stage (the simple "update-all" PPM policy).
-        for s in &mut self.stages {
-            s.update(pc, actual);
-        }
+        let _ = self.step(pc, actual, false);
+    }
+
+    /// Every stage computes its key once, looking up (when `want_lookup`)
+    /// and training in one [`fused_step`](TwoLevelPredictor::fused_step)
+    /// — the simple "update-all" PPM policy. The first stage that hit
+    /// before training supplies the prediction; the stages share no state,
+    /// so this equals `predict` followed by training.
+    fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
+        self.stages
+            .iter_mut()
+            .map(|s| s.fused_step(pc, actual, want_lookup))
+            .fold(None, |first, hit| first.or(hit))
+            .map(|h| h.target)
     }
 
     fn observe_cond(&mut self, pc: Addr, target: Addr) {

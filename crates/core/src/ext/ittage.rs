@@ -49,23 +49,23 @@ struct TaggedTable {
 }
 
 impl TaggedTable {
-    fn hash(&self, pc: Addr, history: &HistoryRegister) -> u64 {
-        let mut acc = u64::from(pc.word());
-        for i in 0..self.history_len {
-            acc = mix(acc ^ (u64::from(history.recent(i).word()) << 1));
-        }
-        acc
-    }
-
-    fn index_and_tag(&self, pc: Addr, history: &HistoryRegister) -> (usize, u16) {
-        let h = self.hash(pc, history);
+    /// The entry index and tag for the hash of this table's history.
+    fn index_and_tag(&self, h: u64) -> (usize, u16) {
         let index = (h as usize) & (self.entries.len() - 1);
         // Tag from independent high bits; avoid the all-zero degenerate tag
         // check being meaningful (entries are Option anyway).
         let tag = (h >> 40) as u16;
         (index, tag)
     }
+
+    fn matches(&self, (index, tag): (usize, u16)) -> bool {
+        matches!(&self.entries[index], Some(e) if e.tag == tag)
+    }
 }
+
+/// The most tagged tables: history lengths double from table to table and
+/// the longest fits [`MAX_PATH`].
+const MAX_TABLES: usize = MAX_PATH.ilog2() as usize + 1;
 
 /// A simplified indirect-target TAGE predictor.
 ///
@@ -140,24 +140,36 @@ impl IttageLite {
         self.tables.iter().map(|t| t.entries.len()).sum()
     }
 
+    /// Every tagged table's `(index, tag)` for a branch at `pc` under the
+    /// current history, in table order. Each table hashes `pc` and then its
+    /// history's targets newest first; the histories are nested prefixes
+    /// of one path, so one running hash serves every table.
+    fn slots(&self, pc: Addr) -> [(usize, u16); MAX_TABLES] {
+        let mut slots = [(0, 0); MAX_TABLES];
+        let mut acc = u64::from(pc.word());
+        let mut depth = 0;
+        for (slot, table) in slots.iter_mut().zip(&self.tables) {
+            for &t in &self.history.path()[depth..table.history_len] {
+                acc = mix(acc ^ (u64::from(t.word()) << 1));
+            }
+            depth = table.history_len;
+            *slot = table.index_and_tag(acc);
+        }
+        slots
+    }
+
     /// The provider: the longest-history table whose entry matches, as
     /// `(table index, entry index)`.
-    fn provider(&self, pc: Addr) -> Option<(usize, usize)> {
-        for (ti, table) in self.tables.iter().enumerate().rev() {
-            let (index, tag) = table.index_and_tag(pc, &self.history);
-            if let Some(e) = &table.entries[index] {
-                if e.tag == tag {
-                    return Some((ti, index));
-                }
-            }
-        }
-        None
+    fn provider(&self, slots: &[(usize, u16)]) -> Option<(usize, usize)> {
+        (0..self.tables.len())
+            .rev()
+            .find(|&ti| self.tables[ti].matches(slots[ti]))
+            .map(|ti| (ti, slots[ti].0))
     }
-}
 
-impl Predictor for IttageLite {
-    fn predict(&self, pc: Addr) -> Option<Addr> {
-        match self.provider(pc) {
+    /// The prediction given the provider and the base predictor's answer.
+    fn prediction(&self, provider: Option<(usize, usize)>, base: Option<Addr>) -> Option<Addr> {
+        match provider {
             Some((ti, index)) => {
                 let e = self.tables[ti].entries[index]
                     .as_ref()
@@ -165,23 +177,87 @@ impl Predictor for IttageLite {
                 // Low-confidence fresh entries defer to the base predictor
                 // (the "alternate prediction" heuristic).
                 if e.confidence.value() == 0 {
-                    self.base.predict(pc).or(Some(e.target))
+                    base.or(Some(e.target))
                 } else {
                     Some(e.target)
                 }
             }
-            None => self.base.predict(pc),
+            None => base,
         }
     }
 
+    /// Allocates into a longer table than the provider after a
+    /// misprediction (TAGE's growth rule): finds a not-useful slot in one of
+    /// the tables above the provider, and decays usefulness when none is
+    /// free.
+    fn allocate(
+        &mut self,
+        pc: Addr,
+        actual: Addr,
+        provider: Option<(usize, usize)>,
+        slots: &[(usize, u16)],
+    ) {
+        let start = provider.map_or(0, |(ti, _)| ti + 1);
+        self.alloc_seed = mix(self.alloc_seed ^ u64::from(pc.word()));
+        let candidates = self.tables.len() - start;
+        if candidates == 0 {
+            return;
+        }
+        // Deterministic pseudo-random start slot spreads allocation pressure
+        // across the longer tables.
+        let offset = (self.alloc_seed as usize) % candidates;
+        for step in 0..candidates {
+            let ti = start + (offset + step) % candidates;
+            let (index, tag) = slots[ti];
+            let (free, live) = match &self.tables[ti].entries[index] {
+                None => (true, false),
+                Some(e) => (e.useful.value() == 0, true),
+            };
+            if free {
+                if probe_counters_on() && live {
+                    self.tables[ti].evictions += 1;
+                }
+                self.tables[ti].entries[index] = Some(TaggedEntry {
+                    tag,
+                    target: actual,
+                    confidence: SaturatingCounter::new(2),
+                    useful: SaturatingCounter::new(2),
+                });
+                return;
+            }
+        }
+        // Global decay: make room for future allocations.
+        for (table, &(index, _)) in self.tables.iter_mut().zip(slots).skip(start) {
+            if let Some(e) = &mut table.entries[index] {
+                e.useful.decrement();
+            }
+        }
+    }
+}
+
+impl Predictor for IttageLite {
+    fn predict(&self, pc: Addr) -> Option<Addr> {
+        let slots = self.slots(pc);
+        let provider = self.provider(&slots[..self.tables.len()]);
+        self.prediction(provider, self.base.predict(pc))
+    }
+
     fn update(&mut self, pc: Addr, actual: Addr) {
-        let predicted = self.predict(pc);
-        let correct = predicted == Some(actual);
-        let provider = self.provider(pc);
+        let _ = self.step(pc, actual, false);
+    }
+
+    /// Hashes each tagged table's index and tag once, reads the prediction,
+    /// then trains the provider, allocates on a misprediction and trains
+    /// the base. The base shares no state with the tagged tables, so its
+    /// single lookup-and-train probe comes first.
+    fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
+        let slots = self.slots(pc);
+        let slots = &slots[..self.tables.len()];
+        let provider = self.provider(slots);
+        let base = self.base.fused_step(pc, actual).map(|h| h.target);
+        let predicted = self.prediction(provider, base);
 
         if let Some((ti, index)) = provider {
-            let (idx_tag, _) = self.tables[ti].index_and_tag(pc, &self.history);
-            debug_assert_eq!(idx_tag, index);
             let e = self.tables[ti].entries[index]
                 .as_mut()
                 .expect("provider entry");
@@ -192,54 +268,11 @@ impl Predictor for IttageLite {
                 e.target = actual;
             }
         }
-
-        // Allocate into a longer table on a misprediction (TAGE's growth
-        // rule): find a not-useful slot in one of the tables above the
-        // provider; decay usefulness when none is free.
-        if !correct {
-            let start = provider.map_or(0, |(ti, _)| ti + 1);
-            self.alloc_seed = mix(self.alloc_seed ^ u64::from(pc.word()));
-            let candidates: Vec<usize> = (start..self.tables.len()).collect();
-            if !candidates.is_empty() {
-                // Deterministic pseudo-random start slot spreads allocation
-                // pressure across the longer tables.
-                let offset = (self.alloc_seed as usize) % candidates.len();
-                let mut allocated = false;
-                for step in 0..candidates.len() {
-                    let ti = candidates[(offset + step) % candidates.len()];
-                    let (index, tag) = self.tables[ti].index_and_tag(pc, &self.history);
-                    let (free, live) = match &self.tables[ti].entries[index] {
-                        None => (true, false),
-                        Some(e) => (e.useful.value() == 0, true),
-                    };
-                    if free {
-                        if probe_counters_on() && live {
-                            self.tables[ti].evictions += 1;
-                        }
-                        self.tables[ti].entries[index] = Some(TaggedEntry {
-                            tag,
-                            target: actual,
-                            confidence: SaturatingCounter::new(2),
-                            useful: SaturatingCounter::new(2),
-                        });
-                        allocated = true;
-                        break;
-                    }
-                }
-                if !allocated {
-                    // Global decay: make room for future allocations.
-                    for ti in candidates {
-                        let (index, _) = self.tables[ti].index_and_tag(pc, &self.history);
-                        if let Some(e) = &mut self.tables[ti].entries[index] {
-                            e.useful.decrement();
-                        }
-                    }
-                }
-            }
+        if predicted != Some(actual) {
+            self.allocate(pc, actual, provider, slots);
         }
-
-        self.base.update(pc, actual);
         self.history.push(actual);
+        predicted.filter(|_| want_lookup)
     }
 
     fn reset(&mut self) {

@@ -39,20 +39,18 @@ impl MultiHybridPredictor {
     /// Looks up the arbitrated prediction.
     #[must_use]
     pub fn lookup(&self, pc: Addr) -> Option<TableHit> {
-        let mut best: Option<TableHit> = None;
-        for c in &self.components {
-            if let Some(hit) = c.lookup(pc) {
-                let better = match best {
-                    None => true,
-                    // Strict: earlier components win ties.
-                    Some(b) => hit.confidence > b.confidence,
-                };
-                if better {
-                    best = Some(hit);
-                }
-            }
-        }
-        best
+        MultiHybridPredictor::select(self.components.iter().map(|c| c.lookup(pc)))
+    }
+
+    /// The arbitration rule over the components' hits, in priority order:
+    /// the highest confidence wins, earlier components winning ties.
+    /// Consumes every hit, so a training iterator trains every component.
+    fn select(hits: impl Iterator<Item = Option<TableHit>>) -> Option<TableHit> {
+        hits.flatten().fold(None, |best, hit| match best {
+            // Strict: earlier components win ties.
+            Some(b) if hit.confidence <= b.confidence => Some(b),
+            _ => Some(hit),
+        })
     }
 }
 
@@ -62,9 +60,20 @@ impl Predictor for MultiHybridPredictor {
     }
 
     fn update(&mut self, pc: Addr, actual: Addr) {
-        for c in &mut self.components {
-            c.update(pc, actual);
-        }
+        let _ = self.step(pc, actual, false);
+    }
+
+    /// Each component computes its key once, looking up (when
+    /// `want_lookup`) and training in one
+    /// [`fused_step`](TwoLevelPredictor::fused_step); the components share
+    /// no state, so arbitrating over their pre-training hits equals
+    /// `predict` followed by training.
+    fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
+        let hits = self
+            .components
+            .iter_mut()
+            .map(|c| c.fused_step(pc, actual, want_lookup));
+        MultiHybridPredictor::select(hits).map(|h| h.target)
     }
 
     fn observe_cond(&mut self, pc: Addr, target: Addr) {

@@ -55,17 +55,28 @@ pub struct SharedTableHybrid {
 }
 
 impl SharedTableHybrid {
+    /// The most components one hybrid may have: their keys are built on the
+    /// stack, once per event.
+    pub const MAX_COMPONENTS: usize = 8;
+
     /// Creates a shared-table hybrid over `entries` total slots of
     /// associativity `ways`, with one component per key spec (pass specs in
     /// descending priority).
     ///
     /// # Panics
     ///
-    /// Panics if `specs` is empty, or `entries`/`ways` are not non-zero
-    /// powers of two, or `ways > entries`.
+    /// Panics if `specs` is empty or longer than
+    /// [`MAX_COMPONENTS`](SharedTableHybrid::MAX_COMPONENTS), or
+    /// `entries`/`ways` are not non-zero powers of two, or `ways > entries`.
     #[must_use]
     pub fn new(specs: Vec<CompressedKeySpec>, entries: usize, ways: usize) -> Self {
         assert!(!specs.is_empty(), "at least one component spec required");
+        assert!(
+            specs.len() <= SharedTableHybrid::MAX_COMPONENTS,
+            "{} component specs exceed {}",
+            specs.len(),
+            SharedTableHybrid::MAX_COMPONENTS
+        );
         check_power_of_two(entries);
         check_power_of_two(ways);
         assert!(
@@ -130,62 +141,80 @@ impl SharedTableHybrid {
             .find(|&i| matches!(&self.ways_store[i], Some(w) if w.tag == tag))
     }
 
-    /// The component keys for a branch under the current history.
-    fn keys(&self, pc: Addr) -> Vec<u64> {
+    /// Writes the component keys for a branch under the current history
+    /// into `buf` and returns them, in component order.
+    fn keys<'b>(
+        &self,
+        pc: Addr,
+        buf: &'b mut [u64; SharedTableHybrid::MAX_COMPONENTS],
+    ) -> &'b [u64] {
         let register = self.histories.register(pc);
-        self.specs.iter().map(|s| s.key(pc, register)).collect()
+        for (key, spec) in buf.iter_mut().zip(&self.specs) {
+            *key = spec.key(pc, register);
+        }
+        &buf[..self.specs.len()]
     }
 
-    /// The winning (component, way index) for a prediction, if any.
-    fn select(&self, pc: Addr) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, usize, u8)> = None;
-        for (c, key) in self.keys(pc).into_iter().enumerate() {
+    /// The way holding the winning prediction among the component keys'
+    /// hits, if any: the highest confidence, earlier components winning
+    /// ties.
+    fn select(&self, keys: &[u64]) -> Option<usize> {
+        let mut best: Option<(usize, u8)> = None;
+        for &key in keys {
             if let Some(i) = self.find(key) {
-                let conf = self.ways_store[i]
-                    .as_ref()
-                    .expect("found way")
-                    .slot
-                    .hit()
-                    .confidence;
-                let better = match best {
-                    None => true,
-                    Some((_, _, b)) => conf > b,
-                };
-                if better {
-                    best = Some((c, i, conf));
+                let conf = self.way(i).slot.hit().confidence;
+                if best.is_none_or(|(_, b)| conf > b) {
+                    best = Some((i, conf));
                 }
             }
         }
-        best.map(|(c, i, _)| (c, i))
+        best.map(|(i, _)| i)
+    }
+
+    fn way(&self, i: usize) -> &SharedWay {
+        self.ways_store[i].as_ref().expect("found way")
+    }
+
+    fn way_mut(&mut self, i: usize) -> &mut SharedWay {
+        self.ways_store[i].as_mut().expect("found way")
     }
 }
 
 impl Predictor for SharedTableHybrid {
     fn predict(&self, pc: Addr) -> Option<Addr> {
-        self.select(pc).map(|(_, i)| {
-            self.ways_store[i]
-                .as_ref()
-                .expect("found way")
-                .slot
-                .target()
-        })
+        let mut buf = [0; SharedTableHybrid::MAX_COMPONENTS];
+        let keys = self.keys(pc, &mut buf);
+        self.select(keys).map(|i| self.way(i).slot.target())
     }
 
     fn update(&mut self, pc: Addr, actual: Addr) {
+        let _ = self.step(pc, actual, false);
+    }
+
+    /// Builds the component keys once, reads the prediction (when
+    /// `want_lookup`) and credits the chosen entry, then trains or inserts
+    /// every component's entry.
+    fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
+        let mut buf = [0; SharedTableHybrid::MAX_COMPONENTS];
+        let keys = self.keys(pc, &mut buf);
         self.tick += 1;
         let tick = self.tick;
 
-        // Credit the chosen entry before training moves anything.
-        if let Some((_, i)) = self.select(pc) {
-            let w = self.ways_store[i].as_mut().expect("found way");
-            w.chosen.increment();
+        // Read the prediction and credit the chosen entry before training
+        // moves anything.
+        let chosen = self.select(keys);
+        let predicted = chosen
+            .filter(|_| want_lookup)
+            .map(|i| self.way(i).slot.target());
+        if let Some(i) = chosen {
+            self.way_mut(i).chosen.increment();
         }
 
-        let keys = self.keys(pc);
-        for (c, key) in keys.into_iter().enumerate() {
+        for (c, &key) in keys.iter().enumerate() {
             if let Some(i) = self.find(key) {
-                let w = self.ways_store[i].as_mut().expect("found way");
-                let correct = w.slot.train(actual, self.rule);
+                let rule = self.rule;
+                let w = self.way_mut(i);
+                let correct = w.slot.train(actual, rule);
                 w.stamp = tick;
                 if !correct {
                     // A wrong entry slowly loses its protection.
@@ -225,6 +254,7 @@ impl Predictor for SharedTableHybrid {
             });
         }
         self.histories.record(pc, actual);
+        predicted
     }
 
     fn reset(&mut self) {
@@ -373,5 +403,12 @@ mod tests {
     #[should_panic(expected = "at least one component")]
     fn empty_specs_rejected() {
         let _ = SharedTableHybrid::new(vec![], 64, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "component specs exceed")]
+    fn too_many_specs_rejected() {
+        let specs = vec![CompressedKeySpec::practical(1); SharedTableHybrid::MAX_COMPONENTS + 1];
+        let _ = SharedTableHybrid::new(specs, 64, 2);
     }
 }

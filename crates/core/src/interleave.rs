@@ -55,6 +55,54 @@ pub enum Interleaving {
     PingPong,
 }
 
+/// The longest stride a pattern bit can be spread to: one bit from each of
+/// 64 chunks fills a 64-bit pattern.
+const MAX_STRIDE: usize = 64;
+
+/// `SPREAD[s - 1][v]` deposits bit `r` of the byte `v` at bit `r * s`:
+/// the per-stride networks that spread one byte of a chunk to its
+/// round-robin positions in a single lookup. Bits that would land at or
+/// beyond bit 64 are dropped; [`Interleaving::layout`] never asks for them.
+static SPREAD: [[u64; 256]; MAX_STRIDE] = spread_table();
+
+const fn spread_table() -> [[u64; 256]; MAX_STRIDE] {
+    let mut table = [[0u64; 256]; MAX_STRIDE];
+    let mut s = 1;
+    while s <= MAX_STRIDE {
+        let mut v = 0;
+        while v < 256 {
+            let mut spread = 0u64;
+            let mut r = 0;
+            while r < 8 && r * s < 64 {
+                spread |= ((v as u64 >> r) & 1) << (r * s);
+                r += 1;
+            }
+            table[s - 1][v] = spread;
+            v += 1;
+        }
+        s += 1;
+    }
+    table
+}
+
+/// Spreads the low `bytes` bytes of `bits` to stride `stride` (bit `r` to
+/// bit `r * stride`), one lookup per byte.
+///
+/// Every set bit `r` of `bits` must satisfy `r * stride < 64`, and so must
+/// the lowest bit of every byte spread; the layout guarantees both by
+/// masking chunks to `b` bits with `p * b <= 64` and spreading
+/// `ceil(b / 8)` bytes. The byte count is fixed per layout, so the loop
+/// does not branch on the chunk's value.
+fn spread(bits: u32, bytes: u32, stride: usize) -> u64 {
+    let row = &SPREAD[stride - 1];
+    let mut out = 0;
+    for m in 0..bytes {
+        let byte = (bits >> (8 * m)) & 0xFF;
+        out |= row[byte as usize] << (8 * m as usize * stride);
+    }
+    out
+}
+
 impl Interleaving {
     /// All layouts, in paper order.
     pub const ALL: [Interleaving; 4] = [
@@ -64,24 +112,19 @@ impl Interleaving {
         Interleaving::PingPong,
     ];
 
-    /// The order in which targets are visited when dealing out bits.
-    /// `chunks` index 0 is the most recent target.
-    fn visit_order(self, p: usize) -> Vec<usize> {
+    /// The target visited at position `k` (`0..p`) when dealing out bits;
+    /// target 0 is the most recent. Concat visits in chunk order.
+    fn visit(self, p: usize, k: usize) -> usize {
         match self {
-            Interleaving::Concat | Interleaving::Straight => (0..p).collect(),
-            Interleaving::Reverse => (0..p).rev().collect(),
+            Interleaving::Concat | Interleaving::Straight => k,
+            Interleaving::Reverse => p - 1 - k,
+            // Newest, oldest, second-newest, second-oldest, ...
             Interleaving::PingPong => {
-                let mut order = Vec::with_capacity(p);
-                let (mut lo, mut hi) = (0usize, p.wrapping_sub(1));
-                while order.len() < p {
-                    order.push(lo);
-                    lo += 1;
-                    if order.len() < p {
-                        order.push(hi);
-                        hi = hi.saturating_sub(1);
-                    }
+                if k.is_multiple_of(2) {
+                    k / 2
+                } else {
+                    p - 1 - k / 2
                 }
-                order
             }
         }
     }
@@ -89,38 +132,38 @@ impl Interleaving {
     /// Lays out `p` chunks of `b` bits each into a `p * b`-bit pattern.
     ///
     /// `chunks[0]` must be the most recent target's chunk. Bits beyond `b`
-    /// in each chunk are ignored. The result occupies the low `p * b` bits.
+    /// in each chunk are ignored. The result occupies the low `p * b` bits:
+    /// under [`Concat`](Interleaving::Concat) the chunk of visit position
+    /// `k` fills bits `k * b ..`; under the round-robin layouts its bit `r`
+    /// lands at bit `r * p + k`, spread in one step per chunk byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern would be wider than 64 bits (`p * b > 64`).
     #[must_use]
     pub fn layout(self, chunks: &[u32], b: u32) -> u64 {
         let p = chunks.len();
         if p == 0 || b == 0 {
             return 0;
         }
-        let width = (p as u32) * b;
-        match self {
-            Interleaving::Concat => {
-                let mut pat: u64 = 0;
-                for (i, &c) in chunks.iter().enumerate() {
-                    pat |= (u64::from(c) & width_mask(b)) << (i as u32 * b);
-                }
-                pat
-            }
-            _ => {
-                let order = self.visit_order(p);
-                let mut pat: u64 = 0;
-                // Deal bit r of each chunk, visiting targets in `order`, to
-                // consecutive positions: position = r * p + k.
-                for r in 0..b {
-                    for (k, &j) in order.iter().enumerate() {
-                        let bit = u64::from((chunks[j] >> r) & 1);
-                        let pos = r * (p as u32) + k as u32;
-                        pat |= bit << pos;
-                    }
-                }
-                debug_assert!(pat <= width_mask(width));
-                pat
-            }
+        assert!(
+            p as u64 * u64::from(b) <= 64,
+            "a pattern of {p} chunks of {b} bits exceeds 64 bits"
+        );
+        // A chunk holds at most 32 bits, whatever `b` is.
+        let mask = width_mask(b) as u32;
+        let bytes = b.min(32).div_ceil(8);
+        // Chunk `visit(k)` is spread to `stride` and placed at `k * step`.
+        let (stride, step) = match self {
+            Interleaving::Concat => (1, b as usize),
+            _ => (p, 1),
+        };
+        let mut pat = 0;
+        for k in 0..p {
+            let bits = chunks[self.visit(p, k)] & mask;
+            pat |= spread(bits, bytes, stride) << (k * step);
         }
+        pat
     }
 
     /// For an index of `index_bits` bits over a `p`-target, `b`-bit-chunk
@@ -139,8 +182,9 @@ impl Interleaving {
                 hi.min(index_bits).saturating_sub(lo)
             }
             _ => {
-                let order = self.visit_order(p);
-                let k = order.iter().position(|&x| x == j).expect("target index") as u32;
+                let k = (0..p)
+                    .position(|k| self.visit(p, k) == j)
+                    .expect("target index") as u32;
                 // Bit r of target j lands at position r * p + k.
                 let mut count = 0;
                 for r in 0..b {
@@ -194,11 +238,50 @@ mod tests {
         assert_eq!(pat, 0b0110);
     }
 
+    fn visit_order(scheme: Interleaving, p: usize) -> Vec<usize> {
+        (0..p).map(|k| scheme.visit(p, k)).collect()
+    }
+
     #[test]
-    fn ping_pong_order() {
-        assert_eq!(Interleaving::PingPong.visit_order(4), vec![0, 3, 1, 2]);
-        assert_eq!(Interleaving::PingPong.visit_order(5), vec![0, 4, 1, 3, 2]);
-        assert_eq!(Interleaving::PingPong.visit_order(1), vec![0]);
+    fn visit_orders() {
+        assert_eq!(visit_order(Interleaving::PingPong, 4), vec![0, 3, 1, 2]);
+        assert_eq!(visit_order(Interleaving::PingPong, 5), vec![0, 4, 1, 3, 2]);
+        assert_eq!(visit_order(Interleaving::PingPong, 1), vec![0]);
+        assert_eq!(visit_order(Interleaving::Reverse, 3), vec![2, 1, 0]);
+        assert_eq!(visit_order(Interleaving::Straight, 3), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn spread_table_rows() {
+        assert_eq!(spread(0b1011, 1, 1), 0b1011);
+        assert_eq!(spread(0b1011, 1, 3), 0b1_000_001_001);
+        // A second byte starts at bit 8 * stride.
+        assert_eq!(spread(0x101, 2, 2), 1 | 1 << 16);
+        // Bytes beyond the count are not spread.
+        assert_eq!(spread(0x101, 1, 2), 1);
+        // One bit per stride-64 position: only bit 0 fits.
+        assert_eq!(spread(1, 1, 64), 1);
+    }
+
+    #[test]
+    fn full_width_patterns_fit() {
+        // p * b = 64 exactly, every layout: all 64 bits set.
+        for scheme in Interleaving::ALL {
+            assert_eq!(scheme.layout(&[u32::MAX; 4], 16), u64::MAX, "{scheme}");
+            assert_eq!(scheme.layout(&[1; 64], 1), u64::MAX, "{scheme}");
+            assert_eq!(
+                scheme.layout(&[u32::MAX], 64),
+                u64::from(u32::MAX),
+                "{scheme}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 64 bits")]
+    fn patterns_wider_than_64_bits_rejected() {
+        // 18 chunks of 4 bits would make a 72-bit pattern.
+        let _ = Interleaving::Reverse.layout(&[0b1000; 18], 4);
     }
 
     #[test]

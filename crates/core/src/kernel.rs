@@ -11,9 +11,11 @@
 //! register and key computed once, table probe and training fused (a single
 //! probe for unbounded tables, whose unprobed folds also compute a whole
 //! chunk's keys before probing; see [`fold_two_level_chunk`]). Everything
-//! the enum does not name falls back to [`FoldKernel::Dyn`], which runs the
-//! exact legacy predict-then-update sequence through the same fold
-//! skeleton, so every `Box<dyn Predictor>` keeps working.
+//! the enum does not name falls back to [`FoldKernel::Dyn`], which runs one
+//! virtual [`Predictor::step`] per event through the same fold skeleton, so
+//! every `Box<dyn Predictor>` keeps working: by default `step` is the
+//! legacy predict-then-update pair, and the `ext` predictors override it to
+//! build their keys once.
 //!
 //! Scoring and probing stay caller-owned: the fold reports into a
 //! [`ChunkScorer`], which counts scored/mispredicted events and, when a
@@ -266,19 +268,18 @@ where
     }
 }
 
-/// Folds a chunk through a borrowed `dyn Predictor` with the legacy
-/// per-event dispatch sequence (predict when scored, then update) — the
-/// reference fold every kernel variant must match byte for byte, and the
-/// path [`FoldKernel::Dyn`] and borrowed-predictor callers run on.
+/// Folds a chunk through a borrowed `dyn Predictor`, one virtual
+/// [`Predictor::step`] per indirect event (looking up only when scored) —
+/// the path [`FoldKernel::Dyn`] and borrowed-predictor callers run on. For
+/// a predictor on the default `step` this is the legacy predict-then-update
+/// sequence every kernel variant must match byte for byte.
 pub fn fold_dyn_chunk(
     p: &mut (dyn Predictor + 'static),
     events: &[TraceEvent],
     scorer: &mut ChunkScorer<'_>,
 ) {
     fold_events(p, events, scorer, |p, pc, actual, scored| {
-        let predicted = if scored { p.predict(pc) } else { None };
-        p.update(pc, actual);
-        predicted
+        p.step(pc, actual, scored)
     });
 }
 
@@ -336,8 +337,8 @@ pub enum FoldKernel {
     Hybrid(HybridPredictor),
     /// A monomorphized BPST-arbitrated hybrid (§6.1 alternative).
     Bpst(BpstMetaPredictor),
-    /// Fallback: any predictor, driven through per-event virtual dispatch
-    /// exactly as the legacy fold did.
+    /// Fallback: any predictor, driven through one virtual
+    /// [`Predictor::step`] per event.
     Dyn(Box<dyn Predictor>),
 }
 
@@ -360,8 +361,9 @@ impl FoldKernel {
     }
 
     /// Re-wraps this kernel as [`Dyn`](FoldKernel::Dyn), forcing the legacy
-    /// per-event dispatch path — the `IBP_KERNEL=0` escape hatch and the
-    /// baseline half of the `kernel_speedup` comparison.
+    /// per-event dispatch path (the monomorphized families keep the default
+    /// predict-then-update [`Predictor::step`]) — the `IBP_KERNEL=0` escape
+    /// hatch and the baseline half of the `kernel_speedup` comparison.
     #[must_use]
     pub fn demote(self) -> Self {
         FoldKernel::Dyn(self.into_boxed())

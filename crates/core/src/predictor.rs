@@ -31,8 +31,9 @@ impl std::fmt::Display for UpdateRule {
 /// The simulation protocol per indirect branch is: call
 /// [`predict`](Predictor::predict) with the branch address, score it against
 /// the actual target, then call [`update`](Predictor::update) with the
-/// actual target (which trains tables *and* shifts histories). Conditional
-/// branches, when a variant cares about them (§3.3), are fed through
+/// actual target (which trains tables *and* shifts histories). Folds run
+/// both halves as one [`step`](Predictor::step). Conditional branches, when
+/// a variant cares about them (§3.3), are fed through
 /// [`observe_cond`](Predictor::observe_cond).
 ///
 /// The trait is object-safe and requires `Send` (every predictor is plain
@@ -47,6 +48,21 @@ pub trait Predictor: Send {
 
     /// Trains the predictor with the resolved target of the branch at `pc`.
     fn update(&mut self, pc: Addr, actual: Addr);
+
+    /// One simulation step for the branch at `pc` resolving to `actual`:
+    /// the prediction [`predict`](Predictor::predict) would make now (only
+    /// when `want_lookup`; `None` otherwise), then the training of
+    /// [`update`](Predictor::update).
+    ///
+    /// The default body is exactly that predict-then-update pair.
+    /// Predictors whose two halves would build the same keys override it to
+    /// build them once; their `update` is then `step` with
+    /// `want_lookup = false`, so the override is their only training code.
+    fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
+        let predicted = if want_lookup { self.predict(pc) } else { None };
+        self.update(pc, actual);
+        predicted
+    }
 
     /// Observes a conditional-branch execution. The default implementation
     /// ignores it; the §3.3 variation predictors shift the conditional

@@ -1,9 +1,69 @@
 //! Property-based tests for key construction: compression, interleaving
 //! and key schemes.
 
-use ibp_core::{CompressedKeySpec, HistoryRegister, Interleaving, KeyScheme, PatternCompressor};
+use ibp_core::{
+    CompressedKeySpec, HistoryRegister, Interleaving, KeyScheme, PatternCompressor, MAX_PATH,
+};
 use ibp_trace::Addr;
 use proptest::prelude::*;
+
+/// The reference layout: deals the pattern out one bit at a time, visiting
+/// targets in an explicit order vector — the straightforward reading of
+/// §5.2.1 that the table-driven `Interleaving::layout` must reproduce.
+fn oracle_layout(scheme: Interleaving, chunks: &[u32], b: u32) -> u64 {
+    let p = chunks.len();
+    if p == 0 || b == 0 {
+        return 0;
+    }
+    let bit = |c: u32, r: u32| (u64::from(c) >> r) & 1;
+    let order: Vec<usize> = match scheme {
+        Interleaving::Concat => {
+            let mut pat = 0u64;
+            for (i, &c) in chunks.iter().enumerate() {
+                for r in 0..b {
+                    pat |= bit(c, r) << (i as u32 * b + r);
+                }
+            }
+            return pat;
+        }
+        Interleaving::Straight => (0..p).collect(),
+        Interleaving::Reverse => (0..p).rev().collect(),
+        Interleaving::PingPong => {
+            let mut order = Vec::with_capacity(p);
+            let (mut lo, mut hi) = (0usize, p - 1);
+            while order.len() < p {
+                order.push(lo);
+                lo += 1;
+                if order.len() < p {
+                    order.push(hi);
+                    hi = hi.saturating_sub(1);
+                }
+            }
+            order
+        }
+    };
+    let mut pat = 0u64;
+    // Bit r of the k-th visited target lands at position r * p + k.
+    for r in 0..b {
+        for (k, &j) in order.iter().enumerate() {
+            pat |= bit(chunks[j], r) << (r * p as u32 + k as u32);
+        }
+    }
+    pat
+}
+
+/// The reference key of `spec`: its chunks laid out by the oracle, xored
+/// with the branch's table component and cut to the key width.
+fn oracle_key(spec: &CompressedKeySpec, pc: Addr, history: &HistoryRegister) -> u64 {
+    let b = spec.bits_per_target();
+    let chunks: Vec<u32> = history.path()[..spec.path_len()]
+        .iter()
+        .map(|&t| spec.compressor().chunk(t, b))
+        .collect();
+    let pattern = oracle_layout(spec.interleaving(), &chunks, b);
+    let addr = u64::from(spec.table_sharing().address_component(pc));
+    (pattern ^ addr) & ((1u64 << spec.key_width()) - 1)
+}
 
 fn word() -> impl Strategy<Value = u32> {
     // 30-bit word addresses.
@@ -18,6 +78,42 @@ fn history(depth: usize) -> impl Strategy<Value = HistoryRegister> {
         }
         h
     })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The table-driven layout equals the bit-dealing oracle for every
+    /// layout, every path length up to `MAX_PATH` and every chunk width
+    /// that fits 64 bits. The chunks carry random bits above `b`, which
+    /// both must ignore.
+    #[test]
+    fn layout_matches_bit_dealing_oracle(
+        chunks in proptest::collection::vec(any::<u32>(), MAX_PATH),
+        p in 1usize..=MAX_PATH,
+    ) {
+        let chunks = &chunks[..p];
+        for b in 1..=64 / p as u32 {
+            for scheme in Interleaving::ALL {
+                prop_assert_eq!(
+                    scheme.layout(chunks, b),
+                    oracle_layout(scheme, chunks, b),
+                    "{} p={} b={}", scheme, p, b
+                );
+            }
+        }
+    }
+
+    /// Every practical key (`p = 0..=18`) equals the key assembled from
+    /// the oracle layout, over random histories and branch addresses.
+    #[test]
+    fn practical_keys_match_oracle_keys(pc in word(), h in history(MAX_PATH)) {
+        let pc = Addr::from_word(pc);
+        for p in 0..=MAX_PATH {
+            let spec = CompressedKeySpec::practical(p);
+            prop_assert_eq!(spec.key(pc, &h), oracle_key(&spec, pc, &h), "p={}", p);
+        }
+    }
 }
 
 proptest! {

@@ -39,34 +39,19 @@ pub fn run(suite: &Suite) -> Vec<Table> {
     let mut sweep = Sweep::new(suite);
     for total in BUDGETS {
         sweep.config(PredictorConfig::hybrid(5, 1, total / 2, 4));
-        sweep.custom(format!("ext::MultiHybrid[6,3,1]({total}, 4-way)"), move || {
-            Box::new(MultiHybridPredictor::new(vec![
-                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(6), total / 4, 4),
-                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(3), total / 4, 4),
-                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), total / 2, 4),
-            ])) as Box<dyn Predictor>
-        });
+        sweep.custom(
+            format!("ext::MultiHybrid[6,3,1]({total}, 4-way)"),
+            move || Box::new(multi_hybrid(total)) as Box<dyn Predictor>,
+        );
         sweep.custom(format!("ext::Cascade[6,3,1]({total}, 4-way)"), move || {
-            Box::new(CascadePredictor::new(vec![
-                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(6), total / 4, 4),
-                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(3), total / 4, 4),
-                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), total / 2, 4),
-            ])) as Box<dyn Predictor>
+            Box::new(cascade(total)) as Box<dyn Predictor>
         });
-        sweep.custom(format!("ext::SharedTable[5,1]({total}, 4-way)"), move || {
-            Box::new(SharedTableHybrid::new(
-                vec![
-                    CompressedKeySpec::practical(5),
-                    CompressedKeySpec::practical(1),
-                ],
-                total,
-                4,
-            )) as Box<dyn Predictor>
-        });
-        // 4 tagged tables sharing the budget, geometric histories 2/4/8/16,
-        // plus the base BTB.
+        sweep.custom(
+            format!("ext::SharedTable[5,1]({total}, 4-way)"),
+            move || Box::new(shared_table(total)) as Box<dyn Predictor>,
+        );
         sweep.custom(format!("ext::IttageLite({total}/4, 4, 2)"), move || {
-            Box::new(IttageLite::new(total / 4, 4, 2)) as Box<dyn Predictor>
+            Box::new(ittage_lite(total)) as Box<dyn Predictor>
         });
     }
     let mut results = sweep.run().into_iter();
@@ -89,6 +74,48 @@ pub fn run(suite: &Suite) -> Vec<Table> {
         ]);
     }
     vec![t, ahead_accuracy(suite)]
+}
+
+/// The 3-component hybrid `6.3.1` at `total` entries: quarter, quarter and
+/// half, 4-way.
+#[must_use]
+pub fn multi_hybrid(total: usize) -> MultiHybridPredictor {
+    MultiHybridPredictor::new(stages_631(total))
+}
+
+/// The PPM-style cascade `6>3>1` at `total` entries, split like
+/// [`multi_hybrid`].
+#[must_use]
+pub fn cascade(total: usize) -> CascadePredictor {
+    CascadePredictor::new(stages_631(total))
+}
+
+fn stages_631(total: usize) -> Vec<TwoLevelPredictor> {
+    vec![
+        TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(6), total / 4, 4),
+        TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(3), total / 4, 4),
+        TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), total / 2, 4),
+    ]
+}
+
+/// The shared-table hybrid `5.1`: one `total`-entry 4-way table.
+#[must_use]
+pub fn shared_table(total: usize) -> SharedTableHybrid {
+    SharedTableHybrid::new(
+        vec![
+            CompressedKeySpec::practical(5),
+            CompressedKeySpec::practical(1),
+        ],
+        total,
+        4,
+    )
+}
+
+/// ITTAGE-lite at `total` entries: 4 tagged tables sharing the budget,
+/// geometric histories 2/4/8/16, plus the base BTB.
+#[must_use]
+pub fn ittage_lite(total: usize) -> IttageLite {
+    IttageLite::new(total / 4, 4, 2)
 }
 
 /// The benchmarks used for the ahead-prediction depth study.

@@ -3,10 +3,11 @@
 //! Every fold in this module runs through the chunk-fold kernel layer
 //! ([`ibp_core::FoldKernel`]): one dispatch per chunk into a monomorphized
 //! per-event loop for the hot predictor families, with borrowed
-//! `dyn Predictor`s folded through the same skeleton on the legacy
-//! per-event dispatch path. `IBP_KERNEL=0` (or
+//! `dyn Predictor`s folded through the same skeleton by one virtual
+//! [`Predictor::step`] per event. `IBP_KERNEL=0` (or
 //! [`override_kernel`]`(Some(false))`) demotes every kernel the engine
-//! builds to that legacy path, which is how the `kernel_speedup` bin
+//! builds to that path, where the monomorphized families run the default
+//! predict-then-update `step`; that is how the `kernel_speedup` bin
 //! measures both sides in one process.
 
 use std::sync::{Mutex, OnceLock};
@@ -62,7 +63,7 @@ pub fn kernel_enabled() -> bool {
 }
 
 /// One simulation lane: either an owned kernel (monomorphized fold) or a
-/// borrowed predictor (legacy per-event dispatch through the same
+/// borrowed predictor (one virtual `step` per event through the same
 /// skeleton). The driver below is identical for both.
 enum Lane<'a> {
     Kernel(&'a mut FoldKernel),

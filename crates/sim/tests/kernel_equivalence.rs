@@ -6,22 +6,26 @@
 //! The grid test drives every benchmark through every kernel family (BTB,
 //! tagless, set-associative, fully-associative, unbounded, a fig17 hybrid,
 //! a BPST metapredictor) plus a `Dyn`-fallback extension predictor; the
-//! probe tests pin payload equality under `IBP_PROBE=deep`; the scheduling
-//! test covers all three pipelines × all three probe levels in one sweep.
+//! `ext` test pins every overridden `Predictor::step` to the explicit
+//! predict-then-update loop; the probe tests pin payload equality under
+//! `IBP_PROBE=deep`; the scheduling test covers all three pipelines × all
+//! three probe levels in one sweep.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ibp_core::ext::CascadePredictor;
+use ibp_core::ext::{CascadePredictor, TargetCache};
 use ibp_core::{
-    fold_dyn_chunk, ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing,
-    Predictor, PredictorConfig, TwoLevelPredictor,
+    ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing, Predictor,
+    PredictorConfig, TwoLevelPredictor,
 };
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
 use ibp_sim::component::simulate_source_components;
+use ibp_sim::experiments::ext;
 use ibp_sim::probe::{self, ProbePolicy};
 use ibp_sim::shard::simulate_source_sharded;
 use ibp_sim::{simulate_kernel, simulate_source, RunStats};
+use ibp_trace::{Addr, Trace, TraceEvent};
 use ibp_workload::Benchmark;
 
 /// The representative configuration set: one per table organisation the
@@ -61,17 +65,78 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The legacy result: the pre-kernel per-event dyn-dispatch fold.
-fn legacy(
-    trace: &ibp_trace::Trace,
-    predictor: &mut (dyn Predictor + 'static),
-    warmup: u64,
-) -> RunStats {
+/// The legacy result, spelled out: for every indirect event `predict` when
+/// scored, then `update`; conditional events go to `observe_cond`. It runs
+/// neither a fold nor `Predictor::step`, so it is a reference for the
+/// default `step` and for every override alike.
+fn legacy(trace: &Trace, predictor: &mut dyn Predictor, warmup: u64) -> RunStats {
+    legacy_events(trace.events(), predictor, warmup)
+}
+
+fn legacy_events(events: &[TraceEvent], predictor: &mut dyn Predictor, warmup: u64) -> RunStats {
+    let mut stats = RunStats::default();
+    let mut to_warm = warmup;
+    for event in events {
+        match event {
+            TraceEvent::Indirect(b) => {
+                if to_warm > 0 {
+                    to_warm -= 1;
+                } else {
+                    stats.indirect += 1;
+                    if predictor.predict(b.pc) != Some(b.target) {
+                        stats.mispredicted += 1;
+                    }
+                }
+                predictor.update(b.pc, b.target);
+            }
+            TraceEvent::Cond(b) => predictor.observe_cond(b.pc, b.outcome()),
+        }
+    }
+    stats
+}
+
+/// The borrowed-predictor `Dyn` lane (`simulate_source`): one
+/// `Predictor::step` per event, and unlike [`legacy`] it feeds the probe
+/// layer.
+fn dyn_lane(trace: &Trace, predictor: &mut (dyn Predictor + 'static), warmup: u64) -> RunStats {
     simulate_source(&mut trace.cursor(), predictor, warmup).expect("in-memory source")
 }
 
+/// The default chunk capacity `c`.
+fn chunk_capacity() -> usize {
+    usize::try_from(ibp_trace::chunk_events()).expect("chunk fits usize")
+}
+
+/// A warmup that ends mid-chunk at fills c−1, c and c+1 on `events`.
+fn mid_chunk_warmup(events: &[TraceEvent]) -> u64 {
+    let c = chunk_capacity();
+    let warm = c as u64 / 2 + 37;
+    let last_warm = events
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.as_indirect().is_some())
+        .nth(warm as usize - 1)
+        .expect("trace longer than the warmup")
+        .0;
+    for fill in [c - 1, c, c + 1] {
+        assert_ne!(
+            last_warm % fill,
+            fill - 1,
+            "test premise: warmup ends mid-chunk"
+        );
+    }
+    warm
+}
+
+fn scorer_stats(s: &ChunkScorer<'_>) -> RunStats {
+    RunStats {
+        indirect: s.indirect(),
+        mispredicted: s.mispredicted(),
+    }
+}
+
 /// Every benchmark × every kernel family × warmups 0 and 150: the
-/// monomorphized fold must reproduce the dyn fold's `RunStats` exactly.
+/// monomorphized fold must reproduce the legacy loop's `RunStats` exactly.
 #[test]
 fn kernel_matches_dyn_fold_on_every_benchmark() {
     let _guard = serial();
@@ -123,30 +188,20 @@ fn dyn_fallback_arm_matches_legacy_fold() {
 /// Over unbounded tables an unprobed kernel fold computes a whole chunk's
 /// keys before its first probe. That must be invisible at every chunk
 /// boundary: for each unbounded configuration the §3–§4 sweeps use, the
-/// batched fold's `RunStats` equal `fold_dyn_chunk`'s at chunk fill sizes
-/// 1, c−1, c and c+1 (c = the default chunk capacity), cold and with a
-/// warmup that ends mid-chunk.
+/// batched fold's `RunStats` equal the explicit predict-then-update loop's
+/// at chunk fill sizes 1, c−1, c and c+1 (c = the default chunk capacity),
+/// cold and with a warmup that ends mid-chunk.
 #[test]
 fn batched_unbounded_fold_matches_dyn_fold_at_every_chunk_fill() {
     let _guard = serial();
-    let c = usize::try_from(ibp_trace::chunk_events()).expect("chunk fits usize");
+    let c = chunk_capacity();
     let trace = Benchmark::Gcc.trace_with_len(2 * c as u64 + 500);
     let events = trace.events();
     assert!(
         events.iter().any(|e| e.as_cond().is_some()),
         "test premise: the trace carries conditional branches"
     );
-    let warm = c as u64 / 2 + 37;
-    let last_warm = events
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.as_indirect().is_some())
-        .nth(warm as usize - 1)
-        .expect("trace longer than the warmup")
-        .0;
-    for fill in [c - 1, c, c + 1] {
-        assert_ne!(last_warm % fill, fill - 1, "test premise: warmup ends mid-chunk");
-    }
+    let warm = mid_chunk_warmup(events);
     let configs = [
         PredictorConfig::unconstrained(0),
         PredictorConfig::unconstrained(1),
@@ -158,14 +213,9 @@ fn batched_unbounded_fold_matches_dyn_fold_at_every_chunk_fill() {
         PredictorConfig::unconstrained(6).with_precision(4),
         PredictorConfig::compressed_unbounded(3),
     ];
-    let stats = |s: &ChunkScorer<'_>| RunStats {
-        indirect: s.indirect(),
-        mispredicted: s.mispredicted(),
-    };
     for cfg in &configs {
         for warmup in [0, warm] {
-            let mut reference = ChunkScorer::new(warmup);
-            fold_dyn_chunk(cfg.build().as_mut(), events, &mut reference);
+            let expected = legacy_events(events, cfg.build().as_mut(), warmup);
             for fill in [1, c - 1, c, c + 1] {
                 let mut kernel = cfg.build_kernel();
                 let mut scorer = ChunkScorer::new(warmup);
@@ -173,11 +223,93 @@ fn batched_unbounded_fold_matches_dyn_fold_at_every_chunk_fill() {
                     kernel.fold_chunk(chunk, &mut scorer);
                 }
                 assert_eq!(
-                    stats(&scorer),
-                    stats(&reference),
+                    scorer_stats(&scorer),
+                    expected,
                     "{} warmup={warmup} fill={fill}",
                     cfg.cache_key()
                 );
+            }
+        }
+    }
+}
+
+/// A predictor factory with a label for failure messages.
+type Contender = (String, Box<dyn Fn() -> Box<dyn Predictor>>);
+
+/// The `ext` sweep's contenders at every `experiments::ext` budget — each
+/// overrides `Predictor::step` — plus `TargetCache` on the default `step`.
+fn ext_contenders() -> Vec<Contender> {
+    let mut contenders: Vec<Contender> = Vec::new();
+    for total in ext::BUDGETS {
+        contenders.push((
+            format!("multi-hybrid {total}"),
+            Box::new(move || Box::new(ext::multi_hybrid(total))),
+        ));
+        contenders.push((
+            format!("cascade {total}"),
+            Box::new(move || Box::new(ext::cascade(total))),
+        ));
+        contenders.push((
+            format!("shared-table {total}"),
+            Box::new(move || Box::new(ext::shared_table(total))),
+        ));
+        contenders.push((
+            format!("ittage-lite {total}"),
+            Box::new(move || Box::new(ext::ittage_lite(total))),
+        ));
+    }
+    contenders.push((
+        "target cache (default step)".to_string(),
+        Box::new(|| Box::new(TargetCache::new(9, 512))),
+    ));
+    contenders
+}
+
+/// Every overridden `Predictor::step` against the explicit
+/// predict-then-update loop: the `FoldKernel::from_boxed` fold (one `step`
+/// per event) must score the same `RunStats` and leave the same state,
+/// witnessed by `predict` at every site of the trace afterwards. Three
+/// benchmarks, chunk fills 1, c−1, c and c+1, cold and with a warmup that
+/// ends mid-chunk.
+#[test]
+fn ext_steps_match_predict_then_update() {
+    let _guard = serial();
+    let c = chunk_capacity();
+    let contenders = ext_contenders();
+    for b in [Benchmark::Ixx, Benchmark::Perl, Benchmark::Gcc] {
+        let trace = b.trace_with_len(2 * c as u64 + 500);
+        let events = trace.events();
+        let mut sites: Vec<Addr> = Vec::new();
+        for br in events.iter().filter_map(TraceEvent::as_indirect) {
+            if !sites.contains(&br.pc) {
+                sites.push(br.pc);
+            }
+        }
+        let warm = mid_chunk_warmup(events);
+        for (label, make) in &contenders {
+            for warmup in [0, warm] {
+                let mut reference = make();
+                let expected = legacy_events(events, reference.as_mut(), warmup);
+                let answers: Vec<Option<Addr>> =
+                    sites.iter().map(|&pc| reference.predict(pc)).collect();
+                assert!(
+                    answers.iter().any(Option::is_some),
+                    "test premise: {label} predicts after training on {b}"
+                );
+                for fill in [1, c - 1, c, c + 1] {
+                    let mut kernel = FoldKernel::from_boxed(make());
+                    let mut scorer = ChunkScorer::new(warmup);
+                    for chunk in events.chunks(fill) {
+                        kernel.fold_chunk(chunk, &mut scorer);
+                    }
+                    let context = format!("{label} on {b}, warmup {warmup}, fill {fill}");
+                    assert_eq!(scorer_stats(&scorer), expected, "{context}: stats");
+                    let got: Vec<Option<Addr>> = sites
+                        .iter()
+                        .map(|&pc| kernel.as_predictor().predict(pc))
+                        .collect();
+                    assert_eq!(got, answers, "{context}: state after the fold");
+                }
             }
         }
     }
@@ -247,7 +379,8 @@ fn payload(r: &Record) -> (String, Vec<(String, Json)>) {
 }
 
 /// `IBP_PROBE=deep`: the kernel fast path must feed the probe layer the
-/// exact same samples, attribution splits and top sites as the dyn fold —
+/// exact same samples, attribution splits and top sites as the `Dyn` lane,
+/// which runs these families' default predict-then-update `step` —
 /// fingerprints, warm/interval/end points, everything in the payload.
 #[test]
 fn deep_probe_payloads_identical_kernel_vs_dyn() {
@@ -259,7 +392,7 @@ fn deep_probe_payloads_identical_kernel_vs_dyn() {
         PredictorConfig::bpst(3, 0, 128, 2),
     ] {
         let via_dyn = probes_under(ProbePolicy::Deep, || {
-            legacy(&trace, cfg.build().as_mut(), 500);
+            dyn_lane(&trace, cfg.build().as_mut(), 500);
         });
         let via_kernel = probes_under(ProbePolicy::Deep, || {
             let mut kernel = cfg.build_kernel();

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: exactly what CI runs.
 #
-#   scripts/verify.sh          # build + tests + clippy
-#   scripts/verify.sh --fast   # skip the release build of the binaries (tests + clippy)
+#   scripts/verify.sh          # builds + tests + clippy + benchmark harness tests
+#   scripts/verify.sh --fast   # skip the release builds of the binaries and the
+#                              # benchmark runner (tests + clippy + harness tests)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +18,10 @@ done
 if [ "$fast" -eq 0 ]; then
     echo "==> cargo build --release"
     cargo build --release
+    # The benchmark runner is a workspace of its own over the simulator
+    # crates, so an API change that breaks it shows up here.
+    echo "==> cargo build --release --manifest-path perfbench/Cargo.toml"
+    cargo build --release --manifest-path perfbench/Cargo.toml
 fi
 
 echo "==> cargo test --workspace --release -q"
@@ -24,5 +29,8 @@ cargo test --workspace --release -q
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+echo "==> python3 -m unittest discover -s perfbench"
+python3 -m unittest discover -s perfbench
 
 echo "verify: OK"
