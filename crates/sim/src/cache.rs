@@ -11,9 +11,13 @@
 //! Correctness rests on the same purity argument as the memo cache: traces
 //! are pure functions of `(benchmark, events)` and predictors pure
 //! functions of the config key, so a stored `RunStats` is exact, not an
-//! approximation. The schema version directory exists for the *format*,
-//! not the results: when the TSV layout changes, stale `v*` directories
-//! are evicted wholesale on load.
+//! approximation. A trace is pure only for one generator, so the file's
+//! header records the generator fingerprint (one hash over every preset's
+//! [`ProgramConfig::fingerprint`](ibp_workload::ProgramConfig::fingerprint),
+//! the key the trace corpus names its segments by): a file written under
+//! another generator loads as empty, and the next save replaces it. The
+//! schema version directory exists for the *format*: when the TSV layout
+//! changes, stale `v*` directories are evicted wholesale on load.
 //!
 //! `IBP_CACHE=0` disables both load and save (invalid values warn and
 //! default to enabled, like the other `IBP_*` knobs). The cache lives
@@ -30,16 +34,36 @@ use ibp_workload::Benchmark;
 
 use crate::run::RunStats;
 
-/// Full identity of one memoized run. The trace is a pure function of
-/// `(benchmark, events)`, and the predictor a pure function of the config
-/// key, so this tuple determines the `RunStats` exactly.
+/// Full identity of one memoized run. Under one generator the trace is a
+/// pure function of `(benchmark, events)`, and the predictor a pure
+/// function of the config key, so this tuple determines the `RunStats`
+/// exactly; the file header pins the generator.
 pub(crate) type CacheKey = (String, Benchmark, u64, u64);
 
 /// Bump when the TSV layout (or the meaning of any field) changes; older
 /// version directories are deleted on load.
-const SCHEMA_VERSION: u32 = 1;
+const SCHEMA_VERSION: u32 = 2;
 
-const FILE_HEADER: &str = "# ibp engine cache: key\tbenchmark\tevents\twarmup\tindirect\tmispredicted";
+/// A stable FNV-1a hash over the generator fingerprint of every benchmark
+/// preset: any generator or calibration change moves it.
+fn generator_fingerprint() -> u64 {
+    Benchmark::ALL
+        .iter()
+        .flat_map(|b| b.config().fingerprint().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The first line of `engine.tsv`: the generator the stored results were
+/// simulated under, then the column names.
+fn file_header() -> String {
+    format!(
+        "# ibp engine cache, generator {:016x}: \
+         key\tbenchmark\tevents\twarmup\tindirect\tmispredicted",
+        generator_fingerprint()
+    )
+}
 
 /// Whether the persistent cache is on: `IBP_CACHE` parsed once with
 /// warn-and-default (unset or invalid mean enabled; only `0` disables).
@@ -113,14 +137,19 @@ fn parse_line(line: &str) -> Option<(CacheKey, RunStats)> {
 }
 
 /// Loads every entry stored under `root` (evicting stale schema versions
-/// first). Missing files and malformed lines load as nothing — a corrupt
-/// cache degrades to a cold one, never to an error.
+/// first). Missing files, files from another generator and malformed lines
+/// load as nothing — a corrupt or foreign cache degrades to a cold one,
+/// never to an error.
 fn load_from(root: &Path) -> HashMap<CacheKey, RunStats> {
     evict_stale(root);
     let Ok(text) = fs::read_to_string(version_dir(root).join("engine.tsv")) else {
         return HashMap::new();
     };
-    text.lines()
+    let mut lines = text.lines();
+    if lines.next() != Some(file_header().as_str()) {
+        return HashMap::new();
+    }
+    lines
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .filter_map(parse_line)
         .collect()
@@ -177,7 +206,7 @@ fn write_and_publish(tmp: &Path, dir: &Path, rows: &[String]) -> io::Result<()> 
     if let Some(e) = crate::faults::io_error("cache.write") {
         return Err(e);
     }
-    writeln!(file, "{FILE_HEADER}")?;
+    writeln!(file, "{}", file_header())?;
     for row in rows {
         writeln!(file, "{row}")?;
     }
@@ -243,6 +272,32 @@ mod tests {
         for (key, stats) in &entries {
             assert_eq!(loaded.get(key), Some(stats));
         }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_file_from_another_generator_loads_nothing() {
+        let root = scratch_root("fingerprint");
+        let entries = sample_entries();
+        save_to(&root, &entries).expect("save");
+        assert_eq!(
+            load_from(&root).len(),
+            2,
+            "the current generator round-trips"
+        );
+        let path = version_dir(&root).join("engine.tsv");
+        let text = fs::read_to_string(&path).expect("read");
+        let current = format!("{:016x}", generator_fingerprint());
+        let other = format!("{:016x}", generator_fingerprint() ^ 1);
+        assert!(text.lines().next().expect("header").contains(&current));
+        fs::write(&path, text.replacen(&current, &other, 1)).expect("rewrite header");
+        assert!(
+            load_from(&root).is_empty(),
+            "another generator's results are not served"
+        );
+        // The next save replaces the foreign file instead of merging it.
+        assert_eq!(save_to(&root, &entries[..1]).expect("save over it"), 1);
+        assert_eq!(load_from(&root).len(), 1);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -315,10 +370,11 @@ mod tests {
         fs::write(
             dir.join("engine.tsv"),
             format!(
-                "{FILE_HEADER}\n\
+                "{}\n\
                  not-enough-fields\t3\n\
                  key\tno-such-benchmark\t1\t0\t1\t0\n\
-                 btb\tixx\t100\t0\t100\t7\n"
+                 btb\tixx\t100\t0\t100\t7\n",
+                file_header()
             ),
         )
         .expect("write");

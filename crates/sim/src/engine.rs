@@ -21,8 +21,9 @@
 //!   twice, within or across experiments;
 //! * the memo cache is seeded from the **persistent result cache**
 //!   (`results/.cache/`, see [`crate::cache`]) on first use, and
-//!   measurement binaries publish it back via [`persist_cache`] — so the
-//!   guarantee extends across processes (`IBP_CACHE=0` opts out);
+//!   measurement binaries publish it back via [`persist_cache`] once they
+//!   have simulated something new — so the guarantee extends across
+//!   processes (`IBP_CACHE=0` opts out);
 //! * when the work queue is tail-heavy, cells whose configuration is
 //!   site-partitionable ([`PredictorConfig::shardable`]) run through the
 //!   chunk-parallel sharded pipeline ([`crate::shard`]) instead of a
@@ -50,6 +51,7 @@
 //! Set `IBP_LOG=1` for a per-sweep progress line on stderr.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -91,6 +93,14 @@ fn cache() -> &'static Mutex<HashMap<CacheKey, RunStats>> {
         Mutex::new(loaded)
     })
 }
+
+/// Whether the memo cache holds simulated results the persistent cache has
+/// not saved: set where [`Sweep::run`] publishes simulated units, cleared
+/// by a successful [`persist_cache`] and left set by a failed one. It is
+/// set, and cleared for a save, under the memo cache's lock, so a save's
+/// snapshot holds every unit published before the clear. It guards no
+/// data of its own, so relaxed ordering suffices.
+static UNSAVED: AtomicBool = AtomicBool::new(false);
 
 /// Keys that entered the memo cache from disk rather than live simulation
 /// — hits on these count as persistent (cross-process) hits.
@@ -236,20 +246,27 @@ pub fn stats() -> EngineStats {
 
 /// Publishes the process's memo cache to the persistent result cache on
 /// disk (merging with concurrent publishers; no-op under `IBP_CACHE=0`).
-/// Measurement binaries call this once before exiting.
+/// Measurement binaries call this once before exiting. It touches no file
+/// unless the process simulated a result since its last successful save,
+/// so a run served entirely from the caches leaves `engine.tsv` as it was.
 pub fn persist_cache() {
-    let entries: Vec<(CacheKey, RunStats)> = cache()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
-        .map(|(k, &v)| (k.clone(), v))
-        .collect();
+    let entries: Vec<(CacheKey, RunStats)> = {
+        let cache = cache()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if !UNSAVED.swap(false, Ordering::Relaxed) {
+            return;
+        }
+        cache.iter().map(|(k, &v)| (k.clone(), v)).collect()
+    };
     match crate::cache::save(&entries) {
         Ok(0) => {}
         Ok(n) => obs::info!("[engine] persistent cache: {n} entries saved"),
         Err(e) => {
             // Losing the cache costs re-simulation time on the next run,
-            // never correctness — warn, journal, and continue.
+            // never correctness — warn, journal, and leave the results
+            // unsaved so the next call retries.
+            UNSAVED.store(true, Ordering::Relaxed);
             eprintln!("warning: could not persist the result cache: {e}");
             let detail = e.to_string();
             obs::event!("degraded", site = "cache.save", detail = detail.as_str());
@@ -495,6 +512,9 @@ impl<'a> Sweep<'a> {
                     (self.jobs[j].key.clone(), benchmarks[bi], events, self.warmup),
                     stats,
                 );
+            }
+            if !units.is_empty() {
+                UNSAVED.store(true, Ordering::Relaxed);
             }
             for (j, job) in self.jobs.iter().enumerate() {
                 for (bi, &b) in benchmarks.iter().enumerate() {

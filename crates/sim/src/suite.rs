@@ -55,7 +55,7 @@ fn stream_override() -> Option<bool> {
 
 /// Whether a suite of `events`-long traces streams (regenerates events
 /// chunk by chunk per consumer) rather than materialising whole traces.
-pub(crate) fn streaming_enabled(events: u64) -> bool {
+fn streaming_enabled(events: u64) -> bool {
     stream_override().unwrap_or(events > STREAM_THRESHOLD)
 }
 

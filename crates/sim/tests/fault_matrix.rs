@@ -4,7 +4,9 @@
 //! in the unfaulted sequential run's exact tables plus — where the
 //! journal survives — at least one `degraded` record. Never a process
 //! abort, never a hang (queue waits are watchdog-bounded), never a wrong
-//! number.
+//! number. A failed result-cache save also leaves its results unsaved, so
+//! the next `persist_cache` publishes them, while a process that simulated
+//! nothing new never reaches the writer.
 //!
 //! The tests serialise on a local mutex: fault arming, the scheduling
 //! policy overrides, and the journal sink are process-global.
@@ -239,5 +241,68 @@ fn io_faults_warn_and_continue_without_divergence() {
     reset_policies();
     trace_cache::override_policy(None);
     trace_cache::override_root(None);
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// The published result-cache file under a results root, whatever its
+/// schema directory.
+fn engine_tsv(root: &std::path::Path) -> Option<std::path::PathBuf> {
+    std::fs::read_dir(root.join(".cache"))
+        .ok()?
+        .flatten()
+        .map(|entry| entry.path().join("engine.tsv"))
+        .find(|path| path.exists())
+}
+
+/// Arms `cache.write@1` around one `persist_cache` call with a capturing
+/// journal; returns (times the site fired, degraded records journaled).
+fn armed_persist() -> (u64, usize) {
+    faults::override_spec(Some("cache.write@1")).expect("valid spec");
+    let buf = SharedBuf::default();
+    obs::journal::install_writer(Box::new(buf.clone()));
+    engine::persist_cache();
+    obs::journal::uninstall();
+    let fired = faults::fired("cache.write");
+    faults::override_spec(None).expect("disarm");
+    (fired, buf.degraded_count())
+}
+
+#[test]
+fn persist_cache_writes_exactly_when_something_is_new() {
+    let _serial = serial();
+    let scratch = std::env::temp_dir().join(format!("ibp-persist-itest-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    std::env::set_var("IBP_RESULTS", &scratch);
+    let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);
+
+    // Simulate and save, so nothing this process computed is unsaved.
+    engine::clear_memo_cache();
+    let baseline = run_sweep(&suite);
+    engine::persist_cache();
+    let published = engine_tsv(&scratch).expect("the first save publishes");
+
+    // A sweep served from the memo cache adds nothing to save.
+    assert_eq!(run_sweep(&suite), baseline);
+    assert_eq!(
+        armed_persist(),
+        (0, 0),
+        "a hit-only sweep must not reach the writer"
+    );
+
+    // A sweep that simulates does; the injected write fault degrades.
+    engine::clear_memo_cache();
+    assert_eq!(run_sweep(&suite), baseline);
+    let (fired, degraded) = armed_persist();
+    assert_eq!(fired, 1, "new results reach the writer");
+    assert!(degraded >= 1, "the failed save journals a degraded record");
+
+    // The failed save left its results unsaved, so the next call publishes.
+    std::fs::remove_file(&published).expect("remove the published file");
+    engine::persist_cache();
+    assert!(
+        published.exists(),
+        "the retry after a failed save publishes"
+    );
+
     let _ = std::fs::remove_dir_all(&scratch);
 }
