@@ -1,22 +1,22 @@
-//! Sweeps the fault × scheduling-mode grid and asserts containment.
+//! Sweeps every fault-injection site over the engine and asserts
+//! containment.
 //!
 //! Usage: `fault_matrix [--events N] [--watchdog MS]` (defaults: 20000
 //! events, 250 ms watchdog). For every registered injection site (see
-//! `ibp_sim::faults::SITES`) under each of the three scheduling modes —
-//! sequential, site-shard, component-fold — the harness arms the fault at
-//! its first occurrence, runs a small sweep (plus a cache persist and a
-//! fresh suite build so the I/O sites are on the path), and checks that:
+//! `ibp_sim::faults::SITES`) the harness arms the fault at its first
+//! occurrence, runs a small sweep (plus a cache persist and a fresh suite
+//! build so the I/O sites are on the path), and checks that:
 //!
-//! * the process neither aborts nor hangs (queue waits are bounded by the
-//!   watchdog), and
-//! * the result tables are byte-identical to the unfaulted sequential
-//!   baseline — a fault may cost wall time (a `degraded` journal event
-//!   records the fallback), never correctness.
+//! * the process neither aborts nor hangs, and
+//! * the result tables are byte-identical to the unfaulted baseline — a
+//!   fault may cost wall time (a `degraded` journal event records the
+//!   fallback), never correctness.
 //!
-//! Each cell is rated `ok (degraded)` when the fault fired and the engine
-//! logged a degraded event, `ok (contained)` when it fired and was
-//! absorbed by a warn-and-continue path (e.g. the journal disabling
-//! itself), `ok (not hit)` when the site is off that mode's code path,
+//! Each site is rated `ok (degraded)` when the fault fired and a degraded
+//! event was journaled, `ok (contained)` when it fired and was absorbed by
+//! a warn-and-continue path (e.g. the journal disabling itself), `ok (not
+//! hit)` when the site is off the engine's path (the `shard.*` and
+//! `component.*` sites live in library pipelines the engine never runs),
 //! and `DIVERGED` — a failure, nonzero exit — when tables differ.
 //!
 //! All output lands in a scratch directory (the harness sets
@@ -28,9 +28,7 @@ use std::process::ExitCode;
 
 use ibp_core::PredictorConfig;
 use ibp_obs as obs;
-use ibp_sim::component::{self, ComponentPolicy};
 use ibp_sim::engine::{self, Sweep};
-use ibp_sim::shard::{self, ShardPolicy};
 use ibp_sim::{faults, trace_cache, Suite, SuiteResult};
 use ibp_workload::Benchmark;
 
@@ -41,31 +39,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-struct Mode {
-    label: &'static str,
-    shards: ShardPolicy,
-    components: ComponentPolicy,
-}
-
-const MODES: [Mode; 3] = [
-    Mode {
-        label: "sequential",
-        shards: ShardPolicy::Off,
-        components: ComponentPolicy::Off,
-    },
-    Mode {
-        label: "site-shard",
-        shards: ShardPolicy::Fixed(2),
-        components: ComponentPolicy::Off,
-    },
-    Mode {
-        label: "component-fold",
-        shards: ShardPolicy::Off,
-        components: ComponentPolicy::Fixed(2),
-    },
-];
-
-/// One full pass: fresh suite (so trace-cache I/O is on the path), the
+/// One full pass: fresh suite (so trace-cache I/O is on the path), a
 /// three-config sweep, and a cache persist (so result-cache I/O is on the
 /// path). Returns the canonical table rendering.
 fn run_pass(events: u64) -> String {
@@ -95,7 +69,7 @@ fn render(results: &[SuiteResult]) -> String {
     out
 }
 
-/// Counts `degraded` events in one cell's journal. A journal the injected
+/// Counts `degraded` events in one pass's journal. A journal the injected
 /// fault itself disabled reads as zero — that is the warn-and-continue
 /// outcome, not an error.
 fn degraded_events(path: &std::path::Path) -> usize {
@@ -138,79 +112,67 @@ fn main() -> ExitCode {
     trace_cache::override_policy(Some(true));
 
     eprintln!(
-        "== fault matrix: {} sites x {} modes ({events} events, watchdog {watchdog} ms) ==",
-        faults::sites().len(),
-        MODES.len()
+        "== fault matrix: {} sites ({events} events, watchdog {watchdog} ms) ==",
+        faults::sites().len()
     );
 
-    // Unfaulted sequential baseline: the truth every faulted cell must
-    // reproduce byte-identically.
-    shard::override_policy(Some(ShardPolicy::Off));
-    component::override_policy(Some(ComponentPolicy::Off));
+    // Unfaulted baseline: the truth every faulted pass must reproduce
+    // byte-identically.
     engine::clear_memo_cache();
     let baseline = run_pass(events);
 
     let mut failures = 0usize;
-    let mut grid: Vec<(String, Vec<String>)> = Vec::new();
+    let mut grid: Vec<(&str, &str)> = Vec::new();
     for site in faults::sites() {
-        let mut row = Vec::new();
-        for mode in &MODES {
-            shard::override_policy(Some(mode.shards));
-            component::override_policy(Some(mode.components));
-            // Site prep: make the armed code path reachable again.
-            match site.name {
-                // A hit segment skips the write/publish path; purge so
-                // the pass regenerates (and re-writes) its segments.
-                "trace_cache.write" | "trace_cache.rename" => trace_cache::purge(),
-                // Verification only runs once per process per segment.
-                "trace_cache.read" => trace_cache::forget_verified(),
-                _ => {}
-            }
-            engine::clear_memo_cache();
-            let journal: PathBuf =
-                scratch.join(format!("journal-{}-{}.jsonl", mode.label, site.name));
-            let _ = std::fs::remove_file(&journal);
-            obs::journal::install(&journal).expect("install journal");
-
-            faults::override_spec(Some(&format!("{}@1;watchdog={watchdog}", site.name)))
-                .expect("registered site");
-            let table = run_pass(events);
-            let fired = faults::fired(site.name);
-            faults::override_spec(None).expect("disarm");
-            obs::journal::uninstall();
-
-            let verdict = if table != baseline {
-                failures += 1;
-                "DIVERGED".to_string()
-            } else if fired == 0 {
-                "ok (not hit)".to_string()
-            } else if degraded_events(&journal) > 0 {
-                "ok (degraded)".to_string()
-            } else {
-                "ok (contained)".to_string()
-            };
-            row.push(verdict);
+        // Site prep: make the armed code path reachable again.
+        match site.name {
+            // A hit segment skips the write/publish path; purge so the
+            // pass regenerates (and re-writes) its segments.
+            "trace_cache.write" | "trace_cache.rename" => trace_cache::purge(),
+            // Verification only runs once per process per segment.
+            "trace_cache.read" => trace_cache::forget_verified(),
+            _ => {}
         }
-        grid.push((site.name.to_string(), row));
+        engine::clear_memo_cache();
+        let journal: PathBuf = scratch.join(format!("journal-{}.jsonl", site.name));
+        let _ = std::fs::remove_file(&journal);
+        obs::journal::install(&journal).expect("install journal");
+
+        faults::override_spec(Some(&format!("{}@1;watchdog={watchdog}", site.name)))
+            .expect("registered site");
+        let table = run_pass(events);
+        let fired = faults::fired(site.name);
+        faults::override_spec(None).expect("disarm");
+        obs::journal::uninstall();
+
+        let verdict = if table != baseline {
+            failures += 1;
+            "DIVERGED"
+        } else if fired == 0 {
+            "ok (not hit)"
+        } else if degraded_events(&journal) > 0 {
+            "ok (degraded)"
+        } else {
+            "ok (contained)"
+        };
+        grid.push((site.name, verdict));
     }
-    shard::override_policy(None);
-    component::override_policy(None);
     trace_cache::override_policy(None);
     trace_cache::override_root(None);
 
-    println!(
-        "{:<20} {:<16} {:<16} {:<16}",
-        "site", MODES[0].label, MODES[1].label, MODES[2].label
-    );
-    for (site, row) in &grid {
-        println!("{site:<20} {:<16} {:<16} {:<16}", row[0], row[1], row[2]);
+    println!("{:<20} verdict", "site");
+    for (site, verdict) in &grid {
+        println!("{site:<20} {verdict}");
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
     if failures > 0 {
-        eprintln!("error: {failures} cell(s) diverged from the unfaulted sequential baseline");
+        eprintln!("error: {failures} site(s) diverged from the unfaulted baseline");
         return ExitCode::FAILURE;
     }
-    eprintln!("all {} cells contained: tables byte-identical to baseline", grid.len() * MODES.len());
+    eprintln!(
+        "all {} sites contained: tables byte-identical to baseline",
+        grid.len()
+    );
     ExitCode::SUCCESS
 }

@@ -3,25 +3,22 @@
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
 //! ```text
-//! obs_report <journal.jsonl> [--chrome <out.json>] [--top <N>] [--sharding] [--internals] [--strict]
+//! obs_report <journal.jsonl> [--chrome <out.json>] [--top <N>] [--internals] [--strict]
 //! ```
 //!
 //! The summary covers where a run's time went: per-experiment wall time and
 //! cache effectiveness (from the root `experiment` spans), the slowest
 //! (config × benchmark) cells, per-worker busy/idle utilization, and the
-//! final metrics-registry snapshot. `--sharding` adds the chunk-parallel
-//! pipeline's per-shard occupancy and event skew, the component-parallel
-//! hybrid pipeline's per-component occupancy, plus a quantification of
-//! how tail-heavy the cell queue was. `--internals` renders the
+//! final metrics-registry snapshot. `--internals` renders the
 //! `IBP_PROBE` probe records: per-run occupancy/eviction/conflict tables,
 //! selector-usage breakdowns for hybrids, miss attribution and the
 //! aliasing-heaviest sites.
 //!
 //! The summary always includes a "degraded cells" section when the journal
-//! carries `degraded` events — cells whose parallel pipeline faulted and
-//! were re-run on the sequential fold, plus cache-layer warn-and-continue
-//! failures. `--strict` makes any degraded event a nonzero exit, for CI
-//! jobs that want faults surfaced, not absorbed.
+//! carries `degraded` events — cells whose `parallel_map` worker panicked
+//! and were retried inline, plus cache-layer warn-and-continue failures.
+//! `--strict` makes any degraded event a nonzero exit, for CI jobs that
+//! want faults surfaced, not absorbed.
 //!
 //! Corrupt journal lines are skipped with a warning (the footer counts
 //! them), so a truncated journal from a crashed run still renders.
@@ -37,7 +34,6 @@ struct Options {
     journal: PathBuf,
     chrome: Option<PathBuf>,
     top: usize,
-    sharding: bool,
     internals: bool,
     strict: bool,
 }
@@ -47,12 +43,10 @@ fn parse_args() -> Result<Options, String> {
     let mut journal = None;
     let mut chrome = None;
     let mut top = 10usize;
-    let mut sharding = false;
     let mut internals = false;
     let mut strict = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--sharding" => sharding = true,
             "--internals" => internals = true,
             "--strict" => strict = true,
             "--chrome" => {
@@ -77,7 +71,6 @@ fn parse_args() -> Result<Options, String> {
         journal: journal.ok_or("missing journal path".to_string())?,
         chrome,
         top,
-        sharding,
         internals,
         strict,
     })
@@ -231,10 +224,10 @@ fn print_worker_utilization(records: &[Record]) {
 }
 
 /// The fault-containment section: every `degraded` event in the journal —
-/// a cell whose parallel pipeline faulted (worker panic or queue stall)
-/// and was transparently re-run on the sequential fold, or a cache layer
-/// that hit a warn-and-continue I/O failure. Returns the count so
-/// `--strict` can gate on it. Silent when the run saw no faults.
+/// a `parallel_map` item whose worker panicked and was retried inline
+/// (site `parallel.worker`), or a cache layer that hit a warn-and-continue
+/// I/O failure. Returns the count so `--strict` can gate on it. Silent
+/// when the run saw no faults.
 fn print_degraded(records: &[Record]) -> usize {
     let degraded: Vec<&Record> = records
         .iter()
@@ -260,171 +253,6 @@ fn print_degraded(records: &[Record]) -> usize {
     }
     println!();
     degraded.len()
-}
-
-/// The `--sharding` section: how the chunk-parallel pipeline behaved
-/// (per-shard occupancy and event skew) and how tail-heavy the cell queue
-/// was — the condition under which the scheduler grants shard budgets.
-fn print_sharding(records: &[Record]) {
-    let pipelines = records
-        .iter()
-        .filter(|r| r.kind == Kind::Span && r.name == "shard_pipeline")
-        .count();
-    let schedules = records
-        .iter()
-        .filter(|r| r.kind == Kind::Event && r.name == "shard_schedule")
-        .count();
-    let shards: Vec<&Record> = records
-        .iter()
-        .filter(|r| r.kind == Kind::Span && r.name == "shard")
-        .collect();
-    if shards.is_empty() {
-        println!(
-            "sharding: no shard spans recorded \
-             ({pipelines} pipeline runs, {schedules} schedule decisions)\n"
-        );
-    } else {
-        // Aggregate by shard index across all pipeline runs: skew between
-        // indices is routing skew, busy/idle is worker occupancy.
-        let mut per_shard: BTreeMap<u64, (u64, u64, u64, u64)> = BTreeMap::new();
-        for s in &shards {
-            let e = per_shard
-                .entry(s.field_u64("shard").unwrap_or(0))
-                .or_default();
-            e.0 += 1;
-            e.1 += s.field_u64("events").unwrap_or(0);
-            e.2 += s.field_u64("busy_us").unwrap_or(0);
-            e.3 += s.field_u64("idle_us").unwrap_or(0);
-        }
-        println!(
-            "sharding ({pipelines} pipeline runs, {} shard spans, {schedules} schedule decisions):",
-            shards.len()
-        );
-        println!(
-            "  {:<6} {:>6} {:>12} {:>10} {:>10} {:>6}",
-            "shard", "spans", "events", "busy", "idle", "busy%"
-        );
-        let mut events_min = u64::MAX;
-        let mut events_max = 0u64;
-        let mut events_total = 0u64;
-        for (shard, (spans, events, busy, idle)) in &per_shard {
-            events_min = events_min.min(*events);
-            events_max = events_max.max(*events);
-            events_total += events;
-            let busy_pct = if busy + idle > 0 {
-                100.0 * *busy as f64 / (busy + idle) as f64
-            } else {
-                0.0
-            };
-            println!(
-                "  {:<6} {:>6} {:>12} {:>10} {:>10} {:>6.1}",
-                shard,
-                spans,
-                events,
-                fmt_us(*busy),
-                fmt_us(*idle),
-                busy_pct
-            );
-        }
-        let mean = events_total as f64 / per_shard.len() as f64;
-        let skew = if mean > 0.0 {
-            events_max as f64 / mean
-        } else {
-            0.0
-        };
-        println!(
-            "  event skew: min {events_min}, max {events_max}, mean {mean:.0} \
-             (max/mean {skew:.2})\n"
-        );
-    }
-
-    // The component-parallel hybrid pipeline, same shape: per-component
-    // occupancy attributes the fig17 tail to its hybrid halves.
-    let cpipelines = records
-        .iter()
-        .filter(|r| r.kind == Kind::Span && r.name == "component_pipeline")
-        .count();
-    let cschedules = records
-        .iter()
-        .filter(|r| r.kind == Kind::Event && r.name == "component_schedule")
-        .count();
-    let components: Vec<&Record> = records
-        .iter()
-        .filter(|r| r.kind == Kind::Span && r.name == "component")
-        .collect();
-    if components.is_empty() {
-        println!(
-            "components: no component spans recorded \
-             ({cpipelines} pipeline runs, {cschedules} schedule decisions)\n"
-        );
-    } else {
-        let mut per_component: BTreeMap<u64, (u64, u64, u64, u64)> = BTreeMap::new();
-        for s in &components {
-            let e = per_component
-                .entry(s.field_u64("component").unwrap_or(0))
-                .or_default();
-            e.0 += 1;
-            e.1 += s.field_u64("events").unwrap_or(0);
-            e.2 += s.field_u64("busy_us").unwrap_or(0);
-            e.3 += s.field_u64("idle_us").unwrap_or(0);
-        }
-        println!(
-            "components ({cpipelines} pipeline runs, {} component spans, \
-             {cschedules} schedule decisions):",
-            components.len()
-        );
-        println!(
-            "  {:<9} {:>6} {:>12} {:>10} {:>10} {:>6}",
-            "component", "spans", "events", "busy", "idle", "busy%"
-        );
-        for (component, (spans, events, busy, idle)) in &per_component {
-            let busy_pct = if busy + idle > 0 {
-                100.0 * *busy as f64 / (busy + idle) as f64
-            } else {
-                0.0
-            };
-            println!(
-                "  {:<9} {:>6} {:>12} {:>10} {:>10} {:>6.1}",
-                component,
-                spans,
-                events,
-                fmt_us(*busy),
-                fmt_us(*idle),
-                busy_pct
-            );
-        }
-        println!();
-    }
-
-    // Tail heaviness of the cell queue: when one cell dominates total cell
-    // time, extra cores idle unless the scheduler shards it.
-    let mut durs: Vec<u64> = records
-        .iter()
-        .filter(|r| r.kind == Kind::Span && r.name == "cell")
-        .map(|r| r.dur_us.unwrap_or(0))
-        .collect();
-    if durs.is_empty() {
-        println!("cell tail: no cell spans recorded\n");
-        return;
-    }
-    durs.sort_unstable();
-    let total: u64 = durs.iter().sum();
-    let max = *durs.last().expect("non-empty");
-    let mean = total as f64 / durs.len() as f64;
-    let p95 = durs[(durs.len() - 1) * 95 / 100];
-    let share = if total > 0 {
-        100.0 * max as f64 / total as f64
-    } else {
-        0.0
-    };
-    println!(
-        "cell tail ({} cells): mean {}, p95 {}, max {} — slowest cell is {share:.1}% \
-         of total cell time\n",
-        durs.len(),
-        fmt_us(mean as u64),
-        fmt_us(p95),
-        fmt_us(max)
-    );
 }
 
 /// Sums one numeric key over a probe record's `components` array.
@@ -819,9 +647,6 @@ fn run(opts: &Options) -> Result<(), String> {
     if opts.strict && degraded == 0 {
         println!("degraded cells: none\n");
     }
-    if opts.sharding {
-        print_sharding(&records);
-    }
     if opts.internals {
         print_internals(&records, opts.top);
     }
@@ -855,7 +680,7 @@ fn main() -> ExitCode {
             }
             eprintln!(
                 "usage: obs_report <journal.jsonl> [--chrome <out.json>] [--top <N>] \
-                 [--sharding] [--internals] [--strict]"
+                 [--internals] [--strict]"
             );
             return ExitCode::from(2);
         }
@@ -920,7 +745,7 @@ mod tests {
         let plain = Record::parse(r#"{"t":"event","name":"cell","ts":1,"tid":0}"#).unwrap();
         assert_eq!(print_degraded(&[plain]), 0);
         let degraded = Record::parse(
-            r#"{"t":"event","name":"degraded","ts":5,"tid":0,"f":{"site":"shard.worker","config":"btb-2bc","benchmark":"ixx","detail":"injected fault: shard.worker","retry_us":1200}}"#,
+            r#"{"t":"event","name":"degraded","ts":5,"tid":0,"f":{"site":"parallel.worker","item":3,"detail":"injected fault: parallel.worker","retry_us":1200}}"#,
         )
         .unwrap();
         let bare = Record::parse(r#"{"t":"event","name":"degraded","ts":6,"tid":0}"#).unwrap();

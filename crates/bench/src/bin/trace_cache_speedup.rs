@@ -7,12 +7,11 @@
 //! twice — a cold pass that generates and publishes every segment, and a
 //! warm pass that replays them. The result-cache is disabled for the
 //! whole process (`IBP_CACHE=0`) and the in-process memo cache cleared
-//! before each pass, so neither can mask the trace work; site-sharding
-//! and the component fold are forced off because the speedup claim is
-//! single-thread. The two table sets must be byte-identical and the warm
-//! pass must be 100 % trace-cache hits (the run aborts otherwise). The
-//! headline number is the suite *generation-phase* speedup (cold
-//! generate-and-encode vs warm decode); end-to-end wall time for both
+//! before each pass, so neither can mask the trace work. The two table
+//! sets must be byte-identical and the warm pass must be 100 % trace-cache
+//! hits (the run aborts otherwise). The headline number is the suite
+//! *generation-phase* speedup (cold generate-and-encode vs warm decode);
+//! end-to-end wall time for both
 //! passes is reported alongside, unmasked. Results go to stderr,
 //! `results/trace_cache_speedup.csv`, `results/manifest.csv` and, with
 //! `IBP_TRACE`, one `trace_cache_speedup` journal event per run.
@@ -22,9 +21,7 @@ use std::time::{Duration, Instant};
 
 use ibp_bench::ExperimentMetrics;
 use ibp_obs as obs;
-use ibp_sim::component::{self, ComponentPolicy};
 use ibp_sim::engine;
-use ibp_sim::shard::{self, ShardPolicy};
 use ibp_sim::trace_cache::{self, TraceCacheStats};
 
 fn usage() -> ! {
@@ -65,8 +62,6 @@ fn main() {
         ids.join(", ")
     );
 
-    shard::override_policy(Some(ShardPolicy::Off));
-    component::override_policy(Some(ComponentPolicy::Off));
     // Engage the cache regardless of IBP_TRACE_CACHE and the event
     // threshold: this binary exists to measure it.
     trace_cache::override_policy(Some(true));
@@ -183,8 +178,6 @@ fn main() {
     }
 
     trace_cache::override_policy(None);
-    component::override_policy(None);
-    shard::override_policy(None);
 
     let all_metrics: Vec<ExperimentMetrics> = cold
         .metrics

@@ -17,15 +17,6 @@
 //!   picks by trace length.
 //! * `IBP_CHUNK` — events per streaming chunk (default 8192).
 //! * `IBP_RESULTS` — output directory for CSVs (default `results`).
-//! * `IBP_SHARDS` — shard policy for the chunk-parallel pipeline: `auto`
-//!   (default) spends idle cores on tail-heavy queues, `0` disables
-//!   sharding, `n` forces `n` shard workers per run.
-//! * `IBP_COMPONENTS` — component policy for the hybrid pipeline: `auto`
-//!   (default) splits hybrid cells across component workers on tail-heavy
-//!   queues, `0` disables it, `n` forces `n` workers per hybrid run.
-//! * `IBP_KERNEL` — `0` demotes every fold to the legacy per-event
-//!   dyn-dispatch path (default: monomorphized chunk kernels; results are
-//!   byte-identical either way).
 //! * `IBP_CACHE` — `0` disables the persistent cross-process result cache
 //!   under `results/.cache/` (default enabled).
 //! * `IBP_TRACE_CACHE` — `0` disables the persistent binary trace corpus
@@ -247,8 +238,7 @@ pub fn write_manifest(metrics: &[ExperimentMetrics]) -> std::io::Result<PathBuf>
 pub fn manifest_csv(metrics: &[ExperimentMetrics]) -> String {
     let mut csv = String::from(
         "experiment,wall_seconds,cache_hits,cache_misses,persistent_hits,hit_rate_pct,\
-         simulated_events,events_per_sec,sharded_cells,component_cells,\
-         trace_hits,trace_misses,peak_rss_mb\n",
+         simulated_events,events_per_sec,trace_hits,trace_misses,peak_rss_mb\n",
     );
     for m in metrics {
         let rss = match m.peak_rss {
@@ -256,7 +246,7 @@ pub fn manifest_csv(metrics: &[ExperimentMetrics]) -> String {
             None => String::new(),
         };
         csv.push_str(&format!(
-            "{},{:.3},{},{},{},{:.1},{},{:.0},{},{},{},{},{rss}\n",
+            "{},{:.3},{},{},{},{:.1},{},{:.0},{},{},{rss}\n",
             m.id,
             m.wall.as_secs_f64(),
             m.engine.hits,
@@ -265,8 +255,6 @@ pub fn manifest_csv(metrics: &[ExperimentMetrics]) -> String {
             m.hit_rate_pct(),
             m.engine.simulated_events,
             m.events_per_sec(),
-            m.engine.sharded_cells,
-            m.engine.component_cells,
             m.trace_cache.hits,
             m.trace_cache.misses,
         ));
@@ -276,17 +264,15 @@ pub fn manifest_csv(metrics: &[ExperimentMetrics]) -> String {
 
 /// Prints the end-of-run cache/throughput summary on stderr.
 pub fn print_summary(metrics: &[ExperimentMetrics], total_wall: Duration) {
-    let total: EngineStats = metrics.iter().fold(EngineStats::default(), |acc, m| {
-        EngineStats {
+    let total: EngineStats = metrics
+        .iter()
+        .fold(EngineStats::default(), |acc, m| EngineStats {
             hits: acc.hits + m.engine.hits,
             misses: acc.misses + m.engine.misses,
             persistent_hits: acc.persistent_hits + m.engine.persistent_hits,
             simulated_events: acc.simulated_events + m.engine.simulated_events,
-            sharded_cells: acc.sharded_cells + m.engine.sharded_cells,
-            component_cells: acc.component_cells + m.engine.component_cells,
-            degraded_cells: acc.degraded_cells + m.engine.degraded_cells,
-        }
-    });
+            ..EngineStats::default()
+        });
     let lookups = total.hits + total.misses;
     let hit_pct = if lookups > 0 {
         100.0 * total.hits as f64 / lookups as f64
@@ -318,21 +304,11 @@ pub fn print_summary(metrics: &[ExperimentMetrics], total_wall: Duration) {
         total.misses,
         total.simulated_events,
     );
-    // One greppable line each for the cross-process cache and the sharded
-    // pipeline (CI gates on the former).
+    // One greppable line for the cross-process cache (CI gates on it).
     eprintln!(
         "persistent-cache hit rate: {persistent_pct:.1}% ({} of {lookups} lookups)",
         total.persistent_hits,
     );
-    if total.sharded_cells > 0 {
-        eprintln!("sharded cells: {}", total.sharded_cells);
-    }
-    if total.component_cells > 0 {
-        eprintln!("component cells: {}", total.component_cells);
-    }
-    if total.degraded_cells > 0 {
-        eprintln!("degraded cells: {}", total.degraded_cells);
-    }
     print_trace_cache_summary();
 }
 
@@ -349,9 +325,7 @@ mod tests {
                 misses: 1,
                 persistent_hits: 2,
                 simulated_events: 40,
-                sharded_cells: 1,
-                component_cells: 2,
-                degraded_cells: 0,
+                ..EngineStats::default()
             },
             trace_cache: TraceCacheStats {
                 hits: 17,
@@ -368,9 +342,12 @@ mod tests {
         let csv = manifest_csv(&[sample("fig17", None)]);
         let mut lines = csv.lines();
         let header = lines.next().expect("header row");
-        assert!(header.ends_with("sharded_cells,component_cells,trace_hits,trace_misses,peak_rss_mb"));
+        assert!(header.ends_with("events_per_sec,trace_hits,trace_misses,peak_rss_mb"));
         let row = lines.next().expect("one data row");
-        assert!(row.ends_with(",1,2,17,4,"), "rss field must be empty, got {row}");
+        assert!(
+            row.ends_with(",27,17,4,"),
+            "rss field must be empty, got {row}"
+        );
         assert!(!row.contains(",0.0"), "no fabricated rss reading: {row}");
         assert_eq!(
             row.split(',').count(),
@@ -383,7 +360,7 @@ mod tests {
     fn manifest_reports_real_peak_rss_readings() {
         let csv = manifest_csv(&[sample("fig9", Some(5 << 20))]);
         let row = csv.lines().nth(1).expect("one data row");
-        assert!(row.ends_with(",1,2,17,4,5.0"), "got {row}");
+        assert!(row.ends_with(",27,17,4,5.0"), "got {row}");
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn repro_all_journals_one_root_span_per_experiment() {
     let header = manifest.lines().next().expect("manifest header");
     assert_eq!(
         header,
-        "experiment,wall_seconds,cache_hits,cache_misses,persistent_hits,hit_rate_pct,simulated_events,events_per_sec,sharded_cells,component_cells,trace_hits,trace_misses,peak_rss_mb"
+        "experiment,wall_seconds,cache_hits,cache_misses,persistent_hits,hit_rate_pct,simulated_events,events_per_sec,trace_hits,trace_misses,peak_rss_mb"
     );
     assert_eq!(manifest.lines().count(), experiments.len() + 1);
 

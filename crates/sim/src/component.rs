@@ -32,17 +32,15 @@
 //! update, including the unscored warmup prefix, so the merge must see
 //! those lookups even though it scores none of them.
 //!
-//! Whether a cell gets the pipeline is a scheduling decision
-//! ([`component_budget`]): `IBP_COMPONENTS=0` disables it, `=n` forces it
-//! regardless of core count (the equivalence tests and 1-CPU acceptance
-//! runs rely on that), and `auto` (the default) engages it only on a
-//! tail-heavy queue, mirroring `IBP_SHARDS`.
+//! The caller picks the worker count. The sweep engine never routes a
+//! cell here: measured on two cores, the pipeline only slowed fig17
+//! (DESIGN.md §5e), so it stays as library code with its equivalence
+//! tests.
 //!
 //! With tracing on, every run emits a `component_pipeline` span, one
 //! `component` span per worker (events, busy/idle split), and the
 //! registry tracks `component.*` counters plus the record-buffer
-//! high-water mark (`component.record_hwm`) so `obs_report --sharding`
-//! can attribute the fig17 tail to its new schedule.
+//! high-water mark (`component.record_hwm`).
 //!
 //! [`PredictorConfig::shardable`]: ibp_core::PredictorConfig::shardable
 //! [`PredictorConfig::decompose`]: ibp_core::PredictorConfig::decompose
@@ -52,7 +50,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use ibp_core::snapshot::Snapshot;
 use ibp_core::table::TableHit;
@@ -66,96 +64,7 @@ use ibp_trace::{chunk_events, Addr, EventSource, TraceChunk, TraceEvent};
 use crate::faults;
 use crate::probe::{self, Attribution, ProbePayload, ProbePolicy};
 use crate::run::{simulate_kernel, RunStats};
-use crate::shard::{
-    threads_available, PipelineError, QueueStalled, SpscQueue, WorkerFault, QUEUE_CAPACITY,
-};
-
-/// Whether hybrid cells may run the component-parallel fold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ComponentPolicy {
-    /// Never (`IBP_COMPONENTS=0`): hybrids fold sequentially.
-    Off,
-    /// Engage the pipeline when the scheduler finds idle capacity
-    /// (`IBP_COMPONENTS=auto`, the default).
-    Auto,
-    /// Always grant this many workers to decomposable runs
-    /// (`IBP_COMPONENTS=n`), regardless of core count. Values above the
-    /// component count clamp — a two-component hybrid uses at most two.
-    Fixed(usize),
-}
-
-fn env_policy() -> ComponentPolicy {
-    static POLICY: OnceLock<ComponentPolicy> = OnceLock::new();
-    *POLICY.get_or_init(|| match std::env::var("IBP_COMPONENTS") {
-        Ok(raw) => match raw.as_str() {
-            "auto" => ComponentPolicy::Auto,
-            _ => match raw.parse::<usize>() {
-                Ok(0) => ComponentPolicy::Off,
-                Ok(n) => ComponentPolicy::Fixed(n),
-                Err(_) => {
-                    eprintln!(
-                        "warning: ignoring invalid IBP_COMPONENTS={raw:?} \
-                         (expected a worker count, \"auto\" or 0); using auto"
-                    );
-                    ComponentPolicy::Auto
-                }
-            },
-        },
-        Err(_) => ComponentPolicy::Auto,
-    })
-}
-
-fn override_slot() -> &'static Mutex<Option<ComponentPolicy>> {
-    static SLOT: Mutex<Option<ComponentPolicy>> = Mutex::new(None);
-    &SLOT
-}
-
-/// Replaces the `IBP_COMPONENTS` policy for this process (`None` restores
-/// the environment's). For tests and measurement binaries that compare
-/// policies within one process — the environment variable is read once.
-pub fn override_policy(policy: Option<ComponentPolicy>) {
-    *override_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = policy;
-}
-
-/// The active component policy: the process-wide override if one is set
-/// ([`override_policy`]), else `IBP_COMPONENTS` parsed once with
-/// warn-and-default (like `IBP_SHARDS`).
-#[must_use]
-pub fn component_policy() -> ComponentPolicy {
-    override_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .unwrap_or_else(env_policy)
-}
-
-/// How many component workers each of `tasks` queued cells should get.
-///
-/// `Fixed(n)` always grants `n` (the pipeline clamps to the component
-/// count). `Auto` grants 2 — one worker per component of a two-component
-/// hybrid — only when the queue is tail-heavy, the same regime
-/// [`shard_budget`](crate::shard::shard_budget) fans out in. `Off` and a
-/// saturated queue grant 1 (sequential).
-#[must_use]
-pub fn component_budget(tasks: usize) -> usize {
-    let budget = match component_policy() {
-        ComponentPolicy::Off => 1,
-        ComponentPolicy::Fixed(n) => n.max(1),
-        ComponentPolicy::Auto => {
-            let threads = threads_available();
-            if tasks == 0 || tasks >= threads {
-                1
-            } else {
-                2
-            }
-        }
-    };
-    if budget > 1 {
-        obs::debug!("[component] budget: {tasks} tasks -> {budget} workers each");
-    }
-    budget
-}
+use crate::shard::{PipelineError, QueueStalled, SpscQueue, WorkerFault, QUEUE_CAPACITY};
 
 fn runs_counter() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
@@ -758,27 +667,5 @@ mod tests {
             PipelineError::Io(e) => panic!("unexpected io error: {e}"),
         }
         faults::override_spec(None).unwrap();
-    }
-
-    #[test]
-    fn override_policy_wins_over_environment() {
-        override_policy(Some(ComponentPolicy::Fixed(2)));
-        assert_eq!(component_policy(), ComponentPolicy::Fixed(2));
-        assert_eq!(component_budget(10_000), 2, "Fixed ignores queue depth");
-        override_policy(Some(ComponentPolicy::Off));
-        assert_eq!(component_budget(1), 1);
-        override_policy(None);
-    }
-
-    #[test]
-    fn auto_budget_only_fans_out_on_a_tail_heavy_queue() {
-        override_policy(Some(ComponentPolicy::Auto));
-        let threads = threads_available();
-        assert_eq!(component_budget(threads + 1), 1);
-        assert_eq!(component_budget(0), 1);
-        if threads > 1 {
-            assert_eq!(component_budget(1), 2, "one straggler, idle cores");
-        }
-        override_policy(None);
     }
 }

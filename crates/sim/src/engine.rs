@@ -12,8 +12,9 @@
 //!   per-configuration on 17 traces;
 //! * when the suite streams (`IBP_STREAM=1`, or traces beyond the length
 //!   threshold), the cells of one benchmark share a single chunked
-//!   generator pass ([`simulate_source_multi`]) instead of each
-//!   materialising or regenerating the trace;
+//!   generator pass ([`simulate_source_kernels`]) instead of each
+//!   materialising or regenerating the trace; materialised cells fold
+//!   one by one through [`simulate_kernel`];
 //! * results are memoized in a process-wide cache keyed by
 //!   `(PredictorConfig::cache_key(), benchmark, events, warmup)` — traces
 //!   are pure functions of `(benchmark, events)`, so a repeated pair is
@@ -24,26 +25,14 @@
 //!   measurement binaries publish it back via [`persist_cache`] once they
 //!   have simulated something new — so the guarantee extends across
 //!   processes (`IBP_CACHE=0` opts out);
-//! * when the work queue is tail-heavy, cells whose configuration is
-//!   site-partitionable ([`PredictorConfig::shardable`]) run through the
-//!   chunk-parallel sharded pipeline ([`crate::shard`]) instead of a
-//!   sequential fold — same `RunStats`, more cores (`IBP_SHARDS`
-//!   controls the policy); hybrid cells that cannot site-shard but can
-//!   split into components ([`PredictorConfig::decompose`]) run through
-//!   the component-parallel pipeline ([`crate::component`],
-//!   `IBP_COMPONENTS`) instead;
 //! * global hit/miss/event counters ([`stats`]) let callers report cache
 //!   effectiveness and simulation throughput — they live in the
 //!   [`ibp_obs::metrics`] registry (`engine.cache.hits`,
 //!   `engine.cache.misses`, `engine.cache.persistent_hits`,
-//!   `engine.simulated_events`, `engine.sharded_cells`,
-//!   `engine.component_cells`, `engine.degraded_cells`), so a journal
-//!   snapshot carries them too;
-//! * a contained fault in a parallel pipeline (worker panic, stalled
-//!   queue — see [`crate::faults`]) never loses the cell: the engine logs
-//!   a `degraded` journal event with the fault site and panic payload,
-//!   then re-runs that one cell on the sequential kernel fold, which is
-//!   byte-identical — a fault costs wall time, never correctness;
+//!   `engine.simulated_events`), so a journal snapshot carries them too;
+//! * a worker panic inside a cell is contained by [`parallel_map`],
+//!   which retries the cell inline and journals a `degraded` event — a
+//!   fault costs wall time, never correctness;
 //! * with tracing on (`IBP_TRACE`), every simulated cell emits a `cell`
 //!   span (config, benchmark, queue wait vs. run time) and every memoized
 //!   lookup a `cell` event with `outcome = "hit"`.
@@ -55,29 +44,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use ibp_core::{Decomposition, FoldKernel, Predictor, PredictorConfig, ShardRouting};
+use ibp_core::{FoldKernel, Predictor, PredictorConfig};
 use ibp_obs as obs;
 use ibp_obs::metrics::Counter;
 use ibp_workload::Benchmark;
 
 use crate::cache::CacheKey;
-use crate::component;
 use crate::parallel::parallel_map;
-use crate::run::{kernel_enabled, simulate_kernel, simulate_source_kernels, RunStats};
-use crate::shard;
+use crate::run::{simulate_kernel, simulate_source_kernels, RunStats};
 use crate::suite::{Suite, SuiteResult};
-
-/// Demotes a freshly built kernel to the legacy per-event dispatch path
-/// when `IBP_KERNEL=0` (or [`crate::override_kernel`]) asks for it — the
-/// one place the engine consults the knob, so every scheduling mode
-/// (sequential, site-shard, component and streamed groups) obeys it.
-fn gate_kernel(kernel: FoldKernel) -> FoldKernel {
-    if kernel_enabled() {
-        kernel
-    } else {
-        kernel.demote()
-    }
-}
 
 fn cache() -> &'static Mutex<HashMap<CacheKey, RunStats>> {
     static CACHE: OnceLock<Mutex<HashMap<CacheKey, RunStats>>> = OnceLock::new();
@@ -129,51 +104,6 @@ fn simulated_events() -> &'static Arc<Counter> {
     C.get_or_init(|| obs::metrics::counter("engine.simulated_events"))
 }
 
-fn sharded_cells() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| obs::metrics::counter("engine.sharded_cells"))
-}
-
-fn component_cells() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| obs::metrics::counter("engine.component_cells"))
-}
-
-fn degraded_cells() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| obs::metrics::counter("engine.degraded_cells"))
-}
-
-/// Contains one cell's pipeline fault: warn, count, re-run the cell on
-/// the sequential kernel fold (byte-identical to the parallel result by
-/// the pipelines' equivalence guarantee), and journal a `degraded` event
-/// carrying the fault site, panic payload and what the retry cost.
-fn recover_cell(
-    config: &str,
-    benchmark: &str,
-    fault: &shard::WorkerFault,
-    retry: impl FnOnce() -> RunStats,
-) -> RunStats {
-    obs::warn!(
-        "[engine] cell {config} x {benchmark}: contained fault at {} ({}); \
-         re-running on the sequential fold",
-        fault.site,
-        fault.detail
-    );
-    degraded_cells().incr();
-    let start = Instant::now();
-    let stats = retry();
-    obs::event!(
-        "degraded",
-        config = config,
-        benchmark = benchmark,
-        site = fault.site,
-        detail = fault.detail.as_str(),
-        retry_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
-    );
-    stats
-}
-
 /// Counts a memo-cache hit, attributing it to the persistent cache when
 /// the key was seeded from disk.
 fn count_hit(key: &CacheKey) {
@@ -201,15 +131,15 @@ pub struct EngineStats {
     /// Indirect-branch events processed by live simulation (warmup
     /// included); cache hits contribute nothing.
     pub simulated_events: u64,
-    /// Simulated cells that ran through the sharded parallel pipeline
-    /// instead of a sequential fold.
+    /// Always 0: the engine routes no cell to the sharded pipeline
+    /// ([`crate::shard`]). Kept for callers that still read it.
     pub sharded_cells: u64,
-    /// Simulated cells that ran through the component-parallel hybrid
-    /// pipeline ([`crate::component`]) instead of a sequential fold.
+    /// Always 0: the engine routes no cell to the component pipeline
+    /// ([`crate::component`]). Kept for callers that still read it.
     pub component_cells: u64,
-    /// Cells whose parallel pipeline faulted (worker panic or queue
-    /// stall) and were transparently re-run on the sequential fold —
-    /// results identical, wall time paid.
+    /// Always 0: it counted pipeline faults the engine re-ran, and the
+    /// engine no longer runs a pipeline. A contained `parallel_map`
+    /// panic shows as a `degraded` journal event instead.
     pub degraded_cells: u64,
 }
 
@@ -222,9 +152,7 @@ impl EngineStats {
             misses: self.misses - earlier.misses,
             persistent_hits: self.persistent_hits - earlier.persistent_hits,
             simulated_events: self.simulated_events - earlier.simulated_events,
-            sharded_cells: self.sharded_cells - earlier.sharded_cells,
-            component_cells: self.component_cells - earlier.component_cells,
-            degraded_cells: self.degraded_cells - earlier.degraded_cells,
+            ..EngineStats::default()
         }
     }
 }
@@ -238,9 +166,7 @@ pub fn stats() -> EngineStats {
         misses: misses().get(),
         persistent_hits: persistent_hits().get(),
         simulated_events: simulated_events().get(),
-        sharded_cells: sharded_cells().get(),
-        component_cells: component_cells().get(),
-        degraded_cells: degraded_cells().get(),
+        ..EngineStats::default()
     }
 }
 
@@ -275,9 +201,8 @@ pub fn persist_cache() {
 }
 
 /// Empties the in-process memo cache (and its record of disk-loaded
-/// keys). For measurement harnesses that need to re-simulate work this
-/// process already saw — e.g. timing sharded against sequential folds —
-/// never needed for correctness.
+/// keys). For measurement harnesses and tests that need to re-simulate
+/// work this process already saw — never needed for correctness.
 pub fn clear_memo_cache() {
     cache()
         .lock()
@@ -291,8 +216,6 @@ pub fn clear_memo_cache() {
 
 struct Job<'a> {
     key: String,
-    routing: Option<ShardRouting>,
-    decomposition: Option<Decomposition>,
     make: Box<dyn Fn() -> FoldKernel + Sync + 'a>,
 }
 
@@ -330,14 +253,9 @@ impl<'a> Sweep<'a> {
     /// Queues a predictor configuration; its memo key is
     /// [`PredictorConfig::cache_key`].
     pub fn config(&mut self, cfg: PredictorConfig) -> &mut Self {
-        let key = cfg.cache_key();
-        let routing = cfg.shardable();
-        let decomposition = cfg.decompose();
         self.jobs.push(Job {
-            key,
-            routing,
-            decomposition,
-            make: Box::new(move || gate_kernel(cfg.build_kernel())),
+            key: cfg.cache_key(),
+            make: Box::new(move || cfg.build_kernel()),
         });
         self
     }
@@ -354,12 +272,8 @@ impl<'a> Sweep<'a> {
     {
         self.jobs.push(Job {
             key: key.into(),
-            // Custom predictors carry no config to analyse, so they never
-            // shard or decompose — correctness first. They fold through
-            // the kernel's `Dyn` fallback: same chunk skeleton, legacy
-            // per-event dispatch.
-            routing: None,
-            decomposition: None,
+            // Custom predictors fold through the kernel's `Dyn` fallback:
+            // same chunk skeleton, one virtual `step` per event.
             make: Box::new(move || FoldKernel::from_boxed(make())),
         });
         self
@@ -421,14 +335,6 @@ impl<'a> Sweep<'a> {
         let simulated: Vec<RunStats> = if self.suite.streamed() {
             self.run_units_streamed(&units, &benchmarks, t0)
         } else {
-            let budget = shard::shard_budget(units.len());
-            if budget > 1 {
-                obs::event!("shard_schedule", mode = "materialized", tasks = units.len(), budget = budget);
-            }
-            let cbudget = component::component_budget(units.len());
-            if cbudget > 1 {
-                obs::event!("component_schedule", mode = "materialized", tasks = units.len(), budget = cbudget);
-            }
             parallel_map(&units, |&(j, bi)| {
                 let b = benchmarks[bi];
                 // Queue wait: time from sweep start until a worker picked
@@ -440,59 +346,9 @@ impl<'a> Sweep<'a> {
                 cell.note("outcome", "miss");
                 cell.note("wait_us", wait_us);
                 let trace = self.suite.trace(b);
-                // Scheduling priority per cell: site-shard (cheapest
-                // per-worker state) beats component-fold, which beats the
-                // sequential fold.
-                let stats = if let Some(routing) = self.jobs[j].routing.filter(|_| budget > 1) {
-                    cell.note("shards", budget);
-                    sharded_cells().incr();
-                    match shard::simulate_source_sharded(
-                        &mut trace.cursor(),
-                        self.jobs[j].make.as_ref(),
-                        routing,
-                        budget,
-                        self.warmup,
-                    ) {
-                        Ok(stats) => stats,
-                        Err(shard::PipelineError::Io(e)) => {
-                            panic!("in-memory source cannot fail: {e}")
-                        }
-                        Err(shard::PipelineError::Fault(fault)) => {
-                            recover_cell(self.jobs[j].key.as_str(), b.name(), &fault, || {
-                                let mut kernel = (self.jobs[j].make)();
-                                simulate_kernel(&mut trace.cursor(), &mut kernel, self.warmup)
-                                    .expect("in-memory source cannot fail")
-                            })
-                        }
-                    }
-                } else if let Some(d) =
-                    self.jobs[j].decomposition.as_ref().filter(|_| cbudget > 1)
-                {
-                    cell.note("components", 2_u64);
-                    component_cells().incr();
-                    match component::simulate_source_components(
-                        &mut trace.cursor(),
-                        d,
-                        cbudget,
-                        self.warmup,
-                    ) {
-                        Ok(stats) => stats,
-                        Err(shard::PipelineError::Io(e)) => {
-                            panic!("in-memory source cannot fail: {e}")
-                        }
-                        Err(shard::PipelineError::Fault(fault)) => {
-                            recover_cell(self.jobs[j].key.as_str(), b.name(), &fault, || {
-                                let mut kernel = (self.jobs[j].make)();
-                                simulate_kernel(&mut trace.cursor(), &mut kernel, self.warmup)
-                                    .expect("in-memory source cannot fail")
-                            })
-                        }
-                    }
-                } else {
-                    let mut kernel = (self.jobs[j].make)();
-                    simulate_kernel(&mut trace.cursor(), &mut kernel, self.warmup)
-                        .expect("in-memory source cannot fail")
-                };
+                let mut kernel = (self.jobs[j].make)();
+                let stats = simulate_kernel(&mut trace.cursor(), &mut kernel, self.warmup)
+                    .expect("in-memory source cannot fail");
                 cell.note("events", trace.indirect_count());
                 simulated_events().add(trace.indirect_count());
                 stats
@@ -564,17 +420,9 @@ impl<'a> Sweep<'a> {
     }
 
     /// Streamed phase 2: groups units by benchmark and folds each group's
-    /// predictors over one shared generator pass
-    /// ([`simulate_source_multi`]), so a sweep of N configurations costs
-    /// one trace generation per benchmark instead of N. Results come back
-    /// in `units` order.
-    ///
-    /// When the shard budget grants extra workers (tail-heavy queue, or a
-    /// forced `IBP_SHARDS=n`), each benchmark group is split into that
-    /// many contiguous sub-groups — independent generator passes over the
-    /// same pure source, so per-predictor results are unchanged — and
-    /// sub-groups that come down to a single site-partitionable
-    /// configuration run through the sharded pipeline.
+    /// kernels over one shared source pass ([`simulate_source_kernels`]),
+    /// so a sweep of N configurations costs one trace pass per benchmark
+    /// instead of N. Results come back in `units` order.
     fn run_units_streamed(
         &self,
         units: &[(usize, usize)],
@@ -587,33 +435,6 @@ impl<'a> Sweep<'a> {
                 Some((_, members)) => members.push(u),
                 None => groups.push((bi, vec![u])),
             }
-        }
-        let budget = shard::shard_budget(groups.len());
-        if budget > 1 {
-            obs::event!("shard_schedule", mode = "streamed", tasks = groups.len(), budget = budget);
-        }
-        let cbudget = component::component_budget(groups.len());
-        if cbudget > 1 {
-            obs::event!("component_schedule", mode = "streamed", tasks = groups.len(), budget = cbudget);
-        }
-        // Split by the larger of the two grants so sub-groups can shrink
-        // to singletons — the only shape the sharded and component
-        // pipelines accept.
-        let fanout = budget.max(cbudget);
-        if fanout > 1 {
-            let mut split: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (bi, members) in groups {
-                let pieces = fanout.min(members.len());
-                let base = members.len() / pieces;
-                let extra = members.len() % pieces;
-                let mut start = 0;
-                for k in 0..pieces {
-                    let len = base + usize::from(k < extra);
-                    split.push((bi, members[start..start + len].to_vec()));
-                    start += len;
-                }
-            }
-            groups = split;
         }
         let per_group: Vec<Vec<RunStats>> = parallel_map(&groups, |(bi, members)| {
             let b = benchmarks[*bi];
@@ -628,70 +449,6 @@ impl<'a> Sweep<'a> {
             // shared: each cell still scores one trace length of events.
             simulated_events().add(self.suite.events() * members.len() as u64);
             cell.note("events", self.suite.events());
-            if members.len() == 1 {
-                let job = &self.jobs[units[members[0]].0];
-                if budget > 1 {
-                    if let Some(routing) = job.routing {
-                        cell.note("shards", budget);
-                        sharded_cells().incr();
-                        let stats = match shard::simulate_source_sharded(
-                            &mut *source,
-                            job.make.as_ref(),
-                            routing,
-                            budget,
-                            self.warmup,
-                        ) {
-                            Ok(stats) => stats,
-                            Err(shard::PipelineError::Io(e)) => {
-                                panic!("suite sources cannot fail: {e}")
-                            }
-                            Err(shard::PipelineError::Fault(fault)) => {
-                                // The faulted pass may have consumed part of
-                                // the stream; the retry opens a fresh source.
-                                recover_cell(job.key.as_str(), b.name(), &fault, || {
-                                    let mut kernel = (job.make)();
-                                    simulate_kernel(
-                                        &mut *self.suite.source(b),
-                                        &mut kernel,
-                                        self.warmup,
-                                    )
-                                    .expect("suite sources cannot fail")
-                                })
-                            }
-                        };
-                        return vec![stats];
-                    }
-                }
-                if cbudget > 1 {
-                    if let Some(d) = job.decomposition.as_ref() {
-                        cell.note("components", 2_u64);
-                        component_cells().incr();
-                        let stats = match component::simulate_source_components(
-                            &mut *source,
-                            d,
-                            cbudget,
-                            self.warmup,
-                        ) {
-                            Ok(stats) => stats,
-                            Err(shard::PipelineError::Io(e)) => {
-                                panic!("suite sources cannot fail: {e}")
-                            }
-                            Err(shard::PipelineError::Fault(fault)) => {
-                                recover_cell(job.key.as_str(), b.name(), &fault, || {
-                                    let mut kernel = (job.make)();
-                                    simulate_kernel(
-                                        &mut *self.suite.source(b),
-                                        &mut kernel,
-                                        self.warmup,
-                                    )
-                                    .expect("suite sources cannot fail")
-                                })
-                            }
-                        };
-                        return vec![stats];
-                    }
-                }
-            }
             let mut kernels: Vec<FoldKernel> = members
                 .iter()
                 .map(|&u| (self.jobs[units[u].0].make)())

@@ -1,18 +1,20 @@
 //! Deterministic fault injection for the containment layer (`IBP_FAULTS`).
 //!
-//! The parallel pipelines promise that a worker panic, a stalled queue or
-//! a failed cache write costs wall time, never correctness: the engine
-//! contains the fault and re-runs the cell on the sequential kernel fold.
-//! That promise is only worth having if it is exercised, so this module
-//! lets a run arm faults at *named sites* that fire at a deterministic
-//! occurrence count — every failure is reproducible from the spec alone.
+//! The simulator promises that a worker panic or a failed cache write
+//! costs wall time, never correctness: `parallel_map` retries a panicked
+//! cell inline, and the caches warn and continue. The library pipelines
+//! (`shard`, `component`) report a panicked or stalled worker as a
+//! `PipelineError::Fault` instead of dying. That promise is only worth
+//! having if it is exercised, so this module lets a run arm faults at
+//! *named sites* that fire at a deterministic occurrence count — every
+//! failure is reproducible from the spec alone.
 //!
 //! # Spec grammar
 //!
 //! `IBP_FAULTS` is a semicolon-separated list of clauses:
 //!
 //! ```text
-//! IBP_FAULTS="shard.worker@3;trace_cache.read;watchdog=250"
+//! IBP_FAULTS="parallel.worker@3;trace_cache.read;watchdog=250"
 //! ```
 //!
 //! * `<site>` — arm `site` to fire at its first occurrence;
@@ -30,11 +32,11 @@
 //!
 //! Each armed site fires **exactly once** per arming: the n-th call to
 //! [`should_fire`] for that site returns true, every other call false.
-//! One-shot semantics are what make the engine's sequential retry safe to
-//! drive under injection — the fallback never re-trips the same fault.
+//! One-shot semantics are what make the inline retry safe to drive under
+//! injection — the retry never re-trips the same fault.
 //!
 //! The registered sites are listed in [`SITES`]; `fault_matrix` sweeps
-//! all of them under every scheduling mode.
+//! all of them over the engine.
 //!
 //! # Scopes
 //!
@@ -86,7 +88,7 @@ pub const SITES: &[FaultSite] = &[
     FaultSite {
         name: "shard.worker",
         kind: FaultKind::Panic,
-        what: "site-shard worker panics mid-batch; cell falls back to the sequential fold",
+        what: "site-shard worker panics mid-batch; the pipeline reports a fault",
     },
     FaultSite {
         name: "shard.stall",
@@ -96,7 +98,7 @@ pub const SITES: &[FaultSite] = &[
     FaultSite {
         name: "component.worker",
         kind: FaultKind::Panic,
-        what: "component-fold worker panics mid-chunk; cell falls back to the sequential fold",
+        what: "component-fold worker panics mid-chunk; the pipeline reports a fault",
     },
     FaultSite {
         name: "component.stall",

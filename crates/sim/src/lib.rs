@@ -15,12 +15,13 @@
 //!   persistent result cache under `results/.cache/`;
 //! * [`shard`] — the chunk-parallel sharded pipeline: site-partitionable
 //!   configurations ([`ibp_core::PredictorConfig::shardable`]) fold one
-//!   run across several workers with byte-identical results;
+//!   run across several workers with byte-identical results. Library
+//!   code only: the engine never routes a cell to it;
 //! * [`component`] — the component-parallel fold for hybrids
-//!   ([`ibp_core::PredictorConfig::decompose`]), which bounded tables
-//!   keep out of the sharded pipeline: one shared source pass broadcast
-//!   to per-component workers, merged through the metapredictor with
-//!   byte-identical results;
+//!   ([`ibp_core::PredictorConfig::decompose`]): one shared source pass
+//!   broadcast to per-component workers, merged through the
+//!   metapredictor with byte-identical results. Library code only, like
+//!   [`shard`];
 //! * [`probe`] — the predictor-internals probe layer (`IBP_PROBE`):
 //!   occupancy/aliasing snapshots and per-site miss attribution sampled
 //!   into the run journal, byte-identical results on or off;
@@ -31,8 +32,8 @@
 //!   streamed, with byte-identical results;
 //! * [`faults`] — deterministic fault injection (`IBP_FAULTS`): named
 //!   panic/stall/IO sites firing on one-shot occurrence schedules, which
-//!   exercise the containment layer — contained worker faults degrade a
-//!   cell to the sequential fold with byte-identical results;
+//!   exercise the containment layer — a contained worker panic retries
+//!   the cell with byte-identical results;
 //! * [`report`] — plain-text and CSV rendering of result tables;
 //! * [`experiments`] — one runner per figure/table of the paper (the
 //!   `ibp-bench` binaries are thin wrappers over these).
@@ -70,7 +71,7 @@ pub mod trace_cache;
 
 pub use parallel::parallel_map;
 pub use run::{
-    kernel_enabled, override_kernel, simulate, simulate_kernel, simulate_source,
-    simulate_source_kernels, simulate_source_multi, simulate_warm, RunStats,
+    simulate, simulate_kernel, simulate_source, simulate_source_kernels, simulate_source_multi,
+    simulate_warm, RunStats,
 };
 pub use suite::{Suite, SuiteResult};

@@ -108,7 +108,7 @@ pub fn override_policy(policy: Option<ProbePolicy>) {
 
 /// The configured probe policy: the process-wide override if one is set
 /// ([`override_policy`]), else `IBP_PROBE` parsed once with
-/// warn-and-default (like `IBP_SHARDS`).
+/// warn-and-default (like `IBP_EVENTS`).
 #[must_use]
 pub fn probe_policy() -> ProbePolicy {
     override_slot()

@@ -4,63 +4,13 @@
 //! ([`ibp_core::FoldKernel`]): one dispatch per chunk into a monomorphized
 //! per-event loop for the hot predictor families, with borrowed
 //! `dyn Predictor`s folded through the same skeleton by one virtual
-//! [`Predictor::step`] per event. `IBP_KERNEL=0` (or
-//! [`override_kernel`]`(Some(false))`) demotes every kernel the engine
-//! builds to that path, where the monomorphized families run the default
-//! predict-then-update `step`; that is how the `kernel_speedup` bin
-//! measures both sides in one process.
-
-use std::sync::{Mutex, OnceLock};
+//! [`Predictor::step`] per event.
 
 use ibp_core::{fold_dyn_chunk, ChunkScorer, FoldKernel, Predictor, WarmTrigger};
 use ibp_trace::io::TraceIoError;
 use ibp_trace::{chunk_events, EventSource, Trace, TraceChunk};
 
 use crate::probe::{self, ProbeRun};
-
-fn env_kernel() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("IBP_KERNEL") {
-        Ok(raw) => match raw.as_str() {
-            "" | "1" => true,
-            "0" => false,
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_KERNEL={raw:?} \
-                     (expected 0 or 1); kernel folds on"
-                );
-                true
-            }
-        },
-        Err(_) => true,
-    })
-}
-
-fn kernel_override_slot() -> &'static Mutex<Option<bool>> {
-    static SLOT: Mutex<Option<bool>> = Mutex::new(None);
-    &SLOT
-}
-
-/// Replaces the `IBP_KERNEL` setting for this process (`None` restores the
-/// environment's). For measurement binaries that compare the monomorphized
-/// and legacy folds within one process — the environment variable is read
-/// once.
-pub fn override_kernel(enabled: Option<bool>) {
-    *kernel_override_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = enabled;
-}
-
-/// Whether engine-built kernels fold through their monomorphized variants
-/// (`true`, the default) or are demoted to the legacy per-event dispatch
-/// path (`IBP_KERNEL=0` or [`override_kernel`]`(Some(false))`).
-#[must_use]
-pub fn kernel_enabled() -> bool {
-    kernel_override_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .unwrap_or_else(env_kernel)
-}
 
 /// One simulation lane: either an owned kernel (monomorphized fold) or a
 /// borrowed predictor (one virtual `step` per event through the same

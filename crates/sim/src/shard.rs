@@ -22,13 +22,10 @@
 //! per-shard order, it maps onto a per-shard prefix that the router
 //! attaches to each batch.
 //!
-//! How many shards a run gets is a scheduling decision
-//! ([`shard_budget`]): `IBP_SHARDS=0` disables the pipeline, `IBP_SHARDS=n`
-//! forces `n` workers regardless of core count (the equivalence tests rely
-//! on that), and `auto` (the default) spends idle cores on intra-run
-//! shards only when the work queue is tail-heavy — fewer cells left than
-//! threads to run them, the regime the journal's per-cell queue-wait data
-//! identified as the wall-time tail.
+//! The caller picks the shard count. The sweep engine never routes a cell
+//! here: measured on two cores, the pipeline only slowed the sweeps it
+//! was given (DESIGN.md §5e), so it stays as library code with its
+//! equivalence tests.
 //!
 //! With tracing on (`IBP_TRACE`), every sharded run emits a
 //! `shard_pipeline` span and one `shard` span per worker (events folded,
@@ -105,9 +102,8 @@ impl fmt::Display for WorkerFault {
     }
 }
 
-/// Why a parallel pipeline could not produce a result. The engine treats
-/// `Fault` as containable: it logs a `degraded` event and re-runs the
-/// cell on the sequential kernel fold, which is byte-identical.
+/// Why a parallel pipeline could not produce a result. A `Fault` is
+/// retryable: the sequential kernel fold reproduces the result exactly.
 #[derive(Debug)]
 pub enum PipelineError {
     /// The event source itself failed — sequential retry would hit the
@@ -132,187 +128,6 @@ impl From<TraceIoError> for PipelineError {
     fn from(e: TraceIoError) -> Self {
         PipelineError::Io(e)
     }
-}
-
-/// How many shard workers a run may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPolicy {
-    /// Never shard (`IBP_SHARDS=0`): every run folds sequentially.
-    Off,
-    /// Shard when the scheduler finds idle capacity (`IBP_SHARDS=auto`,
-    /// the default).
-    Auto,
-    /// Always use exactly this many shard workers for shardable runs
-    /// (`IBP_SHARDS=n`), regardless of core count.
-    Fixed(usize),
-}
-
-fn env_policy() -> ShardPolicy {
-    static POLICY: OnceLock<ShardPolicy> = OnceLock::new();
-    *POLICY.get_or_init(|| match std::env::var("IBP_SHARDS") {
-        Ok(raw) => match raw.as_str() {
-            "auto" => ShardPolicy::Auto,
-            _ => match raw.parse::<usize>() {
-                Ok(0) => ShardPolicy::Off,
-                Ok(n) => ShardPolicy::Fixed(n),
-                Err(_) => {
-                    eprintln!(
-                        "warning: ignoring invalid IBP_SHARDS={raw:?} \
-                         (expected a shard count, \"auto\" or 0); using auto"
-                    );
-                    ShardPolicy::Auto
-                }
-            },
-        },
-        Err(_) => ShardPolicy::Auto,
-    })
-}
-
-fn override_slot() -> &'static Mutex<Option<ShardPolicy>> {
-    static SLOT: Mutex<Option<ShardPolicy>> = Mutex::new(None);
-    &SLOT
-}
-
-/// Replaces the `IBP_SHARDS` policy for this process (`None` restores the
-/// environment's). For tests and measurement binaries that compare
-/// policies within one process — the environment variable is read once.
-pub fn override_policy(policy: Option<ShardPolicy>) {
-    *override_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = policy;
-}
-
-/// The active shard policy: the process-wide override if one is set
-/// ([`override_policy`]), else `IBP_SHARDS` parsed once with
-/// warn-and-default (like `IBP_EVENTS`).
-#[must_use]
-pub fn shard_policy() -> ShardPolicy {
-    override_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .unwrap_or_else(env_policy)
-}
-
-pub(crate) fn threads_available() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// How many shard workers each of `tasks` queued cells should get.
-///
-/// `Fixed(n)` always grants `n`. `Auto` grants extra workers only when the
-/// queue is tail-heavy — fewer tasks than threads, so cores would
-/// otherwise idle while the stragglers finish — and caps the grant at 8
-/// (diminishing returns: the router becomes the bottleneck). When a
-/// journal from a prior run is on disk, the grant is sized by the
-/// *observed* cell-duration tail (p95/mean — the same figures
-/// `obs_report --sharding` prints) instead of queue depth alone; see
-/// [`auto_budget`]. `Off` and a saturated queue grant 1 (sequential).
-#[must_use]
-pub fn shard_budget(tasks: usize) -> usize {
-    let budget = match shard_policy() {
-        ShardPolicy::Off => 1,
-        ShardPolicy::Fixed(n) => n.max(1),
-        ShardPolicy::Auto => auto_budget(tasks, threads_available(), observed_tail_ratio()),
-    };
-    if budget > 1 {
-        obs::debug!("[shard] budget: {tasks} tasks -> {budget} shards each");
-    }
-    budget
-}
-
-/// The `auto` grant for `tasks` remaining cells on `threads` cores, given
-/// the cell-duration tail ratio (p95/mean) observed in a prior run's
-/// journal, when one exists.
-///
-/// A saturated queue (`tasks >= threads`) never fans out — every core
-/// already has a cell. On a tail-heavy queue the depth heuristic spreads
-/// idle cores evenly (`threads / tasks`); with variance data the grant is
-/// raised to the observed ratio, because a p95 straggler runs `ratio`×
-/// the mean cell and needs that many workers to finish in roughly mean
-/// time. Both are capped by the pool size and by 8 (the router becomes
-/// the bottleneck beyond that).
-fn auto_budget(tasks: usize, threads: usize, tail_ratio: Option<f64>) -> usize {
-    if tasks == 0 || tasks >= threads {
-        return 1;
-    }
-    let depth = (threads / tasks).clamp(1, 8);
-    match tail_ratio {
-        Some(ratio) if ratio.is_finite() && ratio >= 1.0 => {
-            let boost = (ratio.ceil() as usize).min(threads).min(8);
-            depth.max(boost)
-        }
-        _ => depth,
-    }
-}
-
-/// The cell-duration tail ratio (p95/mean) from the most recent prior-run
-/// journal under `$IBP_RESULTS/journal`, loaded once per process. The
-/// active journal (if tracing is on) is excluded — it describes *this*
-/// run, which is still in flight.
-fn observed_tail_ratio() -> Option<f64> {
-    static RATIO: OnceLock<Option<f64>> = OnceLock::new();
-    *RATIO.get_or_init(|| {
-        let path = latest_prior_journal()?;
-        let records = obs::read_journal(&path).ok()?;
-        let mut durs: Vec<u64> = records
-            .iter()
-            .filter(|r| r.kind == obs::journal::Kind::Span && r.name == "cell")
-            .filter_map(|r| r.dur_us)
-            .collect();
-        let ratio = tail_ratio(&mut durs)?;
-        obs::debug!(
-            "[shard] prior journal {}: cell tail p95/mean = {ratio:.2}",
-            path.display()
-        );
-        Some(ratio)
-    })
-}
-
-fn latest_prior_journal() -> Option<std::path::PathBuf> {
-    let dir = std::path::PathBuf::from(
-        std::env::var("IBP_RESULTS").unwrap_or_else(|_| "results".into()),
-    )
-    .join("journal");
-    let active = obs::journal::path();
-    let mut newest: Option<(std::time::SystemTime, std::path::PathBuf)> = None;
-    for entry in std::fs::read_dir(dir).ok()?.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
-            continue;
-        }
-        if Some(&path) == active.as_ref() {
-            continue;
-        }
-        let Ok(modified) = entry.metadata().and_then(|m| m.modified()) else {
-            continue;
-        };
-        if newest.as_ref().is_none_or(|(t, _)| modified > *t) {
-            newest = Some((modified, path));
-        }
-    }
-    newest.map(|(_, path)| path)
-}
-
-/// p95/mean of a duration sample. `None` below 8 cells — too little
-/// signal to outweigh the depth heuristic.
-fn tail_ratio(durs: &mut [u64]) -> Option<f64> {
-    if durs.len() < 8 {
-        return None;
-    }
-    durs.sort_unstable();
-    let mean = durs.iter().sum::<u64>() as f64 / durs.len() as f64;
-    if mean <= 0.0 {
-        return None;
-    }
-    // Nearest-rank p95, 0-based ceil(0.95 * n) capped at the last cell.
-    // The old `(n - 1) * 95 / 100` rounded *down*: at n = 20 it indexed
-    // cell 18, so one straggler in 20 — exactly the regime the auto
-    // scheduler exists for — read as a flat tail and never fanned out.
-    let idx = (durs.len() * 95).div_ceil(100).min(durs.len() - 1);
-    let p95 = durs[idx] as f64;
-    Some(p95 / mean)
 }
 
 fn runs_counter() -> &'static Arc<Counter> {
@@ -865,78 +680,5 @@ mod tests {
             PipelineError::Io(e) => panic!("unexpected io error: {e}"),
         }
         faults::override_spec(None).unwrap();
-    }
-
-    #[test]
-    fn override_policy_wins_over_environment() {
-        override_policy(Some(ShardPolicy::Fixed(3)));
-        assert_eq!(shard_policy(), ShardPolicy::Fixed(3));
-        assert_eq!(shard_budget(1_000), 3, "Fixed ignores queue depth");
-        override_policy(Some(ShardPolicy::Off));
-        assert_eq!(shard_budget(1), 1);
-        override_policy(None);
-    }
-
-    #[test]
-    fn auto_budget_only_fans_out_on_a_tail_heavy_queue() {
-        override_policy(Some(ShardPolicy::Auto));
-        let threads = threads_available();
-        // A queue deeper than the thread pool never shards.
-        assert_eq!(shard_budget(threads + 1), 1);
-        assert_eq!(shard_budget(0), 1);
-        // A single straggler gets the whole pool (capped at 8).
-        assert_eq!(shard_budget(1), threads.clamp(1, 8));
-        override_policy(None);
-    }
-
-    #[test]
-    fn auto_budget_scales_with_observed_tail() {
-        // No journal: the depth heuristic. 16 threads / 5 tasks -> 3.
-        assert_eq!(auto_budget(5, 16, None), 3);
-        // A heavier observed tail than the depth grant raises it: a p95
-        // straggler at 6x the mean gets 6 workers.
-        assert_eq!(auto_budget(5, 16, Some(6.3)), 7);
-        assert_eq!(auto_budget(5, 16, Some(5.2)), 6);
-        // ...capped by the pool and by 8.
-        assert_eq!(auto_budget(3, 4, Some(40.0)), 4);
-        assert_eq!(auto_budget(5, 16, Some(40.0)), 8);
-        // A flat tail (ratio ~ 1) leaves the depth heuristic in charge.
-        assert_eq!(auto_budget(5, 16, Some(1.0)), 3);
-        // Degenerate ratios are ignored, and a saturated queue never
-        // fans out no matter what the journal says.
-        assert_eq!(auto_budget(5, 16, Some(f64::NAN)), 3);
-        assert_eq!(auto_budget(16, 16, Some(6.0)), 1);
-        assert_eq!(auto_budget(0, 16, Some(6.0)), 1);
-    }
-
-    #[test]
-    fn tail_ratio_needs_a_sample_and_measures_p95_over_mean() {
-        // Too few cells: no signal.
-        assert_eq!(tail_ratio(&mut [100; 7]), None);
-        assert_eq!(tail_ratio(&mut Vec::new()), None);
-        // Flat cells: ratio 1.
-        let flat = tail_ratio(&mut [100; 20]).expect("enough cells");
-        assert!((flat - 1.0).abs() < 1e-9);
-        // 18 cells at 100us plus two 2000us stragglers: p95 lands on a
-        // straggler, the mean stays near 100us.
-        let mut durs: Vec<u64> = vec![100; 18];
-        durs.extend([2_000, 2_000]);
-        let heavy = tail_ratio(&mut durs).expect("enough cells");
-        assert!(heavy > 5.0, "p95/mean = {heavy}");
-    }
-
-    #[test]
-    fn tail_ratio_sees_a_single_straggler_in_twenty() {
-        // One 2000us straggler among 19 flat 100us cells — the queue-tail
-        // regime the auto scheduler targets. The truncating p95 index
-        // (`(n - 1) * 95 / 100` = cell 18) read this as a flat tail;
-        // nearest-rank lands on the straggler.
-        let mut durs: Vec<u64> = vec![100; 19];
-        durs.push(2_000);
-        let ratio = tail_ratio(&mut durs).expect("enough cells");
-        assert!(ratio > 5.0, "p95/mean = {ratio}, straggler missed");
-        // And the scheduler grant follows: the observed tail raises the
-        // depth heuristic's fan-out.
-        assert_eq!(auto_budget(5, 16, Some(ratio)), 8);
     }
 }

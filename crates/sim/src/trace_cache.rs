@@ -6,10 +6,9 @@
 //! a `(benchmark, events)` trace is needed, the generator pass is teed
 //! through the IBPB binary writer (see [`ibp_trace::binary`]) into a
 //! segment file under `results/.cache/traces/v<schema>/`; every later
-//! use — materialised or streamed, any scheduling mode, any process —
-//! bulk-decodes the segment instead of re-running the RNG + zipf
-//! hierarchy walk. Streamed sub-group passes collapse to independent
-//! cursors over the same file.
+//! use — materialised or streamed, any process — bulk-decodes the
+//! segment instead of re-running the RNG + zipf hierarchy walk. Streamed
+//! passes are independent cursors over the same file.
 //!
 //! # Keying and eviction
 //!

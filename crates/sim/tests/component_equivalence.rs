@@ -3,19 +3,17 @@
 //! recorded prediction streams through the metapredictor produces
 //! *exactly* the sequential fold's `RunStats`.
 //!
-//! The grid test covers every hybrid cell of the fig17 surface over all
-//! 17 benchmarks at component counts 1 and 2; a BPST test covers the
-//! selector-table metapredictor fig17 does not use; an engine-level test
-//! drives `Sweep::run` under a forced `IBP_COMPONENTS` policy; and a
-//! property test pins down that record-buffer chunk boundaries (sizes 1,
-//! c−1, c, c+1) never change the merged result.
+//! The pipeline is library code the sweep engine never routes to. The
+//! grid test covers every hybrid cell of the fig17 surface over all 17
+//! benchmarks at component counts 1 and 2; a BPST test covers the
+//! selector-table metapredictor fig17 does not use; and a property test
+//! pins down that record-buffer chunk boundaries (sizes 1, c−1, c, c+1)
+//! never change the merged result.
 
 use ibp_core::PredictorConfig;
-use ibp_sim::component::{
-    self, simulate_source_components, simulate_source_components_with_chunk, ComponentPolicy,
-};
+use ibp_sim::component::{simulate_source_components, simulate_source_components_with_chunk};
 use ibp_sim::experiments::fig17;
-use ibp_sim::{simulate_warm, Suite};
+use ibp_sim::simulate_warm;
 use ibp_trace::Trace;
 use ibp_workload::Benchmark;
 use proptest::prelude::*;
@@ -100,43 +98,6 @@ fn component_fold_matches_sequential_for_bpst() {
                     );
                 }
             }
-        }
-    }
-}
-
-/// The engine path: a forced component policy must leave `Sweep` results —
-/// decomposable and non-decomposable configs alike — identical to the
-/// pipeline-off run. Mirrors CI's `IBP_COMPONENTS=2` vs `IBP_COMPONENTS=0`
-/// comparison in-process. Sharding is pinned off: it outranks the
-/// component fold per cell and would otherwise absorb the shardable
-/// configs before this test saw them.
-#[test]
-fn engine_results_identical_under_forced_component_policy() {
-    use ibp_sim::shard::{self, ShardPolicy};
-    let suite = Suite::with_benchmarks_and_len(&[Benchmark::Edg, Benchmark::Gcc], 4_000);
-    let configs = || {
-        vec![
-            PredictorConfig::hybrid(5, 1, 512, 4),
-            PredictorConfig::bpst(4, 1, 512, 4),
-            // Not decomposable: must fall back to the sequential fold
-            // under any policy.
-            PredictorConfig::practical(3, 1024, 4),
-        ]
-    };
-    shard::override_policy(Some(ShardPolicy::Off));
-    component::override_policy(Some(ComponentPolicy::Off));
-    ibp_sim::engine::clear_memo_cache();
-    let sequential = ibp_sim::engine::run_configs(&suite, configs());
-    component::override_policy(Some(ComponentPolicy::Fixed(2)));
-    ibp_sim::engine::clear_memo_cache();
-    let folded = ibp_sim::engine::run_configs(&suite, configs());
-    component::override_policy(None);
-    shard::override_policy(None);
-    ibp_sim::engine::clear_memo_cache();
-    assert_eq!(sequential.len(), folded.len());
-    for (seq, cmp) in sequential.iter().zip(&folded) {
-        for b in suite.benchmarks() {
-            assert_eq!(seq.stats(b), cmp.stats(b), "engine diverges on {b}");
         }
     }
 }

@@ -1,24 +1,21 @@
-//! Engine-level fault-containment equivalence: under every scheduling
-//! mode, an injected worker panic (at the first, middle, or last armed
-//! occurrence), an injected queue stall, and each I/O fault site must end
-//! in the unfaulted sequential run's exact tables plus — where the
-//! journal survives — at least one `degraded` record. Never a process
-//! abort, never a hang (queue waits are watchdog-bounded), never a wrong
-//! number. A failed result-cache save also leaves its results unsaved, so
-//! the next `persist_cache` publishes them, while a process that simulated
-//! nothing new never reaches the writer.
+//! Engine-level fault-containment equivalence: an injected `parallel_map`
+//! worker panic during `Sweep::run` (at the first, middle, or last armed
+//! occurrence) and each I/O fault site must end in the unfaulted run's
+//! exact tables plus — where the journal survives — at least one
+//! `degraded` record. Never a process abort, never a wrong number. A
+//! failed result-cache save also leaves its results unsaved, so the next
+//! `persist_cache` publishes them, while a process that simulated nothing
+//! new never reaches the writer.
 //!
-//! The tests serialise on a local mutex: fault arming, the scheduling
-//! policy overrides, and the journal sink are process-global.
+//! The tests serialise on a local mutex: fault arming, the memo cache and
+//! the journal sink are process-global.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ibp_core::PredictorConfig;
 use ibp_obs::{self as obs, Kind, Record};
-use ibp_sim::component::{self, ComponentPolicy};
 use ibp_sim::engine::{self, Sweep};
-use ibp_sim::shard::{self, ShardPolicy};
 use ibp_sim::{faults, trace_cache, Suite, SuiteResult};
 use ibp_workload::Benchmark;
 
@@ -58,10 +55,8 @@ impl SharedBuf {
     }
 }
 
-/// One sweep over a shardable BTB (`unconstrained` configs keep global
-/// history, which refuses to shard), a sequential-only two-level config,
-/// and a decomposable hybrid — every scheduling mode has a cell on its
-/// path.
+/// One sweep over a BTB, an unbounded two-level config and a hybrid: six
+/// (config × benchmark) cells on the engine's `parallel_map` queue.
 fn run_sweep(suite: &Suite) -> String {
     let results: Vec<SuiteResult> = Sweep::new(suite)
         .config(PredictorConfig::btb_2bc())
@@ -83,18 +78,6 @@ fn run_sweep(suite: &Suite) -> String {
     out
 }
 
-fn sequential_baseline(suite: &Suite) -> String {
-    shard::override_policy(Some(ShardPolicy::Off));
-    component::override_policy(Some(ComponentPolicy::Off));
-    engine::clear_memo_cache();
-    run_sweep(suite)
-}
-
-fn reset_policies() {
-    shard::override_policy(None);
-    component::override_policy(None);
-}
-
 /// Arms `spec`, runs one sweep with a capturing journal, disarms, and
 /// returns (tables, times the site fired, degraded records journaled).
 fn faulted_pass(suite: &Suite, site: &str, spec: &str) -> (String, u64, usize) {
@@ -113,67 +96,36 @@ fn faulted_pass(suite: &Suite, site: &str, spec: &str) -> (String, u64, usize) {
 fn worker_panics_at_first_mid_and_last_occurrence_degrade_without_divergence() {
     let _serial = serial();
     let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);
-    let baseline = sequential_baseline(&suite);
+    engine::clear_memo_cache();
+    let baseline = run_sweep(&suite);
+    let site = "parallel.worker";
 
-    for (site, shards, comps) in [
-        ("shard.worker", ShardPolicy::Fixed(3), ComponentPolicy::Off),
-        ("component.worker", ShardPolicy::Off, ComponentPolicy::Fixed(2)),
-    ] {
-        shard::override_policy(Some(shards));
-        component::override_policy(Some(comps));
+    // Probe pass: arm far beyond reach to count how many times the site is
+    // consulted by one sweep, without firing. That pins the first / middle
+    // / last occurrence targets to this exact workload instead of a
+    // guessed cell count.
+    faults::override_spec(Some(&format!("{site}@1000000000"))).expect("probe spec");
+    engine::clear_memo_cache();
+    let clean = run_sweep(&suite);
+    let occurrences = faults::seen(site);
+    faults::override_spec(None).expect("disarm probe");
+    assert_eq!(clean, baseline, "the armed but unfired pass must match");
+    assert!(occurrences >= 1, "{site} must be on the sweep's path");
 
-        // Probe pass: arm far beyond reach to count how many times the
-        // site is consulted in this mode, without firing. That pins the
-        // first / middle / last occurrence targets to this exact
-        // workload instead of a guessed chunk count.
-        faults::override_spec(Some(&format!("{site}@1000000000"))).expect("probe spec");
-        engine::clear_memo_cache();
-        let clean = run_sweep(&suite);
-        let occurrences = faults::seen(site);
-        faults::override_spec(None).expect("disarm probe");
-        assert_eq!(clean, baseline, "{site}: clean parallel pass must match");
-        assert!(occurrences >= 1, "{site}: site must be on this mode's path");
-
-        let mut targets = vec![1, (occurrences / 2).max(1), occurrences];
-        targets.dedup();
-        for target in targets {
-            let (tables, fired, degraded) =
-                faulted_pass(&suite, site, &format!("{site}@{target};watchdog=2000"));
-            assert_eq!(fired, 1, "{site}@{target} must fire exactly once");
-            assert_eq!(
-                tables, baseline,
-                "{site}@{target}: degraded tables must be byte-identical"
-            );
-            assert!(
-                degraded >= 1,
-                "{site}@{target}: the fallback must journal a degraded record"
-            );
-        }
+    let mut targets = vec![1, (occurrences / 2).max(1), occurrences];
+    targets.dedup();
+    for target in targets {
+        let (tables, fired, degraded) = faulted_pass(&suite, site, &format!("{site}@{target}"));
+        assert_eq!(fired, 1, "{site}@{target} must fire exactly once");
+        assert_eq!(
+            tables, baseline,
+            "{site}@{target}: degraded tables must be byte-identical"
+        );
+        assert!(
+            degraded >= 1,
+            "{site}@{target}: the retry must journal a degraded record"
+        );
     }
-    reset_policies();
-}
-
-#[test]
-fn worker_stalls_trip_the_watchdog_and_degrade_without_divergence() {
-    let _serial = serial();
-    let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);
-    let baseline = sequential_baseline(&suite);
-
-    for (site, shards, comps) in [
-        ("shard.stall", ShardPolicy::Fixed(3), ComponentPolicy::Off),
-        ("component.stall", ShardPolicy::Off, ComponentPolicy::Fixed(2)),
-    ] {
-        shard::override_policy(Some(shards));
-        component::override_policy(Some(comps));
-        // A short watchdog keeps the stall's bounded wait test-sized; the
-        // run must still complete and match, just degraded.
-        let (tables, fired, degraded) =
-            faulted_pass(&suite, site, &format!("{site}@1;watchdog=100"));
-        assert_eq!(fired, 1, "{site} must fire");
-        assert_eq!(tables, baseline, "{site}: tables must be byte-identical");
-        assert!(degraded >= 1, "{site}: fallback must journal a degraded record");
-    }
-    reset_policies();
 }
 
 #[test]
@@ -189,8 +141,6 @@ fn io_faults_warn_and_continue_without_divergence() {
 
     // The trace-cache sites fire at suite construction, so every pass
     // builds its suite fresh inside the armed window.
-    shard::override_policy(Some(ShardPolicy::Off));
-    component::override_policy(Some(ComponentPolicy::Off));
     engine::clear_memo_cache();
     let baseline = {
         let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);
@@ -238,7 +188,6 @@ fn io_faults_warn_and_continue_without_divergence() {
         }
     }
 
-    reset_policies();
     trace_cache::override_policy(None);
     trace_cache::override_root(None);
     let _ = std::fs::remove_dir_all(&scratch);

@@ -1,15 +1,15 @@
 //! The fold-kernel layer's one promise: replacing the per-event
 //! dyn-dispatch fold with the monomorphized chunk kernels changes *nothing*
-//! observable — not the scored `RunStats`, not the probe payloads, under
-//! any scheduling mode or probe level.
+//! observable — not the scored `RunStats`, not the probe payloads, in the
+//! sequential fold or either library pipeline, at any probe level.
 //!
 //! The grid test drives every benchmark through every kernel family (BTB,
 //! tagless, set-associative, fully-associative, unbounded, a fig17 hybrid,
 //! a BPST metapredictor) plus a `Dyn`-fallback extension predictor; the
 //! `ext` test pins every overridden `Predictor::step` to the explicit
 //! predict-then-update loop; the probe tests pin payload equality under
-//! `IBP_PROBE=deep`; the scheduling test covers all three pipelines × all
-//! three probe levels in one sweep.
+//! `IBP_PROBE=deep`; the pipeline test covers the sequential fold and both
+//! library pipelines × all three probe levels in one sweep.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -315,22 +315,6 @@ fn ext_steps_match_predict_then_update() {
     }
 }
 
-/// A demoted kernel (the `IBP_KERNEL=0` escape hatch) is the same
-/// predictor behind the `Dyn` arm — its results must not move either.
-#[test]
-fn demoted_kernel_matches_monomorphized_kernel() {
-    let _guard = serial();
-    let trace = Benchmark::Jhm.trace_with_len(3_000);
-    for cfg in kernel_configs() {
-        let mut fast = cfg.build_kernel();
-        let mut slow = cfg.build_kernel().demote();
-        assert!(!slow.is_monomorphized());
-        let a = simulate_kernel(&mut trace.cursor(), &mut fast, 100).expect("in-memory source");
-        let b = simulate_kernel(&mut trace.cursor(), &mut slow, 100).expect("in-memory source");
-        assert_eq!(a, b, "{}: demotion changes results", cfg.cache_key());
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Probe-level and scheduling-mode equivalence.
 // ---------------------------------------------------------------------------
@@ -408,8 +392,8 @@ fn deep_probe_payloads_identical_kernel_vs_dyn() {
     }
 }
 
-/// All three scheduling modes × all three probe levels produce the same
-/// scored stats as the legacy sequential fold.
+/// The sequential fold and both library pipelines × all three probe levels
+/// produce the same scored stats as the legacy sequential fold.
 #[test]
 fn all_sched_modes_match_under_every_probe_level() {
     let _guard = serial();

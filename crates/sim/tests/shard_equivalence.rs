@@ -3,15 +3,15 @@
 //! sequential fold's `RunStats` — same scored count, same misprediction
 //! count, at every shard width.
 //!
-//! The suite-level tests drive the full engine path (`Sweep::run` with a
-//! forced `IBP_SHARDS` policy) over all 17 benchmarks, so the router,
+//! The pipeline is library code the sweep engine never routes to. The
+//! benchmark-level test drives it over all 17 benchmarks, so the router,
 //! warmup accounting, queue plumbing and merge are all on the hook, and a
 //! property test exercises arbitrary chunk-boundary / routing
 //! interleavings.
 
 use ibp_core::{HistorySharing, KeyScheme, PredictorConfig};
-use ibp_sim::shard::{self, simulate_source_sharded, ShardPolicy};
-use ibp_sim::{simulate_warm, Suite};
+use ibp_sim::shard::simulate_source_sharded;
+use ibp_sim::simulate_warm;
 use ibp_workload::Benchmark;
 use proptest::prelude::*;
 
@@ -66,41 +66,6 @@ fn sharded_pipeline_matches_sequential_on_all_benchmarks() {
                     cfg.cache_key()
                 );
             }
-        }
-    }
-}
-
-/// The engine path: a forced shard policy must leave `Sweep` results —
-/// shardable and non-shardable configs alike — identical to the sharding-
-/// off run. Mirrors CI's `IBP_SHARDS=4` vs `IBP_SHARDS=0` comparison
-/// in-process.
-#[test]
-fn engine_results_identical_under_forced_sharding() {
-    let suite = Suite::with_benchmarks_and_len(&[Benchmark::Beta, Benchmark::Perl], 4_000);
-    let configs = || {
-        vec![
-            PredictorConfig::btb_2bc(),
-            PredictorConfig::unconstrained(3).with_history_sharing(HistorySharing::per_set(6)),
-            // Not shardable (bounded table, global history): must fall
-            // back to the sequential fold under any policy.
-            PredictorConfig::practical(3, 1024, 4),
-        ]
-    };
-    // The memo cache is cleared before each pass — otherwise the second
-    // pass would be served the first pass's results and the comparison
-    // would be circular.
-    shard::override_policy(Some(ShardPolicy::Off));
-    ibp_sim::engine::clear_memo_cache();
-    let sequential = ibp_sim::engine::run_configs(&suite, configs());
-    shard::override_policy(Some(ShardPolicy::Fixed(4)));
-    ibp_sim::engine::clear_memo_cache();
-    let sharded = ibp_sim::engine::run_configs(&suite, configs());
-    shard::override_policy(None);
-    ibp_sim::engine::clear_memo_cache();
-    assert_eq!(sequential.len(), sharded.len());
-    for (seq, shd) in sequential.iter().zip(&sharded) {
-        for b in suite.benchmarks() {
-            assert_eq!(seq.stats(b), shd.stats(b), "engine diverges on {b}");
         }
     }
 }

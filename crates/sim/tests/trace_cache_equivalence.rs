@@ -1,13 +1,11 @@
 //! Trace-corpus-cache equivalence: replaying cached `.ibpb` segments must
 //! be observationally identical to generating traces directly — for every
-//! benchmark, every scheduling mode, cold and warm.
+//! benchmark, cold and warm.
 
 use std::path::PathBuf;
 
 use ibp_core::PredictorConfig;
-use ibp_sim::component::{self, ComponentPolicy};
 use ibp_sim::engine;
-use ibp_sim::shard::{self, ShardPolicy};
 use ibp_sim::trace_cache;
 use ibp_sim::{Suite, SuiteResult};
 use ibp_trace::collect_source;
@@ -32,8 +30,8 @@ fn scratch_root(tag: &str) -> PathBuf {
     dir
 }
 
-/// A config sample that exercises all three pipelines: plain BTB and
-/// two-level runs (shardable) plus a hybrid (component-decomposable).
+/// A config sample over the kernel families: a BTB, a bounded two-level
+/// predictor and a hybrid.
 fn sample_configs() -> Vec<PredictorConfig> {
     vec![
         PredictorConfig::btb_2bc(),
@@ -42,57 +40,36 @@ fn sample_configs() -> Vec<PredictorConfig> {
     ]
 }
 
-/// The three scheduling modes every result must be identical across.
-const MODES: [(&str, ShardPolicy, ComponentPolicy); 3] = [
-    ("sequential", ShardPolicy::Off, ComponentPolicy::Off),
-    ("site-shard", ShardPolicy::Fixed(2), ComponentPolicy::Off),
-    ("component", ShardPolicy::Off, ComponentPolicy::Fixed(2)),
-];
-
-/// Runs the config sample over `suite` under each scheduling mode, with
-/// the memo cache cleared so every cell simulates live.
-fn run_all_modes(suite: &Suite) -> Vec<(&'static str, Vec<SuiteResult>)> {
-    MODES
-        .iter()
-        .map(|&(label, shard_policy, component_policy)| {
-            shard::override_policy(Some(shard_policy));
-            component::override_policy(Some(component_policy));
-            engine::clear_memo_cache();
-            let results = engine::run_configs(suite, sample_configs());
-            (label, results)
-        })
-        .collect()
+/// Runs the config sample over `suite` with the memo cache cleared, so
+/// every cell simulates live.
+fn run_sample(suite: &Suite) -> Vec<SuiteResult> {
+    engine::clear_memo_cache();
+    engine::run_configs(suite, sample_configs())
 }
 
-fn assert_identical(
-    baseline: &[(&'static str, Vec<SuiteResult>)],
-    other: &[(&'static str, Vec<SuiteResult>)],
-    round: &str,
-) {
-    for ((mode, base), (_, got)) in baseline.iter().zip(other) {
-        for (config, (b, g)) in sample_configs().iter().zip(base.iter().zip(got)) {
-            for benchmark in Benchmark::ALL {
-                assert_eq!(
-                    b.stats(benchmark),
-                    g.stats(benchmark),
-                    "{round}/{mode}: {benchmark} diverges under {}",
-                    config.cache_key()
-                );
-            }
+fn assert_identical(baseline: &[SuiteResult], other: &[SuiteResult], round: &str) {
+    for (config, (b, g)) in sample_configs().iter().zip(baseline.iter().zip(other)) {
+        for benchmark in Benchmark::ALL {
+            assert_eq!(
+                b.stats(benchmark),
+                g.stats(benchmark),
+                "{round}: {benchmark} diverges under {}",
+                config.cache_key()
+            );
         }
     }
 }
 
 #[test]
-fn cached_replay_is_identical_across_all_benchmarks_and_modes() {
+fn cached_replay_is_identical_across_all_benchmarks() {
     let _guard = serial();
-    let root = scratch_root("modes");
+    let root = scratch_root("replay");
     trace_cache::override_root(Some(root.clone()));
 
     // Baseline: trace cache pinned off, traces generated directly.
     trace_cache::override_policy(Some(false));
     let baseline_suite = Suite::with_benchmarks_and_len(&Benchmark::ALL, EVENTS);
-    let baseline = run_all_modes(&baseline_suite);
+    let baseline = run_sample(&baseline_suite);
 
     // Cold round: cache on, every segment generated and published.
     trace_cache::override_policy(Some(true));
@@ -104,7 +81,7 @@ fn cached_replay_is_identical_across_all_benchmarks_and_modes() {
         Benchmark::ALL.len() as u64,
         "cold build generates one segment per benchmark"
     );
-    let cold = run_all_modes(&cold_suite);
+    let cold = run_sample(&cold_suite);
     assert_identical(&baseline, &cold, "cold");
 
     // Warm round: a fresh suite replays every segment from disk.
@@ -117,11 +94,9 @@ fn cached_replay_is_identical_across_all_benchmarks_and_modes() {
         Benchmark::ALL.len() as u64,
         "warm build replays every benchmark"
     );
-    let warm = run_all_modes(&warm_suite);
+    let warm = run_sample(&warm_suite);
     assert_identical(&baseline, &warm, "warm");
 
-    shard::override_policy(None);
-    component::override_policy(None);
     trace_cache::override_policy(None);
     trace_cache::override_root(None);
     let _ = std::fs::remove_dir_all(&root);
