@@ -8,15 +8,16 @@
 //!
 //! The summary covers where a run's time went: per-experiment wall time and
 //! cache effectiveness (from the root `experiment` spans), the slowest
-//! (config × benchmark) cells, per-worker busy/idle utilization, and the
-//! final metrics-registry snapshot. `--internals` renders the
-//! `IBP_PROBE` probe records: per-run occupancy/eviction/conflict tables,
-//! selector-usage breakdowns for hybrids, miss attribution and the
-//! aliasing-heaviest sites.
+//! benchmark passes with the cells each folded, per-worker busy/idle
+//! utilization, and the final metrics-registry snapshot. `--internals`
+//! renders the `IBP_PROBE` probe records: per-run
+//! occupancy/eviction/conflict tables, selector-usage breakdowns for
+//! hybrids, miss attribution and the aliasing-heaviest sites.
 //!
 //! The summary always includes a "degraded cells" section when the journal
-//! carries `degraded` events — cells whose `parallel_map` worker panicked
-//! and were retried inline, plus cache-layer warn-and-continue failures.
+//! carries `degraded` events — work items (such as a benchmark pass) whose
+//! `parallel_map` worker panicked and were retried inline, plus
+//! cache-layer warn-and-continue failures.
 //! `--strict` makes any degraded event a nonzero exit, for CI jobs that
 //! want faults surfaced, not absorbed.
 //!
@@ -132,37 +133,47 @@ fn print_experiments(records: &[Record]) {
     println!();
 }
 
-fn print_slowest_cells(records: &[Record], top: usize) {
-    let mut cells: Vec<&Record> = records
+/// `cell` events with the given `outcome` (`"hit"` or `"miss"`).
+fn count_cells(records: &[Record], outcome: &str) -> usize {
+    records
+        .iter()
+        .filter(|r| r.kind == Kind::Event && r.name == "cell")
+        .filter(|r| r.field_str("outcome") == Some(outcome))
+        .count()
+}
+
+/// Ranks the engine's benchmark passes (the `cell` spans) by run time,
+/// with the number of cells each folded.
+fn print_slowest_passes(records: &[Record], top: usize) {
+    let mut passes: Vec<&Record> = records
         .iter()
         .filter(|r| r.kind == Kind::Span && r.name == "cell")
         .collect();
-    let hit_events = records
-        .iter()
-        .filter(|r| r.kind == Kind::Event && r.name == "cell")
-        .count();
-    if cells.is_empty() {
-        println!("cells: none simulated ({hit_events} served from cache)\n");
+    let hits = count_cells(records, "hit");
+    if passes.is_empty() {
+        println!("cells: none simulated ({hits} served from cache)\n");
         return;
     }
-    cells.sort_by_key(|r| std::cmp::Reverse(r.dur_us.unwrap_or(0)));
+    passes.sort_by_key(|r| std::cmp::Reverse(r.dur_us.unwrap_or(0)));
     println!(
-        "top {} slowest cells (of {} simulated, {} served from cache):",
-        top.min(cells.len()),
-        cells.len(),
-        hit_events
+        "top {} slowest benchmark passes \
+         (of {} passes folding {} cells, {} cells served from cache):",
+        top.min(passes.len()),
+        passes.len(),
+        count_cells(records, "miss"),
+        hits
     );
     println!(
-        "  {:<9} {:>9} {:<10} config",
-        "run", "wait", "benchmark"
+        "  {:<9} {:>9} {:<10} {:>6}",
+        "run", "wait", "benchmark", "cells"
     );
-    for r in cells.iter().take(top) {
+    for r in passes.iter().take(top) {
         println!(
-            "  {:<9} {:>9} {:<10} {}",
+            "  {:<9} {:>9} {:<10} {:>6}",
             fmt_us(r.dur_us.unwrap_or(0)),
             fmt_us(r.field_u64("wait_us").unwrap_or(0)),
             r.field_str("benchmark").unwrap_or("?"),
-            r.field_str("config").unwrap_or("?"),
+            r.field_u64("configs").unwrap_or(0),
         );
     }
     println!();
@@ -641,7 +652,7 @@ fn run(opts: &Options) -> Result<(), String> {
 
     print_experiments(&records);
     print_trace_cache(&records);
-    print_slowest_cells(&records, opts.top);
+    print_slowest_passes(&records, opts.top);
     print_worker_utilization(&records);
     let degraded = print_degraded(&records);
     if opts.strict && degraded == 0 {
@@ -750,6 +761,23 @@ mod tests {
         .unwrap();
         let bare = Record::parse(r#"{"t":"event","name":"degraded","ts":6,"tid":0}"#).unwrap();
         assert_eq!(print_degraded(&[degraded, bare]), 2);
+    }
+
+    #[test]
+    fn cells_are_counted_by_outcome() {
+        let cell = |outcome: &str| {
+            Record::parse(&format!(
+                r#"{{"t":"event","name":"cell","ts":1,"tid":0,"f":{{"outcome":"{outcome}"}}}}"#
+            ))
+            .unwrap()
+        };
+        let pass = Record::parse(
+            r#"{"t":"span","name":"cell","ts":0,"dur":9,"tid":0,"depth":0,"f":{"outcome":"miss"}}"#,
+        )
+        .unwrap();
+        let records = [cell("hit"), cell("miss"), cell("miss"), pass];
+        assert_eq!(count_cells(&records, "hit"), 1);
+        assert_eq!(count_cells(&records, "miss"), 2, "the pass span is not a cell");
     }
 
     #[test]

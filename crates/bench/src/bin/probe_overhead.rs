@@ -98,7 +98,7 @@ fn main() {
         overhead_pct = overhead_pct
     );
 
-    let dir = ibp_bench::results_dir();
+    let dir = obs::results_root();
     let csv = format!(
         "experiments,policy,off_seconds,on_seconds,overhead_pct\n\
          {id},{policy:?},{:.3},{:.3},{overhead_pct:.2}\n",

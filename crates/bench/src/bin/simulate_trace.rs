@@ -15,7 +15,7 @@
 //! down into wrong-target / capacity / cold classes.
 //!
 //! The trace file is never materialised: every pass streams it through a
-//! chunked [`ibp_trace::TextSource`], so arbitrarily long traces simulate
+//! chunked [`ibp_trace::io::TextSource`], so arbitrarily long traces simulate
 //! in constant memory (multi-pass modes like `--sweep` re-read the file).
 //!
 //! Both trace formats are accepted and auto-detected by magic bytes: the
@@ -249,12 +249,12 @@ fn main() -> ExitCode {
 
     if args.classify {
         match try_two_level(&args) {
-            Some(mut tl) => {
+            Some(tl) => {
                 let b = open(&args.trace)
                     .and_then(|mut src| {
-                        simulate_classified_source(&mut *src, &mut tl).map_err(|e| e.to_string())
+                        simulate_classified_source(&mut *src, &mut [tl]).map_err(|e| e.to_string())
                     })
-                    .expect("classify pass");
+                    .expect("classify pass")[0];
                 println!(
                     "breakdown: wrong-target {:.2}%, capacity {:.2}%, cold {:.2}%",
                     (b.misprediction_rate() - b.capacity_rate() - b.cold_rate()) * 100.0,

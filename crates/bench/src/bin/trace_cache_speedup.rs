@@ -4,15 +4,15 @@
 //!
 //! Usage: `trace_cache_speedup [experiment...]` (default: `fig2`). The
 //! trace cache is purged, then the suite is built and the experiments run
-//! twice — a cold pass that generates and publishes every segment, and a
-//! warm pass that replays them. The result-cache is disabled for the
-//! whole process (`IBP_CACHE=0`) and the in-process memo cache cleared
-//! before each pass, so neither can mask the trace work. The two table
-//! sets must be byte-identical and the warm pass must be 100 % trace-cache
-//! hits (the run aborts otherwise). The headline number is the suite
-//! *generation-phase* speedup (cold generate-and-encode vs warm decode);
-//! end-to-end wall time for both
-//! passes is reported alongside, unmasked. Results go to stderr,
+//! twice — a cold pass whose suite construction generates and publishes
+//! every segment, and a warm pass that replays them. The result-cache is
+//! disabled for the whole process (`IBP_CACHE=0`) and the in-process memo
+//! cache cleared before each pass, so neither can mask the trace work. The
+//! two table sets must be byte-identical and the warm pass must be 100 %
+//! trace-cache hits (the run aborts otherwise). Suites stream, so every
+//! replay happens inside the runs: the headline number is the end-to-end
+//! speedup, with suite construction (the cold pass's corpus publish)
+//! reported alongside. Results go to stderr,
 //! `results/trace_cache_speedup.csv`, `results/manifest.csv` and, with
 //! `IBP_TRACE`, one `trace_cache_speedup` journal event per run.
 
@@ -30,7 +30,7 @@ fn usage() -> ! {
 }
 
 struct Pass {
-    generation: Duration,
+    construction: Duration,
     total: Duration,
     trace: TraceCacheStats,
     tables_csv: Vec<String>,
@@ -58,7 +58,7 @@ fn main() {
         .collect();
 
     eprintln!(
-        "== trace-cache speedup: {} (cold generate vs warm replay, single-thread) ==",
+        "== trace-cache speedup: {} (cold generate vs warm replay) ==",
         ids.join(", ")
     );
 
@@ -68,7 +68,6 @@ fn main() {
     trace_cache::purge();
 
     let mut passes: Vec<Pass> = Vec::new();
-    let mut streamed = false;
     for label in ["cold", "warm"] {
         // Each pass must simulate from scratch; only the trace source may
         // differ between them.
@@ -76,8 +75,7 @@ fn main() {
         let trace_before = trace_cache::stats();
         let t0 = Instant::now();
         let suite = ibp_bench::full_suite();
-        let generation = t0.elapsed();
-        streamed = suite.streamed();
+        let construction = t0.elapsed();
         let mut tables_csv = Vec::new();
         let mut metrics = Vec::new();
         for experiment in &experiments {
@@ -88,12 +86,12 @@ fn main() {
         let total = t0.elapsed();
         let trace = trace_cache::stats().since(trace_before);
         eprintln!(
-            "{label}: suite generation {generation:.2?}, total {total:.2?} \
+            "{label}: suite construction {construction:.2?}, total {total:.2?} \
              ({} trace hits / {} misses, {} bytes read, {} bytes written)",
             trace.hits, trace.misses, trace.bytes_read, trace.bytes_written,
         );
         passes.push(Pass {
-            generation,
+            construction,
             total,
             trace,
             tables_csv,
@@ -127,19 +125,11 @@ fn main() {
         warm.trace.hits, warm.trace.hits
     );
 
-    // In materialised mode the suite build *is* the generation phase; when
-    // streaming, generation happens inside the runs, so the honest
-    // comparison is end-to-end wall time.
-    let (cold_phase, warm_phase, phase_label) = if streamed {
-        (cold.total, warm.total, "end-to-end (streamed suite)")
-    } else {
-        (cold.generation, warm.generation, "suite generation")
-    };
-    let speedup = cold_phase.as_secs_f64() / warm_phase.as_secs_f64().max(1e-9);
+    let speedup = cold.total.as_secs_f64() / warm.total.as_secs_f64().max(1e-9);
     eprintln!(
-        "{phase_label} speedup: {speedup:.2}x ({cold_phase:.2?} -> {warm_phase:.2?}); \
-         end-to-end {:.2?} -> {:.2?}",
-        cold.total, warm.total,
+        "end-to-end speedup: {speedup:.2}x ({:.2?} -> {:.2?}); \
+         suite construction {:.2?} -> {:.2?}",
+        cold.total, warm.total, cold.construction, warm.construction,
     );
     let mut failed = false;
     if speedup < 2.0 {
@@ -152,8 +142,8 @@ fn main() {
     obs::event!(
         "trace_cache_speedup",
         experiments = ids.join("+"),
-        cold_generation_us = u64::try_from(cold.generation.as_micros()).unwrap_or(u64::MAX),
-        warm_generation_us = u64::try_from(warm.generation.as_micros()).unwrap_or(u64::MAX),
+        cold_construction_us = u64::try_from(cold.construction.as_micros()).unwrap_or(u64::MAX),
+        warm_construction_us = u64::try_from(warm.construction.as_micros()).unwrap_or(u64::MAX),
         cold_total_us = u64::try_from(cold.total.as_micros()).unwrap_or(u64::MAX),
         warm_total_us = u64::try_from(warm.total.as_micros()).unwrap_or(u64::MAX),
         warm_hits = warm.trace.hits,
@@ -162,13 +152,13 @@ fn main() {
     );
 
     let mut csv = String::from(
-        "pass,generation_seconds,total_seconds,trace_hits,trace_misses,\
+        "pass,construction_seconds,total_seconds,trace_hits,trace_misses,\
          bytes_read,bytes_written,speedup\n",
     );
     for (label, pass, ratio) in [("cold", &cold, 1.0), ("warm", &warm, speedup)] {
         csv.push_str(&format!(
             "{label},{:.3},{:.3},{},{},{},{},{ratio:.2}\n",
-            pass.generation.as_secs_f64(),
+            pass.construction.as_secs_f64(),
             pass.total.as_secs_f64(),
             pass.trace.hits,
             pass.trace.misses,
@@ -188,7 +178,7 @@ fn main() {
         Ok(path) => eprintln!("runtime manifest written to {}", path.display()),
         Err(e) => obs::warn!("could not write manifest.csv: {e}"),
     }
-    let dir = ibp_bench::results_dir();
+    let dir = obs::results_root();
     if fs::create_dir_all(&dir).is_ok() {
         let path = dir.join("trace_cache_speedup.csv");
         match fs::write(&path, csv) {

@@ -1,5 +1,4 @@
-//! Shared plumbing for the experiment binaries (`src/bin/`) and Criterion
-//! benches (`benches/`).
+//! Shared plumbing for the experiment binaries (`src/bin/`).
 //!
 //! Each binary regenerates one figure or table of the paper by calling the
 //! corresponding [`ibp_sim::experiments`] runner over the full benchmark
@@ -9,14 +8,11 @@
 //!
 //! * `IBP_EVENTS` — indirect branches per benchmark trace (default
 //!   120 000). The paper traced 0.03M–6M events per program; larger values
-//!   flatten the long-path warm-up penalty at the cost of run time. Beyond
-//!   250 000 events the suite streams (see `IBP_STREAM`), so even
-//!   multi-million-event runs hold memory constant.
-//! * `IBP_STREAM` — `1` forces streamed suites (traces regenerated chunk
-//!   by chunk, never materialised), `0` forces materialised suites; unset
-//!   picks by trace length.
-//! * `IBP_CHUNK` — events per streaming chunk (default 8192).
-//! * `IBP_RESULTS` — output directory for CSVs (default `results`).
+//!   flatten the long-path warm-up penalty at the cost of run time. Every
+//!   suite streams its traces chunk by chunk, so even multi-million-event
+//!   runs hold memory constant.
+//! * `IBP_RESULTS` — output root for CSVs, the persistent caches and the
+//!   `IBP_TRACE=1` journal (default `results`).
 //! * `IBP_CACHE` — `0` disables the persistent cross-process result cache
 //!   under `results/.cache/` (default enabled).
 //! * `IBP_TRACE_CACHE` — `0` disables the persistent binary trace corpus
@@ -28,7 +24,7 @@
 //!   per-experiment progress, `2` debug detail. Unparseable values warn
 //!   and read as `0`.
 //! * `IBP_TRACE` — JSONL run journal: `1` writes
-//!   `results/journal/<run-id>.jsonl`, any other value is used as the
+//!   `$IBP_RESULTS/journal/<run-id>.jsonl`, any other value is used as the
 //!   journal path. Render it with the `obs_report` binary.
 //! * `IBP_PROBE` — predictor-internals probes in the journal: `0` (the
 //!   default) off, `1` samples occupancy/aliasing snapshots and per-site
@@ -53,23 +49,18 @@ use ibp_sim::report::Table;
 use ibp_sim::trace_cache::{self, TraceCacheStats};
 use ibp_sim::Suite;
 
-/// Builds the full 17-benchmark suite (honours `IBP_EVENTS`).
+/// Builds the full 17-benchmark suite (honours `IBP_EVENTS`), publishing
+/// any trace-corpus segment it is missing.
 #[must_use]
 pub fn full_suite() -> Suite {
-    eprintln!("generating 17 benchmark traces...");
+    eprintln!("preparing 17 benchmark trace sources...");
     Suite::new()
-}
-
-/// The CSV output root (`$IBP_RESULTS`, default `results`).
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    PathBuf::from(std::env::var("IBP_RESULTS").unwrap_or_else(|_| "results".to_string()))
 }
 
 /// Prints the tables and writes one CSV per table under
 /// `$IBP_RESULTS/<id>/`.
 pub fn emit(id: &str, tables: &[Table]) {
-    let dir = results_dir().join(id);
+    let dir = obs::results_root().join(id);
     let persisted = fs::create_dir_all(&dir).is_ok();
     for (i, t) in tables.iter().enumerate() {
         println!("{}", t.to_text());
@@ -224,7 +215,7 @@ fn peak_rss_mb(bytes: Option<u64>) -> String {
 /// Propagates directory-creation and write failures; callers decide how to
 /// report them (`repro_all` logs through the event API).
 pub fn write_manifest(metrics: &[ExperimentMetrics]) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
+    let dir = obs::results_root();
     fs::create_dir_all(&dir)?;
     let path = dir.join("manifest.csv");
     fs::write(&path, manifest_csv(metrics))?;

@@ -1,8 +1,9 @@
 //! `repro_all`-shaped end-to-end test of the observability layer: a full
 //! (small, `IBP_EVENTS=2000`) reproduction run with tracing on must journal
-//! one root `experiment` span per experiment, write the extended manifest,
-//! and render through `obs_report` — both the human summary and loadable
-//! Chrome trace-event JSON.
+//! one root `experiment` span per experiment and one `cell` event per
+//! simulated cell, write the extended manifest, and render through
+//! `obs_report` — both the human summary and loadable Chrome trace-event
+//! JSON. A second test pins where `IBP_TRACE=1` puts its journal.
 
 use std::path::Path;
 use std::process::Command;
@@ -61,7 +62,23 @@ fn repro_all_journals_one_root_span_per_experiment() {
         assert!(root.field_u64("cache_misses").is_some());
     }
 
-    // The run also recorded cell and worker spans and flushed the registry.
+    // Every simulated cell keeps its provenance: one `miss` event per cell
+    // the root spans count, beside the per-benchmark pass spans.
+    let misses: u64 = roots
+        .iter()
+        .map(|r| r.field_u64("cache_misses").expect("cache_misses"))
+        .sum();
+    let miss_events: Vec<_> = records
+        .iter()
+        .filter(|r| r.kind == Kind::Event && r.name == "cell")
+        .filter(|r| r.field_str("outcome") == Some("miss"))
+        .collect();
+    assert_eq!(miss_events.len() as u64, misses);
+    assert!(miss_events
+        .iter()
+        .all(|r| r.field_str("config").is_some() && r.field_str("benchmark").is_some()));
+
+    // The run also recorded pass and worker spans and flushed the registry.
     assert!(records.iter().any(|r| r.kind == Kind::Span && r.name == "cell"));
     assert!(records.iter().any(|r| r.kind == Kind::Span && r.name == "worker"));
     assert!(records.iter().any(|r| r.kind == Kind::Metrics));
@@ -102,12 +119,45 @@ fn repro_all_journals_one_root_span_per_experiment() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains(&format!("experiments ({})", experiments.len())), "{stdout}");
-    assert!(stdout.contains("slowest cells"), "{stdout}");
+    assert!(stdout.contains("slowest benchmark passes"), "{stdout}");
     assert!(stdout.contains("worker utilization"), "{stdout}");
     assert!(stdout.contains("metrics snapshot"), "{stdout}");
     assert_chrome_trace(&chrome);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trace_1_journals_under_the_results_root() {
+    let tmp = std::env::temp_dir().join(format!("ibp-trace-root-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let (out_dir, cwd) = (tmp.join("out"), tmp.join("cwd"));
+    std::fs::create_dir_all(&cwd).expect("working directory");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_table1_2"))
+        .current_dir(&cwd)
+        .env("IBP_EVENTS", "2000")
+        .env("IBP_TRACE", "1")
+        .env("IBP_RESULTS", &out_dir)
+        .output()
+        .expect("spawn table1_2");
+    assert!(
+        out.status.success(),
+        "table1_2 failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let journals: Vec<_> = std::fs::read_dir(out_dir.join("journal"))
+        .expect("journal directory under IBP_RESULTS")
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "jsonl"))
+        .collect();
+    assert_eq!(journals.len(), 1, "one journal under {}", out_dir.display());
+    assert!(
+        !cwd.join("results").exists(),
+        "nothing may land in the working directory's results/"
+    );
+    std::fs::remove_dir_all(&tmp).ok();
 }
 
 fn assert_chrome_trace(path: &Path) {

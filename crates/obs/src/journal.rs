@@ -4,8 +4,9 @@
 //!
 //! * unset, empty or `0` — tracing disabled (every emit is a cheap
 //!   atomic-load no-op);
-//! * `1` — journal to `results/journal/<run-id>.jsonl`, where the run id is
-//!   `<unix-seconds>-<pid>`;
+//! * `1` — journal to `<results root>/journal/<run-id>.jsonl`, where the
+//!   results root is [`results_root`](crate::results_root) (`IBP_RESULTS`,
+//!   default `results`) and the run id is `<unix-seconds>-<pid>`;
 //! * anything else — treated as the journal file path.
 //!
 //! Each journal line is one JSON object (see [`Record`] for the parsed
@@ -104,7 +105,7 @@ fn init_from_env() {
         match raw.as_str() {
             "" | "0" => {}
             "1" => {
-                let path = PathBuf::from("results")
+                let path = crate::results_root()
                     .join("journal")
                     .join(format!("{}.jsonl", run_id()));
                 if let Err(e) = open_sink(&path) {

@@ -3,11 +3,11 @@
 //!
 //! The design goal is *zero-dependency, near-zero-cost when off*:
 //!
-//! * [`span`] returns a guard that records start/stop timestamps, thread id,
+//! * [`span()`] returns a guard that records start/stop timestamps, thread id,
 //!   nesting depth and `key=value` fields, and journals itself on drop.
 //!   When tracing is disabled the guard is inert (one atomic load, no
 //!   allocation).
-//! * [`event`] journals an instant (zero-duration) occurrence.
+//! * [`event()`] journals an instant (zero-duration) occurrence.
 //! * [`metrics`] holds named counters, gauges and fixed-bucket histograms;
 //!   they are always on (relaxed atomics) and snapshotted into the journal
 //!   by [`flush`].
@@ -16,8 +16,8 @@
 //!   the full log stream regardless of the stderr level.
 //!
 //! Tracing is enabled by `IBP_TRACE` (`1` for the default
-//! `results/journal/<run-id>.jsonl`, or an explicit path — see
-//! [`journal`]); the journal can be read back with [`read_journal`] and
+//! `<results root>/journal/<run-id>.jsonl` — see [`results_root`] — or an
+//! explicit path; see [`journal`]); the journal can be read back with [`read_journal`] and
 //! rendered by the `obs_report` binary in `ibp-bench`.
 //!
 //! # Example
@@ -44,6 +44,7 @@ pub mod metrics;
 
 use std::cell::Cell;
 use std::marker::PhantomData;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -105,7 +106,7 @@ thread_local! {
 }
 
 /// A span guard: measures from construction to drop and journals one
-/// `span` record with its fields. Obtain one from [`span`] or the
+/// `span` record with its fields. Obtain one from [`span()`] or the
 /// [`span!`] macro. Guards are `!Send` — a span belongs to the thread that
 /// opened it (that is what the nesting depth counts).
 #[derive(Debug)]
@@ -359,6 +360,15 @@ macro_rules! debug {
             $crate::log_message(2, &format!($($arg)*));
         }
     };
+}
+
+/// The root every run writes its outputs under: `$IBP_RESULTS`, default
+/// `results`. Tables, the persistent caches and the `IBP_TRACE=1` journal
+/// all live below it. Read on every call, so a process that changes
+/// `IBP_RESULTS` moves its later writes with it.
+#[must_use]
+pub fn results_root() -> PathBuf {
+    std::env::var_os("IBP_RESULTS").map_or_else(|| PathBuf::from("results"), PathBuf::from)
 }
 
 /// The process's peak resident set size in bytes (`VmHWM` from

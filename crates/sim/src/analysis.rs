@@ -88,13 +88,19 @@ impl MissBreakdown {
 /// is a capacity/conflict miss, a missing key never seen is a cold miss.
 /// For unbounded tables the capacity class is structurally zero.
 pub fn simulate_classified(trace: &Trace, predictor: &mut TwoLevelPredictor) -> MissBreakdown {
-    simulate_classified_source(&mut trace.cursor(), predictor)
+    simulate_classified_source(&mut trace.cursor(), std::slice::from_mut(predictor))
         .expect("in-memory source cannot fail")
+        .pop()
+        .expect("one breakdown per predictor")
 }
 
-/// Streaming form of [`simulate_classified`]: folds the classifier over a
-/// chunked [`EventSource`] in bounded memory (apart from the ever-seen key
-/// set, which grows with the number of distinct patterns, not events).
+/// Streaming, multi-lane form of [`simulate_classified`]: folds every
+/// predictor, each with its own classifier, over **one** chunked pass of
+/// an [`EventSource`], and returns one breakdown per predictor in input
+/// order. Lanes share no state, so each breakdown is exactly what a
+/// dedicated pass would give. Memory is bounded by the chunk size plus
+/// the ever-seen key sets, which grow with the number of distinct
+/// patterns, not events.
 ///
 /// # Errors
 ///
@@ -102,23 +108,29 @@ pub fn simulate_classified(trace: &Trace, predictor: &mut TwoLevelPredictor) -> 
 /// infallible).
 pub fn simulate_classified_source<S: EventSource + ?Sized>(
     source: &mut S,
-    predictor: &mut TwoLevelPredictor,
-) -> Result<MissBreakdown, TraceIoError> {
+    predictors: &mut [TwoLevelPredictor],
+) -> Result<Vec<MissBreakdown>, TraceIoError> {
     // The kernel fold computes the key fingerprint before each fused
     // lookup+train step and reports score-then-note_trained — the same
     // order the old hand-rolled loop classified in, on the monomorphized
     // fast path.
-    let mut sink = ClassifySink::default();
-    let mut scorer = ChunkScorer::probed(0, &mut sink, WarmTrigger::AtCrossing, None);
+    let mut sinks: Vec<ClassifySink> = predictors.iter().map(|_| ClassifySink::default()).collect();
+    let mut scorers: Vec<ChunkScorer<'_>> = sinks
+        .iter_mut()
+        .map(|sink| ChunkScorer::probed(0, sink, WarmTrigger::AtCrossing, None))
+        .collect();
     let mut chunk = TraceChunk::default();
     loop {
         let more = source.fill(&mut chunk, chunk_events())?;
-        fold_two_level_chunk(predictor, chunk.events(), &mut scorer);
+        for (predictor, scorer) in predictors.iter_mut().zip(&mut scorers) {
+            fold_two_level_chunk(predictor, chunk.events(), scorer);
+        }
         if !more {
             break;
         }
     }
-    Ok(sink.breakdown)
+    drop(scorers);
+    Ok(sinks.into_iter().map(|sink| sink.breakdown).collect())
 }
 
 /// A [`ProbeSink`] that classifies every scored event into the
@@ -243,31 +255,45 @@ impl ProbeSink for SiteSink {
 /// `p = 0` up to 9403 at `p = 12` for *ixx*).
 #[must_use]
 pub fn pattern_census(trace: &Trace, path_len: usize) -> usize {
-    pattern_census_source(&mut trace.cursor(), path_len).expect("in-memory source cannot fail")
+    let counts = pattern_census_source(&mut trace.cursor(), &[path_len])
+        .expect("in-memory source cannot fail");
+    counts[0]
 }
 
-/// Streaming form of [`pattern_census`]: table growth is bounded by the
-/// number of distinct patterns, never the trace length.
+/// Streaming, multi-lane form of [`pattern_census`]: counts the patterns
+/// at every path length in `path_lens` over **one** pass of an
+/// [`EventSource`], returning the counts in input order. Table growth is
+/// bounded by the number of distinct patterns, never the trace length.
 ///
 /// # Errors
 ///
 /// Propagates the source's I/O or parse failures.
 pub fn pattern_census_source<S: EventSource + ?Sized>(
     source: &mut S,
-    path_len: usize,
-) -> Result<usize, TraceIoError> {
-    let mut predictor =
-        TwoLevelPredictor::unconstrained(path_len, ibp_core::HistorySharing::GLOBAL);
+    path_lens: &[usize],
+) -> Result<Vec<usize>, TraceIoError> {
+    let mut predictors: Vec<TwoLevelPredictor> = path_lens
+        .iter()
+        .map(|&p| TwoLevelPredictor::unconstrained(p, ibp_core::HistorySharing::GLOBAL))
+        .collect();
     // An infinite warmup keeps every event unscored: the kernel fold then
     // trains the table without ever probing it, exactly like the old
     // update-only loop.
-    let mut scorer = ChunkScorer::new(u64::MAX);
+    let mut scorers: Vec<ChunkScorer<'_>> = predictors
+        .iter()
+        .map(|_| ChunkScorer::new(u64::MAX))
+        .collect();
     let mut chunk = TraceChunk::default();
     loop {
         let more = source.fill(&mut chunk, chunk_events())?;
-        fold_two_level_chunk(&mut predictor, chunk.events(), &mut scorer);
+        for (predictor, scorer) in predictors.iter_mut().zip(&mut scorers) {
+            fold_two_level_chunk(predictor, chunk.events(), scorer);
+        }
         if !more {
-            return Ok(predictor.stored_patterns());
+            return Ok(predictors
+                .iter()
+                .map(TwoLevelPredictor::stored_patterns)
+                .collect());
         }
     }
 }
@@ -368,6 +394,32 @@ mod tests {
         assert_eq!(p0, 5);
         assert!(p2 > p0);
         assert!(p6 >= p2);
+    }
+
+    #[test]
+    fn multi_lane_passes_match_single_lane_passes() {
+        // Longer than one chunk, so lanes cross chunk boundaries.
+        let trace = ibp_workload::Benchmark::Ixx.trace_with_len(2 * chunk_events() + 1_000);
+        let configs = [(256, 2), (1024, 3), (8192, 6)];
+        let mut lanes: Vec<TwoLevelPredictor> = configs
+            .iter()
+            .map(|&(size, p)| TwoLevelPredictor::full_assoc(CompressedKeySpec::practical(p), size))
+            .collect();
+        let shared = simulate_classified_source(&mut trace.cursor(), &mut lanes).unwrap();
+        for (&(size, p), got) in configs.iter().zip(&shared) {
+            let mut alone = TwoLevelPredictor::full_assoc(CompressedKeySpec::practical(p), size);
+            assert_eq!(
+                *got,
+                simulate_classified(&trace, &mut alone),
+                "size {size}, p {p}"
+            );
+        }
+
+        let paths: Vec<usize> = (0..=12).collect();
+        let counts = pattern_census_source(&mut trace.cursor(), &paths).unwrap();
+        for (&p, &got) in paths.iter().zip(&counts) {
+            assert_eq!(got, pattern_census(&trace, p), "p = {p}");
+        }
     }
 
     #[test]

@@ -85,14 +85,8 @@ pub(crate) fn enabled() -> bool {
     })
 }
 
-fn results_dir() -> PathBuf {
-    std::env::var("IBP_RESULTS")
-        .unwrap_or_else(|_| "results".into())
-        .into()
-}
-
 fn cache_root() -> PathBuf {
-    results_dir().join(".cache")
+    ibp_obs::results_root().join(".cache")
 }
 
 fn version_dir(root: &Path) -> PathBuf {

@@ -17,7 +17,7 @@
 //! * each **component worker** owns one [`TwoLevelPredictor`] and folds
 //!   every event exactly as it would inside the sequential hybrid
 //!   (indirect events update, conditionals `observe_cond`), emitting one
-//!   compact [`PredRecord`] per indirect event: hit/miss plus the
+//!   compact `PredRecord` per indirect event: hit/miss plus the
 //!   predicted target and its confidence, captured *before* the update —
 //!   precisely what the sequential predictor's `predict` would have seen;
 //! * the **merge fold** (the router again, with a bounded in-flight
@@ -291,7 +291,7 @@ fn component_worker(
 ///
 /// `workers <= 1` falls back to the sequential fold (rebuilt from the
 /// decomposition); values above the component count clamp to it. The
-/// chunk granularity is `IBP_CHUNK` ([`chunk_events`]); see
+/// chunk granularity is [`chunk_events`]; see
 /// [`simulate_source_components_with_chunk`] for an explicit granularity
 /// (chunk boundaries never change the result — the equivalence property
 /// tests pin that down).

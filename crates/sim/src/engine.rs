@@ -6,22 +6,21 @@
 //! different experiments. This module makes the *(config × benchmark)
 //! grid* the unit of scheduling and caching:
 //!
-//! * a [`Sweep`] flattens all its configurations against all suite
-//!   benchmarks into one work queue for
-//!   [`parallel_map`](crate::parallel_map), instead of barriering
-//!   per-configuration on 17 traces;
-//! * when the suite streams (`IBP_STREAM=1`, or traces beyond the length
-//!   threshold), the cells of one benchmark share a single chunked
-//!   generator pass ([`simulate_source_kernels`]) instead of each
-//!   materialising or regenerating the trace; materialised cells fold
-//!   one by one through [`simulate_kernel`];
+//! * a [`Sweep`] looks up all its configurations against all suite
+//!   benchmarks at once, instead of barriering per configuration on 17
+//!   traces;
+//! * the cells that miss are grouped by benchmark, and each group folds
+//!   all its kernels over one shared source pass
+//!   ([`simulate_source_kernels`]), with the groups spread over
+//!   [`parallel_map`] — so a sweep opens at most one trace pass per
+//!   benchmark, and none when every cell hits;
 //! * results are memoized in a process-wide cache keyed by
 //!   `(PredictorConfig::cache_key(), benchmark, events, warmup)` — traces
 //!   are pure functions of `(benchmark, events)`, so a repeated pair is
 //!   guaranteed to reproduce the same [`RunStats`] and is never simulated
 //!   twice, within or across experiments;
 //! * the memo cache is seeded from the **persistent result cache**
-//!   (`results/.cache/`, see [`crate::cache`]) on first use, and
+//!   (`results/.cache/`) on first use, and
 //!   measurement binaries publish it back via [`persist_cache`] once they
 //!   have simulated something new — so the guarantee extends across
 //!   processes (`IBP_CACHE=0` opts out);
@@ -30,12 +29,13 @@
 //!   [`ibp_obs::metrics`] registry (`engine.cache.hits`,
 //!   `engine.cache.misses`, `engine.cache.persistent_hits`,
 //!   `engine.simulated_events`), so a journal snapshot carries them too;
-//! * a worker panic inside a cell is contained by [`parallel_map`],
-//!   which retries the cell inline and journals a `degraded` event — a
-//!   fault costs wall time, never correctness;
-//! * with tracing on (`IBP_TRACE`), every simulated cell emits a `cell`
-//!   span (config, benchmark, queue wait vs. run time) and every memoized
-//!   lookup a `cell` event with `outcome = "hit"`.
+//! * a worker panic inside a benchmark pass is contained by
+//!   [`parallel_map`], which retries the pass inline and journals a
+//!   `degraded` event — a fault costs wall time, never correctness;
+//! * with tracing on (`IBP_TRACE`), every benchmark pass emits a `cell`
+//!   span (benchmark, config count, queue wait vs. run time), every
+//!   simulated cell a `cell` event with `outcome = "miss"`, and every
+//!   memoized lookup a `cell` event with `outcome = "hit"`.
 //!
 //! Set `IBP_LOG=1` for a per-sweep progress line on stderr.
 
@@ -51,7 +51,7 @@ use ibp_workload::Benchmark;
 
 use crate::cache::CacheKey;
 use crate::parallel::parallel_map;
-use crate::run::{simulate_kernel, simulate_source_kernels, RunStats};
+use crate::run::{simulate_source_kernels, RunStats};
 use crate::suite::{Suite, SuiteResult};
 
 fn cache() -> &'static Mutex<HashMap<CacheKey, RunStats>> {
@@ -291,10 +291,10 @@ impl<'a> Sweep<'a> {
         self.jobs.is_empty()
     }
 
-    /// Evaluates every queued configuration over every suite benchmark:
-    /// one flattened (config × benchmark) work queue, memoized against the
-    /// process-wide cache. Returns one result per configuration, in queue
-    /// order.
+    /// Evaluates every queued configuration over every suite benchmark,
+    /// memoized against the process-wide cache: the cells that miss fold
+    /// in one source pass per benchmark. Returns one result per
+    /// configuration, in queue order.
     #[must_use]
     pub fn run(&self) -> Vec<SuiteResult> {
         let t0 = Instant::now();
@@ -327,33 +327,8 @@ impl<'a> Sweep<'a> {
             }
         }
 
-        // Phase 2: simulate all missing units. Materialized suites keep
-        // the flat (config × benchmark) queue, each cell re-walking the
-        // shared in-memory trace. Streamed suites never hold a trace, so
-        // the cells of one benchmark share a single generator pass with
-        // every event replayed into all of the group's predictors.
-        let simulated: Vec<RunStats> = if self.suite.streamed() {
-            self.run_units_streamed(&units, &benchmarks, t0)
-        } else {
-            parallel_map(&units, |&(j, bi)| {
-                let b = benchmarks[bi];
-                // Queue wait: time from sweep start until a worker picked
-                // the cell up; the span's own duration is the run time.
-                let wait_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let mut cell = obs::span("cell");
-                cell.note("config", self.jobs[j].key.as_str());
-                cell.note("benchmark", b.name());
-                cell.note("outcome", "miss");
-                cell.note("wait_us", wait_us);
-                let trace = self.suite.trace(b);
-                let mut kernel = (self.jobs[j].make)();
-                let stats = simulate_kernel(&mut trace.cursor(), &mut kernel, self.warmup)
-                    .expect("in-memory source cannot fail");
-                cell.note("events", trace.indirect_count());
-                simulated_events().add(trace.indirect_count());
-                stats
-            })
-        };
+        // Phase 2: simulate all missing units, one pass per benchmark.
+        let simulated = self.simulate_units(&units, &benchmarks, t0);
         misses().add(units.len() as u64);
 
         // Phase 3: publish the new results, then fill every remaining slot
@@ -419,11 +394,11 @@ impl<'a> Sweep<'a> {
             .collect()
     }
 
-    /// Streamed phase 2: groups units by benchmark and folds each group's
-    /// kernels over one shared source pass ([`simulate_source_kernels`]),
-    /// so a sweep of N configurations costs one trace pass per benchmark
+    /// Phase 2: groups units by benchmark and folds each group's kernels
+    /// over one shared source pass ([`simulate_source_kernels`]), so a
+    /// sweep of N configurations costs one trace pass per benchmark
     /// instead of N. Results come back in `units` order.
-    fn run_units_streamed(
+    fn simulate_units(
         &self,
         units: &[(usize, usize)],
         benchmarks: &[Benchmark],
@@ -438,6 +413,8 @@ impl<'a> Sweep<'a> {
         }
         let per_group: Vec<Vec<RunStats>> = parallel_map(&groups, |(bi, members)| {
             let b = benchmarks[*bi];
+            // Queue wait: time from sweep start until a worker picked the
+            // pass up; the span's own duration is the run time.
             let wait_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
             let mut cell = obs::span("cell");
             cell.note("benchmark", b.name());
@@ -453,8 +430,14 @@ impl<'a> Sweep<'a> {
                 .iter()
                 .map(|&u| (self.jobs[units[u].0].make)())
                 .collect();
-            simulate_source_kernels(&mut *source, &mut kernels, self.warmup)
-                .expect("suite sources cannot fail")
+            let stats = simulate_source_kernels(&mut *source, &mut kernels, self.warmup)
+                .expect("suite sources cannot fail");
+            // Per-cell provenance: the pass span names only its benchmark.
+            for &u in members {
+                let key = self.jobs[units[u].0].key.as_str();
+                obs::event!("cell", config = key, benchmark = b.name(), outcome = "miss");
+            }
+            stats
         });
         let mut out: Vec<Option<RunStats>> = vec![None; units.len()];
         for ((_, members), stats) in groups.iter().zip(per_group) {

@@ -31,21 +31,24 @@ pub fn miss_attribution(suite: &Suite) -> Table {
             "wrong target",
         ],
     );
-    for (size, p) in ATTRIBUTION_POINTS {
-        let benchmarks = suite.benchmarks();
-        let breakdowns: Vec<MissBreakdown> = parallel_map(&benchmarks, |&b| {
-            let mut predictor =
-                TwoLevelPredictor::full_assoc(CompressedKeySpec::practical(p), size);
-            simulate_classified_source(&mut *suite.source(b), &mut predictor)
-                .expect("suite sources cannot fail")
-        });
+    // One pass per benchmark classifies all the points as lanes.
+    let benchmarks = suite.benchmarks();
+    let per_benchmark: Vec<Vec<MissBreakdown>> = parallel_map(&benchmarks, |&b| {
+        let mut predictors: Vec<TwoLevelPredictor> = ATTRIBUTION_POINTS
+            .iter()
+            .map(|&(size, p)| TwoLevelPredictor::full_assoc(CompressedKeySpec::practical(p), size))
+            .collect();
+        simulate_classified_source(&mut *suite.source(b), &mut predictors)
+            .expect("suite sources cannot fail")
+    });
+    for (point, (size, p)) in ATTRIBUTION_POINTS.into_iter().enumerate() {
         // AVG semantics: arithmetic mean of per-benchmark rates over the
         // non-infrequent members.
         let members: Vec<&MissBreakdown> = benchmarks
             .iter()
-            .zip(&breakdowns)
+            .zip(&per_benchmark)
             .filter(|(b, _)| !b.is_infrequent())
-            .map(|(_, d)| d)
+            .map(|(_, d)| &d[point])
             .collect();
         let mean = |f: &dyn Fn(&MissBreakdown) -> f64| -> f64 {
             if members.is_empty() {
@@ -88,12 +91,13 @@ pub fn census(suite: &Suite) -> Table {
     headers.extend(present.iter().map(|b| b.name().to_string()));
     let mut t = Table::new("§5.1: distinct patterns by path length", headers);
     let paths: Vec<usize> = (0..=12).collect();
-    for &p in &paths {
-        let counts = parallel_map(&present, |&b| {
-            pattern_census_source(&mut *suite.source(b), p).expect("suite sources cannot fail")
-        });
+    // One pass per benchmark counts every path length as a lane.
+    let counts: Vec<Vec<usize>> = parallel_map(&present, |&b| {
+        pattern_census_source(&mut *suite.source(b), &paths).expect("suite sources cannot fail")
+    });
+    for (i, &p) in paths.iter().enumerate() {
         let mut row = vec![Cell::Count(p as u64)];
-        row.extend(counts.into_iter().map(|c| Cell::Count(c as u64)));
+        row.extend(counts.iter().map(|c| Cell::Count(c[i] as u64)));
         t.push_row(row);
     }
     t

@@ -2,6 +2,7 @@
 
 use ibp_trace::CoverageLevel;
 
+use crate::parallel_map;
 use crate::report::{Cell, Table};
 use crate::suite::Suite;
 
@@ -39,8 +40,9 @@ pub fn run(suite: &Suite) -> Vec<Table> {
             "100%",
         ],
     );
-    for b in suite.benchmarks() {
-        let stats = suite.stats(b);
+    let benchmarks = suite.benchmarks();
+    let all_stats = parallel_map(&benchmarks, |&b| suite.stats(b));
+    for (b, stats) in benchmarks.into_iter().zip(all_stats) {
         let row = vec![
             Cell::from(b.name()),
             Cell::Count(stats.indirect_branches),

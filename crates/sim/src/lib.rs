@@ -8,11 +8,13 @@
 //!   [`simulate_source_multi`] are the streaming forms, folding over a
 //!   chunked [`ibp_trace::EventSource`] in constant memory;
 //! * [`Suite`] — the 17-benchmark suite with per-benchmark rates and the
-//!   paper's group averages (`AVG`, `AVG-OO`, …, Table 3 semantics);
-//! * [`engine`] — the memoizing sweep engine: flattens (config ×
-//!   benchmark) grids into one parallel work queue and never simulates the
-//!   same pair twice across experiments — or across *processes*, via the
-//!   persistent result cache under `results/.cache/`;
+//!   paper's group averages (`AVG`, `AVG-OO`, …, Table 3 semantics); it
+//!   holds no events, and every consumer pulls a fresh chunked pass;
+//! * [`engine`] — the memoizing sweep engine: folds the missing cells of
+//!   a (config × benchmark) grid in one trace pass per benchmark, the
+//!   benchmarks in parallel, and never simulates the same pair twice
+//!   across experiments — or across *processes*, via the persistent
+//!   result cache under `results/.cache/`;
 //! * [`shard`] — the chunk-parallel sharded pipeline: site-partitionable
 //!   configurations ([`ibp_core::PredictorConfig::shardable`]) fold one
 //!   run across several workers with byte-identical results. Library
@@ -28,8 +30,8 @@
 //! * [`trace_cache`] — the persistent binary trace corpus cache
 //!   (`IBP_TRACE_CACHE`): each `(benchmark, events)` trace is generated
 //!   once into an IBPB segment under `results/.cache/traces/` and
-//!   replayed at memory speed by every later suite, materialised or
-//!   streamed, with byte-identical results;
+//!   replayed at memory speed by every later pass, with byte-identical
+//!   results;
 //! * [`faults`] — deterministic fault injection (`IBP_FAULTS`): named
 //!   panic/stall/IO sites firing on one-shot occurrence schedules, which
 //!   exercise the containment layer — a contained worker panic retries

@@ -125,8 +125,8 @@ pub fn simulate_source<S: EventSource + ?Sized>(
 ///
 /// Each event is replayed into every predictor before the next event is
 /// read, so per-predictor results are exactly what a dedicated pass would
-/// produce — this is how sweep cells share a single generator pass instead
-/// of each regenerating (or materialising) the trace.
+/// produce — this is how sweep cells share a single trace pass instead of
+/// each replaying the trace.
 ///
 /// With tracing on (`IBP_TRACE`), the run emits a `simulate` span carrying
 /// the warmup/scored split, chunk count and the achieved events/sec, plus
@@ -161,7 +161,7 @@ pub fn simulate_kernel<S: EventSource + ?Sized>(
 
 /// Folds several kernels over **one** pass of a streaming source — the
 /// kernel counterpart of [`simulate_source_multi`], used by the sweep
-/// engine's streamed groups. Within each chunk the lanes fold one after
+/// engine's per-benchmark passes. Within each chunk the lanes fold one after
 /// another, which yields per-lane results identical to the legacy
 /// event-interleaved order: lanes share no state, and each lane sees the
 /// same events in the same order either way.

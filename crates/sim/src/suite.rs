@@ -1,9 +1,9 @@
-//! The benchmark suite: traces, per-benchmark rates, group averages.
+//! The benchmark suite: trace sources, per-benchmark rates, group averages.
 
 use std::sync::OnceLock;
 
 use ibp_core::Predictor;
-use ibp_trace::{EventSource, Trace, TraceStats};
+use ibp_trace::{EventSource, TraceStats};
 use ibp_workload::{Benchmark, BenchmarkGroup};
 
 use crate::parallel::parallel_map;
@@ -28,59 +28,18 @@ pub(crate) fn default_events() -> u64 {
     })
 }
 
-/// Above this trace length, suites stream by default instead of
-/// materialising (a materialised 17-benchmark suite at 250k events is
-/// already several hundred MB with interleaved conditionals).
-pub(crate) const STREAM_THRESHOLD: u64 = 250_000;
-
-/// `IBP_STREAM` override: `0` forces materialised suites, `1` forces
-/// streaming; unset picks by trace length.
-fn stream_override() -> Option<bool> {
-    static MODE: OnceLock<Option<bool>> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("IBP_STREAM") {
-        Ok(raw) => match raw.as_str() {
-            "0" => Some(false),
-            "1" => Some(true),
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_STREAM={raw:?} \
-                     (expected 0 or 1); choosing by trace length"
-                );
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
-
-/// Whether a suite of `events`-long traces streams (regenerates events
-/// chunk by chunk per consumer) rather than materialising whole traces.
-fn streaming_enabled(events: u64) -> bool {
-    stream_override().unwrap_or(events > STREAM_THRESHOLD)
-}
-
-/// How a suite holds one benchmark's events.
-#[derive(Debug)]
-enum TraceHandle {
-    /// The whole trace in memory — generated once, reused by every
-    /// consumer. The default at moderate lengths.
-    Materialized(Trace),
-    /// No stored events: each consumer pulls a fresh chunked generator
-    /// pass. Memory stays constant in the trace length.
-    Streamed,
-}
-
-/// A set of benchmark traces reused across predictor configurations.
+/// A set of benchmark traces replayed across predictor configurations.
 ///
-/// At moderate lengths (up to [`STREAM_THRESHOLD`], or forced via
-/// `IBP_STREAM=0`) traces are generated once and materialised. Beyond
-/// that (or with `IBP_STREAM=1`) the suite holds no events at all:
-/// consumers pull chunked, resumable generator passes through
-/// [`source`](Suite::source), which makes million-event suites run in
-/// constant memory. Both modes produce event-identical streams.
+/// A suite holds no events: it names its benchmarks and their trace
+/// length, and every consumer pulls a fresh chunked pass through
+/// [`source`](Suite::source) — a verified replay of the benchmark's
+/// trace-corpus segment ([`crate::trace_cache`]), or a generator pass when
+/// the corpus is off or the traces are too short for it. Memory therefore
+/// stays constant in the trace length, and a suite whose cells are all
+/// cache hits reads no trace at all.
 #[derive(Debug)]
 pub struct Suite {
-    entries: Vec<(Benchmark, TraceHandle)>,
+    benchmarks: Vec<Benchmark>,
     events: u64,
 }
 
@@ -98,35 +57,19 @@ impl Suite {
         Suite::with_benchmarks_and_len(benchmarks, default_events())
     }
 
-    /// Builds the given benchmarks with `events` indirect branches each
-    /// (materialised or streamed per the `IBP_STREAM` policy).
+    /// Builds the given benchmarks with `events` indirect branches each.
+    ///
+    /// When the trace corpus engages at this length, every benchmark
+    /// whose segment is not on disk yet has it generated and published
+    /// here, in parallel; segments already on disk are neither read nor
+    /// verified until a pass opens them.
     #[must_use]
     pub fn with_benchmarks_and_len(benchmarks: &[Benchmark], events: u64) -> Self {
-        let streamed = streaming_enabled(events);
-        let mut span =
-            ibp_obs::span!("generate_traces", benchmarks = benchmarks.len(), events = events);
-        span.note("mode", if streamed { "streamed" } else { "materialized" });
-        span.note(
-            "trace_cache",
-            if crate::trace_cache::engaged(events) {
-                "on"
-            } else {
-                "off"
-            },
-        );
-        let entries = if streamed {
-            benchmarks
-                .iter()
-                .map(|&b| (b, TraceHandle::Streamed))
-                .collect()
-        } else {
-            parallel_map(benchmarks, |&b| {
-                let trace = crate::trace_cache::trace_for(b, events)
-                    .unwrap_or_else(|| b.trace_with_len(events));
-                (b, TraceHandle::Materialized(trace))
-            })
-        };
-        Suite { entries, events }
+        crate::trace_cache::publish_missing(benchmarks, events);
+        Suite {
+            benchmarks: benchmarks.to_vec(),
+            events,
+        }
     }
 
     /// The indirect-branch event count each trace was generated with.
@@ -138,67 +81,38 @@ impl Suite {
         self.events
     }
 
-    /// Whether this suite streams (holds no materialised traces).
+    /// Always `true`: every suite streams its traces.
     #[must_use]
     pub fn streamed(&self) -> bool {
-        self.entries
-            .iter()
-            .any(|(_, h)| matches!(h, TraceHandle::Streamed))
+        true
     }
 
     /// All benchmarks in the suite, in construction order.
     #[must_use]
     pub fn benchmarks(&self) -> Vec<Benchmark> {
-        self.entries.iter().map(|(b, _)| *b).collect()
+        self.benchmarks.clone()
     }
 
-    fn handle(&self, benchmark: Benchmark) -> &TraceHandle {
-        &self
-            .entries
-            .iter()
-            .find(|(b, _)| *b == benchmark)
-            .unwrap_or_else(|| panic!("benchmark {benchmark} not in suite"))
-            .1
-    }
-
-    /// The materialised trace for a benchmark.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the benchmark is not part of this suite, or if the suite
-    /// streams (use [`source`](Suite::source) / [`stats`](Suite::stats),
-    /// which work in both modes).
-    #[must_use]
-    pub fn trace(&self, benchmark: Benchmark) -> &Trace {
-        match self.handle(benchmark) {
-            TraceHandle::Materialized(trace) => trace,
-            TraceHandle::Streamed => panic!(
-                "benchmark {benchmark} is streamed (suite built at {} events); \
-                 use Suite::source or Suite::stats",
-                self.events
-            ),
-        }
-    }
-
-    /// A fresh event source replaying the benchmark's trace: a cursor over
-    /// the materialised trace, or a new generator pass when streaming.
+    /// A fresh event source over the benchmark's trace: a replay of its
+    /// corpus segment, or a new generator pass.
     ///
     /// # Panics
     ///
     /// Panics if the benchmark is not part of this suite.
     #[must_use]
     pub fn source(&self, benchmark: Benchmark) -> Box<dyn EventSource + '_> {
-        match self.handle(benchmark) {
-            TraceHandle::Materialized(trace) => Box::new(trace.cursor()),
-            TraceHandle::Streamed => match crate::trace_cache::source_for(benchmark, self.events) {
-                Some(replay) => Box::new(replay),
-                None => Box::new(benchmark.source(self.events)),
-            },
+        assert!(
+            self.benchmarks.contains(&benchmark),
+            "benchmark {benchmark} not in suite"
+        );
+        match crate::trace_cache::source_for(benchmark, self.events) {
+            Some(replay) => Box::new(replay),
+            None => Box::new(benchmark.source(self.events)),
         }
     }
 
-    /// The benchmark's [`TraceStats`], computed incrementally in streaming
-    /// mode.
+    /// The benchmark's [`TraceStats`], computed incrementally over one
+    /// pass.
     ///
     /// # Panics
     ///
@@ -216,8 +130,7 @@ impl Suite {
     where
         F: Fn() -> Box<dyn Predictor> + Sync,
     {
-        let benchmarks = self.benchmarks();
-        let rates = parallel_map(&benchmarks, |&b| {
+        let rates = parallel_map(&self.benchmarks, |&b| {
             let mut p = make();
             let stats = simulate_source(&mut *self.source(b), p.as_mut(), 0)
                 .expect("suite sources cannot fail");
@@ -313,14 +226,14 @@ mod tests {
     fn suite_holds_requested_benchmarks() {
         let s = tiny_suite();
         assert_eq!(s.benchmarks(), vec![Benchmark::Ixx, Benchmark::Xlisp]);
-        assert_eq!(s.trace(Benchmark::Ixx).indirect_count(), 5_000);
+        assert_eq!(s.stats(Benchmark::Ixx).indirect_branches, 5_000);
     }
 
     #[test]
     #[should_panic(expected = "not in suite")]
     fn missing_benchmark_panics() {
         let s = tiny_suite();
-        let _ = s.trace(Benchmark::Gcc);
+        let _ = s.source(Benchmark::Gcc);
     }
 
     #[test]
@@ -350,15 +263,16 @@ mod tests {
     fn long_suites_stream_without_materialising() {
         // Construction is free: no generation happens until a source is
         // pulled, and then only chunk by chunk. Pin the trace cache off so
-        // pulling a 250k source here does not write a segment file into
-        // the crate's working directory.
+        // pulling a source here does not write a segment file into the
+        // crate's working directory.
+        const LONG: u64 = 1_000_000;
         let _guard = crate::trace_cache::override_guard();
         crate::trace_cache::override_policy(Some(false));
-        let s = Suite::with_benchmarks_and_len(&[Benchmark::Ixx], STREAM_THRESHOLD + 1);
+        let s = Suite::with_benchmarks_and_len(&[Benchmark::Ixx], LONG);
         assert!(s.streamed());
         assert_eq!(s.benchmarks(), vec![Benchmark::Ixx]);
         let mut src = s.source(Benchmark::Ixx);
-        assert_eq!(src.remaining_indirect(), Some(STREAM_THRESHOLD + 1));
+        assert_eq!(src.remaining_indirect(), Some(LONG));
         let mut chunk = ibp_trace::TraceChunk::default();
         let more = src.fill(&mut chunk, 64).unwrap();
         assert!(more);
@@ -368,16 +282,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "use Suite::source")]
-    fn streamed_trace_access_panics() {
-        let s = Suite::with_benchmarks_and_len(&[Benchmark::Ixx], STREAM_THRESHOLD + 1);
-        let _ = s.trace(Benchmark::Ixx);
-    }
-
-    #[test]
-    fn stats_match_trace_stats_in_materialized_mode() {
+    fn stats_match_whole_trace_stats() {
         let s = tiny_suite();
-        let direct = s.trace(Benchmark::Ixx).stats();
+        let direct = Benchmark::Ixx.trace_with_len(5_000).stats();
         let via_suite = s.stats(Benchmark::Ixx);
         assert_eq!(direct.indirect_branches, via_suite.indirect_branches);
         assert_eq!(direct.distinct_sites, via_suite.distinct_sites);

@@ -6,9 +6,10 @@
 //! a `(benchmark, events)` trace is needed, the generator pass is teed
 //! through the IBPB binary writer (see [`ibp_trace::binary`]) into a
 //! segment file under `results/.cache/traces/v<schema>/`; every later
-//! use — materialised or streamed, any process — bulk-decodes the
-//! segment instead of re-running the RNG + zipf hierarchy walk. Streamed
-//! passes are independent cursors over the same file.
+//! pass, in any process, bulk-decodes the segment instead of re-running
+//! the RNG + zipf hierarchy walk. Passes are independent cursors over the
+//! same file. [`crate::Suite`] construction publishes the segments it is
+//! missing, and each consumer pass opens one through [`source_for`].
 //!
 //! # Keying and eviction
 //!
@@ -48,8 +49,9 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use ibp_obs as obs;
 use ibp_trace::binary::{verify_binary, write_binary_source, BinarySource};
-use ibp_trace::{collect_source, Trace};
 use ibp_workload::Benchmark;
+
+use crate::parallel::parallel_map;
 
 /// Bump when the segment layout or naming changes; older version
 /// directories are deleted on first use.
@@ -198,9 +200,7 @@ fn traces_root() -> PathBuf {
     {
         return root;
     }
-    PathBuf::from(std::env::var("IBP_RESULTS").unwrap_or_else(|_| "results".into()))
-        .join(".cache")
-        .join("traces")
+    obs::results_root().join(".cache").join("traces")
 }
 
 fn version_dir(root: &Path) -> PathBuf {
@@ -417,6 +417,29 @@ fn open_segment(path: &Path) -> Result<BinarySource<fs::File>, String> {
     Ok(source)
 }
 
+/// Publishes the segments of `benchmarks` at `events` that are not on disk
+/// yet, generating them on the [`parallel_map`] queue; does nothing when
+/// the cache is not engaged at this length. A segment already on disk is
+/// neither read nor verified here: that waits for the first
+/// [`source_for`] that opens it. So over a full corpus this moves no
+/// counter and starts no worker, and over an empty one it counts one miss
+/// per segment and reads nothing.
+pub(crate) fn publish_missing(benchmarks: &[Benchmark], events: u64) {
+    if !engaged(events) {
+        return;
+    }
+    let root = traces_root();
+    let dir = version_dir(&root);
+    let missing: Vec<Benchmark> = benchmarks
+        .iter()
+        .copied()
+        .filter(|&b| !dir.join(segment_file_name(b, events)).exists())
+        .collect();
+    parallel_map(&missing, |&b| {
+        ensure_segment_at(&root, b, events);
+    });
+}
+
 /// A fresh replay cursor over the cached segment for
 /// `(benchmark, events)` — an independent [`ibp_trace::EventSource`], event- and
 /// counter-identical to a generator pass. `None` when the cache is
@@ -432,20 +455,6 @@ pub fn source_for(benchmark: Benchmark, events: u64) -> Option<BinarySource<fs::
         Ok(source) => Some(source),
         Err(e) => {
             obs::warn!("trace cache: cannot replay {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-/// The materialised trace for `(benchmark, events)`, decoded from the
-/// cached segment. Same `None` semantics as [`source_for`].
-#[must_use]
-pub fn trace_for(benchmark: Benchmark, events: u64) -> Option<Trace> {
-    let mut source = source_for(benchmark, events)?;
-    match collect_source(&mut source) {
-        Ok(trace) => Some(trace),
-        Err(e) => {
-            obs::warn!("trace cache: replay of {benchmark} failed, regenerating: {e}");
             None
         }
     }
@@ -485,6 +494,7 @@ pub(crate) fn override_guard() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ibp_trace::collect_source;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn scratch_root(tag: &str) -> PathBuf {

@@ -56,7 +56,8 @@ impl SharedBuf {
 }
 
 /// One sweep over a BTB, an unbounded two-level config and a hybrid: six
-/// (config × benchmark) cells on the engine's `parallel_map` queue.
+/// (config × benchmark) cells, folded as two benchmark passes on the
+/// engine's `parallel_map` queue.
 fn run_sweep(suite: &Suite) -> String {
     let results: Vec<SuiteResult> = Sweep::new(suite)
         .config(PredictorConfig::btb_2bc())
@@ -139,8 +140,9 @@ fn io_faults_warn_and_continue_without_divergence() {
     trace_cache::override_root(Some(scratch.join("traces")));
     trace_cache::override_policy(Some(true));
 
-    // The trace-cache sites fire at suite construction, so every pass
-    // builds its suite fresh inside the armed window.
+    // The trace-cache write sites fire when suite construction publishes
+    // a missing segment, and the read site when a sweep first opens one,
+    // so every pass builds its suite fresh inside the armed window.
     engine::clear_memo_cache();
     let baseline = {
         let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);

@@ -74,7 +74,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary event streams, shard widths and warmups: routing through
-    /// the chunked pipeline (which re-chunks at `IBP_CHUNK` boundaries
+    /// the chunked pipeline (which re-chunks at `chunk_events()` boundaries
     /// independent of how sites interleave) never changes the fold.
     #[test]
     fn random_streams_fold_identically(

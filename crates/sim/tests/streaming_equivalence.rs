@@ -2,7 +2,7 @@
 //! benchmark, folding a predictor over a chunked [`EventSource`] produces
 //! the same `RunStats` as simulating the materialized trace, and incremental
 //! `TraceStats` match the whole-trace computation. This is the contract that
-//! lets `Suite` switch modes on trace length without changing any table.
+//! lets every `Suite` stream without changing any table.
 
 use ibp_core::PredictorConfig;
 use ibp_sim::{simulate_source, simulate_warm};

@@ -1,6 +1,8 @@
 //! Trace-corpus-cache equivalence: replaying cached `.ibpb` segments must
 //! be observationally identical to generating traces directly — for every
-//! benchmark, cold and warm.
+//! benchmark, cold and warm. Also the suite contract: building a suite
+//! publishes missing segments and reads none, a sweep opens one source per
+//! benchmark, and a sweep whose cells all hit reads no trace.
 
 use std::path::PathBuf;
 
@@ -71,30 +73,32 @@ fn cached_replay_is_identical_across_all_benchmarks() {
     let baseline_suite = Suite::with_benchmarks_and_len(&Benchmark::ALL, EVENTS);
     let baseline = run_sample(&baseline_suite);
 
-    // Cold round: cache on, every segment generated and published.
+    // Cold round: cache on, every segment generated and published by the
+    // suite; the sweep then replays each benchmark once.
     trace_cache::override_policy(Some(true));
-    let before_cold = trace_cache::stats();
     let cold_suite = Suite::with_benchmarks_and_len(&Benchmark::ALL, EVENTS);
-    let cold_delta = trace_cache::stats().since(before_cold);
-    assert_eq!(
-        cold_delta.misses,
-        Benchmark::ALL.len() as u64,
-        "cold build generates one segment per benchmark"
-    );
+    let before_cold = trace_cache::stats();
     let cold = run_sample(&cold_suite);
+    let cold_delta = trace_cache::stats().since(before_cold);
+    assert_eq!(cold_delta.misses, 0, "the suite published every segment");
+    assert_eq!(
+        cold_delta.hits,
+        Benchmark::ALL.len() as u64,
+        "cold sweep replays every benchmark once"
+    );
     assert_identical(&baseline, &cold, "cold");
 
-    // Warm round: a fresh suite replays every segment from disk.
-    let before_warm = trace_cache::stats();
+    // Warm round: a fresh suite's sweep replays every segment from disk.
     let warm_suite = Suite::with_benchmarks_and_len(&Benchmark::ALL, EVENTS);
+    let before_warm = trace_cache::stats();
+    let warm = run_sample(&warm_suite);
     let warm_delta = trace_cache::stats().since(before_warm);
-    assert_eq!(warm_delta.misses, 0, "warm build regenerates nothing");
+    assert_eq!(warm_delta.misses, 0, "warm sweep regenerates nothing");
     assert_eq!(
         warm_delta.hits,
         Benchmark::ALL.len() as u64,
-        "warm build replays every benchmark"
+        "warm sweep replays every benchmark"
     );
-    let warm = run_sample(&warm_suite);
     assert_identical(&baseline, &warm, "warm");
 
     trace_cache::override_policy(None);
@@ -118,6 +122,104 @@ fn streamed_replay_matches_the_generator_event_for_event() {
         assert_eq!(replayed.instructions(), direct.instructions(), "{benchmark}");
         assert_eq!(replayed.cond_count(), direct.cond_count(), "{benchmark}");
         assert_eq!(replayed.name(), direct.name(), "{benchmark}");
+    }
+
+    trace_cache::override_policy(None);
+    trace_cache::override_root(None);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn building_a_suite_publishes_missing_segments_and_reads_none() {
+    let _guard = serial();
+    let root = scratch_root("publish");
+    trace_cache::override_root(Some(root.clone()));
+    trace_cache::override_policy(Some(true));
+
+    let before = trace_cache::stats();
+    let _cold = Suite::with_benchmarks_and_len(&Benchmark::ALL, EVENTS);
+    let cold = trace_cache::stats().since(before);
+    assert_eq!(
+        cold.misses,
+        Benchmark::ALL.len() as u64,
+        "one segment per benchmark"
+    );
+    assert!(cold.bytes_written > 0);
+    assert_eq!(
+        (cold.hits, cold.bytes_read),
+        (0, 0),
+        "publishing reads nothing"
+    );
+
+    // Over a full corpus — verified by this process or, after forgetting,
+    // as a fresh process finds it — construction moves no counter.
+    for fresh_process in [false, true] {
+        if fresh_process {
+            trace_cache::forget_verified();
+        }
+        let before = trace_cache::stats();
+        let _warm = Suite::with_benchmarks_and_len(&Benchmark::ALL, EVENTS);
+        assert_eq!(
+            trace_cache::stats().since(before),
+            trace_cache::TraceCacheStats::default(),
+            "full corpus (fresh process: {fresh_process})"
+        );
+    }
+
+    trace_cache::override_policy(None);
+    trace_cache::override_root(None);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The benchmarks of the sweep tests: enough for a pass to carry several
+/// cells, few enough to stay fast.
+const SWEEP_BENCHMARKS: [Benchmark; 3] = [Benchmark::Ixx, Benchmark::Gcc, Benchmark::Go];
+
+#[test]
+fn a_sweep_opens_one_source_per_benchmark() {
+    let _guard = serial();
+    let root = scratch_root("one-pass");
+    trace_cache::override_root(Some(root.clone()));
+    trace_cache::override_policy(Some(true));
+
+    // All three configs of every benchmark fold in one pass.
+    let suite = Suite::with_benchmarks_and_len(&SWEEP_BENCHMARKS, EVENTS);
+    let before = trace_cache::stats();
+    let _ = run_sample(&suite);
+    let delta = trace_cache::stats().since(before);
+    assert_eq!(delta.misses, 0);
+    assert_eq!(
+        delta.hits,
+        SWEEP_BENCHMARKS.len() as u64,
+        "{} cells open one source per benchmark",
+        sample_configs().len() * SWEEP_BENCHMARKS.len()
+    );
+
+    trace_cache::override_policy(None);
+    trace_cache::override_root(None);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_sweep_whose_cells_all_hit_reads_no_trace() {
+    let _guard = serial();
+    let root = scratch_root("all-hit");
+    trace_cache::override_root(Some(root.clone()));
+    trace_cache::override_policy(Some(true));
+    let first = run_sample(&Suite::with_benchmarks_and_len(&SWEEP_BENCHMARKS, EVENTS));
+
+    // Every cell is now a memo hit: a fresh suite and its sweep read
+    // nothing from the corpus.
+    let before = trace_cache::stats();
+    let fresh = Suite::with_benchmarks_and_len(&SWEEP_BENCHMARKS, EVENTS);
+    let again = engine::run_configs(&fresh, sample_configs());
+    assert_eq!(
+        trace_cache::stats().since(before),
+        trace_cache::TraceCacheStats::default(),
+        "an all-hit sweep moves no trace-cache counter"
+    );
+    for (a, b) in first.iter().zip(&again) {
+        assert_eq!(a.rates(), b.rates());
     }
 
     trace_cache::override_policy(None);

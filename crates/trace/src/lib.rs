@@ -42,7 +42,7 @@ pub use addr::{Addr, UnalignedAddrError};
 pub use binary::{looks_binary, verify_binary, write_binary_source, BinarySource};
 pub use event::{BranchKind, CondBranch, IndirectBranch, TraceEvent};
 pub use source::{
-    chunk_events, collect_source, EventSource, TraceChunk, TraceCursor, DEFAULT_CHUNK_EVENTS,
+    chunk_events, collect_source, EventSource, TraceChunk, TraceCursor, CHUNK_EVENTS,
 };
 pub use stats::{CoverageLevel, SiteStats, TraceStats, TraceStatsBuilder};
 pub use trace::{IndirectIter, Trace};

@@ -21,30 +21,14 @@
 use crate::io::TraceIoError;
 use crate::{Addr, BranchKind, CondBranch, IndirectBranch, Trace, TraceEvent};
 
-/// Default maximum indirect branches per chunk when the `IBP_CHUNK`
-/// environment variable is unset.
-pub const DEFAULT_CHUNK_EVENTS: u64 = 8_192;
+/// Maximum indirect branches per chunk for streaming consumers.
+pub const CHUNK_EVENTS: u64 = 8_192;
 
-/// The chunk granularity for streaming consumers: `IBP_CHUNK` (indirect
-/// branches per chunk, read once per process) or
-/// [`DEFAULT_CHUNK_EVENTS`]. Values of zero are rejected like parse
-/// errors — a zero-sized chunk cannot make progress.
+/// The chunk granularity for streaming consumers: [`CHUNK_EVENTS`]
+/// indirect branches per chunk.
 #[must_use]
-pub fn chunk_events() -> u64 {
-    static CHUNK: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *CHUNK.get_or_init(|| match std::env::var("IBP_CHUNK") {
-        Ok(raw) => match raw.parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_CHUNK={raw:?} \
-                     (expected a positive integer); using {DEFAULT_CHUNK_EVENTS}"
-                );
-                DEFAULT_CHUNK_EVENTS
-            }
-        },
-        Err(_) => DEFAULT_CHUNK_EVENTS,
-    })
+pub const fn chunk_events() -> u64 {
+    CHUNK_EVENTS
 }
 
 /// A bounded window of trace events plus the counter deltas that belong to
@@ -463,11 +447,6 @@ mod tests {
         let mut chunk = TraceChunk::default();
         let _ = cursor.fill(&mut chunk, 4).expect("in-memory");
         assert_eq!(cursor.remaining_indirect(), Some(6));
-    }
-
-    #[test]
-    fn chunk_env_default() {
-        assert!(chunk_events() > 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: exactly what CI runs.
 #
-#   scripts/verify.sh          # builds + tests + clippy + benchmark harness tests
+#   scripts/verify.sh          # builds + tests + clippy + docs + benchmark harness tests
 #   scripts/verify.sh --fast   # skip the release builds of the binaries and the
-#                              # benchmark runner (tests + clippy + harness tests)
+#                              # benchmark runner (tests + clippy + docs + harness tests)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,6 +29,11 @@ cargo test --workspace --release -q
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+# A doc link to a deleted or private item fails here, not in a reader's
+# browser.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> python3 -m unittest discover -s perfbench"
 python3 -m unittest discover -s perfbench
