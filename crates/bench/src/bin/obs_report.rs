@@ -6,10 +6,12 @@
 //! obs_report <journal.jsonl> [--chrome <out.json>] [--top <N>] [--internals] [--strict]
 //! ```
 //!
-//! The summary covers where a run's time went: per-experiment wall time and
-//! cache effectiveness (from the root `experiment` spans), the slowest
-//! benchmark passes with the cells each folded, per-worker busy/idle
-//! utilization, and the final metrics-registry snapshot. `--internals`
+//! The summary opens with a `run:` line (the journal header's schema,
+//! core count and effective knobs), then covers where a run's time went:
+//! per-experiment wall time and cache effectiveness (from the root
+//! `experiment` spans), the slowest benchmark passes with the cells each
+//! folded, per-worker busy/idle utilization, and the final
+//! metrics-registry snapshot. `--internals`
 //! renders the `IBP_PROBE` probe records: per-run
 //! occupancy/eviction/conflict tables, selector-usage breakdowns for
 //! hybrids, miss attribution and the aliasing-heaviest sites.
@@ -85,6 +87,21 @@ fn fmt_us(us: u64) -> String {
     } else {
         format!("{us}us")
     }
+}
+
+/// The `run:` line: the schema, core count and effective knobs from the
+/// journal's `meta` header (`?` where an older journal has none).
+fn run_line(meta: Option<&Record>) -> String {
+    let show = |key| {
+        let value = meta.and_then(|m| m.field(key));
+        value.map_or_else(|| "?".to_string(), Json::to_string)
+    };
+    format!(
+        "run: schema {}, {} threads, knobs {}",
+        show("schema"),
+        show("threads"),
+        show("knobs")
+    )
 }
 
 fn print_experiments(records: &[Record]) {
@@ -638,17 +655,15 @@ fn run(opts: &Options) -> Result<(), String> {
         .map(|r| r.ts_us + r.dur_us.unwrap_or(0))
         .max()
         .unwrap_or(0);
-    let run_id = records
-        .iter()
-        .find(|r| r.kind == Kind::Meta)
-        .and_then(|r| r.field_str("run_id").map(str::to_string))
-        .unwrap_or_else(|| "?".to_string());
+    let meta = records.iter().find(|r| r.kind == Kind::Meta);
+    let run_id = meta.and_then(|r| r.field_str("run_id")).unwrap_or("?");
     println!(
-        "journal {} — run {run_id}, {} records ({spans} spans, {events} events, {logs} logs), wall {}\n",
+        "journal {} — run {run_id}, {} records ({spans} spans, {events} events, {logs} logs), wall {}",
         opts.journal.display(),
         records.len(),
         fmt_us(wall_us)
     );
+    println!("{}\n", run_line(meta));
 
     print_experiments(&records);
     print_trace_cache(&records);
@@ -778,6 +793,21 @@ mod tests {
         let records = [cell("hit"), cell("miss"), cell("miss"), pass];
         assert_eq!(count_cells(&records, "hit"), 1);
         assert_eq!(count_cells(&records, "miss"), 2, "the pass span is not a cell");
+    }
+
+    #[test]
+    fn run_line_renders_the_meta_header() {
+        let meta = Record::parse(
+            r#"{"t":"meta","run_id":"x","ts":0,"schema":1,"threads":2,"knobs":{"IBP_EVENTS":2000,"IBP_PROBE":"1"}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            run_line(Some(&meta)),
+            r#"run: schema 1, 2 threads, knobs {"IBP_EVENTS":2000,"IBP_PROBE":"1"}"#
+        );
+        let old = Record::parse(r#"{"t":"meta","run_id":"x","ts":0}"#).unwrap();
+        assert_eq!(run_line(Some(&old)), "run: schema ?, ? threads, knobs ?");
+        assert_eq!(run_line(None), "run: schema ?, ? threads, knobs ?");
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //!
 //! Prints a cache/throughput summary on stderr when done and writes
 //! per-experiment runtime metrics to `results/manifest.csv`. Set
-//! `IBP_LOG=1` for per-sweep and per-experiment progress (`2` for debug
-//! detail), and `IBP_TRACE=1` (or `IBP_TRACE=<path>`) to record a JSONL
-//! run journal — render it with `obs_report`, or convert it to Chrome
-//! trace-event JSON for Perfetto.
+//! `IBP_LOG=1` for per-sweep and per-experiment progress, and
+//! `IBP_TRACE=1` (or `IBP_TRACE=<path>`) to record a JSONL run journal —
+//! render it with `obs_report`, or convert it to Chrome trace-event JSON
+//! for Perfetto.
 
 use std::time::Instant;
 

@@ -40,7 +40,7 @@ struct Pass {
 fn main() {
     // The persistent *result* cache would serve the warm pass's runs from
     // disk and mask the trace-replay cost being measured. Disable it for
-    // the whole process before anything reads the knob.
+    // the whole process before the first knob read (knobs are parsed once).
     std::env::set_var("IBP_CACHE", "0");
 
     let mut ids: Vec<String> = std::env::args().skip(1).collect();
@@ -62,8 +62,8 @@ fn main() {
         ids.join(", ")
     );
 
-    // Engage the cache regardless of IBP_TRACE_CACHE and the event
-    // threshold: this binary exists to measure it.
+    // Engage the cache regardless of the event threshold: this binary
+    // exists to measure it.
     trace_cache::override_policy(Some(true));
     trace_cache::purge();
 

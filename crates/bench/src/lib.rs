@@ -15,14 +15,8 @@
 //!   `IBP_TRACE=1` journal (default `results`).
 //! * `IBP_CACHE` — `0` disables the persistent cross-process result cache
 //!   under `results/.cache/` (default enabled).
-//! * `IBP_TRACE_CACHE` — `0` disables the persistent binary trace corpus
-//!   cache under `results/.cache/traces/` (default enabled). When on,
-//!   each `(benchmark, events)` trace at 50k events or more is generated
-//!   once into an `.ibpb` segment and replayed at memory speed by every
-//!   later run; results are byte-identical either way.
-//! * `IBP_LOG` — stderr log level: `0` quiet (default), `1` per-sweep and
-//!   per-experiment progress, `2` debug detail. Unparseable values warn
-//!   and read as `0`.
+//! * `IBP_LOG` — `1` prints per-sweep and per-experiment progress on
+//!   stderr; `0` (the default) is quiet.
 //! * `IBP_TRACE` — JSONL run journal: `1` writes
 //!   `$IBP_RESULTS/journal/<run-id>.jsonl`, any other value is used as the
 //!   journal path. Render it with the `obs_report` binary.
@@ -31,7 +25,13 @@
 //!   miss attribution per run, `deep` adds interval samples and the
 //!   cold/capacity split. Needs `IBP_TRACE`; result tables stay
 //!   byte-identical either way.
+//! * `IBP_FAULTS` — deterministic fault injection (`ibp_sim::faults`).
 //!
+//! Every knob is read once, by [`ibp_obs::knobs()`], except `IBP_RESULTS`,
+//! which is read per call; an invalid value prints one warning and the
+//! default applies. Each `(benchmark, events)` trace at 50k events or more
+//! is generated once into the trace corpus under `results/.cache/traces/`
+//! and replayed by every later run; results are byte-identical either way.
 //! The README's "Environment knobs" table is the authoritative list; keep
 //! the two in sync.
 

@@ -3,7 +3,9 @@
 //! one root `experiment` span per experiment and one `cell` event per
 //! simulated cell, write the extended manifest, and render through
 //! `obs_report` — both the human summary and loadable Chrome trace-event
-//! JSON. A second test pins where `IBP_TRACE=1` puts its journal.
+//! JSON. The other tests pin where `IBP_TRACE=1` puts its journal, what
+//! the journal's `meta` header records, and that each malformed knob warns
+//! exactly once.
 
 use std::path::Path;
 use std::process::Command;
@@ -118,6 +120,7 @@ fn repro_all_journals_one_root_span_per_experiment() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("run: schema 1, "), "{stdout}");
     assert!(stdout.contains(&format!("experiments ({})", experiments.len())), "{stdout}");
     assert!(stdout.contains("slowest benchmark passes"), "{stdout}");
     assert!(stdout.contains("worker utilization"), "{stdout}");
@@ -157,6 +160,70 @@ fn trace_1_journals_under_the_results_root() {
         !cwd.join("results").exists(),
         "nothing may land in the working directory's results/"
     );
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
+fn the_journal_header_states_the_knobs_and_cores() {
+    let tmp = std::env::temp_dir().join(format!("ibp-journal-meta-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).expect("temp dir");
+    let journal = tmp.join("j.jsonl");
+
+    let out = run(
+        env!("CARGO_BIN_EXE_table1_2"),
+        &[],
+        &[
+            ("IBP_EVENTS", "2000"),
+            ("IBP_PROBE", "1"),
+            ("IBP_TRACE", journal.to_str().expect("utf8 path")),
+            ("IBP_RESULTS", tmp.to_str().expect("utf8 path")),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "table1_2 failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let records = read_journal(&journal).expect("parse journal");
+    let meta = &records[0];
+    assert_eq!(meta.kind, Kind::Meta);
+    let knobs = meta.field("knobs").expect("knobs in the header");
+    assert_eq!(knobs.get("IBP_EVENTS").and_then(Json::as_u64), Some(2000));
+    assert_eq!(knobs.get("IBP_PROBE").and_then(Json::as_str), Some("1"));
+    assert!(meta.field_u64("threads").expect("threads in the header") >= 1);
+    assert_eq!(meta.field_u64("schema"), Some(1));
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
+fn each_malformed_knob_warns_once() {
+    let tmp = std::env::temp_dir().join(format!("ibp-knob-warnings-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let out = run(
+        env!("CARGO_BIN_EXE_table1_2"),
+        &[],
+        &[
+            ("IBP_EVENTS", "2000"),
+            ("IBP_CACHE", "yes"),
+            ("IBP_PROBE", "loud"),
+            ("IBP_LOG", "2"),
+            ("IBP_RESULTS", tmp.to_str().expect("utf8 path")),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "table1_2 failed:\n{stderr}");
+    for knob in ["IBP_CACHE", "IBP_PROBE", "IBP_LOG"] {
+        let prefix = format!("warning: ignoring invalid {knob}=");
+        let lines = stderr.lines().filter(|l| l.starts_with(&prefix)).count();
+        assert_eq!(lines, 1, "{knob}:\n{stderr}");
+    }
+    let warnings = stderr
+        .lines()
+        .filter(|l| l.starts_with("warning: ignoring invalid"))
+        .count();
+    assert_eq!(warnings, 3, "{stderr}");
     std::fs::remove_dir_all(&tmp).ok();
 }
 

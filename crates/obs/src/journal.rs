@@ -10,7 +10,10 @@
 //! * anything else — treated as the journal file path.
 //!
 //! Each journal line is one JSON object (see [`Record`] for the parsed
-//! form). The first line is a `meta` record identifying the run; a
+//! form). The first line is a `meta` record identifying the run and what
+//! it was configured with: run id, pid, `schema` (1), `threads` (the
+//! available parallelism) and `knobs`, every knob's effective value
+//! ([`Knobs::to_json`](crate::Knobs::to_json)); a
 //! [`flush`](crate::flush) at the end of a run appends a `metrics` record
 //! with the full registry snapshot. Lines are flushed as they are written —
 //! record volume is per-cell/per-worker, not per simulated event, so
@@ -97,25 +100,19 @@ fn run_id() -> String {
 fn init_from_env() {
     // NOTE: `open_sink` (not `install`) is called from inside the Once
     // closure — `Once::call_once` is not reentrant.
-    INIT.call_once(|| {
-        let raw = match std::env::var("IBP_TRACE") {
-            Ok(v) => v,
-            Err(_) => return,
-        };
-        match raw.as_str() {
-            "" | "0" => {}
-            "1" => {
-                let path = crate::results_root()
-                    .join("journal")
-                    .join(format!("{}.jsonl", run_id()));
-                if let Err(e) = open_sink(&path) {
-                    eprintln!("warning: IBP_TRACE=1: cannot open {}: {e}", path.display());
-                }
+    INIT.call_once(|| match crate::knobs().trace.as_deref() {
+        None => {}
+        Some("1") => {
+            let path = crate::results_root()
+                .join("journal")
+                .join(format!("{}.jsonl", run_id()));
+            if let Err(e) = open_sink(&path) {
+                eprintln!("warning: IBP_TRACE=1: cannot open {}: {e}", path.display());
             }
-            path => {
-                if let Err(e) = open_sink(Path::new(path)) {
-                    eprintln!("warning: IBP_TRACE: cannot open {path}: {e}");
-                }
+        }
+        Some(path) => {
+            if let Err(e) = open_sink(Path::new(path)) {
+                eprintln!("warning: IBP_TRACE: cannot open {path}: {e}");
             }
         }
     });
@@ -172,6 +169,12 @@ fn open_sink(path: &Path) -> std::io::Result<()> {
             ),
         ),
         ("pid".to_string(), Json::Num(f64::from(std::process::id()))),
+        ("schema".to_string(), Json::Num(1.0)),
+        (
+            "threads".to_string(),
+            Json::Num(std::thread::available_parallelism().map_or(1, usize::from) as f64),
+        ),
+        ("knobs".to_string(), crate::knobs().to_json()),
     ]));
     Ok(())
 }
@@ -284,7 +287,7 @@ pub struct Record {
     pub tid: u64,
     /// Span nesting depth on its thread (0 = root; spans only).
     pub depth: Option<u64>,
-    /// Log level (logs only; 0 = warn, 1 = info, 2 = debug).
+    /// Log level (logs only; 0 = warn, 1 = info).
     pub level: Option<u64>,
     /// Key/value payload (`fields` object for spans/events, the whole
     /// record for meta/metrics).

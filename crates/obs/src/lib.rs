@@ -11,9 +11,12 @@
 //! * [`metrics`] holds named counters, gauges and fixed-bucket histograms;
 //!   they are always on (relaxed atomics) and snapshotted into the journal
 //!   by [`flush`].
-//! * [`info!`]/[`debug!`]/[`warn!`] route leveled log lines to stderr
-//!   (filtered by `IBP_LOG=0|1|2`) *and* to the journal, so a trace captures
-//!   the full log stream regardless of the stderr level.
+//! * [`warn!`] and [`info!`] route log lines to stderr (progress only
+//!   under `IBP_LOG=1`) *and* to the journal, so a trace captures the full
+//!   log stream whatever `IBP_LOG` says.
+//! * [`knobs()`] is the one reader of the `IBP_*` environment variables:
+//!   each is parsed once, and a malformed value warns and means the
+//!   default (see [`knobs`](mod@knobs)).
 //!
 //! Tracing is enabled by `IBP_TRACE` (`1` for the default
 //! `<results root>/journal/<run-id>.jsonl` — see [`results_root`] — or an
@@ -40,16 +43,16 @@
 
 pub mod json;
 pub mod journal;
+pub mod knobs;
 pub mod metrics;
 
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::path::PathBuf;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use json::Json;
 pub use journal::{enabled, read_journal, read_journal_counting, Kind, Record};
+pub use knobs::{knobs, results_root, Knobs, ProbePolicy};
 
 /// A field value attached to a span, event or log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -276,47 +279,14 @@ macro_rules! event {
     };
 }
 
-/// Parses an `IBP_LOG`-style level string. `Ok` is the numeric level;
-/// `Err` carries the warning to print for unparseable input (which falls
-/// back to level 0).
-///
-/// # Errors
-///
-/// Returns the warning message when `raw` is not an unsigned integer.
-pub fn parse_log_level(raw: &str) -> Result<u8, String> {
-    raw.parse::<u8>().map_err(|_| {
-        format!("warning: ignoring invalid IBP_LOG={raw:?} (expected 0, 1 or 2); logging off")
-    })
-}
-
-/// The process log level from `IBP_LOG` (0 = quiet, 1 = progress, 2 =
-/// debug; parsed once, unparseable values warn on stderr and read as 0).
-#[must_use]
-pub fn log_level() -> u8 {
-    static LEVEL: OnceLock<u8> = OnceLock::new();
-    *LEVEL.get_or_init(|| match std::env::var("IBP_LOG") {
-        Ok(raw) => parse_log_level(&raw).unwrap_or_else(|warning| {
-            eprintln!("{warning}");
-            0
-        }),
-        Err(_) => 0,
-    })
-}
-
-/// Whether log lines at `level` reach stderr (`log_level() >= level`).
-#[must_use]
-pub fn log_enabled(level: u8) -> bool {
-    log_level() >= level
-}
-
-/// Emits one log line: to stderr when `level` is within `IBP_LOG`, and to
-/// the journal (as a `log` record) whenever tracing is on. Level 0 is
-/// reserved for warnings, which always reach stderr with a `warning:`
-/// prefix. Prefer the [`warn!`]/[`info!`]/[`debug!`] macros.
+/// Emits one log line: a warning (level 0) always reaches stderr with a
+/// `warning:` prefix, progress (level 1) only under `IBP_LOG=1`, and both
+/// reach the journal (as a `log` record) whenever tracing is on. Prefer
+/// the [`warn!`]/[`info!`] macros.
 pub fn log_message(level: u8, message: &str) {
     if level == 0 {
         eprintln!("warning: {message}");
-    } else if log_enabled(level) {
+    } else if knobs().log {
         eprintln!("{message}");
     }
     if journal::enabled() {
@@ -346,29 +316,10 @@ macro_rules! warn {
 #[macro_export]
 macro_rules! info {
     ($($arg:tt)*) => {
-        if $crate::log_enabled(1) || $crate::enabled() {
+        if $crate::knobs().log || $crate::enabled() {
             $crate::log_message(1, &format!($($arg)*));
         }
     };
-}
-
-/// Logs debug detail (level 2, `IBP_LOG=2`).
-#[macro_export]
-macro_rules! debug {
-    ($($arg:tt)*) => {
-        if $crate::log_enabled(2) || $crate::enabled() {
-            $crate::log_message(2, &format!($($arg)*));
-        }
-    };
-}
-
-/// The root every run writes its outputs under: `$IBP_RESULTS`, default
-/// `results`. Tables, the persistent caches and the `IBP_TRACE=1` journal
-/// all live below it. Read on every call, so a process that changes
-/// `IBP_RESULTS` moves its later writes with it.
-#[must_use]
-pub fn results_root() -> PathBuf {
-    std::env::var_os("IBP_RESULTS").map_or_else(|| PathBuf::from("results"), PathBuf::from)
 }
 
 /// The process's peak resident set size in bytes (`VmHWM` from
@@ -652,19 +603,6 @@ mod tests {
         let records = read_journal(&path).expect("io ok");
         std::fs::remove_file(&path).ok();
         assert_eq!(records.len(), 1);
-    }
-
-    #[test]
-    fn parse_log_level_contract() {
-        assert_eq!(parse_log_level("0"), Ok(0));
-        assert_eq!(parse_log_level("1"), Ok(1));
-        assert_eq!(parse_log_level("2"), Ok(2));
-        // Higher levels behave like "everything".
-        assert_eq!(parse_log_level("7"), Ok(7));
-        for bad in ["", "yes", "-1", "1.5", "debug"] {
-            let e = parse_log_level(bad).unwrap_err();
-            assert!(e.contains("IBP_LOG"), "{e}");
-        }
     }
 
     #[test]

@@ -19,16 +19,15 @@
 //! schema version directory exists for the *format*: when the TSV layout
 //! changes, stale `v*` directories are evicted wholesale on load.
 //!
-//! `IBP_CACHE=0` disables both load and save (invalid values warn and
-//! default to enabled, like the other `IBP_*` knobs). The cache lives
-//! under the results directory (`IBP_RESULTS`, default `results/`), so
+//! `IBP_CACHE=0` disables both load and save (an invalid value warns and
+//! means enabled, like every knob [`ibp_obs::knobs()`] reads). The cache
+//! lives under the results directory (`IBP_RESULTS`, default `results/`), so
 //! redirecting results also isolates the cache.
 
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 use ibp_workload::Benchmark;
 
@@ -65,47 +64,34 @@ fn file_header() -> String {
     )
 }
 
-/// Whether the persistent cache is on: `IBP_CACHE` parsed once with
-/// warn-and-default (unset or invalid mean enabled; only `0` disables).
-pub(crate) fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("IBP_CACHE") {
-        Ok(raw) => match raw.as_str() {
-            "0" => false,
-            "1" => true,
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_CACHE={raw:?} \
-                     (expected 0 or 1); caching stays enabled"
-                );
-                true
-            }
-        },
-        Err(_) => true,
-    })
-}
-
 fn cache_root() -> PathBuf {
     ibp_obs::results_root().join(".cache")
 }
 
-fn version_dir(root: &Path) -> PathBuf {
-    root.join(format!("v{SCHEMA_VERSION}"))
+/// `root/v<version>`: where a store of that schema version lives.
+pub(crate) fn schema_dir(root: &Path, version: u32) -> PathBuf {
+    root.join(format!("v{version}"))
 }
 
-/// Deletes `v*` sibling directories of other schema versions. Their
-/// entries cannot be trusted to mean the same thing, and leaving them
-/// around would grow the cache without bound across schema bumps.
-fn evict_stale(root: &Path) {
+fn version_dir(root: &Path) -> PathBuf {
+    schema_dir(root, SCHEMA_VERSION)
+}
+
+/// Deletes the `v*` siblings of `root/v<version>`: the result cache and the
+/// trace corpus evict whole directories of another schema version, whose
+/// entries cannot be trusted to mean the same thing and would otherwise
+/// grow the store without bound across schema bumps. `label` names the
+/// store in the note.
+pub(crate) fn evict_stale(root: &Path, version: u32, label: &str) {
     let Ok(entries) = fs::read_dir(root) else {
         return;
     };
-    let keep = format!("v{SCHEMA_VERSION}");
+    let keep = format!("v{version}");
     for entry in entries.flatten() {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if name.starts_with('v') && name != keep && fs::remove_dir_all(entry.path()).is_ok() {
-            eprintln!("note: evicted stale result cache {}", entry.path().display());
+            eprintln!("note: evicted stale {label} {}", entry.path().display());
         }
     }
 }
@@ -135,7 +121,7 @@ fn parse_line(line: &str) -> Option<(CacheKey, RunStats)> {
 /// load as nothing — a corrupt or foreign cache degrades to a cold one,
 /// never to an error.
 fn load_from(root: &Path) -> HashMap<CacheKey, RunStats> {
-    evict_stale(root);
+    evict_stale(root, SCHEMA_VERSION, "result cache");
     let Ok(text) = fs::read_to_string(version_dir(root).join("engine.tsv")) else {
         return HashMap::new();
     };
@@ -152,7 +138,7 @@ fn load_from(root: &Path) -> HashMap<CacheKey, RunStats> {
 /// Loads the persistent cache from the environment-selected results
 /// directory; empty when disabled.
 pub(crate) fn load() -> HashMap<CacheKey, RunStats> {
-    if !enabled() {
+    if !ibp_obs::knobs().cache {
         return HashMap::new();
     }
     load_from(&cache_root())
@@ -215,7 +201,7 @@ fn write_and_publish(tmp: &Path, dir: &Path, rows: &[String]) -> io::Result<()> 
 /// Persists `entries` into the environment-selected results directory;
 /// no-op (returning 0) when disabled.
 pub(crate) fn save(entries: &[(CacheKey, RunStats)]) -> io::Result<usize> {
-    if !enabled() {
+    if !ibp_obs::knobs().cache {
         return Ok(0);
     }
     save_to(&cache_root(), entries)

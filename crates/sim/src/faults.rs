@@ -19,16 +19,15 @@
 //!
 //! * `<site>` — arm `site` to fire at its first occurrence;
 //! * `<site>@<n>` — arm `site` to fire at its `n`-th occurrence (1-based);
-//! * `seed=<s>` — derive the occurrence for every armed site without an
-//!   explicit `@<n>` from `s` (a cheap deterministic mix of seed and site
-//!   name), so one integer explores many schedules reproducibly;
 //! * `watchdog=<ms>` — bound every pipeline condvar wait to `ms`
 //!   milliseconds (default 30000): a wait that exceeds the bound is
 //!   reported as a stalled-queue fault instead of hanging the process.
 //!
 //! Unset or empty means injection is off (the only extra cost on hot
 //! paths is one relaxed atomic load). A malformed spec warns and leaves
-//! injection off — a bad knob must never corrupt a measurement run.
+//! injection off — a bad knob must never corrupt a measurement run. The
+//! spec string comes from [`ibp_obs::knobs()`], which reads `IBP_FAULTS`
+//! once; the grammar is this module's.
 //!
 //! Each armed site fires **exactly once** per arming: the n-th call to
 //! [`should_fire`] for that site returns true, every other call false.
@@ -218,19 +217,24 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 fn plan() -> &'static Mutex<Plan> {
     static PLAN: OnceLock<Mutex<Plan>> = OnceLock::new();
     PLAN.get_or_init(|| {
-        let parsed = match std::env::var("IBP_FAULTS") {
-            Ok(raw) if !raw.trim().is_empty() => match parse_spec(&raw) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("warning: ignoring invalid IBP_FAULTS={raw:?}: {e} (injection off)");
-                    Plan::default()
-                }
-            },
-            _ => Plan::default(),
-        };
+        let parsed = env_plan().unwrap_or_else(|warning| {
+            eprintln!("{warning}");
+            Plan::default()
+        });
         apply(&parsed);
         Mutex::new(parsed)
     })
+}
+
+/// The plan `IBP_FAULTS` arms ([`ibp_obs::knobs()`]): unarmed when unset,
+/// `Err` with the warning to print when malformed.
+fn env_plan() -> Result<Plan, String> {
+    match &ibp_obs::knobs().faults {
+        None => Ok(Plan::default()),
+        Some(raw) => parse_spec(raw).map_err(|e| {
+            format!("warning: ignoring invalid IBP_FAULTS={raw:?}: {e} (injection off)")
+        }),
+    }
 }
 
 fn lock_plan() -> std::sync::MutexGuard<'static, Plan> {
@@ -249,22 +253,8 @@ fn apply(p: &Plan) {
     }
 }
 
-/// A cheap deterministic mix (splitmix64 over seed ⊕ site bytes) mapping
-/// a seed to a small 1-based occurrence, so `seed=<s>` explores early,
-/// mid and late firings without hand-written `@<n>` clauses.
-fn derive_occurrence(seed: u64, site: &str) -> u64 {
-    let mut x = seed ^ 0x9e37_79b9_7f4a_7c15;
-    for &b in site.as_bytes() {
-        x = x.wrapping_add(u64::from(b)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-    }
-    (x % 8) + 1
-}
-
 fn parse_spec(raw: &str) -> Result<Plan, String> {
     let mut plan = Plan::default();
-    let mut seed: Option<u64> = None;
-    let mut unseeded: Vec<&'static str> = Vec::new();
     for clause in raw.split(';') {
         let clause = clause.trim();
         if clause.is_empty() {
@@ -281,16 +271,7 @@ fn parse_spec(raw: &str) -> Result<Plan, String> {
             plan.watchdog_ms = Some(ms);
             continue;
         }
-        if let Some(value) = clause.strip_prefix("seed=") {
-            seed = Some(
-                value
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("seed wants an integer, got {value:?}"))?,
-            );
-            continue;
-        }
-        let (name, occurrence) = match clause.split_once('@') {
+        let (name, fire_at) = match clause.split_once('@') {
             Some((name, n)) => {
                 let n: u64 = n
                     .trim()
@@ -299,24 +280,15 @@ fn parse_spec(raw: &str) -> Result<Plan, String> {
                 if n == 0 {
                     return Err(format!("occurrence in {clause:?} is 1-based, got 0"));
                 }
-                (name.trim(), Some(n))
+                (name.trim(), n)
             }
-            None => (clause, None),
+            None => (clause, 1),
         };
         let Some(site) = SITES.iter().find(|s| s.name == name) else {
             let known: Vec<&str> = SITES.iter().map(|s| s.name).collect();
             return Err(format!("unknown site {name:?} (known: {})", known.join(", ")));
         };
-        match occurrence {
-            Some(n) => {
-                plan.arms.insert(site.name, Arm { fire_at: n, seen: 0, fired: 0 });
-            }
-            None => unseeded.push(site.name),
-        }
-    }
-    for name in unseeded {
-        let fire_at = seed.map_or(1, |s| derive_occurrence(s, name));
-        plan.arms.insert(name, Arm { fire_at, seen: 0, fired: 0 });
+        plan.arms.insert(site.name, Arm { fire_at, seen: 0, fired: 0 });
     }
     Ok(plan)
 }
@@ -410,8 +382,8 @@ pub fn watchdog() -> Duration {
 
 /// Replaces the plan for this process: `Some(spec)` arms the spec
 /// (counters zeroed) in the calling thread's scope, `None` restores the
-/// `IBP_FAULTS` environment parse. Harness plumbing (`fault_matrix`,
-/// tests) — the env itself is read once.
+/// `IBP_FAULTS` plan. Harness plumbing (`fault_matrix`, tests) — the knob
+/// itself is read once.
 ///
 /// # Errors
 ///
@@ -423,10 +395,7 @@ pub fn override_spec(spec: Option<&str>) -> Result<(), String> {
             scope: Some(own_scope()),
             ..parse_spec(raw)?
         },
-        None => match std::env::var("IBP_FAULTS") {
-            Ok(raw) if !raw.trim().is_empty() => parse_spec(&raw).unwrap_or_default(),
-            _ => Plan::default(),
-        },
+        None => env_plan().unwrap_or_default(),
     };
     let mut guard = lock_plan();
     apply(&next);
@@ -509,27 +478,14 @@ mod tests {
     }
 
     #[test]
-    fn seed_derives_occurrences_deterministically() {
-        let _guard = test_guard();
-        let a = derive_occurrence(42, "shard.worker");
-        let b = derive_occurrence(42, "shard.worker");
-        assert_eq!(a, b);
-        assert!((1..=8).contains(&a));
-        override_spec(Some("seed=42;shard.worker")).unwrap();
-        for _ in 0..a.saturating_sub(1) {
-            assert!(!should_fire("shard.worker"));
-        }
-        assert!(should_fire("shard.worker"));
-        override_spec(None).unwrap();
-    }
-
-    #[test]
     fn malformed_specs_are_rejected() {
         let _guard = test_guard();
         assert!(override_spec(Some("no.such.site@1")).is_err());
         assert!(override_spec(Some("shard.worker@0")).is_err());
         assert!(override_spec(Some("watchdog=banana")).is_err());
         assert!(override_spec(Some("shard.worker@two")).is_err());
+        // The retired `seed=` term is an unknown site now.
+        assert!(override_spec(Some("seed=42;shard.worker")).is_err());
         override_spec(None).unwrap();
     }
 

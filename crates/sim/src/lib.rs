@@ -27,11 +27,12 @@
 //! * [`probe`] — the predictor-internals probe layer (`IBP_PROBE`):
 //!   occupancy/aliasing snapshots and per-site miss attribution sampled
 //!   into the run journal, byte-identical results on or off;
-//! * [`trace_cache`] — the persistent binary trace corpus cache
-//!   (`IBP_TRACE_CACHE`): each `(benchmark, events)` trace is generated
-//!   once into an IBPB segment under `results/.cache/traces/` and
-//!   replayed at memory speed by every later pass, with byte-identical
-//!   results;
+//! * [`trace_cache`] — the persistent binary trace corpus cache: each
+//!   `(benchmark, events)` trace of at least
+//!   [`MIN_CACHE_EVENTS`](trace_cache::MIN_CACHE_EVENTS) events is
+//!   generated once into an IBPB segment under `results/.cache/traces/`
+//!   and replayed at memory speed by every later pass, with
+//!   byte-identical results;
 //! * [`faults`] — deterministic fault injection (`IBP_FAULTS`): named
 //!   panic/stall/IO sites firing on one-shot occurrence schedules, which
 //!   exercise the containment layer — a contained worker panic retries
@@ -39,6 +40,9 @@
 //! * [`report`] — plain-text and CSV rendering of result tables;
 //! * [`experiments`] — one runner per figure/table of the paper (the
 //!   `ibp-bench` binaries are thin wrappers over these).
+//!
+//! The `IBP_*` knobs these modules honour are read once, by
+//! [`ibp_obs::knobs()`]; an invalid value warns and means the default.
 //!
 //! # Example
 //!

@@ -32,7 +32,7 @@
 //! probe payloads match the sequential fold's exactly.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use ibp_core::snapshot::{HistorySnapshot, Snapshot, TableSnapshot};
 use ibp_core::Predictor;
@@ -40,57 +40,13 @@ use ibp_obs as obs;
 use ibp_obs::json::Json;
 use ibp_trace::Addr;
 
-/// How much predictor-internal telemetry a run collects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbePolicy {
-    /// No probes (`IBP_PROBE=0` or unset): the hot path pays one branch.
-    Off,
-    /// Sample snapshots at end-of-warmup and end-of-run, attribute scored
-    /// misses per site (`IBP_PROBE=1`).
-    On,
-    /// Everything `On` does, plus periodic interval snapshots and the
-    /// cold/capacity split of no-entry misses (`IBP_PROBE=deep`).
-    Deep,
-}
-
-impl ProbePolicy {
-    /// Whether any probing is active.
-    #[must_use]
-    pub fn on(self) -> bool {
-        self != ProbePolicy::Off
-    }
-
-    /// Whether deep (interval + cold/capacity) probing is active.
-    #[must_use]
-    pub fn deep(self) -> bool {
-        self == ProbePolicy::Deep
-    }
-}
+pub use ibp_obs::ProbePolicy;
 
 /// Scored events between two `interval` snapshots under `deep`.
 pub(crate) const DEEP_INTERVAL: u64 = 8_192;
 
 /// How many aliasing-heavy sites a probe record keeps.
 const TOP_SITES: usize = 8;
-
-fn env_policy() -> ProbePolicy {
-    static POLICY: OnceLock<ProbePolicy> = OnceLock::new();
-    *POLICY.get_or_init(|| match std::env::var("IBP_PROBE") {
-        Ok(raw) => match raw.as_str() {
-            "" | "0" => ProbePolicy::Off,
-            "1" => ProbePolicy::On,
-            "deep" => ProbePolicy::Deep,
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_PROBE={raw:?} \
-                     (expected 0, 1 or \"deep\"); probes off"
-                );
-                ProbePolicy::Off
-            }
-        },
-        Err(_) => ProbePolicy::Off,
-    })
-}
 
 fn override_slot() -> &'static Mutex<Option<ProbePolicy>> {
     static SLOT: Mutex<Option<ProbePolicy>> = Mutex::new(None);
@@ -99,7 +55,7 @@ fn override_slot() -> &'static Mutex<Option<ProbePolicy>> {
 
 /// Replaces the `IBP_PROBE` policy for this process (`None` restores the
 /// environment's). For tests and measurement binaries that compare
-/// policies within one process — the environment variable is read once.
+/// policies within one process — the knob is read once.
 pub fn override_policy(policy: Option<ProbePolicy>) {
     *override_slot()
         .lock()
@@ -107,14 +63,13 @@ pub fn override_policy(policy: Option<ProbePolicy>) {
 }
 
 /// The configured probe policy: the process-wide override if one is set
-/// ([`override_policy`]), else `IBP_PROBE` parsed once with
-/// warn-and-default (like `IBP_EVENTS`).
+/// ([`override_policy`]), else `IBP_PROBE` ([`ibp_obs::knobs()`]).
 #[must_use]
 pub fn probe_policy() -> ProbePolicy {
     override_slot()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .unwrap_or_else(env_policy)
+        .unwrap_or(obs::knobs().probe)
 }
 
 /// The policy a run should actually use, with the core-crate counter gate

@@ -1,32 +1,11 @@
 //! The benchmark suite: trace sources, per-benchmark rates, group averages.
 
-use std::sync::OnceLock;
-
 use ibp_core::Predictor;
 use ibp_trace::{EventSource, TraceStats};
 use ibp_workload::{Benchmark, BenchmarkGroup};
 
 use crate::parallel::parallel_map;
 use crate::run::{simulate_source, RunStats};
-
-/// Default indirect-branch events per benchmark trace. Overridable with the
-/// `IBP_EVENTS` environment variable (experiments read it once at startup).
-pub(crate) fn default_events() -> u64 {
-    static EVENTS: OnceLock<u64> = OnceLock::new();
-    *EVENTS.get_or_init(|| match std::env::var("IBP_EVENTS") {
-        Ok(raw) => match raw.parse() {
-            Ok(events) => events,
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_EVENTS={raw:?} \
-                     (expected an unsigned integer); using 120000"
-                );
-                120_000
-            }
-        },
-        Err(_) => 120_000,
-    })
-}
 
 /// A set of benchmark traces replayed across predictor configurations.
 ///
@@ -54,7 +33,7 @@ impl Suite {
     /// Builds the given benchmarks at the default trace length.
     #[must_use]
     pub fn with_benchmarks(benchmarks: &[Benchmark]) -> Self {
-        Suite::with_benchmarks_and_len(benchmarks, default_events())
+        Suite::with_benchmarks_and_len(benchmarks, ibp_obs::knobs().events)
     }
 
     /// Builds the given benchmarks with `events` indirect branches each.

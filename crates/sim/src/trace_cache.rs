@@ -36,11 +36,11 @@
 //! cache directory is unusable the caller falls back to direct
 //! generation.
 //!
-//! `IBP_TRACE_CACHE=0` disables the cache (warn-and-default parsing like
-//! the other knobs). When enabled, it engages for suites of
-//! [`MIN_CACHE_EVENTS`] events or more — below that, generation is
-//! cheaper than the I/O bookkeeping, and the repo's many tiny test
-//! suites must not write cache files into working directories.
+//! The cache engages for suites of [`MIN_CACHE_EVENTS`] events or more —
+//! below that, generation is cheaper than the I/O bookkeeping, and the
+//! repo's many tiny test suites must not write cache files into working
+//! directories. [`override_policy`] pins it on or off for tests and
+//! harnesses; no knob does.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -61,26 +61,6 @@ const TRACE_SCHEMA_VERSION: u32 = 1;
 /// [`override_policy`] bypasses the threshold in both directions.
 pub const MIN_CACHE_EVENTS: u64 = 50_000;
 
-/// `IBP_TRACE_CACHE` parsed once with warn-and-default: unset or invalid
-/// mean enabled; only `0` disables.
-fn env_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("IBP_TRACE_CACHE") {
-        Ok(raw) => match raw.as_str() {
-            "0" => false,
-            "1" => true,
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_TRACE_CACHE={raw:?} \
-                     (expected 0 or 1); trace cache stays enabled"
-                );
-                true
-            }
-        },
-        Err(_) => true,
-    })
-}
-
 fn policy_override() -> &'static Mutex<Option<bool>> {
     static OVERRIDE: Mutex<Option<bool>> = Mutex::new(None);
     &OVERRIDE
@@ -91,11 +71,10 @@ fn root_override() -> &'static Mutex<Option<PathBuf>> {
     &ROOT
 }
 
-/// In-process override of the `IBP_TRACE_CACHE` policy: `Some(true)`
-/// forces the cache on regardless of the environment and the
-/// [`MIN_CACHE_EVENTS`] threshold, `Some(false)` forces it off, `None`
-/// restores the environment policy. Process-global — harness binaries
-/// and equivalence tests use it to pin the policy per pass.
+/// In-process override of the cache's engagement: `Some(true)` forces the
+/// cache on regardless of the [`MIN_CACHE_EVENTS`] threshold, `Some(false)`
+/// forces it off, `None` restores the threshold. Process-global — harness
+/// binaries and equivalence tests use it to pin the policy per pass.
 pub fn override_policy(policy: Option<bool>) {
     *policy_override()
         .lock()
@@ -119,7 +98,7 @@ pub fn engaged(events: u64) -> bool {
         .unwrap_or_else(PoisonError::into_inner)
     {
         Some(policy) => policy,
-        None => env_enabled() && events >= MIN_CACHE_EVENTS,
+        None => events >= MIN_CACHE_EVENTS,
     }
 }
 
@@ -204,23 +183,7 @@ fn traces_root() -> PathBuf {
 }
 
 fn version_dir(root: &Path) -> PathBuf {
-    root.join(format!("v{TRACE_SCHEMA_VERSION}"))
-}
-
-/// Deletes `v*` sibling directories of other schema versions, mirroring
-/// the result cache's eviction rule.
-fn evict_stale(root: &Path) {
-    let Ok(entries) = fs::read_dir(root) else {
-        return;
-    };
-    let keep = format!("v{TRACE_SCHEMA_VERSION}");
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with('v') && name != keep && fs::remove_dir_all(entry.path()).is_ok() {
-            eprintln!("note: evicted stale trace cache {}", entry.path().display());
-        }
-    }
+    crate::cache::schema_dir(root, TRACE_SCHEMA_VERSION)
 }
 
 fn segment_file_name(benchmark: Benchmark, events: u64) -> String {
@@ -338,7 +301,7 @@ fn find_or_publish(
         tally.hits += 1;
         return Some(path);
     }
-    evict_stale(root);
+    crate::cache::evict_stale(root, TRACE_SCHEMA_VERSION, "trace cache");
     if path.exists() {
         match verify_file(&path) {
             Ok(len) => {
@@ -442,9 +405,9 @@ pub(crate) fn publish_missing(benchmarks: &[Benchmark], events: u64) {
 
 /// A fresh replay cursor over the cached segment for
 /// `(benchmark, events)` — an independent [`ibp_trace::EventSource`], event- and
-/// counter-identical to a generator pass. `None` when the cache is
-/// disabled, not engaged at this event count, or unusable; callers fall
-/// back to direct generation.
+/// counter-identical to a generator pass. `None` when the cache is not
+/// engaged at this event count or is unusable; callers fall back to
+/// direct generation.
 #[must_use]
 pub fn source_for(benchmark: Benchmark, events: u64) -> Option<BinarySource<fs::File>> {
     if !engaged(events) {
