@@ -1,20 +1,31 @@
-//! Deeper simulation analytics: miss classification, per-site breakdowns
-//! and pattern censuses.
+//! Deeper simulation analytics: miss classification, per-site breakdowns,
+//! pattern censuses, ahead-prediction depth and trace characteristics.
 //!
 //! These reproduce the *analytical* observations scattered through the
 //! paper's prose — e.g. §5.1's "p = 2 wins at table size 256 with a
 //! misprediction rate of 12.5 %, 3.6 % of which is due to capacity misses"
 //! and "*ixx* generates 203 different patterns for path length p = 0 …
 //! and ends up with 9403 patterns for p = 12".
+//!
+//! The experiments fold them as [`MeasureLane`]s of the sweep engine's
+//! grouped pass ([`Sweep::measure`](crate::engine::Sweep::measure)), so
+//! each is memoized and persisted like a predictor cell: [`MissLane`],
+//! [`CensusLane`], [`AheadLane`] and [`TraceLane`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
+use ibp_core::ext::{AheadPrediction, AheadPredictor};
 use ibp_core::{
-    fold_two_level_chunk, ChunkScorer, FoldKernel, Predictor, ProbeSink, TwoLevelPredictor,
-    WarmTrigger,
+    fold_two_level_chunk, ChunkScorer, FoldKernel, Predictor, PredictorConfig, ProbeSink,
+    TwoLevelPredictor, WarmTrigger,
 };
 use ibp_trace::io::TraceIoError;
-use ibp_trace::{chunk_events, Addr, EventSource, Trace, TraceChunk};
+use ibp_trace::{
+    chunk_events, Addr, BranchKind, CoverageLevel, EventSource, Trace, TraceChunk, TraceEvent,
+    TraceStatsBuilder,
+};
+
+use crate::run::{MeasureLane, Measurement};
 
 /// Misprediction breakdown by cause for a two-level predictor.
 ///
@@ -298,6 +309,294 @@ pub fn pattern_census_source<S: EventSource + ?Sized>(
     }
 }
 
+/// Classifies every miss of one two-level predictor, as a lane of a
+/// sweep pass: the [`simulate_classified_source`] fold, reporting a
+/// [`Measurement::Misses`].
+pub struct MissLane {
+    predictor: TwoLevelPredictor,
+    sink: ClassifySink,
+}
+
+impl MissLane {
+    /// A lane classifying the misses of `cfg`'s predictor. Its memo key is
+    /// [`MissLane::key`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg` builds a single two-level predictor.
+    #[must_use]
+    pub fn new(cfg: &PredictorConfig) -> Self {
+        MissLane {
+            predictor: cfg
+                .try_build_two_level()
+                .expect("miss classification needs a two-level predictor"),
+            sink: ClassifySink::default(),
+        }
+    }
+
+    /// The memo key of `MissLane::new(cfg)`: `misses|` and
+    /// [`PredictorConfig::cache_key`].
+    #[must_use]
+    pub fn key(cfg: &PredictorConfig) -> String {
+        format!("misses|{}", cfg.cache_key())
+    }
+}
+
+impl MeasureLane for MissLane {
+    fn fold_chunk(&mut self, chunk: &TraceChunk) {
+        // Unwarmed and never sampled, so a scorer per chunk folds exactly
+        // like one kept across the pass.
+        let mut scorer = ChunkScorer::probed(0, &mut self.sink, WarmTrigger::AtCrossing, None);
+        fold_two_level_chunk(&mut self.predictor, chunk.events(), &mut scorer);
+    }
+
+    fn finish(self: Box<Self>) -> Measurement {
+        Measurement::Misses(self.sink.breakdown)
+    }
+}
+
+/// Counts the patterns one unbounded two-level table stores over a trace,
+/// as a lane of a sweep pass: the [`pattern_census_source`] fold,
+/// reporting a [`Measurement::Patterns`].
+pub struct CensusLane {
+    predictor: TwoLevelPredictor,
+}
+
+impl CensusLane {
+    /// A lane counting the patterns `cfg`'s predictor stores. Its memo key
+    /// is [`CensusLane::key`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg` builds a single two-level predictor.
+    #[must_use]
+    pub fn new(cfg: &PredictorConfig) -> Self {
+        CensusLane {
+            predictor: cfg
+                .try_build_two_level()
+                .expect("a pattern census needs a two-level predictor"),
+        }
+    }
+
+    /// The memo key of `CensusLane::new(cfg)`: `patterns|` and
+    /// [`PredictorConfig::cache_key`].
+    #[must_use]
+    pub fn key(cfg: &PredictorConfig) -> String {
+        format!("patterns|{}", cfg.cache_key())
+    }
+}
+
+impl MeasureLane for CensusLane {
+    fn fold_chunk(&mut self, chunk: &TraceChunk) {
+        // An endless warmup trains without ever probing, as in
+        // `pattern_census_source`.
+        let mut scorer = ChunkScorer::new(u64::MAX);
+        fold_two_level_chunk(&mut self.predictor, chunk.events(), &mut scorer);
+    }
+
+    fn finish(self: Box<Self>) -> Measurement {
+        Measurement::Patterns(self.predictor.stored_patterns() as u64)
+    }
+}
+
+/// The lookahead depths the ahead-prediction study scores (§8.1).
+pub const AHEAD_DEPTHS: [usize; 4] = [1, 2, 4, 8];
+
+/// Ahead-prediction hits over one trace: of the `scored` indirect
+/// branches, how many the chained prediction issued `d` branches earlier
+/// anticipated exactly (site and target), for each `d` in
+/// [`AHEAD_DEPTHS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AheadHits {
+    /// Indirect branches scored.
+    pub scored: u64,
+    /// Correct anticipations per depth, in [`AHEAD_DEPTHS`] order.
+    pub correct: [u64; 4],
+}
+
+impl AheadHits {
+    /// The accuracy at each depth, in [`AHEAD_DEPTHS`] order (0 for an
+    /// empty trace).
+    #[must_use]
+    pub fn rates(&self) -> [f64; 4] {
+        self.correct.map(|c| {
+            if self.scored == 0 {
+                0.0
+            } else {
+                c as f64 / self.scored as f64
+            }
+        })
+    }
+}
+
+/// §8.1's last idea, running ahead of execution, as a lane of a sweep
+/// pass: an [`AheadPredictor`] fed only its own chained predictions as
+/// context, scored at every depth as branches resolve. Reports a
+/// [`Measurement::Ahead`].
+pub struct AheadLane {
+    predictor: AheadPredictor,
+    /// `pending[d]` holds the predictions made at chain depth `d`, one per
+    /// branch, until the branch `d + 1` steps later resolves.
+    pending: Vec<VecDeque<AheadPrediction>>,
+    correct: Vec<u64>,
+    scored: u64,
+}
+
+impl AheadLane {
+    /// A lane over an `AheadPredictor::new(path_len)`. Its memo key is
+    /// [`AheadLane::key`].
+    #[must_use]
+    pub fn new(path_len: usize) -> Self {
+        let max_depth = AHEAD_DEPTHS[AHEAD_DEPTHS.len() - 1];
+        AheadLane {
+            predictor: AheadPredictor::new(path_len),
+            pending: vec![VecDeque::new(); max_depth],
+            correct: vec![0; max_depth],
+            scored: 0,
+        }
+    }
+
+    /// The memo key of `AheadLane::new(path_len)`: every parameter of the
+    /// lane.
+    #[must_use]
+    pub fn key(path_len: usize) -> String {
+        format!("ahead|AheadPredictor::new({path_len})|depths={AHEAD_DEPTHS:?}")
+    }
+}
+
+impl MeasureLane for AheadLane {
+    fn fold_chunk(&mut self, chunk: &TraceChunk) {
+        let max_depth = self.pending.len();
+        for event in chunk.events() {
+            let TraceEvent::Indirect(br) = event else {
+                continue;
+            };
+            self.scored += 1;
+            // Score the chained predictions issued d branches ago.
+            for (d, queue) in self.pending.iter_mut().enumerate() {
+                if queue.len() > d {
+                    if let Some(pred) = queue.pop_front() {
+                        if pred.pc == br.pc && pred.target == br.target {
+                            self.correct[d] += 1;
+                        }
+                    }
+                }
+            }
+            // Resolve this branch first, then look ahead: chain[d] is the
+            // prediction for the branch d+1 steps in the future.
+            self.predictor.update(br.pc, br.target);
+            let chain = self.predictor.predict_chain(max_depth);
+            for (d, queue) in self.pending.iter_mut().enumerate() {
+                queue.push_back(chain.get(d).copied().unwrap_or(AheadPrediction {
+                    // A sentinel that can never match (the zero address
+                    // never appears as a site).
+                    pc: Addr::ZERO,
+                    target: Addr::ZERO,
+                }));
+            }
+        }
+    }
+
+    fn finish(self: Box<Self>) -> Measurement {
+        Measurement::Ahead(AheadHits {
+            scored: self.scored,
+            correct: AHEAD_DEPTHS.map(|d| self.correct[d - 1]),
+        })
+    }
+}
+
+/// A trace's characteristics as Tables 1–2 report them, in counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TraceCounts {
+    /// Dynamic indirect branches.
+    pub indirect: u64,
+    /// Instructions executed.
+    pub instructions: u64,
+    /// Conditional branches executed.
+    pub conditionals: u64,
+    /// Of the indirect branches, how many were virtual calls.
+    pub virtual_calls: u64,
+    /// Sites covering 90/95/99/100 % of the indirect branches, in
+    /// [`CoverageLevel::ALL`] order.
+    pub active_sites: [u64; 4],
+}
+
+impl TraceCounts {
+    /// Instructions per indirect branch; infinite for a trace without
+    /// one, like [`TraceStats`](ibp_trace::TraceStats).
+    #[must_use]
+    pub fn instructions_per_indirect(&self) -> f64 {
+        self.per_indirect(self.instructions)
+    }
+
+    /// Conditional branches per indirect branch; infinite for a trace
+    /// without one.
+    #[must_use]
+    pub fn cond_per_indirect(&self) -> f64 {
+        self.per_indirect(self.conditionals)
+    }
+
+    /// The fraction of indirect branches that are virtual calls (0 for a
+    /// trace without one).
+    #[must_use]
+    pub fn virtual_fraction(&self) -> f64 {
+        if self.indirect == 0 {
+            0.0
+        } else {
+            self.virtual_calls as f64 / self.indirect as f64
+        }
+    }
+
+    fn per_indirect(&self, count: u64) -> f64 {
+        if self.indirect == 0 {
+            f64::INFINITY
+        } else {
+            count as f64 / self.indirect as f64
+        }
+    }
+}
+
+/// Measures a trace's Tables 1–2 characteristics as a lane of a sweep
+/// pass, reporting a [`Measurement::Trace`]. Its memo key is
+/// [`TraceLane::KEY`].
+#[derive(Default)]
+pub struct TraceLane {
+    sites: TraceStatsBuilder,
+    instructions: u64,
+    conditionals: u64,
+    virtual_calls: u64,
+}
+
+impl TraceLane {
+    /// The memo key: every parameter of the lane.
+    pub const KEY: &'static str = "trace|coverage=90,95,99,100";
+}
+
+impl MeasureLane for TraceLane {
+    fn fold_chunk(&mut self, chunk: &TraceChunk) {
+        self.sites.record_chunk(chunk);
+        self.instructions += chunk.instructions();
+        self.conditionals += chunk.cond_count();
+        self.virtual_calls += chunk
+            .events()
+            .iter()
+            .filter_map(TraceEvent::as_indirect)
+            .filter(|b| b.kind == BranchKind::VirtualCall)
+            .count() as u64;
+    }
+
+    fn finish(self: Box<Self>) -> Measurement {
+        let stats = self.sites.finish();
+        Measurement::Trace(TraceCounts {
+            indirect: stats.indirect_branches,
+            instructions: self.instructions,
+            conditionals: self.conditionals,
+            virtual_calls: self.virtual_calls,
+            active_sites: CoverageLevel::ALL.map(|level| stats.active_sites(level) as u64),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,6 +719,55 @@ mod tests {
         for (&p, &got) in paths.iter().zip(&counts) {
             assert_eq!(got, pattern_census(&trace, p), "p = {p}");
         }
+    }
+
+    /// Folds `lane` over every chunk of `trace`.
+    fn measure(lane: Box<dyn MeasureLane>, trace: &Trace) -> Measurement {
+        let mut lane = lane;
+        let mut cursor = trace.cursor();
+        let mut chunk = TraceChunk::default();
+        loop {
+            let more = cursor.fill(&mut chunk, chunk_events()).expect("in-memory");
+            lane.fold_chunk(&chunk);
+            if !more {
+                return lane.finish();
+            }
+        }
+    }
+
+    #[test]
+    fn trace_lane_matches_whole_trace_stats() {
+        let trace = ibp_workload::Benchmark::Ixx.trace_with_len(2 * chunk_events() + 1_000);
+        let direct = trace.stats();
+        let Measurement::Trace(counts) = measure(Box::<TraceLane>::default(), &trace) else {
+            panic!("a trace lane measures the trace");
+        };
+        assert_eq!(counts.indirect, direct.indirect_branches);
+        assert_eq!(
+            counts.instructions_per_indirect(),
+            direct.instructions_per_indirect
+        );
+        assert_eq!(counts.cond_per_indirect(), direct.cond_per_indirect);
+        assert_eq!(counts.virtual_fraction(), direct.virtual_fraction);
+        for (level, &sites) in CoverageLevel::ALL.iter().zip(&counts.active_sites) {
+            assert_eq!(sites, direct.active_sites(*level) as u64, "{level}");
+        }
+    }
+
+    #[test]
+    fn miss_and_census_lanes_match_their_folds() {
+        let trace = ibp_workload::Benchmark::Gcc.trace_with_len(2 * chunk_events() + 1_000);
+        let cfg = PredictorConfig::full_assoc(3, 1024);
+        let mut alone = cfg.try_build_two_level().expect("two-level");
+        assert_eq!(
+            measure(Box::new(MissLane::new(&cfg)), &trace),
+            Measurement::Misses(simulate_classified(&trace, &mut alone))
+        );
+        let cfg = PredictorConfig::unconstrained(6);
+        assert_eq!(
+            measure(Box::new(CensusLane::new(&cfg)), &trace),
+            Measurement::Patterns(pattern_census(&trace, 6) as u64)
+        );
     }
 
     #[test]

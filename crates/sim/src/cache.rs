@@ -5,13 +5,19 @@
 //! *per process*. This module extends that guarantee across processes: on
 //! first use the engine loads previously published results from
 //! `results/.cache/v<schema>/engine.tsv`, and measurement binaries persist
-//! the merged cache back on exit. A second `repro_all` run then simulates
-//! nothing at all — every lookup is a persistent hit.
+//! the merged cache back on exit. A second `repro_all` run then folds
+//! nothing at all — every lookup is a persistent hit, and no trace is read.
+//!
+//! Each row holds one cell: its key, benchmark, events and warmup, the
+//! [`Measurement::kind`], then that kind's counts (two for run stats, four
+//! for a miss breakdown, one for a pattern count, five for ahead hits,
+//! eight for trace characteristics). A row whose count arity does not
+//! match its kind loads as nothing.
 //!
 //! Correctness rests on the same purity argument as the memo cache: traces
 //! are pure functions of `(benchmark, events)` and predictors pure
-//! functions of the config key, so a stored `RunStats` is exact, not an
-//! approximation. A trace is pure only for one generator, so the file's
+//! functions of the config key, so a stored [`Measurement`] is exact, not
+//! an approximation. A trace is pure only for one generator, so the file's
 //! header records the generator fingerprint (one hash over every preset's
 //! [`ProgramConfig::fingerprint`](ibp_workload::ProgramConfig::fingerprint),
 //! the key the trace corpus names its segments by): a file written under
@@ -31,17 +37,21 @@ use std::path::{Path, PathBuf};
 
 use ibp_workload::Benchmark;
 
-use crate::run::RunStats;
+use crate::analysis::{AheadHits, MissBreakdown, TraceCounts};
+use crate::run::{Measurement, RunStats};
 
-/// Full identity of one memoized run. Under one generator the trace is a
-/// pure function of `(benchmark, events)`, and the predictor a pure
-/// function of the config key, so this tuple determines the `RunStats`
-/// exactly; the file header pins the generator.
+/// Full identity of one memoized cell. Under one generator the trace is a
+/// pure function of `(benchmark, events)`, and the lane a pure function of
+/// the key, so this tuple determines the [`Measurement`] exactly; the file
+/// header pins the generator.
 pub(crate) type CacheKey = (String, Benchmark, u64, u64);
 
 /// Bump when the TSV layout (or the meaning of any field) changes; older
 /// version directories are deleted on load.
-const SCHEMA_VERSION: u32 = 2;
+const SCHEMA_VERSION: u32 = 3;
+
+/// The most counts any [`Measurement`] kind stores.
+const MAX_COUNTS: usize = 8;
 
 /// A stable FNV-1a hash over the generator fingerprint of every benchmark
 /// preset: any generator or calibration change moves it.
@@ -59,7 +69,7 @@ fn generator_fingerprint() -> u64 {
 fn file_header() -> String {
     format!(
         "# ibp engine cache, generator {:016x}: \
-         key\tbenchmark\tevents\twarmup\tindirect\tmispredicted",
+         key\tbenchmark\tevents\twarmup\tkind\tcounts",
         generator_fingerprint()
     )
 }
@@ -96,38 +106,84 @@ pub(crate) fn evict_stale(root: &Path, version: u32, label: &str) {
     }
 }
 
-fn parse_line(line: &str) -> Option<(CacheKey, RunStats)> {
+/// A measurement's row fields: its kind and counts.
+fn encode(value: &Measurement) -> (&'static str, Vec<u64>) {
+    let counts = match *value {
+        Measurement::Run(s) => vec![s.indirect, s.mispredicted],
+        Measurement::Misses(m) => vec![m.hits, m.wrong_target, m.capacity, m.cold],
+        Measurement::Patterns(n) => vec![n],
+        Measurement::Ahead(a) => [&[a.scored][..], &a.correct].concat(),
+        Measurement::Trace(t) => [
+            &[t.indirect, t.instructions, t.conditionals, t.virtual_calls][..],
+            &t.active_sites,
+        ]
+        .concat(),
+    };
+    (value.kind(), counts)
+}
+
+/// The measurement a row's kind and counts encode, or `None` for an
+/// unknown kind or a count arity that does not match it.
+fn decode(kind: &str, counts: &[u64]) -> Option<Measurement> {
+    Some(match (kind, counts) {
+        ("run", &[indirect, mispredicted]) => Measurement::Run(RunStats {
+            indirect,
+            mispredicted,
+        }),
+        ("misses", &[hits, wrong_target, capacity, cold]) => {
+            Measurement::Misses(MissBreakdown {
+                hits,
+                wrong_target,
+                capacity,
+                cold,
+            })
+        }
+        ("patterns", &[n]) => Measurement::Patterns(n),
+        ("ahead", &[scored, d1, d2, d4, d8]) => Measurement::Ahead(AheadHits {
+            scored,
+            correct: [d1, d2, d4, d8],
+        }),
+        ("trace", &[indirect, instructions, conditionals, virtual_calls, p90, p95, p99, p100]) => {
+            Measurement::Trace(TraceCounts {
+                indirect,
+                instructions,
+                conditionals,
+                virtual_calls,
+                active_sites: [p90, p95, p99, p100],
+            })
+        }
+        _ => return None,
+    })
+}
+
+fn parse_line(line: &str) -> Option<(CacheKey, Measurement)> {
     let mut fields = line.split('\t');
     let key = fields.next()?.to_string();
     let benchmark = Benchmark::from_name(fields.next()?)?;
     let events = fields.next()?.parse().ok()?;
     let warmup = fields.next()?.parse().ok()?;
-    let indirect = fields.next()?.parse().ok()?;
-    let mispredicted = fields.next()?.parse().ok()?;
-    if fields.next().is_some() {
-        return None;
+    let kind = fields.next()?;
+    let mut counts = [0u64; MAX_COUNTS];
+    let mut n = 0;
+    for field in fields {
+        *counts.get_mut(n)? = field.parse().ok()?;
+        n += 1;
     }
-    Some((
-        (key, benchmark, events, warmup),
-        RunStats {
-            indirect,
-            mispredicted,
-        },
-    ))
+    Some(((key, benchmark, events, warmup), decode(kind, &counts[..n])?))
 }
 
 /// Loads every entry stored under `root` (evicting stale schema versions
 /// first). Missing files, files from another generator and malformed lines
 /// load as nothing — a corrupt or foreign cache degrades to a cold one,
 /// never to an error.
-fn load_from(root: &Path) -> HashMap<CacheKey, RunStats> {
+fn load_from(root: &Path) -> Vec<(CacheKey, Measurement)> {
     evict_stale(root, SCHEMA_VERSION, "result cache");
     let Ok(text) = fs::read_to_string(version_dir(root).join("engine.tsv")) else {
-        return HashMap::new();
+        return Vec::new();
     };
     let mut lines = text.lines();
     if lines.next() != Some(file_header().as_str()) {
-        return HashMap::new();
+        return Vec::new();
     }
     lines
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -137,9 +193,9 @@ fn load_from(root: &Path) -> HashMap<CacheKey, RunStats> {
 
 /// Loads the persistent cache from the environment-selected results
 /// directory; empty when disabled.
-pub(crate) fn load() -> HashMap<CacheKey, RunStats> {
+pub(crate) fn load() -> Vec<(CacheKey, Measurement)> {
     if !ibp_obs::knobs().cache {
-        return HashMap::new();
+        return Vec::new();
     }
     load_from(&cache_root())
 }
@@ -148,22 +204,23 @@ pub(crate) fn load() -> HashMap<CacheKey, RunStats> {
 /// key collisions — the values are deterministic, so collisions agree
 /// anyway), atomically via a temp file + rename. Returns the merged entry
 /// count.
-fn save_to(root: &Path, entries: &[(CacheKey, RunStats)]) -> io::Result<usize> {
+fn save_to(root: &Path, entries: &[(CacheKey, Measurement)]) -> io::Result<usize> {
     let dir = version_dir(root);
     fs::create_dir_all(&dir)?;
-    let mut merged = load_from(root);
-    for (key, stats) in entries {
-        merged.insert(key.clone(), *stats);
+    let mut merged: HashMap<CacheKey, Measurement> = load_from(root).into_iter().collect();
+    for (key, value) in entries {
+        merged.insert(key.clone(), *value);
     }
     let mut rows: Vec<String> = merged
         .iter()
         .filter(|((key, ..), _)| !key.contains('\t') && !key.contains('\n'))
-        .map(|((key, b, events, warmup), stats)| {
+        .map(|((key, b, events, warmup), value)| {
+            let (kind, counts) = encode(value);
+            let counts: Vec<String> = counts.iter().map(u64::to_string).collect();
             format!(
-                "{key}\t{}\t{events}\t{warmup}\t{}\t{}",
+                "{key}\t{}\t{events}\t{warmup}\t{kind}\t{}",
                 b.name(),
-                stats.indirect,
-                stats.mispredicted
+                counts.join("\t")
             )
         })
         .collect();
@@ -200,7 +257,7 @@ fn write_and_publish(tmp: &Path, dir: &Path, rows: &[String]) -> io::Result<()> 
 
 /// Persists `entries` into the environment-selected results directory;
 /// no-op (returning 0) when disabled.
-pub(crate) fn save(entries: &[(CacheKey, RunStats)]) -> io::Result<usize> {
+pub(crate) fn save(entries: &[(CacheKey, Measurement)]) -> io::Result<usize> {
     if !ibp_obs::knobs().cache {
         return Ok(0);
     }
@@ -223,21 +280,62 @@ mod tests {
         dir
     }
 
-    fn sample_entries() -> Vec<(CacheKey, RunStats)> {
+    fn sample_entries() -> Vec<(CacheKey, Measurement)> {
         vec![
             (
                 ("btb-2bc".into(), Benchmark::Ixx, 6_000, 0),
-                RunStats {
+                Measurement::Run(RunStats {
                     indirect: 6_000,
                     mispredicted: 1_234,
-                },
+                }),
             ),
             (
                 ("two-level|p=4".into(), Benchmark::Xlisp, 6_000, 500),
-                RunStats {
+                Measurement::Run(RunStats {
                     indirect: 5_500,
                     mispredicted: 321,
-                },
+                }),
+            ),
+        ]
+    }
+
+    /// One cell of every kind.
+    fn one_of_each_kind() -> Vec<(CacheKey, Measurement)> {
+        let key = |k: &str| (k.to_string(), Benchmark::Gcc, 6_000, 0);
+        vec![
+            (
+                key("TwoLevel|p=3"),
+                Measurement::Run(RunStats {
+                    indirect: 6_000,
+                    mispredicted: 17,
+                }),
+            ),
+            (
+                key("misses|TwoLevel|p=2"),
+                Measurement::Misses(MissBreakdown {
+                    hits: 5_000,
+                    wrong_target: 600,
+                    capacity: 300,
+                    cold: 100,
+                }),
+            ),
+            (key("patterns|TwoLevel|p=12"), Measurement::Patterns(9_403)),
+            (
+                key("ahead|AheadPredictor::new(4)"),
+                Measurement::Ahead(AheadHits {
+                    scored: 6_000,
+                    correct: [4_000, 3_000, 2_000, 1_000],
+                }),
+            ),
+            (
+                key("trace|coverage"),
+                Measurement::Trace(TraceCounts {
+                    indirect: 6_000,
+                    instructions: 600_000,
+                    conditionals: 60_000,
+                    virtual_calls: 4_500,
+                    active_sites: [10, 20, 40, 80],
+                }),
             ),
         ]
     }
@@ -247,11 +345,54 @@ mod tests {
         let root = scratch_root("roundtrip");
         let entries = sample_entries();
         assert_eq!(save_to(&root, &entries).expect("save"), 2);
-        let loaded = load_from(&root);
+        let loaded: HashMap<_, _> = load_from(&root).into_iter().collect();
         assert_eq!(loaded.len(), 2);
-        for (key, stats) in &entries {
-            assert_eq!(loaded.get(key), Some(stats));
+        for (key, value) in &entries {
+            assert_eq!(loaded.get(key), Some(value));
         }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn one_row_of_each_kind_round_trips() {
+        let root = scratch_root("kinds");
+        let entries = one_of_each_kind();
+        assert_eq!(save_to(&root, &entries).expect("save"), entries.len());
+        let loaded: HashMap<_, _> = load_from(&root).into_iter().collect();
+        assert_eq!(loaded.len(), entries.len());
+        for (key, value) in &entries {
+            assert_eq!(loaded.get(key), Some(value), "{}", value.kind());
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_row_whose_arity_does_not_match_its_kind_loads_as_nothing() {
+        let root = scratch_root("arity");
+        let dir = version_dir(&root);
+        fs::create_dir_all(&dir).expect("mkdir");
+        fs::write(
+            dir.join("engine.tsv"),
+            format!(
+                "{}\n\
+                 short\tixx\t100\t0\tmisses\t1\t2\t3\n\
+                 long\tixx\t100\t0\trun\t100\t7\t1\n\
+                 overlong\tixx\t100\t0\ttrace\t1\t2\t3\t4\t5\t6\t7\t8\t9\n\
+                 unknown\tixx\t100\t0\tnoise\t1\n\
+                 patterns|p=1\tixx\t100\t0\tpatterns\t42\n",
+                file_header()
+            ),
+        )
+        .expect("write");
+        let loaded = load_from(&root);
+        assert_eq!(
+            loaded,
+            vec![(
+                ("patterns|p=1".into(), Benchmark::Ixx, 100, 0),
+                Measurement::Patterns(42)
+            )],
+            "only the row whose counts match its kind survives"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -296,12 +437,16 @@ mod tests {
     #[test]
     fn stale_schema_directories_are_evicted() {
         let root = scratch_root("evict");
-        let stale = root.join("v0");
-        fs::create_dir_all(&stale).expect("mk stale");
-        fs::write(stale.join("engine.tsv"), "junk\n").expect("stale file");
+        let stale = [root.join("v0"), root.join("v2")];
+        for dir in &stale {
+            fs::create_dir_all(dir).expect("mk stale");
+            fs::write(dir.join("engine.tsv"), "junk\n").expect("stale file");
+        }
         save_to(&root, &sample_entries()).expect("save");
         let _ = load_from(&root);
-        assert!(!stale.exists(), "v0 evicted");
+        for dir in &stale {
+            assert!(!dir.exists(), "{} evicted", dir.display());
+        }
         assert!(version_dir(&root).join("engine.tsv").exists());
         let _ = fs::remove_dir_all(&root);
     }
@@ -319,8 +464,7 @@ mod tests {
         let dir = version_dir(&root);
         assert!(!dir.join("engine.tsv.tmp").exists(), "temp file cleaned up");
         let loaded = load_from(&root);
-        assert_eq!(loaded.len(), 1, "previous snapshot survives a failed save");
-        assert_eq!(loaded.get(&entries[0].0), Some(&entries[0].1));
+        assert_eq!(loaded, entries[..1], "previous snapshot survives a failed save");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -352,20 +496,24 @@ mod tests {
             format!(
                 "{}\n\
                  not-enough-fields\t3\n\
-                 key\tno-such-benchmark\t1\t0\t1\t0\n\
-                 btb\tixx\t100\t0\t100\t7\n",
+                 key\tno-such-benchmark\t1\t0\trun\t1\t0\n\
+                 key\tixx\t1\t0\trun\t1\tnot-a-count\n\
+                 btb\tixx\t100\t0\trun\t100\t7\n",
                 file_header()
             ),
         )
         .expect("write");
         let loaded = load_from(&root);
-        assert_eq!(loaded.len(), 1, "only the well-formed line survives");
         assert_eq!(
-            loaded[&("btb".into(), Benchmark::Ixx, 100, 0)],
-            RunStats {
-                indirect: 100,
-                mispredicted: 7
-            }
+            loaded,
+            vec![(
+                ("btb".into(), Benchmark::Ixx, 100, 0),
+                Measurement::Run(RunStats {
+                    indirect: 100,
+                    mispredicted: 7
+                })
+            )],
+            "only the well-formed line survives"
         );
         let _ = fs::remove_dir_all(&root);
     }

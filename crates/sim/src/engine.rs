@@ -3,27 +3,32 @@
 //! Experiments sweep dozens of predictor configurations over the same
 //! benchmark traces, and many of them re-run identical (configuration,
 //! benchmark) pairs — the BTB-2bc baseline alone is re-simulated by five
-//! different experiments. This module makes the *(config × benchmark)
-//! grid* the unit of scheduling and caching:
+//! different experiments. This module makes the *(job × benchmark) grid*
+//! the unit of scheduling and caching, where a job is a predictor
+//! configuration or a measurement of the trace:
 //!
-//! * a [`Sweep`] looks up all its configurations against all suite
-//!   benchmarks at once, instead of barriering per configuration on 17
-//!   traces;
+//! * a [`Sweep`] looks up all its jobs against their benchmarks at once,
+//!   instead of barriering per configuration on 17 traces;
 //! * the cells that miss are grouped by benchmark, and each group folds
-//!   all its kernels over one shared source pass
-//!   ([`simulate_source_kernels`]), with the groups spread over
-//!   [`parallel_map`] — so a sweep opens at most one trace pass per
-//!   benchmark, and none when every cell hits;
-//! * results are memoized in a process-wide cache keyed by
-//!   `(PredictorConfig::cache_key(), benchmark, events, warmup)` — traces
-//!   are pure functions of `(benchmark, events)`, so a repeated pair is
-//!   guaranteed to reproduce the same [`RunStats`] and is never simulated
-//!   twice, within or across experiments;
-//! * the memo cache is seeded from the **persistent result cache**
-//!   (`results/.cache/`) on first use, and
-//!   measurement binaries publish it back via [`persist_cache`] once they
-//!   have simulated something new — so the guarantee extends across
-//!   processes (`IBP_CACHE=0` opts out);
+//!   all its kernels and [`MeasureLane`]s over one shared source pass,
+//!   with the groups spread over [`parallel_map`] — so a sweep opens at
+//!   most one trace pass per benchmark, and none when every cell hits;
+//! * a cell's value is a [`Measurement`]: a predictor's
+//!   [`RunStats`](crate::RunStats), or
+//!   what a measure lane found (a miss breakdown, a pattern count,
+//!   ahead-prediction hits, a trace's characteristics);
+//! * values are memoized in one process-wide map keyed by
+//!   `(key, benchmark, events, warmup)`, where the key is
+//!   [`PredictorConfig::cache_key`], a `custom` key, or a measurement's
+//!   `<kind>|…` key — traces are pure functions of `(benchmark, events)`,
+//!   so a repeated cell is guaranteed to reproduce the same value and is
+//!   never folded twice, within or across experiments;
+//! * the memo map is seeded from the **persistent result cache**
+//!   (`results/.cache/`) on first use, each value marked as loaded from
+//!   disk, and measurement binaries publish it back via [`persist_cache`]
+//!   once they have folded something new — so the guarantee extends
+//!   across processes (`IBP_CACHE=0` opts out), and a second `repro_all`
+//!   folds nothing and reads no trace;
 //! * global hit/miss/event counters ([`stats`]) let callers report cache
 //!   effectiveness and simulation throughput — they live in the
 //!   [`ibp_obs::metrics`] registry (`engine.cache.hits`,
@@ -34,14 +39,14 @@
 //!   `degraded` event — a fault costs wall time, never correctness;
 //! * with tracing on (`IBP_TRACE`), every benchmark pass emits a `cell`
 //!   span (benchmark, config count, queue wait vs. run time), every
-//!   simulated cell a `cell` event with `outcome = "miss"`, and every
+//!   folded cell a `cell` event with `outcome = "miss"`, and every
 //!   memoized lookup a `cell` event with `outcome = "hit"`.
 //!
 //! Set `IBP_LOG=1` for a per-sweep progress line on stderr.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use ibp_core::{FoldKernel, Predictor, PredictorConfig};
@@ -51,38 +56,48 @@ use ibp_workload::Benchmark;
 
 use crate::cache::CacheKey;
 use crate::parallel::parallel_map;
-use crate::run::{simulate_source_kernels, RunStats};
+use crate::run::{simulate_source_cells, MeasureLane, Measurement};
 use crate::suite::{Suite, SuiteResult};
 
-fn cache() -> &'static Mutex<HashMap<CacheKey, RunStats>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, RunStats>>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let loaded = crate::cache::load();
-        if !loaded.is_empty() {
-            obs::info!("[engine] persistent cache: {} entries loaded", loaded.len());
-            persistent_keys()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .extend(loaded.keys().cloned());
-        }
-        Mutex::new(loaded)
-    })
+/// A memoized cell value, and whether it entered the memo map from the
+/// persistent cache rather than a fold in this process: hits on it count
+/// as persistent (cross-process) hits.
+#[derive(Clone, Copy)]
+struct Memo {
+    value: Measurement,
+    from_disk: bool,
 }
 
-/// Whether the memo cache holds simulated results the persistent cache has
-/// not saved: set where [`Sweep::run`] publishes simulated units, cleared
+fn cache() -> MutexGuard<'static, HashMap<CacheKey, Memo>> {
+    static CACHE: OnceLock<Mutex<HashMap<CacheKey, Memo>>> = OnceLock::new();
+    CACHE
+        .get_or_init(|| {
+            let loaded: HashMap<CacheKey, Memo> = crate::cache::load()
+                .into_iter()
+                .map(|(key, value)| {
+                    let memo = Memo {
+                        value,
+                        from_disk: true,
+                    };
+                    (key, memo)
+                })
+                .collect();
+            if !loaded.is_empty() {
+                obs::info!("[engine] persistent cache: {} entries loaded", loaded.len());
+            }
+            Mutex::new(loaded)
+        })
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Whether the memo cache holds folded results the persistent cache has
+/// not saved: set where [`Sweep::run_all`] publishes folded units, cleared
 /// by a successful [`persist_cache`] and left set by a failed one. It is
 /// set, and cleared for a save, under the memo cache's lock, so a save's
 /// snapshot holds every unit published before the clear. It guards no
 /// data of its own, so relaxed ordering suffices.
 static UNSAVED: AtomicBool = AtomicBool::new(false);
-
-/// Keys that entered the memo cache from disk rather than live simulation
-/// — hits on these count as persistent (cross-process) hits.
-fn persistent_keys() -> &'static Mutex<HashSet<CacheKey>> {
-    static SET: OnceLock<Mutex<HashSet<CacheKey>>> = OnceLock::new();
-    SET.get_or_init(|| Mutex::new(HashSet::new()))
-}
 
 fn hits() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
@@ -105,14 +120,10 @@ fn simulated_events() -> &'static Arc<Counter> {
 }
 
 /// Counts a memo-cache hit, attributing it to the persistent cache when
-/// the key was seeded from disk.
-fn count_hit(key: &CacheKey) {
+/// the value was loaded from disk.
+fn count_hit(memo: &Memo) {
     hits().incr();
-    if persistent_keys()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .contains(key)
-    {
+    if memo.from_disk {
         persistent_hits().incr();
     }
 }
@@ -129,7 +140,8 @@ pub struct EngineStats {
     /// in this process.
     pub persistent_hits: u64,
     /// Indirect-branch events processed by live simulation (warmup
-    /// included); cache hits contribute nothing.
+    /// included), one trace length per folded cell; cache hits contribute
+    /// nothing.
     pub simulated_events: u64,
     /// Always 0: the engine routes no cell to the sharded pipeline
     /// ([`crate::shard`]). Kept for callers that still read it.
@@ -173,17 +185,15 @@ pub fn stats() -> EngineStats {
 /// Publishes the process's memo cache to the persistent result cache on
 /// disk (merging with concurrent publishers; no-op under `IBP_CACHE=0`).
 /// Measurement binaries call this once before exiting. It touches no file
-/// unless the process simulated a result since its last successful save,
-/// so a run served entirely from the caches leaves `engine.tsv` as it was.
+/// unless the process folded a cell since its last successful save, so a
+/// run served entirely from the caches leaves `engine.tsv` as it was.
 pub fn persist_cache() {
-    let entries: Vec<(CacheKey, RunStats)> = {
-        let cache = cache()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let entries: Vec<(CacheKey, Measurement)> = {
+        let cache = cache();
         if !UNSAVED.swap(false, Ordering::Relaxed) {
             return;
         }
-        cache.iter().map(|(k, &v)| (k.clone(), v)).collect()
+        cache.iter().map(|(k, m)| (k.clone(), m.value)).collect()
     };
     match crate::cache::save(&entries) {
         Ok(0) => {}
@@ -200,32 +210,52 @@ pub fn persist_cache() {
     }
 }
 
-/// Empties the in-process memo cache (and its record of disk-loaded
-/// keys). For measurement harnesses and tests that need to re-simulate
-/// work this process already saw — never needed for correctness.
+/// Empties the in-process memo cache, disk-loaded values included. For
+/// measurement harnesses and tests that need to re-simulate work this
+/// process already saw — never needed for correctness.
 pub fn clear_memo_cache() {
-    cache()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clear();
-    persistent_keys()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clear();
+    cache().clear();
+}
+
+/// How a job's missing cells fold in their benchmark's pass.
+enum Fold<'a> {
+    /// A predictor cell, scored by a kernel lane.
+    Kernel(Box<dyn Fn() -> FoldKernel + Sync + 'a>),
+    /// A measurement cell, folded by its own lane.
+    Measure(Box<dyn Fn() -> Box<dyn MeasureLane> + Sync + 'a>),
 }
 
 struct Job<'a> {
     key: String,
-    make: Box<dyn Fn() -> FoldKernel + Sync + 'a>,
+    /// The benchmarks the job covers; `None` is the whole suite.
+    benchmarks: Option<Vec<Benchmark>>,
+    fold: Fold<'a>,
 }
 
-/// A batch of predictor configurations to evaluate over one suite.
+impl Job<'_> {
+    /// The benchmarks of the job's cells, given the suite's.
+    fn cells<'s>(&'s self, suite: &'s [Benchmark]) -> &'s [Benchmark] {
+        self.benchmarks.as_deref().unwrap_or(suite)
+    }
+}
+
+/// One cell to fold: a job's cell on one benchmark.
+struct Unit {
+    job: usize,
+    cell: usize,
+    benchmark: Benchmark,
+}
+
+/// A batch of predictor configurations and measurements to evaluate over
+/// one suite.
 ///
 /// Queue configurations with [`config`](Sweep::config) (or
 /// [`custom`](Sweep::custom) for predictors that `PredictorConfig` cannot
-/// express), then call [`run`](Sweep::run): results come back in queue
-/// order, one [`SuiteResult`] per configuration, exactly as if each had
-/// been run through [`Suite::run`].
+/// express) and measurements with [`measure`](Sweep::measure), then call
+/// [`run`](Sweep::run): results come back in queue order, one
+/// [`SuiteResult`] per configuration, exactly as if each had been run
+/// through [`Suite::run`]. [`run_all`](Sweep::run_all) also returns the
+/// measurements.
 pub struct Sweep<'a> {
     suite: &'a Suite,
     warmup: u64,
@@ -255,7 +285,8 @@ impl<'a> Sweep<'a> {
     pub fn config(&mut self, cfg: PredictorConfig) -> &mut Self {
         self.jobs.push(Job {
             key: cfg.cache_key(),
-            make: Box::new(move || cfg.build_kernel()),
+            benchmarks: None,
+            fold: Fold::Kernel(Box::new(move || cfg.build_kernel())),
         });
         self
     }
@@ -272,91 +303,153 @@ impl<'a> Sweep<'a> {
     {
         self.jobs.push(Job {
             key: key.into(),
+            benchmarks: None,
             // Custom predictors fold through the kernel's `Dyn` fallback:
             // same chunk skeleton, one virtual `step` per event.
-            make: Box::new(move || FoldKernel::from_boxed(make())),
+            fold: Fold::Kernel(Box::new(move || FoldKernel::from_boxed(make()))),
         });
         self
     }
 
-    /// Number of queued configurations.
+    /// Queues a measurement of each of `benchmarks` under an explicit memo
+    /// key. On a miss, `make` builds the benchmark's lane, which folds
+    /// every chunk of the benchmark's pass beside the predictor lanes: a
+    /// cold measurement opens no pass of its own, and a warm one is a
+    /// lookup.
+    ///
+    /// The key is `<kind>|…`, the [`Measurement::kind`] of what the lane
+    /// reports followed by every parameter of the lane (in
+    /// [`PredictorConfig::cache_key`] form where the lane's predictor has
+    /// a config), so no measurement key can equal a predictor's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a benchmark is not part of the suite.
+    pub fn measure<F>(
+        &mut self,
+        key: impl Into<String>,
+        benchmarks: &[Benchmark],
+        make: F,
+    ) -> &mut Self
+    where
+        F: Fn() -> Box<dyn MeasureLane> + Sync + 'a,
+    {
+        let suite = self.suite.benchmarks();
+        for b in benchmarks {
+            assert!(suite.contains(b), "benchmark {b} not in suite");
+        }
+        self.jobs.push(Job {
+            key: key.into(),
+            benchmarks: Some(benchmarks.to_vec()),
+            fold: Fold::Measure(Box::new(make)),
+        });
+        self
+    }
+
+    /// Number of queued jobs.
     #[must_use]
     pub fn len(&self) -> usize {
         self.jobs.len()
     }
 
-    /// Whether no configuration is queued.
+    /// Whether no job is queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
     }
 
-    /// Evaluates every queued configuration over every suite benchmark,
-    /// memoized against the process-wide cache: the cells that miss fold
-    /// in one source pass per benchmark. Returns one result per
-    /// configuration, in queue order.
+    /// Evaluates every queued job, memoized against the process-wide
+    /// cache: the cells that miss fold in one source pass per benchmark.
+    /// Returns one result per configuration, in queue order.
     #[must_use]
     pub fn run(&self) -> Vec<SuiteResult> {
+        self.run_all().0
+    }
+
+    /// [`run`](Sweep::run), also returning one result per
+    /// [`measure`](Sweep::measure) job in queue order: its measurement of
+    /// each of its benchmarks, in the order they were given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a configuration's key holds a measurement (a `custom` key
+    /// that reuses a measurement's `<kind>|` prefix).
+    #[must_use]
+    pub fn run_all(&self) -> (Vec<SuiteResult>, Vec<Vec<Measurement>>) {
         let t0 = Instant::now();
         let events = self.suite.events();
-        let benchmarks = self.suite.benchmarks();
-        let nb = benchmarks.len();
-        let mut sweep_span = obs::span!("sweep", configs = self.jobs.len(), benchmarks = nb);
+        let suite_benchmarks = self.suite.benchmarks();
+        let mut sweep_span = obs::span!(
+            "sweep",
+            configs = self.jobs.len(),
+            benchmarks = suite_benchmarks.len()
+        );
 
-        // Phase 1: serve what we can from the cache; claim one simulation
-        // unit per distinct (key, benchmark) among the rest, so duplicate
-        // keys inside one sweep are simulated once.
-        let mut results: Vec<Vec<Option<RunStats>>> = vec![vec![None; nb]; self.jobs.len()];
-        let mut units: Vec<(usize, usize)> = Vec::new();
+        // Phase 1: serve what we can from the cache; claim one unit per
+        // distinct (key, benchmark) among the rest, so duplicate keys
+        // inside one sweep are folded once.
+        let mut results: Vec<Vec<Option<Measurement>>> = self
+            .jobs
+            .iter()
+            .map(|job| vec![None; job.cells(&suite_benchmarks).len()])
+            .collect();
+        let mut units: Vec<Unit> = Vec::new();
         {
-            let cache = cache()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut claimed: HashMap<(&str, Benchmark), ()> = HashMap::new();
+            let cache = cache();
+            let mut claimed: HashSet<(&str, Benchmark)> = HashSet::new();
             for (j, job) in self.jobs.iter().enumerate() {
-                for (bi, &b) in benchmarks.iter().enumerate() {
-                    let full_key = (job.key.clone(), b, events, self.warmup);
-                    if let Some(&cached) = cache.get(&full_key) {
-                        results[j][bi] = Some(cached);
-                        count_hit(&full_key);
+                for (cell, &b) in job.cells(&suite_benchmarks).iter().enumerate() {
+                    if let Some(memo) = cache.get(&(job.key.clone(), b, events, self.warmup)) {
+                        results[j][cell] = Some(memo.value);
+                        count_hit(memo);
                         obs::event!("cell", config = job.key.as_str(), benchmark = b.name(), outcome = "hit");
-                    } else if claimed.insert((job.key.as_str(), b), ()).is_none() {
-                        units.push((j, bi));
+                    } else if claimed.insert((job.key.as_str(), b)) {
+                        units.push(Unit {
+                            job: j,
+                            cell,
+                            benchmark: b,
+                        });
                     }
                 }
             }
         }
 
-        // Phase 2: simulate all missing units, one pass per benchmark.
-        let simulated = self.simulate_units(&units, &benchmarks, t0);
+        // Phase 2: fold all missing units, one pass per benchmark.
+        let folded = self.fold_units(&units, t0);
         misses().add(units.len() as u64);
 
-        // Phase 3: publish the new results, then fill every remaining slot
+        // Phase 3: publish the new values, then fill every remaining slot
         // (duplicate keys within this sweep) from the cache.
         {
-            let mut cache = cache()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (&(j, bi), &stats) in units.iter().zip(&simulated) {
-                results[j][bi] = Some(stats);
-                cache.insert(
-                    (self.jobs[j].key.clone(), benchmarks[bi], events, self.warmup),
-                    stats,
+            let mut cache = cache();
+            for (unit, &value) in units.iter().zip(&folded) {
+                let job = &self.jobs[unit.job];
+                debug_assert!(
+                    matches!(job.fold, Fold::Kernel(_))
+                        || job.key.split('|').next() == Some(value.kind()),
+                    "measurement key {} does not start with its kind {}",
+                    job.key,
+                    value.kind()
                 );
+                results[unit.job][unit.cell] = Some(value);
+                let key = (job.key.clone(), unit.benchmark, events, self.warmup);
+                let memo = Memo {
+                    value,
+                    from_disk: false,
+                };
+                cache.insert(key, memo);
             }
             if !units.is_empty() {
                 UNSAVED.store(true, Ordering::Relaxed);
             }
             for (j, job) in self.jobs.iter().enumerate() {
-                for (bi, &b) in benchmarks.iter().enumerate() {
-                    if results[j][bi].is_none() {
-                        let full_key = (job.key.clone(), b, events, self.warmup);
-                        results[j][bi] = Some(
-                            *cache
-                                .get(&full_key)
-                                .expect("duplicate-key slot filled by its representative"),
-                        );
-                        count_hit(&full_key);
+                for (cell, &b) in job.cells(&suite_benchmarks).iter().enumerate() {
+                    if results[j][cell].is_none() {
+                        let memo = cache
+                            .get(&(job.key.clone(), b, events, self.warmup))
+                            .expect("duplicate-key slot filled by its representative");
+                        results[j][cell] = Some(memo.value);
+                        count_hit(memo);
                         obs::event!("cell", config = job.key.as_str(), benchmark = b.name(), outcome = "hit");
                     }
                 }
@@ -364,55 +457,55 @@ impl<'a> Sweep<'a> {
         }
 
         {
-            let lookups = (self.jobs.len() * nb) as u64;
-            let sim = units.len() as u64;
+            let lookups = results.iter().map(Vec::len).sum::<usize>() as u64;
+            let folded = units.len() as u64;
             sweep_span.note("lookups", lookups);
-            sweep_span.note("simulated", sim);
+            sweep_span.note("simulated", folded);
             obs::info!(
-                "[engine] sweep: {} configs x {} benchmarks = {} lookups, \
+                "[engine] sweep: {} jobs over {} benchmarks = {} lookups, \
                  {} simulated, {} cached, {:.2?}",
                 self.jobs.len(),
-                nb,
+                suite_benchmarks.len(),
                 lookups,
-                sim,
-                lookups - sim,
+                folded,
+                lookups - folded,
                 t0.elapsed(),
             );
         }
 
-        results
-            .into_iter()
-            .map(|per_bench| {
-                SuiteResult::from_runs(
-                    benchmarks
-                        .iter()
-                        .zip(per_bench)
-                        .map(|(&b, s)| (b, s.expect("all slots filled")))
-                        .collect(),
-                )
-            })
-            .collect()
+        let mut runs = Vec::new();
+        let mut measured = Vec::new();
+        for (job, values) in self.jobs.iter().zip(results) {
+            let values = values.into_iter().map(|v| v.expect("all slots filled"));
+            match job.fold {
+                Fold::Kernel(_) => {
+                    let stats = values.map(|value| match value {
+                        Measurement::Run(stats) => stats,
+                        other => panic!("key {} holds a {} measurement", job.key, other.kind()),
+                    });
+                    runs.push(SuiteResult::from_runs(
+                        job.cells(&suite_benchmarks).iter().copied().zip(stats).collect(),
+                    ));
+                }
+                Fold::Measure(_) => measured.push(values.collect()),
+            }
+        }
+        (runs, measured)
     }
 
     /// Phase 2: groups units by benchmark and folds each group's kernels
-    /// over one shared source pass ([`simulate_source_kernels`]), so a
-    /// sweep of N configurations costs one trace pass per benchmark
-    /// instead of N. Results come back in `units` order.
-    fn simulate_units(
-        &self,
-        units: &[(usize, usize)],
-        benchmarks: &[Benchmark],
-        t0: Instant,
-    ) -> Vec<RunStats> {
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (u, &(_, bi)) in units.iter().enumerate() {
-            match groups.iter_mut().find(|(gbi, _)| *gbi == bi) {
+    /// and measure lanes over one shared source pass, so a sweep of N jobs
+    /// costs one trace pass per benchmark instead of N. Values come back
+    /// in `units` order.
+    fn fold_units(&self, units: &[Unit], t0: Instant) -> Vec<Measurement> {
+        let mut groups: Vec<(Benchmark, Vec<usize>)> = Vec::new();
+        for (u, unit) in units.iter().enumerate() {
+            match groups.iter_mut().find(|(b, _)| *b == unit.benchmark) {
                 Some((_, members)) => members.push(u),
-                None => groups.push((bi, vec![u])),
+                None => groups.push((unit.benchmark, vec![u])),
             }
         }
-        let per_group: Vec<Vec<RunStats>> = parallel_map(&groups, |(bi, members)| {
-            let b = benchmarks[*bi];
+        let per_group: Vec<Vec<Measurement>> = parallel_map(&groups, |(b, members)| {
             // Queue wait: time from sweep start until a worker picked the
             // pass up; the span's own duration is the run time.
             let wait_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -421,32 +514,45 @@ impl<'a> Sweep<'a> {
             cell.note("outcome", "miss");
             cell.note("configs", members.len());
             cell.note("wait_us", wait_us);
-            let mut source = self.suite.source(b);
+            let mut source = self.suite.source(*b);
             // Event accounting stays per-unit even though a pass is
-            // shared: each cell still scores one trace length of events.
+            // shared: each cell still folds one trace length of events.
             simulated_events().add(self.suite.events() * members.len() as u64);
             cell.note("events", self.suite.events());
-            let mut kernels: Vec<FoldKernel> = members
-                .iter()
-                .map(|&u| (self.jobs[units[u].0].make)())
-                .collect();
-            let stats = simulate_source_kernels(&mut *source, &mut kernels, self.warmup)
-                .expect("suite sources cannot fail");
-            // Per-cell provenance: the pass span names only its benchmark.
+            let mut kernels = Vec::new();
+            let mut measures = Vec::new();
             for &u in members {
-                let key = self.jobs[units[u].0].key.as_str();
-                obs::event!("cell", config = key, benchmark = b.name(), outcome = "miss");
+                match &self.jobs[units[u].job].fold {
+                    Fold::Kernel(make) => kernels.push(make()),
+                    Fold::Measure(make) => measures.push(make()),
+                }
             }
-            stats
+            let (stats, measured) =
+                simulate_source_cells(&mut *source, &mut kernels, measures, self.warmup)
+                    .expect("suite sources cannot fail");
+            let (mut stats, mut measured) = (stats.into_iter(), measured.into_iter());
+            members
+                .iter()
+                .map(|&u| {
+                    let job = &self.jobs[units[u].job];
+                    // Per-cell provenance: the pass span names only its
+                    // benchmark.
+                    obs::event!("cell", config = job.key.as_str(), benchmark = b.name(), outcome = "miss");
+                    match job.fold {
+                        Fold::Kernel(_) => Measurement::Run(stats.next().expect("one per kernel")),
+                        Fold::Measure(_) => measured.next().expect("one per measure lane"),
+                    }
+                })
+                .collect()
         });
-        let mut out: Vec<Option<RunStats>> = vec![None; units.len()];
-        for ((_, members), stats) in groups.iter().zip(per_group) {
-            for (&u, s) in members.iter().zip(stats) {
-                out[u] = Some(s);
+        let mut out: Vec<Option<Measurement>> = vec![None; units.len()];
+        for ((_, members), values) in groups.iter().zip(per_group) {
+            for (&u, value) in members.iter().zip(values) {
+                out[u] = Some(value);
             }
         }
         out.into_iter()
-            .map(|s| s.expect("every unit simulated"))
+            .map(|value| value.expect("every unit folded"))
             .collect()
     }
 }
@@ -485,6 +591,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{CensusLane, TraceLane};
     use ibp_workload::Benchmark;
 
     fn tiny_suite() -> Suite {
@@ -582,6 +689,47 @@ mod tests {
         assert_eq!(delta.misses, 2);
         assert_eq!(delta.hits, 2);
         assert_eq!(first.rates(), second.rates());
+    }
+
+    #[test]
+    fn measurements_memoize_beside_configs() {
+        let _guard = serial();
+        let suite = tiny_suite();
+        let cfg = PredictorConfig::unconstrained(4).with_pattern_budget(15);
+        let census = PredictorConfig::unconstrained(4).with_pattern_budget(15);
+        let sweep_once = || {
+            let mut sweep = Sweep::new(&suite);
+            sweep.config(cfg.clone());
+            sweep.measure(CensusLane::key(&census), &[Benchmark::Xlisp], || {
+                Box::new(CensusLane::new(&census))
+            });
+            sweep.run_all()
+        };
+        let before = stats();
+        let (runs, measured) = sweep_once();
+        let mid = stats();
+        assert_eq!(mid.since(before).misses, 3, "two predictor cells, one census cell");
+        assert_eq!(runs.len(), 1);
+        assert_eq!(measured.len(), 1);
+        let Measurement::Patterns(patterns) = measured[0][0] else {
+            panic!("a census cell counts patterns");
+        };
+        assert!(patterns > 0);
+        let (again, measured_again) = sweep_once();
+        let delta = stats().since(mid);
+        assert_eq!((delta.hits, delta.misses), (3, 0), "all three memoized");
+        assert_eq!(measured_again, measured);
+        assert_eq!(again[0].rates(), runs[0].rates());
+    }
+
+    #[test]
+    #[should_panic(expected = "not in suite")]
+    fn measuring_a_benchmark_outside_the_suite_panics() {
+        let suite = tiny_suite();
+        let mut sweep = Sweep::new(&suite);
+        sweep.measure(TraceLane::KEY, &[Benchmark::Gcc], || {
+            Box::<TraceLane>::default()
+        });
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! §8.1 future-work predictors, evaluated at equal storage budgets.
 
-use ibp_core::ext::{
-    AheadPredictor, CascadePredictor, IttageLite, MultiHybridPredictor, SharedTableHybrid,
-};
+use ibp_core::ext::{CascadePredictor, IttageLite, MultiHybridPredictor, SharedTableHybrid};
 use ibp_core::{CompressedKeySpec, Predictor, PredictorConfig, TwoLevelPredictor};
-use ibp_trace::{chunk_events, TraceChunk, TraceEvent};
 use ibp_workload::{Benchmark, BenchmarkGroup};
 
+use crate::analysis::{AheadHits, AheadLane, AHEAD_DEPTHS};
 use crate::engine::Sweep;
-use crate::parallel_map;
 use crate::report::{Cell, Table};
-use crate::suite::Suite;
+use crate::run::Measurement;
+use crate::suite::{Suite, SuiteResult};
 
 /// Total-entry budgets compared.
 pub const BUDGETS: [usize; 3] = [2048, 8192, 32768];
@@ -23,19 +21,11 @@ pub const BUDGETS: [usize; 3] = [2048, 8192, 32768];
 ///   quarter/quarter/half split;
 /// * a PPM-style cascade (§7 Chen et al. mimicry), long stage first;
 /// * a shared-table hybrid with "chosen" counters (§8.1).
+///
+/// The second table is the ahead-prediction depth study
+/// ([`AheadLane`]), queued on the same sweep.
 #[must_use]
 pub fn run(suite: &Suite) -> Vec<Table> {
-    let mut t = Table::new(
-        "§8.1: future-work predictors (AVG, equal total entries)",
-        [
-            "total",
-            "hybrid 5.1",
-            "3-component 6.3.1",
-            "cascade 6>3>1",
-            "shared-table 5.1",
-            "ittage-lite",
-        ],
-    );
     let mut sweep = Sweep::new(suite);
     for total in BUDGETS {
         sweep.config(PredictorConfig::hybrid(5, 1, total / 2, 4));
@@ -54,7 +44,38 @@ pub fn run(suite: &Suite) -> Vec<Table> {
             Box::new(ittage_lite(total)) as Box<dyn Predictor>
         });
     }
-    let mut results = sweep.run().into_iter();
+    let ahead = ahead_benchmarks(suite);
+    sweep.measure(AheadLane::key(AHEAD_PATH), &ahead, || {
+        Box::new(AheadLane::new(AHEAD_PATH))
+    });
+    let (results, mut measured) = sweep.run_all();
+    let hits: Vec<AheadHits> = measured
+        .pop()
+        .expect("one ahead measurement")
+        .into_iter()
+        .map(|m| match m {
+            Measurement::Ahead(hits) => hits,
+            other => unreachable!("an ahead cell holds {}", other.kind()),
+        })
+        .collect();
+    vec![budget_table(results), ahead_table(&ahead, &hits)]
+}
+
+/// The equal-budget table from the sweep's results, five per budget in
+/// queue order.
+fn budget_table(results: Vec<SuiteResult>) -> Table {
+    let mut t = Table::new(
+        "§8.1: future-work predictors (AVG, equal total entries)",
+        [
+            "total",
+            "hybrid 5.1",
+            "3-component 6.3.1",
+            "cascade 6>3>1",
+            "shared-table 5.1",
+            "ittage-lite",
+        ],
+    );
+    let mut results = results.into_iter();
     for total in BUDGETS {
         let mut rate = || -> f64 {
             results
@@ -73,7 +94,7 @@ pub fn run(suite: &Suite) -> Vec<Table> {
             Cell::Percent(ittage),
         ]);
     }
-    vec![t, ahead_accuracy(suite)]
+    t
 }
 
 /// The 3-component hybrid `6.3.1` at `total` entries: quarter, quarter and
@@ -121,92 +142,34 @@ pub fn ittage_lite(total: usize) -> IttageLite {
 /// The benchmarks used for the ahead-prediction depth study.
 const AHEAD_BENCHMARKS: [Benchmark; 3] = [Benchmark::Ixx, Benchmark::Xlisp, Benchmark::Gcc];
 
-/// §8.1's last idea: running ahead of execution. For each lookahead depth
-/// `d`, the fraction of branches where the predictor — fed only its *own*
-/// chained predictions as context — correctly anticipated both the branch
-/// address and the target `d` steps in advance.
-#[must_use]
-pub fn ahead_accuracy(suite: &Suite) -> Table {
-    let depths: [usize; 4] = [1, 2, 4, 8];
-    let present: Vec<Benchmark> = AHEAD_BENCHMARKS
+/// The ahead predictor's path length.
+const AHEAD_PATH: usize = 4;
+
+/// The ahead-study benchmarks present in `suite`, in [`AHEAD_BENCHMARKS`]
+/// order.
+fn ahead_benchmarks(suite: &Suite) -> Vec<Benchmark> {
+    AHEAD_BENCHMARKS
         .into_iter()
         .filter(|b| suite.benchmarks().contains(b))
-        .collect();
+        .collect()
+}
+
+/// §8.1's last idea, running ahead of execution: for each lookahead depth
+/// `d`, the fraction of branches where the predictor — fed only its *own*
+/// chained predictions as context — correctly anticipated both the branch
+/// address and the target `d` steps in advance. `hits` holds one
+/// measurement per benchmark of `present`.
+fn ahead_table(present: &[Benchmark], hits: &[AheadHits]) -> Table {
     let mut headers = vec!["depth".to_string()];
     headers.extend(present.iter().map(|b| b.name().to_string()));
     let mut t = Table::new(
         "§8.1: ahead prediction accuracy by lookahead depth",
         headers,
     );
-
-    // One pass per benchmark: maintain a window of pending chained
-    // predictions and score each depth as branches resolve.
-    let per_bench: Vec<Vec<f64>> = parallel_map(&present, |&b| {
-        let mut source = suite.source(b);
-        let max_depth = *depths.last().expect("depths");
-        let mut predictor = AheadPredictor::new(4);
-        // pending[d] = predictions made d+1 branches ago at chain depth d.
-        let mut pending: Vec<std::collections::VecDeque<ibp_core::ext::AheadPrediction>> =
-            vec![std::collections::VecDeque::new(); max_depth];
-        let mut correct = vec![0u64; max_depth];
-        let mut scored = 0u64;
-        let mut chunk = TraceChunk::default();
-        loop {
-            let more = source
-                .fill(&mut chunk, chunk_events())
-                .expect("suite sources cannot fail");
-            for event in chunk.events() {
-                let TraceEvent::Indirect(br) = event else {
-                    continue;
-                };
-                scored += 1;
-                // Score the chained predictions issued d branches ago.
-                for (d, queue) in pending.iter_mut().enumerate() {
-                    if queue.len() > d {
-                        if let Some(pred) = queue.pop_front() {
-                            if pred.pc == br.pc && pred.target == br.target {
-                                correct[d] += 1;
-                            }
-                        }
-                    }
-                }
-                // Resolve this branch first, then look ahead: chain[d] is
-                // the prediction for the branch d+1 steps in the future.
-                predictor.update(br.pc, br.target);
-                let chain = predictor.predict_chain(max_depth);
-                for (d, queue) in pending.iter_mut().enumerate() {
-                    match chain.get(d) {
-                        Some(&p) => queue.push_back(p),
-                        None => queue.push_back(ibp_core::ext::AheadPrediction {
-                            // A sentinel that can never match (the zero
-                            // address never appears as a site).
-                            pc: ibp_trace::Addr::ZERO,
-                            target: ibp_trace::Addr::ZERO,
-                        }),
-                    }
-                }
-            }
-            if !more {
-                break;
-            }
-        }
-        depths
-            .iter()
-            .map(|&d| {
-                if scored == 0 {
-                    0.0
-                } else {
-                    correct[d - 1] as f64 / scored as f64
-                }
-            })
-            .collect()
-    });
-
-    for (row_idx, &d) in depths.iter().enumerate() {
+    let rates: Vec<[f64; 4]> = hits.iter().map(AheadHits::rates).collect();
+    for (row_idx, &d) in AHEAD_DEPTHS.iter().enumerate() {
         let mut row = vec![Cell::Count(d as u64)];
-        for rates in &per_bench {
-            row.push(Cell::Percent(rates[row_idx]));
-        }
+        row.extend(rates.iter().map(|r| Cell::Percent(r[row_idx])));
         t.push_row(row);
     }
     t
@@ -215,11 +178,96 @@ pub fn ahead_accuracy(suite: &Suite) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel_map;
+    use ibp_core::ext::{AheadPrediction, AheadPredictor};
+    use ibp_trace::{chunk_events, TraceChunk, TraceEvent};
+
+    /// Below `trace_cache::MIN_CACHE_EVENTS`, so no corpus is written, and
+    /// used by no other test, so the first engine run folds every cell.
+    const SHORT: [u64; 2] = [10_000, 40_000];
+
+    /// The fold the engine lane replaced: one pass per benchmark over its
+    /// own source, keeping a window of pending chained predictions and
+    /// scoring each depth as branches resolve, on a private
+    /// `parallel_map`.
+    fn folded_ahead(suite: &Suite) -> Table {
+        let depths: [usize; 4] = [1, 2, 4, 8];
+        let present = ahead_benchmarks(suite);
+        let per_bench: Vec<AheadHits> = parallel_map(&present, |&b| {
+            let mut source = suite.source(b);
+            let max_depth = *depths.last().expect("depths");
+            let mut predictor = AheadPredictor::new(4);
+            // pending[d] = predictions made d+1 branches ago at chain depth d.
+            let mut pending: Vec<std::collections::VecDeque<AheadPrediction>> =
+                vec![std::collections::VecDeque::new(); max_depth];
+            let mut correct = vec![0u64; max_depth];
+            let mut scored = 0u64;
+            let mut chunk = TraceChunk::default();
+            loop {
+                let more = source
+                    .fill(&mut chunk, chunk_events())
+                    .expect("suite sources cannot fail");
+                for event in chunk.events() {
+                    let TraceEvent::Indirect(br) = event else {
+                        continue;
+                    };
+                    scored += 1;
+                    for (d, queue) in pending.iter_mut().enumerate() {
+                        if queue.len() > d {
+                            if let Some(pred) = queue.pop_front() {
+                                if pred.pc == br.pc && pred.target == br.target {
+                                    correct[d] += 1;
+                                }
+                            }
+                        }
+                    }
+                    predictor.update(br.pc, br.target);
+                    let chain = predictor.predict_chain(max_depth);
+                    for (d, queue) in pending.iter_mut().enumerate() {
+                        match chain.get(d) {
+                            Some(&p) => queue.push_back(p),
+                            None => queue.push_back(AheadPrediction {
+                                pc: ibp_trace::Addr::ZERO,
+                                target: ibp_trace::Addr::ZERO,
+                            }),
+                        }
+                    }
+                }
+                if !more {
+                    break;
+                }
+            }
+            AheadHits {
+                scored,
+                correct: depths.map(|d| correct[d - 1]),
+            }
+        });
+        ahead_table(&present, &per_bench)
+    }
+
+    #[test]
+    fn engine_ahead_cells_equal_the_fold_cold_and_memoized() {
+        for events in SHORT {
+            let suite = Suite::with_benchmarks_and_len(
+                &[Benchmark::Ixx, Benchmark::Porky, Benchmark::Gcc],
+                events,
+            );
+            let oracle = folded_ahead(&suite);
+            for round in ["cold", "memoized"] {
+                let swept = run(&suite);
+                assert_eq!(
+                    swept[1].to_csv(),
+                    oracle.to_csv(),
+                    "{round} at {events} events"
+                );
+            }
+        }
+    }
 
     #[test]
     fn ahead_accuracy_decays_with_depth() {
         let suite = Suite::with_benchmarks_and_len(&[Benchmark::Xlisp], 12_000);
-        let t = ahead_accuracy(&suite);
+        let t = &run(&suite)[1];
         let rate = |row: usize| t.expect_percent(row, 1);
         // Depth-1 accuracy is substantial and deeper lookaheads do not
         // beat shallower ones.

@@ -4,12 +4,15 @@
 //! ([`ibp_core::FoldKernel`]): one dispatch per chunk into a monomorphized
 //! per-event loop for the hot predictor families, with borrowed
 //! `dyn Predictor`s folded through the same skeleton by one virtual
-//! [`Predictor::step`] per event.
+//! [`Predictor::step`] per event. Beside the predictor lanes, a pass can
+//! carry [`MeasureLane`]s: folds that measure the trace, or a predictor's
+//! misses by cause, rather than score a prediction.
 
 use ibp_core::{fold_dyn_chunk, ChunkScorer, FoldKernel, Predictor, WarmTrigger};
 use ibp_trace::io::TraceIoError;
 use ibp_trace::{chunk_events, EventSource, Trace, TraceChunk};
 
+use crate::analysis::{AheadHits, MissBreakdown, TraceCounts};
 use crate::probe::{self, ProbeRun};
 
 /// One simulation lane: either an owned kernel (monomorphized fold) or a
@@ -72,6 +75,51 @@ impl RunStats {
             mispredicted: self.mispredicted + other.mispredicted,
         }
     }
+}
+
+/// The value of one sweep cell: what one lane measured over one trace.
+/// Each kind has a fixed number of counts, so the persistent result cache
+/// stores every kind in the same row layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Measurement {
+    /// A predictor's score: every `config` and `custom` cell.
+    Run(RunStats),
+    /// A two-level predictor's misses by cause (§5.1 attribution).
+    Misses(MissBreakdown),
+    /// The distinct patterns an unbounded table stored (§5.1 census).
+    Patterns(u64),
+    /// Ahead-prediction hits by lookahead depth (§8.1).
+    Ahead(AheadHits),
+    /// The trace's own characteristics (Tables 1–2).
+    Trace(TraceCounts),
+}
+
+impl Measurement {
+    /// The kind's name: the `<kind>|` prefix of a measurement's memo key,
+    /// and the kind column of its persistent-cache row. `Run` cells are
+    /// keyed by their predictor alone.
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Measurement::Run(_) => "run",
+            Measurement::Misses(_) => "misses",
+            Measurement::Patterns(_) => "patterns",
+            Measurement::Ahead(_) => "ahead",
+            Measurement::Trace(_) => "trace",
+        }
+    }
+}
+
+/// A measurement folded as a lane of a benchmark's pass, beside the
+/// predictor lanes: it sees every chunk of the trace in order, then
+/// reports one [`Measurement`]. A lane shares no state with the other
+/// lanes of its pass, so its result is what a dedicated pass would give.
+pub trait MeasureLane: Send {
+    /// Folds the next chunk of the pass.
+    fn fold_chunk(&mut self, chunk: &TraceChunk);
+
+    /// The measurement over every chunk folded.
+    fn finish(self: Box<Self>) -> Measurement;
 }
 
 /// Simulates a predictor over a full trace.
@@ -141,7 +189,7 @@ pub fn simulate_source_multi<S: EventSource + ?Sized>(
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
     let mut lanes: Vec<Lane<'_>> = predictors.iter_mut().map(|p| Lane::Dyn(&mut **p)).collect();
-    fold_source_lanes(source, &mut lanes, warmup)
+    fold_source_lanes(source, &mut lanes, &mut [], warmup)
 }
 
 /// Folds one chunk-fold kernel over a streaming source — the fast,
@@ -174,17 +222,37 @@ pub fn simulate_source_kernels<S: EventSource + ?Sized>(
     kernels: &mut [FoldKernel],
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
+    simulate_source_cells(source, kernels, Vec::new(), warmup).map(|(stats, _)| stats)
+}
+
+/// The sweep engine's grouped pass: folds `kernels` and `measures` over
+/// **one** pass of a streaming source. Returns one [`RunStats`] per
+/// kernel and one [`Measurement`] per measure lane, each in input order.
+/// The warmup applies to the kernels; a measure lane sees every event.
+///
+/// # Errors
+///
+/// Propagates the source's I/O or parse failures.
+pub(crate) fn simulate_source_cells<S: EventSource + ?Sized>(
+    source: &mut S,
+    kernels: &mut [FoldKernel],
+    mut measures: Vec<Box<dyn MeasureLane>>,
+    warmup: u64,
+) -> Result<(Vec<RunStats>, Vec<Measurement>), TraceIoError> {
     let mut lanes: Vec<Lane<'_>> = kernels.iter_mut().map(Lane::Kernel).collect();
-    fold_source_lanes(source, &mut lanes, warmup)
+    let stats = fold_source_lanes(source, &mut lanes, &mut measures, warmup)?;
+    Ok((stats, measures.into_iter().map(MeasureLane::finish).collect()))
 }
 
 /// The one fold driver behind every sequential simulation: reads chunks,
-/// folds each lane over the chunk (one dispatch per lane per chunk), and
-/// carries the journal span/chunk events and the probe layer's sampling
-/// protocol exactly as the per-event fold did.
+/// folds each lane over the chunk (one dispatch per lane per chunk), then
+/// hands the chunk to each measure lane, and carries the journal
+/// span/chunk events and the probe layer's sampling protocol exactly as
+/// the per-event fold did.
 fn fold_source_lanes<S: EventSource + ?Sized>(
     source: &mut S,
     lanes: &mut [Lane<'_>],
+    measures: &mut [Box<dyn MeasureLane>],
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
     let mut span = ibp_obs::span("simulate");
@@ -213,6 +281,9 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
         seen += chunk.indirect_count();
         for (lane, scorer) in lanes.iter_mut().zip(&mut scorers) {
             lane.fold_chunk(chunk.events(), scorer);
+        }
+        for measure in measures.iter_mut() {
+            measure.fold_chunk(&chunk);
         }
         chunks += 1;
         if let Some(t0) = chunk_timer {
@@ -248,6 +319,7 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
         span.note("warmup", seen.min(warmup));
         span.note("scored", stats.first().map_or(0, |s| s.indirect));
         span.note("predictors", lanes.len());
+        span.note("measures", measures.len());
         span.note("chunks", chunks);
         let secs = t0.elapsed().as_secs_f64();
         if secs > 0.0 {

@@ -1,7 +1,7 @@
 //! The benchmark suite: trace sources, per-benchmark rates, group averages.
 
 use ibp_core::Predictor;
-use ibp_trace::{EventSource, TraceStats};
+use ibp_trace::EventSource;
 use ibp_workload::{Benchmark, BenchmarkGroup};
 
 use crate::parallel::parallel_map;
@@ -88,18 +88,6 @@ impl Suite {
             Some(replay) => Box::new(replay),
             None => Box::new(benchmark.source(self.events)),
         }
-    }
-
-    /// The benchmark's [`TraceStats`], computed incrementally over one
-    /// pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the benchmark is not part of this suite.
-    #[must_use]
-    pub fn stats(&self, benchmark: Benchmark) -> TraceStats {
-        TraceStats::from_source(&mut *self.source(benchmark))
-            .expect("suite sources cannot fail")
     }
 
     /// Runs a fresh predictor (from `make`) over every benchmark, in
@@ -205,7 +193,7 @@ mod tests {
     fn suite_holds_requested_benchmarks() {
         let s = tiny_suite();
         assert_eq!(s.benchmarks(), vec![Benchmark::Ixx, Benchmark::Xlisp]);
-        assert_eq!(s.stats(Benchmark::Ixx).indirect_branches, 5_000);
+        assert_eq!(s.source(Benchmark::Ixx).remaining_indirect(), Some(5_000));
     }
 
     #[test]
@@ -258,16 +246,6 @@ mod tests {
         assert_eq!(chunk.indirect_count(), 64);
         drop(src);
         crate::trace_cache::override_policy(None);
-    }
-
-    #[test]
-    fn stats_match_whole_trace_stats() {
-        let s = tiny_suite();
-        let direct = Benchmark::Ixx.trace_with_len(5_000).stats();
-        let via_suite = s.stats(Benchmark::Ixx);
-        assert_eq!(direct.indirect_branches, via_suite.indirect_branches);
-        assert_eq!(direct.distinct_sites, via_suite.distinct_sites);
-        assert_eq!(direct.sites, via_suite.sites);
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! be observationally identical to generating traces directly — for every
 //! benchmark, cold and warm. Also the suite contract: building a suite
 //! publishes missing segments and reads none, a sweep opens one source per
-//! benchmark, and a sweep whose cells all hit reads no trace.
+//! benchmark, and a sweep whose cells all hit reads no trace — nor does a
+//! second run of the experiments that measure traces.
 
 use std::path::PathBuf;
 
 use ibp_core::PredictorConfig;
+use ibp_sim::analysis::TraceLane;
 use ibp_sim::engine;
+use ibp_sim::experiments;
 use ibp_sim::trace_cache;
 use ibp_sim::{Suite, SuiteResult};
 use ibp_trace::collect_source;
@@ -182,17 +185,26 @@ fn a_sweep_opens_one_source_per_benchmark() {
     trace_cache::override_root(Some(root.clone()));
     trace_cache::override_policy(Some(true));
 
-    // All three configs of every benchmark fold in one pass.
+    // All three configs and the trace measurement of every benchmark fold
+    // in one pass.
     let suite = Suite::with_benchmarks_and_len(&SWEEP_BENCHMARKS, EVENTS);
+    engine::clear_memo_cache();
+    let mut sweep = engine::Sweep::new(&suite);
+    for cfg in sample_configs() {
+        sweep.config(cfg);
+    }
+    sweep.measure(TraceLane::KEY, &SWEEP_BENCHMARKS, || {
+        Box::<TraceLane>::default()
+    });
     let before = trace_cache::stats();
-    let _ = run_sample(&suite);
+    let _ = sweep.run_all();
     let delta = trace_cache::stats().since(before);
     assert_eq!(delta.misses, 0);
     assert_eq!(
         delta.hits,
         SWEEP_BENCHMARKS.len() as u64,
         "{} cells open one source per benchmark",
-        sample_configs().len() * SWEEP_BENCHMARKS.len()
+        (sample_configs().len() + 1) * SWEEP_BENCHMARKS.len()
     );
 
     trace_cache::override_policy(None);
@@ -221,6 +233,37 @@ fn a_sweep_whose_cells_all_hit_reads_no_trace() {
     for (a, b) in first.iter().zip(&again) {
         assert_eq!(a.rates(), b.rates());
     }
+
+    trace_cache::override_policy(None);
+    trace_cache::override_root(None);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_second_run_of_the_trace_measuring_experiments_reads_no_trace() {
+    let _guard = serial();
+    let root = scratch_root("measures");
+    trace_cache::override_root(Some(root.clone()));
+    trace_cache::override_policy(Some(true));
+    let run_all = || {
+        let suite = Suite::with_benchmarks_and_len(&SWEEP_BENCHMARKS, EVENTS);
+        ["analysis", "ext", "table1_2"].map(|id| {
+            let experiment = experiments::by_id(id).expect("registered experiment");
+            let tables = (experiment.run)(&suite);
+            tables.iter().map(|t| t.to_csv()).collect::<Vec<_>>()
+        })
+    };
+    let first = run_all();
+
+    // Every measurement is now a memo hit: the second run opens no segment.
+    let before = trace_cache::stats();
+    let again = run_all();
+    assert_eq!(
+        trace_cache::stats().since(before),
+        trace_cache::TraceCacheStats::default(),
+        "a second analysis, ext and table1_2 move no trace-cache counter"
+    );
+    assert_eq!(first, again, "identical tables from the memo");
 
     trace_cache::override_policy(None);
     trace_cache::override_root(None);
