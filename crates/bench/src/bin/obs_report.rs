@@ -159,8 +159,20 @@ fn count_cells(records: &[Record], outcome: &str) -> usize {
         .count()
 }
 
+/// Simulated (`miss`) `cell` events made by the given `fold`: `"trie"`
+/// for a path-length family's one-walk lane, `"lane"` for a cell's own.
+fn count_folds(records: &[Record], fold: &str) -> usize {
+    records
+        .iter()
+        .filter(|r| r.kind == Kind::Event && r.name == "cell")
+        .filter(|r| r.field_str("outcome") == Some("miss"))
+        .filter(|r| r.field_str("fold") == Some(fold))
+        .count()
+}
+
 /// Ranks the engine's benchmark passes (the `cell` spans) by run time,
-/// with the number of cells each folded.
+/// with the number of cells each folded and the depths of its trie
+/// families.
 fn print_slowest_passes(records: &[Record], top: usize) {
     let mut passes: Vec<&Record> = records
         .iter()
@@ -181,16 +193,22 @@ fn print_slowest_passes(records: &[Record], top: usize) {
         hits
     );
     println!(
-        "  {:<9} {:>9} {:<10} {:>6}",
+        "  simulated cells by fold: {} trie, {} lane",
+        count_folds(records, "trie"),
+        count_folds(records, "lane")
+    );
+    println!(
+        "  {:<9} {:>9} {:<10} {:>6}  tries",
         "run", "wait", "benchmark", "cells"
     );
     for r in passes.iter().take(top) {
         println!(
-            "  {:<9} {:>9} {:<10} {:>6}",
+            "  {:<9} {:>9} {:<10} {:>6}  {}",
             fmt_us(r.dur_us.unwrap_or(0)),
             fmt_us(r.field_u64("wait_us").unwrap_or(0)),
             r.field_str("benchmark").unwrap_or("?"),
             r.field_u64("configs").unwrap_or(0),
+            r.field_str("tries").unwrap_or("-"),
         );
     }
     println!();
@@ -793,6 +811,31 @@ mod tests {
         let records = [cell("hit"), cell("miss"), cell("miss"), pass];
         assert_eq!(count_cells(&records, "hit"), 1);
         assert_eq!(count_cells(&records, "miss"), 2, "the pass span is not a cell");
+    }
+
+    #[test]
+    fn simulated_cells_are_counted_by_fold() {
+        let cell = |outcome: &str, fold: &str| {
+            Record::parse(&format!(
+                r#"{{"t":"event","name":"cell","ts":1,"tid":0,"f":{{"outcome":"{outcome}","fold":"{fold}"}}}}"#
+            ))
+            .unwrap()
+        };
+        let hit =
+            Record::parse(r#"{"t":"event","name":"cell","ts":1,"tid":0,"f":{"outcome":"hit"}}"#)
+                .unwrap();
+        let records = [
+            cell("miss", "trie"),
+            cell("miss", "trie"),
+            cell("miss", "lane"),
+            hit,
+        ];
+        assert_eq!(count_folds(&records, "trie"), 2);
+        assert_eq!(
+            count_folds(&records, "lane"),
+            1,
+            "a hit is folded by no lane"
+        );
     }
 
     #[test]

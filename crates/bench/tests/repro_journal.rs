@@ -4,8 +4,8 @@
 //! simulated cell, write the extended manifest, and render through
 //! `obs_report` — both the human summary and loadable Chrome trace-event
 //! JSON. The other tests pin where `IBP_TRACE=1` puts its journal, what
-//! the journal's `meta` header records, and that each malformed knob warns
-//! exactly once.
+//! the journal's `meta` header records, that each simulated cell names the
+//! fold that made it, and that each malformed knob warns exactly once.
 
 use std::path::Path;
 use std::process::Command;
@@ -160,6 +160,57 @@ fn trace_1_journals_under_the_results_root() {
         !cwd.join("results").exists(),
         "nothing may land in the working directory's results/"
     );
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// Figure 9 sweeps one path-length family per benchmark, so every cell it
+/// simulates comes off a trie lane, and each pass span names the family's
+/// depths. Figure 5's configs differ in history sharing, so each is a
+/// family of one and folds on its own lane.
+#[test]
+fn each_simulated_cell_names_its_fold() {
+    let tmp = std::env::temp_dir().join(format!("ibp-cell-fold-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let figures = [
+        (env!("CARGO_BIN_EXE_fig9_path_length"), "trie"),
+        (env!("CARGO_BIN_EXE_fig5_history_sharing"), "lane"),
+    ];
+    for (bin, fold) in figures {
+        let root = tmp.join(fold);
+        let journal = root.join("journal.jsonl");
+        let out = run(
+            bin,
+            &[],
+            &[
+                ("IBP_EVENTS", "2000"),
+                ("IBP_PROBE", "0"),
+                ("IBP_TRACE", journal.to_str().expect("utf8 path")),
+                ("IBP_RESULTS", root.to_str().expect("utf8 path")),
+            ],
+        );
+        assert!(
+            out.status.success(),
+            "{bin} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let records = read_journal(&journal).expect("parse journal");
+        let cells: Vec<_> = records
+            .iter()
+            .filter(|r| r.kind == Kind::Event && r.name == "cell")
+            .filter(|r| r.field_str("outcome") == Some("miss"))
+            .collect();
+        assert!(!cells.is_empty(), "{bin} simulated no cell");
+        for cell in &cells {
+            assert_eq!(cell.field_str("fold"), Some(fold), "{bin}: {cell:?}");
+        }
+        let passes = records
+            .iter()
+            .filter(|r| r.kind == Kind::Span && r.name == "cell");
+        for pass in passes {
+            let tries = (fold == "trie").then_some("0..=18");
+            assert_eq!(pass.field_str("tries"), tries, "{bin}: {pass:?}");
+        }
+    }
     std::fs::remove_dir_all(&tmp).ok();
 }
 

@@ -12,6 +12,7 @@ use crate::key::{CompressedKeySpec, KeyScheme, TableSharing};
 use crate::meta::{BpstMetaPredictor, MetaSpec};
 use crate::pattern::PatternCompressor;
 use crate::predictor::{Predictor, UpdateRule};
+use crate::trie::PathFamily;
 use crate::two_level::TwoLevelPredictor;
 
 /// Second-level table associativity.
@@ -445,6 +446,30 @@ impl PredictorConfig {
             exponent,
             routes_cond,
         })
+    }
+
+    /// The [`PathFamily`] and path length of a full-precision, unbounded,
+    /// single two-level configuration (a BTB kind included), or `None` for
+    /// any other configuration and for invalid ones. A
+    /// [`PathTrie`](crate::PathTrie) over the family at this path length
+    /// scores what [`build_kernel`](PredictorConfig::build_kernel) would.
+    #[must_use]
+    pub fn path_family(&self) -> Option<(PathFamily, usize)> {
+        let precision = self.full_precision?;
+        let single = matches!(self.kind, PredictorKind::Btb | PredictorKind::TwoLevel);
+        if !single || self.entries.is_some() || self.validate().is_err() {
+            return None;
+        }
+        let family = PathFamily {
+            history_sharing: self.history_sharing,
+            table_sharing: self.table_sharing,
+            element: self.history_element,
+            precision,
+            rule: self.rule,
+            confidence_bits: self.confidence_bits,
+            include_cond: self.include_cond,
+        };
+        Some((family, self.path_len))
     }
 
     /// Splits a hybrid configuration into its two component configurations

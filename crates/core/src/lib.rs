@@ -62,6 +62,7 @@ mod pattern;
 mod predictor;
 pub mod snapshot;
 pub mod table;
+mod trie;
 mod two_level;
 
 pub use btb::Btb;
@@ -83,4 +84,5 @@ pub use snapshot::{
     probe_counters_on, set_probe_counters, ComponentSnapshot, HistorySnapshot, Snapshot,
     StructuralSnapshot, TableSnapshot,
 };
+pub use trie::{PathFamily, PathTrie};
 pub use two_level::TwoLevelPredictor;

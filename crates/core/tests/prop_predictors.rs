@@ -2,7 +2,8 @@
 //! traces.
 
 use ibp_core::{
-    Btb, HistorySharing, HybridPredictor, Predictor, PredictorConfig, TwoLevelPredictor, UpdateRule,
+    Btb, HistoryElement, HistorySharing, HybridPredictor, Predictor, PredictorConfig, TableSharing,
+    TwoLevelPredictor, UpdateRule, MAX_PATH,
 };
 use ibp_trace::Addr;
 use proptest::prelude::*;
@@ -13,6 +14,52 @@ fn events() -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0u32..6, 0u32..5), 1..300).prop_map(|v| {
         v.into_iter()
             .map(|(s, t)| (0x1000 + s * 4, 0x8000 + t * 4))
+            .collect()
+    })
+}
+
+/// The parameters of a random full-key family: history sharing `s`, table
+/// sharing `h`, whether elements are address ⊕ target, precision, whether
+/// the rule is always-update, and whether conditional targets enter the
+/// history.
+type FullKeyParams = (u32, u32, bool, Option<u32>, bool, bool);
+
+fn full_key_params() -> impl Strategy<Value = FullKeyParams> {
+    (
+        prop_oneof![Just(2u32), Just(3), Just(8), Just(31)],
+        prop_oneof![Just(2u32), Just(9), Just(31)],
+        any::<bool>(),
+        prop_oneof![Just(None), Just(Some(1u32)), Just(Some(2)), Just(Some(8))],
+        any::<bool>(),
+        any::<bool>(),
+    )
+}
+
+/// The family's member at path length `p`.
+fn full_key_config(params: FullKeyParams, p: usize) -> PredictorConfig {
+    let (s, h, xor, precision, always, cond) = params;
+    let mut cfg = PredictorConfig::unconstrained(p)
+        .with_history_sharing(HistorySharing::per_set(s))
+        .with_table_sharing(TableSharing::per_set(h))
+        .with_cond_targets(cond);
+    if xor {
+        cfg = cfg.with_history_element(HistoryElement::AddressXorTarget);
+    }
+    if let Some(b) = precision {
+        cfg = cfg.with_precision(b);
+    }
+    if always {
+        cfg = cfg.with_update_rule(UpdateRule::Always);
+    }
+    cfg
+}
+
+/// A short random trace: `(pc, target, conditional)` over a handful of
+/// sites and targets, conditional branches among the indirect ones.
+fn mixed_events() -> impl Strategy<Value = Vec<(u32, u32, bool)>> {
+    proptest::collection::vec((0u32..6, 0u32..5, 0u32..5), 1..300).prop_map(|v| {
+        v.into_iter()
+            .map(|(s, t, kind)| (0x1000 + s * 0x104, 0x8000 + t * 0x24, kind == 0))
             .collect()
     })
 }
@@ -60,6 +107,42 @@ proptest! {
             let mut a = make();
             let mut b = make();
             prop_assert_eq!(drive(a.as_mut(), &events), drive(b.as_mut(), &events));
+        }
+    }
+
+    /// The oracle floor (ROADMAP item 6): with no warmup, a full-precision
+    /// unbounded table misses at least once per distinct key it stores, so
+    /// `stored_patterns()` bounds its misses from below. And the distinct
+    /// keys never fall as the path length grows: a length-(p+1) key
+    /// extends a length-p key, so every length-p key seen is the prefix of
+    /// one seen at p + 1. The path trie's one node per prefix rests on
+    /// this.
+    #[test]
+    fn full_key_misses_cover_distinct_keys_and_keys_grow_with_p(
+        params in full_key_params(),
+        events in mixed_events(),
+    ) {
+        let mut shorter = 0usize;
+        for p in 0..=MAX_PATH {
+            let mut tl = full_key_config(params, p)
+                .try_build_two_level()
+                .expect("a valid full-key config");
+            let mut misses = 0u64;
+            for &(pc, target, cond) in &events {
+                let (pc, target) = (Addr::new(pc), Addr::new(target));
+                if cond {
+                    tl.observe_cond(pc, target);
+                    continue;
+                }
+                if tl.predict(pc) != Some(target) {
+                    misses += 1;
+                }
+                tl.update(pc, target);
+            }
+            let keys = tl.stored_patterns();
+            prop_assert!(misses >= keys as u64, "p={}: {} misses, {} keys", p, misses, keys);
+            prop_assert!(keys >= shorter, "p={}: {} keys after {} at p-1", p, keys, shorter);
+            shorter = keys;
         }
     }
 

@@ -89,6 +89,36 @@ fn flat_key(seed: u16, width: usize) -> Vec<u32> {
 }
 
 proptest! {
+    /// LRU inclusion (the stack property, ROADMAP item 6): under the
+    /// always-update rule, every key an N-entry fully-associative LRU
+    /// table holds, a 2N-entry one holds with the same, latest target. So
+    /// every correct prediction of the smaller table is correct in the
+    /// larger one too, and the larger table never misses more.
+    #[test]
+    fn lru_inclusion_under_always_update(
+        size_log2 in 0u32..6,
+        stream in proptest::collection::vec((0u64..48, 0u32..4), 1..600),
+    ) {
+        let n = 1usize << size_log2;
+        let mut small = FullyAssocTable::new(n, 2);
+        let mut large = FullyAssocTable::new(2 * n, 2);
+        let (mut small_misses, mut large_misses) = (0u64, 0u64);
+        for (i, &(key, t)) in stream.iter().enumerate() {
+            let actual = Addr::from_word(0x100 + t);
+            let small_hit = small.lookup(key).map(|h| h.target) == Some(actual);
+            let large_hit = large.lookup(key).map(|h| h.target) == Some(actual);
+            prop_assert!(
+                !small_hit || large_hit,
+                "event {}: key {} predicted by {} entries but not by {}", i, key, n, 2 * n
+            );
+            small_misses += u64::from(!small_hit);
+            large_misses += u64::from(!large_hit);
+            small.update(key, actual, UpdateRule::Always);
+            large.update(key, actual, UpdateRule::Always);
+        }
+        prop_assert!(large_misses <= small_misses);
+    }
+
     /// The flat unbounded table agrees with a `HashMap` model on every
     /// sequence of lookups, fused lookup-updates and clears: same hits,
     /// same occupancy, same confidence histogram.

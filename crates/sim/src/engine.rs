@@ -13,6 +13,11 @@
 //!   all its kernels and [`MeasureLane`]s over one shared source pass,
 //!   with the groups spread over [`parallel_map`] — so a sweep opens at
 //!   most one trace pass per benchmark, and none when every cell hits;
+//! * within a pass, the unbounded full-key configs of one path-length
+//!   family ([`PredictorConfig::path_family`]) fold as one [`PathTrie`]
+//!   lane when the family is dense enough for the trie to pay; every
+//!   other cell folds on its own lane, and so does every config of a
+//!   probed pass;
 //! * a cell's value is a [`Measurement`]: a predictor's
 //!   [`RunStats`](crate::RunStats), or
 //!   what a measure lane found (a miss breakdown, a pattern count,
@@ -38,9 +43,11 @@
 //!   [`parallel_map`], which retries the pass inline and journals a
 //!   `degraded` event — a fault costs wall time, never correctness;
 //! * with tracing on (`IBP_TRACE`), every benchmark pass emits a `cell`
-//!   span (benchmark, config count, queue wait vs. run time), every
-//!   folded cell a `cell` event with `outcome = "miss"`, and every
-//!   memoized lookup a `cell` event with `outcome = "hit"`.
+//!   span (benchmark, config count, queue wait vs. run time, and the
+//!   depths of its trie families), every folded cell a `cell` event with
+//!   `outcome = "miss"` and the `fold` that made it (`"trie"` or
+//!   `"lane"`), and every memoized lookup a `cell` event with
+//!   `outcome = "hit"`.
 //!
 //! Set `IBP_LOG=1` for a per-sweep progress line on stderr.
 
@@ -49,14 +56,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use ibp_core::{FoldKernel, Predictor, PredictorConfig};
+use ibp_core::{FoldKernel, PathFamily, PathTrie, Predictor, PredictorConfig};
 use ibp_obs as obs;
 use ibp_obs::metrics::Counter;
 use ibp_workload::Benchmark;
 
 use crate::cache::CacheKey;
 use crate::parallel::parallel_map;
-use crate::run::{simulate_source_cells, MeasureLane, Measurement};
+use crate::probe;
+use crate::run::{simulate_source_cells, trie_stats, MeasureLane, Measurement};
 use crate::suite::{Suite, SuiteResult};
 
 /// A memoized cell value, and whether it entered the memo map from the
@@ -219,7 +227,10 @@ pub fn clear_memo_cache() {
 
 /// How a job's missing cells fold in their benchmark's pass.
 enum Fold<'a> {
-    /// A predictor cell, scored by a kernel lane.
+    /// A configuration's cell: scored by its own kernel lane, or by a trie
+    /// lane with the rest of its path-length family.
+    Config(PredictorConfig),
+    /// A custom predictor's cell, scored by a kernel lane.
     Kernel(Box<dyn Fn() -> FoldKernel + Sync + 'a>),
     /// A measurement cell, folded by its own lane.
     Measure(Box<dyn Fn() -> Box<dyn MeasureLane> + Sync + 'a>),
@@ -244,6 +255,56 @@ struct Unit {
     job: usize,
     cell: usize,
     benchmark: Benchmark,
+}
+
+/// Where a unit folds in its benchmark's pass.
+#[derive(Clone, Copy)]
+enum Route {
+    /// Its own kernel lane: the index among the pass's kernels.
+    Kernel(usize),
+    /// A trie lane: the trie's index, then the unit's member index in it.
+    Trie(usize, usize),
+    /// Its measure lane: the index among the pass's measure lanes.
+    Measure(usize),
+}
+
+/// The lanes of one benchmark pass, and each unit's route to them.
+struct PassPlan {
+    kernels: Vec<FoldKernel>,
+    tries: Vec<PathTrie>,
+    measures: Vec<Box<dyn MeasureLane>>,
+    routes: Vec<Route>,
+}
+
+/// Whether a path-length family with members at path lengths `depths`
+/// folds faster as one [`PathTrie`] than as one lane per member. A walk
+/// visits every depth from 0 to the deepest member's, so the trie pays
+/// when there are at least two distinct lengths and they cover at least
+/// half of those depths: Figure 9's 0..=18 and Figure 10's 0..=12 route,
+/// as does the update-rule ablation's {0, 1, 3, 6, 8}; the sensitivity
+/// study's {3, 6, 9, 12} and the history variations' {3, 8} keep their
+/// lanes, where the walk through unscored depths costs more than it saves
+/// (DESIGN §5p).
+fn trie_pays(depths: &[usize]) -> bool {
+    let mut distinct = depths.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let deepest = distinct.last().copied().unwrap_or(0);
+    distinct.len() >= 2 && 2 * distinct.len() > deepest
+}
+
+/// A trie lane's depths for the pass span, e.g. `0..=18` or `0,1,3,6,8`.
+fn describe_depths(depths: &[usize]) -> String {
+    let mut distinct = depths.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let (first, last) = (distinct[0], distinct[distinct.len() - 1]);
+    if last - first + 1 == distinct.len() {
+        format!("{first}..={last}")
+    } else {
+        let lengths: Vec<String> = distinct.iter().map(usize::to_string).collect();
+        lengths.join(",")
+    }
 }
 
 /// A batch of predictor configurations and measurements to evaluate over
@@ -286,7 +347,7 @@ impl<'a> Sweep<'a> {
         self.jobs.push(Job {
             key: cfg.cache_key(),
             benchmarks: None,
-            fold: Fold::Kernel(Box::new(move || cfg.build_kernel())),
+            fold: Fold::Config(cfg),
         });
         self
     }
@@ -425,7 +486,7 @@ impl<'a> Sweep<'a> {
             for (unit, &value) in units.iter().zip(&folded) {
                 let job = &self.jobs[unit.job];
                 debug_assert!(
-                    matches!(job.fold, Fold::Kernel(_))
+                    !matches!(job.fold, Fold::Measure(_))
                         || job.key.split('|').next() == Some(value.kind()),
                     "measurement key {} does not start with its kind {}",
                     job.key,
@@ -478,7 +539,7 @@ impl<'a> Sweep<'a> {
         for (job, values) in self.jobs.iter().zip(results) {
             let values = values.into_iter().map(|v| v.expect("all slots filled"));
             match job.fold {
-                Fold::Kernel(_) => {
+                Fold::Config(_) | Fold::Kernel(_) => {
                     let stats = values.map(|value| match value {
                         Measurement::Run(stats) => stats,
                         other => panic!("key {} holds a {} measurement", job.key, other.kind()),
@@ -519,29 +580,38 @@ impl<'a> Sweep<'a> {
             // shared: each cell still folds one trace length of events.
             simulated_events().add(self.suite.events() * members.len() as u64);
             cell.note("events", self.suite.events());
-            let mut kernels = Vec::new();
-            let mut measures = Vec::new();
-            for &u in members {
-                match &self.jobs[units[u].job].fold {
-                    Fold::Kernel(make) => kernels.push(make()),
-                    Fold::Measure(make) => measures.push(make()),
-                }
+            let mut plan = self.plan_pass(units, members);
+            if !plan.tries.is_empty() {
+                let families: Vec<String> = plan
+                    .tries
+                    .iter()
+                    .map(|t| describe_depths(t.depths()))
+                    .collect();
+                cell.note("tries", families.join("; "));
             }
-            let (stats, measured) =
-                simulate_source_cells(&mut *source, &mut kernels, measures, self.warmup)
-                    .expect("suite sources cannot fail");
-            let (mut stats, mut measured) = (stats.into_iter(), measured.into_iter());
+            let (stats, measured) = simulate_source_cells(
+                &mut *source,
+                &mut plan.kernels,
+                &mut plan.tries,
+                plan.measures,
+                self.warmup,
+            )
+            .expect("suite sources cannot fail");
+            let trie_runs: Vec<_> = plan.tries.iter().map(trie_stats).collect();
             members
                 .iter()
-                .map(|&u| {
-                    let job = &self.jobs[units[u].job];
+                .zip(&plan.routes)
+                .map(|(&u, &route)| {
+                    let (value, fold) = match route {
+                        Route::Kernel(k) => (Measurement::Run(stats[k]), "lane"),
+                        Route::Trie(t, m) => (Measurement::Run(trie_runs[t][m]), "trie"),
+                        Route::Measure(m) => (measured[m], "lane"),
+                    };
                     // Per-cell provenance: the pass span names only its
                     // benchmark.
-                    obs::event!("cell", config = job.key.as_str(), benchmark = b.name(), outcome = "miss");
-                    match job.fold {
-                        Fold::Kernel(_) => Measurement::Run(stats.next().expect("one per kernel")),
-                        Fold::Measure(_) => measured.next().expect("one per measure lane"),
-                    }
+                    let key = self.jobs[units[u].job].key.as_str();
+                    obs::event!("cell", config = key, benchmark = b.name(), outcome = "miss", fold = fold);
+                    value
                 })
                 .collect()
         });
@@ -554,6 +624,68 @@ impl<'a> Sweep<'a> {
         out.into_iter()
             .map(|value| value.expect("every unit folded"))
             .collect()
+    }
+
+    /// Builds the lanes of one benchmark pass over `members` (indices into
+    /// `units`): one [`PathTrie`] per path-length family the trie pays for
+    /// ([`trie_pays`]), one kernel lane per other config or custom job,
+    /// and each measurement's lane. A probed pass routes no family to a
+    /// trie, since the probe layer samples kernel lanes only.
+    fn plan_pass(&self, units: &[Unit], members: &[usize]) -> PassPlan {
+        let mut families: Vec<(PathFamily, Vec<(usize, usize)>)> = Vec::new();
+        if !probe::active_policy().on() {
+            for (i, &u) in members.iter().enumerate() {
+                let Fold::Config(cfg) = &self.jobs[units[u].job].fold else {
+                    continue;
+                };
+                let Some((family, depth)) = cfg.path_family() else {
+                    continue;
+                };
+                match families.iter_mut().find(|(f, _)| *f == family) {
+                    Some((_, found)) => found.push((i, depth)),
+                    None => families.push((family, vec![(i, depth)])),
+                }
+            }
+        }
+        let mut routes: Vec<Option<Route>> = vec![None; members.len()];
+        let mut tries = Vec::new();
+        for (family, found) in families {
+            let depths: Vec<usize> = found.iter().map(|&(_, depth)| depth).collect();
+            if trie_pays(&depths) {
+                for (m, &(i, _)) in found.iter().enumerate() {
+                    routes[i] = Some(Route::Trie(tries.len(), m));
+                }
+                tries.push(PathTrie::new(family, &depths, self.warmup));
+            }
+        }
+        let mut kernels = Vec::new();
+        let mut measures = Vec::new();
+        let routes = members
+            .iter()
+            .zip(routes)
+            .map(|(&u, route)| {
+                route.unwrap_or_else(|| match &self.jobs[units[u].job].fold {
+                    Fold::Config(cfg) => {
+                        kernels.push(cfg.build_kernel());
+                        Route::Kernel(kernels.len() - 1)
+                    }
+                    Fold::Kernel(make) => {
+                        kernels.push(make());
+                        Route::Kernel(kernels.len() - 1)
+                    }
+                    Fold::Measure(make) => {
+                        measures.push(make());
+                        Route::Measure(measures.len() - 1)
+                    }
+                })
+            })
+            .collect();
+        PassPlan {
+            kernels,
+            tries,
+            measures,
+            routes,
+        }
     }
 }
 
@@ -627,6 +759,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Figure 9's sweep folds each benchmark's 19 path lengths as one trie
+    /// lane; every member must score what `Suite::run` scores for its
+    /// config alone. The pattern budget does not touch a full-key
+    /// predictor, so it only makes the cache keys this test's own.
+    #[test]
+    fn fig9_sweep_through_the_trie_matches_direct_suite_runs() {
+        let _guard = serial();
+        let suite = tiny_suite();
+        let configs: Vec<PredictorConfig> = (0..=ibp_core::MAX_PATH)
+            .map(|p| PredictorConfig::unconstrained(p).with_pattern_budget(5))
+            .collect();
+        let before = stats();
+        let engine_results = run_configs(&suite, configs.clone());
+        assert_eq!(stats().since(before).misses, 2 * configs.len() as u64);
+        for (cfg, from_engine) in configs.into_iter().zip(engine_results) {
+            let direct = suite.run(|| cfg.build());
+            for b in suite.benchmarks() {
+                assert_eq!(
+                    from_engine.stats(b),
+                    direct.stats(b),
+                    "trie diverges from Suite::run for {b} under {}",
+                    cfg.cache_key()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dense_families_route_to_the_trie_and_sparse_ones_keep_their_lanes() {
+        let routed: [&[usize]; 4] = [
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18],
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+            &[0, 1, 3, 6, 8],
+            &[8, 6, 3, 1, 0, 8],
+        ];
+        for depths in routed {
+            assert!(trie_pays(depths), "{depths:?}");
+        }
+        let kept: [&[usize]; 5] = [&[3, 6, 9, 12], &[3, 8], &[5], &[0, 0], &[0, 1, 6]];
+        for depths in kept {
+            assert!(!trie_pays(depths), "{depths:?}");
+        }
+        assert_eq!(describe_depths(&[2, 0, 1]), "0..=2");
+        assert_eq!(describe_depths(&[0, 1, 3, 6, 8]), "0,1,3,6,8");
     }
 
     #[test]

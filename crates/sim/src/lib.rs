@@ -78,6 +78,6 @@ pub mod trace_cache;
 pub use parallel::parallel_map;
 pub use run::{
     simulate, simulate_kernel, simulate_source, simulate_source_kernels, simulate_source_multi,
-    simulate_warm, MeasureLane, Measurement, RunStats,
+    simulate_warm, trie_stats, MeasureLane, Measurement, RunStats,
 };
 pub use suite::{Suite, SuiteResult};

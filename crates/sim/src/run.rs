@@ -4,11 +4,13 @@
 //! ([`ibp_core::FoldKernel`]): one dispatch per chunk into a monomorphized
 //! per-event loop for the hot predictor families, with borrowed
 //! `dyn Predictor`s folded through the same skeleton by one virtual
-//! [`Predictor::step`] per event. Beside the predictor lanes, a pass can
-//! carry [`MeasureLane`]s: folds that measure the trace, or a predictor's
-//! misses by cause, rather than score a prediction.
+//! [`Predictor::step`] per event. Beside the predictor lanes, the sweep
+//! engine's grouped pass can carry [`PathTrie`] lanes, each folding a
+//! whole path-length family of unbounded predictors in one walk, and
+//! [`MeasureLane`]s: folds that measure the trace, or a predictor's misses
+//! by cause, rather than score a prediction.
 
-use ibp_core::{fold_dyn_chunk, ChunkScorer, FoldKernel, Predictor, WarmTrigger};
+use ibp_core::{fold_dyn_chunk, ChunkScorer, FoldKernel, PathTrie, Predictor, WarmTrigger};
 use ibp_trace::io::TraceIoError;
 use ibp_trace::{chunk_events, EventSource, Trace, TraceChunk};
 
@@ -189,7 +191,7 @@ pub fn simulate_source_multi<S: EventSource + ?Sized>(
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
     let mut lanes: Vec<Lane<'_>> = predictors.iter_mut().map(|p| Lane::Dyn(&mut **p)).collect();
-    fold_source_lanes(source, &mut lanes, &mut [], warmup)
+    fold_source_lanes(source, &mut lanes, &mut [], &mut [], warmup)
 }
 
 /// Folds one chunk-fold kernel over a streaming source — the fast,
@@ -222,13 +224,15 @@ pub fn simulate_source_kernels<S: EventSource + ?Sized>(
     kernels: &mut [FoldKernel],
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
-    simulate_source_cells(source, kernels, Vec::new(), warmup).map(|(stats, _)| stats)
+    simulate_source_cells(source, kernels, &mut [], Vec::new(), warmup).map(|(stats, _)| stats)
 }
 
-/// The sweep engine's grouped pass: folds `kernels` and `measures` over
-/// **one** pass of a streaming source. Returns one [`RunStats`] per
-/// kernel and one [`Measurement`] per measure lane, each in input order.
-/// The warmup applies to the kernels; a measure lane sees every event.
+/// The sweep engine's grouped pass: folds `kernels`, `tries` and
+/// `measures` over **one** pass of a streaming source. Returns one
+/// [`RunStats`] per kernel and one [`Measurement`] per measure lane, each
+/// in input order; each trie's members are read off the trie afterwards
+/// ([`trie_stats`]). The warmup applies to the kernels, and a trie carries
+/// its own; a measure lane sees every event.
 ///
 /// # Errors
 ///
@@ -236,22 +240,38 @@ pub fn simulate_source_kernels<S: EventSource + ?Sized>(
 pub(crate) fn simulate_source_cells<S: EventSource + ?Sized>(
     source: &mut S,
     kernels: &mut [FoldKernel],
+    tries: &mut [PathTrie],
     mut measures: Vec<Box<dyn MeasureLane>>,
     warmup: u64,
 ) -> Result<(Vec<RunStats>, Vec<Measurement>), TraceIoError> {
     let mut lanes: Vec<Lane<'_>> = kernels.iter_mut().map(Lane::Kernel).collect();
-    let stats = fold_source_lanes(source, &mut lanes, &mut measures, warmup)?;
+    let stats = fold_source_lanes(source, &mut lanes, tries, &mut measures, warmup)?;
     Ok((stats, measures.into_iter().map(MeasureLane::finish).collect()))
+}
+
+/// One [`RunStats`] per member of a folded trie, in member order: exactly
+/// what each member's own kernel lane would have scored.
+#[must_use]
+pub fn trie_stats(trie: &PathTrie) -> Vec<RunStats> {
+    trie.depths()
+        .iter()
+        .map(|&depth| RunStats {
+            indirect: trie.scored(),
+            mispredicted: trie.mispredicted(depth),
+        })
+        .collect()
 }
 
 /// The one fold driver behind every sequential simulation: reads chunks,
 /// folds each lane over the chunk (one dispatch per lane per chunk), then
-/// hands the chunk to each measure lane, and carries the journal
-/// span/chunk events and the probe layer's sampling protocol exactly as
-/// the per-event fold did.
+/// each trie, then hands the chunk to each measure lane, and carries the
+/// journal span/chunk events and the probe layer's sampling protocol
+/// exactly as the per-event fold did. The probe layer samples the
+/// predictor lanes only: a probed pass folds every config on its own lane.
 fn fold_source_lanes<S: EventSource + ?Sized>(
     source: &mut S,
     lanes: &mut [Lane<'_>],
+    tries: &mut [PathTrie],
     measures: &mut [Box<dyn MeasureLane>],
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
@@ -281,6 +301,9 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
         seen += chunk.indirect_count();
         for (lane, scorer) in lanes.iter_mut().zip(&mut scorers) {
             lane.fold_chunk(chunk.events(), scorer);
+        }
+        for trie in tries.iter_mut() {
+            trie.fold_chunk(chunk.events());
         }
         for measure in measures.iter_mut() {
             measure.fold_chunk(&chunk);
@@ -317,8 +340,13 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
         span.note("trace", source.name());
         span.note("events", seen);
         span.note("warmup", seen.min(warmup));
-        span.note("scored", stats.first().map_or(0, |s| s.indirect));
+        let scored = stats.first().map(|s| s.indirect);
+        span.note(
+            "scored",
+            scored.or(tries.first().map(PathTrie::scored)).unwrap_or(0),
+        );
         span.note("predictors", lanes.len());
+        span.note("tries", tries.len());
         span.note("measures", measures.len());
         span.note("chunks", chunks);
         let secs = t0.elapsed().as_secs_f64();

@@ -9,14 +9,16 @@
 //! `ext` test pins every overridden `Predictor::step` to the explicit
 //! predict-then-update loop; the probe tests pin payload equality under
 //! `IBP_PROBE=deep`; the pipeline test covers the sequential fold and both
-//! library pipelines × all three probe levels in one sweep.
+//! library pipelines × all three probe levels in one sweep. The trie test
+//! pins the sweep engine's one-walk fold of a path-length family to each
+//! member's own kernel fold.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ibp_core::ext::{CascadePredictor, TargetCache};
 use ibp_core::{
-    ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing, Predictor,
-    PredictorConfig, TwoLevelPredictor,
+    ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing, PathTrie,
+    Predictor, PredictorConfig, TableSharing, TwoLevelPredictor, UpdateRule,
 };
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
@@ -24,7 +26,7 @@ use ibp_sim::component::simulate_source_components;
 use ibp_sim::experiments::ext;
 use ibp_sim::probe::{self, ProbePolicy};
 use ibp_sim::shard::simulate_source_sharded;
-use ibp_sim::{simulate_kernel, simulate_source, RunStats};
+use ibp_sim::{simulate_kernel, simulate_source, trie_stats, RunStats};
 use ibp_trace::{Addr, Trace, TraceEvent};
 use ibp_workload::Benchmark;
 
@@ -228,6 +230,129 @@ fn batched_unbounded_fold_matches_dyn_fold_at_every_chunk_fill() {
                     "{} warmup={warmup} fill={fill}",
                     cfg.cache_key()
                 );
+            }
+        }
+    }
+}
+
+/// A path-length family as a config per path length, with a label for
+/// failure messages.
+type Family = (&'static str, fn(usize) -> PredictorConfig);
+
+/// One family per full-key parameter the trie must carry: history
+/// sharing, table sharing, precision, conditional targets, the history
+/// element and the update rule, then all of the non-default ones at once.
+fn trie_families() -> Vec<Family> {
+    vec![
+        (
+            "global history, per-address tables",
+            PredictorConfig::unconstrained,
+        ),
+        ("per-set history s=8", |p| {
+            PredictorConfig::unconstrained(p).with_history_sharing(HistorySharing::per_set(8))
+        }),
+        ("per-set tables h=9", |p| {
+            PredictorConfig::unconstrained(p).with_table_sharing(TableSharing::per_set(9))
+        }),
+        ("one global table", |p| {
+            PredictorConfig::unconstrained(p).with_table_sharing(TableSharing::GLOBAL)
+        }),
+        ("1-bit precision", |p| {
+            PredictorConfig::unconstrained(p).with_precision(1)
+        }),
+        ("8-bit precision", |p| {
+            PredictorConfig::unconstrained(p).with_precision(8)
+        }),
+        ("conditional targets", |p| {
+            PredictorConfig::unconstrained(p).with_cond_targets(true)
+        }),
+        ("address xor target", |p| {
+            PredictorConfig::unconstrained(p).with_history_element(HistoryElement::AddressXorTarget)
+        }),
+        ("always-update", |p| {
+            PredictorConfig::unconstrained(p).with_update_rule(UpdateRule::Always)
+        }),
+        ("s=8, h=9, 8-bit, conditional targets, always-update", |p| {
+            PredictorConfig::unconstrained(p)
+                .with_history_sharing(HistorySharing::per_set(8))
+                .with_table_sharing(TableSharing::per_set(9))
+                .with_precision(8)
+                .with_cond_targets(true)
+                .with_update_rule(UpdateRule::Always)
+        }),
+    ]
+}
+
+/// The member path lengths the sweep engine folds as one trie: Figure 9's
+/// 0..=18, Figure 10's 0..=12 and the update-rule ablation's sparse
+/// {0, 1, 3, 6, 8}.
+fn trie_depths() -> [Vec<usize>; 3] {
+    [(0..=18).collect(), (0..=12).collect(), vec![0, 1, 3, 6, 8]]
+}
+
+/// A path-length family folded as one prefix-trie walk scores every
+/// member exactly as the member's own kernel lane does, and stores as many
+/// keys at each depth as that lane's table: every full-key variation, four
+/// benchmarks, chunk fills 1, c−1, c and c+1, cold and with a warmup that
+/// ends mid-chunk.
+#[test]
+fn path_trie_matches_each_members_kernel_at_every_chunk_fill() {
+    let _guard = serial();
+    let c = chunk_capacity();
+    let traces: Vec<(Benchmark, Trace)> = [
+        Benchmark::Ixx,
+        Benchmark::SelfVm,
+        Benchmark::Gcc,
+        Benchmark::Perl,
+    ]
+    .iter()
+    .map(|&b| (b, b.trace_with_len(2 * c as u64 + 500)))
+    .collect();
+    assert!(
+        traces
+            .iter()
+            .all(|(_, t)| t.events().iter().any(|e| e.as_cond().is_some())),
+        "test premise: every trace carries conditional branches"
+    );
+    for (label, config) in trie_families() {
+        let (family, _) = config(0).path_family().expect("a full-key family");
+        for p in 0..=ibp_core::MAX_PATH {
+            assert_eq!(config(p).path_family(), Some((family, p)), "{label}: p={p}");
+        }
+        for (b, trace) in &traces {
+            let events = trace.events();
+            for warmup in [0, mid_chunk_warmup(events)] {
+                let lanes: Vec<(RunStats, u64)> = (0..=ibp_core::MAX_PATH)
+                    .map(|p| {
+                        let mut kernel = config(p).build_kernel();
+                        let stats = simulate_kernel(&mut trace.cursor(), &mut kernel, warmup)
+                            .expect("in-memory source");
+                        let FoldKernel::TwoLevel(lane) = kernel else {
+                            panic!("test premise: {label} folds as a two-level kernel");
+                        };
+                        (stats, lane.stored_patterns() as u64)
+                    })
+                    .collect();
+                for depths in trie_depths() {
+                    let expected: Vec<RunStats> = depths.iter().map(|&d| lanes[d].0).collect();
+                    for fill in [1, c - 1, c, c + 1] {
+                        let mut trie = PathTrie::new(family, &depths, warmup);
+                        for chunk in events.chunks(fill) {
+                            trie.fold_chunk(chunk);
+                        }
+                        let context =
+                            format!("{label}, p in {depths:?}, {b}, warmup {warmup}, fill {fill}");
+                        assert_eq!(trie_stats(&trie), expected, "{context}: stats");
+                        let deepest = depths[depths.len() - 1];
+                        for (d, &(_, patterns)) in lanes.iter().enumerate().take(deepest + 1) {
+                            assert_eq!(
+                                trie.stored_patterns(d),
+                                patterns,
+                                "{context}: keys at p={d}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
