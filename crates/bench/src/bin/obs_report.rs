@@ -160,7 +160,8 @@ fn count_cells(records: &[Record], outcome: &str) -> usize {
 }
 
 /// Simulated (`miss`) `cell` events made by the given `fold`: `"trie"`
-/// for a path-length family's one-walk lane, `"lane"` for a cell's own.
+/// for a path-length family's one-walk lane, `"keyed"` for a lane reading
+/// the pass's shared key streams, `"lane"` for a cell's own fold.
 fn count_folds(records: &[Record], fold: &str) -> usize {
     records
         .iter()
@@ -193,8 +194,9 @@ fn print_slowest_passes(records: &[Record], top: usize) {
         hits
     );
     println!(
-        "  simulated cells by fold: {} trie, {} lane",
+        "  simulated cells by fold: {} trie, {} keyed, {} lane",
         count_folds(records, "trie"),
+        count_folds(records, "keyed"),
         count_folds(records, "lane")
     );
     println!(
@@ -827,10 +829,14 @@ mod tests {
         let records = [
             cell("miss", "trie"),
             cell("miss", "trie"),
+            cell("miss", "keyed"),
+            cell("miss", "keyed"),
+            cell("miss", "keyed"),
             cell("miss", "lane"),
             hit,
         ];
         assert_eq!(count_folds(&records, "trie"), 2);
+        assert_eq!(count_folds(&records, "keyed"), 3);
         assert_eq!(
             count_folds(&records, "lane"),
             1,

@@ -5,7 +5,8 @@
 //! `obs_report` — both the human summary and loadable Chrome trace-event
 //! JSON. The other tests pin where `IBP_TRACE=1` puts its journal, what
 //! the journal's `meta` header records, that each simulated cell names the
-//! fold that made it, and that each malformed knob warns exactly once.
+//! fold that made it (a trie, shared key streams or its own lane), and that
+//! each malformed knob warns exactly once.
 
 use std::path::Path;
 use std::process::Command;
@@ -211,6 +212,65 @@ fn each_simulated_cell_names_its_fold() {
             assert_eq!(pass.field_str("tries"), tries, "{bin}: {pass:?}");
         }
     }
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// The ablations fold all three ways: the confidence-width hybrids and the
+/// BPSTs read shared key streams, two per pass (`p = 3` and `p = 1`
+/// keys); the always-update family `{0, 1, 3, 6, 8}` folds as one trie;
+/// and the full-key history variations, like the two-bit-counter members
+/// left over from them, fold on their own lanes.
+#[test]
+fn ablations_cells_name_keyed_trie_and_lane_folds() {
+    let tmp = std::env::temp_dir().join(format!("ibp-ablation-folds-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let journal = tmp.join("journal.jsonl");
+    let out = run(
+        env!("CARGO_BIN_EXE_ablations"),
+        &[],
+        &[
+            ("IBP_EVENTS", "2000"),
+            ("IBP_PROBE", "0"),
+            ("IBP_TRACE", journal.to_str().expect("utf8 path")),
+            ("IBP_RESULTS", tmp.to_str().expect("utf8 path")),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "ablations failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let records = read_journal(&journal).expect("parse journal");
+    let mut folds = std::collections::BTreeMap::new();
+    for cell in records
+        .iter()
+        .filter(|r| r.kind == Kind::Event && r.name == "cell")
+        .filter(|r| r.field_str("outcome") == Some("miss"))
+    {
+        let config = cell.field_str("config").expect("a cell names its config");
+        let expected = if config.starts_with("Hybrid|") || config.starts_with("Bpst|") {
+            "keyed"
+        } else if config.contains("|rule=Always|") {
+            "trie"
+        } else {
+            "lane"
+        };
+        assert_eq!(cell.field_str("fold"), Some(expected), "{cell:?}");
+        *folds.entry(expected).or_insert(0) += 1;
+    }
+    assert_eq!(
+        folds.keys().copied().collect::<Vec<_>>(),
+        ["keyed", "lane", "trie"],
+        "every fold simulates some cell: {folds:?}"
+    );
+    let keys: Vec<Option<u64>> = records
+        .iter()
+        .filter(|r| r.kind == Kind::Span && r.name == "cell")
+        .map(|pass| pass.field_u64("keys"))
+        .collect();
+    assert!(keys.contains(&Some(2)), "a hybrid pass builds two streams");
+    assert!(keys.contains(&None), "a full-key pass builds none");
+    assert!(keys.iter().all(|k| matches!(k, None | Some(2))), "{keys:?}");
     std::fs::remove_dir_all(&tmp).ok();
 }
 

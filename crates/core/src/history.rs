@@ -217,6 +217,12 @@ impl Histories {
         self.sharing
     }
 
+    /// What each history element records.
+    #[must_use]
+    pub fn element(&self) -> HistoryElement {
+        self.element
+    }
+
     /// The path length.
     #[must_use]
     pub fn depth(&self) -> usize {
@@ -289,6 +295,14 @@ impl Histories {
                 .or_insert_with(|| HistoryRegister::new(depth))
                 .push(element);
         }
+    }
+
+    /// Whether every register reads as cold, so that any branch sees what
+    /// it would see in a fresh first level.
+    #[must_use]
+    pub fn is_cold(&self) -> bool {
+        let cold = |reg: &HistoryRegister| reg.path().iter().all(|&e| e == Addr::ZERO);
+        cold(&self.global) && self.per_set.values().all(cold)
     }
 
     /// Number of distinct history registers materialised so far.
@@ -413,6 +427,22 @@ mod tests {
         assert!(HistorySharing::GLOBAL.is_global());
         assert_eq!(HistorySharing::PER_ADDRESS.s(), 2);
         assert_eq!(HistorySharing::default(), HistorySharing::GLOBAL);
+    }
+
+    #[test]
+    fn cold_means_every_register_reads_zero() {
+        for sharing in [HistorySharing::GLOBAL, HistorySharing::PER_ADDRESS] {
+            let mut hs = Histories::new(sharing, HistoryElement::Target, 2);
+            assert!(hs.is_cold());
+            hs.record(a(0x100), a(0x900));
+            assert!(!hs.is_cold());
+            hs.clear();
+            assert!(hs.is_cold());
+        }
+        // Without a path there is nothing to warm.
+        let mut flat = Histories::new(HistorySharing::GLOBAL, HistoryElement::Target, 0);
+        flat.record(a(0x100), a(0x900));
+        assert!(flat.is_cold());
     }
 
     #[test]

@@ -92,11 +92,25 @@ impl HybridPredictor {
     pub fn fused_step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<TableHit> {
         let first = self.first.fused_step(pc, actual, want_lookup);
         let second = self.second.fused_step(pc, actual, want_lookup);
-        if want_lookup {
-            HybridPredictor::select(first, second)
-        } else {
-            None
-        }
+        HybridPredictor::select(first, second)
+    }
+
+    /// [`fused_step`](HybridPredictor::fused_step) over the components'
+    /// keys built ahead by their key streams (first, then second).
+    pub(crate) fn keyed_step(
+        &mut self,
+        keys: [u64; 2],
+        actual: Addr,
+        want_lookup: bool,
+    ) -> Option<TableHit> {
+        let first = self.first.keyed_step(keys[0], actual, want_lookup);
+        let second = self.second.keyed_step(keys[1], actual, want_lookup);
+        HybridPredictor::select(first, second)
+    }
+
+    /// Both components, first then second.
+    pub(crate) fn components_mut(&mut self) -> [&mut TwoLevelPredictor; 2] {
+        [&mut self.first, &mut self.second]
     }
 }
 

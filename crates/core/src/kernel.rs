@@ -8,9 +8,12 @@
 //! predictor families get an enum variant holding the **concrete** type, and
 //! [`FoldKernel::fold_chunk`] dispatches **once per chunk** into a
 //! monomorphized fold whose per-event step is the family's `fused_step` —
-//! register and key computed once, table probe and training fused (a single
-//! probe for unbounded tables, whose unprobed folds also compute a whole
-//! chunk's keys before probing; see [`fold_two_level_chunk`]). Everything
+//! register and key computed once, table probe and training fused in a
+//! single probe (full-key unbounded tables also compute a whole chunk's
+//! keys before probing; see [`fold_two_level_chunk`]). A grouped pass
+//! goes further for compressed keys: [`KeyStreams`](crate::KeyStreams)
+//! builds each distinct key stream once and folds every lane that shares
+//! it through the same table step. Everything
 //! the enum does not name falls back to [`FoldKernel::Dyn`], which runs one
 //! virtual [`Predictor::step`] per event through the same fold skeleton, so
 //! every `Box<dyn Predictor>` keeps working: by default `step` is the
@@ -283,18 +286,51 @@ pub fn fold_dyn_chunk(
     });
 }
 
+/// The probe-free fold skeleton over a chunk whose keys were built ahead:
+/// `step` gets each indirect event's index among the chunk's indirect
+/// events (the index of its key), its address and target, and whether it
+/// is scored, and returns the prediction. Conditional events are skipped:
+/// whoever built the keys ran the history over them.
+///
+/// # Panics
+///
+/// Panics if `scorer` carries a probe, whose samples read the live
+/// history mid-chunk.
+pub(crate) fn fold_prekeyed<F>(events: &[TraceEvent], scorer: &mut ChunkScorer<'_>, mut step: F)
+where
+    F: FnMut(usize, Addr, Addr, bool) -> Option<Addr>,
+{
+    assert!(
+        scorer.probe.is_none(),
+        "a probed fold reads the live history"
+    );
+    let branches = events.iter().filter_map(TraceEvent::as_indirect);
+    for (i, b) in branches.enumerate() {
+        let scored = take_scored(&mut scorer.to_warm);
+        let predicted = step(i, b.pc, b.target, scored);
+        if scored {
+            scorer.indirect += 1;
+            if predicted != Some(b.target) {
+                scorer.mispredicted += 1;
+            }
+        }
+    }
+}
+
 /// Folds a chunk through a borrowed [`TwoLevelPredictor`] on the
 /// monomorphized path — the [`FoldKernel::TwoLevel`] fold, also used by
 /// analysis folds (miss classification, pattern censuses) that keep
 /// ownership of their predictor instead of wrapping it in a
 /// [`FoldKernel`].
 ///
-/// Over an unbounded table an unprobed fold runs in two passes: first the
-/// key and hash tag of every indirect event in the chunk, then the probes
-/// and training over those keys. The history depends only on the events,
-/// so the keys are exactly what the per-event step would compute. A fold
-/// with a [`ProbeSink`] keeps the per-event `fused_step`, because its
-/// mid-chunk samples read the live history.
+/// Over a full-key unbounded table an unprobed fold runs in two passes:
+/// first the key and hash tag of every indirect event in the chunk, then
+/// the probes and training over those keys. The history depends only on
+/// the events, so the keys are exactly what the per-event step would
+/// compute. A fold with a [`ProbeSink`] keeps the per-event `fused_step`,
+/// because its mid-chunk samples read the live history, and so does a
+/// compressed key here; a pass shares those through
+/// [`KeyStreams`](crate::KeyStreams) instead.
 pub fn fold_two_level_chunk(
     p: &mut TwoLevelPredictor,
     events: &[TraceEvent],
@@ -303,17 +339,12 @@ pub fn fold_two_level_chunk(
     if scorer.probe.is_none() {
         if let Some((table, batch, rule)) = p.batch_keys(events) {
             let width = table.key_words();
-            let branches = events.iter().filter_map(TraceEvent::as_indirect);
-            for (b, (key, tag)) in branches.zip(batch.keys(width)) {
-                let scored = take_scored(&mut scorer.to_warm);
-                let hit = table.lookup_update_tagged(key, tag, b.target, rule, scored);
-                if scored {
-                    scorer.indirect += 1;
-                    if hit.map(|h| h.target) != Some(b.target) {
-                        scorer.mispredicted += 1;
-                    }
-                }
-            }
+            fold_prekeyed(events, scorer, |i, _, actual, scored| {
+                let (key, tag) = batch.key(i, width);
+                table
+                    .lookup_update_tagged(key, tag, actual, rule, scored)
+                    .map(|h| h.target)
+            });
             return;
         }
     }

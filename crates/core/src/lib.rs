@@ -52,6 +52,7 @@ mod btb;
 mod config;
 mod counter;
 pub mod ext;
+mod hash;
 mod history;
 mod hybrid;
 mod interleave;
@@ -61,6 +62,7 @@ mod meta;
 mod pattern;
 mod predictor;
 pub mod snapshot;
+mod streams;
 pub mod table;
 mod trie;
 mod two_level;
@@ -84,5 +86,6 @@ pub use snapshot::{
     probe_counters_on, set_probe_counters, ComponentSnapshot, HistorySnapshot, Snapshot,
     StructuralSnapshot, TableSnapshot,
 };
+pub use streams::{KeyRecipe, KeyStreams, KeyedLane};
 pub use trie::{PathFamily, PathTrie};
 pub use two_level::TwoLevelPredictor;

@@ -1,11 +1,10 @@
 //! BPST metaprediction (§6.1 alternative) and the replayable
 //! metapredictor state shared with the component-parallel merge fold.
 
-use std::collections::HashMap;
-
 use ibp_trace::Addr;
 
 use crate::counter::SaturatingCounter;
+use crate::hash::WordMap;
 use crate::hybrid::HybridPredictor;
 use crate::predictor::Predictor;
 use crate::snapshot::{Snapshot, StructuralSnapshot};
@@ -44,7 +43,8 @@ pub enum MetaSpec {
 #[derive(Debug, Clone)]
 pub struct MetaState {
     spec: MetaSpec,
-    selectors: HashMap<u32, SaturatingCounter>,
+    /// One counter per branch site, keyed by its word address.
+    selectors: WordMap<SaturatingCounter>,
 }
 
 impl MetaState {
@@ -61,7 +61,7 @@ impl MetaState {
         }
         MetaState {
             spec,
-            selectors: HashMap::new(),
+            selectors: WordMap::default(),
         }
     }
 
@@ -227,6 +227,33 @@ impl BpstMetaPredictor {
     pub fn fused_step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
         let first = self.first.fused_step(pc, actual, true);
         let second = self.second.fused_step(pc, actual, true);
+        self.select_and_train(pc, first, second, actual, want_lookup)
+    }
+
+    /// [`fused_step`](BpstMetaPredictor::fused_step) over the components'
+    /// keys built ahead by their key streams (first, then second).
+    pub(crate) fn keyed_step(
+        &mut self,
+        pc: Addr,
+        keys: [u64; 2],
+        actual: Addr,
+        want_lookup: bool,
+    ) -> Option<Addr> {
+        let first = self.first.keyed_step(keys[0], actual, true);
+        let second = self.second.keyed_step(keys[1], actual, true);
+        self.select_and_train(pc, first, second, actual, want_lookup)
+    }
+
+    /// The selector half of a step: arbitrates the components' pre-update
+    /// lookups (when `want_lookup`), then trains the selector.
+    fn select_and_train(
+        &mut self,
+        pc: Addr,
+        first: Option<TableHit>,
+        second: Option<TableHit>,
+        actual: Addr,
+        want_lookup: bool,
+    ) -> Option<Addr> {
         let predicted = if want_lookup {
             self.meta.arbitrate(pc, first, second)
         } else {
@@ -238,6 +265,16 @@ impl BpstMetaPredictor {
             second.map(|h| h.target) == Some(actual),
         );
         predicted
+    }
+
+    /// Both components, first then second.
+    pub(crate) fn components(&self) -> [&TwoLevelPredictor; 2] {
+        [&self.first, &self.second]
+    }
+
+    /// Both components, first then second.
+    pub(crate) fn components_mut(&mut self) -> [&mut TwoLevelPredictor; 2] {
+        [&mut self.first, &mut self.second]
     }
 }
 

@@ -69,6 +69,20 @@ impl FullyAssocTable {
     /// Trains the entry for `key`, inserting (and possibly evicting the
     /// least-recently-used entry) on a tag miss.
     pub fn update(&mut self, key: u64, actual: Addr, rule: UpdateRule) {
+        let _ = self.lookup_update(key, actual, rule, false);
+    }
+
+    /// Fused [`lookup`](FullyAssocTable::lookup) + [`update`](FullyAssocTable::update)
+    /// in one probe of the index: returns the pre-update hit (when
+    /// `want_lookup`), then trains the entry, exactly as a `lookup`
+    /// followed by an `update` with the same key would.
+    pub fn lookup_update(
+        &mut self,
+        key: u64,
+        actual: Addr,
+        rule: UpdateRule,
+        want_lookup: bool,
+    ) -> Option<TableHit> {
         let probing = probe_counters_on();
         if probing {
             self.probe_tick += 1;
@@ -86,7 +100,9 @@ impl FullyAssocTable {
             }
         }
         if let Some(slot) = self.entries.get_promote(&key) {
+            let hit = want_lookup.then(|| slot.hit());
             slot.train(actual, rule);
+            hit
         } else {
             let evicted = self
                 .entries
@@ -94,6 +110,7 @@ impl FullyAssocTable {
             if probing && evicted.is_some() {
                 self.evictions += 1;
             }
+            None
         }
     }
 

@@ -149,65 +149,81 @@ impl SetAssocTable {
     /// way of the set is replaced with a fresh entry (conflict/capacity
     /// eviction).
     pub fn update(&mut self, key: u64, actual: Addr, rule: UpdateRule) {
+        let _ = self.lookup_update(key, actual, rule, false);
+    }
+
+    /// Fused [`lookup`](SetAssocTable::lookup) + [`update`](SetAssocTable::update)
+    /// in one scan of the set: returns the pre-update hit (when
+    /// `want_lookup`), then trains the entry, exactly as a `lookup`
+    /// followed by an `update` with the same key would.
+    pub fn lookup_update(
+        &mut self,
+        key: u64,
+        actual: Addr,
+        rule: UpdateRule,
+        want_lookup: bool,
+    ) -> Option<TableHit> {
         self.tick += 1;
         let tick = self.tick;
-        let probing = probe_counters_on();
         let (index, tag) = self.split(key);
-        let range = self.set_range(index);
-
-        // Tag hit: train in place.
-        for i in range.clone() {
-            if let Some(w) = &self.ways_store[i] {
-                if w.tag == tag {
-                    if probing {
+        let set = self.set_range(index);
+        // One scan finds the tag, the first invalid way and the LRU way.
+        let mut free = None;
+        let mut lru = set.start;
+        let mut oldest = u64::MAX;
+        for i in set.clone() {
+            match &self.ways_store[i] {
+                Some(w) if w.tag == tag => {
+                    if probe_counters_on() {
                         // LRU stack depth within the set = ways touched
                         // more recently than this one.
-                        let my_stamp = w.stamp;
-                        let depth = self.ways_store[range.clone()]
+                        let depth = self.ways_store[set]
                             .iter()
                             .flatten()
-                            .filter(|o| o.stamp > my_stamp)
+                            .filter(|o| o.stamp > w.stamp)
                             .count();
                         self.depth_hist[lru_depth_bucket(depth)] += 1;
                     }
                     let w = self.ways_store[i].as_mut().expect("hit way");
+                    let hit = want_lookup.then(|| w.slot.hit());
                     w.slot.train(actual, rule);
                     w.stamp = tick;
-                    return;
+                    return hit;
                 }
-            }
-        }
-        // Miss: fill an invalid way, else evict the LRU way.
-        let mut victim = None;
-        let mut oldest = u64::MAX;
-        let mut filled_free = false;
-        for i in range {
-            match &self.ways_store[i] {
+                Some(w) => {
+                    if w.stamp < oldest {
+                        oldest = w.stamp;
+                        lru = i;
+                    }
+                }
                 None => {
-                    victim = Some(i);
-                    self.occupied += 1;
-                    filled_free = true;
-                    break;
+                    free.get_or_insert(i);
                 }
-                Some(w) if w.stamp < oldest => {
-                    oldest = w.stamp;
-                    victim = Some(i);
-                }
-                Some(_) => {}
             }
         }
-        if probing && !filled_free {
-            // A miss in a full set replaces a live way: one eviction, and
-            // by the paper's §5.2 taxonomy a tag conflict in this set.
-            self.evictions += 1;
-            self.tag_conflicts += 1;
-        }
-        let i = victim.expect("non-empty set");
-        self.ways_store[i] = Some(Way {
+        // Miss: fill the first invalid way, else evict the LRU way.
+        let victim = match free {
+            Some(i) => {
+                self.occupied += 1;
+                i
+            }
+            None => {
+                if probe_counters_on() {
+                    // A miss in a full set replaces a live way: one
+                    // eviction, and by the paper's §5.2 taxonomy a tag
+                    // conflict in this set.
+                    self.evictions += 1;
+                    self.tag_conflicts += 1;
+                }
+                lru
+            }
+        };
+        self.ways_store[victim] = Some(Way {
             tag,
             slot: Slot::new(actual, self.confidence_bits),
             stamp: tick,
         });
+        None
     }
 
     /// Removes all entries (probe counters included).

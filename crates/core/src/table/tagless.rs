@@ -60,6 +60,20 @@ impl TaglessTable {
     /// Trains the entry at the key's index. Aliasing patterns train the
     /// same entry (negative *and* positive interference).
     pub fn update(&mut self, key: u64, actual: Addr, rule: UpdateRule) {
+        let _ = self.lookup_update(key, actual, rule, false);
+    }
+
+    /// Fused [`lookup`](TaglessTable::lookup) + [`update`](TaglessTable::update)
+    /// at one index: returns the pre-update hit (when `want_lookup`), then
+    /// trains the entry, exactly as a `lookup` followed by an `update` with
+    /// the same key would.
+    pub fn lookup_update(
+        &mut self,
+        key: u64,
+        actual: Addr,
+        rule: UpdateRule,
+        want_lookup: bool,
+    ) -> Option<TableHit> {
         let i = self.index(key);
         if probe_counters_on() {
             let cap = self.entries.len();
@@ -73,11 +87,14 @@ impl TaglessTable {
         }
         match &mut self.entries[i] {
             Some(slot) => {
+                let hit = want_lookup.then(|| slot.hit());
                 slot.train(actual, rule);
+                hit
             }
             e @ None => {
                 *e = Some(Slot::new(actual, self.confidence_bits));
                 self.occupied += 1;
+                None
             }
         }
     }

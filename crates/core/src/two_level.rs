@@ -6,6 +6,7 @@ use crate::history::{Histories, HistoryElement, HistoryRegister, HistorySharing,
 use crate::key::{CompressedKeySpec, FullKeySpec, TableSharing};
 use crate::predictor::{Predictor, UpdateRule};
 use crate::snapshot::{ComponentSnapshot, Snapshot, StructuralSnapshot, TableSnapshot};
+use crate::streams::KeyRecipe;
 use crate::table::{FullyAssocTable, SetAssocTable, TableHit, TaglessTable, UnboundedTable};
 
 /// A compressed key as the two words of an [`UnboundedTable`] key.
@@ -51,12 +52,21 @@ impl Backend {
         }
     }
 
-    fn update(&mut self, key: u64, actual: Addr, rule: UpdateRule) {
+    /// The one table step of a compressed-key predictor: the pre-update
+    /// lookup (when `want_lookup`) and the training of `key`'s entry, in
+    /// one probe of the table.
+    fn lookup_update(
+        &mut self,
+        key: u64,
+        actual: Addr,
+        rule: UpdateRule,
+        want_lookup: bool,
+    ) -> Option<TableHit> {
         match self {
-            Backend::Unbounded(t) => t.update(&key_words(key), actual, rule),
-            Backend::FullAssoc(t) => t.update(key, actual, rule),
-            Backend::SetAssoc(t) => t.update(key, actual, rule),
-            Backend::Tagless(t) => t.update(key, actual, rule),
+            Backend::Unbounded(t) => t.lookup_update(&key_words(key), actual, rule, want_lookup),
+            Backend::FullAssoc(t) => t.lookup_update(key, actual, rule, want_lookup),
+            Backend::SetAssoc(t) => t.lookup_update(key, actual, rule, want_lookup),
+            Backend::Tagless(t) => t.lookup_update(key, actual, rule, want_lookup),
         }
     }
 
@@ -163,8 +173,8 @@ pub struct TwoLevelPredictor {
     batch: KeyBatch,
 }
 
-/// One chunk's precomputed unbounded-table keys: the words of every
-/// indirect event's key, back to back, and each key's hash tag.
+/// One chunk's precomputed full keys: the words of every indirect event's
+/// key, back to back, and each key's hash tag.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KeyBatch {
     words: Vec<u32>,
@@ -172,11 +182,9 @@ pub(crate) struct KeyBatch {
 }
 
 impl KeyBatch {
-    /// The batched keys in event order, each with its tag.
-    pub(crate) fn keys(&self, width: usize) -> impl Iterator<Item = (&[u32], u32)> {
-        self.words
-            .chunks_exact(width)
-            .zip(self.tags.iter().copied())
+    /// The `i`-th indirect event's `width`-word key, with its tag.
+    pub(crate) fn key(&self, i: usize, width: usize) -> (&[u32], u32) {
+        (&self.words[i * width..(i + 1) * width], self.tags[i])
     }
 }
 
@@ -380,8 +388,9 @@ impl TwoLevelPredictor {
     /// This is the hot inner step of the chunk-fold kernels
     /// ([`FoldKernel`](crate::FoldKernel)): the legacy dyn fold pays two
     /// virtual calls and two register/key computations per event; this pays
-    /// none and one. Unbounded tables additionally fold the lookup and
-    /// the update into a single probe.
+    /// none and one. The lookup and the update share a single probe of the
+    /// table, the same table step a fold over shared key streams
+    /// ([`KeyStreams`](crate::KeyStreams)) runs on a prebuilt key.
     pub fn fused_step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<TableHit> {
         let register = self.histories.register(pc);
         let hit = match &mut self.mode {
@@ -389,30 +398,71 @@ impl TwoLevelPredictor {
                 table.lookup_update(words, actual, self.rule, want_lookup)
             }),
             Mode::Compressed { spec, backend } => {
-                let key = spec.key(pc, register);
-                match backend {
-                    Backend::Unbounded(t) => {
-                        t.lookup_update(&key_words(key), actual, self.rule, want_lookup)
-                    }
-                    _ => {
-                        let hit = if want_lookup { backend.lookup(key) } else { None };
-                        backend.update(key, actual, self.rule);
-                        hit
-                    }
-                }
+                backend.lookup_update(spec.key(pc, register), actual, self.rule, want_lookup)
             }
         };
         self.histories.record(pc, actual);
         hit
     }
 
-    /// The key pass of a batched chunk fold over an unbounded table, whose
-    /// probe dominates the fold: runs the history forward over the whole
-    /// chunk and records every indirect event's key words and tag. This is
-    /// exact because history depends only on the events, never on a
-    /// prediction. Returns what the probe pass needs — the table, the
-    /// batch and the update rule — or `None`, touching nothing, for a
-    /// bounded backend.
+    /// The table half of [`fused_step`](TwoLevelPredictor::fused_step) for
+    /// a compressed key built ahead by a key stream: probes (when
+    /// `want_lookup`) and trains `key`'s entry. The history is the
+    /// stream's, so it does not move here.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a full-precision predictor, which has no key recipe.
+    pub(crate) fn keyed_step(
+        &mut self,
+        key: u64,
+        actual: Addr,
+        want_lookup: bool,
+    ) -> Option<TableHit> {
+        match &mut self.mode {
+            Mode::Compressed { backend, .. } => {
+                backend.lookup_update(key, actual, self.rule, want_lookup)
+            }
+            Mode::Full { .. } => unreachable!("a full-key predictor has no key stream"),
+        }
+    }
+
+    /// What fixes this predictor's key stream from the events alone — its
+    /// [`CompressedKeySpec`], history sharing and element, and whether
+    /// conditional targets enter the history — or `None` for full-precision
+    /// keys. Predictors with equal recipes build the same key for every
+    /// event from a cold start, whatever their tables.
+    #[must_use]
+    pub fn key_recipe(&self) -> Option<KeyRecipe> {
+        match &self.mode {
+            Mode::Compressed { spec, .. } => Some(KeyRecipe {
+                spec: *spec,
+                sharing: self.histories.sharing(),
+                element: self.histories.element(),
+                include_cond: self.include_cond,
+            }),
+            Mode::Full { .. } => None,
+        }
+    }
+
+    /// The first level.
+    pub(crate) fn histories(&self) -> &Histories {
+        &self.histories
+    }
+
+    /// Takes over a first level that a key stream ran forward for this
+    /// predictor, as if its own steps had.
+    pub(crate) fn adopt_histories(&mut self, histories: &Histories) {
+        self.histories.clone_from(histories);
+    }
+
+    /// The key pass of a batched chunk fold over a full-key unbounded
+    /// table, whose probe dominates the fold: runs the history forward over
+    /// the whole chunk and records every indirect event's key words and
+    /// tag. This is exact because history depends only on the events,
+    /// never on a prediction. Returns what the probe pass needs — the
+    /// table, the batch and the update rule — or `None`, touching nothing,
+    /// for a compressed key, which folds from a shared key stream instead.
     pub(crate) fn batch_keys(
         &mut self,
         events: &[TraceEvent],
@@ -425,24 +475,10 @@ impl TwoLevelPredictor {
             batch,
             ..
         } = self;
-        let table = match mode {
-            Mode::Full { key, table } => {
-                let write = |pc, reg: &HistoryRegister, out: &mut [u32]| key.write(pc, reg, out);
-                fill_batch(batch, histories, *include_cond, events, key.words(), write);
-                table
-            }
-            Mode::Compressed {
-                spec,
-                backend: Backend::Unbounded(table),
-            } => {
-                let write = |pc, reg: &HistoryRegister, out: &mut [u32]| {
-                    out.copy_from_slice(&key_words(spec.key(pc, reg)));
-                };
-                fill_batch(batch, histories, *include_cond, events, 2, write);
-                table
-            }
-            Mode::Compressed { .. } => return None,
+        let Mode::Full { key, table } = mode else {
+            return None;
         };
+        fill_batch(batch, histories, *include_cond, events, key);
         Some((table, batch, *rule))
     }
 
@@ -460,15 +496,14 @@ impl TwoLevelPredictor {
     }
 }
 
-/// Fills `batch` with the `width`-word key and tag of every indirect event
-/// in `events`, shifting the history as the events go by.
+/// Fills `batch` with the full key and tag of every indirect event in
+/// `events`, shifting the history as the events go by.
 fn fill_batch(
     batch: &mut KeyBatch,
     histories: &mut Histories,
     include_cond: bool,
     events: &[TraceEvent],
-    width: usize,
-    mut write: impl FnMut(Addr, &HistoryRegister, &mut [u32]),
+    key: &FullKeySpec,
 ) {
     batch.words.clear();
     batch.tags.clear();
@@ -476,9 +511,9 @@ fn fill_batch(
         match event {
             TraceEvent::Indirect(b) => {
                 let start = batch.words.len();
-                batch.words.resize(start + width, 0);
+                batch.words.resize(start + key.words(), 0);
                 let words = &mut batch.words[start..];
-                write(b.pc, histories.register(b.pc), words);
+                key.write(b.pc, histories.register(b.pc), words);
                 batch.tags.push(UnboundedTable::tag(words));
                 histories.record(b.pc, b.target);
             }
@@ -527,7 +562,7 @@ impl Predictor for TwoLevelPredictor {
             }
             Mode::Compressed { spec, backend } => {
                 let key = spec.key(pc, register);
-                backend.update(key, actual, self.rule);
+                let _ = backend.lookup_update(key, actual, self.rule, false);
             }
         }
         self.histories.record(pc, actual);

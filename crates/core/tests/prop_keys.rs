@@ -1,10 +1,12 @@
 //! Property-based tests for key construction: compression, interleaving
-//! and key schemes.
+//! and key schemes, and the key recipes that let lanes share key streams.
 
 use ibp_core::{
-    CompressedKeySpec, HistoryRegister, Interleaving, KeyScheme, PatternCompressor, MAX_PATH,
+    Associativity, CompressedKeySpec, HistoryElement, HistoryRegister, HistorySharing,
+    Interleaving, KeyScheme, KeyStreams, PatternCompressor, Predictor, PredictorConfig,
+    TableSharing, UpdateRule, MAX_PATH,
 };
-use ibp_trace::Addr;
+use ibp_trace::{Addr, BranchKind, Trace, TraceEvent};
 use proptest::prelude::*;
 
 /// The reference layout: deals the pattern out one bit at a time, visiting
@@ -255,5 +257,237 @@ proptest! {
             b.push(Addr::from_word(t));
         }
         prop_assert_eq!(a.snapshot(), b.snapshot());
+    }
+}
+
+/// The key half of a random compressed config: path length, pattern
+/// budget, compressor, interleaving, key scheme, table sharing `h`,
+/// history sharing `s`, address-xor-target elements, conditional targets.
+type KeyParams = (
+    usize,
+    u32,
+    PatternCompressor,
+    Interleaving,
+    KeyScheme,
+    u32,
+    u32,
+    bool,
+    bool,
+);
+
+fn key_params() -> impl Strategy<Value = KeyParams> {
+    (
+        0usize..=8,
+        prop_oneof![Just(12u32), Just(24), Just(32)],
+        prop_oneof![
+            Just(PatternCompressor::BitSelect { a: 2 }),
+            Just(PatternCompressor::BitSelect { a: 4 }),
+            Just(PatternCompressor::XorFold),
+            Just(PatternCompressor::ShiftXor),
+        ],
+        prop_oneof![
+            Just(Interleaving::Concat),
+            Just(Interleaving::Straight),
+            Just(Interleaving::Reverse),
+            Just(Interleaving::PingPong),
+        ],
+        prop_oneof![Just(KeyScheme::GshareXor), Just(KeyScheme::Concat)],
+        prop_oneof![Just(2u32), Just(9), Just(31)],
+        prop_oneof![Just(2u32), Just(8), Just(31)],
+        any::<bool>(),
+        any::<bool>(),
+    )
+}
+
+/// `base` with one field of `other` in place of its own: field `field`
+/// counts from 0, in [`KeyParams`] order.
+fn neighbour(base: KeyParams, other: KeyParams, field: usize) -> KeyParams {
+    let mut k = base;
+    match field {
+        0 => k.0 = other.0,
+        1 => k.1 = other.1,
+        2 => k.2 = other.2,
+        3 => k.3 = other.3,
+        4 => k.4 = other.4,
+        5 => k.5 = other.5,
+        6 => k.6 = other.6,
+        7 => k.7 = other.7,
+        _ => k.8 = other.8,
+    }
+    k
+}
+
+/// What sits behind the key: the table size (`None` for unbounded), its
+/// associativity, the confidence width and whether the rule is
+/// always-update.
+type TableParams = (Option<usize>, Associativity, u8, bool);
+
+fn table_params() -> impl Strategy<Value = TableParams> {
+    (
+        prop_oneof![Just(None), Just(Some(64usize)), Just(Some(512))],
+        prop_oneof![
+            Just(Associativity::Tagless),
+            Just(Associativity::Ways(1)),
+            Just(Associativity::Ways(2)),
+            Just(Associativity::Ways(4)),
+            Just(Associativity::Full),
+        ],
+        1u8..=4,
+        any::<bool>(),
+    )
+}
+
+/// `base`, whose kind and path lengths stay, with every key and table
+/// parameter set.
+fn with_params(base: PredictorConfig, k: KeyParams, t: TableParams) -> PredictorConfig {
+    let (_, budget, compressor, interleaving, scheme, h, s, xor, cond) = k;
+    let (entries, assoc, bits, always) = t;
+    let element = if xor {
+        HistoryElement::AddressXorTarget
+    } else {
+        HistoryElement::Target
+    };
+    let rule = if always {
+        UpdateRule::Always
+    } else {
+        UpdateRule::TwoBitCounter
+    };
+    let cfg = base
+        .with_pattern_budget(budget)
+        .with_compressor(compressor)
+        .with_interleaving(interleaving)
+        .with_key_scheme(scheme)
+        .with_table_sharing(TableSharing::per_set(h))
+        .with_history_sharing(HistorySharing::per_set(s))
+        .with_history_element(element)
+        .with_cond_targets(cond)
+        .with_associativity(assoc)
+        .with_confidence_bits(bits)
+        .with_update_rule(rule);
+    match entries {
+        Some(n) => cfg.with_entries(n),
+        None => cfg.with_unbounded_table(),
+    }
+}
+
+/// A short random trace over sites in several 256-byte regions, so per-set
+/// histories split, with conditional branches among the indirect ones.
+fn recipe_trace() -> impl Strategy<Value = Trace> {
+    proptest::collection::vec((0u32..6, 0u32..5, 0u32..4), 1..300).prop_map(|v| {
+        let mut t = Trace::new("recipe");
+        for (s, target, kind) in v {
+            let pc = Addr::new(0x1000 + s * 0x104);
+            let target = Addr::new(0x8000 + target * 0x24);
+            if kind == 0 {
+                t.push_cond(pc, target, s % 2 == 0);
+            } else {
+                t.push_indirect(pc, target, BranchKind::Switch);
+            }
+        }
+        t
+    })
+}
+
+/// The keys a predictor builds for itself, event by event, under the
+/// legacy predict-then-update protocol.
+fn own_keys(cfg: &PredictorConfig, trace: &Trace) -> Vec<u64> {
+    let mut p = cfg.try_build_two_level().expect("a valid two-level config");
+    let mut keys = Vec::new();
+    for event in trace.events() {
+        match event {
+            TraceEvent::Indirect(b) => {
+                keys.push(p.key_fingerprint(b.pc));
+                p.update(b.pc, b.target);
+            }
+            TraceEvent::Cond(b) => p.observe_cond(b.pc, b.outcome()),
+        }
+    }
+    keys
+}
+
+/// The key stream a [`KeyStreams`] builds for a config's lane, filled in
+/// chunks of `fill` events.
+fn stream_keys(cfg: &PredictorConfig, trace: &Trace, fill: usize) -> Vec<u64> {
+    let mut streams = KeyStreams::new();
+    let lane = streams
+        .attach(&cfg.build_kernel())
+        .expect("a compressed-key lane");
+    let mut keys = Vec::new();
+    for chunk in trace.events().chunks(fill) {
+        streams.fill(chunk);
+        keys.extend_from_slice(streams.keys(lane.streams()[0]));
+    }
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Two predictors with equal key recipes build identical key streams,
+    /// and a stream equals the keys its predictor builds for itself. The
+    /// second config is the first with one key parameter drawn afresh, so
+    /// a recipe that missed a parameter would pair two different streams.
+    #[test]
+    fn equal_recipes_build_identical_key_streams(
+        a in key_params(),
+        b in key_params(),
+        field in 0usize..9,
+        ta in table_params(),
+        tb in table_params(),
+        trace in recipe_trace(),
+        fill in 1usize..40,
+    ) {
+        let b = neighbour(a, b, field);
+        let configs = [
+            with_params(PredictorConfig::compressed_unbounded(a.0), a, ta),
+            with_params(PredictorConfig::compressed_unbounded(b.0), b, tb),
+        ];
+        let mut recipes = Vec::new();
+        let mut keys = Vec::new();
+        for cfg in &configs {
+            let own = own_keys(cfg, &trace);
+            prop_assert_eq!(&stream_keys(cfg, &trace, fill), &own, "{}", cfg.cache_key());
+            let p = cfg.try_build_two_level().expect("a valid two-level config");
+            recipes.push(p.key_recipe().expect("a compressed key has a recipe"));
+            keys.push(own);
+        }
+        if recipes[0] == recipes[1] {
+            prop_assert_eq!(&keys[0], &keys[1], "{:?}", recipes[0]);
+        }
+    }
+
+    /// Configs that differ only behind the key — table size,
+    /// associativity, confidence width, update rule or metapredictor —
+    /// share a recipe, so a pass folds them from one stream per path
+    /// length.
+    #[test]
+    fn table_and_metapredictor_parameters_share_a_recipe(
+        k in key_params(),
+        p2 in 0usize..=8,
+        ta in table_params(),
+        tb in table_params(),
+    ) {
+        let single = |t| with_params(PredictorConfig::compressed_unbounded(k.0), k, t);
+        let recipe = |cfg: &PredictorConfig| {
+            cfg.try_build_two_level().expect("a valid two-level config").key_recipe()
+        };
+        prop_assert_eq!(recipe(&single(ta)), recipe(&single(tb)));
+        prop_assert!(recipe(&single(ta)).is_some());
+
+        let mut streams = KeyStreams::new();
+        let first = streams.attach(&single(ta).build_kernel()).expect("keyed");
+        let second = streams.attach(&single(tb).build_kernel()).expect("keyed");
+        prop_assert_eq!(first, second);
+        prop_assert_eq!(streams.len(), 1);
+
+        let hybrid = with_params(PredictorConfig::hybrid(k.0, p2, 64, 4), k, ta);
+        let bpst = with_params(PredictorConfig::bpst(k.0, p2, 64, 4), k, tb);
+        let h = streams.attach(&hybrid.build_kernel()).expect("keyed");
+        let after_hybrid = streams.len();
+        let b = streams.attach(&bpst.build_kernel()).expect("keyed");
+        prop_assert_eq!(h, b);
+        prop_assert_eq!(streams.len(), after_hybrid, "the BPST adds no stream");
+        prop_assert_eq!(h.streams()[0], first.streams()[0]);
+        prop_assert_eq!(after_hybrid, if p2 == k.0 { 1 } else { 2 });
     }
 }

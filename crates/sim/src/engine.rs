@@ -17,7 +17,9 @@
 //!   family ([`PredictorConfig::path_family`]) fold as one [`PathTrie`]
 //!   lane when the family is dense enough for the trie to pay; every
 //!   other cell folds on its own lane, and so does every config of a
-//!   probed pass;
+//!   probed pass; in an unprobed pass the compressed-key lanes read their
+//!   keys from one shared stream per key recipe
+//!   ([`KeyStreams`](ibp_core::KeyStreams));
 //! * a cell's value is a [`Measurement`]: a predictor's
 //!   [`RunStats`](crate::RunStats), or
 //!   what a measure lane found (a miss breakdown, a pattern count,
@@ -43,11 +45,11 @@
 //!   [`parallel_map`], which retries the pass inline and journals a
 //!   `degraded` event — a fault costs wall time, never correctness;
 //! * with tracing on (`IBP_TRACE`), every benchmark pass emits a `cell`
-//!   span (benchmark, config count, queue wait vs. run time, and the
-//!   depths of its trie families), every folded cell a `cell` event with
-//!   `outcome = "miss"` and the `fold` that made it (`"trie"` or
-//!   `"lane"`), and every memoized lookup a `cell` event with
-//!   `outcome = "hit"`.
+//!   span (benchmark, config count, queue wait vs. run time, the depths
+//!   of its trie families, and its number of key streams as `keys`),
+//!   every folded cell a `cell` event with `outcome = "miss"` and the
+//!   `fold` that made it (`"trie"`, `"keyed"` or `"lane"`), and every
+//!   memoized lookup a `cell` event with `outcome = "hit"`.
 //!
 //! Set `IBP_LOG=1` for a per-sweep progress line on stderr.
 
@@ -589,7 +591,7 @@ impl<'a> Sweep<'a> {
                     .collect();
                 cell.note("tries", families.join("; "));
             }
-            let (stats, measured) = simulate_source_cells(
+            let pass = simulate_source_cells(
                 &mut *source,
                 &mut plan.kernels,
                 &mut plan.tries,
@@ -597,15 +599,21 @@ impl<'a> Sweep<'a> {
                 self.warmup,
             )
             .expect("suite sources cannot fail");
+            if pass.keys > 0 {
+                cell.note("keys", pass.keys);
+            }
             let trie_runs: Vec<_> = plan.tries.iter().map(trie_stats).collect();
             members
                 .iter()
                 .zip(&plan.routes)
                 .map(|(&u, &route)| {
                     let (value, fold) = match route {
-                        Route::Kernel(k) => (Measurement::Run(stats[k]), "lane"),
+                        Route::Kernel(k) => {
+                            let fold = if pass.keyed[k] { "keyed" } else { "lane" };
+                            (Measurement::Run(pass.stats[k]), fold)
+                        }
                         Route::Trie(t, m) => (Measurement::Run(trie_runs[t][m]), "trie"),
-                        Route::Measure(m) => (measured[m], "lane"),
+                        Route::Measure(m) => (pass.measured[m], "lane"),
                     };
                     // Per-cell provenance: the pass span names only its
                     // benchmark.

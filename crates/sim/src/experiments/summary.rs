@@ -3,7 +3,7 @@
 use ibp_core::PredictorConfig;
 use ibp_workload::BenchmarkGroup;
 
-use crate::engine;
+use crate::engine::Sweep;
 use crate::report::{Cell, Table};
 use crate::suite::Suite;
 
@@ -16,42 +16,69 @@ use crate::suite::Suite;
 /// * hybrids further reduce these to ≈ 8.98 % and ≈ 5.95 %.
 ///
 /// The reproduced numbers use this repo's best path lengths (chosen by a
-/// small sweep) rather than hard-coding the paper's.
+/// small sweep) rather than hard-coding the paper's. All 17 configs queue
+/// on one sweep, so each benchmark folds them in one pass, where the
+/// practical and hybrid lanes share their key streams.
 #[must_use]
 pub fn run(suite: &Suite) -> Vec<Table> {
-    let avg = |cfg: PredictorConfig| -> f64 {
-        engine::run_config(suite, cfg)
-            .group_rate(BenchmarkGroup::Avg)
-            .unwrap_or(0.0)
-    };
-    let best_over = |mk: &dyn Fn(usize) -> PredictorConfig, paths: &[usize]| -> f64 {
-        engine::run_configs(suite, paths.iter().map(|&p| mk(p)).collect())
-            .iter()
-            .map(|r| r.group_rate(BenchmarkGroup::Avg).unwrap_or(0.0))
-            .fold(f64::INFINITY, f64::min)
-    };
-
-    let btb = avg(PredictorConfig::btb_2bc());
-    let two_level_1k = best_over(&|p| PredictorConfig::practical(p, 1024, 4), &[1, 2, 3, 4]);
-    let two_level_8k = best_over(
-        &|p| PredictorConfig::practical(p, 8192, 4),
-        &[2, 3, 4, 5, 6],
+    /// A row: its label, the config at each path length, the path lengths
+    /// it takes the best of, and the paper's number.
+    type Row = (
+        &'static str,
+        fn(usize) -> PredictorConfig,
+        &'static [usize],
+        f64,
     );
-    let hybrid_1k = best_over(&|p| PredictorConfig::hybrid(p, 1, 512, 4), &[2, 3, 4]);
-    let hybrid_8k = best_over(&|p| PredictorConfig::hybrid(p, 2, 4096, 4), &[4, 5, 6, 7]);
+    let rows: [Row; 5] = [
+        (
+            "ideal BTB (2bc)",
+            |_| PredictorConfig::btb_2bc(),
+            &[0],
+            0.249,
+        ),
+        (
+            "two-level, 1K 4-way",
+            |p| PredictorConfig::practical(p, 1024, 4),
+            &[1, 2, 3, 4],
+            0.098,
+        ),
+        (
+            "two-level, 8K 4-way",
+            |p| PredictorConfig::practical(p, 8192, 4),
+            &[2, 3, 4, 5, 6],
+            0.073,
+        ),
+        (
+            "hybrid, 1K total 4-way",
+            |p| PredictorConfig::hybrid(p, 1, 512, 4),
+            &[2, 3, 4],
+            0.0898,
+        ),
+        (
+            "hybrid, 8K total 4-way",
+            |p| PredictorConfig::hybrid(p, 2, 4096, 4),
+            &[4, 5, 6, 7],
+            0.0595,
+        ),
+    ];
+    let mut sweep = Sweep::new(suite);
+    for (_, config, paths, _) in &rows {
+        for &p in *paths {
+            sweep.config(config(p));
+        }
+    }
+    let mut results = sweep.run().into_iter();
 
     let mut t = Table::new(
         "Headline numbers (AVG misprediction)",
         ["predictor", "measured", "paper"],
     );
-    let rows: [(&str, f64, f64); 5] = [
-        ("ideal BTB (2bc)", btb, 0.249),
-        ("two-level, 1K 4-way", two_level_1k, 0.098),
-        ("two-level, 8K 4-way", two_level_8k, 0.073),
-        ("hybrid, 1K total 4-way", hybrid_1k, 0.0898),
-        ("hybrid, 8K total 4-way", hybrid_8k, 0.0595),
-    ];
-    for (label, measured, paper) in rows {
+    for (label, _, paths, paper) in rows {
+        let measured = results
+            .by_ref()
+            .take(paths.len())
+            .map(|r| r.group_rate(BenchmarkGroup::Avg).unwrap_or(0.0))
+            .fold(f64::INFINITY, f64::min);
         t.push_row(vec![
             Cell::from(label),
             Cell::Percent(measured),

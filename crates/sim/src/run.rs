@@ -8,37 +8,63 @@
 //! engine's grouped pass can carry [`PathTrie`] lanes, each folding a
 //! whole path-length family of unbounded predictors in one walk, and
 //! [`MeasureLane`]s: folds that measure the trace, or a predictor's misses
-//! by cause, rather than score a prediction.
+//! by cause, rather than score a prediction. In an unprobed pass every
+//! compressed-key kernel folds from [`KeyStreams`]: one key stream per
+//! distinct key recipe, built once per chunk for all its lanes.
 
-use ibp_core::{fold_dyn_chunk, ChunkScorer, FoldKernel, PathTrie, Predictor, WarmTrigger};
+use ibp_core::{
+    fold_dyn_chunk, ChunkScorer, FoldKernel, KeyStreams, KeyedLane, PathTrie, Predictor,
+    WarmTrigger,
+};
 use ibp_trace::io::TraceIoError;
 use ibp_trace::{chunk_events, EventSource, Trace, TraceChunk};
 
 use crate::analysis::{AheadHits, MissBreakdown, TraceCounts};
 use crate::probe::{self, ProbeRun};
 
-/// One simulation lane: either an owned kernel (monomorphized fold) or a
-/// borrowed predictor (one virtual `step` per event through the same
-/// skeleton). The driver below is identical for both.
+/// One simulation lane: an owned kernel (monomorphized fold), a kernel
+/// folding from the pass's shared key streams, or a borrowed predictor
+/// (one virtual `step` per event through the same skeleton). The fold
+/// loop below is identical for all three.
 enum Lane<'a> {
     Kernel(&'a mut FoldKernel),
+    Keyed(&'a mut FoldKernel, KeyedLane),
     Dyn(&'a mut (dyn Predictor + 'static)),
 }
 
 impl Lane<'_> {
-    fn fold_chunk(&mut self, events: &[ibp_trace::TraceEvent], scorer: &mut ChunkScorer<'_>) {
+    fn fold_chunk(
+        &mut self,
+        events: &[ibp_trace::TraceEvent],
+        streams: &KeyStreams,
+        scorer: &mut ChunkScorer<'_>,
+    ) {
         match self {
             Lane::Kernel(k) => k.fold_chunk(events, scorer),
+            Lane::Keyed(k, lane) => streams.fold(*lane, k, events, scorer),
             Lane::Dyn(p) => fold_dyn_chunk(*p, events, scorer),
         }
     }
 
     fn predictor(&self) -> &dyn Predictor {
         match self {
-            Lane::Kernel(k) => k.as_predictor(),
+            Lane::Kernel(k) | Lane::Keyed(k, _) => k.as_predictor(),
             Lane::Dyn(p) => *p,
         }
     }
+}
+
+/// What one pass folded ([`simulate_source_cells`]).
+pub(crate) struct PassFold {
+    /// One per predictor lane, in input order.
+    pub(crate) stats: Vec<RunStats>,
+    /// One per measure lane, in input order.
+    pub(crate) measured: Vec<Measurement>,
+    /// Per predictor lane, whether it folded from the pass's shared key
+    /// streams.
+    pub(crate) keyed: Vec<bool>,
+    /// The distinct key recipes the pass built streams for.
+    pub(crate) keys: usize,
 }
 
 /// The outcome of simulating one predictor over one trace.
@@ -190,8 +216,8 @@ pub fn simulate_source_multi<S: EventSource + ?Sized>(
     predictors: &mut [&mut (dyn Predictor + 'static)],
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
-    let mut lanes: Vec<Lane<'_>> = predictors.iter_mut().map(|p| Lane::Dyn(&mut **p)).collect();
-    fold_source_lanes(source, &mut lanes, &mut [], &mut [], warmup)
+    let lanes: Vec<Lane<'_>> = predictors.iter_mut().map(|p| Lane::Dyn(&mut **p)).collect();
+    Ok(fold_source_lanes(source, lanes, &mut [], &mut [], warmup)?.stats)
 }
 
 /// Folds one chunk-fold kernel over a streaming source — the fast,
@@ -214,7 +240,9 @@ pub fn simulate_kernel<S: EventSource + ?Sized>(
 /// engine's per-benchmark passes. Within each chunk the lanes fold one after
 /// another, which yields per-lane results identical to the legacy
 /// event-interleaved order: lanes share no state, and each lane sees the
-/// same events in the same order either way.
+/// same events in the same order either way. Unprobed, the compressed-key
+/// kernels fold from shared key streams ([`KeyStreams`]) and end the pass
+/// holding the histories their own folds would have left.
 ///
 /// # Errors
 ///
@@ -224,15 +252,16 @@ pub fn simulate_source_kernels<S: EventSource + ?Sized>(
     kernels: &mut [FoldKernel],
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
-    simulate_source_cells(source, kernels, &mut [], Vec::new(), warmup).map(|(stats, _)| stats)
+    simulate_source_cells(source, kernels, &mut [], Vec::new(), warmup).map(|pass| pass.stats)
 }
 
 /// The sweep engine's grouped pass: folds `kernels`, `tries` and
 /// `measures` over **one** pass of a streaming source. Returns one
 /// [`RunStats`] per kernel and one [`Measurement`] per measure lane, each
-/// in input order; each trie's members are read off the trie afterwards
-/// ([`trie_stats`]). The warmup applies to the kernels, and a trie carries
-/// its own; a measure lane sees every event.
+/// in input order, and which kernels folded from shared key streams; each
+/// trie's members are read off the trie afterwards ([`trie_stats`]). The
+/// warmup applies to the kernels, and a trie carries its own; a measure
+/// lane sees every event.
 ///
 /// # Errors
 ///
@@ -243,10 +272,11 @@ pub(crate) fn simulate_source_cells<S: EventSource + ?Sized>(
     tries: &mut [PathTrie],
     mut measures: Vec<Box<dyn MeasureLane>>,
     warmup: u64,
-) -> Result<(Vec<RunStats>, Vec<Measurement>), TraceIoError> {
-    let mut lanes: Vec<Lane<'_>> = kernels.iter_mut().map(Lane::Kernel).collect();
-    let stats = fold_source_lanes(source, &mut lanes, tries, &mut measures, warmup)?;
-    Ok((stats, measures.into_iter().map(MeasureLane::finish).collect()))
+) -> Result<PassFold, TraceIoError> {
+    let lanes: Vec<Lane<'_>> = kernels.iter_mut().map(Lane::Kernel).collect();
+    let mut pass = fold_source_lanes(source, lanes, tries, &mut measures, warmup)?;
+    pass.measured = measures.into_iter().map(MeasureLane::finish).collect();
+    Ok(pass)
 }
 
 /// One [`RunStats`] per member of a folded trie, in member order: exactly
@@ -268,16 +298,35 @@ pub fn trie_stats(trie: &PathTrie) -> Vec<RunStats> {
 /// journal span/chunk events and the probe layer's sampling protocol
 /// exactly as the per-event fold did. The probe layer samples the
 /// predictor lanes only: a probed pass folds every config on its own lane.
+/// An unprobed pass attaches its kernels to one [`KeyStreams`], fills the
+/// streams once per chunk before the lanes fold, and hands each keyed
+/// kernel its streams' histories at the end. The measure lanes' values
+/// are left for the caller to finish.
 fn fold_source_lanes<S: EventSource + ?Sized>(
     source: &mut S,
-    lanes: &mut [Lane<'_>],
+    lanes: Vec<Lane<'_>>,
     tries: &mut [PathTrie],
     measures: &mut [Box<dyn MeasureLane>],
     warmup: u64,
-) -> Result<Vec<RunStats>, TraceIoError> {
+) -> Result<PassFold, TraceIoError> {
     let mut span = ibp_obs::span("simulate");
     let timer = span.armed().then(std::time::Instant::now);
     let policy = probe::active_policy();
+    let mut streams = KeyStreams::new();
+    let mut lanes: Vec<Lane<'_>> = if policy.on() {
+        lanes
+    } else {
+        lanes
+            .into_iter()
+            .map(|lane| match lane {
+                Lane::Kernel(k) => match streams.attach(k) {
+                    Some(keyed) => Lane::Keyed(k, keyed),
+                    None => Lane::Kernel(k),
+                },
+                other => other,
+            })
+            .collect()
+    };
     let mut probes: Vec<ProbeRun> = if policy.on() {
         lanes.iter().map(|_| ProbeRun::new(policy)).collect()
     } else {
@@ -299,8 +348,9 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
         let chunk_timer = timer.map(|_| std::time::Instant::now());
         let more = source.fill(&mut chunk, chunk_events())?;
         seen += chunk.indirect_count();
+        streams.fill(chunk.events());
         for (lane, scorer) in lanes.iter_mut().zip(&mut scorers) {
-            lane.fold_chunk(chunk.events(), scorer);
+            lane.fold_chunk(chunk.events(), &streams, scorer);
         }
         for trie in tries.iter_mut() {
             trie.fold_chunk(chunk.events());
@@ -332,6 +382,11 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
         })
         .collect();
     drop(scorers);
+    for lane in &mut lanes {
+        if let Lane::Keyed(k, keyed) = lane {
+            streams.restore(*keyed, k);
+        }
+    }
     for (lane, probe) in lanes.iter().zip(&mut probes) {
         probe.sample("end", lane.predictor());
         probe.emit(source.name(), &lane.predictor().name());
@@ -354,7 +409,15 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
             span.note("events_per_sec", (seen as f64 / secs).round());
         }
     }
-    Ok(stats)
+    Ok(PassFold {
+        stats,
+        measured: Vec::new(),
+        keyed: lanes
+            .iter()
+            .map(|lane| matches!(lane, Lane::Keyed(..)))
+            .collect(),
+        keys: streams.len(),
+    })
 }
 
 #[cfg(test)]

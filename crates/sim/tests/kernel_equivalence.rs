@@ -11,14 +11,16 @@
 //! `IBP_PROBE=deep`; the pipeline test covers the sequential fold and both
 //! library pipelines × all three probe levels in one sweep. The trie test
 //! pins the sweep engine's one-walk fold of a path-length family to each
-//! member's own kernel fold.
+//! member's own kernel fold, and the keyed test pins a pass whose
+//! compressed-key lanes share key streams to each lane's legacy fold.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ibp_core::ext::{CascadePredictor, TargetCache};
 use ibp_core::{
-    ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing, PathTrie,
-    Predictor, PredictorConfig, TableSharing, TwoLevelPredictor, UpdateRule,
+    ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing, KeyScheme,
+    KeyStreams, PathTrie, PatternCompressor, Predictor, PredictorConfig, TableSharing,
+    TwoLevelPredictor, UpdateRule,
 };
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
@@ -26,7 +28,7 @@ use ibp_sim::component::simulate_source_components;
 use ibp_sim::experiments::ext;
 use ibp_sim::probe::{self, ProbePolicy};
 use ibp_sim::shard::simulate_source_sharded;
-use ibp_sim::{simulate_kernel, simulate_source, trie_stats, RunStats};
+use ibp_sim::{simulate_kernel, simulate_source, simulate_source_kernels, trie_stats, RunStats};
 use ibp_trace::{Addr, Trace, TraceEvent};
 use ibp_workload::Benchmark;
 
@@ -187,12 +189,14 @@ fn dyn_fallback_arm_matches_legacy_fold() {
     }
 }
 
-/// Over unbounded tables an unprobed kernel fold computes a whole chunk's
-/// keys before its first probe. That must be invisible at every chunk
-/// boundary: for each unbounded configuration the §3–§4 sweeps use, the
-/// batched fold's `RunStats` equal the explicit predict-then-update loop's
-/// at chunk fill sizes 1, c−1, c and c+1 (c = the default chunk capacity),
-/// cold and with a warmup that ends mid-chunk.
+/// Over full-key unbounded tables an unprobed kernel fold computes a whole
+/// chunk's keys before its first probe. That must be invisible at every
+/// chunk boundary: for each unbounded configuration the §3–§4 sweeps use,
+/// the kernel fold's `RunStats` equal the explicit predict-then-update
+/// loop's at chunk fill sizes 1, c−1, c and c+1 (c = the default chunk
+/// capacity), cold and with a warmup that ends mid-chunk. The compressed
+/// config takes the per-event fused step here; a pass folds it from a key
+/// stream (the keyed test below).
 #[test]
 fn batched_unbounded_fold_matches_dyn_fold_at_every_chunk_fill() {
     let _guard = serial();
@@ -354,6 +358,173 @@ fn path_trie_matches_each_members_kernel_at_every_chunk_fill() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// One pass's lanes, most of them sharing key recipes with another: every
+/// table organisation behind `p = 3` keys, hybrids at confidence widths 1
+/// and 4 and a BPST over the same components, and pairs that share the
+/// always-update rule, conditional targets, address-xor-target elements,
+/// per-set history (s = 8), the concat scheme and the xor-fold and
+/// shift-xor compressors, and both BTBs (`p = 0` compressed keys). The
+/// last three build their own keys: full-key predictors and a hybrid of
+/// full-key components.
+fn keyed_pass_configs() -> Vec<PredictorConfig> {
+    let s8 = HistorySharing::per_set(8);
+    let xor = HistoryElement::AddressXorTarget;
+    vec![
+        PredictorConfig::practical(3, 512, 1),
+        PredictorConfig::practical(3, 512, 2),
+        PredictorConfig::practical(3, 512, 4),
+        PredictorConfig::full_assoc(3, 512),
+        PredictorConfig::tagless(3, 512),
+        PredictorConfig::compressed_unbounded(3),
+        PredictorConfig::hybrid(3, 1, 256, 4).with_confidence_bits(1),
+        PredictorConfig::hybrid(3, 1, 256, 4).with_confidence_bits(4),
+        PredictorConfig::bpst(3, 1, 256, 4),
+        PredictorConfig::practical(3, 256, 4).with_update_rule(UpdateRule::Always),
+        PredictorConfig::hybrid(3, 1, 256, 2).with_update_rule(UpdateRule::Always),
+        PredictorConfig::practical(3, 512, 4).with_cond_targets(true),
+        PredictorConfig::hybrid(3, 1, 256, 4).with_cond_targets(true),
+        PredictorConfig::practical(3, 512, 4).with_history_element(xor),
+        PredictorConfig::bpst(3, 1, 256, 4).with_history_element(xor),
+        PredictorConfig::practical(3, 512, 4).with_history_sharing(s8),
+        PredictorConfig::tagless(3, 1024).with_history_sharing(s8),
+        PredictorConfig::practical(2, 512, 4).with_key_scheme(KeyScheme::Concat),
+        PredictorConfig::full_assoc(2, 256).with_key_scheme(KeyScheme::Concat),
+        PredictorConfig::practical(4, 512, 4).with_compressor(PatternCompressor::XorFold),
+        PredictorConfig::tagless(4, 512).with_compressor(PatternCompressor::XorFold),
+        PredictorConfig::practical(4, 512, 4).with_compressor(PatternCompressor::ShiftXor),
+        PredictorConfig::practical(4, 1024, 2).with_compressor(PatternCompressor::ShiftXor),
+        PredictorConfig::btb(),
+        PredictorConfig::btb_2bc(),
+        PredictorConfig::unconstrained(0),
+        PredictorConfig::unconstrained(3).with_cond_targets(true),
+        PredictorConfig::hybrid(3, 1, 256, 4)
+            .with_unbounded_table()
+            .with_precision(8),
+    ]
+}
+
+/// The configs of [`keyed_pass_configs`] that build their own keys.
+const UNKEYED_LANES: usize = 3;
+
+/// The distinct key recipes of [`keyed_pass_configs`]: `p = 3` and
+/// `p = 1` keys plain, with conditional targets and with
+/// address-xor-target elements; `p = 3` per-set; `p = 2` concat; `p = 4`
+/// xor-fold and shift-xor; `p = 0`.
+const KEY_STREAMS: usize = 11;
+
+/// Folds `kernels` over `events` in chunks of `fill` events as one pass
+/// does: the keyed kernels from one set of key streams, the rest on their
+/// own folds, then each keyed kernel takes its streams' histories.
+fn keyed_pass(
+    kernels: &mut [FoldKernel],
+    events: &[TraceEvent],
+    fill: usize,
+    warmup: u64,
+) -> Vec<RunStats> {
+    let mut streams = KeyStreams::new();
+    let lanes: Vec<_> = kernels.iter().map(|k| streams.attach(k)).collect();
+    let mut scorers: Vec<ChunkScorer<'_>> =
+        kernels.iter().map(|_| ChunkScorer::new(warmup)).collect();
+    for chunk in events.chunks(fill) {
+        streams.fill(chunk);
+        for ((kernel, lane), scorer) in kernels.iter_mut().zip(&lanes).zip(&mut scorers) {
+            match lane {
+                Some(lane) => streams.fold(*lane, kernel, chunk, scorer),
+                None => kernel.fold_chunk(chunk, scorer),
+            }
+        }
+    }
+    for (kernel, lane) in kernels.iter_mut().zip(&lanes) {
+        if let Some(lane) = lane {
+            streams.restore(*lane, kernel);
+        }
+    }
+    scorers.iter().map(scorer_stats).collect()
+}
+
+/// A pass whose compressed-key lanes share key streams scores every lane
+/// exactly as the legacy predict-then-update loop scores its config, and
+/// leaves every kernel predicting what the legacy predictor predicts at
+/// the trace's branch sites: four benchmarks, chunk fills 1, c−1, c and
+/// c+1, cold and with a warmup that ends mid-chunk, and once through
+/// `simulate_source_kernels` at its own chunking.
+#[test]
+fn keyed_pass_matches_each_lanes_legacy_fold_at_every_chunk_fill() {
+    let _guard = serial();
+    let c = chunk_capacity();
+    let configs = keyed_pass_configs();
+    let mut premise = KeyStreams::new();
+    let keyed = configs
+        .iter()
+        .filter(|cfg| premise.attach(&cfg.build_kernel()).is_some())
+        .count();
+    assert_eq!(
+        keyed,
+        configs.len() - UNKEYED_LANES,
+        "test premise: every compressed-key lane is keyed"
+    );
+    assert_eq!(
+        premise.len(),
+        KEY_STREAMS,
+        "test premise: {keyed} lanes share {KEY_STREAMS} streams"
+    );
+    for b in [
+        Benchmark::Ixx,
+        Benchmark::SelfVm,
+        Benchmark::Gcc,
+        Benchmark::Perl,
+    ] {
+        let trace = b.trace_with_len(2 * c as u64 + 500);
+        let events = trace.events();
+        assert!(
+            events.iter().any(|e| e.as_cond().is_some()),
+            "test premise: {b} carries conditional branches"
+        );
+        let mut sites: Vec<Addr> = Vec::new();
+        for br in events.iter().filter_map(TraceEvent::as_indirect) {
+            if !sites.contains(&br.pc) {
+                sites.push(br.pc);
+            }
+        }
+        for warmup in [0, mid_chunk_warmup(events)] {
+            let mut expected = Vec::new();
+            let mut answers = Vec::new();
+            for cfg in &configs {
+                let mut reference = cfg.build();
+                expected.push(legacy_events(events, reference.as_mut(), warmup));
+                answers.push(
+                    sites
+                        .iter()
+                        .map(|&pc| reference.predict(pc))
+                        .collect::<Vec<_>>(),
+                );
+            }
+            let check = |kernels: &[FoldKernel], stats: &[RunStats], how: &str| {
+                for (j, cfg) in configs.iter().enumerate() {
+                    let context = format!("{} on {b}, warmup {warmup}, {how}", cfg.cache_key());
+                    assert_eq!(stats[j], expected[j], "{context}: stats");
+                    let got: Vec<Option<Addr>> = sites
+                        .iter()
+                        .map(|&pc| kernels[j].as_predictor().predict(pc))
+                        .collect();
+                    assert_eq!(got, answers[j], "{context}: state after the pass");
+                }
+            };
+            for fill in [1, c - 1, c, c + 1] {
+                let mut kernels: Vec<FoldKernel> =
+                    configs.iter().map(PredictorConfig::build_kernel).collect();
+                let stats = keyed_pass(&mut kernels, events, fill, warmup);
+                check(&kernels, &stats, &format!("fill {fill}"));
+            }
+            let mut kernels: Vec<FoldKernel> =
+                configs.iter().map(PredictorConfig::build_kernel).collect();
+            let stats = simulate_source_kernels(&mut trace.cursor(), &mut kernels, warmup)
+                .expect("in-memory source");
+            check(&kernels, &stats, "simulate_source_kernels");
         }
     }
 }
