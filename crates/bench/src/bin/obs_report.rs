@@ -10,7 +10,8 @@
 //! core count and effective knobs), then covers where a run's time went:
 //! per-experiment wall time and cache effectiveness (from the root
 //! `experiment` spans), the slowest benchmark passes with the cells each
-//! folded, per-worker busy/idle utilization, and the final
+//! folded and the key streams and component tables it shared them over,
+//! per-worker busy/idle utilization, and the final
 //! metrics-registry snapshot. `--internals`
 //! renders the `IBP_PROBE` probe records: per-run
 //! occupancy/eviction/conflict tables, selector-usage breakdowns for
@@ -160,8 +161,8 @@ fn count_cells(records: &[Record], outcome: &str) -> usize {
 }
 
 /// Simulated (`miss`) `cell` events made by the given `fold`: `"trie"`
-/// for a path-length family's one-walk lane, `"keyed"` for a lane reading
-/// the pass's shared key streams, `"lane"` for a cell's own fold.
+/// for a path-length family's one-walk lane, `"keyed"` for a lane folded
+/// through the pass's component bank, `"lane"` for a cell's own fold.
 fn count_folds(records: &[Record], fold: &str) -> usize {
     records
         .iter()
@@ -172,8 +173,8 @@ fn count_folds(records: &[Record], fold: &str) -> usize {
 }
 
 /// Ranks the engine's benchmark passes (the `cell` spans) by run time,
-/// with the number of cells each folded and the depths of its trie
-/// families.
+/// with the number of cells each folded, its key streams and distinct
+/// component tables, and the depths of its trie families.
 fn print_slowest_passes(records: &[Record], top: usize) {
     let mut passes: Vec<&Record> = records
         .iter()
@@ -200,20 +201,32 @@ fn print_slowest_passes(records: &[Record], top: usize) {
         count_folds(records, "lane")
     );
     println!(
-        "  {:<9} {:>9} {:<10} {:>6}  tries",
-        "run", "wait", "benchmark", "cells"
+        "  {:<9} {:>9} {:<10} {:>6} {:>5} {:>10}  tries",
+        "run", "wait", "benchmark", "cells", "keys", "components"
     );
     for r in passes.iter().take(top) {
-        println!(
-            "  {:<9} {:>9} {:<10} {:>6}  {}",
-            fmt_us(r.dur_us.unwrap_or(0)),
-            fmt_us(r.field_u64("wait_us").unwrap_or(0)),
-            r.field_str("benchmark").unwrap_or("?"),
-            r.field_u64("configs").unwrap_or(0),
-            r.field_str("tries").unwrap_or("-"),
-        );
+        println!("{}", pass_row(r));
     }
     println!();
+}
+
+/// One pass's row of the slowest-passes table. A pass that built no key
+/// stream notes neither `keys` nor `components`, and shows `-`.
+fn pass_row(r: &Record) -> String {
+    let count = |field: &str| {
+        r.field_u64(field)
+            .map_or_else(|| "-".to_string(), |n| n.to_string())
+    };
+    format!(
+        "  {:<9} {:>9} {:<10} {:>6} {:>5} {:>10}  {}",
+        fmt_us(r.dur_us.unwrap_or(0)),
+        fmt_us(r.field_u64("wait_us").unwrap_or(0)),
+        r.field_str("benchmark").unwrap_or("?"),
+        r.field_u64("configs").unwrap_or(0),
+        count("keys"),
+        count("components"),
+        r.field_str("tries").unwrap_or("-"),
+    )
 }
 
 fn print_worker_utilization(records: &[Record]) {
@@ -841,6 +854,26 @@ mod tests {
             count_folds(&records, "lane"),
             1,
             "a hit is folded by no lane"
+        );
+    }
+
+    #[test]
+    fn a_pass_row_shows_its_keys_and_components() {
+        let keyed = Record::parse(
+            r#"{"t":"span","name":"cell","ts":0,"dur":2500000,"tid":0,"depth":0,"f":{"benchmark":"ixx","configs":15,"wait_us":12,"keys":5,"components":12}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            pass_row(&keyed),
+            "  2.50s          12us ixx            15     5         12  -"
+        );
+        let trie = Record::parse(
+            r#"{"t":"span","name":"cell","ts":0,"dur":9,"tid":0,"depth":0,"f":{"benchmark":"gcc","configs":19,"tries":"0..=18"}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            pass_row(&trie),
+            "  9us             0us gcc            19     -          -  0..=18"
         );
     }
 

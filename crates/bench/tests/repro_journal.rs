@@ -274,6 +274,109 @@ fn ablations_cells_name_keyed_trie_and_lane_folds() {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
+/// Runs `bin` traced at 2,000 events, probe off, in a fresh results root
+/// under `tmp`, and returns its journal.
+fn traced_run(bin: &str, tmp: &Path) -> Vec<ibp_obs::Record> {
+    let journal = tmp.join("journal.jsonl");
+    let out = run(
+        bin,
+        &[],
+        &[
+            ("IBP_EVENTS", "2000"),
+            ("IBP_PROBE", "0"),
+            ("IBP_TRACE", journal.to_str().expect("utf8 path")),
+            ("IBP_RESULTS", tmp.to_str().expect("utf8 path")),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "{bin} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    read_journal(&journal).expect("parse journal")
+}
+
+/// The `components` each benchmark pass notes.
+fn pass_components(records: &[ibp_obs::Record]) -> Vec<Option<u64>> {
+    records
+        .iter()
+        .filter(|r| r.kind == Kind::Span && r.name == "cell")
+        .map(|pass| pass.field_u64("components"))
+        .collect()
+}
+
+/// The component bank's routing, which no table shows: a lane that fell
+/// back to its own fold would leave every table byte-identical, so only
+/// the journal's fold names and counts catch it. `ext`'s hybrid and §8.1
+/// composites fold through the bank and ITTAGE-lite on its own lane; each
+/// budget's hybrid and three-stage designs rest on four distinct tables
+/// (`p = 5` and `p = 1` at half the budget, `p = 6` and `p = 3` at a
+/// quarter), so every `ext` pass folds 12. Each Figure 17 pass folds its
+/// 13 hybrid components and 13 diagonal tables once each: 26. Figure 18
+/// sweeps each hybrid cell with the two-level cell of its component size,
+/// whose nine tables are nine of the 30 hybrids' ten components, so such
+/// a pass folds 39 configs over 10 tables.
+#[test]
+fn the_component_bank_folds_each_distinct_table_once() {
+    let tmp = std::env::temp_dir().join(format!("ibp-component-bank-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let records = traced_run(env!("CARGO_BIN_EXE_ext_future_work"), &tmp.join("ext"));
+    let mut folds = std::collections::BTreeMap::new();
+    for cell in records
+        .iter()
+        .filter(|r| r.kind == Kind::Event && r.name == "cell")
+        .filter(|r| r.field_str("outcome") == Some("miss"))
+    {
+        let config = cell.field_str("config").expect("a cell names its config");
+        let (kind, expected) = if config.starts_with("Hybrid|") {
+            ("hybrid", "keyed")
+        } else if config.starts_with("ext::MultiHybrid") {
+            ("multi-hybrid", "keyed")
+        } else if config.starts_with("ext::Cascade") {
+            ("cascade", "keyed")
+        } else if config.starts_with("ext::SharedTable") {
+            ("shared-table", "keyed")
+        } else if config.starts_with("ext::IttageLite") {
+            ("ittage-lite", "lane")
+        } else {
+            assert!(config.starts_with("ahead|"), "unexpected cell {config}");
+            ("ahead", "lane")
+        };
+        assert_eq!(cell.field_str("fold"), Some(expected), "{cell:?}");
+        *folds.entry(kind).or_insert(0) += 1;
+    }
+    assert_eq!(
+        folds.keys().copied().collect::<Vec<_>>(),
+        ["ahead", "cascade", "hybrid", "ittage-lite", "multi-hybrid", "shared-table"],
+        "every contender simulates some cell: {folds:?}"
+    );
+    let components = pass_components(&records);
+    assert!(!components.is_empty(), "ext folded no pass");
+    assert!(components.iter().all(|&c| c == Some(12)), "{components:?}");
+
+    let records = traced_run(
+        env!("CARGO_BIN_EXE_fig17_hybrid_surface"),
+        &tmp.join("fig17"),
+    );
+    let components = pass_components(&records);
+    assert!(!components.is_empty(), "fig17 folded no pass");
+    assert!(components.iter().all(|&c| c == Some(26)), "{components:?}");
+
+    let records = traced_run(
+        env!("CARGO_BIN_EXE_fig18_best_predictors"),
+        &tmp.join("fig18"),
+    );
+    let shared: Vec<Option<u64>> = records
+        .iter()
+        .filter(|r| r.kind == Kind::Span && r.name == "cell")
+        .filter(|pass| pass.field_u64("configs") == Some(39))
+        .map(|pass| pass.field_u64("components"))
+        .collect();
+    assert!(!shared.is_empty(), "fig18 swept no hybrid cell with its tables");
+    assert!(shared.iter().all(|&c| c == Some(10)), "{shared:?}");
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
 #[test]
 fn the_journal_header_states_the_knobs_and_cores() {
     let tmp = std::env::temp_dir().join(format!("ibp-journal-meta-{}", std::process::id()));

@@ -485,7 +485,12 @@ impl PredictorConfig {
     /// replay the recorded lookups through a
     /// [`MetaState`](crate::MetaState) built from the returned
     /// [`MetaSpec`] — the result is byte-identical to the sequential
-    /// hybrid fold.
+    /// hybrid fold. The sweep engine folds every hybrid by this
+    /// decomposition: its pass's component bank
+    /// ([`KeyStreams`](crate::KeyStreams)) splits each hybrid kernel into
+    /// the same two components, folds each distinct component once for
+    /// every lane that holds it, and replays the recorded lookups through
+    /// the same arbitration.
     #[must_use]
     pub fn decompose(&self) -> Option<Decomposition> {
         let meta = match self.kind {

@@ -54,6 +54,18 @@ impl CascadePredictor {
         &self.stages
     }
 
+    /// The stages, longest path first.
+    pub(crate) fn stages_mut(&mut self) -> &mut [TwoLevelPredictor] {
+        &mut self.stages
+    }
+
+    /// The cascade's rule over the stages' hits, longest path first: the
+    /// first hit wins. Consumes every hit, so a training iterator trains
+    /// every stage.
+    pub(crate) fn select(hits: impl Iterator<Item = Option<TableHit>>) -> Option<TableHit> {
+        hits.fold(None, |first, hit| first.or(hit))
+    }
+
     /// Looks up the first-hitting stage's prediction.
     #[must_use]
     pub fn lookup(&self, pc: Addr) -> Option<TableHit> {
@@ -76,11 +88,11 @@ impl Predictor for CascadePredictor {
     /// before training supplies the prediction; the stages share no state,
     /// so this equals `predict` followed by training.
     fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
-        self.stages
+        let hits = self
+            .stages
             .iter_mut()
-            .map(|s| s.fused_step(pc, actual, want_lookup))
-            .fold(None, |first, hit| first.or(hit))
-            .map(|h| h.target)
+            .map(|s| s.fused_step(pc, actual, want_lookup));
+        CascadePredictor::select(hits).map(|h| h.target)
     }
 
     fn observe_cond(&mut self, pc: Addr, target: Addr) {

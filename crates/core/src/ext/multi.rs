@@ -36,6 +36,11 @@ impl MultiHybridPredictor {
         &self.components
     }
 
+    /// The components, in priority order.
+    pub(crate) fn components_mut(&mut self) -> &mut [TwoLevelPredictor] {
+        &mut self.components
+    }
+
     /// Looks up the arbitrated prediction.
     #[must_use]
     pub fn lookup(&self, pc: Addr) -> Option<TableHit> {
@@ -43,9 +48,10 @@ impl MultiHybridPredictor {
     }
 
     /// The arbitration rule over the components' hits, in priority order:
-    /// the highest confidence wins, earlier components winning ties.
+    /// the highest confidence wins, earlier components winning ties. At two
+    /// components it is [`HybridPredictor::select`](crate::HybridPredictor::select).
     /// Consumes every hit, so a training iterator trains every component.
-    fn select(hits: impl Iterator<Item = Option<TableHit>>) -> Option<TableHit> {
+    pub(crate) fn select(hits: impl Iterator<Item = Option<TableHit>>) -> Option<TableHit> {
         hits.flatten().fold(None, |best, hit| match best {
             // Strict: earlier components win ties.
             Some(b) if hit.confidence <= b.confidence => Some(b),

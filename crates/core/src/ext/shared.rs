@@ -9,6 +9,7 @@ use crate::predictor::{Predictor, UpdateRule};
 use crate::snapshot::{
     probe_counters_on, ComponentSnapshot, Snapshot, StructuralSnapshot, TableSnapshot,
 };
+use crate::streams::KeyRecipe;
 use crate::table::{check_power_of_two, Slot};
 
 #[derive(Debug, Clone)]
@@ -171,32 +172,41 @@ impl SharedTableHybrid {
         best.map(|(i, _)| i)
     }
 
-    fn way(&self, i: usize) -> &SharedWay {
-        self.ways_store[i].as_ref().expect("found way")
+    /// The key recipe of each component, in priority order: its spec over
+    /// the hybrid's one global target history. A spec reads only the
+    /// newest `p` elements of that history, so the keys equal those of a
+    /// history of the component's own path length.
+    pub(crate) fn key_recipes(&self) -> impl Iterator<Item = KeyRecipe> + '_ {
+        self.specs.iter().map(|&spec| KeyRecipe {
+            spec,
+            sharing: self.histories.sharing(),
+            element: self.histories.element(),
+            include_cond: false,
+        })
     }
 
-    fn way_mut(&mut self, i: usize) -> &mut SharedWay {
-        self.ways_store[i].as_mut().expect("found way")
-    }
-}
-
-impl Predictor for SharedTableHybrid {
-    fn predict(&self, pc: Addr) -> Option<Addr> {
-        let mut buf = [0; SharedTableHybrid::MAX_COMPONENTS];
-        let keys = self.keys(pc, &mut buf);
-        self.select(keys).map(|i| self.way(i).slot.target())
+    /// The first level.
+    pub(crate) fn histories(&self) -> &Histories {
+        &self.histories
     }
 
-    fn update(&mut self, pc: Addr, actual: Addr) {
-        let _ = self.step(pc, actual, false);
+    /// Takes over a first level that a key stream of the deepest
+    /// component's path length ran forward for this hybrid.
+    pub(crate) fn adopt_histories(&mut self, histories: &Histories) {
+        debug_assert_eq!(histories.depth(), self.histories.depth());
+        self.histories.clone_from(histories);
     }
 
-    /// Builds the component keys once, reads the prediction (when
-    /// `want_lookup`) and credits the chosen entry, then trains or inserts
-    /// every component's entry.
-    fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
-        let mut buf = [0; SharedTableHybrid::MAX_COMPONENTS];
-        let keys = self.keys(pc, &mut buf);
+    /// One event's table step over the components' keys, in priority order:
+    /// reads the prediction (when `want_lookup`) and credits the chosen
+    /// entry, then trains or inserts every component's entry. The history
+    /// does not move here.
+    pub(crate) fn keyed_step(
+        &mut self,
+        keys: &[u64],
+        actual: Addr,
+        want_lookup: bool,
+    ) -> Option<Addr> {
         self.tick += 1;
         let tick = self.tick;
 
@@ -253,6 +263,35 @@ impl Predictor for SharedTableHybrid {
                 chosen: SaturatingCounter::new(2),
             });
         }
+        predicted
+    }
+
+    fn way(&self, i: usize) -> &SharedWay {
+        self.ways_store[i].as_ref().expect("found way")
+    }
+
+    fn way_mut(&mut self, i: usize) -> &mut SharedWay {
+        self.ways_store[i].as_mut().expect("found way")
+    }
+}
+
+impl Predictor for SharedTableHybrid {
+    fn predict(&self, pc: Addr) -> Option<Addr> {
+        let mut buf = [0; SharedTableHybrid::MAX_COMPONENTS];
+        let keys = self.keys(pc, &mut buf);
+        self.select(keys).map(|i| self.way(i).slot.target())
+    }
+
+    fn update(&mut self, pc: Addr, actual: Addr) {
+        let _ = self.step(pc, actual, false);
+    }
+
+    /// Builds the component keys once, then takes the
+    /// table step over them, and shifts the history.
+    fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
+        let mut buf = [0; SharedTableHybrid::MAX_COMPONENTS];
+        let keys = self.keys(pc, &mut buf);
+        let predicted = self.keyed_step(keys, actual, want_lookup);
         self.histories.record(pc, actual);
         predicted
     }

@@ -35,6 +35,16 @@ impl Hasher for WordHasher {
     fn write_u32(&mut self, word: u32) {
         self.add(u64::from(word));
     }
+
+    /// One multiply for the whole word, then its high half folded into the
+    /// low one: the low bits of a product depend only on the low bits of
+    /// the input, and a map picks its bucket from the low bits, so keys
+    /// that differ only above bit 32 (a concatenated pattern over a branch
+    /// address) would otherwise share a bucket.
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+        self.0 ^= self.0 >> 32;
+    }
 }
 
 #[cfg(test)]
@@ -62,5 +72,20 @@ mod tests {
         };
         assert_eq!(hash(7), 7u64.wrapping_mul(WordHasher::K));
         assert_ne!(hash(7), hash(8));
+    }
+
+    #[test]
+    fn a_u64_is_one_word_whose_high_bits_reach_the_low_ones() {
+        let hash = |word: u64| {
+            let mut h = WordHasher::default();
+            h.write_u64(word);
+            h.finish()
+        };
+        let product = 7u64.wrapping_mul(WordHasher::K);
+        assert_eq!(hash(7), product ^ (product >> 32));
+        // Keys equal in their low 32 bits land in different low bits.
+        let low = |word: u64| hash(word) & 0xffff;
+        assert_ne!(low(5), low(5 | 1 << 40));
+        assert_ne!(low(5 | 1 << 40), low(5 | 2 << 40));
     }
 }

@@ -1,8 +1,8 @@
 //! First predictor level: history registers and their sharing.
 
-use std::collections::HashMap;
-
 use ibp_trace::Addr;
+
+use crate::hash::WordMap;
 
 /// Maximum supported path length (the paper explores `p = 0..=18`).
 pub const MAX_PATH: usize = 18;
@@ -195,7 +195,10 @@ pub struct Histories {
     element: HistoryElement,
     depth: usize,
     global: HistoryRegister,
-    per_set: HashMap<u32, HistoryRegister>,
+    /// One register per history set, keyed by set identifier through the
+    /// fixed word hasher: probed on every event, and read back only as an
+    /// order-free census.
+    per_set: WordMap<HistoryRegister>,
 }
 
 impl Histories {
@@ -207,7 +210,7 @@ impl Histories {
             element,
             depth,
             global: HistoryRegister::new(depth),
-            per_set: HashMap::new(),
+            per_set: WordMap::default(),
         }
     }
 

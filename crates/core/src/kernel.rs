@@ -11,9 +11,10 @@
 //! register and key computed once, table probe and training fused in a
 //! single probe (full-key unbounded tables also compute a whole chunk's
 //! keys before probing; see [`fold_two_level_chunk`]). A grouped pass
-//! goes further for compressed keys: [`KeyStreams`](crate::KeyStreams)
-//! builds each distinct key stream once and folds every lane that shares
-//! it through the same table step. Everything
+//! goes further for compressed keys: its component bank
+//! ([`KeyStreams`](crate::KeyStreams)) builds each distinct key stream once
+//! and folds each distinct component table once, and every lane replays
+//! its arbitration over its components' lookups. Everything
 //! the enum does not name falls back to [`FoldKernel::Dyn`], which runs one
 //! virtual [`Predictor::step`] per event through the same fold skeleton, so
 //! every `Box<dyn Predictor>` keeps working: by default `step` is the
@@ -30,6 +31,7 @@
 
 use ibp_trace::{Addr, TraceEvent};
 
+use crate::ext::{CascadePredictor, MultiHybridPredictor, SharedTableHybrid};
 use crate::hybrid::HybridPredictor;
 use crate::meta::BpstMetaPredictor;
 use crate::predictor::Predictor;
@@ -286,35 +288,46 @@ pub fn fold_dyn_chunk(
     });
 }
 
-/// The probe-free fold skeleton over a chunk whose keys were built ahead:
-/// `step` gets each indirect event's index among the chunk's indirect
-/// events (the index of its key), its address and target, and whether it
-/// is scored, and returns the prediction. Conditional events are skipped:
+/// The probe-free fold skeleton over indirect branches whose keys (or
+/// lookups) were built ahead: `branches` yields each indirect event's
+/// address and target, and `step` gets the event's index among them (the
+/// index of its key or record), its address and target, and whether it is
+/// scored, and returns the prediction. Conditional events never reach it:
 /// whoever built the keys ran the history over them.
 ///
 /// # Panics
 ///
 /// Panics if `scorer` carries a probe, whose samples read the live
 /// history mid-chunk.
-pub(crate) fn fold_prekeyed<F>(events: &[TraceEvent], scorer: &mut ChunkScorer<'_>, mut step: F)
-where
+pub(crate) fn fold_prekeyed<F>(
+    branches: impl Iterator<Item = (Addr, Addr)>,
+    scorer: &mut ChunkScorer<'_>,
+    mut step: F,
+) where
     F: FnMut(usize, Addr, Addr, bool) -> Option<Addr>,
 {
     assert!(
         scorer.probe.is_none(),
         "a probed fold reads the live history"
     );
-    let branches = events.iter().filter_map(TraceEvent::as_indirect);
-    for (i, b) in branches.enumerate() {
+    for (i, (pc, actual)) in branches.enumerate() {
         let scored = take_scored(&mut scorer.to_warm);
-        let predicted = step(i, b.pc, b.target, scored);
+        let predicted = step(i, pc, actual, scored);
         if scored {
             scorer.indirect += 1;
-            if predicted != Some(b.target) {
+            if predicted != Some(actual) {
                 scorer.mispredicted += 1;
             }
         }
     }
+}
+
+/// The address and target of each indirect event in `events`, in order.
+pub(crate) fn indirect_branches(events: &[TraceEvent]) -> impl Iterator<Item = (Addr, Addr)> + '_ {
+    events
+        .iter()
+        .filter_map(TraceEvent::as_indirect)
+        .map(|b| (b.pc, b.target))
 }
 
 /// Folds a chunk through a borrowed [`TwoLevelPredictor`] on the
@@ -339,7 +352,7 @@ pub fn fold_two_level_chunk(
     if scorer.probe.is_none() {
         if let Some((table, batch, rule)) = p.batch_keys(events) {
             let width = table.key_words();
-            fold_prekeyed(events, scorer, |i, _, actual, scored| {
+            fold_prekeyed(indirect_branches(events), scorer, |i, _, actual, scored| {
                 let (key, tag) = batch.key(i, width);
                 table
                     .lookup_update_tagged(key, tag, actual, rule, scored)
@@ -356,7 +369,8 @@ pub fn fold_two_level_chunk(
 /// An enum-dispatched simulation kernel: the hot predictor families as
 /// concrete variants (BTB configurations build [`TwoLevelPredictor`]s with
 /// path length zero, so `TwoLevel` covers them and every §3–§5 table
-/// organisation; `Hybrid`/`Bpst` cover the fig17 metapredictors), plus a
+/// organisation; `Hybrid`/`Bpst` cover the fig17 metapredictors, and
+/// `Multi`/`Cascade`/`SharedTable` the §8.1 composites), plus a
 /// [`Dyn`](FoldKernel::Dyn) fallback for everything else. Build one from a
 /// configuration with
 /// [`PredictorConfig::build_kernel`](crate::PredictorConfig::build_kernel),
@@ -368,6 +382,12 @@ pub enum FoldKernel {
     Hybrid(HybridPredictor),
     /// A monomorphized BPST-arbitrated hybrid (§6.1 alternative).
     Bpst(BpstMetaPredictor),
+    /// A monomorphized hybrid of three or more components (§8.1).
+    Multi(MultiHybridPredictor),
+    /// A monomorphized PPM-style cascade (§7, §8.1).
+    Cascade(CascadePredictor),
+    /// A monomorphized shared-table hybrid (§8.1).
+    SharedTable(SharedTableHybrid),
     /// Fallback: any predictor, driven through one virtual
     /// [`Predictor::step`] per event.
     Dyn(Box<dyn Predictor>),
@@ -394,6 +414,9 @@ impl FoldKernel {
             FoldKernel::TwoLevel(p) => p,
             FoldKernel::Hybrid(p) => p,
             FoldKernel::Bpst(p) => p,
+            FoldKernel::Multi(p) => p,
+            FoldKernel::Cascade(p) => p,
+            FoldKernel::SharedTable(p) => p,
             FoldKernel::Dyn(p) => &**p,
         }
     }
@@ -404,6 +427,9 @@ impl FoldKernel {
             FoldKernel::TwoLevel(p) => p,
             FoldKernel::Hybrid(p) => p,
             FoldKernel::Bpst(p) => p,
+            FoldKernel::Multi(p) => p,
+            FoldKernel::Cascade(p) => p,
+            FoldKernel::SharedTable(p) => p,
             FoldKernel::Dyn(p) => &mut **p,
         }
     }
@@ -421,6 +447,17 @@ impl FoldKernel {
             FoldKernel::Bpst(p) => fold_events(p, events, scorer, |p, pc, actual, scored| {
                 p.fused_step(pc, actual, scored)
             }),
+            FoldKernel::Multi(p) => fold_events(p, events, scorer, |p, pc, actual, scored| {
+                p.step(pc, actual, scored)
+            }),
+            FoldKernel::Cascade(p) => fold_events(p, events, scorer, |p, pc, actual, scored| {
+                p.step(pc, actual, scored)
+            }),
+            FoldKernel::SharedTable(p) => {
+                fold_events(p, events, scorer, |p, pc, actual, scored| {
+                    p.step(pc, actual, scored)
+                })
+            }
             FoldKernel::Dyn(p) => fold_dyn_chunk(&mut **p, events, scorer),
         }
     }
@@ -432,6 +469,9 @@ impl std::fmt::Debug for FoldKernel {
             FoldKernel::TwoLevel(_) => "TwoLevel",
             FoldKernel::Hybrid(_) => "Hybrid",
             FoldKernel::Bpst(_) => "Bpst",
+            FoldKernel::Multi(_) => "Multi",
+            FoldKernel::Cascade(_) => "Cascade",
+            FoldKernel::SharedTable(_) => "SharedTable",
             FoldKernel::Dyn(_) => "Dyn",
         };
         write!(f, "FoldKernel::{variant}({})", self.as_predictor().name())

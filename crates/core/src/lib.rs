@@ -86,6 +86,6 @@ pub use snapshot::{
     probe_counters_on, set_probe_counters, ComponentSnapshot, HistorySnapshot, Snapshot,
     StructuralSnapshot, TableSnapshot,
 };
-pub use streams::{KeyRecipe, KeyStreams, KeyedLane};
+pub use streams::{KeyRecipe, KeyStreams, KeyedLane, PredRecord, BLOCK_EVENTS};
 pub use trie::{PathFamily, PathTrie};
 pub use two_level::TwoLevelPredictor;

@@ -39,6 +39,11 @@ pub struct FullyAssocTable {
 }
 
 impl FullyAssocTable {
+    /// The width of each entry's confidence counter, in bits.
+    pub(crate) fn confidence_bits(&self) -> u8 {
+        self.confidence_bits
+    }
+
     /// Creates a table with the given number of entries.
     ///
     /// # Panics

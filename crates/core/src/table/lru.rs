@@ -1,12 +1,15 @@
 //! A bounded map with least-recently-used eviction.
 //!
 //! Implemented from scratch (no external crates): a slab of doubly-linked
-//! nodes threaded through a `HashMap` index. All operations are O(1)
-//! expected time. Used by [`FullyAssocTable`](crate::table::FullyAssocTable)
+//! nodes threaded through a `HashMap` index, hashed by the crate's fixed
+//! word hasher rather than SipHash (a miss hashes its key up to four
+//! times). All operations are O(1) expected time. Used by [`FullyAssocTable`](crate::table::FullyAssocTable)
 //! to model the paper's fully-associative LRU history tables (§5.1).
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
+
+use crate::hash::WordHasher;
 
 use crate::snapshot::{Snapshot, StructuralSnapshot, TableSnapshot};
 
@@ -42,7 +45,7 @@ struct Node<K, V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LruMap<K, V> {
-    index: HashMap<K, usize>,
+    index: HashMap<K, usize, BuildHasherDefault<WordHasher>>,
     nodes: Vec<Node<K, V>>,
     free: Vec<usize>,
     /// Most recently used.
@@ -62,7 +65,7 @@ impl<K: Hash + Eq + Clone, V> LruMap<K, V> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "lru capacity must be non-zero");
         LruMap {
-            index: HashMap::with_capacity(capacity.min(1 << 20)),
+            index: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             nodes: Vec::with_capacity(capacity.min(1 << 20)),
             free: Vec::new(),
             head: NIL,

@@ -55,6 +55,11 @@ pub struct SetAssocTable {
 }
 
 impl SetAssocTable {
+    /// The width of each entry's confidence counter, in bits.
+    pub(crate) fn confidence_bits(&self) -> u8 {
+        self.confidence_bits
+    }
+
     /// Creates a table of `entries` total slots organised as
     /// `entries / ways` sets of `ways` entries.
     ///

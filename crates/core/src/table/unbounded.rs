@@ -40,6 +40,11 @@ pub struct UnboundedTable {
 }
 
 impl UnboundedTable {
+    /// The width of each entry's confidence counter, in bits.
+    pub(crate) fn confidence_bits(&self) -> u8 {
+        self.confidence_bits
+    }
+
     /// Creates an empty table over `key_words`-word keys whose entries
     /// carry confidence counters of the given width.
     ///

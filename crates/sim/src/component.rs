@@ -17,7 +17,7 @@
 //! * each **component worker** owns one [`TwoLevelPredictor`] and folds
 //!   every event exactly as it would inside the sequential hybrid
 //!   (indirect events update, conditionals `observe_cond`), emitting one
-//!   compact `PredRecord` per indirect event: hit/miss plus the
+//!   compact [`PredRecord`] per indirect event: hit/miss plus the
 //!   predicted target and its confidence, captured *before* the update —
 //!   precisely what the sequential predictor's `predict` would have seen;
 //! * the **merge fold** (the router again, with a bounded in-flight
@@ -47,19 +47,20 @@
 //! [`MetaSpec`]: ibp_core::MetaSpec
 //! [`MetaState`]: ibp_core::MetaState
 //! [`TwoLevelPredictor`]: ibp_core::TwoLevelPredictor
+//! [`PredRecord`]: ibp_core::PredRecord
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use ibp_core::snapshot::Snapshot;
-use ibp_core::table::TableHit;
 use ibp_core::{
-    BpstMetaPredictor, Decomposition, FoldKernel, HybridPredictor, MetaSpec, MetaState, Predictor,
+    BpstMetaPredictor, Decomposition, FoldKernel, HybridPredictor, MetaSpec, MetaState, PredRecord,
+    Predictor,
 };
 use ibp_obs as obs;
 use ibp_obs::metrics::{Counter, Histogram, WorkClock};
-use ibp_trace::{chunk_events, Addr, EventSource, TraceChunk, TraceEvent};
+use ibp_trace::{chunk_events, EventSource, TraceChunk, TraceEvent};
 
 use crate::faults;
 use crate::probe::{self, Attribution, ProbePayload, ProbePolicy};
@@ -91,40 +92,6 @@ fn occupancy_histogram() -> &'static Arc<Histogram> {
     H.get_or_init(|| {
         obs::metrics::histogram("component.occupancy_pct", &[10, 25, 50, 75, 90, 95, 99, 100])
     })
-}
-
-/// One component's pre-update table lookup for one indirect event: the
-/// predicted target id and its confidence, or a miss. 8 bytes per event
-/// per component — the only data that crosses back from the workers.
-#[derive(Debug, Clone, Copy)]
-struct PredRecord {
-    target: u32,
-    confidence: u8,
-    hit: bool,
-}
-
-impl PredRecord {
-    fn pack(hit: Option<TableHit>) -> Self {
-        match hit {
-            Some(h) => PredRecord {
-                target: h.target.raw(),
-                confidence: h.confidence,
-                hit: true,
-            },
-            None => PredRecord {
-                target: 0,
-                confidence: 0,
-                hit: false,
-            },
-        }
-    }
-
-    fn unpack(self) -> Option<TableHit> {
-        self.hit.then_some(TableHit {
-            target: Addr::new(self.target),
-            confidence: self.confidence,
-        })
-    }
 }
 
 /// Merge-side probe state: the metapredictor's attribution of scored
@@ -546,7 +513,7 @@ mod tests {
     use super::*;
     use crate::run::simulate_warm;
     use ibp_core::PredictorConfig;
-    use ibp_trace::{BranchKind, Trace};
+    use ibp_trace::{Addr, BranchKind, Trace};
 
     /// A polymorphic trace over a handful of sites with phase changes, so
     /// the two components genuinely disagree and the metapredictor state
@@ -620,7 +587,7 @@ mod tests {
 
     #[test]
     fn record_packing_round_trips() {
-        let hit = TableHit {
+        let hit = ibp_core::table::TableHit {
             target: Addr::new(0x9000),
             confidence: 3,
         };

@@ -17,9 +17,10 @@
 //!   family ([`PredictorConfig::path_family`]) fold as one [`PathTrie`]
 //!   lane when the family is dense enough for the trie to pay; every
 //!   other cell folds on its own lane, and so does every config of a
-//!   probed pass; in an unprobed pass the compressed-key lanes read their
-//!   keys from one shared stream per key recipe
-//!   ([`KeyStreams`](ibp_core::KeyStreams));
+//!   probed pass; in an unprobed pass the compressed-key lanes fold through
+//!   one component bank ([`KeyStreams`](ibp_core::KeyStreams)): one key
+//!   stream per key recipe and one table per distinct component, which
+//!   every lane holding it reads;
 //! * a cell's value is a [`Measurement`]: a predictor's
 //!   [`RunStats`](crate::RunStats), or
 //!   what a measure lane found (a miss breakdown, a pattern count,
@@ -46,7 +47,8 @@
 //!   `degraded` event — a fault costs wall time, never correctness;
 //! * with tracing on (`IBP_TRACE`), every benchmark pass emits a `cell`
 //!   span (benchmark, config count, queue wait vs. run time, the depths
-//!   of its trie families, and its number of key streams as `keys`),
+//!   of its trie families, its number of key streams as `keys` and of
+//!   distinct component tables as `components`),
 //!   every folded cell a `cell` event with `outcome = "miss"` and the
 //!   `fold` that made it (`"trie"`, `"keyed"` or `"lane"`), and every
 //!   memoized lookup a `cell` event with `outcome = "hit"`.
@@ -58,7 +60,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use ibp_core::{FoldKernel, PathFamily, PathTrie, Predictor, PredictorConfig};
+use ibp_core::{FoldKernel, PathFamily, PathTrie, PredictorConfig};
 use ibp_obs as obs;
 use ibp_obs::metrics::Counter;
 use ibp_workload::Benchmark;
@@ -232,7 +234,7 @@ enum Fold<'a> {
     /// A configuration's cell: scored by its own kernel lane, or by a trie
     /// lane with the rest of its path-length family.
     Config(PredictorConfig),
-    /// A custom predictor's cell, scored by a kernel lane.
+    /// A custom kernel's cell, scored by its own lane.
     Kernel(Box<dyn Fn() -> FoldKernel + Sync + 'a>),
     /// A measurement cell, folded by its own lane.
     Measure(Box<dyn Fn() -> Box<dyn MeasureLane> + Sync + 'a>),
@@ -354,22 +356,24 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Queues a custom predictor constructor under an explicit memo key.
+    /// Queues a custom kernel constructor under an explicit memo key.
     ///
     /// The key must fully determine the constructed predictor's behaviour
     /// (it plays the role [`PredictorConfig::cache_key`] plays for
     /// `config`); two `custom` jobs with equal keys are assumed
-    /// interchangeable and only one of them is simulated.
+    /// interchangeable and only one of them is simulated. A monomorphized
+    /// kernel, such as a §8.1 composite, folds through the pass's component
+    /// bank like a config; a predictor wrapped by
+    /// [`FoldKernel::from_boxed`] folds through one virtual `step` per
+    /// event.
     pub fn custom<F>(&mut self, key: impl Into<String>, make: F) -> &mut Self
     where
-        F: Fn() -> Box<dyn Predictor> + Sync + 'a,
+        F: Fn() -> FoldKernel + Sync + 'a,
     {
         self.jobs.push(Job {
             key: key.into(),
             benchmarks: None,
-            // Custom predictors fold through the kernel's `Dyn` fallback:
-            // same chunk skeleton, one virtual `step` per event.
-            fold: Fold::Kernel(Box::new(move || FoldKernel::from_boxed(make()))),
+            fold: Fold::Kernel(Box::new(make)),
         });
         self
     }
@@ -602,6 +606,9 @@ impl<'a> Sweep<'a> {
             if pass.keys > 0 {
                 cell.note("keys", pass.keys);
             }
+            if pass.components > 0 {
+                cell.note("components", pass.components);
+            }
             let trie_runs: Vec<_> = plan.tries.iter().map(trie_stats).collect();
             members
                 .iter()
@@ -716,12 +723,12 @@ pub fn run_configs(suite: &Suite, configs: Vec<PredictorConfig>) -> Vec<SuiteRes
     sweep.run()
 }
 
-/// Runs one custom predictor through the engine under an explicit memo key
+/// Runs one custom kernel through the engine under an explicit memo key
 /// (see [`Sweep::custom`] for the key contract).
 #[must_use]
 pub fn run_custom<F>(suite: &Suite, key: impl Into<String>, make: F) -> SuiteResult
 where
-    F: Fn() -> Box<dyn Predictor> + Sync,
+    F: Fn() -> FoldKernel + Sync,
 {
     let mut sweep = Sweep::new(suite);
     sweep.custom(key, make);
@@ -867,7 +874,11 @@ mod tests {
     fn custom_jobs_memoize_under_their_key() {
         let _guard = serial();
         let suite = tiny_suite();
-        let make = || PredictorConfig::unconstrained(9).with_pattern_budget(23).build();
+        let make = || {
+            PredictorConfig::unconstrained(9)
+                .with_pattern_budget(23)
+                .build_kernel()
+        };
         let before = stats();
         let first = run_custom(&suite, "test-custom-u9b23", make);
         let second = run_custom(&suite, "test-custom-u9b23", make);

@@ -27,7 +27,7 @@ pub const CENSUS_BENCHMARKS: [Benchmark; 4] = [
 ];
 
 /// The path lengths the census counts patterns at.
-const CENSUS_PATHS: std::ops::RangeInclusive<usize> = 0..=12;
+pub const CENSUS_PATHS: std::ops::RangeInclusive<usize> = 0..=12;
 
 /// The census benchmarks present in `suite`, in [`CENSUS_BENCHMARKS`]
 /// order.

@@ -1,7 +1,7 @@
 //! §8.1 future-work predictors, evaluated at equal storage budgets.
 
 use ibp_core::ext::{CascadePredictor, IttageLite, MultiHybridPredictor, SharedTableHybrid};
-use ibp_core::{CompressedKeySpec, Predictor, PredictorConfig, TwoLevelPredictor};
+use ibp_core::{CompressedKeySpec, FoldKernel, PredictorConfig, TwoLevelPredictor};
 use ibp_workload::{Benchmark, BenchmarkGroup};
 
 use crate::analysis::{AheadHits, AheadLane, AHEAD_DEPTHS};
@@ -20,9 +20,15 @@ pub const BUDGETS: [usize; 3] = [2048, 8192, 32768];
 /// * a three-component hybrid (§8.1 "three or more components"),
 ///   quarter/quarter/half split;
 /// * a PPM-style cascade (§7 Chen et al. mimicry), long stage first;
-/// * a shared-table hybrid with "chosen" counters (§8.1).
+/// * a shared-table hybrid with "chosen" counters (§8.1);
+/// * ITTAGE-lite, a simplified modern descendant of the hybrid and
+///   cascade designs.
 ///
-/// The second table is the ahead-prediction depth study
+/// The first four fold through the pass's component bank: the hybrid's
+/// second component is also the three-stage designs' `p = 1` stage, and
+/// the multi-hybrid and the cascade train the same three stage tables, so
+/// each budget folds four distinct tables. ITTAGE-lite folds on its own
+/// lane. The second table is the ahead-prediction depth study
 /// ([`AheadLane`]), queued on the same sweep.
 #[must_use]
 pub fn run(suite: &Suite) -> Vec<Table> {
@@ -31,17 +37,17 @@ pub fn run(suite: &Suite) -> Vec<Table> {
         sweep.config(PredictorConfig::hybrid(5, 1, total / 2, 4));
         sweep.custom(
             format!("ext::MultiHybrid[6,3,1]({total}, 4-way)"),
-            move || Box::new(multi_hybrid(total)) as Box<dyn Predictor>,
+            move || FoldKernel::Multi(multi_hybrid(total)),
         );
         sweep.custom(format!("ext::Cascade[6,3,1]({total}, 4-way)"), move || {
-            Box::new(cascade(total)) as Box<dyn Predictor>
+            FoldKernel::Cascade(cascade(total))
         });
         sweep.custom(
             format!("ext::SharedTable[5,1]({total}, 4-way)"),
-            move || Box::new(shared_table(total)) as Box<dyn Predictor>,
+            move || FoldKernel::SharedTable(shared_table(total)),
         );
         sweep.custom(format!("ext::IttageLite({total}/4, 4, 2)"), move || {
-            Box::new(ittage_lite(total)) as Box<dyn Predictor>
+            FoldKernel::from_boxed(Box::new(ittage_lite(total)))
         });
     }
     let ahead = ahead_benchmarks(suite);
@@ -180,6 +186,7 @@ mod tests {
     use super::*;
     use crate::parallel_map;
     use ibp_core::ext::{AheadPrediction, AheadPredictor};
+    use ibp_core::Predictor;
     use ibp_trace::{chunk_events, TraceChunk, TraceEvent};
 
     /// Below `trace_cache::MIN_CACHE_EVENTS`, so no corpus is written, and

@@ -1,6 +1,8 @@
 //! Figure 18 and Tables 6, A-1, A-2: the best predictor for every table
 //! size, organisation and (for hybrids) path-length pair.
 
+use std::collections::HashMap;
+
 use ibp_core::{Associativity, PredictorConfig};
 use ibp_workload::BenchmarkGroup;
 
@@ -192,25 +194,56 @@ pub fn best_cell(
     size: usize,
     opts: &Options,
 ) -> Option<BestCell> {
-    let candidates = candidates(class, size, opts);
-    let results = engine::run_configs(
-        suite,
-        candidates.iter().map(|(_, cfg)| cfg.clone()).collect(),
-    );
-    let mut best: Option<(f64, String, SuiteResult)> = None;
-    for ((label, _), result) in candidates.into_iter().zip(results) {
-        let avg = result.avg();
-        let better = best.as_ref().is_none_or(|(b, _, _)| avg < *b);
-        if better {
-            best = Some((avg, label, result));
-        }
+    best_cells(suite, &[(class, size)], opts).pop().flatten()
+}
+
+/// The best configuration of each `(class, size)` cell, in order, from
+/// one engine sweep over all their candidates.
+fn best_cells(
+    suite: &Suite,
+    cells: &[(PredictorClass, usize)],
+    opts: &Options,
+) -> Vec<Option<BestCell>> {
+    let searched: Vec<_> = cells
+        .iter()
+        .map(|&(class, size)| (class, size, candidates(class, size, opts)))
+        .collect();
+    let configs = searched
+        .iter()
+        .flat_map(|(_, _, candidates)| candidates.iter().map(|(_, cfg)| cfg.clone()))
+        .collect();
+    let mut results = engine::run_configs(suite, configs).into_iter();
+    searched
+        .into_iter()
+        .map(|(class, size, candidates)| {
+            let mut best: Option<(f64, String, SuiteResult)> = None;
+            for ((label, _), result) in candidates.into_iter().zip(results.by_ref()) {
+                let avg = result.avg();
+                let better = best.as_ref().is_none_or(|(b, _, _)| avg < *b);
+                if better {
+                    best = Some((avg, label, result));
+                }
+            }
+            best.map(|(_, path_label, result)| BestCell {
+                class,
+                size,
+                path_label,
+                result,
+            })
+        })
+        .collect()
+}
+
+/// The hybrid organisation whose components are `class`'s tables, for a
+/// non-hybrid two-level class.
+fn hybrid_of(class: PredictorClass) -> Option<PredictorClass> {
+    match class {
+        PredictorClass::Tagless => Some(PredictorClass::HybridTagless),
+        PredictorClass::Assoc1 => Some(PredictorClass::HybridAssoc1),
+        PredictorClass::Assoc2 => Some(PredictorClass::HybridAssoc2),
+        PredictorClass::Assoc4 => Some(PredictorClass::HybridAssoc4),
+        _ => None,
     }
-    best.map(|(_, path_label, result)| BestCell {
-        class,
-        size,
-        path_label,
-        result,
-    })
 }
 
 /// Runs the full search and emits Figure 18, Table A-2, Table 6 and
@@ -223,13 +256,29 @@ pub fn run(suite: &Suite) -> Vec<Table> {
 /// [`run`] with an explicit search space.
 #[must_use]
 pub fn run_with(suite: &Suite, opts: &Options) -> Vec<Table> {
-    // Search every (class, size) cell.
+    // Search every (class, size) cell. A non-hybrid cell sweeps together
+    // with the hybrid cell twice its size, whose components are its
+    // predictors' tables, so each pass folds those tables and builds their
+    // key streams once for both cells (DESIGN §5r).
+    let mut found: HashMap<(PredictorClass, usize), Option<BestCell>> = HashMap::new();
+    for class in PredictorClass::ALL {
+        for &size in &opts.sizes {
+            if found.contains_key(&(class, size)) {
+                continue;
+            }
+            let mut group = vec![(class, size)];
+            if let Some(hybrid) = hybrid_of(class) {
+                if opts.sizes.contains(&(2 * size)) {
+                    group.push((hybrid, 2 * size));
+                }
+            }
+            found.extend(group.iter().copied().zip(best_cells(suite, &group, opts)));
+        }
+    }
     let mut cells: Vec<BestCell> = Vec::new();
     for class in PredictorClass::ALL {
         for &size in &opts.sizes {
-            if let Some(cell) = best_cell(suite, class, size, opts) {
-                cells.push(cell);
-            }
+            cells.extend(found.remove(&(class, size)).flatten());
         }
     }
     let lookup = |class: PredictorClass, size: usize| {

@@ -17,7 +17,7 @@
 //! The gshare width sweep below shows the interference trade-off directly.
 
 use ibp_core::ext::TargetCache;
-use ibp_core::PredictorConfig;
+use ibp_core::{FoldKernel, PredictorConfig};
 use ibp_workload::{Benchmark, BenchmarkGroup};
 
 use crate::engine::Sweep;
@@ -49,7 +49,7 @@ pub fn run(suite: &Suite) -> Vec<Table> {
     for g in [2, 5, 9] {
         sweep.custom(
             format!("ext::TargetCache(gshare={g}, entries={ENTRIES})"),
-            move || Box::new(TargetCache::new(g, ENTRIES)),
+            move || FoldKernel::from_boxed(Box::new(TargetCache::new(g, ENTRIES))),
         );
     }
     sweep

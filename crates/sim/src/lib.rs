@@ -14,7 +14,11 @@
 //!   a (config × benchmark) grid in one trace pass per benchmark, the
 //!   benchmarks in parallel, and never simulates the same pair twice
 //!   across experiments — or across *processes*, via the persistent
-//!   result cache under `results/.cache/`;
+//!   result cache under `results/.cache/`. Within a pass, hybrids and the
+//!   §8.1 composites fold by their decomposition
+//!   ([`ibp_core::PredictorConfig::decompose`]): a component bank
+//!   ([`ibp_core::KeyStreams`]) folds each distinct component table once
+//!   and every lane replays its arbitration over the recorded lookups;
 //! * [`shard`] — the chunk-parallel sharded pipeline: site-partitionable
 //!   configurations ([`ibp_core::PredictorConfig::shardable`]) fold one
 //!   run across several workers with byte-identical results. Library
@@ -23,7 +27,7 @@
 //!   ([`ibp_core::PredictorConfig::decompose`]): one shared source pass
 //!   broadcast to per-component workers, merged through the
 //!   metapredictor with byte-identical results. Library code only, like
-//!   [`shard`];
+//!   [`shard`]: the engine uses the same decomposition on one thread;
 //! * [`probe`] — the predictor-internals probe layer (`IBP_PROBE`):
 //!   occupancy/aliasing snapshots and per-site miss attribution sampled
 //!   into the run journal, byte-identical results on or off;

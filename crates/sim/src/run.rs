@@ -9,8 +9,11 @@
 //! whole path-length family of unbounded predictors in one walk, and
 //! [`MeasureLane`]s: folds that measure the trace, or a predictor's misses
 //! by cause, rather than score a prediction. In an unprobed pass every
-//! compressed-key kernel folds from [`KeyStreams`]: one key stream per
-//! distinct key recipe, built once per chunk for all its lanes.
+//! compressed-key kernel folds through one component bank
+//! ([`KeyStreams`]): one key stream per distinct key recipe and one table
+//! per distinct component, each folded once for all the lanes that read
+//! it, and a lane that shares a table replays its arbitration over its
+//! components' recorded lookups.
 
 use ibp_core::{
     fold_dyn_chunk, ChunkScorer, FoldKernel, KeyStreams, KeyedLane, PathTrie, Predictor,
@@ -23,33 +26,30 @@ use crate::analysis::{AheadHits, MissBreakdown, TraceCounts};
 use crate::probe::{self, ProbeRun};
 
 /// One simulation lane: an owned kernel (monomorphized fold), a kernel
-/// folding from the pass's shared key streams, or a borrowed predictor
-/// (one virtual `step` per event through the same skeleton). The fold
-/// loop below is identical for all three.
+/// attached to the pass's component bank, or a borrowed predictor (one
+/// virtual `step` per event through the same skeleton).
 enum Lane<'a> {
     Kernel(&'a mut FoldKernel),
-    Keyed(&'a mut FoldKernel, KeyedLane),
+    Keyed(KeyedLane),
     Dyn(&'a mut (dyn Predictor + 'static)),
 }
 
 impl Lane<'_> {
-    fn fold_chunk(
-        &mut self,
-        events: &[ibp_trace::TraceEvent],
-        streams: &KeyStreams,
-        scorer: &mut ChunkScorer<'_>,
-    ) {
+    /// Folds a chunk on the lane's own fold; a keyed lane folds through the
+    /// bank instead.
+    fn fold_chunk(&mut self, events: &[ibp_trace::TraceEvent], scorer: &mut ChunkScorer<'_>) {
         match self {
             Lane::Kernel(k) => k.fold_chunk(events, scorer),
-            Lane::Keyed(k, lane) => streams.fold(*lane, k, events, scorer),
             Lane::Dyn(p) => fold_dyn_chunk(*p, events, scorer),
+            Lane::Keyed(_) => {}
         }
     }
 
     fn predictor(&self) -> &dyn Predictor {
         match self {
-            Lane::Kernel(k) | Lane::Keyed(k, _) => k.as_predictor(),
+            Lane::Kernel(k) => k.as_predictor(),
             Lane::Dyn(p) => *p,
+            Lane::Keyed(_) => unreachable!("a probed pass attaches no lane to the bank"),
         }
     }
 }
@@ -60,11 +60,13 @@ pub(crate) struct PassFold {
     pub(crate) stats: Vec<RunStats>,
     /// One per measure lane, in input order.
     pub(crate) measured: Vec<Measurement>,
-    /// Per predictor lane, whether it folded from the pass's shared key
-    /// streams.
+    /// Per predictor lane, whether it folded through the pass's component
+    /// bank.
     pub(crate) keyed: Vec<bool>,
     /// The distinct key recipes the pass built streams for.
     pub(crate) keys: usize,
+    /// The distinct component tables the pass folded.
+    pub(crate) components: usize,
 }
 
 /// The outcome of simulating one predictor over one trace.
@@ -78,6 +80,14 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// What a fold scored.
+    fn scored(scorer: &ChunkScorer<'_>) -> Self {
+        RunStats {
+            indirect: scorer.indirect(),
+            mispredicted: scorer.mispredicted(),
+        }
+    }
+
     /// Mispredictions per indirect branch, in `[0, 1]`. Zero-length runs
     /// report 0.
     #[must_use]
@@ -217,7 +227,7 @@ pub fn simulate_source_multi<S: EventSource + ?Sized>(
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
     let lanes: Vec<Lane<'_>> = predictors.iter_mut().map(|p| Lane::Dyn(&mut **p)).collect();
-    Ok(fold_source_lanes(source, lanes, &mut [], &mut [], warmup)?.stats)
+    Ok(fold_source_lanes(source, lanes, &mut [], &mut [], warmup, false)?.stats)
 }
 
 /// Folds one chunk-fold kernel over a streaming source — the fast,
@@ -241,8 +251,8 @@ pub fn simulate_kernel<S: EventSource + ?Sized>(
 /// another, which yields per-lane results identical to the legacy
 /// event-interleaved order: lanes share no state, and each lane sees the
 /// same events in the same order either way. Unprobed, the compressed-key
-/// kernels fold from shared key streams ([`KeyStreams`]) and end the pass
-/// holding the histories their own folds would have left.
+/// kernels fold through one component bank ([`KeyStreams`]) and end the
+/// pass holding the tables and histories their own folds would have left.
 ///
 /// # Errors
 ///
@@ -252,16 +262,18 @@ pub fn simulate_source_kernels<S: EventSource + ?Sized>(
     kernels: &mut [FoldKernel],
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
-    simulate_source_cells(source, kernels, &mut [], Vec::new(), warmup).map(|pass| pass.stats)
+    let lanes: Vec<Lane<'_>> = kernels.iter_mut().map(Lane::Kernel).collect();
+    Ok(fold_source_lanes(source, lanes, &mut [], &mut [], warmup, true)?.stats)
 }
 
 /// The sweep engine's grouped pass: folds `kernels`, `tries` and
 /// `measures` over **one** pass of a streaming source. Returns one
 /// [`RunStats`] per kernel and one [`Measurement`] per measure lane, each
-/// in input order, and which kernels folded from shared key streams; each
+/// in input order, and which kernels folded through the component bank; each
 /// trie's members are read off the trie afterwards ([`trie_stats`]). The
 /// warmup applies to the kernels, and a trie carries its own; a measure
-/// lane sees every event.
+/// lane sees every event. The kernels end the pass unrestored: the engine
+/// drops them, so their components' final tables are not copied back.
 ///
 /// # Errors
 ///
@@ -274,7 +286,7 @@ pub(crate) fn simulate_source_cells<S: EventSource + ?Sized>(
     warmup: u64,
 ) -> Result<PassFold, TraceIoError> {
     let lanes: Vec<Lane<'_>> = kernels.iter_mut().map(Lane::Kernel).collect();
-    let mut pass = fold_source_lanes(source, lanes, tries, &mut measures, warmup)?;
+    let mut pass = fold_source_lanes(source, lanes, tries, &mut measures, warmup, false)?;
     pass.measured = measures.into_iter().map(MeasureLane::finish).collect();
     Ok(pass)
 }
@@ -298,31 +310,31 @@ pub fn trie_stats(trie: &PathTrie) -> Vec<RunStats> {
 /// journal span/chunk events and the probe layer's sampling protocol
 /// exactly as the per-event fold did. The probe layer samples the
 /// predictor lanes only: a probed pass folds every config on its own lane.
-/// An unprobed pass attaches its kernels to one [`KeyStreams`], fills the
-/// streams once per chunk before the lanes fold, and hands each keyed
-/// kernel its streams' histories at the end. The measure lanes' values
-/// are left for the caller to finish.
+/// An unprobed pass attaches its kernels to one component bank
+/// ([`KeyStreams`]), which folds every chunk through them with their keys
+/// and distinct component tables built once and keeps their scores; with
+/// `restore`, every keyed kernel then takes its components' final tables
+/// and histories, for a caller that reads its kernels after the pass. The
+/// measure lanes' values are left for the caller to finish.
 fn fold_source_lanes<S: EventSource + ?Sized>(
     source: &mut S,
     lanes: Vec<Lane<'_>>,
     tries: &mut [PathTrie],
     measures: &mut [Box<dyn MeasureLane>],
     warmup: u64,
+    restore: bool,
 ) -> Result<PassFold, TraceIoError> {
     let mut span = ibp_obs::span("simulate");
     let timer = span.armed().then(std::time::Instant::now);
     let policy = probe::active_policy();
-    let mut streams = KeyStreams::new();
+    let mut bank = KeyStreams::new(warmup);
     let mut lanes: Vec<Lane<'_>> = if policy.on() {
         lanes
     } else {
         lanes
             .into_iter()
             .map(|lane| match lane {
-                Lane::Kernel(k) => match streams.attach(k) {
-                    Some(keyed) => Lane::Keyed(k, keyed),
-                    None => Lane::Kernel(k),
-                },
+                Lane::Kernel(k) => bank.attach(k).map_or_else(Lane::Kernel, Lane::Keyed),
                 other => other,
             })
             .collect()
@@ -348,9 +360,9 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
         let chunk_timer = timer.map(|_| std::time::Instant::now());
         let more = source.fill(&mut chunk, chunk_events())?;
         seen += chunk.indirect_count();
-        streams.fill(chunk.events());
+        bank.fold_chunk(chunk.events());
         for (lane, scorer) in lanes.iter_mut().zip(&mut scorers) {
-            lane.fold_chunk(chunk.events(), &streams, scorer);
+            lane.fold_chunk(chunk.events(), scorer);
         }
         for trie in tries.iter_mut() {
             trie.fold_chunk(chunk.events());
@@ -374,18 +386,18 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
             break;
         }
     }
-    let stats: Vec<RunStats> = scorers
+    let stats: Vec<RunStats> = lanes
         .iter()
-        .map(|s| RunStats {
-            indirect: s.indirect(),
-            mispredicted: s.mispredicted(),
+        .zip(&scorers)
+        .map(|(lane, s)| match lane {
+            Lane::Keyed(keyed) => RunStats::scored(bank.scorer(*keyed)),
+            _ => RunStats::scored(s),
         })
         .collect();
     drop(scorers);
-    for lane in &mut lanes {
-        if let Lane::Keyed(k, keyed) = lane {
-            streams.restore(*keyed, k);
-        }
+    let (keys, components) = (bank.len(), bank.components());
+    if restore {
+        bank.restore();
     }
     for (lane, probe) in lanes.iter().zip(&mut probes) {
         probe.sample("end", lane.predictor());
@@ -414,9 +426,10 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
         measured: Vec::new(),
         keyed: lanes
             .iter()
-            .map(|lane| matches!(lane, Lane::Keyed(..)))
+            .map(|lane| matches!(lane, Lane::Keyed(_)))
             .collect(),
-        keys: streams.len(),
+        keys,
+        components,
     })
 }
 

@@ -1,9 +1,49 @@
 //! Integration tests of the analysis layer over real synthetic benchmarks.
 
 use ibp_core::{CompressedKeySpec, PredictorConfig, TwoLevelPredictor};
-use ibp_sim::analysis::{pattern_census, simulate_classified, simulate_per_site};
-use ibp_sim::simulate;
+use ibp_sim::analysis::{pattern_census, simulate_classified, simulate_per_site, CensusLane};
+use ibp_sim::engine::Sweep;
+use ibp_sim::experiments::analysis::{CENSUS_BENCHMARKS, CENSUS_PATHS};
+use ibp_sim::{simulate, Measurement, Suite};
 use ibp_workload::Benchmark;
+
+/// The oracle floor across two experiments. With no warmup, every pattern
+/// an unbounded full-key table stores entered it on a miss, so a
+/// benchmark's Figure 9 misses at path length `p` are at least §5.1's
+/// census of stored patterns at `p`, which counts the stored keys of
+/// Figure 9's own predictor. Both are cells of one sweep: the misses come
+/// off the prefix-trie walk that folds Figure 9's path-length family, the
+/// census off its own measure lanes, so this checks the one fold against
+/// the other on every census benchmark at every census length.
+#[test]
+fn fig9_misses_are_at_least_the_census_patterns() {
+    let suite = Suite::with_benchmarks_and_len(&CENSUS_BENCHMARKS, 20_000);
+    let mut sweep = Sweep::new(&suite);
+    for p in CENSUS_PATHS {
+        sweep.config(PredictorConfig::unconstrained(p));
+    }
+    for p in CENSUS_PATHS {
+        let cfg = PredictorConfig::unconstrained(p);
+        sweep.measure(CensusLane::key(&cfg), &CENSUS_BENCHMARKS, move || {
+            Box::new(CensusLane::new(&cfg))
+        });
+    }
+    let (runs, measured) = sweep.run_all();
+    assert_eq!(runs.len(), CENSUS_PATHS.count());
+    for ((p, run), census) in CENSUS_PATHS.zip(&runs).zip(&measured) {
+        for (&b, cell) in CENSUS_BENCHMARKS.iter().zip(census) {
+            let Measurement::Patterns(patterns) = *cell else {
+                panic!("a census cell counts patterns, not {}", cell.kind());
+            };
+            let misses = run.stats(b).expect("benchmark in the suite").mispredicted;
+            assert!(patterns > 0, "test premise: {b} stores patterns at p = {p}");
+            assert!(
+                misses >= patterns,
+                "{b} at p = {p}: {misses} misses but {patterns} stored patterns"
+            );
+        }
+    }
+}
 
 #[test]
 fn classification_is_exhaustive_and_consistent() {

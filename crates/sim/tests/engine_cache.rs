@@ -85,7 +85,7 @@ fn mixed_config_and_custom_jobs_keep_queue_order() {
     let mut sweep = Sweep::new(&suite);
     sweep
         .config(PredictorConfig::unconstrained(4))
-        .custom("it-custom-btb", || PredictorConfig::btb().build())
+        .custom("it-custom-btb", || PredictorConfig::btb().build_kernel())
         .config(PredictorConfig::unconstrained(4));
     let results = sweep.run();
     assert_eq!(results.len(), 3);

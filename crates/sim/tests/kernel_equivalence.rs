@@ -12,11 +12,12 @@
 //! library pipelines × all three probe levels in one sweep. The trie test
 //! pins the sweep engine's one-walk fold of a path-length family to each
 //! member's own kernel fold, and the keyed test pins a pass whose
-//! compressed-key lanes share key streams to each lane's legacy fold.
+//! compressed-key lanes fold through one component bank, sharing key
+//! streams and component tables, to each lane's legacy fold.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ibp_core::ext::{CascadePredictor, TargetCache};
+use ibp_core::ext::{CascadePredictor, MultiHybridPredictor, TargetCache};
 use ibp_core::{
     ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing, KeyScheme,
     KeyStreams, PathTrie, PatternCompressor, Predictor, PredictorConfig, TableSharing,
@@ -362,18 +363,60 @@ fn path_trie_matches_each_members_kernel_at_every_chunk_fill() {
     }
 }
 
-/// One pass's lanes, most of them sharing key recipes with another: every
-/// table organisation behind `p = 3` keys, hybrids at confidence widths 1
-/// and 4 and a BPST over the same components, and pairs that share the
-/// always-update rule, conditional targets, address-xor-target elements,
-/// per-set history (s = 8), the concat scheme and the xor-fold and
-/// shift-xor compressors, and both BTBs (`p = 0` compressed keys). The
-/// last three build their own keys: full-key predictors and a hybrid of
-/// full-key components.
-fn keyed_pass_configs() -> Vec<PredictorConfig> {
+/// One lane of the keyed suite: a label, the kernel the pass folds, and
+/// the predictor the legacy loop drives as its reference.
+struct KeyedCase {
+    label: String,
+    kernel: Box<dyn Fn() -> FoldKernel>,
+    legacy: Box<dyn Fn() -> Box<dyn Predictor>>,
+}
+
+impl KeyedCase {
+    fn config(cfg: PredictorConfig) -> Self {
+        let reference = cfg.clone();
+        KeyedCase {
+            label: cfg.cache_key(),
+            kernel: Box::new(move || cfg.build_kernel()),
+            legacy: Box::new(move || reference.build()),
+        }
+    }
+
+    fn custom<P: Predictor + 'static>(
+        label: String,
+        make: impl Fn() -> P + Clone + 'static,
+        wrap: fn(P) -> FoldKernel,
+    ) -> Self {
+        let reference = make.clone();
+        KeyedCase {
+            label,
+            kernel: Box::new(move || wrap(make())),
+            legacy: Box::new(move || Box::new(reference())),
+        }
+    }
+}
+
+/// One pass's lanes, most of them sharing key recipes or whole component
+/// tables with another:
+/// * every table organisation behind `p = 3` keys, hybrids at confidence
+///   widths 1 and 4 on one geometry, and pairs that share the
+///   always-update rule, conditional targets, address-xor-target
+///   elements, per-set history (s = 8), the concat scheme and the
+///   xor-fold and shift-xor compressors, and both BTBs (`p = 0`
+///   compressed keys);
+/// * one component table read by a single lane, a hybrid, a BPST and a
+///   multi-hybrid stage (`p = 3` and `p = 1` at 256 entries, 4-way);
+/// * `ext`'s hybrid, multi-hybrid, cascade and shared-table hybrid at
+///   every budget, whose stages share tables with each other, with the
+///   hybrid's second component and with the 512-entry `p = 3` lane;
+/// * a BTB trained on `prefix` before the pass, whose table is not empty,
+///   beside a fresh one of the same shape.
+///
+/// The last four build their own keys: full-key predictors, a hybrid of
+/// full-key components, and ITTAGE-lite.
+fn keyed_pass_cases(prefix: &[TraceEvent]) -> Vec<KeyedCase> {
     let s8 = HistorySharing::per_set(8);
     let xor = HistoryElement::AddressXorTarget;
-    vec![
+    let mut cases: Vec<KeyedCase> = [
         PredictorConfig::practical(3, 512, 1),
         PredictorConfig::practical(3, 512, 2),
         PredictorConfig::practical(3, 512, 4),
@@ -383,6 +426,8 @@ fn keyed_pass_configs() -> Vec<PredictorConfig> {
         PredictorConfig::hybrid(3, 1, 256, 4).with_confidence_bits(1),
         PredictorConfig::hybrid(3, 1, 256, 4).with_confidence_bits(4),
         PredictorConfig::bpst(3, 1, 256, 4),
+        PredictorConfig::practical(3, 256, 4),
+        PredictorConfig::hybrid(3, 1, 256, 4),
         PredictorConfig::practical(3, 256, 4).with_update_rule(UpdateRule::Always),
         PredictorConfig::hybrid(3, 1, 256, 2).with_update_rule(UpdateRule::Always),
         PredictorConfig::practical(3, 512, 4).with_cond_targets(true),
@@ -399,79 +444,135 @@ fn keyed_pass_configs() -> Vec<PredictorConfig> {
         PredictorConfig::practical(4, 1024, 2).with_compressor(PatternCompressor::ShiftXor),
         PredictorConfig::btb(),
         PredictorConfig::btb_2bc(),
-        PredictorConfig::unconstrained(0),
-        PredictorConfig::unconstrained(3).with_cond_targets(true),
-        PredictorConfig::hybrid(3, 1, 256, 4)
-            .with_unbounded_table()
-            .with_precision(8),
     ]
+    .into_iter()
+    .map(KeyedCase::config)
+    .collect();
+    cases.push(KeyedCase::custom(
+        "multi-hybrid over the p = 3 and p = 1 256-entry tables".to_string(),
+        || {
+            MultiHybridPredictor::new(vec![
+                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(3), 256, 4),
+                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), 256, 4),
+                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), 512, 4),
+            ])
+        },
+        FoldKernel::Multi,
+    ));
+    for total in ext::BUDGETS {
+        let hybrid = PredictorConfig::hybrid(5, 1, total / 2, 4);
+        cases.push(KeyedCase::config(hybrid));
+        cases.push(KeyedCase::custom(
+            format!("ext multi-hybrid {total}"),
+            move || ext::multi_hybrid(total),
+            FoldKernel::Multi,
+        ));
+        cases.push(KeyedCase::custom(
+            format!("ext cascade {total}"),
+            move || ext::cascade(total),
+            FoldKernel::Cascade,
+        ));
+        cases.push(KeyedCase::custom(
+            format!("ext shared-table {total}"),
+            move || ext::shared_table(total),
+            FoldKernel::SharedTable,
+        ));
+    }
+    let trained = prefix.to_vec();
+    let legacy_trained = prefix.to_vec();
+    cases.push(KeyedCase {
+        label: "BTB-2bc trained before the pass".to_string(),
+        kernel: Box::new(move || {
+            let mut kernel = PredictorConfig::btb_2bc().build_kernel();
+            legacy_events(&trained, kernel.as_predictor_mut(), u64::MAX);
+            kernel
+        }),
+        legacy: Box::new(move || {
+            let mut p = PredictorConfig::btb_2bc().build();
+            legacy_events(&legacy_trained, p.as_mut(), u64::MAX);
+            p
+        }),
+    });
+    cases.extend(
+        [
+            PredictorConfig::unconstrained(0),
+            PredictorConfig::unconstrained(3).with_cond_targets(true),
+            PredictorConfig::hybrid(3, 1, 256, 4)
+                .with_unbounded_table()
+                .with_precision(8),
+        ]
+        .into_iter()
+        .map(KeyedCase::config),
+    );
+    cases.push(KeyedCase {
+        label: "ittage-lite 2048".to_string(),
+        kernel: Box::new(|| FoldKernel::from_boxed(Box::new(ext::ittage_lite(2048)))),
+        legacy: Box::new(|| Box::new(ext::ittage_lite(2048))),
+    });
+    cases
 }
 
-/// The configs of [`keyed_pass_configs`] that build their own keys.
-const UNKEYED_LANES: usize = 3;
+/// The lanes of [`keyed_pass_cases`] that build their own keys.
+const UNKEYED_LANES: usize = 4;
 
-/// The distinct key recipes of [`keyed_pass_configs`]: `p = 3` and
-/// `p = 1` keys plain, with conditional targets and with
-/// address-xor-target elements; `p = 3` per-set; `p = 2` concat; `p = 4`
-/// xor-fold and shift-xor; `p = 0`.
-const KEY_STREAMS: usize = 11;
+/// The distinct key recipes of [`keyed_pass_cases`]: `p = 3` and `p = 1`
+/// keys plain, with conditional targets and with address-xor-target
+/// elements; `p = 3` per-set; `p = 2` concat; `p = 4` xor-fold and
+/// shift-xor; `p = 0`; and `ext`'s `p = 6` and `p = 5`.
+const KEY_STREAMS: usize = 13;
+
+/// The distinct component tables of [`keyed_pass_cases`]: the first
+/// group's 31 (its plain `p = 3` and `p = 1` tables of 256 entries, 4-way,
+/// are read by a BPST, a single lane, a hybrid and the multi-hybrid), the
+/// multi-hybrid's 512-entry stage, 11 of `ext`'s 12 (its 512-entry
+/// `p = 3` stage is the first group's `practical(3, 512, 4)`), and the
+/// trained BTB's.
+const COMPONENTS: usize = 44;
 
 /// Folds `kernels` over `events` in chunks of `fill` events as one pass
-/// does: the keyed kernels from one set of key streams, the rest on their
-/// own folds, then each keyed kernel takes its streams' histories.
+/// does: the keyed kernels through one component bank, the rest on their
+/// own folds, then each keyed kernel takes its components' tables and
+/// histories.
 fn keyed_pass(
     kernels: &mut [FoldKernel],
     events: &[TraceEvent],
     fill: usize,
     warmup: u64,
 ) -> Vec<RunStats> {
-    let mut streams = KeyStreams::new();
-    let lanes: Vec<_> = kernels.iter().map(|k| streams.attach(k)).collect();
-    let mut scorers: Vec<ChunkScorer<'_>> =
-        kernels.iter().map(|_| ChunkScorer::new(warmup)).collect();
+    let mut bank = KeyStreams::new(warmup);
+    let mut lanes: Vec<_> = kernels
+        .iter_mut()
+        .map(|k| (bank.attach(k), ChunkScorer::new(warmup)))
+        .collect();
     for chunk in events.chunks(fill) {
-        streams.fill(chunk);
-        for ((kernel, lane), scorer) in kernels.iter_mut().zip(&lanes).zip(&mut scorers) {
-            match lane {
-                Some(lane) => streams.fold(*lane, kernel, chunk, scorer),
-                None => kernel.fold_chunk(chunk, scorer),
+        bank.fold_chunk(chunk);
+        for (lane, scorer) in &mut lanes {
+            if let Err(kernel) = lane {
+                kernel.fold_chunk(chunk, scorer);
             }
         }
     }
-    for (kernel, lane) in kernels.iter_mut().zip(&lanes) {
-        if let Some(lane) = lane {
-            streams.restore(*lane, kernel);
-        }
-    }
-    scorers.iter().map(scorer_stats).collect()
+    let stats = lanes
+        .iter()
+        .map(|(lane, scorer)| match lane {
+            Ok(keyed) => scorer_stats(bank.scorer(*keyed)),
+            Err(_) => scorer_stats(scorer),
+        })
+        .collect();
+    bank.restore();
+    stats
 }
 
-/// A pass whose compressed-key lanes share key streams scores every lane
-/// exactly as the legacy predict-then-update loop scores its config, and
-/// leaves every kernel predicting what the legacy predictor predicts at
-/// the trace's branch sites: four benchmarks, chunk fills 1, c−1, c and
-/// c+1, cold and with a warmup that ends mid-chunk, and once through
-/// `simulate_source_kernels` at its own chunking.
+/// A pass whose compressed-key lanes fold through one component bank
+/// scores every lane exactly as the legacy predict-then-update loop scores
+/// its predictor, and leaves every kernel predicting what the legacy
+/// predictor predicts at the trace's branch sites: four benchmarks, chunk
+/// fills 1, c−1, c and c+1, cold and with a warmup that ends mid-chunk,
+/// and once through `simulate_source_kernels` at its own chunking.
 #[test]
 fn keyed_pass_matches_each_lanes_legacy_fold_at_every_chunk_fill() {
     let _guard = serial();
     let c = chunk_capacity();
-    let configs = keyed_pass_configs();
-    let mut premise = KeyStreams::new();
-    let keyed = configs
-        .iter()
-        .filter(|cfg| premise.attach(&cfg.build_kernel()).is_some())
-        .count();
-    assert_eq!(
-        keyed,
-        configs.len() - UNKEYED_LANES,
-        "test premise: every compressed-key lane is keyed"
-    );
-    assert_eq!(
-        premise.len(),
-        KEY_STREAMS,
-        "test premise: {keyed} lanes share {KEY_STREAMS} streams"
-    );
     for b in [
         Benchmark::Ixx,
         Benchmark::SelfVm,
@@ -484,6 +585,24 @@ fn keyed_pass_matches_each_lanes_legacy_fold_at_every_chunk_fill() {
             events.iter().any(|e| e.as_cond().is_some()),
             "test premise: {b} carries conditional branches"
         );
+        let cases = keyed_pass_cases(&events[..1000]);
+        let mut premise: Vec<FoldKernel> = cases.iter().map(|case| (case.kernel)()).collect();
+        let mut bank = KeyStreams::new(0);
+        let keyed = premise
+            .iter_mut()
+            .filter_map(|k| bank.attach(k).ok())
+            .count();
+        assert_eq!(
+            keyed,
+            cases.len() - UNKEYED_LANES,
+            "test premise: every compressed-key lane is keyed"
+        );
+        assert_eq!(
+            (bank.len(), bank.components()),
+            (KEY_STREAMS, COMPONENTS),
+            "test premise: {keyed} lanes share {KEY_STREAMS} streams and {COMPONENTS} tables"
+        );
+        drop(bank);
         let mut sites: Vec<Addr> = Vec::new();
         for br in events.iter().filter_map(TraceEvent::as_indirect) {
             if !sites.contains(&br.pc) {
@@ -493,8 +612,8 @@ fn keyed_pass_matches_each_lanes_legacy_fold_at_every_chunk_fill() {
         for warmup in [0, mid_chunk_warmup(events)] {
             let mut expected = Vec::new();
             let mut answers = Vec::new();
-            for cfg in &configs {
-                let mut reference = cfg.build();
+            for case in &cases {
+                let mut reference = (case.legacy)();
                 expected.push(legacy_events(events, reference.as_mut(), warmup));
                 answers.push(
                     sites
@@ -504,8 +623,8 @@ fn keyed_pass_matches_each_lanes_legacy_fold_at_every_chunk_fill() {
                 );
             }
             let check = |kernels: &[FoldKernel], stats: &[RunStats], how: &str| {
-                for (j, cfg) in configs.iter().enumerate() {
-                    let context = format!("{} on {b}, warmup {warmup}, {how}", cfg.cache_key());
+                for (j, case) in cases.iter().enumerate() {
+                    let context = format!("{} on {b}, warmup {warmup}, {how}", case.label);
                     assert_eq!(stats[j], expected[j], "{context}: stats");
                     let got: Vec<Option<Addr>> = sites
                         .iter()
@@ -516,12 +635,11 @@ fn keyed_pass_matches_each_lanes_legacy_fold_at_every_chunk_fill() {
             };
             for fill in [1, c - 1, c, c + 1] {
                 let mut kernels: Vec<FoldKernel> =
-                    configs.iter().map(PredictorConfig::build_kernel).collect();
+                    cases.iter().map(|case| (case.kernel)()).collect();
                 let stats = keyed_pass(&mut kernels, events, fill, warmup);
                 check(&kernels, &stats, &format!("fill {fill}"));
             }
-            let mut kernels: Vec<FoldKernel> =
-                configs.iter().map(PredictorConfig::build_kernel).collect();
+            let mut kernels: Vec<FoldKernel> = cases.iter().map(|case| (case.kernel)()).collect();
             let stats = simulate_source_kernels(&mut trace.cursor(), &mut kernels, warmup)
                 .expect("in-memory source");
             check(&kernels, &stats, "simulate_source_kernels");
