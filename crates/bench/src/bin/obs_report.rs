@@ -10,8 +10,8 @@
 //! core count and effective knobs), then covers where a run's time went:
 //! per-experiment wall time and cache effectiveness (from the root
 //! `experiment` spans), the slowest benchmark passes with the cells each
-//! folded and the key streams and component tables it shared them over,
-//! per-worker busy/idle utilization, and the final
+//! folded, the key streams and component tables it shared them over and
+//! its trie families' node probes and pruned branches, per-worker busy/idle utilization, and the final
 //! metrics-registry snapshot. `--internals`
 //! renders the `IBP_PROBE` probe records: per-run
 //! occupancy/eviction/conflict tables, selector-usage breakdowns for
@@ -161,7 +161,7 @@ fn count_cells(records: &[Record], outcome: &str) -> usize {
 }
 
 /// Simulated (`miss`) `cell` events made by the given `fold`: `"trie"`
-/// for a path-length family's one-walk lane, `"keyed"` for a lane folded
+/// for a path-length family's trie lane, `"keyed"` for a lane folded
 /// through the pass's component bank, `"lane"` for a cell's own fold.
 fn count_folds(records: &[Record], fold: &str) -> usize {
     records
@@ -174,7 +174,8 @@ fn count_folds(records: &[Record], fold: &str) -> usize {
 
 /// Ranks the engine's benchmark passes (the `cell` spans) by run time,
 /// with the number of cells each folded, its key streams and distinct
-/// component tables, and the depths of its trie families.
+/// component tables, its trie families' node probes and pruned branches,
+/// and their depths.
 fn print_slowest_passes(records: &[Record], top: usize) {
     let mut passes: Vec<&Record> = records
         .iter()
@@ -201,8 +202,8 @@ fn print_slowest_passes(records: &[Record], top: usize) {
         count_folds(records, "lane")
     );
     println!(
-        "  {:<9} {:>9} {:<10} {:>6} {:>5} {:>10}  tries",
-        "run", "wait", "benchmark", "cells", "keys", "components"
+        "  {:<9} {:>9} {:<10} {:>6} {:>5} {:>10} {:>11} {:>9}  tries",
+        "run", "wait", "benchmark", "cells", "keys", "components", "trie probes", "pruned"
     );
     for r in passes.iter().take(top) {
         println!("{}", pass_row(r));
@@ -211,20 +212,23 @@ fn print_slowest_passes(records: &[Record], top: usize) {
 }
 
 /// One pass's row of the slowest-passes table. A pass that built no key
-/// stream notes neither `keys` nor `components`, and shows `-`.
+/// stream notes neither `keys` nor `components`, and one without a trie
+/// neither `trie_probes` nor `trie_pruned`; each shows `-`.
 fn pass_row(r: &Record) -> String {
     let count = |field: &str| {
         r.field_u64(field)
             .map_or_else(|| "-".to_string(), |n| n.to_string())
     };
     format!(
-        "  {:<9} {:>9} {:<10} {:>6} {:>5} {:>10}  {}",
+        "  {:<9} {:>9} {:<10} {:>6} {:>5} {:>10} {:>11} {:>9}  {}",
         fmt_us(r.dur_us.unwrap_or(0)),
         fmt_us(r.field_u64("wait_us").unwrap_or(0)),
         r.field_str("benchmark").unwrap_or("?"),
         r.field_u64("configs").unwrap_or(0),
         count("keys"),
         count("components"),
+        count("trie_probes"),
+        count("trie_pruned"),
         r.field_str("tries").unwrap_or("-"),
     )
 }
@@ -858,22 +862,22 @@ mod tests {
     }
 
     #[test]
-    fn a_pass_row_shows_its_keys_and_components() {
+    fn a_pass_row_shows_its_keys_components_and_trie_work() {
         let keyed = Record::parse(
             r#"{"t":"span","name":"cell","ts":0,"dur":2500000,"tid":0,"depth":0,"f":{"benchmark":"ixx","configs":15,"wait_us":12,"keys":5,"components":12}}"#,
         )
         .unwrap();
         assert_eq!(
             pass_row(&keyed),
-            "  2.50s          12us ixx            15     5         12  -"
+            "  2.50s          12us ixx            15     5         12           -         -  -"
         );
         let trie = Record::parse(
-            r#"{"t":"span","name":"cell","ts":0,"dur":9,"tid":0,"depth":0,"f":{"benchmark":"gcc","configs":19,"tries":"0..=18"}}"#,
+            r#"{"t":"span","name":"cell","ts":0,"dur":9,"tid":0,"depth":0,"f":{"benchmark":"gcc","configs":19,"tries":"0..=18","trie_probes":28917,"trie_pruned":812}}"#,
         )
         .unwrap();
         assert_eq!(
             pass_row(&trie),
-            "  9us             0us gcc            19     -          -  0..=18"
+            "  9us             0us gcc            19     -          -       28917       812  0..=18"
         );
     }
 

@@ -374,6 +374,53 @@ fn the_component_bank_folds_each_distinct_table_once() {
         .collect();
     assert!(!shared.is_empty(), "fig18 swept no hybrid cell with its tables");
     assert!(shared.iter().all(|&c| c == Some(10)), "{shared:?}");
+
+    // The ablations' BPSTs ride on the confidence-width sweep, whose
+    // 2-bit hybrids hold their components: each pass folds 12 hybrids and
+    // 3 BPSTs on 24 tables, and no pass folds the BPSTs alone.
+    let records = traced_run(env!("CARGO_BIN_EXE_ablations"), &tmp.join("ablations"));
+    let keyed: Vec<(Option<u64>, Option<u64>)> = records
+        .iter()
+        .filter(|r| r.kind == Kind::Span && r.name == "cell")
+        .filter(|pass| pass.field_u64("components").is_some())
+        .map(|pass| (pass.field_u64("configs"), pass.field_u64("components")))
+        .collect();
+    assert_eq!(keyed, vec![(Some(15), Some(24)); 17], "{keyed:?}");
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// Figure 9's node probes over its 17 trie passes at 2,000 events.
+const TRIE_PROBES: u64 = 509_641;
+/// The branches those passes pruned before the deepest depth.
+const TRIE_PRUNED: u64 = 14_374;
+
+/// The trie's work is counted exactly, so turning its pruning off, or
+/// routing Figure 9 away from it, changes these totals and fails here
+/// rather than only in a timing. At 2,000 events on 17 benchmarks a fold
+/// without pruning would make 17 × 2,000 × 19 = 646,000 probes.
+#[test]
+fn fig9_trie_probes_and_pruned_branches_are_pinned() {
+    let tmp = std::env::temp_dir().join(format!("ibp-trie-work-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let records = traced_run(env!("CARGO_BIN_EXE_fig9_path_length"), &tmp);
+    let passes: Vec<_> = records
+        .iter()
+        .filter(|r| r.kind == Kind::Span && r.name == "cell")
+        .collect();
+    assert_eq!(passes.len(), 17, "one pass per benchmark");
+    let total = |field: &str| -> u64 {
+        passes
+            .iter()
+            .map(|pass| {
+                pass.field_u64(field)
+                    .unwrap_or_else(|| panic!("{pass:?} notes no {field}"))
+            })
+            .sum()
+    };
+    assert_eq!(
+        (total("trie_probes"), total("trie_pruned")),
+        (TRIE_PROBES, TRIE_PRUNED)
+    );
     std::fs::remove_dir_all(&tmp).ok();
 }
 

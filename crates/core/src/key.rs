@@ -376,17 +376,18 @@ impl FullKeySpec {
         let (table, path) = out.split_first_mut().expect("one table word");
         *table = self.sharing.address_component(pc);
         let elems = &history.path()[..self.path_len];
+        for (word, &t) in path.iter_mut().zip(elems) {
+            *word = self.element_word(t);
+        }
+    }
+
+    /// One history element as a key word: the whole address at full
+    /// precision, else its `b` bits from bit 2 up.
+    #[must_use]
+    pub(crate) fn element_word(&self, element: Addr) -> u32 {
         match self.precision {
-            None => {
-                for (word, t) in path.iter_mut().zip(elems) {
-                    *word = t.raw();
-                }
-            }
-            Some(b) => {
-                for (word, t) in path.iter_mut().zip(elems) {
-                    *word = t.bits(2, b);
-                }
-            }
+            None => element.raw(),
+            Some(b) => element.bits(2, b),
         }
     }
 }

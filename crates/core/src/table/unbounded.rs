@@ -96,18 +96,18 @@ impl UnboundedTable {
     /// The entry id holding `key`, or the empty bucket where it would go.
     fn find(&self, key: &[u32], tag: u32) -> Result<usize, usize> {
         debug_assert_eq!(key.len(), self.width, "key width");
-        self.probe(tag, self.home(tag), |stored| stored == key)
+        self.probe(tag, |stored| stored == key)
     }
 
     /// The probe behind every lookup: walks forward from `tag`'s home
-    /// bucket, whose content is `home`, to the entry whose key `matches`
-    /// (its id), or to the empty bucket where that key would go. Only a
-    /// bucket whose tag matches costs a key comparison.
-    fn probe(&self, tag: u32, home: u64, matches: impl Fn(&[u32]) -> bool) -> Result<usize, usize> {
+    /// bucket to the entry whose key `matches` (its id), or to the empty
+    /// bucket where that key would go. Only a bucket whose tag matches
+    /// costs a key comparison.
+    fn probe(&self, tag: u32, matches: impl Fn(&[u32]) -> bool) -> Result<usize, usize> {
         let mask = self.index.len() - 1;
         let mut at = tag as usize & mask;
-        let mut bucket = home;
         loop {
+            let bucket = self.index[at];
             if bucket == 0 {
                 return Err(at);
             }
@@ -118,7 +118,6 @@ impl UnboundedTable {
                 }
             }
             at = (at + 1) & mask;
-            bucket = self.index[at];
         }
     }
 
@@ -201,40 +200,24 @@ impl UnboundedTable {
         }
     }
 
-    /// The home bucket of `tag`: the index word a probe for any key with
-    /// this tag reads first. A caller with several probes to make reads
-    /// all their home buckets ahead, so the loads overlap, then hands each
-    /// to [`entry_from_home`](UnboundedTable::entry_from_home).
-    pub(crate) fn home(&self, tag: u32) -> u64 {
-        self.index[tag as usize & (self.index.len() - 1)]
-    }
-
     /// The entry id of `key`, found from `tag`, with the entry itself when
     /// it was already stored. A key not yet stored gets a fresh entry for
     /// `actual`, and `None` in place of the entry. Ids count entries in
-    /// insertion order from zero, so a caller can key deeper entries by
+    /// insertion order from zero, so a caller can key further entries by
     /// this one's id, as a path trie keys a node by its parent's. The tag
     /// may be any function of the key, as long as the same key always
-    /// comes with the same tag. `home` must be what
-    /// [`home`](UnboundedTable::home) returns for `tag` since the table
-    /// last gained an entry.
-    pub(crate) fn entry_from_home<const N: usize>(
+    /// comes with the same tag.
+    pub(crate) fn entry<const N: usize>(
         &mut self,
         key: [u32; N],
         tag: u32,
-        home: u64,
         actual: Addr,
     ) -> (u32, Option<&mut Slot>) {
         debug_assert_eq!(N, self.width, "key width");
-        debug_assert_eq!(
-            home,
-            self.home(tag),
-            "home bucket read since the table changed"
-        );
         // A fixed-width comparison, unrolled, where `find` compares slices
         // of run-time width.
         let matches = |stored: &[u32]| stored.iter().zip(&key).all(|(a, b)| a == b);
-        match self.probe(tag, home, matches) {
+        match self.probe(tag, matches) {
             Ok(id) => (id as u32, Some(&mut self.slots[id])),
             Err(at) => (self.insert(at, &key, tag, actual), None),
         }

@@ -1,17 +1,19 @@
-//! Path-length families folded as one prefix-trie walk (§3, Figures 9
-//! and 10).
+//! Path-length families folded one depth at a time (§3, Figures 9 and
+//! 10).
 //!
 //! A full-precision key of path length `p` is the table word `pc >> h`
 //! followed by the `p` newest history elements, so it extends the key of
 //! length `p − 1` by one word: every length-`p` pattern grows out of a
-//! length-`(p − 1)` one (§5.1's census). A [`PathTrie`] stores each
-//! distinct key prefix once, as a node keyed by its parent node's id and
-//! its last word, and one walk from the root down an event's key scores
-//! and trains every path length of a family at once.
+//! length-`(p − 1)` one (§5.1's census). A [`PathTrie`] names each
+//! distinct key prefix by a node, keyed by its parent node's id and its
+//! last word, and folds every path length of a family over one buffered
+//! trace, one depth at a time: depth `d`'s nodes need only depth
+//! `d − 1`'s ids, so only one depth's table is ever live.
 
 use ibp_trace::{Addr, TraceEvent};
 
-use crate::history::{Histories, HistoryElement, HistorySharing, MAX_PATH};
+use crate::hash::WordMap;
+use crate::history::{HistoryElement, HistorySharing, MAX_PATH};
 use crate::key::{FullKeySpec, TableSharing};
 use crate::predictor::UpdateRule;
 use crate::table::UnboundedTable;
@@ -33,44 +35,72 @@ pub struct PathFamily {
     pub(crate) include_cond: bool,
 }
 
-/// The parent word of a depth-0 node. Node ids start at zero, so a parent
-/// is named by its id plus one.
-const ROOT: u32 = 0;
+/// The link past a history register's oldest element. A key that reads
+/// that far reads [`Addr::ZERO`], as from a cold register.
+const COLD: u32 = u32::MAX;
 
-/// The multiplier of the rolling tag, as in [`UnboundedTable`]'s own tag.
-const K: u64 = 0x517c_c1b7_2722_0a95;
-
-/// Folds one more key word into a rolling hash.
-fn roll(h: u64, word: u32) -> u64 {
-    (h.rotate_left(5) ^ u64::from(word)).wrapping_mul(K)
+/// One buffered indirect branch.
+#[derive(Debug, Clone, Copy)]
+struct Branch {
+    /// The key's first word, `pc >> h`.
+    table_word: u32,
+    target: Addr,
+    /// The newest element of the branch's history register when the branch
+    /// executed: an index into the element stream, or [`COLD`].
+    newest: u32,
 }
 
-/// The 32-bit tag of a rolling hash: a final multiply, so the low bits,
-/// which pick the home bucket, depend on every word folded in.
-fn finish(h: u64) -> u32 {
-    ((h ^ (h >> 32)).wrapping_mul(K) >> 32) as u32
+/// One recorded history element, linked to the next older element of the
+/// same register.
+#[derive(Debug, Clone, Copy)]
+struct Element {
+    /// The element as a key word.
+    word: u32,
+    /// The register's element before this one, or [`COLD`].
+    older: u32,
+}
+
+/// A buffered branch still in the fold: its node at the depth last folded,
+/// and the element its key reads at the next depth.
+#[derive(Clone, Copy)]
+struct Walker {
+    branch: u32,
+    node: u32,
+    next: u32,
 }
 
 /// A path-length family folded as one lane: the unconstrained two-level
 /// predictors of one [`PathFamily`] at several path lengths, over one
-/// history and one prefix trie.
+/// buffered trace and one prefix trie.
 ///
 /// # Layout
 ///
-/// The trie lives in one [`UnboundedTable`] of 2-word keys. The node for
-/// key words `w0..=wd` sits at depth `d`, keyed by `[parent, wd]`, where
-/// `parent` names the node for `w0..wd` (or the root at depth 0), and it
-/// holds depth `d`'s entry. A node id names its whole prefix, so depth
-/// `d`'s nodes correspond one to one with the distinct keys of the path
-/// length `d` predictor, and its entries train exactly as that
-/// predictor's do: per-member results are exact. Each depth's probe
-/// starts from a rolling tag over the key's words `0..=d` rather than from
-/// a hash of the parent's id, so an event's probes depend on no earlier
-/// probe's load and can overlap.
+/// [`fold_chunk`](PathTrie::fold_chunk) only buffers. Each indirect
+/// branch appends its table word, its target and a link to the newest
+/// element of its history register (12 bytes); each element the branch,
+/// or a conditional branch when the family records conditional targets,
+/// shifts into a register appends its key word and a link to that
+/// register's previous element (8 bytes). Every register, global or per
+/// set, is a chain of these links, so reading a branch's key one word
+/// deeper follows one link.
 ///
-/// Depths between the members that no member scores still get nodes, since
-/// deeper nodes hang off them, but their entries are never trained or
-/// read.
+/// [`finish`](PathTrie::finish) then folds depth 0, depth 1 and so on to
+/// the deepest member's, each over the whole buffer in trace order, with
+/// one [`UnboundedTable`] of 2-word keys cleared between depths. Depth
+/// `d`'s node for key words `w0..=wd` is keyed by `[parent, wd]`, where
+/// `parent` is the id of the branch's node at depth `d − 1` (0 at depth
+/// 0), and it holds depth `d`'s entry. A node id names its whole prefix,
+/// so depth `d`'s nodes correspond one to one with the distinct keys of
+/// the path length `d` predictor, and each entry trains on its own
+/// branches in trace order, exactly as that predictor's does: per-member
+/// results are exact.
+///
+/// A branch whose depth-`d` node no other branch visits leaves the fold:
+/// each of its deeper nodes is new on its one visit, so it stores one key
+/// per deeper depth and, where that depth is a member and the branch is
+/// scored, one miss, with no probe. Depths between the members that no
+/// member scores still get nodes, since deeper nodes hang off them, but
+/// their entries are never trained or read.
 ///
 /// # Example
 ///
@@ -86,6 +116,7 @@ fn finish(h: u64) -> u32 {
 /// let (family, _) = PredictorConfig::unconstrained(0).path_family().unwrap();
 /// let mut trie = PathTrie::new(family, &[0, 1, 2], 0);
 /// trie.fold_chunk(trace.events());
+/// trie.finish();
 /// assert_eq!(trie.scored(), 100);
 /// assert!(trie.mispredicted(0) >= 50, "p = 0, a BTB, cannot learn an alternation");
 /// assert!(trie.mispredicted(1) <= 4, "p = 1 can");
@@ -93,22 +124,30 @@ fn finish(h: u64) -> u32 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PathTrie {
-    histories: Histories,
+    family: PathFamily,
     /// The key recipe of the deepest member: every shallower key is a
     /// prefix of its words.
     key: FullKeySpec,
-    table: UnboundedTable,
-    rule: UpdateRule,
-    include_cond: bool,
     /// The members' path lengths, in member order.
     depths: Vec<usize>,
     /// Whether some member scores depth `d`.
     member_at: [bool; MAX_PATH + 1],
-    /// Indirect events still to consume unscored.
-    to_warm: u64,
+    /// Indirect branches that train every member unscored.
+    warmup: u64,
+    /// The indirect branches buffered so far, in trace order.
+    branches: Vec<Branch>,
+    /// Every history element recorded so far, in trace order.
+    elements: Vec<Element>,
+    /// The newest element of the global register.
+    global: u32,
+    /// The newest element of each per-set register, by set.
+    per_set: WordMap<u32>,
+    finished: bool,
     scored: u64,
     mispredicted: [u64; MAX_PATH + 1],
     patterns: [u64; MAX_PATH + 1],
+    probes: u64,
+    pruned: u64,
 }
 
 impl PathTrie {
@@ -131,17 +170,21 @@ impl PathTrie {
             member_at[d] = true;
         }
         PathTrie {
-            histories: Histories::new(family.history_sharing, family.element, deepest),
+            family,
             key: FullKeySpec::new(deepest, family.table_sharing, family.precision),
-            table: UnboundedTable::new(2, family.confidence_bits),
-            rule: family.rule,
-            include_cond: family.include_cond,
             depths: depths.to_vec(),
             member_at,
-            to_warm: warmup,
+            warmup,
+            branches: Vec::new(),
+            elements: Vec::new(),
+            global: COLD,
+            per_set: WordMap::default(),
+            finished: false,
             scored: 0,
             mispredicted: [0; MAX_PATH + 1],
             patterns: [0; MAX_PATH + 1],
+            probes: 0,
+            pruned: 0,
         }
     }
 
@@ -151,85 +194,156 @@ impl PathTrie {
         &self.depths
     }
 
-    /// Folds the next chunk of events: for each indirect branch, one walk
-    /// down its key scores every member (when past the warmup) and trains
-    /// it; conditional branches feed the history when the family takes
-    /// conditional targets.
+    /// Buffers the next chunk of events: each indirect branch, and the
+    /// history element it records; a conditional branch records its
+    /// element when the family takes conditional targets.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the trie is [finished](PathTrie::finish).
     pub fn fold_chunk(&mut self, events: &[TraceEvent]) {
-        self.fold_with(events, |tag| tag);
-    }
-
-    /// [`fold_chunk`](PathTrie::fold_chunk) with every probe's tag passed
-    /// through `narrow`. Tests narrow the tags to force collisions, which
-    /// the node comparison alone must then resolve.
-    fn fold_with(&mut self, events: &[TraceEvent], narrow: impl Fn(u32) -> u32 + Copy) {
-        let width = self.key.words();
+        assert!(!self.finished, "a finished PathTrie takes no more events");
         for event in events {
             match event {
                 TraceEvent::Indirect(b) => {
-                    let scored = if self.to_warm > 0 {
-                        self.to_warm -= 1;
-                        false
-                    } else {
-                        self.scored += 1;
-                        true
-                    };
-                    let mut words = [0u32; MAX_PATH + 1];
-                    let words = &mut words[..width];
-                    self.key.write(b.pc, self.histories.register(b.pc), words);
-                    self.walk(words, b.target, scored, narrow);
-                    self.histories.record(b.pc, b.target);
+                    let newest = self.record(b.pc, b.target);
+                    self.branches.push(Branch {
+                        table_word: self.family.table_sharing.address_component(b.pc),
+                        target: b.target,
+                        newest,
+                    });
                 }
                 TraceEvent::Cond(b) => {
-                    if self.include_cond {
-                        self.histories.record(b.pc, b.outcome());
+                    if self.family.include_cond {
+                        self.record(b.pc, b.outcome());
                     }
                 }
             }
         }
     }
 
-    /// One event's walk from the root down the nodes of `words`. Every
-    /// depth's tag, and the home bucket it picks, is read before the first
-    /// probe, so the walk's index loads overlap instead of waiting on one
-    /// another. The homes stay valid until the walk inserts a node; from
-    /// there down every node is new, and each probe re-reads its home.
-    fn walk(&mut self, words: &[u32], actual: Addr, scored: bool, narrow: impl Fn(u32) -> u32) {
-        let mut tags = [0u32; MAX_PATH + 1];
-        let mut h = 0u64;
-        for (tag, &word) in tags.iter_mut().zip(words) {
-            h = roll(h, word);
-            *tag = narrow(finish(h));
-        }
-        let mut homes = [0u64; MAX_PATH + 1];
-        for (home, &tag) in homes.iter_mut().zip(&tags[..words.len()]) {
-            *home = self.table.home(tag);
-        }
-        let mut parent = ROOT;
-        let mut grew = false;
-        for (d, (&word, &tag)) in words.iter().zip(&tags).enumerate() {
-            let home = if grew { self.table.home(tag) } else { homes[d] };
-            let (id, entry) = self
-                .table
-                .entry_from_home([parent, word], tag, home, actual);
-            let correct = match entry {
-                Some(slot) => self.member_at[d] && slot.train(actual, self.rule),
-                None => {
-                    self.patterns[d] += 1;
-                    grew = true;
-                    false
-                }
-            };
-            if scored && !correct && self.member_at[d] {
-                self.mispredicted[d] += 1;
-            }
-            parent = id + 1;
-        }
+    /// Appends the element a branch at `pc` to `to` shifts into its
+    /// history register, and returns the element it displaces as the
+    /// register's newest.
+    fn record(&mut self, pc: Addr, to: Addr) -> u32 {
+        let word = self.key.element_word(self.family.element.encode(pc, to));
+        let id = u32::try_from(self.elements.len())
+            .ok()
+            .filter(|&id| id != COLD)
+            .expect("fewer than 2^32 - 1 history elements");
+        let sharing = self.family.history_sharing;
+        let newest = if sharing.is_global() {
+            &mut self.global
+        } else {
+            self.per_set.entry(sharing.set_of(pc)).or_insert(COLD)
+        };
+        let older = std::mem::replace(newest, id);
+        self.elements.push(Element { word, older });
+        older
     }
 
-    /// Indirect branches scored so far: the same for every member.
+    /// Folds the buffered trace, one depth at a time from 0 to the deepest
+    /// member's, scores and trains every member, and frees the buffer. The
+    /// results are read after this call. A second call does nothing, so
+    /// the results stand; called before any chunk, it folds an empty
+    /// trace, which scores nothing and stores no key.
+    pub fn finish(&mut self) {
+        self.finish_with(|tag| tag);
+    }
+
+    /// [`finish`](PathTrie::finish) with every probe's tag passed through
+    /// `narrow`. Tests narrow the tags to force collisions, which the node
+    /// comparison alone must then resolve.
+    fn finish_with(&mut self, narrow: impl Fn(u32) -> u32) {
+        if self.finished {
+            return;
+        }
+        self.finished = true;
+        let branches = std::mem::take(&mut self.branches);
+        let elements = std::mem::take(&mut self.elements);
+        self.per_set = WordMap::default();
+        let (warmup, rule) = (self.warmup, self.family.rule);
+        self.scored = (branches.len() as u64).saturating_sub(warmup);
+        let cold = self.key.element_word(Addr::ZERO);
+        let mut walkers: Vec<Walker> = (0..)
+            .zip(&branches)
+            .map(|(branch, b)| Walker {
+                branch,
+                node: 0,
+                next: b.newest,
+            })
+            .collect();
+        let mut table = UnboundedTable::new(2, self.family.confidence_bits);
+        // Whether a node of the depth being folded has had a second visit.
+        let mut shared: Vec<bool> = Vec::new();
+        // Branches that left the fold at a shallower depth, and how many
+        // of them are scored.
+        let (mut left, mut left_scored) = (0u64, 0u64);
+        let words = self.key.words();
+        for d in 0..words {
+            table.clear();
+            shared.clear();
+            let member = self.member_at[d];
+            let mut misses = 0u64;
+            for w in &mut walkers {
+                let branch = branches[w.branch as usize];
+                let word = if d == 0 {
+                    branch.table_word
+                } else if let Some(element) = elements.get(w.next as usize) {
+                    w.next = element.older;
+                    element.word
+                } else {
+                    cold
+                };
+                let key = [w.node, word];
+                let (node, slot) =
+                    table.entry(key, narrow(UnboundedTable::tag(&key)), branch.target);
+                let correct = match slot {
+                    Some(slot) => {
+                        shared[node as usize] = true;
+                        member && slot.train(branch.target, rule)
+                    }
+                    None => {
+                        shared.push(false);
+                        false
+                    }
+                };
+                misses += u64::from(!correct && u64::from(w.branch) >= warmup);
+                w.node = node;
+            }
+            self.probes += walkers.len() as u64;
+            self.patterns[d] = table.len() as u64 + left;
+            if member {
+                self.mispredicted[d] = misses + left_scored;
+            }
+            if d + 1 < words {
+                walkers.retain(|w| {
+                    let stays = shared[w.node as usize];
+                    if !stays {
+                        left += 1;
+                        left_scored += u64::from(u64::from(w.branch) >= warmup);
+                    }
+                    stays
+                });
+            }
+        }
+        self.pruned = left;
+    }
+
+    /// Panics unless the trie is finished: before that no member has
+    /// scored anything.
+    fn assert_finished(&self) {
+        assert!(self.finished, "a PathTrie has no results before finish");
+    }
+
+    /// Indirect branches scored: the same for every member.
+    ///
+    /// # Panics
+    ///
+    /// Panics before [`finish`](PathTrie::finish).
     #[must_use]
     pub fn scored(&self) -> u64 {
+        self.assert_finished();
         self.scored
     }
 
@@ -238,9 +352,11 @@ impl PathTrie {
     ///
     /// # Panics
     ///
-    /// Panics if no member has path length `depth`.
+    /// Panics before [`finish`](PathTrie::finish), or if no member has
+    /// path length `depth`.
     #[must_use]
     pub fn mispredicted(&self, depth: usize) -> u64 {
+        self.assert_finished();
         assert!(
             depth <= MAX_PATH && self.member_at[depth],
             "no member has path length {depth}"
@@ -248,21 +364,38 @@ impl PathTrie {
         self.mispredicted[depth]
     }
 
-    /// Distinct keys of path length `depth` stored so far: what the
-    /// member's own table would hold
+    /// Distinct keys of path length `depth` stored: what the member's own
+    /// table would hold
     /// ([`TwoLevelPredictor::stored_patterns`](crate::TwoLevelPredictor::stored_patterns)).
     /// Any depth up to the deepest member's has them.
     ///
     /// # Panics
     ///
-    /// Panics if `depth` exceeds the deepest member's path length.
+    /// Panics before [`finish`](PathTrie::finish), or if `depth` exceeds
+    /// the deepest member's path length.
     #[must_use]
     pub fn stored_patterns(&self, depth: usize) -> u64 {
+        self.assert_finished();
         assert!(
             depth < self.key.words(),
             "depth {depth} is deeper than every member"
         );
         self.patterns[depth]
+    }
+
+    /// Node probes the fold made: over every depth, the branches still in
+    /// the fold there. A fold without pruning makes one per branch and
+    /// depth.
+    #[must_use]
+    pub fn probes(&self) -> u64 {
+        self.probes
+    }
+
+    /// Branches that left the fold before the deepest depth, their node
+    /// there visited by no other branch.
+    #[must_use]
+    pub fn pruned(&self) -> u64 {
+        self.pruned
     }
 }
 
@@ -270,7 +403,7 @@ impl PathTrie {
 mod tests {
     use super::*;
     use crate::config::PredictorConfig;
-    use crate::predictor::Predictor;
+    use crate::kernel::{ChunkScorer, FoldKernel};
     use ibp_trace::{BranchKind, Trace};
 
     /// A trace over 40 sites and 24 targets from a fixed linear
@@ -294,54 +427,96 @@ mod tests {
         t
     }
 
-    /// Each member's (mispredicted, stored keys) from its own predictor.
-    fn lanes(
+    /// One site whose branches go to `targets`, in order.
+    fn one_site(targets: impl IntoIterator<Item = Addr>) -> Trace {
+        let mut t = Trace::new("one-site");
+        for target in targets {
+            t.push_indirect(Addr::new(0x100), target, BranchKind::Switch);
+        }
+        t
+    }
+
+    /// A full-precision family over global history and per-address tables.
+    fn plain(p: usize) -> PredictorConfig {
+        PredictorConfig::unconstrained(p)
+    }
+
+    /// A trie over `depths` with `warmup`, fed `trace` in one chunk.
+    fn buffered(
         config: fn(usize) -> PredictorConfig,
         depths: &[usize],
         trace: &Trace,
-    ) -> Vec<(u64, u64)> {
-        depths
-            .iter()
-            .map(|&p| {
-                let mut lane = config(p).try_build_two_level().expect("valid config");
-                let mut misses = 0;
-                for event in trace.events() {
-                    match event {
-                        TraceEvent::Indirect(b) => {
-                            misses += u64::from(lane.predict(b.pc) != Some(b.target));
-                            lane.update(b.pc, b.target);
-                        }
-                        TraceEvent::Cond(b) => lane.observe_cond(b.pc, b.outcome()),
-                    }
-                }
-                (misses, lane.stored_patterns() as u64)
-            })
-            .collect()
+        warmup: u64,
+    ) -> PathTrie {
+        let (family, _) = config(0).path_family().expect("a full-key family");
+        let mut trie = PathTrie::new(family, depths, warmup);
+        trie.fold_chunk(trace.events());
+        trie
+    }
+
+    /// Checks the finished `trie` against each path length's own kernel:
+    /// every member's score, and every depth's stored keys.
+    fn assert_matches_kernels(
+        trie: &PathTrie,
+        config: fn(usize) -> PredictorConfig,
+        trace: &Trace,
+        warmup: u64,
+    ) {
+        let deepest = trie.depths().iter().copied().max().expect("members");
+        for d in 0..=deepest {
+            let mut kernel = config(d).build_kernel();
+            let mut scorer = ChunkScorer::new(warmup);
+            kernel.fold_chunk(trace.events(), &mut scorer);
+            let FoldKernel::TwoLevel(lane) = &kernel else {
+                panic!("a full-key config folds as a two-level kernel");
+            };
+            assert_eq!(
+                trie.stored_patterns(d),
+                lane.stored_patterns() as u64,
+                "keys at p={d}"
+            );
+            if trie.depths().contains(&d) {
+                assert_eq!(
+                    (trie.scored(), trie.mispredicted(d)),
+                    (scorer.indirect(), scorer.mispredicted()),
+                    "scored and mispredicted at p={d}"
+                );
+            }
+        }
+    }
+
+    /// Folds `trace` through a finished trie and checks it against the
+    /// kernels.
+    fn exact(
+        config: fn(usize) -> PredictorConfig,
+        depths: &[usize],
+        trace: &Trace,
+        warmup: u64,
+    ) -> PathTrie {
+        let mut trie = buffered(config, depths, trace, warmup);
+        trie.finish();
+        assert_matches_kernels(&trie, config, trace, warmup);
+        trie
     }
 
     /// With tags narrowed to a few bits, most nodes share their tag with
-    /// nodes of other prefixes, and only the comparison of the parent id
-    /// and the last word tells them apart: results must stay exact.
+    /// nodes of other prefixes at the same depth, and only the comparison
+    /// of the parent id and the last word tells them apart: results must
+    /// stay exact.
     #[test]
     fn colliding_tags_leave_results_exact() {
         let trace = lcg_trace(3_000);
-        let families: [fn(usize) -> PredictorConfig; 2] = [PredictorConfig::unconstrained, |p| {
+        let families: [fn(usize) -> PredictorConfig; 2] = [plain, |p| {
             PredictorConfig::unconstrained(p)
                 .with_table_sharing(crate::TableSharing::GLOBAL)
                 .with_cond_targets(true)
         }];
         let depths = [0, 1, 2, 3, 4, 6];
         for config in families {
-            let expected = lanes(config, &depths, &trace);
-            let (family, _) = config(0).path_family().expect("a full-key family");
             for bits in [2u32, 8, 32] {
-                let mut trie = PathTrie::new(family, &depths, 0);
-                trie.fold_with(trace.events(), |tag| tag & (u32::MAX >> (32 - bits)));
-                let got: Vec<(u64, u64)> = depths
-                    .iter()
-                    .map(|&d| (trie.mispredicted(d), trie.stored_patterns(d)))
-                    .collect();
-                assert_eq!(got, expected, "{}-bit tags", bits);
+                let mut trie = buffered(config, &depths, &trace, 0);
+                trie.finish_with(|tag| tag & (u32::MAX >> (32 - bits)));
+                assert_matches_kernels(&trie, config, &trace, 0);
             }
         }
     }
@@ -349,24 +524,128 @@ mod tests {
     #[test]
     fn unscored_depths_keep_nodes_but_score_nothing() {
         let trace = lcg_trace(500);
-        let (family, _) = PredictorConfig::unconstrained(0)
-            .path_family()
-            .expect("family");
-        let mut trie = PathTrie::new(family, &[3, 1, 3], 100);
-        trie.fold_chunk(trace.events());
+        let trie = exact(plain, &[3, 1, 3], &trace, 100);
         assert_eq!(trie.depths(), [3, 1, 3]);
         assert_eq!(trie.scored(), 400);
-        let expected = lanes(PredictorConfig::unconstrained, &[0, 2], &trace);
-        assert_eq!(trie.stored_patterns(0), expected[0].1);
-        assert_eq!(trie.stored_patterns(2), expected[1].1);
     }
 
     #[test]
     #[should_panic(expected = "no member has path length 2")]
     fn unscored_depths_have_no_misprediction_count() {
-        let (family, _) = PredictorConfig::unconstrained(0)
-            .path_family()
-            .expect("family");
-        let _ = PathTrie::new(family, &[1, 3], 0).mispredicted(2);
+        let trie = exact(plain, &[1, 3], &lcg_trace(50), 0);
+        let _ = trie.mispredicted(2);
+    }
+
+    /// Distinct targets at one site: every branch shares the one depth-0
+    /// node, and its depth-1 node, keyed by the previous target, is its
+    /// own. So every branch leaves the fold at depth 1, after two probes.
+    #[test]
+    fn every_branch_leaves_at_depth_one() {
+        let n = 300u64;
+        let trace = one_site((1..=n as u32).map(|i| Addr::from_word(0x1000 + i)));
+        let trie = exact(plain, &[0, 1, 2, 5], &trace, 0);
+        assert_eq!(trie.pruned(), n);
+        assert_eq!(trie.probes(), 2 * n);
+        assert_eq!(trie.stored_patterns(5), n);
+        assert_eq!(trie.mispredicted(5), n);
+    }
+
+    /// A cycle whose zero targets read like the cold register: from the
+    /// third lap on every branch revisits the nodes of an earlier one, and
+    /// so does every branch of the first, at every depth. No branch ever
+    /// leaves the fold.
+    #[test]
+    fn a_short_cycle_never_prunes() {
+        let lap = [Addr::ZERO, Addr::ZERO, Addr::ZERO, Addr::new(0x900)];
+        let trace = one_site(lap.iter().copied().cycle().take(40));
+        let trie = exact(plain, &[0, 1, 2, 3], &trace, 0);
+        assert_eq!(trie.pruned(), 0);
+        assert_eq!(trie.probes(), 4 * 40);
+        assert!(trie.mispredicted(3) < trie.mispredicted(0));
+    }
+
+    #[test]
+    fn an_empty_trace_scores_nothing() {
+        let trie = exact(plain, &[0, 2], &Trace::new("empty"), 0);
+        assert_eq!(trie.scored(), 0);
+        assert_eq!(trie.mispredicted(2), 0);
+        assert_eq!(trie.stored_patterns(1), 0);
+        assert_eq!((trie.probes(), trie.pruned()), (0, 0));
+    }
+
+    /// A warmup at least as long as the trace scores nothing, yet every
+    /// depth still stores what its kernel stores.
+    #[test]
+    fn a_warmup_as_long_as_the_trace_scores_nothing() {
+        let trace = lcg_trace(400);
+        for warmup in [400, 401, u64::MAX] {
+            let trie = exact(plain, &[0, 1, 3, 6, 8], &trace, warmup);
+            assert_eq!(trie.scored(), 0);
+            assert_eq!(trie.mispredicted(8), 0);
+        }
+    }
+
+    /// The warmup ends among branches that all leave the fold at depth 1:
+    /// their deeper misses count from the first scored one on.
+    #[test]
+    fn a_warmup_ending_inside_a_pruned_chain() {
+        let trace = one_site((1..=200u32).map(|i| Addr::from_word(0x1000 + i)));
+        let trie = exact(plain, &[0, 3, 4], &trace, 117);
+        assert_eq!(trie.pruned(), 200);
+        assert_eq!(trie.mispredicted(4), 200 - 117);
+    }
+
+    /// Per-set history and conditional targets: every register is a chain
+    /// of its own, and a chunk boundary falls anywhere in it.
+    #[test]
+    fn per_set_chains_match_their_kernels_across_chunks() {
+        let trace = lcg_trace(2_000);
+        let config: fn(usize) -> PredictorConfig = |p| {
+            PredictorConfig::unconstrained(p)
+                .with_history_sharing(crate::HistorySharing::per_set(8))
+                .with_cond_targets(true)
+        };
+        let (family, _) = config(0).path_family().expect("a full-key family");
+        let mut trie = PathTrie::new(family, &[0, 1, 2, 4, 7], 37);
+        for chunk in trace.events().chunks(333) {
+            trie.fold_chunk(chunk);
+        }
+        trie.finish();
+        assert_matches_kernels(&trie, config, &trace, 37);
+    }
+
+    /// `finish` folds once: a second call leaves every result as it was,
+    /// and a trie finished before any chunk holds an empty trace's.
+    #[test]
+    fn finish_folds_once() {
+        let trace = lcg_trace(700);
+        let mut trie = exact(plain, &[0, 1, 2], &trace, 50);
+        let first = (trie.scored(), trie.mispredicted(2), trie.probes());
+        trie.finish();
+        assert_eq!((trie.scored(), trie.mispredicted(2), trie.probes()), first);
+        assert_matches_kernels(&trie, plain, &trace, 50);
+
+        let (family, _) = plain(0).path_family().expect("family");
+        let mut unfed = PathTrie::new(family, &[0, 1, 2], 50);
+        unfed.finish();
+        assert_eq!(unfed.scored(), 0);
+        assert_eq!(unfed.mispredicted(1), 0);
+        assert_eq!(unfed.stored_patterns(2), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a finished PathTrie takes no more events")]
+    fn a_finished_trie_takes_no_more_events() {
+        let (family, _) = plain(0).path_family().expect("family");
+        let mut trie = PathTrie::new(family, &[0, 1], 0);
+        trie.finish();
+        trie.fold_chunk(lcg_trace(10).events());
+    }
+
+    #[test]
+    #[should_panic(expected = "a PathTrie has no results before finish")]
+    fn an_unfinished_trie_has_no_results() {
+        let trie = buffered(plain, &[0, 1], &lcg_trace(10), 0);
+        let _ = trie.mispredicted(1);
     }
 }

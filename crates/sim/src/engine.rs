@@ -47,8 +47,9 @@
 //!   `degraded` event — a fault costs wall time, never correctness;
 //! * with tracing on (`IBP_TRACE`), every benchmark pass emits a `cell`
 //!   span (benchmark, config count, queue wait vs. run time, the depths
-//!   of its trie families, its number of key streams as `keys` and of
-//!   distinct component tables as `components`),
+//!   of its trie families, their node probes and pruned branches as
+//!   `trie_probes` and `trie_pruned`, its number of key streams as `keys`
+//!   and of distinct component tables as `components`),
 //!   every folded cell a `cell` event with `outcome = "miss"` and the
 //!   `fold` that made it (`"trie"`, `"keyed"` or `"lane"`), and every
 //!   memoized lookup a `cell` event with `outcome = "hit"`.
@@ -281,13 +282,13 @@ struct PassPlan {
 }
 
 /// Whether a path-length family with members at path lengths `depths`
-/// folds faster as one [`PathTrie`] than as one lane per member. A walk
-/// visits every depth from 0 to the deepest member's, so the trie pays
+/// folds faster as one [`PathTrie`] than as one lane per member. The
+/// trie folds every depth from 0 to the deepest member's, so it pays
 /// when there are at least two distinct lengths and they cover at least
 /// half of those depths: Figure 9's 0..=18 and Figure 10's 0..=12 route,
 /// as does the update-rule ablation's {0, 1, 3, 6, 8}; the sensitivity
 /// study's {3, 6, 9, 12} and the history variations' {3, 8} keep their
-/// lanes, where the walk through unscored depths costs more than it saves
+/// lanes, where folding the unscored depths costs more than it saves
 /// (DESIGN §5p).
 fn trie_pays(depths: &[usize]) -> bool {
     let mut distinct = depths.to_vec();
@@ -608,6 +609,12 @@ impl<'a> Sweep<'a> {
             }
             if pass.components > 0 {
                 cell.note("components", pass.components);
+            }
+            if !plan.tries.is_empty() {
+                let probes: u64 = plan.tries.iter().map(PathTrie::probes).sum();
+                let pruned: u64 = plan.tries.iter().map(PathTrie::pruned).sum();
+                cell.note("trie_probes", probes);
+                cell.note("trie_pruned", pruned);
             }
             let trie_runs: Vec<_> = plan.tries.iter().map(trie_stats).collect();
             members

@@ -27,6 +27,9 @@ pub fn confidence_width(suite: &Suite) -> Table {
         "§6.1: confidence counter width (hybrid 3.1, 4-way)",
         headers,
     );
+    // `metapredictor`'s BPSTs ride along: their components are the 2-bit
+    // hybrids' tables, so the pass folds those once for both tables, and
+    // `metapredictor` finds every cell memoized.
     let configs = SIZES
         .iter()
         .flat_map(|&size| {
@@ -34,6 +37,7 @@ pub fn confidence_width(suite: &Suite) -> Table {
                 PredictorConfig::hybrid(3, 1, size / 2, 4).with_confidence_bits(bits)
             })
         })
+        .chain(SIZES.iter().map(|&size| bpst(size)))
         .collect();
     let mut results = engine::run_configs(suite, configs).into_iter();
     for size in SIZES {
@@ -90,6 +94,11 @@ pub fn history_variations(suite: &Suite) -> Table {
     t
 }
 
+/// The BPST of [`metapredictor`] at `size` total entries.
+fn bpst(size: usize) -> PredictorConfig {
+    PredictorConfig::bpst(3, 1, size / 2, 4)
+}
+
 /// Metaprediction (§6.1): per-entry confidence counters versus a per-branch
 /// BPST selector, on the same components. The paper argues the per-pattern
 /// scheme is finer grained.
@@ -101,12 +110,7 @@ pub fn metapredictor(suite: &Suite) -> Table {
     );
     let configs = SIZES
         .iter()
-        .flat_map(|&size| {
-            [
-                PredictorConfig::hybrid(3, 1, size / 2, 4),
-                PredictorConfig::bpst(3, 1, size / 2, 4),
-            ]
-        })
+        .flat_map(|&size| [PredictorConfig::hybrid(3, 1, size / 2, 4), bpst(size)])
         .collect();
     let mut results = engine::run_configs(suite, configs).into_iter();
     for size in SIZES {

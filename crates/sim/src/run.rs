@@ -6,7 +6,8 @@
 //! `dyn Predictor`s folded through the same skeleton by one virtual
 //! [`Predictor::step`] per event. Beside the predictor lanes, the sweep
 //! engine's grouped pass can carry [`PathTrie`] lanes, each folding a
-//! whole path-length family of unbounded predictors in one walk, and
+//! whole path-length family of unbounded predictors one depth at a time
+//! over the pass's buffered branches, and
 //! [`MeasureLane`]s: folds that measure the trace, or a predictor's misses
 //! by cause, rather than score a prediction. In an unprobed pass every
 //! compressed-key kernel folds through one component bank
@@ -306,7 +307,8 @@ pub fn trie_stats(trie: &PathTrie) -> Vec<RunStats> {
 
 /// The one fold driver behind every sequential simulation: reads chunks,
 /// folds each lane over the chunk (one dispatch per lane per chunk), then
-/// each trie, then hands the chunk to each measure lane, and carries the
+/// buffers it in each trie, then hands the chunk to each measure lane;
+/// after the last chunk each trie folds what it buffered. It carries the
 /// journal span/chunk events and the probe layer's sampling protocol
 /// exactly as the per-event fold did. The probe layer samples the
 /// predictor lanes only: a probed pass folds every config on its own lane.
@@ -385,6 +387,9 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
         if !more {
             break;
         }
+    }
+    for trie in tries.iter_mut() {
+        trie.finish();
     }
     let stats: Vec<RunStats> = lanes
         .iter()

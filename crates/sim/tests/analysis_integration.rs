@@ -12,7 +12,7 @@ use ibp_workload::Benchmark;
 /// benchmark's Figure 9 misses at path length `p` are at least §5.1's
 /// census of stored patterns at `p`, which counts the stored keys of
 /// Figure 9's own predictor. Both are cells of one sweep: the misses come
-/// off the prefix-trie walk that folds Figure 9's path-length family, the
+/// off the prefix trie that folds Figure 9's path-length family, the
 /// census off its own measure lanes, so this checks the one fold against
 /// the other on every census benchmark at every census length.
 #[test]

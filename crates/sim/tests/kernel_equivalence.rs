@@ -295,8 +295,8 @@ fn trie_depths() -> [Vec<usize>; 3] {
     [(0..=18).collect(), (0..=12).collect(), vec![0, 1, 3, 6, 8]]
 }
 
-/// A path-length family folded as one prefix-trie walk scores every
-/// member exactly as the member's own kernel lane does, and stores as many
+/// A path-length family folded as one prefix trie, depth by depth, scores
+/// every member exactly as the member's own kernel lane does, and stores as many
 /// keys at each depth as that lane's table: every full-key variation, four
 /// benchmarks, chunk fills 1, c−1, c and c+1, cold and with a warmup that
 /// ends mid-chunk.
@@ -345,6 +345,7 @@ fn path_trie_matches_each_members_kernel_at_every_chunk_fill() {
                         for chunk in events.chunks(fill) {
                             trie.fold_chunk(chunk);
                         }
+                        trie.finish();
                         let context =
                             format!("{label}, p in {depths:?}, {b}, warmup {warmup}, fill {fill}");
                         assert_eq!(trie_stats(&trie), expected, "{context}: stats");
