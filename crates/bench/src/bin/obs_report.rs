@@ -389,36 +389,6 @@ fn print_internals(records: &[Record], top: usize) {
     }
     println!();
 
-    // Interval samples only exist on the sequential fold: the sharded and
-    // component workers sample warm/end snapshots but never mid-run. Say
-    // so when a deep run went through a parallel pipeline, instead of
-    // leaving the reader to wonder where its interval rows went.
-    let intervals: std::collections::HashSet<(String, String)> = probes
-        .iter()
-        .filter(|r| r.field_str("point") == Some("interval"))
-        .map(|r| {
-            (
-                r.field_str("trace").unwrap_or("?").to_string(),
-                r.name.clone(),
-            )
-        })
-        .collect();
-    let parallel_deep = ends
-        .iter()
-        .filter(|(key, r)| {
-            r.field("attribution").is_some()
-                && r.field_str("sched_mode").is_some_and(|m| m != "sequential")
-                && !intervals.contains(*key)
-        })
-        .count();
-    if parallel_deep > 0 {
-        println!(
-            "note: {parallel_deep} deep-probed run(s) folded by a parallel pipeline \
-             (site-shard/component-fold) — interval samples are only captured by the \
-             sequential fold\n"
-        );
-    }
-
     let hybrids: Vec<(&(String, String), &[Json])> = ends
         .iter()
         .filter_map(|(k, r)| {

@@ -87,13 +87,6 @@ impl Btb {
     pub fn lookup(&self, pc: Addr) -> Option<TableHit> {
         self.inner.lookup(pc)
     }
-
-    /// Looks up and trains in one step: the hit [`lookup`](Btb::lookup)
-    /// returns now, then [`update`](Predictor::update)'s training (see
-    /// [`TwoLevelPredictor::fused_step`]).
-    pub(crate) fn fused_step(&mut self, pc: Addr, actual: Addr) -> Option<TableHit> {
-        self.inner.fused_step(pc, actual, true)
-    }
 }
 
 impl Predictor for Btb {
@@ -103,6 +96,10 @@ impl Predictor for Btb {
 
     fn update(&mut self, pc: Addr, actual: Addr) {
         self.inner.update(pc, actual);
+    }
+
+    fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
+        self.inner.step(pc, actual, want_lookup)
     }
 
     fn reset(&mut self) {

@@ -604,11 +604,10 @@ impl PredictorConfig {
     }
 
     /// Builds the chunk-fold kernel for this configuration: every kind
-    /// maps to a monomorphized [`FoldKernel`] variant (BTBs are two-level
-    /// predictors with path length zero), so configs built through this
-    /// path never pay per-event virtual dispatch. Use
-    /// [`FoldKernel::from_boxed`] to wrap externally-built predictors in
-    /// the `Dyn` fallback instead.
+    /// maps to a concrete [`FoldKernel`] variant (BTBs are two-level
+    /// predictors with path length zero), which a pass's component bank
+    /// can attach to. Use [`FoldKernel::from_boxed`] to wrap
+    /// externally-built predictors in the `Dyn` fallback instead.
     ///
     /// # Panics
     ///

@@ -254,7 +254,7 @@ impl Predictor for IttageLite {
         let slots = self.slots(pc);
         let slots = &slots[..self.tables.len()];
         let provider = self.provider(slots);
-        let base = self.base.fused_step(pc, actual).map(|h| h.target);
+        let base = self.base.step(pc, actual, true);
         let predicted = self.prediction(provider, base);
 
         if let Some((ti, index)) = provider {

@@ -86,18 +86,6 @@ impl HybridPredictor {
         HybridPredictor::select(self.first.lookup(pc), self.second.lookup(pc))
     }
 
-    /// One fused simulation step: each component computes its key once and
-    /// performs its pre-update lookup and its training in a single pass
-    /// ([`TwoLevelPredictor::fused_step`]), then the usual confidence rule
-    /// arbitrates. Byte-identical to `lookup` + `update`: the components
-    /// share no state, so training the first before looking up the second
-    /// cannot change the second's answer.
-    pub fn fused_step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<TableHit> {
-        let first = self.first.fused_step(pc, actual, want_lookup);
-        let second = self.second.fused_step(pc, actual, want_lookup);
-        HybridPredictor::select(first, second)
-    }
-
     /// Both components, first then second.
     pub(crate) fn components_mut(&mut self) -> [&mut TwoLevelPredictor; 2] {
         [&mut self.first, &mut self.second]
@@ -114,6 +102,18 @@ impl Predictor for HybridPredictor {
         // confidence counters advance inside the tables.
         self.first.update(pc, actual);
         self.second.update(pc, actual);
+    }
+
+    /// Each component computes its key once and performs its pre-update
+    /// lookup and its training in a single pass
+    /// ([`TwoLevelPredictor::fused_step`]), then the usual confidence rule
+    /// arbitrates. Byte-identical to `lookup` + `update`: the components
+    /// share no state, so training the first before looking up the second
+    /// cannot change the second's answer.
+    fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
+        let first = self.first.fused_step(pc, actual, want_lookup);
+        let second = self.second.fused_step(pc, actual, want_lookup);
+        HybridPredictor::select(first, second).map(|h| h.target)
     }
 
     fn observe_cond(&mut self, pc: Addr, target: Addr) {
@@ -157,9 +157,8 @@ impl Predictor for HybridPredictor {
 
 impl StructuralSnapshot for HybridPredictor {
     fn structural_snapshot(&self) -> Snapshot {
-        // Components in (first, second) order — the same order the
-        // component-parallel fold assembles its merged snapshot in. A plain
-        // concat (not `absorb`) keeps p1 == p2 hybrids as two components.
+        // Components in (first, second) order; a plain concat keeps
+        // p1 == p2 hybrids as two components.
         let mut snap = self.first.structural_snapshot();
         snap.components
             .extend(self.second.structural_snapshot().components);

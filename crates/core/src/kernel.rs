@@ -1,33 +1,32 @@
-//! Chunk-fold kernels: one dispatch per chunk instead of two per event.
+//! Chunk-fold kernels: one dispatch per chunk, one step per event.
 //!
-//! Every simulation loop in `ibp-sim` used to drive predictors through
-//! `&mut dyn Predictor`, paying two to three virtual calls per indirect
-//! branch (`predict`, `update`, and under probing `probe_key_fingerprint`)
-//! plus a duplicated history-register/key computation inside each of them.
-//! A [`FoldKernel`] hoists that cost out of the inner loop: the hot
-//! predictor families get an enum variant holding the **concrete** type, and
-//! [`FoldKernel::fold_chunk`] dispatches **once per chunk** into a
-//! monomorphized fold whose per-event step is the family's `fused_step` —
-//! register and key computed once, table probe and training fused in a
-//! single probe (full-key unbounded tables also compute a whole chunk's
-//! keys before probing; see [`fold_two_level_chunk`]). A grouped pass
-//! goes further for compressed keys: its component bank
-//! ([`KeyStreams`](crate::KeyStreams)) builds each distinct key stream once
-//! and folds each distinct component table once, and every lane replays
-//! its arbitration over its components' lookups. Everything
-//! the enum does not name falls back to [`FoldKernel::Dyn`], which runs one
-//! virtual [`Predictor::step`] per event through the same fold skeleton, so
-//! every `Box<dyn Predictor>` keeps working: by default `step` is the
-//! legacy predict-then-update pair, and the `ext` predictors override it to
-//! build their keys once.
+//! A [`FoldKernel`] holds one predictor, its hot families as concrete
+//! variants, and [`FoldKernel::fold_chunk`] folds a whole chunk of events
+//! into a [`ChunkScorer`] after one dispatch. There are two folds:
+//!
+//! * [`fold_two_level_chunk`], the `TwoLevel` variant's: an unprobed fold
+//!   over a full-key unbounded table builds the whole chunk's keys before
+//!   its first probe, and every other chunk takes the per-event step;
+//! * [`fold_dyn_chunk`], every other variant's and every borrowed
+//!   predictor's: one [`Predictor::step`] per indirect event. By default
+//!   `step` is the predict-then-update pair. The two-level predictor, the
+//!   §6 hybrids and the §8.1 composites override it to build each key once
+//!   and probe each table once, looking up and training in one pass.
+//!
+//! A grouped pass goes further for compressed keys: its component bank
+//! ([`KeyStreams`](crate::KeyStreams)) attaches to the concrete variants,
+//! builds each distinct key stream once and folds each distinct component
+//! table once, and every lane replays its arbitration over its components'
+//! lookups.
 //!
 //! Scoring and probing stay caller-owned: the fold reports into a
-//! [`ChunkScorer`], which counts scored/mispredicted events and, when a
-//! [`ProbeSink`] is attached, replays the probe layer's exact per-event
-//! protocol (fingerprint before training, score before `note_trained`,
-//! warm/interval samples at the same points). Results are byte-identical to
-//! the legacy dyn fold by construction: `fused_step` is pure-lookup +
-//! train with nothing in between, exactly the simulation protocol.
+//! [`ChunkScorer`], which counts scored and mispredicted events and, when a
+//! [`ProbeSink`] is attached, follows the probe layer's per-event protocol:
+//! the key fingerprint before training, `score` before `note_trained`, a
+//! warm sample on the event that ends the warmup and interval samples
+//! every so many scored events. Results are byte-identical to the
+//! predict-then-update sequence by construction: an overridden `step` looks
+//! up, then trains, with nothing in between.
 
 use ibp_trace::{Addr, TraceEvent};
 
@@ -61,29 +60,13 @@ pub trait ProbeSink {
     fn sample(&mut self, point: &str, predictor: &dyn Predictor);
 }
 
-/// When the attached [`ProbeSink`] takes its "warm" sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WarmTrigger {
-    /// On the event where the warmup countdown reaches zero, after that
-    /// event's training — the sequential fold's `seen == warmup` point.
-    /// Never fires when the warmup is zero.
-    AtCrossing,
-    /// Immediately before the first scored event — the sharded fold's
-    /// convention, where each worker sees only its own slice of the global
-    /// warmup prefix. Callers that never score sample at exit instead (see
-    /// [`ChunkScorer::warm_pending`]).
-    BeforeFirstScored,
-}
-
 /// The probe half of a [`ChunkScorer`].
 struct ScorerProbe<'a> {
     sink: &'a mut dyn ProbeSink,
     fingerprints: bool,
-    warm: WarmTrigger,
     /// Deep interval-sample spacing in scored events, or `None` for no
     /// interval samples.
     interval: Option<u64>,
-    warm_pending: bool,
 }
 
 /// Fold state threaded through [`FoldKernel::fold_chunk`]: the warmup
@@ -113,15 +96,11 @@ impl<'a> ChunkScorer<'a> {
         }
     }
 
-    /// A scorer that reports every event into `sink`, sampling "warm" per
-    /// `warm` and "interval" every `interval` scored events (when deep).
+    /// A scorer that reports every event into `sink`. It samples "warm" on
+    /// the event that ends the warmup, after that event's training (never
+    /// with a zero warmup), and "interval" every `interval` scored events.
     #[must_use]
-    pub fn probed(
-        warmup: u64,
-        sink: &'a mut dyn ProbeSink,
-        warm: WarmTrigger,
-        interval: Option<u64>,
-    ) -> Self {
+    pub fn probed(warmup: u64, sink: &'a mut dyn ProbeSink, interval: Option<u64>) -> Self {
         let fingerprints = sink.wants_fingerprint();
         ChunkScorer {
             to_warm: warmup,
@@ -131,9 +110,7 @@ impl<'a> ChunkScorer<'a> {
             probe: Some(ScorerProbe {
                 sink,
                 fingerprints,
-                warm,
                 interval,
-                warm_pending: warm == WarmTrigger::BeforeFirstScored,
             }),
         }
     }
@@ -143,13 +120,6 @@ impl<'a> ChunkScorer<'a> {
     /// warmup prefix.
     pub fn set_warmup(&mut self, warmup: u64) {
         self.to_warm = warmup;
-    }
-
-    /// Whether a [`WarmTrigger::BeforeFirstScored`] warm sample is still
-    /// outstanding (the fold never scored); such callers sample at exit.
-    #[must_use]
-    pub fn warm_pending(&self) -> bool {
-        self.probe.as_ref().is_some_and(|p| p.warm_pending)
     }
 
     /// Scored indirect branches so far.
@@ -165,24 +135,6 @@ impl<'a> ChunkScorer<'a> {
     }
 }
 
-/// View a concrete predictor as `&dyn Predictor` for read-only probe
-/// samples, without forcing the fold itself through a vtable.
-trait AsDynPredictor {
-    fn as_dyn_predictor(&self) -> &dyn Predictor;
-}
-
-impl<P: Predictor + 'static> AsDynPredictor for P {
-    fn as_dyn_predictor(&self) -> &dyn Predictor {
-        self
-    }
-}
-
-impl AsDynPredictor for dyn Predictor + 'static {
-    fn as_dyn_predictor(&self) -> &dyn Predictor {
-        self
-    }
-}
-
 /// Counts one indirect event off the warmup prefix: `true` when the event
 /// is scored, `false` while the prefix lasts.
 fn take_scored(to_warm: &mut u64) -> bool {
@@ -194,15 +146,17 @@ fn take_scored(to_warm: &mut u64) -> bool {
     }
 }
 
-/// The shared fold skeleton: `step` performs one fused
-/// predict(-when-scored)+train step and returns the prediction. The fast
-/// path (no probe) is branch-light; the probed path replays the probe
-/// layer's exact event protocol.
-fn fold_events<P, F>(p: &mut P, events: &[TraceEvent], scorer: &mut ChunkScorer<'_>, mut step: F)
-where
-    P: Predictor + AsDynPredictor + ?Sized,
-    F: FnMut(&mut P, Addr, Addr, bool) -> Option<Addr>,
-{
+/// Folds a chunk through a borrowed `dyn Predictor`, one virtual
+/// [`Predictor::step`] per indirect event (looking up only when scored):
+/// the fold of every [`FoldKernel`] variant but `TwoLevel`, of borrowed
+/// predictors, and of every two-level chunk that takes no batched pass.
+/// The probe-free path is branch-light; the probed path follows the probe
+/// layer's per-event protocol.
+pub fn fold_dyn_chunk(
+    p: &mut (dyn Predictor + 'static),
+    events: &[TraceEvent],
+    scorer: &mut ChunkScorer<'_>,
+) {
     let ChunkScorer {
         to_warm,
         scored_seen,
@@ -216,7 +170,7 @@ where
                 match event {
                     TraceEvent::Indirect(b) => {
                         let scored = take_scored(to_warm);
-                        let predicted = step(p, b.pc, b.target, scored);
+                        let predicted = p.step(b.pc, b.target, scored);
                         if scored {
                             *indirect += 1;
                             if predicted != Some(b.target) {
@@ -235,16 +189,12 @@ where
                         let scored = take_scored(to_warm);
                         // This event exhausts the warmup prefix.
                         let crossed = !scored && *to_warm == 0;
-                        if scored && probe.warm_pending {
-                            probe.warm_pending = false;
-                            probe.sink.sample("warm", p.as_dyn_predictor());
-                        }
                         let fp = if probe.fingerprints {
                             p.probe_key_fingerprint(b.pc)
                         } else {
                             None
                         };
-                        let predicted = step(p, b.pc, b.target, scored);
+                        let predicted = p.step(b.pc, b.target, scored);
                         if scored {
                             *scored_seen += 1;
                             *indirect += 1;
@@ -255,13 +205,11 @@ where
                         }
                         probe.sink.note_trained(fp);
                         if crossed {
-                            if probe.warm == WarmTrigger::AtCrossing {
-                                probe.sink.sample("warm", p.as_dyn_predictor());
-                            }
+                            probe.sink.sample("warm", p);
                         } else if scored {
                             if let Some(n) = probe.interval {
                                 if scored_seen.is_multiple_of(n) {
-                                    probe.sink.sample("interval", p.as_dyn_predictor());
+                                    probe.sink.sample("interval", p);
                                 }
                             }
                         }
@@ -271,21 +219,6 @@ where
             }
         }
     }
-}
-
-/// Folds a chunk through a borrowed `dyn Predictor`, one virtual
-/// [`Predictor::step`] per indirect event (looking up only when scored) —
-/// the path [`FoldKernel::Dyn`] and borrowed-predictor callers run on. For
-/// a predictor on the default `step` this is the legacy predict-then-update
-/// sequence every kernel variant must match byte for byte.
-pub fn fold_dyn_chunk(
-    p: &mut (dyn Predictor + 'static),
-    events: &[TraceEvent],
-    scorer: &mut ChunkScorer<'_>,
-) {
-    fold_events(p, events, scorer, |p, pc, actual, scored| {
-        p.step(pc, actual, scored)
-    });
 }
 
 /// The probe-free fold skeleton over indirect branches whose keys (or
@@ -330,19 +263,18 @@ pub(crate) fn indirect_branches(events: &[TraceEvent]) -> impl Iterator<Item = (
         .map(|b| (b.pc, b.target))
 }
 
-/// Folds a chunk through a borrowed [`TwoLevelPredictor`] on the
-/// monomorphized path — the [`FoldKernel::TwoLevel`] fold, also used by
-/// analysis folds (miss classification, pattern censuses) that keep
-/// ownership of their predictor instead of wrapping it in a
-/// [`FoldKernel`].
+/// Folds a chunk through a borrowed [`TwoLevelPredictor`]: the
+/// [`FoldKernel::TwoLevel`] fold, also used by analysis folds (miss
+/// classification, pattern censuses) that keep ownership of their
+/// predictor instead of wrapping it in a [`FoldKernel`].
 ///
 /// Over a full-key unbounded table an unprobed fold runs in two passes:
 /// first the key and hash tag of every indirect event in the chunk, then
 /// the probes and training over those keys. The history depends only on
 /// the events, so the keys are exactly what the per-event step would
-/// compute. A fold with a [`ProbeSink`] keeps the per-event `fused_step`,
-/// because its mid-chunk samples read the live history, and so does a
-/// compressed key here; a pass shares those through
+/// compute. Every other chunk takes [`fold_dyn_chunk`]'s per-event
+/// [`Predictor::step`]: a probed fold, whose mid-chunk samples read the
+/// live history, and a compressed key, which a pass shares through
 /// [`KeyStreams`](crate::KeyStreams) instead.
 pub fn fold_two_level_chunk(
     p: &mut TwoLevelPredictor,
@@ -361,9 +293,7 @@ pub fn fold_two_level_chunk(
             return;
         }
     }
-    fold_events(p, events, scorer, |p, pc, actual, scored| {
-        p.fused_step(pc, actual, scored).map(|h| h.target)
-    });
+    fold_dyn_chunk(p, events, scorer);
 }
 
 /// An enum-dispatched simulation kernel: the hot predictor families as
@@ -371,25 +301,25 @@ pub fn fold_two_level_chunk(
 /// path length zero, so `TwoLevel` covers them and every §3–§5 table
 /// organisation; `Hybrid`/`Bpst` cover the fig17 metapredictors, and
 /// `Multi`/`Cascade`/`SharedTable` the §8.1 composites), plus a
-/// [`Dyn`](FoldKernel::Dyn) fallback for everything else. Build one from a
+/// [`Dyn`](FoldKernel::Dyn) fallback for everything else. A pass's
+/// component bank attaches to the concrete variants. Build one from a
 /// configuration with
 /// [`PredictorConfig::build_kernel`](crate::PredictorConfig::build_kernel),
 /// or wrap any boxed predictor with [`from_boxed`](FoldKernel::from_boxed).
 pub enum FoldKernel {
-    /// A monomorphized two-level predictor (BTBs included: path length 0).
+    /// A two-level predictor (BTBs included: path length 0).
     TwoLevel(TwoLevelPredictor),
-    /// A monomorphized confidence-arbitrated hybrid (§6).
+    /// A confidence-arbitrated hybrid (§6).
     Hybrid(HybridPredictor),
-    /// A monomorphized BPST-arbitrated hybrid (§6.1 alternative).
+    /// A BPST-arbitrated hybrid (§6.1 alternative).
     Bpst(BpstMetaPredictor),
-    /// A monomorphized hybrid of three or more components (§8.1).
+    /// A hybrid of three or more components (§8.1).
     Multi(MultiHybridPredictor),
-    /// A monomorphized PPM-style cascade (§7, §8.1).
+    /// A PPM-style cascade (§7, §8.1).
     Cascade(CascadePredictor),
-    /// A monomorphized shared-table hybrid (§8.1).
+    /// A shared-table hybrid (§8.1).
     SharedTable(SharedTableHybrid),
-    /// Fallback: any predictor, driven through one virtual
-    /// [`Predictor::step`] per event.
+    /// Fallback: any other predictor.
     Dyn(Box<dyn Predictor>),
 }
 
@@ -398,13 +328,6 @@ impl FoldKernel {
     #[must_use]
     pub fn from_boxed(p: Box<dyn Predictor>) -> Self {
         FoldKernel::Dyn(p)
-    }
-
-    /// Whether this kernel folds through a monomorphized variant (`false`
-    /// for the [`Dyn`](FoldKernel::Dyn) fallback).
-    #[must_use]
-    pub fn is_monomorphized(&self) -> bool {
-        !matches!(self, FoldKernel::Dyn(_))
     }
 
     /// The kernel viewed as a predictor (for names, snapshots, storage).
@@ -434,31 +357,13 @@ impl FoldKernel {
         }
     }
 
-    /// Folds one chunk of events: a single dispatch on the variant, then a
-    /// monomorphized per-event loop (fused key/probe/train steps), scoring
-    /// into `scorer`. Byte-identical to replaying the chunk through
+    /// Folds one chunk of events, scoring into `scorer`: `TwoLevel`
+    /// through [`fold_two_level_chunk`], every other variant through
     /// [`fold_dyn_chunk`].
     pub fn fold_chunk(&mut self, events: &[TraceEvent], scorer: &mut ChunkScorer<'_>) {
         match self {
             FoldKernel::TwoLevel(p) => fold_two_level_chunk(p, events, scorer),
-            FoldKernel::Hybrid(p) => fold_events(p, events, scorer, |p, pc, actual, scored| {
-                p.fused_step(pc, actual, scored).map(|h| h.target)
-            }),
-            FoldKernel::Bpst(p) => fold_events(p, events, scorer, |p, pc, actual, scored| {
-                p.fused_step(pc, actual, scored)
-            }),
-            FoldKernel::Multi(p) => fold_events(p, events, scorer, |p, pc, actual, scored| {
-                p.step(pc, actual, scored)
-            }),
-            FoldKernel::Cascade(p) => fold_events(p, events, scorer, |p, pc, actual, scored| {
-                p.step(pc, actual, scored)
-            }),
-            FoldKernel::SharedTable(p) => {
-                fold_events(p, events, scorer, |p, pc, actual, scored| {
-                    p.step(pc, actual, scored)
-                })
-            }
-            FoldKernel::Dyn(p) => fold_dyn_chunk(&mut **p, events, scorer),
+            other => fold_dyn_chunk(other.as_predictor_mut(), events, scorer),
         }
     }
 }
@@ -492,7 +397,15 @@ mod tests {
         let mut t = Trace::new("kernel-mix");
         for i in 0..n {
             let site = 0x100 + u32::try_from(i % 7).unwrap() * 8;
-            let target = 0x900 + u32::try_from(i % 3).unwrap() * 0x100;
+            // Mostly a three-target cycle, with a scrambled target every
+            // fourth branch so that components of different path lengths
+            // disagree.
+            let phase = if i % 4 == 3 {
+                (i * 2_654_435_761) >> 16
+            } else {
+                i
+            };
+            let target = 0x900 + u32::try_from(phase % 3).unwrap() * 0x100;
             t.push_indirect(a(site), a(target), BranchKind::Switch);
             if i % 5 == 0 {
                 t.push_cond(a(0x40), a(0x60), i % 2 == 0);
@@ -501,8 +414,44 @@ mod tests {
         t
     }
 
-    /// Folds trace events through the kernel and through the legacy
-    /// per-event dyn sequence, returning both (indirect, mispredicted)
+    /// Hides a predictor's `step` override: every method a fold calls but
+    /// `step` is forwarded, so a fold over the wrapper runs the default
+    /// predict-then-update `step`.
+    struct DefaultStep(Box<dyn Predictor>);
+
+    impl Predictor for DefaultStep {
+        fn predict(&self, pc: Addr) -> Option<Addr> {
+            self.0.predict(pc)
+        }
+
+        fn update(&mut self, pc: Addr, actual: Addr) {
+            self.0.update(pc, actual);
+        }
+
+        fn observe_cond(&mut self, pc: Addr, target: Addr) {
+            self.0.observe_cond(pc, target);
+        }
+
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn snapshot(&self) -> Option<crate::snapshot::Snapshot> {
+            self.0.snapshot()
+        }
+
+        fn probe_key_fingerprint(&self, pc: Addr) -> Option<u64> {
+            self.0.probe_key_fingerprint(pc)
+        }
+    }
+
+    /// Folds trace events through the kernel and through the
+    /// predict-then-update sequence (the default `step` over the
+    /// [`DefaultStep`] wrapper), returning both (indirect, mispredicted)
     /// pairs.
     fn both_folds(cfg: &PredictorConfig, warmup: u64) -> ((u64, u64), (u64, u64)) {
         let trace = mixed_trace(400);
@@ -510,9 +459,9 @@ mod tests {
         let mut scorer = ChunkScorer::new(warmup);
         kernel.fold_chunk(trace.events(), &mut scorer);
 
-        let mut legacy = cfg.build();
+        let mut legacy = DefaultStep(cfg.build());
         let mut dyn_scorer = ChunkScorer::new(warmup);
-        fold_dyn_chunk(legacy.as_mut(), trace.events(), &mut dyn_scorer);
+        fold_dyn_chunk(&mut legacy, trace.events(), &mut dyn_scorer);
         (
             (scorer.indirect(), scorer.mispredicted()),
             (dyn_scorer.indirect(), dyn_scorer.mispredicted()),
@@ -521,17 +470,21 @@ mod tests {
 
     #[test]
     fn kernel_matches_dyn_fold_across_families() {
-        for (cfg, monomorphized) in [
-            (PredictorConfig::btb(), true),
-            (PredictorConfig::btb_2bc(), true),
-            (PredictorConfig::unconstrained(4), true),
-            (PredictorConfig::practical(2, 64, 4), true),
-            (PredictorConfig::tagless(2, 64), true),
-            (PredictorConfig::full_assoc(2, 64), true),
-            (PredictorConfig::hybrid(3, 1, 64, 4), true),
-            (PredictorConfig::bpst(3, 1, 64, 4), true),
+        for cfg in [
+            PredictorConfig::btb(),
+            PredictorConfig::btb_2bc(),
+            PredictorConfig::unconstrained(4),
+            PredictorConfig::practical(2, 64, 4),
+            PredictorConfig::tagless(2, 64),
+            PredictorConfig::full_assoc(2, 64),
+            PredictorConfig::hybrid(3, 1, 64, 4),
+            PredictorConfig::bpst(3, 1, 64, 4),
         ] {
-            assert_eq!(cfg.build_kernel().is_monomorphized(), monomorphized);
+            assert!(
+                !matches!(cfg.build_kernel(), FoldKernel::Dyn(_)),
+                "test premise: {} builds a concrete variant",
+                cfg.cache_key()
+            );
             for warmup in [0, 37] {
                 let (kernel, legacy) = both_folds(&cfg, warmup);
                 assert_eq!(kernel, legacy, "{} warmup={warmup}", cfg.cache_key());

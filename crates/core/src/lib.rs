@@ -75,9 +75,7 @@ pub use counter::SaturatingCounter;
 pub use history::{Histories, HistoryElement, HistoryRegister, HistorySharing, MAX_PATH};
 pub use hybrid::HybridPredictor;
 pub use interleave::Interleaving;
-pub use kernel::{
-    fold_dyn_chunk, fold_two_level_chunk, ChunkScorer, FoldKernel, ProbeSink, WarmTrigger,
-};
+pub use kernel::{fold_dyn_chunk, fold_two_level_chunk, ChunkScorer, FoldKernel, ProbeSink};
 pub use key::{CompressedKeySpec, KeyScheme, TableSharing};
 pub use meta::{BpstMetaPredictor, MetaSpec, MetaState};
 pub use pattern::PatternCompressor;

@@ -218,29 +218,6 @@ impl BpstMetaPredictor {
         self.meta.prefers_second(pc)
     }
 
-    /// One fused simulation step. Both components always run a fused
-    /// lookup+train pass (the selector trains on their pre-update answers
-    /// on *every* event, warmup included, exactly as the sequential
-    /// `update` recomputes them); the BPST arbitration is read before the
-    /// selector moves, preserving the sequential predict-then-observe
-    /// order. Byte-identical to `predict` + `update`: component training
-    /// touches no selector state and `observe` touches no component state.
-    pub fn fused_step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
-        let first = self.first.fused_step(pc, actual, true);
-        let second = self.second.fused_step(pc, actual, true);
-        let predicted = if want_lookup {
-            self.meta.arbitrate(pc, first, second)
-        } else {
-            None
-        };
-        self.meta.observe(
-            pc,
-            first.map(|h| h.target) == Some(actual),
-            second.map(|h| h.target) == Some(actual),
-        );
-        predicted
-    }
-
     /// The selector table, which a pass's component bank replays the
     /// components' recorded lookups through.
     pub(crate) fn meta_mut(&mut self) -> &mut MetaState {
@@ -272,6 +249,29 @@ impl Predictor for BpstMetaPredictor {
         self.meta.observe(pc, first_correct, second_correct);
         self.first.update(pc, actual);
         self.second.update(pc, actual);
+    }
+
+    /// Both components always run a fused lookup+train pass
+    /// ([`TwoLevelPredictor::fused_step`]; the selector trains on their
+    /// pre-update answers on *every* event, warmup included, exactly as
+    /// `update` recomputes them); the BPST arbitration is read before the
+    /// selector moves, preserving the predict-then-observe order.
+    /// Byte-identical to `predict` + `update`: component training touches
+    /// no selector state and `observe` touches no component state.
+    fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
+        let first = self.first.fused_step(pc, actual, true);
+        let second = self.second.fused_step(pc, actual, true);
+        let predicted = if want_lookup {
+            self.meta.arbitrate(pc, first, second)
+        } else {
+            None
+        };
+        self.meta.observe(
+            pc,
+            first.map(|h| h.target) == Some(actual),
+            second.map(|h| h.target) == Some(actual),
+        );
+        predicted
     }
 
     fn observe_cond(&mut self, pc: Addr, target: Addr) {

@@ -69,27 +69,6 @@ pub struct TableSnapshot {
     pub lru_depths: Vec<u64>,
 }
 
-impl TableSnapshot {
-    /// Adds another table's counters into this one (site-shard merge:
-    /// partitions are disjoint, so every field merges by addition).
-    pub fn absorb(&mut self, other: &TableSnapshot) {
-        self.occupied += other.occupied;
-        self.evictions += other.evictions;
-        self.tag_conflicts += other.tag_conflicts;
-        absorb_histogram(&mut self.confidence, &other.confidence);
-        absorb_histogram(&mut self.lru_depths, &other.lru_depths);
-    }
-}
-
-fn absorb_histogram(into: &mut Vec<u64>, from: &[u64]) {
-    if into.len() < from.len() {
-        into.resize(from.len(), 0);
-    }
-    for (i, v) in from.iter().enumerate() {
-        into[i] += v;
-    }
-}
-
 /// First-level history state at a snapshot point: a fingerprint census of
 /// the materialised registers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -97,7 +76,7 @@ pub struct HistorySnapshot {
     /// Distinct registers materialised.
     pub registers: u64,
     /// Register-content fingerprint → number of registers in that state.
-    /// A `BTreeMap` so merged snapshots serialise deterministically.
+    /// A `BTreeMap` so snapshots serialise deterministically.
     pub states: BTreeMap<u64, u64>,
 }
 
@@ -121,15 +100,6 @@ impl HistorySnapshot {
             })
             .sum();
         (bits * 1000.0).round().max(0.0) as u64
-    }
-
-    /// Adds another history census into this one (disjoint site partitions
-    /// merge exactly).
-    pub fn absorb(&mut self, other: &HistorySnapshot) {
-        self.registers += other.registers;
-        for (&k, &v) in &other.states {
-            *self.states.entry(k).or_insert(0) += v;
-        }
     }
 }
 
@@ -169,32 +139,6 @@ impl Snapshot {
             }],
             selectors: Vec::new(),
         }
-    }
-
-    /// Merges a same-shaped snapshot from a disjoint site partition
-    /// (shard-merge): components pair up positionally and every counter
-    /// adds. Component lists of different shapes concatenate instead —
-    /// the component-parallel fold assembles a hybrid's snapshot that way.
-    pub fn absorb(&mut self, other: &Snapshot) {
-        let same_shape = self.components.len() == other.components.len()
-            && self
-                .components
-                .iter()
-                .zip(&other.components)
-                .all(|(a, b)| a.label == b.label);
-        if same_shape {
-            for (mine, theirs) in self.components.iter_mut().zip(&other.components) {
-                mine.table.absorb(&theirs.table);
-                match (&mut mine.history, &theirs.history) {
-                    (Some(m), Some(t)) => m.absorb(t),
-                    (None, Some(t)) => mine.history = Some(t.clone()),
-                    _ => {}
-                }
-            }
-        } else {
-            self.components.extend(other.components.iter().cloned());
-        }
-        absorb_histogram(&mut self.selectors, &other.selectors);
     }
 
     /// Total live entries across components.
@@ -250,32 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn table_absorb_adds_fields() {
-        let mut a = TableSnapshot {
-            occupied: 3,
-            capacity: None,
-            evictions: 1,
-            tag_conflicts: 2,
-            confidence: vec![1, 2],
-            lru_depths: vec![5],
-        };
-        let b = TableSnapshot {
-            occupied: 4,
-            capacity: None,
-            evictions: 10,
-            tag_conflicts: 0,
-            confidence: vec![0, 1, 7],
-            lru_depths: vec![],
-        };
-        a.absorb(&b);
-        assert_eq!(a.occupied, 7);
-        assert_eq!(a.evictions, 11);
-        assert_eq!(a.tag_conflicts, 2);
-        assert_eq!(a.confidence, vec![1, 3, 7]);
-        assert_eq!(a.lru_depths, vec![5]);
-    }
-
-    #[test]
     fn history_entropy() {
         let mut h = HistorySnapshot::default();
         assert_eq!(h.entropy_millibits(), 0);
@@ -287,20 +205,5 @@ mod tests {
         h.states.insert(3, 2);
         h.states.insert(4, 2);
         assert_eq!(h.entropy_millibits(), 2000);
-    }
-
-    #[test]
-    fn snapshot_absorb_same_shape_adds_and_different_shape_concats() {
-        let table = |occ: u64| TableSnapshot {
-            occupied: occ,
-            ..TableSnapshot::default()
-        };
-        let mut a = Snapshot::single("x", table(1));
-        a.absorb(&Snapshot::single("x", table(2)));
-        assert_eq!(a.components.len(), 1);
-        assert_eq!(a.occupied(), 3);
-        a.absorb(&Snapshot::single("y", table(4)));
-        assert_eq!(a.components.len(), 2);
-        assert_eq!(a.occupied(), 7);
     }
 }

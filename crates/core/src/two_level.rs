@@ -425,11 +425,11 @@ impl TwoLevelPredictor {
     /// [`update`](Predictor::update), because `lookup` is pure and no state
     /// changes between the two in the simulation protocol.
     ///
-    /// This is the hot inner step of the chunk-fold kernels
-    /// ([`FoldKernel`](crate::FoldKernel)): the legacy dyn fold pays two
-    /// virtual calls and two register/key computations per event; this pays
-    /// none and one. The lookup and the update share a single probe of the
-    /// table, the same table step a pass's component bank
+    /// It is the predictor's [`step`](Predictor::step) and the per-event
+    /// step of every composite's components: the predict-then-update pair
+    /// computes the register and key twice, this computes them once. The
+    /// lookup and the update share a single probe of the table, the same
+    /// table step a pass's component bank
     /// ([`KeyStreams`](crate::KeyStreams)) runs over a block of prebuilt
     /// keys.
     pub fn fused_step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<TableHit> {
@@ -653,6 +653,12 @@ impl Predictor for TwoLevelPredictor {
             }
         }
         self.histories.record(pc, actual);
+    }
+
+    /// The [`fused_step`](TwoLevelPredictor::fused_step): the register, the
+    /// key and the table probe once for both halves.
+    fn step(&mut self, pc: Addr, actual: Addr, want_lookup: bool) -> Option<Addr> {
+        self.fused_step(pc, actual, want_lookup).map(|h| h.target)
     }
 
     fn observe_cond(&mut self, pc: Addr, target: Addr) {

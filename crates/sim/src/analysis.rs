@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use ibp_core::ext::{AheadPrediction, AheadPredictor};
 use ibp_core::{
     fold_two_level_chunk, ChunkScorer, FoldKernel, Predictor, PredictorConfig, ProbeSink,
-    TwoLevelPredictor, WarmTrigger,
+    TwoLevelPredictor,
 };
 use ibp_trace::io::TraceIoError;
 use ibp_trace::{
@@ -123,12 +123,11 @@ pub fn simulate_classified_source<S: EventSource + ?Sized>(
 ) -> Result<Vec<MissBreakdown>, TraceIoError> {
     // The kernel fold computes the key fingerprint before each fused
     // lookup+train step and reports score-then-note_trained — the same
-    // order the old hand-rolled loop classified in, on the monomorphized
-    // fast path.
+    // order the old hand-rolled loop classified in.
     let mut sinks: Vec<ClassifySink> = predictors.iter().map(|_| ClassifySink::default()).collect();
     let mut scorers: Vec<ChunkScorer<'_>> = sinks
         .iter_mut()
-        .map(|sink| ChunkScorer::probed(0, sink, WarmTrigger::AtCrossing, None))
+        .map(|sink| ChunkScorer::probed(0, sink, None))
         .collect();
     let mut chunk = TraceChunk::default();
     loop {
@@ -215,7 +214,7 @@ pub fn simulate_per_site<S: EventSource + ?Sized>(
     kernel: &mut FoldKernel,
 ) -> Result<Vec<SiteMisses>, TraceIoError> {
     let mut sink = SiteSink::default();
-    let mut scorer = ChunkScorer::probed(0, &mut sink, WarmTrigger::AtCrossing, None);
+    let mut scorer = ChunkScorer::probed(0, &mut sink, None);
     let mut chunk = TraceChunk::default();
     loop {
         let more = source.fill(&mut chunk, chunk_events())?;
@@ -346,7 +345,7 @@ impl MeasureLane for MissLane {
     fn fold_chunk(&mut self, chunk: &TraceChunk) {
         // Unwarmed and never sampled, so a scorer per chunk folds exactly
         // like one kept across the pass.
-        let mut scorer = ChunkScorer::probed(0, &mut self.sink, WarmTrigger::AtCrossing, None);
+        let mut scorer = ChunkScorer::probed(0, &mut self.sink, None);
         fold_two_level_chunk(&mut self.predictor, chunk.events(), &mut scorer);
     }
 

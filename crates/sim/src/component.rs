@@ -35,7 +35,8 @@
 //! The caller picks the worker count. The sweep engine never routes a
 //! cell here: measured on two cores, the pipeline only slowed fig17
 //! (DESIGN.md §5e), so it stays as library code with its equivalence
-//! tests.
+//! tests. It folds unprobed whatever `IBP_PROBE` says: only the sequential
+//! fold feeds the probe layer.
 //!
 //! With tracing on, every run emits a `component_pipeline` span, one
 //! `component` span per worker (events, busy/idle split), and the
@@ -53,7 +54,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
-use ibp_core::snapshot::Snapshot;
 use ibp_core::{
     BpstMetaPredictor, Decomposition, FoldKernel, HybridPredictor, MetaSpec, MetaState, PredRecord,
     Predictor,
@@ -63,8 +63,7 @@ use ibp_obs::metrics::{Counter, Histogram, WorkClock};
 use ibp_trace::{chunk_events, EventSource, TraceChunk, TraceEvent};
 
 use crate::faults;
-use crate::probe::{self, Attribution, ProbePayload, ProbePolicy};
-use crate::run::{simulate_kernel, RunStats};
+use crate::run::{fold_kernel_unprobed, RunStats};
 use crate::shard::{PipelineError, QueueStalled, SpscQueue, WorkerFault, QUEUE_CAPACITY};
 
 fn runs_counter() -> &'static Arc<Counter> {
@@ -94,19 +93,8 @@ fn occupancy_histogram() -> &'static Arc<Histogram> {
     })
 }
 
-/// Merge-side probe state: the metapredictor's attribution of scored
-/// events plus the selector histogram captured at the warmup crossing
-/// (the component workers only see their own tables; selector state lives
-/// here, in the [`MetaState`]).
-#[derive(Debug, Default)]
-struct MergeProbe {
-    attribution: Attribution,
-    warm_selectors: Option<Vec<u64>>,
-}
-
 /// Rebuilds the sequential hybrid from its decomposition as a chunk-fold
-/// kernel — the fallback when the budget grants no parallelism, and the
-/// definition the pipeline is tested against.
+/// kernel — the fallback when the budget grants no parallelism.
 fn build_sequential(d: &Decomposition) -> FoldKernel {
     let first = d
         .first
@@ -136,7 +124,6 @@ struct MergeFold<'a> {
     stats: &'a mut RunStats,
     seen: &'a mut u64,
     warmup: u64,
-    probe: &'a mut Option<MergeProbe>,
 }
 
 fn merge_chunk(chunk: &TraceChunk, first: &[PredRecord], second: &[PredRecord], fold: &mut MergeFold) {
@@ -150,42 +137,24 @@ fn merge_chunk(chunk: &TraceChunk, first: &[PredRecord], second: &[PredRecord], 
             if predicted != Some(b.target) {
                 fold.stats.mispredicted += 1;
             }
-            if let Some(p) = fold.probe.as_mut() {
-                // Hybrids expose no key fingerprint, so no cold/capacity
-                // split — exactly like the sequential fold.
-                p.attribution.score(b.pc, predicted, b.target, None);
-            }
-        } else if *fold.seen == fold.warmup {
-            if let Some(p) = fold.probe.as_mut() {
-                p.warm_selectors = Some(fold.meta.selector_histogram());
-            }
         }
     }
 }
 
 /// One component worker: folds every broadcast chunk into its own
 /// predictor, emitting the pre-update lookup record per indirect event.
-/// With probing on, returns the component's warm and end structural
-/// snapshots — every worker sees the full event stream, so its state at
-/// the warmup crossing is exactly the sequential hybrid's component state
-/// there.
 fn component_worker(
     index: usize,
     cfg: &ibp_core::PredictorConfig,
     input: &SpscQueue<Arc<TraceChunk>>,
     output: &SpscQueue<Vec<PredRecord>>,
-    policy: ProbePolicy,
-    warmup: u64,
-) -> Result<Option<(Option<Snapshot>, Snapshot)>, WorkerFault> {
+) -> Result<(), WorkerFault> {
     let mut span = obs::span!("component", component = index);
     let mut clock = WorkClock::start();
     let mut predictor = cfg
         .try_build_two_level()
         .expect("decomposed component config builds");
     let mut events = 0u64;
-    let probing = policy.on();
-    let mut probe_seen = 0u64;
-    let mut warm: Option<Snapshot> = None;
     loop {
         let chunk = match input.pop() {
             Ok(Some(chunk)) => chunk,
@@ -214,12 +183,6 @@ fn component_worker(
                         // table probe per event, same record as
                         // `lookup` followed by `update`.
                         records.push(PredRecord::pack(predictor.fused_step(b.pc, b.target, true)));
-                        if probing {
-                            probe_seen += 1;
-                            if probe_seen == warmup {
-                                warm = predictor.snapshot();
-                            }
-                        }
                     }
                     TraceEvent::Cond(b) => predictor.observe_cond(b.pc, b.outcome()),
                 }
@@ -234,12 +197,6 @@ fn component_worker(
             ));
         }
     }
-    let probe = probing.then(|| {
-        let end = predictor
-            .snapshot()
-            .expect("two-level predictors expose a snapshot");
-        (warm.take(), end)
-    });
     events_counter().add(events);
     busy_us_counter().add(clock.busy_us());
     idle_us_counter().add(clock.idle_us());
@@ -249,7 +206,7 @@ fn component_worker(
     span.note("busy_us", clock.busy_us());
     span.note("idle_us", clock.idle_us());
     span.note("occupancy_pct", clock.util_pct());
-    Ok(probe)
+    Ok(())
 }
 
 /// Folds one event source through a decomposed hybrid's components in
@@ -257,7 +214,8 @@ fn component_worker(
 /// metapredictor — byte-identical to the sequential hybrid fold.
 ///
 /// `workers <= 1` falls back to the sequential fold (rebuilt from the
-/// decomposition); values above the component count clamp to it. The
+/// decomposition); values above the component count clamp to it. Nothing
+/// is probed, whatever `IBP_PROBE` says. The
 /// chunk granularity is [`chunk_events`]; see
 /// [`simulate_source_components_with_chunk`] for an explicit granularity
 /// (chunk boundaries never change the result — the equivalence property
@@ -302,7 +260,7 @@ pub fn simulate_source_components_with_chunk<S: EventSource + ?Sized>(
     assert!(chunk > 0, "chunk granularity must be positive");
     if workers <= 1 {
         let mut kernel = build_sequential(decomposition);
-        return simulate_kernel(source, &mut kernel, warmup).map_err(PipelineError::Io);
+        return fold_kernel_unprobed(source, &mut kernel, warmup).map_err(PipelineError::Io);
     }
     let meta_name = match decomposition.meta {
         MetaSpec::Confidence => "confidence",
@@ -315,7 +273,6 @@ pub fn simulate_source_components_with_chunk<S: EventSource + ?Sized>(
         meta = meta_name
     );
     runs_counter().incr();
-    let policy = probe::active_policy();
     let configs = [&decomposition.first, &decomposition.second];
     let inputs: Vec<SpscQueue<Arc<TraceChunk>>> = (0..2).map(|_| SpscQueue::new()).collect();
     let outputs: Vec<SpscQueue<Vec<PredRecord>>> = (0..2).map(|_| SpscQueue::new()).collect();
@@ -323,184 +280,142 @@ pub fn simulate_source_components_with_chunk<S: EventSource + ?Sized>(
     let mut stats = RunStats::default();
     let mut seen = 0u64;
     let mut record_hwm = 0u64;
-    let mut merge_probe = policy.on().then(MergeProbe::default);
-    type WorkerProbe = Option<(Option<Snapshot>, Snapshot)>;
     let fault_scope = faults::current_scope();
-    let (routed, worker_probes) = std::thread::scope(
-        |scope| -> Result<(u64, Vec<WorkerProbe>), PipelineError> {
-            let mut handles = Vec::with_capacity(2);
-            for (i, cfg) in configs.into_iter().enumerate() {
-                let (input, output) = (&inputs[i], &outputs[i]);
-                handles.push(scope.spawn(move || {
-                    faults::enter_scope(fault_scope);
-                    // The containment boundary: a panic anywhere in the
-                    // component fold becomes a fault report, and the dying
-                    // worker closes both of its queues so the router's
-                    // broadcast drops and the merge sees a closed stream
-                    // instead of waiting out the watchdog.
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        component_worker(i, cfg, input, output, policy, warmup)
-                    })) {
-                        Ok(result) => result,
-                        Err(payload) => {
-                            input.close();
-                            output.close();
-                            Err(WorkerFault::from_panic("component.worker", payload))
-                        }
+    let routed = std::thread::scope(|scope| -> Result<u64, PipelineError> {
+        let mut handles = Vec::with_capacity(2);
+        for (i, cfg) in configs.into_iter().enumerate() {
+            let (input, output) = (&inputs[i], &outputs[i]);
+            handles.push(scope.spawn(move || {
+                faults::enter_scope(fault_scope);
+                // The containment boundary: a panic anywhere in the
+                // component fold becomes a fault report, and the dying
+                // worker closes both of its queues so the router's
+                // broadcast drops and the merge sees a closed stream
+                // instead of waiting out the watchdog.
+                match catch_unwind(AssertUnwindSafe(|| component_worker(i, cfg, input, output))) {
+                    Ok(result) => result,
+                    Err(payload) => {
+                        input.close();
+                        output.close();
+                        Err(WorkerFault::from_panic("component.worker", payload))
                     }
-                }));
-            }
-            // Router + merger: broadcast each freshly filled chunk (fill
-            // clears its argument, and the previous chunk is still shared
-            // with the workers, so every fill gets a fresh allocation), and
-            // keep at most QUEUE_CAPACITY chunks in flight before merging
-            // the oldest. That bound is what makes the single-threaded
-            // router/merger deadlock-free: a worker never has more than
-            // QUEUE_CAPACITY unmerged record buffers outstanding, so its
-            // output push never blocks forever.
-            let mut ring: VecDeque<Arc<TraceChunk>> = VecDeque::with_capacity(QUEUE_CAPACITY);
-            let mut inflight_records = 0u64;
-            let mut routed = 0u64;
-            let mut merge_oldest =
-                |ring: &mut VecDeque<Arc<TraceChunk>>, inflight: &mut u64| -> Result<(), WorkerFault> {
-                    let chunk = ring.pop_front().expect("merge on empty ring");
-                    let take = |which: usize, label: &str| match outputs[which].pop() {
-                        Ok(Some(records)) => Ok(records),
-                        // A closed output with no records means the worker
-                        // died mid-chunk; the join below carries its real
-                        // fault, this one just aborts the merge.
-                        Ok(None) => Err(WorkerFault {
-                            site: "component.queue",
-                            detail: format!("the {label} component quit before returning records"),
-                        }),
-                        Err(QueueStalled) => Err(WorkerFault::stalled(
-                            "component.queue",
-                            &format!("the {label} component's records"),
-                        )),
-                    };
-                    let first = take(0, "first")?;
-                    let second = take(1, "second")?;
-                    let mut fold = MergeFold {
-                        meta: &mut meta,
-                        stats: &mut stats,
-                        seen: &mut seen,
-                        warmup,
-                        probe: &mut merge_probe,
-                    };
-                    merge_chunk(&chunk, &first, &second, &mut fold);
-                    *inflight -= 2 * chunk.indirect_count();
-                    Ok(())
+                }
+            }));
+        }
+        // Router + merger: broadcast each freshly filled chunk (fill
+        // clears its argument, and the previous chunk is still shared
+        // with the workers, so every fill gets a fresh allocation), and
+        // keep at most QUEUE_CAPACITY chunks in flight before merging
+        // the oldest. That bound is what makes the single-threaded
+        // router/merger deadlock-free: a worker never has more than
+        // QUEUE_CAPACITY unmerged record buffers outstanding, so its
+        // output push never blocks forever.
+        let mut ring: VecDeque<Arc<TraceChunk>> = VecDeque::with_capacity(QUEUE_CAPACITY);
+        let mut inflight_records = 0u64;
+        let mut routed = 0u64;
+        let mut merge_oldest =
+            |ring: &mut VecDeque<Arc<TraceChunk>>, inflight: &mut u64| -> Result<(), WorkerFault> {
+                let chunk = ring.pop_front().expect("merge on empty ring");
+                let take = |which: usize, label: &str| match outputs[which].pop() {
+                    Ok(Some(records)) => Ok(records),
+                    // A closed output with no records means the worker
+                    // died mid-chunk; the join below carries its real
+                    // fault, this one just aborts the merge.
+                    Ok(None) => Err(WorkerFault {
+                        site: "component.queue",
+                        detail: format!("the {label} component quit before returning records"),
+                    }),
+                    Err(QueueStalled) => Err(WorkerFault::stalled(
+                        "component.queue",
+                        &format!("the {label} component's records"),
+                    )),
                 };
-            let mut failure: Option<PipelineError> = None;
-            'route: {
-                loop {
-                    let mut fresh = TraceChunk::default();
-                    let more = match source.fill(&mut fresh, chunk) {
-                        Ok(more) => more,
-                        Err(e) => {
-                            failure = Some(PipelineError::Io(e));
-                            break 'route;
-                        }
-                    };
-                    let shared = Arc::new(fresh);
-                    routed += shared.indirect_count();
-                    inflight_records += 2 * shared.indirect_count();
-                    record_hwm = record_hwm.max(inflight_records);
-                    for q in &inputs {
-                        if q.push(Arc::clone(&shared)).is_err() {
-                            failure = Some(PipelineError::Fault(WorkerFault::stalled(
-                                "component.queue",
-                                "a component to drain its input",
-                            )));
-                            break 'route;
-                        }
+                let first = take(0, "first")?;
+                let second = take(1, "second")?;
+                let mut fold = MergeFold {
+                    meta: &mut meta,
+                    stats: &mut stats,
+                    seen: &mut seen,
+                    warmup,
+                };
+                merge_chunk(&chunk, &first, &second, &mut fold);
+                *inflight -= 2 * chunk.indirect_count();
+                Ok(())
+            };
+        let mut failure: Option<PipelineError> = None;
+        'route: {
+            loop {
+                let mut fresh = TraceChunk::default();
+                let more = match source.fill(&mut fresh, chunk) {
+                    Ok(more) => more,
+                    Err(e) => {
+                        failure = Some(PipelineError::Io(e));
+                        break 'route;
                     }
-                    ring.push_back(shared);
-                    if ring.len() >= QUEUE_CAPACITY {
-                        if let Err(f) = merge_oldest(&mut ring, &mut inflight_records) {
-                            failure = Some(PipelineError::Fault(f));
-                            break 'route;
-                        }
-                    }
-                    if !more {
-                        break;
-                    }
-                }
+                };
+                let shared = Arc::new(fresh);
+                routed += shared.indirect_count();
+                inflight_records += 2 * shared.indirect_count();
+                record_hwm = record_hwm.max(inflight_records);
                 for q in &inputs {
-                    q.close();
+                    if q.push(Arc::clone(&shared)).is_err() {
+                        failure = Some(PipelineError::Fault(WorkerFault::stalled(
+                            "component.queue",
+                            "a component to drain its input",
+                        )));
+                        break 'route;
+                    }
                 }
-                while !ring.is_empty() {
+                ring.push_back(shared);
+                if ring.len() >= QUEUE_CAPACITY {
                     if let Err(f) = merge_oldest(&mut ring, &mut inflight_records) {
                         failure = Some(PipelineError::Fault(f));
                         break 'route;
                     }
                 }
+                if !more {
+                    break;
+                }
             }
-            // Shutdown: unblock both sides (idempotent on the clean path,
-            // where inputs are already closed and outputs drained) so the
-            // joins below are brief even after an abort.
             for q in &inputs {
                 q.close();
             }
-            for q in &outputs {
-                q.close();
-            }
-            let joined: Vec<Result<WorkerProbe, WorkerFault>> = handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    // A panic that escaped the worker's own catch still
-                    // joins as a fault — never a poison cascade.
-                    Err(payload) => Err(WorkerFault::from_panic("component.worker", payload)),
-                })
-                .collect();
-            // Prefer a worker's own fault over the router/merge-side
-            // symptom it causes: the worker knows the true site.
-            let faults = joined.iter().filter_map(|r| r.as_ref().err());
-            if let Some(fault) = WorkerFault::root_cause(faults) {
-                return Err(PipelineError::Fault(fault.clone()));
-            }
-            if let Some(failure) = failure {
-                return Err(failure);
-            }
-            let probes = joined
-                .into_iter()
-                .map(|r| r.expect("worker faults handled above"))
-                .collect();
-            Ok((routed, probes))
-        },
-    )?;
-    if let Some(mp) = merge_probe {
-        let mut probes = worker_probes.into_iter();
-        let first = probes.next().flatten();
-        let second = probes.next().flatten();
-        if let (Some((w0, e0)), Some((w1, e1))) = (first, second) {
-            // Assemble in (first, second) order with the metapredictor's
-            // selector histogram — the exact shape the sequential hybrid's
-            // `StructuralSnapshot` produces.
-            let warm = match (w0, w1) {
-                (Some(mut w), Some(rest)) => {
-                    w.components.extend(rest.components);
-                    w.selectors = mp.warm_selectors.unwrap_or_default();
-                    Some(w)
+            while !ring.is_empty() {
+                if let Err(f) = merge_oldest(&mut ring, &mut inflight_records) {
+                    failure = Some(PipelineError::Fault(f));
+                    break 'route;
                 }
-                _ => None,
-            };
-            let mut end = e0;
-            end.components.extend(e1.components);
-            end.selectors = meta.selector_histogram();
-            let payload = ProbePayload {
-                warm,
-                end: Some(end),
-                attribution: mp.attribution,
-            };
-            payload.emit(
-                source.name(),
-                &build_sequential(decomposition).as_predictor().name(),
-                "component-fold",
-            );
+            }
         }
-    }
+        // Shutdown: unblock both sides (idempotent on the clean path,
+        // where inputs are already closed and outputs drained) so the
+        // joins below are brief even after an abort.
+        for q in &inputs {
+            q.close();
+        }
+        for q in &outputs {
+            q.close();
+        }
+        let joined: Vec<Result<(), WorkerFault>> = handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(result) => result,
+                // A panic that escaped the worker's own catch still
+                // joins as a fault — never a poison cascade.
+                Err(payload) => Err(WorkerFault::from_panic("component.worker", payload)),
+            })
+            .collect();
+        // Prefer a worker's own fault over the router/merge-side
+        // symptom it causes: the worker knows the true site.
+        let faults = joined.iter().filter_map(|r| r.as_ref().err());
+        if let Some(fault) = WorkerFault::root_cause(faults) {
+            return Err(PipelineError::Fault(fault.clone()));
+        }
+        if let Some(failure) = failure {
+            return Err(failure);
+        }
+        Ok(routed)
+    })?;
     obs::metrics::gauge("component.record_hwm").set(i64::try_from(record_hwm).unwrap_or(i64::MAX));
     span.note("events", routed);
     span.note("scored", stats.indirect);

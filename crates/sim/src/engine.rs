@@ -362,8 +362,8 @@ impl<'a> Sweep<'a> {
     /// The key must fully determine the constructed predictor's behaviour
     /// (it plays the role [`PredictorConfig::cache_key`] plays for
     /// `config`); two `custom` jobs with equal keys are assumed
-    /// interchangeable and only one of them is simulated. A monomorphized
-    /// kernel, such as a §8.1 composite, folds through the pass's component
+    /// interchangeable and only one of them is simulated. A concrete kernel
+    /// variant, such as a §8.1 composite, folds through the pass's component
     /// bank like a config; a predictor wrapped by
     /// [`FoldKernel::from_boxed`] folds through one virtual `step` per
     /// event.

@@ -28,8 +28,13 @@
 //! one relaxed atomic load and a branch; when on, probe counters are
 //! write-only side state that the prediction path never reads, so scored
 //! results are byte-identical either way — the equivalence tests below pin
-//! that down, as do the sharded and component pipelines, whose merged
-//! probe payloads match the sequential fold's exactly.
+//! that down.
+//!
+//! Only the sequential fold behind [`crate::simulate_source`],
+//! [`crate::simulate_kernel`] and the sweep engine's passes probes, one
+//! `ProbeRun` per predictor lane, through the kernel layer's
+//! [`ibp_core::ProbeSink`] protocol. The library pipelines ([`crate::shard`],
+//! [`crate::component`]) fold unprobed whatever the policy says.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Mutex;
@@ -154,20 +159,6 @@ impl Attribution {
         }
     }
 
-    /// Folds another run's attribution in (shard merge).
-    pub fn absorb(&mut self, other: &Attribution) {
-        self.hits += other.hits;
-        self.wrong_target += other.wrong_target;
-        self.no_entry += other.no_entry;
-        self.cold += other.cold;
-        self.capacity += other.capacity;
-        for (&pc, s) in &other.sites {
-            let e = self.sites.entry(pc).or_default();
-            e.wrong_target += s.wrong_target;
-            e.no_entry += s.no_entry;
-        }
-    }
-
     /// The aliasing-heaviest sites, by descending miss volume.
     #[must_use]
     pub fn top_sites(&self, n: usize) -> Vec<(u32, SiteAttribution)> {
@@ -180,8 +171,7 @@ impl Attribution {
 }
 
 /// Probe state for one predictor over one run: attribution plus the
-/// snapshots taken so far. Owned by the sequential fold and by each shard
-/// worker; the pipelines merge via [`ProbeRun::into_payload`].
+/// snapshots taken so far. Owned by the sequential fold, one per lane.
 #[derive(Debug, Default)]
 pub struct ProbeRun {
     deep: bool,
@@ -238,34 +228,11 @@ impl ProbeRun {
     }
 
     /// Emits one `probe` journal record per sample; the `end` sample
-    /// carries the attribution and top-site payload. Sequential folds own
-    /// their `ProbeRun` directly, so records are journaled with
-    /// `sched_mode = "sequential"`.
+    /// carries the attribution and top-site payload.
     pub fn emit(&self, trace: &str, predictor: &str) {
         for (point, snapshot) in &self.samples {
             let attribution = (point == "end").then_some(&self.attribution);
-            emit_record(trace, predictor, point, "sequential", snapshot, attribution);
-        }
-    }
-
-    /// Collapses into the warm/end payload the parallel pipelines merge.
-    /// Interval samples (deep, sequential-only) are dropped — the
-    /// pipelines never take them.
-    #[must_use]
-    pub fn into_payload(mut self) -> ProbePayload {
-        let mut warm = None;
-        let mut end = None;
-        for (point, snapshot) in self.samples.drain(..) {
-            match point.as_str() {
-                "warm" => warm = Some(snapshot),
-                "end" => end = Some(snapshot),
-                _ => {}
-            }
-        }
-        ProbePayload {
-            warm,
-            end,
-            attribution: self.attribution,
+            emit_record(trace, predictor, point, snapshot, attribution);
         }
     }
 }
@@ -288,52 +255,6 @@ impl ibp_core::ProbeSink for ProbeRun {
 
     fn sample(&mut self, point: &str, predictor: &dyn Predictor) {
         ProbeRun::sample(self, point, predictor);
-    }
-}
-
-/// One run's mergeable probe outcome: the warm and end snapshots plus the
-/// scored-event attribution. Shard workers each produce one; the router
-/// folds them in shard order and emits a single merged set of records —
-/// exactly what the sequential fold would have written.
-#[derive(Debug, Default)]
-pub struct ProbePayload {
-    /// End-of-warmup snapshot (absent when `warmup == 0`).
-    pub warm: Option<Snapshot>,
-    /// End-of-run snapshot.
-    pub end: Option<Snapshot>,
-    /// Scored-event miss attribution.
-    pub attribution: Attribution,
-}
-
-impl ProbePayload {
-    /// Folds another worker's payload in (call in shard order; snapshots
-    /// of shard-disjoint state merge by addition, attribution adds).
-    pub fn absorb(&mut self, other: ProbePayload) {
-        match (&mut self.warm, other.warm) {
-            (Some(mine), Some(theirs)) => mine.absorb(&theirs),
-            (mine @ None, theirs) => *mine = theirs,
-            (Some(_), None) => {}
-        }
-        match (&mut self.end, other.end) {
-            (Some(mine), Some(theirs)) => mine.absorb(&theirs),
-            (mine @ None, theirs) => *mine = theirs,
-            (Some(_), None) => {}
-        }
-        self.attribution.absorb(&other.attribution);
-    }
-
-    /// Emits the warm and end `probe` records (attribution rides on the
-    /// end record, mirroring [`ProbeRun::emit`]). `sched_mode` names the
-    /// pipeline that produced this merged payload (`"site-shard"` or
-    /// `"component-fold"`), so `obs_report --internals` can explain why
-    /// deep interval samples are absent from a parallel run's journal.
-    pub fn emit(&self, trace: &str, predictor: &str, sched_mode: &str) {
-        if let Some(warm) = &self.warm {
-            emit_record(trace, predictor, "warm", sched_mode, warm, None);
-        }
-        if let Some(end) = &self.end {
-            emit_record(trace, predictor, "end", sched_mode, end, Some(&self.attribution));
-        }
     }
 }
 
@@ -419,15 +340,11 @@ fn top_sites_json(a: &Attribution) -> Json {
     )
 }
 
-/// Writes one `probe` journal record for a snapshot point. `sched_mode`
-/// records which scheduling pipeline produced the sample (`"sequential"`,
-/// `"site-shard"` or `"component-fold"`) — parallel modes never take deep
-/// interval samples, and the reader uses this field to say so.
+/// Writes one `probe` journal record for a snapshot point.
 pub fn emit_record(
     trace: &str,
     predictor: &str,
     point: &str,
-    sched_mode: &str,
     snapshot: &Snapshot,
     attribution: Option<&Attribution>,
 ) {
@@ -438,7 +355,6 @@ pub fn emit_record(
     let mut fields = vec![
         ("trace".to_string(), Json::Str(trace.to_string())),
         ("point".to_string(), Json::Str(point.to_string())),
-        ("sched_mode".to_string(), Json::Str(sched_mode.to_string())),
         ("components".to_string(), components),
         ("selectors".to_string(), selectors),
     ];
@@ -510,43 +426,6 @@ mod tests {
         let top = attr.top_sites(2);
         assert_eq!(top[0].0, 0x200);
         assert_eq!(top.len(), 2);
-    }
-
-    #[test]
-    fn payload_absorb_adds() {
-        let mut x = ProbePayload {
-            warm: None,
-            end: Some(Snapshot::single(
-                "t",
-                TableSnapshot {
-                    occupied: 3,
-                    ..TableSnapshot::default()
-                },
-            )),
-            attribution: Attribution {
-                hits: 1,
-                ..Attribution::default()
-            },
-        };
-        let y = ProbePayload {
-            warm: None,
-            end: Some(Snapshot::single(
-                "t",
-                TableSnapshot {
-                    occupied: 4,
-                    ..TableSnapshot::default()
-                },
-            )),
-            attribution: Attribution {
-                hits: 2,
-                no_entry: 1,
-                ..Attribution::default()
-            },
-        };
-        x.absorb(y);
-        assert_eq!(x.end.as_ref().map(Snapshot::occupied), Some(7));
-        assert_eq!(x.attribution.hits, 3);
-        assert_eq!(x.attribution.no_entry, 1);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Scoring a predictor over a trace or streaming event source.
 //!
 //! Every fold in this module runs through the chunk-fold kernel layer
-//! ([`ibp_core::FoldKernel`]): one dispatch per chunk into a monomorphized
-//! per-event loop for the hot predictor families, with borrowed
-//! `dyn Predictor`s folded through the same skeleton by one virtual
-//! [`Predictor::step`] per event. Beside the predictor lanes, the sweep
-//! engine's grouped pass can carry [`PathTrie`] lanes, each folding a
-//! whole path-length family of unbounded predictors one depth at a time
-//! over the pass's buffered branches, and
+//! ([`ibp_core::FoldKernel`]): one dispatch per chunk, then a batched
+//! pass over full keys or one [`Predictor::step`] per event, the same
+//! skeleton borrowed `dyn Predictor`s fold through. Beside the predictor
+//! lanes, the sweep engine's grouped pass can carry [`PathTrie`] lanes,
+//! each folding a whole path-length family of unbounded predictors one
+//! depth at a time over the pass's buffered branches, and
 //! [`MeasureLane`]s: folds that measure the trace, or a predictor's misses
 //! by cause, rather than score a prediction. In an unprobed pass every
 //! compressed-key kernel folds through one component bank
@@ -18,7 +17,6 @@
 
 use ibp_core::{
     fold_dyn_chunk, ChunkScorer, FoldKernel, KeyStreams, KeyedLane, PathTrie, Predictor,
-    WarmTrigger,
 };
 use ibp_trace::io::TraceIoError;
 use ibp_trace::{chunk_events, EventSource, Trace, TraceChunk};
@@ -26,7 +24,7 @@ use ibp_trace::{chunk_events, EventSource, Trace, TraceChunk};
 use crate::analysis::{AheadHits, MissBreakdown, TraceCounts};
 use crate::probe::{self, ProbeRun};
 
-/// One simulation lane: an owned kernel (monomorphized fold), a kernel
+/// One simulation lane: an owned kernel (its own chunk fold), a kernel
 /// attached to the pass's component bank, or a borrowed predictor (one
 /// virtual `step` per event through the same skeleton).
 enum Lane<'a> {
@@ -246,6 +244,30 @@ pub fn simulate_kernel<S: EventSource + ?Sized>(
     Ok(stats.pop().expect("one result per kernel"))
 }
 
+/// Folds one kernel over a streaming source, chunk by chunk, and never
+/// probes, whatever the probe policy says: the library pipelines'
+/// one-worker fallback, which keeps their promise that nothing they fold
+/// feeds the probe layer.
+///
+/// # Errors
+///
+/// Propagates the source's I/O or parse failures.
+pub(crate) fn fold_kernel_unprobed<S: EventSource + ?Sized>(
+    source: &mut S,
+    kernel: &mut FoldKernel,
+    warmup: u64,
+) -> Result<RunStats, TraceIoError> {
+    let mut scorer = ChunkScorer::new(warmup);
+    let mut chunk = TraceChunk::default();
+    loop {
+        let more = source.fill(&mut chunk, chunk_events())?;
+        kernel.fold_chunk(chunk.events(), &mut scorer);
+        if !more {
+            return Ok(RunStats::scored(&scorer));
+        }
+    }
+}
+
 /// Folds several kernels over **one** pass of a streaming source — the
 /// kernel counterpart of [`simulate_source_multi`], used by the sweep
 /// engine's per-benchmark passes. Within each chunk the lanes fold one after
@@ -352,7 +374,7 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
     } else {
         probes
             .iter_mut()
-            .map(|p| ChunkScorer::probed(warmup, p, WarmTrigger::AtCrossing, interval))
+            .map(|p| ChunkScorer::probed(warmup, p, interval))
             .collect()
     };
     let mut seen = 0u64;

@@ -25,7 +25,8 @@
 //! The caller picks the shard count. The sweep engine never routes a cell
 //! here: measured on two cores, the pipeline only slowed the sweeps it
 //! was given (DESIGN.md §5e), so it stays as library code with its
-//! equivalence tests.
+//! equivalence tests. It folds unprobed whatever `IBP_PROBE` says: only
+//! the sequential fold feeds the probe layer.
 //!
 //! With tracing on (`IBP_TRACE`), every sharded run emits a
 //! `shard_pipeline` span and one `shard` span per worker (events folded,
@@ -40,15 +41,14 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use ibp_core::{ChunkScorer, FoldKernel, ShardRouting, WarmTrigger};
+use ibp_core::{ChunkScorer, FoldKernel, ShardRouting};
 use ibp_obs as obs;
 use ibp_obs::metrics::{Counter, Histogram, WorkClock};
 use ibp_trace::io::TraceIoError;
 use ibp_trace::{chunk_events, EventSource, TraceChunk, TraceEvent};
 
 use crate::faults;
-use crate::probe::{self, ProbePayload, ProbePolicy, ProbeRun};
-use crate::run::{simulate_kernel, RunStats};
+use crate::run::{fold_kernel_unprobed, RunStats};
 
 /// A contained failure in one pipeline worker: a caught panic, an
 /// injected stall, or a queue wait that exceeded the watchdog. Reported
@@ -327,25 +327,11 @@ fn shard_worker(
     shard: usize,
     queue: &SpscQueue<Batch>,
     make: &(dyn Fn() -> FoldKernel + Sync),
-    policy: ProbePolicy,
-    warmup: u64,
-) -> Result<(RunStats, Option<ProbePayload>), WorkerFault> {
+) -> Result<RunStats, WorkerFault> {
     let mut shard_span = obs::span!("shard", shard = shard);
     let mut clock = WorkClock::start();
     let mut kernel = make();
-    let mut probe = policy.on().then(|| ProbeRun::new(policy));
-    // The global warmup window is a stream prefix, so a
-    // worker's slice of the warm-point state is its state
-    // just before its first scored event (or at worker
-    // exit, if it never scores one). With no warmup there
-    // is no warm sample at all, hence the trigger choice:
-    // `AtCrossing` can never fire on a zero countdown.
-    // Interval samples stay sequential-only (`None`).
-    let mut scorer = match probe.as_mut() {
-        Some(p) if warmup > 0 => ChunkScorer::probed(0, p, WarmTrigger::BeforeFirstScored, None),
-        Some(p) => ChunkScorer::probed(0, p, WarmTrigger::AtCrossing, None),
-        None => ChunkScorer::new(0),
-    };
+    let mut scorer = ChunkScorer::new(0);
     let mut events = 0u64;
     loop {
         let batch = match queue.pop() {
@@ -376,16 +362,6 @@ fn shard_worker(
         indirect: scorer.indirect(),
         mispredicted: scorer.mispredicted(),
     };
-    let warm_pending = scorer.warm_pending();
-    let payload = probe.map(|mut p| {
-        // A worker that never scored an event still owns
-        // its slice of the warm-point state.
-        if warm_pending {
-            p.sample("warm", kernel.as_predictor());
-        }
-        p.sample("end", kernel.as_predictor());
-        p.into_payload()
-    });
     events_counter().add(events);
     busy_us_counter().add(clock.busy_us());
     idle_us_counter().add(clock.idle_us());
@@ -394,7 +370,7 @@ fn shard_worker(
     shard_span.note("busy_us", clock.busy_us());
     shard_span.note("idle_us", clock.idle_us());
     shard_span.note("occupancy_pct", clock.util_pct());
-    Ok((stats, payload))
+    Ok(stats)
 }
 
 /// Folds one event source across `shards` parallel workers and merges the
@@ -410,7 +386,7 @@ fn shard_worker(
 /// rules). The routing invariant guarantees the workers' state partitions
 /// never overlap, so per-site state evolves exactly as in one sequential
 /// instance. A shard count of one (or zero) falls back to the sequential
-/// fold directly.
+/// fold directly. Nothing is probed, whatever `IBP_PROBE` says.
 ///
 /// # Errors
 ///
@@ -428,7 +404,7 @@ pub fn simulate_source_sharded<S: EventSource + ?Sized>(
 ) -> Result<RunStats, PipelineError> {
     if shards <= 1 {
         let mut kernel = make();
-        return simulate_kernel(source, &mut kernel, warmup).map_err(PipelineError::Io);
+        return fold_kernel_unprobed(source, &mut kernel, warmup).map_err(PipelineError::Io);
     }
     let mut span = obs::span!(
         "shard_pipeline",
@@ -437,7 +413,6 @@ pub fn simulate_source_sharded<S: EventSource + ?Sized>(
         exponent = routing.exponent()
     );
     runs_counter().incr();
-    let policy = probe::active_policy();
     let queues: Vec<SpscQueue<Batch>> = (0..shards).map(|_| SpscQueue::new()).collect();
     let fault_scope = faults::current_scope();
     let outcome = std::thread::scope(|scope| {
@@ -452,9 +427,7 @@ pub fn simulate_source_sharded<S: EventSource + ?Sized>(
                     // report on the worker's result channel, and the
                     // dying worker closes its own queue so the router's
                     // next push drops instead of backing up.
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        shard_worker(i, queue, make, policy, warmup)
-                    })) {
+                    match catch_unwind(AssertUnwindSafe(|| shard_worker(i, queue, make))) {
                         Ok(result) => result,
                         Err(payload) => {
                             queue.close();
@@ -468,7 +441,7 @@ pub fn simulate_source_sharded<S: EventSource + ?Sized>(
         for queue in &queues {
             queue.close();
         }
-        let joined: Vec<Result<(RunStats, Option<ProbePayload>), WorkerFault>> = handles
+        let joined: Vec<Result<RunStats, WorkerFault>> = handles
             .into_iter()
             .map(|h| match h.join() {
                 Ok(result) => result,
@@ -484,7 +457,7 @@ pub fn simulate_source_sharded<S: EventSource + ?Sized>(
             return Err(PipelineError::Fault(fault.clone()));
         }
         let routed = routed?;
-        let per_shard: Vec<(RunStats, Option<ProbePayload>)> = joined
+        let per_shard: Vec<RunStats> = joined
             .into_iter()
             .map(|r| r.expect("worker faults handled above"))
             .collect();
@@ -496,21 +469,7 @@ pub fn simulate_source_sharded<S: EventSource + ?Sized>(
     // fold's RunStats.
     let merged = per_shard
         .iter()
-        .fold(RunStats::default(), |acc, (s, _)| acc.merged(*s));
-    if policy.on() {
-        // Shardable state partitions disjointly by site, so the per-shard
-        // snapshots merge by addition into exactly the sequential fold's
-        // snapshot; attribution counts add the same way (deep mode's
-        // ever-seen key sets are per-shard, which is exact — keys live in
-        // disjoint site partitions).
-        let mut merged_probe = ProbePayload::default();
-        for (_, payload) in per_shard {
-            if let Some(p) = payload {
-                merged_probe.absorb(p);
-            }
-        }
-        merged_probe.emit(source.name(), &make().as_predictor().name(), "site-shard");
-    }
+        .fold(RunStats::default(), |acc, s| acc.merged(*s));
     span.note("events", routed);
     span.note("scored", merged.indirect);
     Ok(merged)

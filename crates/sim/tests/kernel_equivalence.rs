@@ -1,15 +1,17 @@
-//! The fold-kernel layer's one promise: replacing the per-event
-//! dyn-dispatch fold with the monomorphized chunk kernels changes *nothing*
-//! observable — not the scored `RunStats`, not the probe payloads, in the
-//! sequential fold or either library pipeline, at any probe level.
+//! The fold-kernel layer's one promise: folding through the chunk kernels,
+//! the overridden `Predictor::step`s and the batched full-key pass changes
+//! *nothing* observable against the predict-then-update sequence — not the
+//! scored `RunStats` at any probe level, in the sequential fold or either
+//! library pipeline, and not the sequential fold's probe payloads.
 //!
 //! The grid test drives every benchmark through every kernel family (BTB,
 //! tagless, set-associative, fully-associative, unbounded, a fig17 hybrid,
 //! a BPST metapredictor) plus a `Dyn`-fallback extension predictor; the
 //! `ext` test pins every overridden `Predictor::step` to the explicit
-//! predict-then-update loop; the probe tests pin payload equality under
-//! `IBP_PROBE=deep`; the pipeline test covers the sequential fold and both
-//! library pipelines × all three probe levels in one sweep. The trie test
+//! predict-then-update loop; the probe test pins payload equality under
+//! `IBP_PROBE=deep` against a fold on the default `step`; the pipeline
+//! test covers the sequential fold and both library pipelines × all three
+//! probe levels in one sweep, and that the pipelines never probe. The trie test
 //! pins the sweep engine's one-walk fold of a path-length family to each
 //! member's own kernel fold, and the keyed test pins a pass whose
 //! compressed-key lanes fold through one component bank, sharing key
@@ -18,6 +20,7 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ibp_core::ext::{CascadePredictor, MultiHybridPredictor, TargetCache};
+use ibp_core::snapshot::Snapshot;
 use ibp_core::{
     ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing, KeyScheme,
     KeyStreams, PathTrie, PatternCompressor, Predictor, PredictorConfig, TableSharing,
@@ -35,7 +38,7 @@ use ibp_workload::Benchmark;
 
 /// The representative configuration set: one per table organisation the
 /// paper sweeps, plus both hybrid arbitration schemes. Every one of these
-/// monomorphizes.
+/// builds a concrete kernel variant.
 fn kernel_configs() -> Vec<PredictorConfig> {
     vec![
         PredictorConfig::btb_2bc(),
@@ -107,6 +110,41 @@ fn dyn_lane(trace: &Trace, predictor: &mut (dyn Predictor + 'static), warmup: u6
     simulate_source(&mut trace.cursor(), predictor, warmup).expect("in-memory source")
 }
 
+/// Hides a predictor's `step` override: every method a fold calls but
+/// `step` is forwarded, so a fold over the wrapper runs the default
+/// predict-then-update `step`.
+struct DefaultStep(Box<dyn Predictor>);
+
+impl Predictor for DefaultStep {
+    fn predict(&self, pc: Addr) -> Option<Addr> {
+        self.0.predict(pc)
+    }
+
+    fn update(&mut self, pc: Addr, actual: Addr) {
+        self.0.update(pc, actual);
+    }
+
+    fn observe_cond(&mut self, pc: Addr, target: Addr) {
+        self.0.observe_cond(pc, target);
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn snapshot(&self) -> Option<Snapshot> {
+        self.0.snapshot()
+    }
+
+    fn probe_key_fingerprint(&self, pc: Addr) -> Option<u64> {
+        self.0.probe_key_fingerprint(pc)
+    }
+}
+
 /// The default chunk capacity `c`.
 fn chunk_capacity() -> usize {
     usize::try_from(ibp_trace::chunk_events()).expect("chunk fits usize")
@@ -155,8 +193,8 @@ fn kernel_matches_dyn_fold_on_every_benchmark() {
                 let expected = legacy(trace, cfg.build().as_mut(), warmup);
                 let mut kernel = cfg.build_kernel();
                 assert!(
-                    kernel.is_monomorphized(),
-                    "test premise: {} must monomorphize",
+                    !matches!(kernel, FoldKernel::Dyn(_)),
+                    "test premise: {} builds a concrete variant",
                     cfg.cache_key()
                 );
                 let got = simulate_kernel(&mut trace.cursor(), &mut kernel, warmup)
@@ -182,7 +220,7 @@ fn dyn_fallback_arm_matches_legacy_fold() {
         for warmup in [0u64, 200] {
             let expected = legacy(&trace, dyn_fallback().as_mut(), warmup);
             let mut kernel = FoldKernel::from_boxed(dyn_fallback());
-            assert!(!kernel.is_monomorphized());
+            assert!(matches!(kernel, FoldKernel::Dyn(_)));
             let got = simulate_kernel(&mut trace.cursor(), &mut kernel, warmup)
                 .expect("in-memory source");
             assert_eq!(got, expected, "dyn fallback on {b} warmup {warmup} diverges");
@@ -765,22 +803,16 @@ fn probes_under(policy: ProbePolicy, body: impl FnOnce()) -> Vec<Record> {
         .collect()
 }
 
-/// The comparable payload of a probe record, minus `sched_mode` (which
-/// names the pipeline on purpose).
+/// The comparable payload of a probe record: its name and fields.
 fn payload(r: &Record) -> (String, Vec<(String, Json)>) {
-    let fields = r
-        .fields
-        .iter()
-        .filter(|(k, _)| k != "sched_mode")
-        .cloned()
-        .collect();
-    (r.name.clone(), fields)
+    (r.name.clone(), r.fields.clone())
 }
 
-/// `IBP_PROBE=deep`: the kernel fast path must feed the probe layer the
-/// exact same samples, attribution splits and top sites as the `Dyn` lane,
-/// which runs these families' default predict-then-update `step` —
-/// fingerprints, warm/interval/end points, everything in the payload.
+/// `IBP_PROBE=deep`: the kernel fold must feed the probe layer the exact
+/// same samples, attribution splits and top sites as the `Dyn` lane over
+/// a [`DefaultStep`] wrapper, which runs the default predict-then-update
+/// `step` in place of these families' overrides — fingerprints,
+/// warm/interval/end points, everything in the payload.
 #[test]
 fn deep_probe_payloads_identical_kernel_vs_dyn() {
     let _guard = serial();
@@ -791,7 +823,7 @@ fn deep_probe_payloads_identical_kernel_vs_dyn() {
         PredictorConfig::bpst(3, 0, 128, 2),
     ] {
         let via_dyn = probes_under(ProbePolicy::Deep, || {
-            dyn_lane(&trace, cfg.build().as_mut(), 500);
+            dyn_lane(&trace, &mut DefaultStep(cfg.build()), 500);
         });
         let via_kernel = probes_under(ProbePolicy::Deep, || {
             let mut kernel = cfg.build_kernel();
@@ -808,7 +840,10 @@ fn deep_probe_payloads_identical_kernel_vs_dyn() {
 }
 
 /// The sequential fold and both library pipelines × all three probe levels
-/// produce the same scored stats as the legacy sequential fold.
+/// produce the same scored stats as the legacy sequential fold, and the
+/// pipelines fold unprobed: under a captured journal they emit no probe
+/// record at any level, though the sequential fold's records show the
+/// policy took effect.
 #[test]
 fn all_sched_modes_match_under_every_probe_level() {
     let _guard = serial();
@@ -819,7 +854,7 @@ fn all_sched_modes_match_under_every_probe_level() {
     let d = decomposable.decompose().expect("test premise: decomposable");
     for policy in [ProbePolicy::Off, ProbePolicy::On, ProbePolicy::Deep] {
         let mut results: Vec<(String, RunStats, RunStats)> = Vec::new();
-        probes_under(policy, || {
+        let sequential = probes_under(policy, || {
             // Sequential kernel vs legacy dyn.
             for cfg in [&shardable, &decomposable] {
                 let expected = legacy(&trace, cfg.build().as_mut(), 300);
@@ -828,22 +863,40 @@ fn all_sched_modes_match_under_every_probe_level() {
                     .expect("in-memory source");
                 results.push((format!("sequential {}", cfg.cache_key()), got, expected));
             }
-            // Site-sharded kernel fold.
-            let expected = legacy(&trace, shardable.build().as_mut(), 300);
-            let make = || shardable.build_kernel();
-            let got = simulate_source_sharded(&mut trace.cursor(), &make, routing, 4, 300)
-                .expect("in-memory source");
-            results.push((format!("site-shard {}", shardable.cache_key()), got, expected));
-            // Component-parallel fold.
-            let expected = legacy(&trace, decomposable.build().as_mut(), 300);
-            let got = simulate_source_components(&mut trace.cursor(), &d, 2, 300)
-                .expect("in-memory source");
-            results.push((
-                format!("component-fold {}", decomposable.cache_key()),
-                got,
-                expected,
-            ));
         });
+        assert_eq!(
+            sequential.is_empty(),
+            policy == ProbePolicy::Off,
+            "test premise: the sequential fold probes under {policy:?}"
+        );
+        let pipelines = probes_under(policy, || {
+            for shards in [1, 4] {
+                let expected = legacy(&trace, shardable.build().as_mut(), 300);
+                let make = || shardable.build_kernel();
+                let got = simulate_source_sharded(&mut trace.cursor(), &make, routing, shards, 300)
+                    .expect("in-memory source");
+                results.push((
+                    format!("site-shard x{shards} {}", shardable.cache_key()),
+                    got,
+                    expected,
+                ));
+            }
+            for workers in [1, 2] {
+                let expected = legacy(&trace, decomposable.build().as_mut(), 300);
+                let got = simulate_source_components(&mut trace.cursor(), &d, workers, 300)
+                    .expect("in-memory source");
+                results.push((
+                    format!("component-fold x{workers} {}", decomposable.cache_key()),
+                    got,
+                    expected,
+                ));
+            }
+        });
+        assert!(
+            pipelines.is_empty(),
+            "the pipelines emitted {} probe records under {policy:?}",
+            pipelines.len()
+        );
         for (label, got, expected) in results {
             assert_eq!(got, expected, "{label} diverges under {policy:?}");
         }

@@ -1,24 +1,18 @@
-//! The probe layer's two promises, pinned end to end:
-//!
-//! 1. **Byte identity**: scored results are identical with probes off, on
-//!    and deep — probe counters are write-only side state the prediction
-//!    path never reads.
-//! 2. **Pipeline equivalence**: the sharded and component-parallel folds
-//!    emit probe records whose payloads match the sequential fold's
-//!    exactly — same occupancy, same histograms, same attribution, same
-//!    top sites.
+//! The probe layer's promise, pinned end to end: scored results are
+//! identical with probes off, on and deep — probe counters are write-only
+//! side state the prediction path never reads. Beside it, a deep probe
+//! attributes every scored event, and a probe-free run journals no probe
+//! record.
 //!
 //! The journal sink and the probe policy override are process-global, so
 //! every test here holds one serial lock.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ibp_core::{HistorySharing, PredictorConfig};
+use ibp_core::PredictorConfig;
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
-use ibp_sim::component::simulate_source_components;
 use ibp_sim::probe::{self, ProbePolicy};
-use ibp_sim::shard::simulate_source_sharded;
 use ibp_sim::{simulate_warm, RunStats};
 use ibp_workload::Benchmark;
 
@@ -57,19 +51,6 @@ fn probes_under(policy: ProbePolicy, body: impl FnOnce()) -> Vec<Record> {
         .map(|l| Record::parse(l).expect("parseable record"))
         .filter(|r| r.kind == Kind::Probe)
         .collect()
-}
-
-/// The comparable payload of one probe record: name plus every `f` field
-/// except `sched_mode`, which deliberately records *which* pipeline ran.
-/// Timestamps and thread ids are intentionally outside `f`.
-fn payload(r: &Record) -> (String, Vec<(String, Json)>) {
-    let fields = r
-        .fields
-        .iter()
-        .filter(|(k, _)| k != "sched_mode")
-        .cloned()
-        .collect();
-    (r.name.clone(), fields)
 }
 
 #[test]
@@ -120,61 +101,6 @@ fn deep_probe_emits_attribution_split() {
     let capacity = attr.get("capacity").and_then(Json::as_u64).expect("capacity");
     assert_eq!(cold + capacity, no_entry, "deep splits every no-entry miss");
     assert!(end.field("top_sites").and_then(Json::as_arr).is_some());
-}
-
-#[test]
-fn shard_merge_matches_sequential_probes() {
-    let _guard = serial();
-    let trace = Benchmark::Eqn.trace_with_len(5_000);
-    for cfg in [
-        PredictorConfig::btb_2bc(),
-        PredictorConfig::unconstrained(4).with_history_sharing(HistorySharing::per_set(3)),
-    ] {
-        let routing = cfg.shardable().expect("test premise: shardable");
-        let sequential = probes_under(ProbePolicy::On, || {
-            let mut p = cfg.build();
-            simulate_warm(&trace, p.as_mut(), 300);
-        });
-        let sharded = probes_under(ProbePolicy::On, || {
-            let make = || cfg.build_kernel();
-            simulate_source_sharded(&mut trace.cursor(), &make, routing, 4, 300)
-                .expect("in-memory source");
-        });
-        assert!(!sequential.is_empty(), "{}: no probe records", cfg.cache_key());
-        assert_eq!(
-            sequential.iter().map(payload).collect::<Vec<_>>(),
-            sharded.iter().map(payload).collect::<Vec<_>>(),
-            "{}: merged shard probes diverge from sequential",
-            cfg.cache_key()
-        );
-    }
-}
-
-#[test]
-fn component_fold_matches_sequential_probes() {
-    let _guard = serial();
-    let trace = Benchmark::SelfVm.trace_with_len(5_000);
-    for cfg in [
-        PredictorConfig::hybrid(6, 2, 256, 4),
-        PredictorConfig::bpst(3, 0, 128, 2),
-    ] {
-        let d = cfg.decompose().expect("test premise: decomposable");
-        let sequential = probes_under(ProbePolicy::On, || {
-            let mut p = cfg.build();
-            simulate_warm(&trace, p.as_mut(), 300);
-        });
-        let components = probes_under(ProbePolicy::On, || {
-            simulate_source_components(&mut trace.cursor(), &d, 2, 300)
-                .expect("in-memory source");
-        });
-        assert!(!sequential.is_empty(), "{}: no probe records", cfg.cache_key());
-        assert_eq!(
-            sequential.iter().map(payload).collect::<Vec<_>>(),
-            components.iter().map(payload).collect::<Vec<_>>(),
-            "{}: merged component probes diverge from sequential",
-            cfg.cache_key()
-        );
-    }
 }
 
 #[test]
