@@ -88,12 +88,10 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|n| n.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("error: {name} needs a number");
-                    usage()
-                })
+            args.next().and_then(|n| n.parse().ok()).unwrap_or_else(|| {
+                eprintln!("error: {name} needs a number");
+                usage()
+            })
         };
         match arg.as_str() {
             "--events" => events = num("--events"),

@@ -322,11 +322,13 @@ fn print_degraded(records: &[Record]) -> usize {
 
 /// Sums one numeric key over a probe record's `components` array.
 fn probe_total(r: &Record, key: &str) -> u64 {
-    r.field("components").and_then(Json::as_arr).map_or(0, |cs| {
-        cs.iter()
-            .filter_map(|c| c.get(key).and_then(Json::as_u64))
-            .sum()
-    })
+    r.field("components")
+        .and_then(Json::as_arr)
+        .map_or(0, |cs| {
+            cs.iter()
+                .filter_map(|c| c.get(key).and_then(Json::as_u64))
+                .sum()
+        })
 }
 
 /// The `--internals` section: what `IBP_PROBE` sampled. One row per
@@ -410,7 +412,10 @@ fn print_internals(records: &[Record], top: usize) {
                 .enumerate()
                 .map(|(v, c)| format!("{v}: {c}"))
                 .collect();
-            println!("  {trace:<10} {name:<34} [{}] ({total} sites)", cells.join(", "));
+            println!(
+                "  {trace:<10} {name:<34} [{}] ({total} sites)",
+                cells.join(", ")
+            );
         }
         println!();
     }
@@ -471,9 +476,19 @@ fn print_internals(records: &[Record], top: usize) {
         println!("aliasing sites: none recorded\n");
     } else {
         let mut ranked: Vec<(String, (u64, u64))> = sites.into_iter().collect();
-        ranked.sort_by(|a, b| (b.1 .0 + b.1 .1).cmp(&(a.1 .0 + a.1 .1)).then(a.0.cmp(&b.0)));
-        println!("top {} aliasing-heavy sites (summed over probed runs):", top.min(ranked.len()));
-        println!("  {:<12} {:>12} {:>12} {:>12}", "pc", "wrong", "noentry", "total");
+        ranked.sort_by(|a, b| {
+            (b.1 .0 + b.1 .1)
+                .cmp(&(a.1 .0 + a.1 .1))
+                .then(a.0.cmp(&b.0))
+        });
+        println!(
+            "top {} aliasing-heavy sites (summed over probed runs):",
+            top.min(ranked.len())
+        );
+        println!(
+            "  {:<12} {:>12} {:>12} {:>12}",
+            "pc", "wrong", "noentry", "total"
+        );
         for (pc, (wrong, no_entry)) in ranked.into_iter().take(top) {
             println!(
                 "  {pc:<12} {wrong:>12} {no_entry:>12} {:>12}",
@@ -618,10 +633,7 @@ fn chrome_trace(records: &[Record]) -> Json {
         let (ph, extra): (&str, Vec<(String, Json)>) = match r.kind {
             Kind::Span => (
                 "X",
-                vec![(
-                    "dur".to_string(),
-                    Json::Num(r.dur_us.unwrap_or(0) as f64),
-                )],
+                vec![("dur".to_string(), Json::Num(r.dur_us.unwrap_or(0) as f64))],
             ),
             Kind::Event | Kind::Log => ("i", vec![("s".to_string(), Json::Str("t".to_string()))]),
             Kind::Meta | Kind::Metrics | Kind::Probe => continue,
@@ -648,8 +660,7 @@ fn chrome_trace(records: &[Record]) -> Json {
 }
 
 fn run(opts: &Options) -> Result<(), String> {
-    let (records, bad_lines) =
-        read_journal_counting(&opts.journal).map_err(|e| e.to_string())?;
+    let (records, bad_lines) = read_journal_counting(&opts.journal).map_err(|e| e.to_string())?;
     if records.is_empty() {
         return Err(format!("{}: empty journal", opts.journal.display()));
     }
@@ -799,7 +810,11 @@ mod tests {
         .unwrap();
         let records = [cell("hit"), cell("miss"), cell("miss"), pass];
         assert_eq!(count_cells(&records, "hit"), 1);
-        assert_eq!(count_cells(&records, "miss"), 2, "the pass span is not a cell");
+        assert_eq!(
+            count_cells(&records, "miss"),
+            2,
+            "the pass span is not a cell"
+        );
     }
 
     #[test]

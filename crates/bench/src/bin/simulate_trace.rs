@@ -165,7 +165,9 @@ fn open(path: &str) -> Result<Box<dyn EventSource>, String> {
     file.seek(SeekFrom::Start(0))
         .map_err(|e| format!("cannot rewind {path}: {e}"))?;
     if looks_binary(&magic[..got]) {
-        Ok(Box::new(BinarySource::new(file).map_err(|e| e.to_string())?))
+        Ok(Box::new(
+            BinarySource::new(file).map_err(|e| e.to_string())?,
+        ))
     } else {
         Ok(Box::new(TextSource::new(file).map_err(|e| e.to_string())?))
     }
@@ -231,9 +233,9 @@ fn main() -> ExitCode {
     };
     let mut predictor = cfg.build();
     println!("predictor: {}", predictor.name());
-    let run = match open(&args.trace)
-        .and_then(|mut src| simulate_source(&mut *src, predictor.as_mut(), 0).map_err(|e| e.to_string()))
-    {
+    let run = match open(&args.trace).and_then(|mut src| {
+        simulate_source(&mut *src, predictor.as_mut(), 0).map_err(|e| e.to_string())
+    }) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -269,9 +271,7 @@ fn main() -> ExitCode {
     if args.per_site {
         let mut fresh = cfg.build_kernel();
         let sites = open(&args.trace)
-            .and_then(|mut src| {
-                simulate_per_site(&mut *src, &mut fresh).map_err(|e| e.to_string())
-            })
+            .and_then(|mut src| simulate_per_site(&mut *src, &mut fresh).map_err(|e| e.to_string()))
             .expect("per-site pass");
         println!("\nworst-predicted sites:");
         for s in sites.iter().take(10) {

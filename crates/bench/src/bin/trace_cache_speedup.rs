@@ -169,11 +169,8 @@ fn main() {
 
     trace_cache::override_policy(None);
 
-    let all_metrics: Vec<ExperimentMetrics> = cold
-        .metrics
-        .into_iter()
-        .chain(warm.metrics)
-        .collect();
+    let all_metrics: Vec<ExperimentMetrics> =
+        cold.metrics.into_iter().chain(warm.metrics).collect();
     match ibp_bench::write_manifest(&all_metrics) {
         Ok(path) => eprintln!("runtime manifest written to {}", path.display()),
         Err(e) => obs::warn!("could not write manifest.csv: {e}"),

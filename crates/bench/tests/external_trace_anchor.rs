@@ -21,8 +21,7 @@ fn sample_path() -> PathBuf {
 
 fn open() -> TextSource<File> {
     let path = sample_path();
-    let file = File::open(&path)
-        .unwrap_or_else(|e| panic!("cannot open {}: {e}", path.display()));
+    let file = File::open(&path).unwrap_or_else(|e| panic!("cannot open {}: {e}", path.display()));
     TextSource::new(file).expect("valid IBPT header")
 }
 

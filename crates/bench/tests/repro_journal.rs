@@ -45,7 +45,11 @@ fn repro_all_journals_one_root_span_per_experiment() {
     );
 
     let records = read_journal(&journal).expect("parse journal");
-    assert_eq!(records[0].kind, Kind::Meta, "journal starts with the run header");
+    assert_eq!(
+        records[0].kind,
+        Kind::Meta,
+        "journal starts with the run header"
+    );
 
     // Exactly one root `experiment` span per experiment, carrying the
     // engine-counter attribution fields.
@@ -82,8 +86,12 @@ fn repro_all_journals_one_root_span_per_experiment() {
         .all(|r| r.field_str("config").is_some() && r.field_str("benchmark").is_some()));
 
     // The run also recorded pass and worker spans and flushed the registry.
-    assert!(records.iter().any(|r| r.kind == Kind::Span && r.name == "cell"));
-    assert!(records.iter().any(|r| r.kind == Kind::Span && r.name == "worker"));
+    assert!(records
+        .iter()
+        .any(|r| r.kind == Kind::Span && r.name == "cell"));
+    assert!(records
+        .iter()
+        .any(|r| r.kind == Kind::Span && r.name == "worker"));
     assert!(records.iter().any(|r| r.kind == Kind::Metrics));
 
     // On Linux the runner also journals the memory high-water mark.
@@ -122,7 +130,10 @@ fn repro_all_journals_one_root_span_per_experiment() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("run: schema 1, "), "{stdout}");
-    assert!(stdout.contains(&format!("experiments ({})", experiments.len())), "{stdout}");
+    assert!(
+        stdout.contains(&format!("experiments ({})", experiments.len())),
+        "{stdout}"
+    );
     assert!(stdout.contains("slowest benchmark passes"), "{stdout}");
     assert!(stdout.contains("worker utilization"), "{stdout}");
     assert!(stdout.contains("metrics snapshot"), "{stdout}");
@@ -347,7 +358,14 @@ fn the_component_bank_folds_each_distinct_table_once() {
     }
     assert_eq!(
         folds.keys().copied().collect::<Vec<_>>(),
-        ["ahead", "cascade", "hybrid", "ittage-lite", "multi-hybrid", "shared-table"],
+        [
+            "ahead",
+            "cascade",
+            "hybrid",
+            "ittage-lite",
+            "multi-hybrid",
+            "shared-table"
+        ],
         "every contender simulates some cell: {folds:?}"
     );
     let components = pass_components(&records);
@@ -372,7 +390,10 @@ fn the_component_bank_folds_each_distinct_table_once() {
         .filter(|pass| pass.field_u64("configs") == Some(39))
         .map(|pass| pass.field_u64("components"))
         .collect();
-    assert!(!shared.is_empty(), "fig18 swept no hybrid cell with its tables");
+    assert!(
+        !shared.is_empty(),
+        "fig18 swept no hybrid cell with its tables"
+    );
     assert!(shared.iter().all(|&c| c == Some(10)), "{shared:?}");
 
     // The ablations' BPSTs ride on the confidence-width sweep, whose

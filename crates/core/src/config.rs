@@ -424,9 +424,8 @@ impl PredictorConfig {
             // Key aliasing: full-precision and concatenated keys keep the
             // address component separable; xor keys only when the pattern
             // is empty (p = 0 — the key degenerates to the bare address).
-            let separable = self.full_precision.is_some()
-                || p == 0
-                || self.scheme == KeyScheme::Concat;
+            let separable =
+                self.full_precision.is_some() || p == 0 || self.scheme == KeyScheme::Concat;
             if !separable || self.table_sharing.h() >= 31 {
                 return None;
             }
@@ -901,7 +900,9 @@ mod tests {
         assert_eq!(d.first.kind(), PredictorKind::TwoLevel);
         assert_eq!(d.first.path_len(), 6);
         assert_eq!(d.second.path_len(), 2);
-        let d = PredictorConfig::bpst(3, 1, 512, 4).decompose().expect("bpst");
+        let d = PredictorConfig::bpst(3, 1, 512, 4)
+            .decompose()
+            .expect("bpst");
         assert_eq!(d.meta, MetaSpec::Bpst { selector_bits: 2 });
         // Invalid configs do not decompose.
         assert!(PredictorConfig::hybrid(3, 1, 1000, 4).decompose().is_none());
@@ -962,7 +963,9 @@ mod tests {
     fn global_history_never_shards_at_positive_path_length() {
         // The presets default to global history.
         assert!(PredictorConfig::unconstrained(8).shardable().is_none());
-        assert!(PredictorConfig::compressed_unbounded(3).shardable().is_none());
+        assert!(PredictorConfig::compressed_unbounded(3)
+            .shardable()
+            .is_none());
     }
 
     #[test]
@@ -1003,8 +1006,8 @@ mod tests {
 
     #[test]
     fn cond_targets_route_only_when_histories_consume_them() {
-        let base = PredictorConfig::unconstrained(6)
-            .with_history_sharing(HistorySharing::per_set(4));
+        let base =
+            PredictorConfig::unconstrained(6).with_history_sharing(HistorySharing::per_set(4));
         assert!(!base.clone().shardable().expect("shards").routes_cond());
         assert!(base
             .with_cond_targets(true)

@@ -409,7 +409,10 @@ mod tests {
             m.replay(a(0x100), hit(0x900, 2), hit(0xA00, 2), a(0x900)),
             Some(a(0x900))
         );
-        assert_eq!(m.replay(a(0x100), None, hit(0xA00, 0), a(0x900)), Some(a(0xA00)));
+        assert_eq!(
+            m.replay(a(0x100), None, hit(0xA00, 0), a(0x900)),
+            Some(a(0xA00))
+        );
         assert_eq!(m.replay(a(0x100), None, None, a(0x900)), None);
         // No per-branch state accrues.
         assert!(!m.prefers_second(a(0x100)));

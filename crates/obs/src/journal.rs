@@ -230,7 +230,10 @@ pub(crate) fn write_record(record: &Json) {
     if let Some(s) = guard.as_mut() {
         let outcome = match injected {
             Some(e) => Err(e),
-            None => s.writer.write_all(line.as_bytes()).and_then(|()| s.writer.flush()),
+            None => s
+                .writer
+                .write_all(line.as_bytes())
+                .and_then(|()| s.writer.flush()),
         };
         if let Err(e) = outcome {
             eprintln!("warning: trace journal write failed, disabling: {e}");
@@ -388,7 +391,11 @@ pub fn read_journal_counting(path: &Path) -> std::io::Result<(Vec<Record>, usize
             Ok(record) => records.push(record),
             Err(e) => {
                 bad_lines += 1;
-                crate::warn!("skipping corrupt journal line {}:{}: {e}", path.display(), i + 1);
+                crate::warn!(
+                    "skipping corrupt journal line {}:{}: {e}",
+                    path.display(),
+                    i + 1
+                );
             }
         }
     }

@@ -178,7 +178,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -246,9 +250,10 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
-        while self.peek().is_some_and(|b| {
-            matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        }) {
+        while self
+            .peek()
+            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+        {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
@@ -259,13 +264,10 @@ impl<'a> Parser<'a> {
     }
 
     fn hex4(&mut self) -> Result<u16, ParseError> {
-        let slice = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or(ParseError {
-                offset: self.pos,
-                message: "truncated \\u escape".to_string(),
-            })?;
+        let slice = self.bytes.get(self.pos..self.pos + 4).ok_or(ParseError {
+            offset: self.pos,
+            message: "truncated \\u escape".to_string(),
+        })?;
         let text = std::str::from_utf8(slice).map_err(|_| ParseError {
             offset: self.pos,
             message: "non-ascii \\u escape".to_string(),
@@ -334,8 +336,7 @@ impl<'a> Parser<'a> {
                         self.pos += 1;
                     }
                     out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input is a &str"),
+                        std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is a &str"),
                     );
                 }
             }
@@ -448,15 +449,9 @@ mod tests {
 
     #[test]
     fn unicode_escapes_parse() {
-        assert_eq!(
-            parse(r#""éא""#).unwrap(),
-            Json::Str("éא".to_string())
-        );
+        assert_eq!(parse(r#""éא""#).unwrap(), Json::Str("éא".to_string()));
         // Surrogate pair for 💡 (U+1F4A1).
-        assert_eq!(
-            parse(r#""💡""#).unwrap(),
-            Json::Str("💡".to_string())
-        );
+        assert_eq!(parse(r#""💡""#).unwrap(), Json::Str("💡".to_string()));
     }
 
     #[test]
@@ -468,7 +463,10 @@ mod tests {
                 "fields".to_string(),
                 Json::Obj(vec![
                     ("hit".to_string(), Json::Bool(true)),
-                    ("xs".to_string(), Json::Arr(vec![Json::Num(1.0), Json::Null])),
+                    (
+                        "xs".to_string(),
+                        Json::Arr(vec![Json::Num(1.0), Json::Null]),
+                    ),
                 ]),
             ),
         ]);
@@ -478,7 +476,10 @@ mod tests {
         assert_eq!(back.get("ts").and_then(Json::as_u64), Some(123_456));
         let fields = back.get("fields").expect("fields");
         assert_eq!(fields.get("hit").and_then(Json::as_bool), Some(true));
-        assert_eq!(fields.get("xs").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+        assert_eq!(
+            fields.get("xs").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(2)
+        );
     }
 
     #[test]
@@ -501,6 +502,9 @@ mod tests {
     #[test]
     fn whitespace_tolerated() {
         let j = parse(" { \"a\" : [ 1 , true , \"x\" ] } \n").unwrap();
-        assert_eq!(j.get("a").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
+        assert_eq!(
+            j.get("a").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(3)
+        );
     }
 }

@@ -41,8 +41,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod journal;
+pub mod json;
 pub mod knobs;
 pub mod metrics;
 
@@ -50,8 +50,8 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::time::Instant;
 
-use json::Json;
 pub use journal::{enabled, read_journal, read_journal_counting, Kind, Record};
+use json::Json;
 pub use knobs::{knobs, results_root, Knobs, ProbePolicy};
 
 /// A field value attached to a span, event or log record.
@@ -176,10 +176,7 @@ fn record_json(
         ("t".to_string(), Json::Str(tag.to_string())),
         ("name".to_string(), Json::Str(name.to_string())),
         ("ts".to_string(), Json::Num(ts_us as f64)),
-        (
-            "tid".to_string(),
-            Json::Num(journal::thread_id() as f64),
-        ),
+        ("tid".to_string(), Json::Num(journal::thread_id() as f64)),
     ];
     for (k, v) in extra {
         pairs.push(((*k).to_string(), v.clone()));
@@ -260,10 +257,7 @@ pub fn probe(name: &str, payload: Json) {
         ("t".to_string(), Json::Str("probe".to_string())),
         ("name".to_string(), Json::Str(name.to_string())),
         ("ts".to_string(), Json::Num(journal::now_us() as f64)),
-        (
-            "tid".to_string(),
-            Json::Num(journal::thread_id() as f64),
-        ),
+        ("tid".to_string(), Json::Num(journal::thread_id() as f64)),
         ("f".to_string(), payload),
     ]));
 }
@@ -399,7 +393,8 @@ mod tests {
     /// must not interleave.
     fn serial() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[derive(Clone, Default)]
@@ -480,8 +475,7 @@ mod tests {
         let inner = records.iter().find(|r| r.name == "inner").expect("inner");
         assert!(outer.ts_us <= inner.ts_us);
         assert!(
-            outer.ts_us + outer.dur_us.expect("dur")
-                >= inner.ts_us + inner.dur_us.expect("dur")
+            outer.ts_us + outer.dur_us.expect("dur") >= inner.ts_us + inner.dur_us.expect("dur")
         );
     }
 
@@ -513,7 +507,10 @@ mod tests {
             .find(|r| r.kind == Kind::Metrics)
             .expect("metrics record");
         let counters = snap.field("counters").expect("counters object");
-        assert!(counters.get("test.lib.flush_counter").and_then(Json::as_u64).is_some_and(|v| v >= 5));
+        assert!(counters
+            .get("test.lib.flush_counter")
+            .and_then(Json::as_u64)
+            .is_some_and(|v| v >= 5));
         let hist = snap
             .field("histograms")
             .and_then(|h| h.get("test.lib.flush_hist"))
@@ -555,7 +552,10 @@ mod tests {
         assert_eq!(r.kind, Kind::Probe);
         assert_eq!(r.name, "gcc/p=8 unbounded");
         assert_eq!(r.field_str("point"), Some("end"));
-        let comps = r.field("components").and_then(Json::as_arr).expect("components");
+        let comps = r
+            .field("components")
+            .and_then(Json::as_arr)
+            .expect("components");
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].get("occupied").and_then(Json::as_u64), Some(42));
         assert_eq!(
@@ -598,8 +598,11 @@ mod tests {
         let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["ok1", "ok2"]);
         // The lossy default reader agrees.
-        std::fs::write(&path, "{\"t\":\"event\",\"name\":\"only\",\"ts\":1}\nbroken\n")
-            .expect("write journal");
+        std::fs::write(
+            &path,
+            "{\"t\":\"event\",\"name\":\"only\",\"ts\":1}\nbroken\n",
+        )
+        .expect("write journal");
         let records = read_journal(&path).expect("io ok");
         std::fs::remove_file(&path).ok();
         assert_eq!(records.len(), 1);

@@ -176,7 +176,11 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: self.bounds.to_vec(),
-            counts: self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+            counts: self
+                .counts
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect(),
             sum: self.sum.load(Ordering::Relaxed),
             count: self.count.load(Ordering::Relaxed),
         }
@@ -390,8 +394,14 @@ mod tests {
         gauge("test.metrics.snap_gauge").set(-4);
         histogram("test.metrics.snap_hist", &[5]).record(3);
         let s = snapshot();
-        assert!(s.counters.iter().any(|(n, v)| n == "test.metrics.snap_counter" && *v >= 7));
-        assert!(s.gauges.iter().any(|(n, v)| n == "test.metrics.snap_gauge" && *v == -4));
+        assert!(s
+            .counters
+            .iter()
+            .any(|(n, v)| n == "test.metrics.snap_counter" && *v >= 7));
+        assert!(s
+            .gauges
+            .iter()
+            .any(|(n, v)| n == "test.metrics.snap_gauge" && *v == -4));
         assert!(s
             .histograms
             .iter()

@@ -130,14 +130,12 @@ fn decode(kind: &str, counts: &[u64]) -> Option<Measurement> {
             indirect,
             mispredicted,
         }),
-        ("misses", &[hits, wrong_target, capacity, cold]) => {
-            Measurement::Misses(MissBreakdown {
-                hits,
-                wrong_target,
-                capacity,
-                cold,
-            })
-        }
+        ("misses", &[hits, wrong_target, capacity, cold]) => Measurement::Misses(MissBreakdown {
+            hits,
+            wrong_target,
+            capacity,
+            cold,
+        }),
         ("patterns", &[n]) => Measurement::Patterns(n),
         ("ahead", &[scored, d1, d2, d4, d8]) => Measurement::Ahead(AheadHits {
             scored,
@@ -169,7 +167,10 @@ fn parse_line(line: &str) -> Option<(CacheKey, Measurement)> {
         *counts.get_mut(n)? = field.parse().ok()?;
         n += 1;
     }
-    Some(((key, benchmark, events, warmup), decode(kind, &counts[..n])?))
+    Some((
+        (key, benchmark, events, warmup),
+        decode(kind, &counts[..n])?,
+    ))
 }
 
 /// Loads every entry stored under `root` (evicting stale schema versions
@@ -460,11 +461,18 @@ mod tests {
         crate::faults::override_spec(Some("cache.write@1")).unwrap();
         let err = save_to(&root, &entries[1..]).expect_err("injected write fault");
         crate::faults::override_spec(None).unwrap();
-        assert!(err.to_string().contains("injected fault: cache.write"), "{err}");
+        assert!(
+            err.to_string().contains("injected fault: cache.write"),
+            "{err}"
+        );
         let dir = version_dir(&root);
         assert!(!dir.join("engine.tsv.tmp").exists(), "temp file cleaned up");
         let loaded = load_from(&root);
-        assert_eq!(loaded, entries[..1], "previous snapshot survives a failed save");
+        assert_eq!(
+            loaded,
+            entries[..1],
+            "previous snapshot survives a failed save"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -477,7 +485,10 @@ mod tests {
         crate::faults::override_spec(Some("cache.rename@1")).unwrap();
         let err = save_to(&root, &entries).expect_err("injected rename fault");
         crate::faults::override_spec(None).unwrap();
-        assert!(err.to_string().contains("injected fault: cache.rename"), "{err}");
+        assert!(
+            err.to_string().contains("injected fault: cache.rename"),
+            "{err}"
+        );
         let dir = version_dir(&root);
         assert!(!dir.join("engine.tsv.tmp").exists(), "temp file cleaned up");
         assert_eq!(load_from(&root).len(), 1, "old snapshot intact");

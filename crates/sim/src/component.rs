@@ -89,7 +89,10 @@ fn idle_us_counter() -> &'static Arc<Counter> {
 fn occupancy_histogram() -> &'static Arc<Histogram> {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| {
-        obs::metrics::histogram("component.occupancy_pct", &[10, 25, 50, 75, 90, 95, 99, 100])
+        obs::metrics::histogram(
+            "component.occupancy_pct",
+            &[10, 25, 50, 75, 90, 95, 99, 100],
+        )
     })
 }
 
@@ -106,11 +109,9 @@ fn build_sequential(d: &Decomposition) -> FoldKernel {
         .expect("decomposed component config builds");
     match d.meta {
         MetaSpec::Confidence => FoldKernel::Hybrid(HybridPredictor::new(first, second)),
-        MetaSpec::Bpst { selector_bits } => FoldKernel::Bpst(BpstMetaPredictor::with_selector_bits(
-            first,
-            second,
-            selector_bits,
-        )),
+        MetaSpec::Bpst { selector_bits } => FoldKernel::Bpst(
+            BpstMetaPredictor::with_selector_bits(first, second, selector_bits),
+        ),
     }
 }
 
@@ -126,7 +127,12 @@ struct MergeFold<'a> {
     warmup: u64,
 }
 
-fn merge_chunk(chunk: &TraceChunk, first: &[PredRecord], second: &[PredRecord], fold: &mut MergeFold) {
+fn merge_chunk(
+    chunk: &TraceChunk,
+    first: &[PredRecord],
+    second: &[PredRecord],
+    fold: &mut MergeFold,
+) {
     debug_assert_eq!(first.len() as u64, chunk.indirect_count());
     debug_assert_eq!(second.len() as u64, chunk.indirect_count());
     for ((b, f), s) in chunk.indirect().zip(first).zip(second) {
@@ -462,11 +468,11 @@ mod tests {
                 let mut p = cfg.build();
                 let expected = simulate_warm(&t, p.as_mut(), warmup);
                 for workers in [1usize, 2, 5] {
-                    let got =
-                        simulate_source_components(&mut t.cursor(), &d, workers, warmup)
-                            .expect("in-memory source");
+                    let got = simulate_source_components(&mut t.cursor(), &d, workers, warmup)
+                        .expect("in-memory source");
                     assert_eq!(
-                        got, expected,
+                        got,
+                        expected,
                         "{} with {workers} workers, warmup {warmup}",
                         cfg.cache_key()
                     );
@@ -495,8 +501,7 @@ mod tests {
         let d = PredictorConfig::hybrid(3, 1, 64, 2)
             .decompose()
             .expect("decomposes");
-        let got = simulate_source_components(&mut t.cursor(), &d, 2, 0)
-            .expect("in-memory source");
+        let got = simulate_source_components(&mut t.cursor(), &d, 2, 0).expect("in-memory source");
         assert_eq!(got, RunStats::default());
     }
 

@@ -470,7 +470,12 @@ impl<'a> Sweep<'a> {
                     if let Some(memo) = cache.get(&(job.key.clone(), b, events, self.warmup)) {
                         results[j][cell] = Some(memo.value);
                         count_hit(memo);
-                        obs::event!("cell", config = job.key.as_str(), benchmark = b.name(), outcome = "hit");
+                        obs::event!(
+                            "cell",
+                            config = job.key.as_str(),
+                            benchmark = b.name(),
+                            outcome = "hit"
+                        );
                     } else if claimed.insert((job.key.as_str(), b)) {
                         units.push(Unit {
                             job: j,
@@ -518,7 +523,12 @@ impl<'a> Sweep<'a> {
                             .expect("duplicate-key slot filled by its representative");
                         results[j][cell] = Some(memo.value);
                         count_hit(memo);
-                        obs::event!("cell", config = job.key.as_str(), benchmark = b.name(), outcome = "hit");
+                        obs::event!(
+                            "cell",
+                            config = job.key.as_str(),
+                            benchmark = b.name(),
+                            outcome = "hit"
+                        );
                     }
                 }
             }
@@ -552,7 +562,11 @@ impl<'a> Sweep<'a> {
                         other => panic!("key {} holds a {} measurement", job.key, other.kind()),
                     });
                     runs.push(SuiteResult::from_runs(
-                        job.cells(&suite_benchmarks).iter().copied().zip(stats).collect(),
+                        job.cells(&suite_benchmarks)
+                            .iter()
+                            .copied()
+                            .zip(stats)
+                            .collect(),
                     ));
                 }
                 Fold::Measure(_) => measured.push(values.collect()),
@@ -632,7 +646,13 @@ impl<'a> Sweep<'a> {
                     // Per-cell provenance: the pass span names only its
                     // benchmark.
                     let key = self.jobs[units[u].job].key.as_str();
-                    obs::event!("cell", config = key, benchmark = b.name(), outcome = "miss", fold = fold);
+                    obs::event!(
+                        "cell",
+                        config = key,
+                        benchmark = b.name(),
+                        outcome = "miss",
+                        fold = fold
+                    );
                     value
                 })
                 .collect()
@@ -756,7 +776,8 @@ mod tests {
     /// deltas must not interleave with other engine activity.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]
@@ -813,7 +834,9 @@ mod tests {
     #[test]
     fn dense_families_route_to_the_trie_and_sparse_ones_keep_their_lanes() {
         let routed: [&[usize]; 4] = [
-            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18],
+            &[
+                0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18,
+            ],
             &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
             &[0, 1, 3, 6, 8],
             &[8, 6, 3, 1, 0, 8],
@@ -874,7 +897,9 @@ mod tests {
         sweep.warmup(1_000).config(cfg);
         let warm = sweep.run().pop().expect("one result");
         let b = Benchmark::Ixx;
-        assert!(warm.stats(b).expect("present").indirect < cold.stats(b).expect("present").indirect);
+        assert!(
+            warm.stats(b).expect("present").indirect < cold.stats(b).expect("present").indirect
+        );
     }
 
     #[test]
@@ -912,7 +937,11 @@ mod tests {
         let before = stats();
         let (runs, measured) = sweep_once();
         let mid = stats();
-        assert_eq!(mid.since(before).misses, 3, "two predictor cells, one census cell");
+        assert_eq!(
+            mid.since(before).misses,
+            3,
+            "two predictor cells, one census cell"
+        );
         assert_eq!(runs.len(), 1);
         assert_eq!(measured.len(), 1);
         let Measurement::Patterns(patterns) = measured[0][0] else {

@@ -184,8 +184,7 @@ mod tests {
         let census = census_benchmarks(suite);
         let paths: Vec<usize> = CENSUS_PATHS.collect();
         let counts: Vec<Vec<usize>> = parallel_map(&census, |&b| {
-            pattern_census_source(&mut *suite.source(b), &paths)
-                .expect("suite sources cannot fail")
+            pattern_census_source(&mut *suite.source(b), &paths).expect("suite sources cannot fail")
         });
         // Transpose to the engine's [job][benchmark] order.
         let by_point: Vec<Vec<MissBreakdown>> = (0..ATTRIBUTION_POINTS.len())

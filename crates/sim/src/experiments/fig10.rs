@@ -54,7 +54,6 @@ mod tests {
     use super::*;
     use ibp_workload::Benchmark;
 
-
     #[test]
     fn eight_bits_track_full_precision() {
         let suite = Suite::with_benchmarks_and_len(&[Benchmark::Ixx, Benchmark::Porky], 15_000);

@@ -26,7 +26,11 @@ pub fn run(suite: &Suite) -> Vec<Table> {
     // One flat (size x p) grid through the engine.
     let configs = TABLE_SIZES
         .iter()
-        .flat_map(|&size| PATHS.iter().map(move |&p| PredictorConfig::full_assoc(p, size)))
+        .flat_map(|&size| {
+            PATHS
+                .iter()
+                .map(move |&p| PredictorConfig::full_assoc(p, size))
+        })
         .collect();
     let mut results = engine::run_configs(suite, configs).into_iter();
     for size in TABLE_SIZES {
@@ -48,7 +52,6 @@ pub fn run(suite: &Suite) -> Vec<Table> {
 mod tests {
     use super::*;
     use ibp_workload::Benchmark;
-
 
     #[test]
     fn bigger_tables_help_and_long_paths_need_them() {

@@ -111,7 +111,6 @@ mod tests {
     use super::*;
     use ibp_workload::Benchmark;
 
-
     #[test]
     fn interleaving_beats_concatenation_at_long_paths() {
         let suite = Suite::with_benchmarks_and_len(&[Benchmark::Ixx, Benchmark::Porky], 15_000);
@@ -119,7 +118,8 @@ mod tests {
         let (fig12, fig14) = (&tables[0], &tables[1]);
         // Column 2 = 1-way. Average over the longer paths where layout
         // matters (p >= 4).
-        let mean = |t: &Table| -> f64 { (4..=12).map(|p| t.expect_percent(p, 2)).sum::<f64>() / 9.0 };
+        let mean =
+            |t: &Table| -> f64 { (4..=12).map(|p| t.expect_percent(p, 2)).sum::<f64>() / 9.0 };
         let concat = mean(fig12);
         let reverse = mean(fig14);
         assert!(

@@ -67,7 +67,6 @@ mod tests {
     use super::*;
     use ibp_workload::Benchmark;
 
-
     #[test]
     fn best_path_grows_with_size() {
         let suite = Suite::with_benchmarks_and_len(&[Benchmark::Ixx, Benchmark::Porky], 15_000);

@@ -63,9 +63,7 @@ pub fn run(suite: &Suite) -> Vec<Table> {
     // (budget × organisation × p) space as one flat sweep.
     let cells: Vec<Option<usize>> = BUDGETS_KBIT
         .iter()
-        .flat_map(|&kbit| {
-            ORGS.map(|(_, assoc)| entries_for_budget(assoc, kbit * 1024))
-        })
+        .flat_map(|&kbit| ORGS.map(|(_, assoc)| entries_for_budget(assoc, kbit * 1024)))
         .collect();
     let configs = cells
         .iter()

@@ -122,7 +122,12 @@ mod tests {
     fn engine_cells_equal_the_fold_cold_and_memoized() {
         for events in SHORT {
             let suite = Suite::with_benchmarks_and_len(
-                &[Benchmark::Idl, Benchmark::Xlisp, Benchmark::Gcc, Benchmark::Go],
+                &[
+                    Benchmark::Idl,
+                    Benchmark::Xlisp,
+                    Benchmark::Gcc,
+                    Benchmark::Go,
+                ],
                 events,
             );
             let oracle = folded(&suite);

@@ -22,16 +22,13 @@ pub fn run(suite: &Suite) -> Vec<Table> {
     );
     let configs = (0..=12usize)
         .flat_map(|p| {
-            [KeyScheme::GshareXor, KeyScheme::Concat].map(|scheme| {
-                PredictorConfig::compressed_unbounded(p).with_key_scheme(scheme)
-            })
+            [KeyScheme::GshareXor, KeyScheme::Concat]
+                .map(|scheme| PredictorConfig::compressed_unbounded(p).with_key_scheme(scheme))
         })
         .collect();
     let mut results = engine::run_configs(suite, configs).into_iter();
     for p in 0..=12usize {
-        let rate = |r: crate::suite::SuiteResult| {
-            r.group_rate(BenchmarkGroup::Avg).unwrap_or(0.0)
-        };
+        let rate = |r: crate::suite::SuiteResult| r.group_rate(BenchmarkGroup::Avg).unwrap_or(0.0);
         let xor = rate(results.next().expect("one result per config"));
         let concat = rate(results.next().expect("one result per config"));
         t.push_row(vec![

@@ -107,7 +107,8 @@ pub const SITES: &[FaultSite] = &[
     FaultSite {
         name: "cache.write",
         kind: FaultKind::Io,
-        what: "persistent result cache tmp write fails (ENOSPC-style); tmp cleaned, warn and continue",
+        what:
+            "persistent result cache tmp write fails (ENOSPC-style); tmp cleaned, warn and continue",
     },
     FaultSite {
         name: "cache.rename",
@@ -286,9 +287,19 @@ fn parse_spec(raw: &str) -> Result<Plan, String> {
         };
         let Some(site) = SITES.iter().find(|s| s.name == name) else {
             let known: Vec<&str> = SITES.iter().map(|s| s.name).collect();
-            return Err(format!("unknown site {name:?} (known: {})", known.join(", ")));
+            return Err(format!(
+                "unknown site {name:?} (known: {})",
+                known.join(", ")
+            ));
         };
-        plan.arms.insert(site.name, Arm { fire_at, seen: 0, fired: 0 });
+        plan.arms.insert(
+            site.name,
+            Arm {
+                fire_at,
+                seen: 0,
+                fired: 0,
+            },
+        );
     }
     Ok(plan)
 }

@@ -28,7 +28,10 @@ fn items_counter() -> &'static Arc<Counter> {
 fn util_histogram() -> &'static Arc<Histogram> {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| {
-        obs::metrics::histogram("parallel.worker_util_pct", &[10, 25, 50, 75, 90, 95, 99, 100])
+        obs::metrics::histogram(
+            "parallel.worker_util_pct",
+            &[10, 25, 50, 75, 90, 95, 99, 100],
+        )
     })
 }
 
@@ -155,7 +158,10 @@ where
             // `call_contained` retries the first panic per item, so a
             // failed join means the same item panicked twice — a
             // deterministic bug that must surface, not a contained fault.
-            .map(|h| h.join().expect("parallel_map worker panicked twice on one item"))
+            .map(|h| {
+                h.join()
+                    .expect("parallel_map worker panicked twice on one item")
+            })
             .collect()
     });
 

@@ -268,7 +268,10 @@ fn table_fields(t: &TableSnapshot, fields: &mut Vec<(String, Json)>) {
         fields.push(("capacity".to_string(), Json::Num(capacity as f64)));
     }
     fields.push(("evictions".to_string(), Json::Num(t.evictions as f64)));
-    fields.push(("tag_conflicts".to_string(), Json::Num(t.tag_conflicts as f64)));
+    fields.push((
+        "tag_conflicts".to_string(),
+        Json::Num(t.tag_conflicts as f64),
+    ));
     if !t.confidence.is_empty() {
         fields.push(("confidence".to_string(), u64_arr(&t.confidence)));
     }
@@ -329,10 +332,7 @@ fn top_sites_json(a: &Attribution) -> Json {
             .map(|(pc, s)| {
                 Json::Obj(vec![
                     ("pc".to_string(), Json::Str(format!("{:#x}", pc))),
-                    (
-                        "wrong_target".to_string(),
-                        Json::Num(s.wrong_target as f64),
-                    ),
+                    ("wrong_target".to_string(), Json::Num(s.wrong_target as f64)),
                     ("no_entry".to_string(), Json::Num(s.no_entry as f64)),
                 ])
             })
@@ -444,11 +444,17 @@ mod tests {
         let (components, selectors) = snapshot_json(&snap);
         let comps = components.as_arr().expect("array");
         assert_eq!(comps.len(), 1);
-        assert_eq!(comps[0].get("label").and_then(Json::as_str), Some("64-entry 4-way"));
+        assert_eq!(
+            comps[0].get("label").and_then(Json::as_str),
+            Some("64-entry 4-way")
+        );
         assert_eq!(comps[0].get("occupied").and_then(Json::as_u64), Some(10));
         assert_eq!(comps[0].get("capacity").and_then(Json::as_u64), Some(64));
         assert_eq!(
-            comps[0].get("lru_depths").and_then(Json::as_arr).map(<[Json]>::len),
+            comps[0]
+                .get("lru_depths")
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
             Some(3)
         );
         assert_eq!(selectors.as_arr().map(<[Json]>::len), Some(0));

@@ -184,8 +184,7 @@ pub fn simulate_warm(
     predictor: &mut (dyn Predictor + 'static),
     warmup: u64,
 ) -> RunStats {
-    simulate_source(&mut trace.cursor(), predictor, warmup)
-        .expect("in-memory source cannot fail")
+    simulate_source(&mut trace.cursor(), predictor, warmup).expect("in-memory source cannot fail")
 }
 
 /// Folds a predictor over a streaming [`EventSource`]: identical scoring to

@@ -357,7 +357,11 @@ fn find_or_publish(
     if let Err(e) = published {
         obs::warn!("trace cache: cannot publish {}: {e}", path.display());
         let detail = e.to_string();
-        obs::event!("degraded", site = "trace_cache.rename", detail = detail.as_str());
+        obs::event!(
+            "degraded",
+            site = "trace_cache.rename",
+            detail = detail.as_str()
+        );
         let _ = fs::remove_file(&tmp);
         return None;
     }
@@ -508,7 +512,9 @@ mod tests {
     #[test]
     fn corrupt_segment_is_evicted_and_regenerated() {
         let root = scratch_root("corrupt");
-        let path = ensure_segment_at(&root, Benchmark::Gcc, EVENTS).0.expect("segment");
+        let path = ensure_segment_at(&root, Benchmark::Gcc, EVENTS)
+            .0
+            .expect("segment");
         // Garble one payload byte, then pretend we are a new process.
         let mut bytes = fs::read(&path).expect("read");
         let last = bytes.len() - 1;
@@ -521,14 +527,19 @@ mod tests {
         assert_eq!(tally.misses, 1, "verify failed -> regenerate");
         let mut source = open_segment(&path).expect("open");
         let replay = collect_source(&mut source).expect("replay after regeneration");
-        assert_eq!(replay.events(), Benchmark::Gcc.trace_with_len(EVENTS).events());
+        assert_eq!(
+            replay.events(),
+            Benchmark::Gcc.trace_with_len(EVENTS).events()
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn truncated_segment_is_evicted_and_regenerated() {
         let root = scratch_root("truncated");
-        let path = ensure_segment_at(&root, Benchmark::Perl, EVENTS).0.expect("segment");
+        let path = ensure_segment_at(&root, Benchmark::Perl, EVENTS)
+            .0
+            .expect("segment");
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
         forget(&path);
@@ -548,10 +559,16 @@ mod tests {
         fs::write(stale_dir.join("junk.ibpb"), b"junk").expect("stale file");
         let dir = version_dir(&root);
         fs::create_dir_all(&dir).expect("mkdir");
-        let stale_fp = dir.join(format!("{}-{EVENTS}-{:016x}.ibpb", Benchmark::Ixx.name(), 0));
+        let stale_fp = dir.join(format!(
+            "{}-{EVENTS}-{:016x}.ibpb",
+            Benchmark::Ixx.name(),
+            0
+        ));
         fs::write(&stale_fp, b"old fingerprint").expect("stale fp");
 
-        ensure_segment_at(&root, Benchmark::Ixx, EVENTS).0.expect("segment");
+        ensure_segment_at(&root, Benchmark::Ixx, EVENTS)
+            .0
+            .expect("segment");
         assert!(!stale_dir.exists(), "v0 evicted");
         assert!(!stale_fp.exists(), "old fingerprint evicted");
         let _ = fs::remove_dir_all(&root);
@@ -560,7 +577,9 @@ mod tests {
     #[test]
     fn streamed_cursors_are_independent() {
         let root = scratch_root("cursors");
-        let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).0.expect("segment");
+        let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS)
+            .0
+            .expect("segment");
         let mut a = open_segment(&path).expect("open a");
         let mut b = open_segment(&path).expect("open b");
         let ta = collect_source(&mut a).expect("a");
@@ -573,7 +592,9 @@ mod tests {
     fn injected_read_fault_evicts_and_regenerates() {
         let _faults = crate::faults::test_guard();
         let root = scratch_root("read-fault");
-        let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).0.expect("segment");
+        let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS)
+            .0
+            .expect("segment");
         forget(&path);
         crate::faults::override_spec(Some("trace_cache.read@1")).unwrap();
         let (again, tally) = ensure_segment_at(&root, Benchmark::Ixx, EVENTS);

@@ -70,7 +70,8 @@ fn dyn_fallback() -> Box<dyn Predictor> {
 /// every test that folds holds this lock.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The legacy result, spelled out: for every indirect event `predict` when
@@ -223,7 +224,10 @@ fn dyn_fallback_arm_matches_legacy_fold() {
             assert!(matches!(kernel, FoldKernel::Dyn(_)));
             let got = simulate_kernel(&mut trace.cursor(), &mut kernel, warmup)
                 .expect("in-memory source");
-            assert_eq!(got, expected, "dyn fallback on {b} warmup {warmup} diverges");
+            assert_eq!(
+                got, expected,
+                "dyn fallback on {b} warmup {warmup} diverges"
+            );
         }
     }
 }
@@ -851,7 +855,9 @@ fn all_sched_modes_match_under_every_probe_level() {
     let shardable = PredictorConfig::btb_2bc();
     let routing = shardable.shardable().expect("test premise: shardable");
     let decomposable = PredictorConfig::hybrid(6, 2, 256, 4);
-    let d = decomposable.decompose().expect("test premise: decomposable");
+    let d = decomposable
+        .decompose()
+        .expect("test premise: decomposable");
     for policy in [ProbePolicy::Off, ProbePolicy::On, ProbePolicy::Deep] {
         let mut results: Vec<(String, RunStats, RunStats)> = Vec::new();
         let sequential = probes_under(policy, || {

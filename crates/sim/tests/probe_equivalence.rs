@@ -18,7 +18,8 @@ use ibp_workload::Benchmark;
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[derive(Clone, Default)]
@@ -73,8 +74,18 @@ fn results_byte_identical_probes_off_on_deep() {
             probe::override_policy(None);
             journal::uninstall();
         }
-        assert_eq!(per_policy[0], per_policy[1], "{}: on != off", cfg.cache_key());
-        assert_eq!(per_policy[0], per_policy[2], "{}: deep != off", cfg.cache_key());
+        assert_eq!(
+            per_policy[0],
+            per_policy[1],
+            "{}: on != off",
+            cfg.cache_key()
+        );
+        assert_eq!(
+            per_policy[0],
+            per_policy[2],
+            "{}: deep != off",
+            cfg.cache_key()
+        );
     }
 }
 
@@ -94,11 +105,24 @@ fn deep_probe_emits_attribution_split() {
     let attr = end.field("attribution").expect("attribution on end record");
     let scored = 5_500;
     let hits = attr.get("hits").and_then(Json::as_u64).expect("hits");
-    let wrong = attr.get("wrong_target").and_then(Json::as_u64).expect("wrong_target");
-    let no_entry = attr.get("no_entry").and_then(Json::as_u64).expect("no_entry");
-    assert_eq!(hits + wrong + no_entry, scored, "every scored event attributed");
+    let wrong = attr
+        .get("wrong_target")
+        .and_then(Json::as_u64)
+        .expect("wrong_target");
+    let no_entry = attr
+        .get("no_entry")
+        .and_then(Json::as_u64)
+        .expect("no_entry");
+    assert_eq!(
+        hits + wrong + no_entry,
+        scored,
+        "every scored event attributed"
+    );
     let cold = attr.get("cold").and_then(Json::as_u64).expect("cold");
-    let capacity = attr.get("capacity").and_then(Json::as_u64).expect("capacity");
+    let capacity = attr
+        .get("capacity")
+        .and_then(Json::as_u64)
+        .expect("capacity");
     assert_eq!(cold + capacity, no_entry, "deep splits every no-entry miss");
     assert!(end.field("top_sites").and_then(Json::as_arr).is_some());
 }

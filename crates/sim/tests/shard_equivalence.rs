@@ -61,7 +61,8 @@ fn sharded_pipeline_matches_sequential_on_all_benchmarks() {
                 let got = simulate_source_sharded(&mut trace.cursor(), &make, routing, shards, 200)
                     .expect("in-memory source");
                 assert_eq!(
-                    got, expected,
+                    got,
+                    expected,
                     "{} on {b} with {shards} shards diverges",
                     cfg.cache_key()
                 );

@@ -30,17 +30,34 @@ fn run_stats_match_streamed_for_every_benchmark() {
 fn trace_stats_match_streamed_for_every_benchmark() {
     for &b in Benchmark::ALL.iter() {
         let expected = b.trace_with_len(EVENTS).stats();
-        let got = TraceStats::from_source(&mut b.source(EVENTS))
-            .expect("generator sources cannot fail");
-        assert_eq!(got.indirect_branches, expected.indirect_branches, "{}", b.name());
+        let got =
+            TraceStats::from_source(&mut b.source(EVENTS)).expect("generator sources cannot fail");
+        assert_eq!(
+            got.indirect_branches,
+            expected.indirect_branches,
+            "{}",
+            b.name()
+        );
         assert_eq!(got.distinct_sites, expected.distinct_sites, "{}", b.name());
         assert_eq!(got.sites, expected.sites, "{}", b.name());
         // The derived ratios come from identical sums in both paths, so
         // they must match to the bit, not merely approximately.
         for (label, a, e) in [
-            ("instr/indirect", got.instructions_per_indirect, expected.instructions_per_indirect),
-            ("cond/indirect", got.cond_per_indirect, expected.cond_per_indirect),
-            ("virtual fraction", got.virtual_fraction, expected.virtual_fraction),
+            (
+                "instr/indirect",
+                got.instructions_per_indirect,
+                expected.instructions_per_indirect,
+            ),
+            (
+                "cond/indirect",
+                got.cond_per_indirect,
+                expected.cond_per_indirect,
+            ),
+            (
+                "virtual fraction",
+                got.virtual_fraction,
+                expected.virtual_fraction,
+            ),
         ] {
             assert_eq!(a.to_bits(), e.to_bits(), "{}: {label} {a} vs {e}", b.name());
         }

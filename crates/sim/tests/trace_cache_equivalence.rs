@@ -117,12 +117,16 @@ fn streamed_replay_matches_the_generator_event_for_event() {
     trace_cache::override_policy(Some(true));
 
     for benchmark in [Benchmark::Ixx, Benchmark::Gcc, Benchmark::Eqn] {
-        let mut replay = trace_cache::source_for(benchmark, EVENTS)
-            .expect("cache engaged and writable");
+        let mut replay =
+            trace_cache::source_for(benchmark, EVENTS).expect("cache engaged and writable");
         let replayed = collect_source(&mut replay).expect("replay");
         let direct = benchmark.trace_with_len(EVENTS);
         assert_eq!(replayed.events(), direct.events(), "{benchmark}");
-        assert_eq!(replayed.instructions(), direct.instructions(), "{benchmark}");
+        assert_eq!(
+            replayed.instructions(),
+            direct.instructions(),
+            "{benchmark}"
+        );
         assert_eq!(replayed.cond_count(), direct.cond_count(), "{benchmark}");
         assert_eq!(replayed.name(), direct.name(), "{benchmark}");
     }

@@ -169,14 +169,13 @@ where
     let mut records = 0u64;
     let mut indirect = 0u64;
     let mut checksum = Fnv::new();
-    let mut emit = |w: &mut std::io::BufWriter<&mut W>,
-                    rec: [u8; RECORD_BYTES]|
-     -> Result<(), TraceIoError> {
-        checksum.update(&rec);
-        records += 1;
-        w.write_all(&rec)?;
-        Ok(())
-    };
+    let mut emit =
+        |w: &mut std::io::BufWriter<&mut W>, rec: [u8; RECORD_BYTES]| -> Result<(), TraceIoError> {
+            checksum.update(&rec);
+            records += 1;
+            w.write_all(&rec)?;
+            Ok(())
+        };
 
     let mut chunk = TraceChunk::default();
     loop {

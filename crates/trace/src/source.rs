@@ -258,9 +258,9 @@ impl<S: EventSource + ?Sized> EventSource for &mut S {
 ///
 /// Propagates the source's I/O or parse failures.
 pub fn collect_source<S: EventSource + ?Sized>(source: &mut S) -> Result<Trace, TraceIoError> {
-    let capacity = source
-        .remaining_indirect()
-        .map_or(0, |n| usize::try_from(n).unwrap_or(usize::MAX).min(64 << 20));
+    let capacity = source.remaining_indirect().map_or(0, |n| {
+        usize::try_from(n).unwrap_or(usize::MAX).min(64 << 20)
+    });
     let mut trace = Trace::with_capacity(source.name().to_owned(), capacity);
     let mut chunk = TraceChunk::default();
     loop {

@@ -22,10 +22,16 @@ enum Record {
 
 fn record_strategy() -> impl Strategy<Value = Record> {
     prop_oneof![
-        (0u32..1 << 20, 0u32..1 << 20, kind_strategy())
-            .prop_map(|(pc, t, k)| Record::Indirect(pc * 4, t * 4, k)),
-        (0u32..1 << 20, 0u32..1 << 20, any::<bool>())
-            .prop_map(|(pc, t, taken)| Record::Cond(pc * 4, t * 4, taken)),
+        (0u32..1 << 20, 0u32..1 << 20, kind_strategy()).prop_map(|(pc, t, k)| Record::Indirect(
+            pc * 4,
+            t * 4,
+            k
+        )),
+        (0u32..1 << 20, 0u32..1 << 20, any::<bool>()).prop_map(|(pc, t, taken)| Record::Cond(
+            pc * 4,
+            t * 4,
+            taken
+        )),
         (0u64..10_000).prop_map(Record::Instr),
         (0u64..10_000).prop_map(Record::CondSummary),
     ]

@@ -159,7 +159,11 @@ impl ProgramConfig {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let f = f64::to_bits;
-        let name_hash = self.name.bytes().map(u64::from).fold(0, |a, b| mix64(a ^ b));
+        let name_hash = self
+            .name
+            .bytes()
+            .map(u64::from)
+            .fold(0, |a, b| mix64(a ^ b));
         stable_hash(&[
             u64::from(GENERATOR_VERSION),
             name_hash,

@@ -1,6 +1,5 @@
 //! Property-based tests for the synthetic trace generator.
 
-
 use ibp_workload::{KindMix, ProgramConfig};
 use proptest::prelude::*;
 
