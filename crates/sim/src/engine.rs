@@ -25,12 +25,13 @@
 //!   [`RunStats`](crate::RunStats), or
 //!   what a measure lane found (a miss breakdown, a pattern count,
 //!   ahead-prediction hits, a trace's characteristics);
-//! * values are memoized in one process-wide map keyed by
-//!   `(key, benchmark, events, warmup)`, where the key is
-//!   [`PredictorConfig::cache_key`], a `custom` key, or a measurement's
-//!   `<kind>|…` key — traces are pure functions of `(benchmark, events)`,
-//!   so a repeated cell is guaranteed to reproduce the same value and is
-//!   never folded twice, within or across experiments;
+//! * values are memoized in one process-wide map keyed by the job's key
+//!   ([`PredictorConfig::cache_key`], a `custom` key, or a measurement's
+//!   `<kind>|…` key), which holds per `(events, warmup)` one slot per
+//!   benchmark — traces are pure functions of `(benchmark, events)`, so a
+//!   repeated cell is guaranteed to reproduce the same value and is never
+//!   folded twice, within or across experiments, and a sweep looks up all
+//!   of a job's benchmarks with one probe of the map;
 //! * the memo map is seeded from the **persistent result cache**
 //!   (`results/.cache/`) on first use, each value marked as loaded from
 //!   disk, and measurement binaries publish it back via [`persist_cache`]
@@ -66,7 +67,7 @@ use ibp_obs as obs;
 use ibp_obs::metrics::Counter;
 use ibp_workload::Benchmark;
 
-use crate::cache::CacheKey;
+use crate::cache::{slot, Row, SLOTS};
 use crate::parallel::parallel_map;
 use crate::probe;
 use crate::run::{simulate_source_cells, trie_stats, MeasureLane, Measurement};
@@ -81,24 +82,102 @@ struct Memo {
     from_disk: bool,
 }
 
-fn cache() -> MutexGuard<'static, HashMap<CacheKey, Memo>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, Memo>>> = OnceLock::new();
+/// One key's memoized cells at one trace length and warmup, indexed by
+/// the benchmark's position in [`Benchmark::ALL`].
+struct Slots {
+    events: u64,
+    warmup: u64,
+    cells: [Option<Memo>; SLOTS],
+}
+
+/// The memo cache: each key's [`Slots`], one per `(events, warmup)` it
+/// holds cells at.
+#[derive(Default)]
+struct MemoMap(HashMap<String, Vec<Slots>>);
+
+impl MemoMap {
+    /// The cells of `key` at `(events, warmup)`, if it holds any: one
+    /// probe of the map, with the key borrowed.
+    fn get(&self, key: &str, events: u64, warmup: u64) -> Option<&[Option<Memo>; SLOTS]> {
+        let slots = self.0.get(key)?;
+        let found = slots
+            .iter()
+            .find(|s| (s.events, s.warmup) == (events, warmup));
+        found.map(|s| &s.cells)
+    }
+
+    /// The cells of `key` at `(events, warmup)`, created empty when absent;
+    /// the key is copied only then.
+    fn cells_mut(&mut self, key: &str, events: u64, warmup: u64) -> &mut [Option<Memo>; SLOTS] {
+        if !self.0.contains_key(key) {
+            self.0.insert(key.to_owned(), Vec::new());
+        }
+        cells_at(self.0.get_mut(key).expect("inserted above"), events, warmup)
+    }
+
+    /// Every key's cells, as the persistent cache's rows.
+    fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for (key, slots) in &self.0 {
+            for s in slots {
+                rows.push(Row {
+                    key: key.clone(),
+                    events: s.events,
+                    warmup: s.warmup,
+                    cells: s.cells.map(|cell| cell.map(|memo| memo.value)),
+                });
+            }
+        }
+        rows
+    }
+}
+
+/// The cells at `(events, warmup)` among one key's `slots`, created empty
+/// when absent.
+fn cells_at(slots: &mut Vec<Slots>, events: u64, warmup: u64) -> &mut [Option<Memo>; SLOTS] {
+    let at = match slots
+        .iter()
+        .position(|s| (s.events, s.warmup) == (events, warmup))
+    {
+        Some(at) => at,
+        None => {
+            slots.push(Slots {
+                events,
+                warmup,
+                cells: [None; SLOTS],
+            });
+            slots.len() - 1
+        }
+    };
+    &mut slots[at].cells
+}
+
+fn cache() -> MutexGuard<'static, MemoMap> {
+    static CACHE: OnceLock<Mutex<MemoMap>> = OnceLock::new();
     CACHE
         .get_or_init(|| {
-            let loaded: HashMap<CacheKey, Memo> = crate::cache::load()
-                .into_iter()
-                .map(|(key, value)| {
-                    let memo = Memo {
-                        value,
-                        from_disk: true,
-                    };
-                    (key, memo)
-                })
-                .collect();
-            if !loaded.is_empty() {
-                obs::info!("[engine] persistent cache: {} entries loaded", loaded.len());
+            let mut memo = MemoMap::default();
+            let (mut rows, mut cells) = (0, 0);
+            for row in crate::cache::load() {
+                let slots = memo.0.entry(row.key).or_default();
+                for (cell, value) in cells_at(slots, row.events, row.warmup)
+                    .iter_mut()
+                    .zip(row.cells)
+                {
+                    if let Some(value) = value {
+                        *cell = Some(Memo {
+                            value,
+                            from_disk: true,
+                        });
+                        cells += 1;
+                    }
+                }
+                rows += 1;
             }
-            Mutex::new(loaded)
+            if rows > 0 {
+                obs::info!("[engine] persistent cache: {cells} cells in {rows} rows loaded");
+            }
+            Mutex::new(memo)
         })
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -201,16 +280,16 @@ pub fn stats() -> EngineStats {
 /// unless the process folded a cell since its last successful save, so a
 /// run served entirely from the caches leaves `engine.tsv` as it was.
 pub fn persist_cache() {
-    let entries: Vec<(CacheKey, Measurement)> = {
+    let rows = {
         let cache = cache();
         if !UNSAVED.swap(false, Ordering::Relaxed) {
             return;
         }
-        cache.iter().map(|(k, m)| (k.clone(), m.value)).collect()
+        cache.rows()
     };
-    match crate::cache::save(&entries) {
+    match crate::cache::save(&rows) {
         Ok(0) => {}
-        Ok(n) => obs::info!("[engine] persistent cache: {n} entries saved"),
+        Ok(n) => obs::info!("[engine] persistent cache: {n} rows saved"),
         Err(e) => {
             // Losing the cache costs re-simulation time on the next run,
             // never correctness — warn, journal, and leave the results
@@ -227,7 +306,7 @@ pub fn persist_cache() {
 /// measurement harnesses and tests that need to re-simulate work this
 /// process already saw — never needed for correctness.
 pub fn clear_memo_cache() {
-    cache().clear();
+    cache().0.clear();
 }
 
 /// How a job's missing cells fold in their benchmark's pass.
@@ -466,8 +545,9 @@ impl<'a> Sweep<'a> {
             let cache = cache();
             let mut claimed: HashSet<(&str, Benchmark)> = HashSet::new();
             for (j, job) in self.jobs.iter().enumerate() {
+                let memoized = cache.get(&job.key, events, self.warmup);
                 for (cell, &b) in job.cells(&suite_benchmarks).iter().enumerate() {
-                    if let Some(memo) = cache.get(&(job.key.clone(), b, events, self.warmup)) {
+                    if let Some(memo) = memoized.and_then(|cells| cells[slot(b)].as_ref()) {
                         results[j][cell] = Some(memo.value);
                         count_hit(memo);
                         obs::event!(
@@ -505,21 +585,23 @@ impl<'a> Sweep<'a> {
                     value.kind()
                 );
                 results[unit.job][unit.cell] = Some(value);
-                let key = (job.key.clone(), unit.benchmark, events, self.warmup);
-                let memo = Memo {
+                cache.cells_mut(&job.key, events, self.warmup)[slot(unit.benchmark)] = Some(Memo {
                     value,
                     from_disk: false,
-                };
-                cache.insert(key, memo);
+                });
             }
             if !units.is_empty() {
                 UNSAVED.store(true, Ordering::Relaxed);
             }
             for (j, job) in self.jobs.iter().enumerate() {
+                if results[j].iter().all(Option::is_some) {
+                    continue;
+                }
+                let memoized = cache.get(&job.key, events, self.warmup);
                 for (cell, &b) in job.cells(&suite_benchmarks).iter().enumerate() {
                     if results[j][cell].is_none() {
-                        let memo = cache
-                            .get(&(job.key.clone(), b, events, self.warmup))
+                        let memo = memoized
+                            .and_then(|cells| cells[slot(b)].as_ref())
                             .expect("duplicate-key slot filled by its representative");
                         results[j][cell] = Some(memo.value);
                         count_hit(memo);

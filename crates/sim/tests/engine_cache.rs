@@ -95,3 +95,81 @@ fn mixed_config_and_custom_jobs_keep_queue_order() {
     let direct_btb = suite.run(|| PredictorConfig::btb().build());
     assert_eq!(results[1].rates(), direct_btb.rates());
 }
+
+/// Selects the half of [`a_partial_row_serves_its_cells_and_folds_the_rest`]
+/// a child process runs: `persist` or `extend`.
+const PHASE: &str = "IBP_ENGINE_CACHE_TEST_PHASE";
+
+/// Runs this binary's `test` alone in a child process under `results`, so
+/// the child's memo is fresh and loads only what is on disk there.
+fn run_phase(test: &str, phase: &str, results: &std::path::Path) {
+    let exe = std::env::current_exe().expect("the test binary");
+    let out = std::process::Command::new(exe)
+        .args([test, "--exact", "--nocapture", "--test-threads=1"])
+        .env(PHASE, phase)
+        .env("IBP_RESULTS", results)
+        .env("IBP_CACHE", "1")
+        .env_remove("IBP_TRACE")
+        .output()
+        .expect("spawn the test binary");
+    assert!(
+        out.status.success(),
+        "phase {phase} failed:\n{}\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// A cache row holding some of a key's benchmarks serves those and leaves
+/// the rest to the fold: one process persists a sweep over two
+/// benchmarks, and a fresh one sweeps the same configs over three.
+#[test]
+fn a_partial_row_serves_its_cells_and_folds_the_rest() {
+    const EVENTS: u64 = 8_000;
+    let two = [Benchmark::Ixx, Benchmark::Porky];
+    let configs = sample_configs();
+    match std::env::var(PHASE).as_deref() {
+        Ok("persist") => {
+            let suite = Suite::with_benchmarks_and_len(&two, EVENTS);
+            let _ = engine::run_configs(&suite, configs);
+            engine::persist_cache();
+        }
+        Ok("extend") => {
+            let suite = Suite::with_benchmarks_and_len(&[two[0], two[1], Benchmark::Gcc], EVENTS);
+            let before = engine::stats();
+            let results = engine::run_configs(&suite, configs.clone());
+            let delta = engine::stats().since(before);
+            // No job can hit more than its two stored cells or fold fewer
+            // than its one new one, so these totals pin every job.
+            let jobs = configs.len() as u64;
+            assert_eq!(delta.persistent_hits, 2 * jobs, "two stored cells per job");
+            assert_eq!(delta.hits, 2 * jobs);
+            assert_eq!(delta.misses, jobs, "one folded cell per job");
+            assert_eq!(
+                delta.simulated_events,
+                jobs * EVENTS,
+                "one trace per config"
+            );
+            for (cfg, result) in configs.iter().zip(results) {
+                let direct = suite.run(|| cfg.build());
+                for b in suite.benchmarks() {
+                    assert_eq!(
+                        result.stats(b),
+                        direct.stats(b),
+                        "{} on {b}",
+                        cfg.cache_key()
+                    );
+                }
+            }
+        }
+        _ => {
+            let scratch =
+                std::env::temp_dir().join(format!("ibp-engine-cache-itest-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&scratch);
+            let test = "a_partial_row_serves_its_cells_and_folds_the_rest";
+            run_phase(test, "persist", &scratch);
+            run_phase(test, "extend", &scratch);
+            let _ = std::fs::remove_dir_all(&scratch);
+        }
+    }
+}

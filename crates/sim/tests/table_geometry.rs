@@ -1,20 +1,22 @@
 //! Table geometry read off exact miss counts, as the BTB
 //! reverse-engineering literature reads it off timing: hand-built branch
 //! sequences whose misses follow from the paper's definitions of §5's
-//! capacity, associativity and tagless aliasing alone, not from a second
-//! implementation of ours.
+//! capacity, associativity and tagless aliasing, and of §3's path length,
+//! alone, not from a second implementation of ours.
 //!
-//! Every case folds twice: the boxed predictor through `simulate` (one
-//! `Predictor::step` per event) and its kernel through `simulate_kernel`
-//! (a pass's component bank). Both must count the same misses, and the
-//! count must be the one the geometry predicts.
+//! Every case folds through each path that takes its configuration: the
+//! boxed predictor through `simulate` (one `Predictor::step` per event),
+//! its kernel through `simulate_kernel` (a pass's component bank, for a
+//! compressed key), and, for a full key, a `PathTrie` over its path-length
+//! family. All must count the same misses, and the count must be the one
+//! the geometry predicts.
 //!
 //! At path length 0 a practical key is the branch's word address
 //! (`pc >> 2`), so the low `log2(sets)` bits of the word address index a
 //! set, and the low `log2(entries)` bits a tagless entry. Every site keeps
 //! one target, so a branch misses only when its entry is gone.
 
-use ibp_core::{KeyStreams, PredictorConfig};
+use ibp_core::{KeyStreams, PathTrie, PredictorConfig};
 use ibp_sim::{simulate, simulate_kernel};
 use ibp_trace::{Addr, BranchKind, Trace};
 
@@ -38,24 +40,49 @@ fn cycle(words: &[u32]) -> Trace {
     trace
 }
 
+/// Path lengths the path-length property is checked at; one trie folds
+/// them all.
+const PATHS: [usize; 3] = [1, 3, 6];
+
 /// The misses `cfg` scores over `trace` with no warmup, the same through
-/// both folds.
+/// every fold that takes it: a compressed key through the component bank,
+/// a full key through a trie over [`PATHS`] as well.
 fn misses(cfg: &PredictorConfig, trace: &Trace) -> u64 {
     let label = cfg.cache_key();
-    let mut premise = cfg.build_kernel();
-    assert!(
-        KeyStreams::new(0).attach(&mut premise).is_ok(),
-        "test premise: {label} folds through the component bank"
-    );
+    let family = cfg.path_family();
+    if family.is_none() {
+        let mut premise = cfg.build_kernel();
+        assert!(
+            KeyStreams::new(0).attach(&mut premise).is_ok(),
+            "test premise: {label} folds through the component bank"
+        );
+    }
     let stepped = simulate(trace, cfg.build().as_mut());
     let mut kernel = cfg.build_kernel();
-    let banked = simulate_kernel(&mut trace.cursor(), &mut kernel, 0).expect("in-memory source");
-    assert_eq!(stepped, banked, "{label}: the step and bank folds disagree");
+    let folded = simulate_kernel(&mut trace.cursor(), &mut kernel, 0).expect("in-memory source");
+    assert_eq!(
+        stepped, folded,
+        "{label}: the step and kernel folds disagree"
+    );
     assert_eq!(
         stepped.indirect,
         trace.indirect_count(),
         "{label}: every event scored"
     );
+    if let Some((family, depth)) = family {
+        assert!(
+            PATHS.contains(&depth),
+            "test premise: the trie folds {label}"
+        );
+        let mut trie = PathTrie::new(family, &PATHS, 0);
+        trie.fold_chunk(trace.events());
+        trie.finish();
+        assert_eq!(
+            trie.mispredicted(depth),
+            stepped.mispredicted,
+            "{label}: the trie and step folds disagree"
+        );
+    }
     stepped.mispredicted
 }
 
@@ -154,5 +181,66 @@ fn keys_with_equal_index_bits_share_a_tagless_entry() {
             2,
             "{entries}-entry direct-mapped: the tag rejects the alias"
         );
+    }
+}
+
+/// The probed branch's site and target.
+const PROBE: (u32, u32) = (0x40, 0x3000);
+
+/// Appends `p + 1` indirect branches from distinct sites, oldest first,
+/// so that a branch right after them reads the target of the one at
+/// history depth `d` as its key's `d`-th element (1 is the newest). The
+/// target at depth `flip`, if any, moves by one word: the lowest bit a
+/// target's key chunk selects.
+fn context(trace: &mut Trace, p: usize, flip: Option<usize>) {
+    for depth in (1..=p + 1).rev() {
+        let word = 0x2000 + 2 * depth as u32 + u32::from(flip == Some(depth));
+        trace.push_indirect(site(0x100 + depth as u32), site(word), BranchKind::Switch);
+    }
+}
+
+/// The misses of the probed branch's second visit: its first comes after
+/// an unflipped context and trains its entry, its second after a context
+/// flipped at `flip`, and it hits only if both visits build one key. Read
+/// as the whole trace's misses less those of the trace before the visit.
+fn second_visit_misses(cfg: &PredictorConfig, p: usize, flip: usize) -> u64 {
+    let (pc, target) = (site(PROBE.0), site(PROBE.1));
+    let mut trace = Trace::new("path");
+    context(&mut trace, p, None);
+    trace.push_indirect(pc, target, BranchKind::VirtualCall);
+    context(&mut trace, p, Some(flip));
+    let before = misses(cfg, &trace);
+    trace.push_indirect(pc, target, BranchKind::VirtualCall);
+    misses(cfg, &trace) - before
+}
+
+/// Path length: a key of path length p reads exactly the p newest history
+/// elements. Two contexts that differ only at depth p + 1 build one key, so
+/// the second visit hits the entry the first trained; contexts that differ
+/// at any depth up to p build two, so it misses cold. Checked for the full
+/// key (stepped, as a kernel and in a trie) and for a compressed key in a
+/// fully associative table (stepped and in the component bank).
+#[test]
+fn a_path_length_p_key_reads_exactly_p_history_elements() {
+    for p in PATHS {
+        for cfg in [
+            PredictorConfig::unconstrained(p),
+            PredictorConfig::full_assoc(p, 64),
+        ] {
+            let label = cfg.cache_key();
+            assert_eq!(
+                second_visit_misses(&cfg, p, p + 1),
+                0,
+                "{label}: contexts that differ only at depth {} share an entry",
+                p + 1
+            );
+            for depth in 1..=p {
+                assert_eq!(
+                    second_visit_misses(&cfg, p, depth),
+                    1,
+                    "{label}: contexts that differ at depth {depth} do not"
+                );
+            }
+        }
     }
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: exactly what CI runs.
 #
-#   scripts/verify.sh          # builds + tests + clippy + docs + benchmark harness tests
+#   scripts/verify.sh          # format + builds + tests + clippy + docs + benchmark harness tests
 #   scripts/verify.sh --fast   # skip the release builds of the binaries and the
-#                              # benchmark runner (tests + clippy + docs + harness tests)
+#                              # benchmark runner (format + tests + clippy + docs + harness tests)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,6 +14,10 @@ for arg in "$@"; do
         *) echo "usage: $0 [--fast]" >&2; exit 2 ;;
     esac
 done
+
+# The workspace members only: perfbench/ is a workspace of its own.
+echo "==> cargo fmt --all -- --check"
+cargo fmt --all -- --check
 
 if [ "$fast" -eq 0 ]; then
     echo "==> cargo build --release"
