@@ -151,13 +151,16 @@ fn print_experiments(records: &[Record]) {
     println!();
 }
 
-/// `cell` events with the given `outcome` (`"hit"` or `"miss"`).
-fn count_cells(records: &[Record], outcome: &str) -> usize {
+/// Cells with the given `outcome` (`"hit"` or `"miss"`): one per `miss`
+/// event, and each `hit` event's `hits` (a journal that predates the
+/// field holds one `hit` event per cell).
+fn count_cells(records: &[Record], outcome: &str) -> u64 {
     records
         .iter()
         .filter(|r| r.kind == Kind::Event && r.name == "cell")
         .filter(|r| r.field_str("outcome") == Some(outcome))
-        .count()
+        .map(|r| r.field_u64("hits").unwrap_or(1))
+        .sum()
 }
 
 /// Simulated (`miss`) `cell` events made by the given `fold`: `"trie"`
@@ -808,8 +811,16 @@ mod tests {
             r#"{"t":"span","name":"cell","ts":0,"dur":9,"tid":0,"depth":0,"f":{"outcome":"miss"}}"#,
         )
         .unwrap();
-        let records = [cell("hit"), cell("miss"), cell("miss"), pass];
-        assert_eq!(count_cells(&records, "hit"), 1);
+        let job = Record::parse(
+            r#"{"t":"event","name":"cell","ts":1,"tid":0,"f":{"outcome":"hit","hits":3}}"#,
+        )
+        .unwrap();
+        let records = [cell("hit"), job, cell("miss"), cell("miss"), pass];
+        assert_eq!(
+            count_cells(&records, "hit"),
+            4,
+            "one job's record holds its hits"
+        );
         assert_eq!(
             count_cells(&records, "miss"),
             2,

@@ -11,12 +11,15 @@
 //! simulate_trace trace.ibpt --sweep            # path-length sweep
 //! ```
 //!
-//! With `--classify`, mispredictions of two-level predictors are broken
-//! down into wrong-target / capacity / cold classes.
+//! With `--classify`, the mispredictions of the predictor scored (any
+//! single two-level table or BTB) are broken down into wrong-target /
+//! capacity / cold classes. `unconstrained` keys are full precision, so
+//! its table is unbounded whatever `--entries` says; any other invalid
+//! combination prints its `ConfigError` and exits 2.
 //!
 //! The trace file is never materialised: every pass streams it through a
 //! chunked [`ibp_trace::io::TextSource`], so arbitrarily long traces simulate
-//! in constant memory (multi-pass modes like `--sweep` re-read the file).
+//! in constant memory. `--sweep` folds its 13 path lengths in one pass.
 //!
 //! Both trace formats are accepted and auto-detected by magic bytes: the
 //! IBPT text format and the IBPB binary segment format that
@@ -26,9 +29,9 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::process::ExitCode;
 
-use ibp_core::{Associativity, PredictorConfig, TwoLevelPredictor};
+use ibp_core::{Associativity, PredictorConfig, UpdateRule};
 use ibp_sim::analysis::{simulate_classified_source, simulate_per_site};
-use ibp_sim::simulate_source;
+use ibp_sim::simulate_source_kernels;
 use ibp_trace::io::TextSource;
 use ibp_trace::{looks_binary, BinarySource, EventSource, TraceStats};
 
@@ -107,7 +110,8 @@ fn usage() {
            --predictor <btb|btb2bc|unconstrained|practical|tagless|fullassoc|hybrid>\n\
            --path <N>         path length (default 3)\n\
            --path2 <N>        second path length for hybrids (default 1)\n\
-           --entries <N|unbounded>  table entries (default 1024; hybrids: per component)\n\
+           --entries <N|unbounded>  table entries (default 1024; hybrids: per component;
+                              unconstrained is always unbounded)\n\
            --ways <N>         set associativity (default 4)\n\
            --per-site         print the ten worst-predicted sites\n\
            --classify         break misses into wrong-target/capacity/cold\n\
@@ -115,42 +119,53 @@ fn usage() {
     );
 }
 
-fn build(args: &Args) -> Result<PredictorConfig, String> {
+/// The configuration of `predictor` at path length `path` that the rest of
+/// `args` select, unchecked: building it reports an invalid combination as
+/// a [`ConfigError`](ibp_core::ConfigError).
+fn build(args: &Args, predictor: &str, path: usize) -> Result<PredictorConfig, String> {
     let assoc = match args.ways.as_str() {
         "tagless" => Associativity::Tagless,
         "full" => Associativity::Full,
         n => Associativity::Ways(n.parse().map_err(|_| "bad --ways".to_string())?),
     };
-    let cfg = match args.predictor.as_str() {
-        "btb" => PredictorConfig::btb(),
-        "btb2bc" => PredictorConfig::btb_2bc(),
-        "unconstrained" => PredictorConfig::unconstrained(args.path),
-        "practical" => PredictorConfig::compressed_unbounded(args.path).with_associativity(assoc),
-        "tagless" => PredictorConfig::compressed_unbounded(args.path)
-            .with_associativity(Associativity::Tagless),
-        "fullassoc" => {
-            PredictorConfig::compressed_unbounded(args.path).with_associativity(Associativity::Full)
-        }
-        "hybrid" => {
-            let mut c =
-                PredictorConfig::hybrid(args.path, args.path2, 1, 1).with_associativity(assoc);
-            if let Some(n) = args.entries {
-                c = c.with_entries(n);
-            }
-            return Ok(c);
-        }
-        other => return Err(format!("unknown predictor {other}")),
-    };
-    Ok(match args.entries {
-        Some(n) if args.predictor != "btb" && args.predictor != "btb2bc" => cfg.with_entries(n),
-        Some(n) if args.predictor.starts_with("btb") => PredictorConfig::btb_bounded(n)
-            .with_update_rule(if args.predictor == "btb" {
-                ibp_core::UpdateRule::Always
+    let compressed = PredictorConfig::compressed_unbounded(path);
+    Ok(match predictor {
+        "btb" | "btb2bc" => {
+            let rule = if predictor == "btb" {
+                UpdateRule::Always
             } else {
-                ibp_core::UpdateRule::TwoBitCounter
-            }),
-        _ => cfg,
+                UpdateRule::TwoBitCounter
+            };
+            match args.entries {
+                Some(n) => PredictorConfig::btb_bounded(n),
+                None => PredictorConfig::btb_2bc(),
+            }
+            .with_update_rule(rule)
+        }
+        "unconstrained" => PredictorConfig::unconstrained(path),
+        "practical" => sized(compressed.with_associativity(assoc), args.entries),
+        "tagless" => sized(
+            compressed.with_associativity(Associativity::Tagless),
+            args.entries,
+        ),
+        "fullassoc" => sized(
+            compressed.with_associativity(Associativity::Full),
+            args.entries,
+        ),
+        "hybrid" => sized(
+            PredictorConfig::hybrid(path, args.path2, 1, 1).with_associativity(assoc),
+            args.entries,
+        ),
+        other => return Err(format!("unknown predictor {other}")),
     })
+}
+
+/// `cfg` with `entries` table entries, or an unbounded table.
+fn sized(cfg: PredictorConfig, entries: Option<usize>) -> PredictorConfig {
+    match entries {
+        Some(n) => cfg.with_entries(n),
+        None => cfg.with_unbounded_table(),
+    }
 }
 
 /// Opens one streaming pass over the trace file (header and metadata
@@ -173,6 +188,13 @@ fn open(path: &str) -> Result<Box<dyn EventSource>, String> {
     }
 }
 
+/// Reports `e` and exits with `code`: 2 for a bad option value or an
+/// invalid configuration, 1 for a trace that cannot be read.
+fn error(e: impl std::fmt::Display, code: u8) -> ExitCode {
+    eprintln!("error: {e}");
+    ExitCode::from(code)
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -184,6 +206,27 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // The sweep scores the practical predictor at every path length.
+    let (predictor, paths) = if args.sweep {
+        ("practical", 0..=12)
+    } else {
+        (args.predictor.as_str(), args.path..=args.path)
+    };
+    let configs: Result<Vec<PredictorConfig>, String> =
+        paths.map(|path| build(&args, predictor, path)).collect();
+    let configs = match configs {
+        Ok(configs) => configs,
+        Err(e) => return error(e, 2),
+    };
+    let kernels: Result<Vec<_>, _> = configs
+        .iter()
+        .map(PredictorConfig::try_build_kernel)
+        .collect();
+    let mut kernels = match kernels {
+        Ok(kernels) => kernels,
+        Err(e) => return error(e, 2),
+    };
+
     // First pass: name and summary statistics, streamed.
     let (name, stats) = match open(&args.trace).and_then(|mut src| {
         let name = src.name().to_string();
@@ -192,56 +235,31 @@ fn main() -> ExitCode {
             .map_err(|e| e.to_string())
     }) {
         Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return error(e, 1),
     };
     println!(
         "trace {:?}: {} indirect branches, {} sites",
         name, stats.indirect_branches, stats.distinct_sites
     );
+    if !args.sweep {
+        println!("predictor: {}", kernels[0].as_predictor().name());
+    }
 
+    // Second pass: every kernel at once.
+    let runs = match open(&args.trace).and_then(|mut src| {
+        simulate_source_kernels(&mut *src, &mut kernels, 0).map_err(|e| e.to_string())
+    }) {
+        Ok(runs) => runs,
+        Err(e) => return error(e, 1),
+    };
     if args.sweep {
         println!("\n{:>3} {:>12}", "p", "mispredict");
-        for p in 0..=12usize {
-            let sweep_args = Args {
-                path: p,
-                predictor: "practical".to_string(),
-                trace: args.trace.clone(),
-                ways: args.ways.clone(),
-                ..args
-            };
-            let cfg = build(&sweep_args).expect("sweep config");
-            let mut predictor = cfg.build();
-            let run = open(&args.trace)
-                .and_then(|mut src| {
-                    simulate_source(&mut *src, predictor.as_mut(), 0).map_err(|e| e.to_string())
-                })
-                .expect("sweep pass");
+        for (p, run) in runs.iter().enumerate() {
             println!("{p:>3} {:>11.2}%", run.misprediction_rate() * 100.0);
         }
         return ExitCode::SUCCESS;
     }
-
-    let cfg = match build(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut predictor = cfg.build();
-    println!("predictor: {}", predictor.name());
-    let run = match open(&args.trace).and_then(|mut src| {
-        simulate_source(&mut *src, predictor.as_mut(), 0).map_err(|e| e.to_string())
-    }) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (cfg, run) = (&configs[0], &runs[0]);
     println!(
         "misprediction: {:.2}% ({} of {})",
         run.misprediction_rate() * 100.0,
@@ -250,13 +268,14 @@ fn main() -> ExitCode {
     );
 
     if args.classify {
-        match try_two_level(&args) {
-            Some(tl) => {
-                let b = open(&args.trace)
-                    .and_then(|mut src| {
-                        simulate_classified_source(&mut *src, &mut [tl]).map_err(|e| e.to_string())
-                    })
-                    .expect("classify pass")[0];
+        match cfg.try_build_two_level() {
+            Ok(tl) => {
+                let b = match open(&args.trace).and_then(|mut src| {
+                    simulate_classified_source(&mut *src, &mut [tl]).map_err(|e| e.to_string())
+                }) {
+                    Ok(breakdowns) => breakdowns[0],
+                    Err(e) => return error(e, 1),
+                };
                 println!(
                     "breakdown: wrong-target {:.2}%, capacity {:.2}%, cold {:.2}%",
                     (b.misprediction_rate() - b.capacity_rate() - b.cold_rate()) * 100.0,
@@ -264,15 +283,18 @@ fn main() -> ExitCode {
                     b.cold_rate() * 100.0
                 );
             }
-            None => eprintln!("note: --classify applies to two-level predictors only"),
+            Err(_) => eprintln!("note: --classify applies to single-table predictors only"),
         }
     }
 
     if args.per_site {
         let mut fresh = cfg.build_kernel();
-        let sites = open(&args.trace)
+        let sites = match open(&args.trace)
             .and_then(|mut src| simulate_per_site(&mut *src, &mut fresh).map_err(|e| e.to_string()))
-            .expect("per-site pass");
+        {
+            Ok(sites) => sites,
+            Err(e) => return error(e, 1),
+        };
         println!("\nworst-predicted sites:");
         for s in sites.iter().take(10) {
             println!(
@@ -285,20 +307,4 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Rebuilds the configured predictor as a concrete `TwoLevelPredictor` for
-/// classification, when the CLI selection maps to one.
-fn try_two_level(args: &Args) -> Option<TwoLevelPredictor> {
-    let spec = ibp_core::CompressedKeySpec::practical(args.path);
-    match (args.predictor.as_str(), args.entries) {
-        ("practical", Some(n)) => {
-            let ways = args.ways.parse().unwrap_or(4);
-            Some(TwoLevelPredictor::set_assoc(spec, n, ways))
-        }
-        ("practical", None) => Some(TwoLevelPredictor::compressed_unbounded(spec)),
-        ("tagless", Some(n)) => Some(TwoLevelPredictor::tagless(spec, n)),
-        ("fullassoc", Some(n)) => Some(TwoLevelPredictor::full_assoc(spec, n)),
-        _ => None,
-    }
 }

@@ -15,11 +15,10 @@
 //!   `IBP_TRACE=1` journal (default `results`).
 //! * `IBP_CACHE` — `0` disables the persistent cross-process result cache
 //!   under `results/.cache/` (default enabled).
-//! * `IBP_LOG` — `1` prints per-sweep and per-experiment progress on
-//!   stderr; `0` (the default) is quiet.
 //! * `IBP_TRACE` — JSONL run journal: `1` writes
 //!   `$IBP_RESULTS/journal/<run-id>.jsonl`, any other value is used as the
-//!   journal path. Render it with the `obs_report` binary.
+//!   journal path. It holds the per-sweep and per-experiment progress
+//!   lines too; render it with the `obs_report` binary.
 //! * `IBP_PROBE` — predictor-internals probes in the journal: `0` (the
 //!   default) off, `1` samples occupancy/aliasing snapshots and per-site
 //!   miss attribution per run, `deep` adds interval samples and the
@@ -32,8 +31,9 @@
 //! default applies. Each `(benchmark, events)` trace at 50k events or more
 //! is generated once into the trace corpus under `results/.cache/traces/`
 //! and replayed by every later run; results are byte-identical either way.
-//! The README's "Environment knobs" table is the authoritative list; keep
-//! the two in sync.
+//! `IBP_LOG` is retired and has no effect. The README's "Environment
+//! knobs" table lists the same knobs; `tests/readme.rs` fails when it and
+//! the knobs a journal header records differ.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -163,9 +163,9 @@ impl ExperimentMetrics {
 }
 
 /// Runs one experiment through the shared traced runner path, attributing
-/// wall time and engine-counter deltas to it. With `IBP_LOG=1`, prints the
-/// per-experiment metrics line on stderr; with `IBP_TRACE`, the run is
-/// recorded as one root `experiment` span in the journal.
+/// wall time and engine-counter deltas to it. With `IBP_TRACE`, the run is
+/// recorded as one root `experiment` span in the journal, followed by a
+/// progress line with its metrics.
 pub fn run_instrumented(experiment: &Experiment, suite: &Suite) -> (Vec<Table>, ExperimentMetrics) {
     let before = engine::stats();
     let trace_before = trace_cache::stats();

@@ -17,17 +17,33 @@ fn export(benchmark: &str, events: &str) -> Vec<u8> {
     out.stdout
 }
 
-fn simulate(trace_path: &str, args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(env!("CARGO_BIN_EXE_simulate_trace"))
+fn simulate_output(trace_path: &str, args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_simulate_trace"))
         .arg(trace_path)
         .args(args)
         .output()
-        .expect("run simulate_trace");
+        .expect("run simulate_trace")
+}
+
+fn simulate(trace_path: &str, args: &[&str]) -> (String, String, bool) {
+    let out = simulate_output(trace_path, args);
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
         out.status.success(),
     )
+}
+
+/// The percentages on the first stdout line starting with `prefix`.
+fn percents(stdout: &str, prefix: &str) -> Vec<f64> {
+    let line = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with(prefix))
+        .unwrap_or_else(|| panic!("no {prefix:?} line in:\n{stdout}"));
+    line.split_whitespace()
+        .filter_map(|word| word.trim_end_matches(',').strip_suffix('%'))
+        .map(|n| n.parse().expect("a percentage"))
+        .collect()
 }
 
 fn temp_trace(benchmark: &str, events: &str) -> std::path::PathBuf {
@@ -93,12 +109,21 @@ fn simulate_classify_and_per_site() {
     assert!(stdout.contains("worst-predicted sites"), "{stdout}");
 }
 
+/// The sweep folds every path length in one pass; each row is what a
+/// single run of the practical predictor at that length scores.
 #[test]
 fn simulate_sweep_prints_all_paths() {
     let path = temp_trace("xlisp", "2000");
-    let (stdout, _, ok) = simulate(path.to_str().unwrap(), &["--sweep"]);
-    std::fs::remove_file(&path).ok();
+    let trace = path.to_str().unwrap();
+    let (stdout, _, ok) = simulate(trace, &["--sweep"]);
     assert!(ok, "{stdout}");
+    for p in ["0", "3", "12"] {
+        let (single, stderr, ok) = simulate(trace, &["--path", p]);
+        assert!(ok, "{stderr}");
+        let row = percents(&stdout, &format!("{p} "));
+        assert_eq!(row, percents(&single, "misprediction:")[..1], "p = {p}");
+    }
+    std::fs::remove_file(&path).ok();
     // 13 sweep rows (p = 0..=12).
     let rows = stdout
         .lines()
@@ -124,4 +149,74 @@ fn simulate_fails_cleanly_on_missing_file() {
     let (_, stderr, ok) = simulate("/nonexistent.ibpt", &[]);
     assert!(!ok);
     assert!(stderr.contains("cannot open"), "{stderr}");
+}
+
+/// The breakdown `--classify` prints adds up to the misprediction rate of
+/// the predictor scored, whatever its table organisation, BTBs included.
+#[test]
+fn classify_breaks_down_the_table_it_scores() {
+    let path = temp_trace("gcc", "20000");
+    let trace = path.to_str().unwrap();
+    let cases: [&[&str]; 4] = [
+        &["--ways", "4"],
+        &["--ways", "full"],
+        &["--ways", "tagless"],
+        &["--predictor", "btb2bc"],
+    ];
+    for case in cases {
+        let mut args = vec!["--path", "3", "--entries", "256", "--classify"];
+        args.extend(case);
+        let (stdout, stderr, ok) = simulate(trace, &args);
+        assert!(ok, "{stderr}");
+        let scored = percents(&stdout, "misprediction:")[0];
+        let parts: f64 = percents(&stdout, "breakdown:").iter().sum();
+        // Each of the four figures is rounded to 0.01.
+        assert!(
+            (parts - scored).abs() <= 0.02,
+            "{case:?}: breakdown sums to {parts}, scored {scored}:\n{stdout}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Full-precision keys need an unbounded table, so `unconstrained` keeps
+/// one under the default `--entries`.
+#[test]
+fn unconstrained_is_unbounded_under_the_default_entries() {
+    let path = temp_trace("ixx", "2500");
+    let (stdout, stderr, ok) = simulate(path.to_str().unwrap(), &["--predictor", "unconstrained"]);
+    std::fs::remove_file(&path).ok();
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("full-precision, unbounded"), "{stdout}");
+    assert!(stdout.contains("misprediction:"), "{stdout}");
+}
+
+#[test]
+fn an_invalid_configuration_exits_2_with_its_error() {
+    let path = temp_trace("ixx", "2000");
+    let trace = path.to_str().unwrap();
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["--entries", "1000"],
+            "table size 1000 is not a non-zero power of two",
+        ),
+        (
+            &["--ways", "3"],
+            "associativity 3 invalid for 1024-entry table",
+        ),
+        (
+            &["--sweep", "--entries", "1000"],
+            "table size 1000 is not a non-zero power of two",
+        ),
+    ];
+    for (args, error) in cases {
+        let out = simulate_output(trace, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {error}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }

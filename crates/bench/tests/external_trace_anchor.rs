@@ -1,7 +1,8 @@
 //! Regression anchor for the external-trace path: the checked-in sample
 //! IBPT trace under `results/ext/` must simulate to *exactly* these
-//! misprediction counts, through the same library path `simulate_trace`
-//! drives (`TextSource` streaming into `simulate_source`).
+//! misprediction counts, read by the `TextSource` that `simulate_trace`
+//! streams (and folded by `simulate_source`, which scores what its kernel
+//! fold scores).
 //!
 //! If this test moves, either the IBPT parser, the workload generator
 //! that produced the sample, or a predictor changed behaviour — all three

@@ -1,11 +1,13 @@
 //! The `IBP_*` knobs, read in one place.
 //!
-//! [`knobs()`] parses `IBP_EVENTS`, `IBP_CACHE`, `IBP_LOG`, `IBP_TRACE`,
-//! `IBP_PROBE` and `IBP_FAULTS` once, on first use. Unset means the
-//! default; a malformed value prints one `warning: ignoring invalid
-//! IBP_X=…` line on stderr and means the default. The warning goes
-//! straight to stderr, never through [`warn!`](crate::warn), because the
-//! journal reads `IBP_TRACE` from here while it starts up.
+//! [`knobs()`] parses `IBP_EVENTS`, `IBP_CACHE`, `IBP_TRACE`, `IBP_PROBE`
+//! and `IBP_FAULTS` once, on first use. Unset means the default; a
+//! malformed value prints one `warning: ignoring invalid IBP_X=…` line on
+//! stderr and means the default. The warning goes straight to stderr,
+//! never through [`warn!`](crate::warn), because the journal reads
+//! `IBP_TRACE` from here while it starts up. A retired knob, such as
+//! `IBP_LOG` (progress lines now reach only the journal), is not read at
+//! all: setting it has no effect and prints nothing.
 //!
 //! `IBP_RESULTS` is the exception: [`results_root`] reads it on every
 //! call, so a process that redirects it moves its later writes with it.
@@ -53,8 +55,6 @@ pub struct Knobs {
     /// `IBP_CACHE`: whether the persistent result cache loads and saves
     /// (`0` turns it off).
     pub cache: bool,
-    /// `IBP_LOG`: whether progress lines reach stderr (`1`).
-    pub log: bool,
     /// `IBP_TRACE`: `None` when off (unset, empty or `0`), else `1` or the
     /// journal path.
     pub trace: Option<String>,
@@ -105,7 +105,6 @@ impl Knobs {
         Knobs {
             events: read(&var, w, "IBP_EVENTS", DEFAULT_EVENTS, count),
             cache: read(&var, w, "IBP_CACHE", true, switch),
-            log: read(&var, w, "IBP_LOG", false, switch),
             trace: var("IBP_TRACE").filter(|r| !r.is_empty() && r != "0"),
             probe: read(&var, w, "IBP_PROBE", ProbePolicy::Off, probe),
             faults: var("IBP_FAULTS").filter(|r| !r.trim().is_empty()),
@@ -128,7 +127,6 @@ impl Knobs {
             ("IBP_EVENTS", Json::Num(self.events as f64)),
             ("IBP_RESULTS", text(&results_root().to_string_lossy())),
             ("IBP_CACHE", switch(self.cache)),
-            ("IBP_LOG", switch(self.log)),
             ("IBP_TRACE", text(self.trace.as_deref().unwrap_or("0"))),
             ("IBP_PROBE", text(probe)),
             ("IBP_FAULTS", text(self.faults.as_deref().unwrap_or(""))),
@@ -173,7 +171,6 @@ mod tests {
         Knobs {
             events: DEFAULT_EVENTS,
             cache: true,
-            log: false,
             trace: None,
             probe: ProbePolicy::Off,
             faults: None,
@@ -197,10 +194,6 @@ mod tests {
             ("IBP_CACHE", "0", with(|k| k.cache = false), false),
             ("IBP_CACHE", "1", d.clone(), false),
             ("IBP_CACHE", "yes", d.clone(), true),
-            ("IBP_LOG", "1", with(|k| k.log = true), false),
-            ("IBP_LOG", "0", d.clone(), false),
-            ("IBP_LOG", "2", d.clone(), true),
-            ("IBP_LOG", "debug", d.clone(), true),
             (
                 "IBP_TRACE",
                 "1",
@@ -232,8 +225,10 @@ mod tests {
                 false,
             ),
             ("IBP_FAULTS", "  ", d.clone(), false),
-            // Retired knob values read as nothing at all.
+            // Retired knobs read as nothing at all, valid or not.
             ("IBP_TRACE_CACHE", "0", d.clone(), false),
+            ("IBP_LOG", "1", d.clone(), false),
+            ("IBP_LOG", "2", d.clone(), false),
         ];
         assert_eq!(
             parse(&[]),
@@ -265,9 +260,7 @@ mod tests {
             .iter()
             .map(|(k, _)| k.as_str())
             .collect();
-        let all = [
-            "EVENTS", "RESULTS", "CACHE", "LOG", "TRACE", "PROBE", "FAULTS",
-        ];
+        let all = ["EVENTS", "RESULTS", "CACHE", "TRACE", "PROBE", "FAULTS"];
         assert_eq!(names, all.map(|k| format!("IBP_{k}")));
         assert_eq!(json.get("IBP_EVENTS").and_then(Json::as_u64), Some(2000));
         assert_eq!(json.get("IBP_CACHE").and_then(Json::as_str), Some("1"));

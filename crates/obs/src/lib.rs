@@ -11,9 +11,9 @@
 //! * [`metrics`] holds named counters, gauges and fixed-bucket histograms;
 //!   they are always on (relaxed atomics) and snapshotted into the journal
 //!   by [`flush`].
-//! * [`warn!`] and [`info!`] route log lines to stderr (progress only
-//!   under `IBP_LOG=1`) *and* to the journal, so a trace captures the full
-//!   log stream whatever `IBP_LOG` says.
+//! * [`warn!`] routes a warning to stderr *and* to the journal; [`info!`]
+//!   routes a progress line to the journal only, so a trace captures the
+//!   full log stream.
 //! * [`knobs()`] is the one reader of the `IBP_*` environment variables:
 //!   each is parsed once, and a malformed value warns and means the
 //!   default (see [`knobs`](mod@knobs)).
@@ -274,14 +274,12 @@ macro_rules! event {
 }
 
 /// Emits one log line: a warning (level 0) always reaches stderr with a
-/// `warning:` prefix, progress (level 1) only under `IBP_LOG=1`, and both
-/// reach the journal (as a `log` record) whenever tracing is on. Prefer
-/// the [`warn!`]/[`info!`] macros.
+/// `warning:` prefix, and both warnings and progress (level 1) reach the
+/// journal (as a `log` record) whenever tracing is on. Prefer the
+/// [`warn!`]/[`info!`] macros.
 pub fn log_message(level: u8, message: &str) {
     if level == 0 {
         eprintln!("warning: {message}");
-    } else if knobs().log {
-        eprintln!("{message}");
     }
     if journal::enabled() {
         journal::write_record(&record_json(
@@ -306,11 +304,12 @@ macro_rules! warn {
     };
 }
 
-/// Logs progress (level 1, `IBP_LOG=1`).
+/// Logs progress (level 1) to the journal; formats nothing when tracing
+/// is off.
 #[macro_export]
 macro_rules! info {
     ($($arg:tt)*) => {
-        if $crate::knobs().log || $crate::enabled() {
+        if $crate::enabled() {
             $crate::log_message(1, &format!($($arg)*));
         }
     };
@@ -484,7 +483,7 @@ mod tests {
         let _guard = serial();
         let records = capture_records(|| {
             event!("cell", outcome = "hit", n = 3u64);
-            // info! journals even though IBP_LOG is not raised in tests.
+            // info! lines reach the journal only.
             info!("progress {}", 42);
         });
         assert_eq!(records.len(), 2);

@@ -52,10 +52,12 @@
 //!   `trie_probes` and `trie_pruned`, its number of key streams as `keys`
 //!   and of distinct component tables as `components`),
 //!   every folded cell a `cell` event with `outcome = "miss"` and the
-//!   `fold` that made it (`"trie"`, `"keyed"` or `"lane"`), and every
-//!   memoized lookup a `cell` event with `outcome = "hit"`.
+//!   `fold` that made it (`"trie"`, `"keyed"` or `"lane"`), and every job
+//!   whose lookups the memo cache served one `cell` event per sweep with
+//!   `outcome = "hit"`, naming those `benchmarks`, their count as `hits`
+//!   and how many of them were loaded from disk as `from_disk`.
 //!
-//! Set `IBP_LOG=1` for a per-sweep progress line on stderr.
+//! With tracing on, each sweep also journals one progress line.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -334,6 +336,21 @@ impl Job<'_> {
     }
 }
 
+/// The lookups of one job in one sweep that the memo cache served: the
+/// sweep journals them as one `cell` event.
+#[derive(Clone, Default)]
+struct JobHits {
+    benchmarks: Vec<&'static str>,
+    from_disk: u64,
+}
+
+impl JobHits {
+    fn note(&mut self, benchmark: Benchmark, memo: &Memo) {
+        self.benchmarks.push(benchmark.name());
+        self.from_disk += u64::from(memo.from_disk);
+    }
+}
+
 /// One cell to fold: a job's cell on one benchmark.
 struct Unit {
     job: usize,
@@ -541,6 +558,7 @@ impl<'a> Sweep<'a> {
             .map(|job| vec![None; job.cells(&suite_benchmarks).len()])
             .collect();
         let mut units: Vec<Unit> = Vec::new();
+        let mut journaled_hits = obs::enabled().then(|| vec![JobHits::default(); self.jobs.len()]);
         {
             let cache = cache();
             let mut claimed: HashSet<(&str, Benchmark)> = HashSet::new();
@@ -550,12 +568,9 @@ impl<'a> Sweep<'a> {
                     if let Some(memo) = memoized.and_then(|cells| cells[slot(b)].as_ref()) {
                         results[j][cell] = Some(memo.value);
                         count_hit(memo);
-                        obs::event!(
-                            "cell",
-                            config = job.key.as_str(),
-                            benchmark = b.name(),
-                            outcome = "hit"
-                        );
+                        if let Some(hits) = &mut journaled_hits {
+                            hits[j].note(b, memo);
+                        }
                     } else if claimed.insert((job.key.as_str(), b)) {
                         units.push(Unit {
                             job: j,
@@ -605,14 +620,23 @@ impl<'a> Sweep<'a> {
                             .expect("duplicate-key slot filled by its representative");
                         results[j][cell] = Some(memo.value);
                         count_hit(memo);
-                        obs::event!(
-                            "cell",
-                            config = job.key.as_str(),
-                            benchmark = b.name(),
-                            outcome = "hit"
-                        );
+                        if let Some(hits) = &mut journaled_hits {
+                            hits[j].note(b, memo);
+                        }
                     }
                 }
+            }
+        }
+        for (job, hits) in self.jobs.iter().zip(journaled_hits.iter().flatten()) {
+            if !hits.benchmarks.is_empty() {
+                obs::event!(
+                    "cell",
+                    config = job.key.as_str(),
+                    outcome = "hit",
+                    benchmarks = hits.benchmarks.join(","),
+                    hits = hits.benchmarks.len(),
+                    from_disk = hits.from_disk
+                );
             }
         }
 

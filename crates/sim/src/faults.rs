@@ -34,8 +34,38 @@
 //! One-shot semantics are what make the inline retry safe to drive under
 //! injection — the retry never re-trips the same fault.
 //!
-//! The registered sites are listed in [`SITES`]; `fault_matrix` sweeps
-//! all of them over the engine.
+//! # Sites
+//!
+//! [`SITES`] names every site a spec may arm:
+//!
+//! * `parallel.worker` (panic): a `parallel_map` item's fold panics; the
+//!   item is retried inline on the calling path.
+//! * `shard.worker` (panic): a site-shard worker panics mid-batch; the
+//!   pipeline reports a fault.
+//! * `shard.stall` (stall): a site-shard worker stops draining its queue;
+//!   the router trips the watchdog.
+//! * `component.worker` (panic): a component-fold worker panics
+//!   mid-chunk; the pipeline reports a fault.
+//! * `component.stall` (stall): a component-fold worker stops
+//!   mid-pipeline; the router or merger trips the watchdog.
+//! * `cache.write` (I/O): the persistent result cache's temp-file write
+//!   fails, ENOSPC-style; the temp file is removed, and the run warns and
+//!   continues.
+//! * `cache.rename` (I/O): the result cache's atomic publish rename
+//!   fails; the temp file is removed, and the run warns and continues.
+//! * `trace_cache.write` (I/O): a trace segment's encode or write fails;
+//!   the pass falls back to direct generation.
+//! * `trace_cache.rename` (I/O): a trace segment's publish rename fails;
+//!   the temp file is removed and the pass generates directly.
+//! * `trace_cache.read` (I/O): a trace segment's verification reads
+//!   corrupt; the segment is evicted and regenerated.
+//! * `journal.write` (I/O): the journal sink's write fails; the journal
+//!   disables itself with a warning and the run continues.
+//!
+//! The `shard.*` and `component.*` sites live in the library pipelines,
+//! which the engine never runs; their modules' unit tests arm them.
+//! `crates/sim/tests/fault_matrix.rs` arms every other site over the
+//! engine, and fails when a site is registered that it does not arm.
 //!
 //! # Scopes
 //!
@@ -53,99 +83,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-/// What an armed site does when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The worker thread panics (`fire_panic`).
-    Panic,
-    /// The worker stops consuming/producing without closing its queues,
-    /// so progress depends on the watchdog (`should_fire` at a stall
-    /// check site).
-    Stall,
-    /// An I/O operation fails with an injected error (`io_error`).
-    Io,
-}
-
-/// One registered injection point.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultSite {
-    /// Site name as written in the spec (e.g. `shard.worker`).
-    pub name: &'static str,
-    /// What firing does.
-    pub kind: FaultKind,
-    /// Where the site lives and what failing there exercises.
-    pub what: &'static str,
-}
-
-/// Every site the harness can arm. `fault_matrix` iterates this table.
-pub const SITES: &[FaultSite] = &[
-    FaultSite {
-        name: "parallel.worker",
-        kind: FaultKind::Panic,
-        what: "parallel_map item fold panics; retried inline on the calling path",
-    },
-    FaultSite {
-        name: "shard.worker",
-        kind: FaultKind::Panic,
-        what: "site-shard worker panics mid-batch; the pipeline reports a fault",
-    },
-    FaultSite {
-        name: "shard.stall",
-        kind: FaultKind::Stall,
-        what: "site-shard worker stops draining its queue; router trips the watchdog",
-    },
-    FaultSite {
-        name: "component.worker",
-        kind: FaultKind::Panic,
-        what: "component-fold worker panics mid-chunk; the pipeline reports a fault",
-    },
-    FaultSite {
-        name: "component.stall",
-        kind: FaultKind::Stall,
-        what: "component-fold worker stops mid-pipeline; router/merger trips the watchdog",
-    },
-    FaultSite {
-        name: "cache.write",
-        kind: FaultKind::Io,
-        what:
-            "persistent result cache tmp write fails (ENOSPC-style); tmp cleaned, warn and continue",
-    },
-    FaultSite {
-        name: "cache.rename",
-        kind: FaultKind::Io,
-        what: "persistent result cache atomic publish rename fails; tmp cleaned, warn and continue",
-    },
-    FaultSite {
-        name: "trace_cache.write",
-        kind: FaultKind::Io,
-        what: "trace segment encode/write fails; falls back to direct generation",
-    },
-    FaultSite {
-        name: "trace_cache.rename",
-        kind: FaultKind::Io,
-        what: "trace segment publish rename fails; tmp cleaned, falls back to direct generation",
-    },
-    FaultSite {
-        name: "trace_cache.read",
-        kind: FaultKind::Io,
-        what: "trace segment verification reads corrupt; segment evicted and regenerated",
-    },
-    FaultSite {
-        name: "journal.write",
-        kind: FaultKind::Io,
-        what: "journal sink write fails; journal disables itself with a warning, run continues",
-    },
+/// Every site a spec may arm, as written in the spec; the module doc
+/// describes each.
+pub const SITES: &[&str] = &[
+    "parallel.worker",
+    "shard.worker",
+    "shard.stall",
+    "component.worker",
+    "component.stall",
+    "cache.write",
+    "cache.rename",
+    "trace_cache.write",
+    "trace_cache.rename",
+    "trace_cache.read",
+    "journal.write",
 ];
 
-/// The registered sites (spec vocabulary), for harnesses and `--help`
-/// style listings.
-#[must_use]
-pub fn sites() -> &'static [FaultSite] {
-    SITES
-}
-
 fn site_known(name: &str) -> bool {
-    SITES.iter().any(|s| s.name == name)
+    SITES.contains(&name)
 }
 
 /// One armed site: fire at exactly the `fire_at`-th occurrence.
@@ -285,15 +240,14 @@ fn parse_spec(raw: &str) -> Result<Plan, String> {
             }
             None => (clause, 1),
         };
-        let Some(site) = SITES.iter().find(|s| s.name == name) else {
-            let known: Vec<&str> = SITES.iter().map(|s| s.name).collect();
+        let Some(&site) = SITES.iter().find(|&&s| s == name) else {
             return Err(format!(
                 "unknown site {name:?} (known: {})",
-                known.join(", ")
+                SITES.join(", ")
             ));
         };
         plan.arms.insert(
-            site.name,
+            site,
             Arm {
                 fire_at,
                 seen: 0,
@@ -393,8 +347,7 @@ pub fn watchdog() -> Duration {
 
 /// Replaces the plan for this process: `Some(spec)` arms the spec
 /// (counters zeroed) in the calling thread's scope, `None` restores the
-/// `IBP_FAULTS` plan. Harness plumbing (`fault_matrix`, tests) — the knob
-/// itself is read once.
+/// `IBP_FAULTS` plan. Test plumbing — the knob itself is read once.
 ///
 /// # Errors
 ///
@@ -533,9 +486,7 @@ mod tests {
     #[test]
     fn every_registered_site_has_a_unique_name() {
         for (i, a) in SITES.iter().enumerate() {
-            for b in &SITES[i + 1..] {
-                assert_ne!(a.name, b.name);
-            }
+            assert!(!SITES[i + 1..].contains(a), "{a} registered twice");
         }
     }
 }

@@ -2,7 +2,10 @@
 //! identical to direct `Suite::run` calls, and repeated work must be served
 //! from the process-wide cache.
 
+use std::path::Path;
+
 use ibp_core::PredictorConfig;
+use ibp_obs::{Kind, Record};
 use ibp_sim::engine::{self, Sweep};
 use ibp_sim::Suite;
 use ibp_workload::Benchmark;
@@ -96,22 +99,25 @@ fn mixed_config_and_custom_jobs_keep_queue_order() {
     assert_eq!(results[1].rates(), direct_btb.rates());
 }
 
-/// Selects the half of [`a_partial_row_serves_its_cells_and_folds_the_rest`]
-/// a child process runs: `persist` or `extend`.
+/// Selects the phase of a two-process test that a child process runs.
 const PHASE: &str = "IBP_ENGINE_CACHE_TEST_PHASE";
 
 /// Runs this binary's `test` alone in a child process under `results`, so
-/// the child's memo is fresh and loads only what is on disk there.
-fn run_phase(test: &str, phase: &str, results: &std::path::Path) {
+/// the child's memo is fresh and loads only what is on disk there; with a
+/// `journal`, the child traces into it.
+fn run_phase(test: &str, phase: &str, results: &Path, journal: Option<&Path>) {
     let exe = std::env::current_exe().expect("the test binary");
-    let out = std::process::Command::new(exe)
+    let mut child = std::process::Command::new(exe);
+    child
         .args([test, "--exact", "--nocapture", "--test-threads=1"])
         .env(PHASE, phase)
         .env("IBP_RESULTS", results)
-        .env("IBP_CACHE", "1")
-        .env_remove("IBP_TRACE")
-        .output()
-        .expect("spawn the test binary");
+        .env("IBP_CACHE", "1");
+    match journal {
+        Some(path) => child.env("IBP_TRACE", path),
+        None => child.env_remove("IBP_TRACE"),
+    };
+    let out = child.output().expect("spawn the test binary");
     assert!(
         out.status.success(),
         "phase {phase} failed:\n{}\n{}",
@@ -167,9 +173,88 @@ fn a_partial_row_serves_its_cells_and_folds_the_rest() {
                 std::env::temp_dir().join(format!("ibp-engine-cache-itest-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&scratch);
             let test = "a_partial_row_serves_its_cells_and_folds_the_rest";
-            run_phase(test, "persist", &scratch);
-            run_phase(test, "extend", &scratch);
+            run_phase(test, "persist", &scratch, None);
+            run_phase(test, "extend", &scratch, None);
             let _ = std::fs::remove_dir_all(&scratch);
+        }
+    }
+}
+
+/// A traced sweep journals one `cell` hit record per job, naming the
+/// benchmarks the memo cache served and how many of them it loaded from
+/// disk. One process persists the sample sweep; a fresh, traced one
+/// repeats it with a duplicate job, whose cells are on disk too, then
+/// sweeps a new key twice, where the second job hits what the first
+/// folded.
+#[test]
+fn a_warm_traced_sweep_journals_one_hit_record_per_job() {
+    const EVENTS: u64 = 8_000;
+    let three = [Benchmark::Ixx, Benchmark::Porky, Benchmark::Gcc];
+    let configs = sample_configs();
+    let fresh = PredictorConfig::unconstrained(5).with_pattern_budget(9);
+    match std::env::var(PHASE).as_deref() {
+        Ok("persist") => {
+            let suite = Suite::with_benchmarks_and_len(&three, EVENTS);
+            let _ = engine::run_configs(&suite, configs);
+            engine::persist_cache();
+        }
+        Ok("warm") => {
+            let suite = Suite::with_benchmarks_and_len(&three, EVENTS);
+            let mut warm = configs.clone();
+            warm.push(configs[0].clone());
+            let _ = engine::run_configs(&suite, warm);
+            let _ = engine::run_configs(&suite, vec![fresh.clone(), fresh]);
+        }
+        _ => {
+            let scratch = std::env::temp_dir().join(format!(
+                "ibp-engine-hit-records-itest-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&scratch);
+            let journal = scratch.join("warm.jsonl");
+            let test = "a_warm_traced_sweep_journals_one_hit_record_per_job";
+            run_phase(test, "persist", &scratch, None);
+            run_phase(test, "warm", &scratch, Some(&journal));
+            let records = ibp_obs::read_journal(&journal).expect("the warm journal");
+            let _ = std::fs::remove_dir_all(&scratch);
+
+            let all = three.map(Benchmark::name).join(",");
+            let mut want: Vec<(String, String, u64, u64)> = configs
+                .iter()
+                .chain([&configs[0]])
+                .map(|cfg| (cfg.cache_key(), all.clone(), 3, 3))
+                .collect();
+            want.push((fresh.cache_key(), all.clone(), 3, 0));
+            let cells: Vec<&Record> = records
+                .iter()
+                .filter(|r| r.kind == Kind::Event && r.name == "cell")
+                .collect();
+            let hits: Vec<(String, String, u64, u64)> = cells
+                .iter()
+                .filter(|r| r.field_str("outcome") == Some("hit"))
+                .map(|r| {
+                    let text = |f: &str| r.field_str(f).unwrap_or_default().to_string();
+                    let count = |f: &str| r.field_u64(f).unwrap_or(u64::MAX);
+                    (
+                        text("config"),
+                        text("benchmarks"),
+                        count("hits"),
+                        count("from_disk"),
+                    )
+                })
+                .collect();
+            assert_eq!(hits, want, "one hit record per job, in queue order");
+            let misses = cells
+                .iter()
+                .filter(|r| r.field_str("outcome") == Some("miss"))
+                .count();
+            assert_eq!(misses, 3, "the new key folds once per benchmark");
+            let sweeps: Vec<(Option<u64>, Option<u64>)> = records
+                .iter()
+                .filter(|r| r.kind == Kind::Span && r.name == "sweep")
+                .map(|r| (r.field_u64("lookups"), r.field_u64("simulated")))
+                .collect();
+            assert_eq!(sweeps, [(Some(30), Some(0)), (Some(6), Some(3))]);
         }
     }
 }

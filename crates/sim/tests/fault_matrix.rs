@@ -7,6 +7,11 @@
 //! `persist_cache` publishes them, while a process that simulated nothing
 //! new never reaches the writer.
 //!
+//! Every registered site outside the library pipelines (`shard.*`,
+//! `component.*`, which their modules' unit tests arm) is armed here, and
+//! a site registered in `faults::SITES` that this file does not arm fails
+//! it.
+//!
 //! The tests serialise on a local mutex: fault arming, the memo cache and
 //! the journal sink are process-global.
 
@@ -21,6 +26,20 @@ use ibp_workload::Benchmark;
 
 const BENCHMARKS: [Benchmark; 2] = [Benchmark::Ixx, Benchmark::Xlisp];
 const EVENTS: u64 = 6_000;
+
+/// The engine's worker site: `parallel_map` retries a panicked item inline.
+const WORKER_SITE: &str = "parallel.worker";
+
+/// The I/O sites a suite build, a sweep and a cache persist cross; each
+/// warns and continues.
+const IO_SITES: [&str; 6] = [
+    "trace_cache.write",
+    "trace_cache.rename",
+    "trace_cache.read",
+    "cache.write",
+    "cache.rename",
+    "journal.write",
+];
 
 fn serial() -> MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
@@ -99,7 +118,7 @@ fn worker_panics_at_first_mid_and_last_occurrence_degrade_without_divergence() {
     let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);
     engine::clear_memo_cache();
     let baseline = run_sweep(&suite);
-    let site = "parallel.worker";
+    let site = WORKER_SITE;
 
     // Probe pass: arm far beyond reach to count how many times the site is
     // consulted by one sweep, without firing. That pins the first / middle
@@ -151,14 +170,7 @@ fn io_faults_warn_and_continue_without_divergence() {
         tables
     };
 
-    for site in [
-        "trace_cache.write",
-        "trace_cache.rename",
-        "trace_cache.read",
-        "cache.write",
-        "cache.rename",
-        "journal.write",
-    ] {
+    for site in IO_SITES {
         match site {
             // A hit segment skips the write/publish path; purge so the
             // pass regenerates. Verification runs once per process per
@@ -193,6 +205,23 @@ fn io_faults_warn_and_continue_without_divergence() {
     trace_cache::override_policy(None);
     trace_cache::override_root(None);
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+#[test]
+fn every_site_outside_the_library_pipelines_is_armed_here() {
+    let mut armed = IO_SITES.to_vec();
+    armed.push(WORKER_SITE);
+    armed.sort_unstable();
+    let mut registered: Vec<&str> = faults::SITES
+        .iter()
+        .copied()
+        .filter(|site| !site.starts_with("shard.") && !site.starts_with("component."))
+        .collect();
+    registered.sort_unstable();
+    assert_eq!(
+        armed, registered,
+        "each registered engine site needs a containment test in this file"
+    );
 }
 
 /// The published result-cache file under a results root, whatever its
