@@ -8,7 +8,7 @@
 //! simulate_trace trace.ibpt --predictor practical --path 3 --entries 1024 --ways 4
 //! simulate_trace trace.ibpt --predictor hybrid --path 5 --path2 1 --entries 4096
 //! simulate_trace trace.ibpt --predictor btb2bc --per-site
-//! simulate_trace trace.ibpt --sweep            # path-length sweep
+//! simulate_trace trace.ibpt --predictor tagless --entries 256 --sweep
 //! ```
 //!
 //! With `--classify`, the mispredictions of the predictor scored (any
@@ -19,7 +19,9 @@
 //!
 //! The trace file is never materialised: every pass streams it through a
 //! chunked [`ibp_trace::io::TextSource`], so arbitrarily long traces simulate
-//! in constant memory. `--sweep` folds its 13 path lengths in one pass.
+//! in constant memory. `--sweep` scores the chosen predictor at path
+//! lengths 0 to 12 (a hybrid's first path; `--path2` stays) in one pass;
+//! the BTBs have no path length, so a BTB sweep exits 2.
 //!
 //! Both trace formats are accepted and auto-detected by magic bytes: the
 //! IBPT text format and the IBPB binary segment format that
@@ -115,14 +117,16 @@ fn usage() {
            --ways <N>         set associativity (default 4)\n\
            --per-site         print the ten worst-predicted sites\n\
            --classify         break misses into wrong-target/capacity/cold\n\
-           --sweep            run a path-length sweep instead of one config"
+           --sweep            score the predictor at paths 0..=12 instead of --path
+                              (hybrids: the first path)"
     );
 }
 
-/// The configuration of `predictor` at path length `path` that the rest of
-/// `args` select, unchecked: building it reports an invalid combination as
-/// a [`ConfigError`](ibp_core::ConfigError).
-fn build(args: &Args, predictor: &str, path: usize) -> Result<PredictorConfig, String> {
+/// The configuration of `args.predictor` at path length `path` that the
+/// rest of `args` select, unchecked: building it reports an invalid
+/// combination as a [`ConfigError`](ibp_core::ConfigError).
+fn build(args: &Args, path: usize) -> Result<PredictorConfig, String> {
+    let predictor = args.predictor.as_str();
     let assoc = match args.ways.as_str() {
         "tagless" => Associativity::Tagless,
         "full" => Associativity::Full,
@@ -206,14 +210,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // The sweep scores the practical predictor at every path length.
-    let (predictor, paths) = if args.sweep {
-        ("practical", 0..=12)
+    if args.sweep && matches!(args.predictor.as_str(), "btb" | "btb2bc") {
+        return error(format!("{} has no path length to sweep", args.predictor), 2);
+    }
+    let paths = if args.sweep {
+        0..=12
     } else {
-        (args.predictor.as_str(), args.path..=args.path)
+        args.path..=args.path
     };
     let configs: Result<Vec<PredictorConfig>, String> =
-        paths.map(|path| build(&args, predictor, path)).collect();
+        paths.map(|path| build(&args, path)).collect();
     let configs = match configs {
         Ok(configs) => configs,
         Err(e) => return error(e, 2),

@@ -137,6 +137,35 @@ fn simulate_sweep_prints_all_paths() {
     assert!(rows >= 13, "{stdout}");
 }
 
+/// The sweep scores the predictor `--predictor` names: each row of a
+/// tagless and an unconstrained sweep is what a single run of that
+/// predictor at that path length scores. A BTB has no path length.
+#[test]
+fn the_sweep_scores_the_chosen_predictor() {
+    let path = temp_trace("gcc", "5000");
+    let trace = path.to_str().unwrap();
+    for predictor in ["tagless", "unconstrained"] {
+        let base = ["--predictor", predictor, "--entries", "256"];
+        let (stdout, stderr, ok) = simulate(trace, &[&base[..], &["--sweep"]].concat());
+        assert!(ok, "{stderr}");
+        for p in ["0", "1", "12"] {
+            let (single, stderr, ok) = simulate(trace, &[&base[..], &["--path", p]].concat());
+            assert!(ok, "{stderr}");
+            let row = percents(&stdout, &format!("{p} "));
+            assert_eq!(
+                row,
+                percents(&single, "misprediction:")[..1],
+                "{predictor}, p = {p}"
+            );
+        }
+    }
+    let out = simulate_output(trace, &["--predictor", "btb", "--sweep"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error: btb has no path length"), "{stderr}");
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn simulate_reports_usage_on_bad_args() {
     let (_, stderr, ok) = simulate("/nonexistent.ibpt", &["--bogus"]);

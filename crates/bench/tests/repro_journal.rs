@@ -226,14 +226,15 @@ fn each_simulated_cell_names_its_fold() {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
-/// The ablations fold all three ways: the confidence-width hybrids and the
-/// BPSTs read shared key streams, two per pass (`p = 3` and `p = 1`
-/// keys); the always-update family `{0, 1, 3, 6, 8}` folds as one trie;
+/// Runs `ablations` traced at 2,000 events under `IBP_PROBE=probe` and
+/// checks the fold each simulated cell names: the confidence-width hybrids
+/// and the BPSTs read shared key streams, two per pass (`p = 3` and `p = 1`
+/// keys); the always-update family `{0, 1, 3, 6, 8}` folds on `always`;
 /// and the full-key history variations, like the two-bit-counter members
 /// left over from them, fold on their own lanes.
-#[test]
-fn ablations_cells_name_keyed_trie_and_lane_folds() {
-    let tmp = std::env::temp_dir().join(format!("ibp-ablation-folds-{}", std::process::id()));
+fn check_ablations_folds(probe: &str, always: &str) {
+    let tmp =
+        std::env::temp_dir().join(format!("ibp-ablation-folds-{probe}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     let journal = tmp.join("journal.jsonl");
     let out = run(
@@ -241,7 +242,7 @@ fn ablations_cells_name_keyed_trie_and_lane_folds() {
         &[],
         &[
             ("IBP_EVENTS", "2000"),
-            ("IBP_PROBE", "0"),
+            ("IBP_PROBE", probe),
             ("IBP_TRACE", journal.to_str().expect("utf8 path")),
             ("IBP_RESULTS", tmp.to_str().expect("utf8 path")),
         ],
@@ -252,7 +253,7 @@ fn ablations_cells_name_keyed_trie_and_lane_folds() {
         String::from_utf8_lossy(&out.stderr)
     );
     let records = read_journal(&journal).expect("parse journal");
-    let mut folds = std::collections::BTreeMap::new();
+    let mut folds = std::collections::BTreeSet::new();
     for cell in records
         .iter()
         .filter(|r| r.kind == Kind::Event && r.name == "cell")
@@ -262,18 +263,16 @@ fn ablations_cells_name_keyed_trie_and_lane_folds() {
         let expected = if config.starts_with("Hybrid|") || config.starts_with("Bpst|") {
             "keyed"
         } else if config.contains("|rule=Always|") {
-            "trie"
+            always
         } else {
             "lane"
         };
         assert_eq!(cell.field_str("fold"), Some(expected), "{cell:?}");
-        *folds.entry(expected).or_insert(0) += 1;
+        folds.insert(expected);
     }
-    assert_eq!(
-        folds.keys().copied().collect::<Vec<_>>(),
-        ["keyed", "lane", "trie"],
-        "every fold simulates some cell: {folds:?}"
-    );
+    let mut every = std::collections::BTreeSet::from(["keyed", "lane"]);
+    every.insert(always);
+    assert_eq!(folds, every, "every fold simulates some cell");
     let keys: Vec<Option<u64>> = records
         .iter()
         .filter(|r| r.kind == Kind::Span && r.name == "cell")
@@ -283,6 +282,21 @@ fn ablations_cells_name_keyed_trie_and_lane_folds() {
     assert!(keys.contains(&None), "a full-key pass builds none");
     assert!(keys.iter().all(|k| matches!(k, None | Some(2))), "{keys:?}");
     std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// Unprobed, the ablations fold all three ways, the always-update family
+/// as one trie.
+#[test]
+fn ablations_cells_name_keyed_trie_and_lane_folds() {
+    check_ablations_folds("0", "trie");
+}
+
+/// Probed, the hybrids and BPSTs still fold through the component bank;
+/// only the always-update family leaves its trie for lanes, since a
+/// probed pass samples tables that a trie never holds mid-pass.
+#[test]
+fn probed_ablations_fold_through_the_bank() {
+    check_ablations_folds("1", "lane");
 }
 
 /// Runs `bin` traced at 2,000 events, probe off, in a fresh results root

@@ -4,14 +4,14 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A map keyed by a 32-bit word, hashed by [`WordHasher`].
-pub(crate) type WordMap<V> = HashMap<u32, V, BuildHasherDefault<WordHasher>>;
+pub type WordMap<V> = HashMap<u32, V, BuildHasherDefault<WordHasher>>;
 
 /// A multiplicative hasher with fixed constants: one multiply per word,
 /// where the std default (SipHash) runs several rounds. Branch addresses
 /// come from the trace, not from an adversary, and a collision costs only
 /// a longer probe, never a wrong answer.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct WordHasher(u64);
+pub struct WordHasher(u64);
 
 impl WordHasher {
     const K: u64 = 0x517c_c1b7_2722_0a95;

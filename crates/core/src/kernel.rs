@@ -4,9 +4,9 @@
 //! variants, and [`FoldKernel::fold_chunk`] folds a whole chunk of events
 //! into a [`ChunkScorer`] after one dispatch. There are two folds:
 //!
-//! * [`fold_two_level_chunk`], the `TwoLevel` variant's: an unprobed fold
-//!   over a full-key unbounded table builds the whole chunk's keys before
-//!   its first probe, and every other chunk takes the per-event step;
+//! * [`fold_two_level_chunk`], the `TwoLevel` variant's: a fold over a
+//!   full-key unbounded table builds the whole chunk's keys before its
+//!   first probe, and every other chunk takes the per-event step;
 //! * [`fold_dyn_chunk`], every other variant's and every borrowed
 //!   predictor's: one [`Predictor::step`] per indirect event. By default
 //!   `step` is the predict-then-update pair. The two-level predictor, the
@@ -19,14 +19,14 @@
 //! table once, and every lane replays its arbitration over its components'
 //! lookups.
 //!
-//! Scoring and probing stay caller-owned: the fold reports into a
+//! Scoring and probing stay caller-owned: every fold reports into a
 //! [`ChunkScorer`], which counts scored and mispredicted events and, when a
-//! [`ProbeSink`] is attached, follows the probe layer's per-event protocol:
-//! the key fingerprint before training, `score` before `note_trained`, a
-//! warm sample on the event that ends the warmup and interval samples
-//! every so many scored events. Results are byte-identical to the
-//! predict-then-update sequence by construction: an overridden `step` looks
-//! up, then trains, with nothing in between.
+//! [`ProbeSink`] is attached, reports each event to it: the key
+//! fingerprint before training, `score` before `note_trained`. Structural
+//! samples are not a fold's business: the pass driver cuts its chunks at
+//! the sample points and reads the predictors between two folds. Results
+//! are byte-identical to the predict-then-update sequence by construction:
+//! an overridden `step` looks up, then trains, with nothing in between.
 
 use ibp_trace::{Addr, TraceEvent};
 
@@ -34,15 +34,14 @@ use crate::ext::{CascadePredictor, MultiHybridPredictor, SharedTableHybrid};
 use crate::hybrid::HybridPredictor;
 use crate::meta::BpstMetaPredictor;
 use crate::predictor::Predictor;
-use crate::two_level::TwoLevelPredictor;
+use crate::two_level::{full_key_fingerprint, TwoLevelPredictor};
 
 /// Where a fold reports per-event probe information. Implemented by
-/// `ibp-sim`'s probe layer and by its analysis folds (per-site scoring,
-/// miss classification); all methods are state-only — they never touch the
-/// predictor.
+/// `ibp-sim`'s miss classifier and probe layer and by its per-site
+/// scoring; all methods are state-only — they never touch the predictor.
 pub trait ProbeSink {
     /// Whether the fold should compute a table-key fingerprint per event
-    /// (the deep-probe miss-attribution protocol). Queried once per fold.
+    /// (the miss classifier's cold/capacity split). Queried once per fold.
     fn wants_fingerprint(&self) -> bool;
 
     /// A scored indirect branch: the prediction made against the actual
@@ -52,21 +51,13 @@ pub trait ProbeSink {
     /// event's own training.
     fn score(&mut self, pc: Addr, predicted: Option<Addr>, actual: Addr, fp: Option<u64>);
 
-    /// Every indirect branch trains its key; called after the event's
-    /// training (and after [`score`](ProbeSink::score) when scored).
-    fn note_trained(&mut self, fp: Option<u64>);
-
-    /// A structural snapshot point ("warm" / "interval"); read-only.
-    fn sample(&mut self, point: &str, predictor: &dyn Predictor);
-}
-
-/// The probe half of a [`ChunkScorer`].
-struct ScorerProbe<'a> {
-    sink: &'a mut dyn ProbeSink,
-    fingerprints: bool,
-    /// Deep interval-sample spacing in scored events, or `None` for no
-    /// interval samples.
-    interval: Option<u64>,
+    /// Every indirect branch trains its key: called after the event's
+    /// training (and after [`score`](ProbeSink::score) when scored) with
+    /// the key's fingerprint, whenever the fold took one. The default
+    /// ignores it.
+    fn note_trained(&mut self, fp: u64) {
+        let _ = fp;
+    }
 }
 
 /// Fold state threaded through [`FoldKernel::fold_chunk`]: the warmup
@@ -75,11 +66,11 @@ struct ScorerProbe<'a> {
 pub struct ChunkScorer<'a> {
     /// Indirect events still to consume unscored.
     to_warm: u64,
-    /// Scored indirect events so far (drives interval sampling).
-    scored_seen: u64,
     indirect: u64,
     mispredicted: u64,
-    probe: Option<ScorerProbe<'a>>,
+    probe: Option<&'a mut dyn ProbeSink>,
+    /// Whether the probe wants each event's key fingerprint.
+    fingerprints: bool,
 }
 
 impl<'a> ChunkScorer<'a> {
@@ -89,29 +80,20 @@ impl<'a> ChunkScorer<'a> {
     pub fn new(warmup: u64) -> Self {
         ChunkScorer {
             to_warm: warmup,
-            scored_seen: 0,
             indirect: 0,
             mispredicted: 0,
             probe: None,
+            fingerprints: false,
         }
     }
 
-    /// A scorer that reports every event into `sink`. It samples "warm" on
-    /// the event that ends the warmup, after that event's training (never
-    /// with a zero warmup), and "interval" every `interval` scored events.
+    /// A scorer that reports every event into `sink`.
     #[must_use]
-    pub fn probed(warmup: u64, sink: &'a mut dyn ProbeSink, interval: Option<u64>) -> Self {
-        let fingerprints = sink.wants_fingerprint();
+    pub fn probed(warmup: u64, sink: &'a mut dyn ProbeSink) -> Self {
         ChunkScorer {
-            to_warm: warmup,
-            scored_seen: 0,
-            indirect: 0,
-            mispredicted: 0,
-            probe: Some(ScorerProbe {
-                sink,
-                fingerprints,
-                interval,
-            }),
+            fingerprints: sink.wants_fingerprint(),
+            probe: Some(sink),
+            ..ChunkScorer::new(warmup)
         }
     }
 
@@ -133,16 +115,43 @@ impl<'a> ChunkScorer<'a> {
     pub fn mispredicted(&self) -> u64 {
         self.mispredicted
     }
-}
 
-/// Counts one indirect event off the warmup prefix: `true` when the event
-/// is scored, `false` while the prefix lasts.
-fn take_scored(to_warm: &mut u64) -> bool {
-    if *to_warm > 0 {
-        *to_warm -= 1;
-        false
-    } else {
-        true
+    /// Counts one indirect event off the warmup prefix: `true` when the
+    /// event is scored, `false` while the prefix lasts.
+    fn take_scored(&mut self) -> bool {
+        if self.to_warm > 0 {
+            self.to_warm -= 1;
+            false
+        } else {
+            true
+        }
+    }
+
+    /// Scores one indirect event's prediction when `scored`, and reports
+    /// the event, with the key fingerprint `fp` taken before its training,
+    /// to the attached sink.
+    fn record(
+        &mut self,
+        pc: Addr,
+        actual: Addr,
+        scored: bool,
+        predicted: Option<Addr>,
+        fp: Option<u64>,
+    ) {
+        if scored {
+            self.indirect += 1;
+            if predicted != Some(actual) {
+                self.mispredicted += 1;
+            }
+        }
+        if let Some(sink) = &mut self.probe {
+            if scored {
+                sink.score(pc, predicted, actual, fp);
+            }
+            if let Some(fp) = fp {
+                sink.note_trained(fp);
+            }
+        }
     }
 }
 
@@ -150,109 +159,57 @@ fn take_scored(to_warm: &mut u64) -> bool {
 /// [`Predictor::step`] per indirect event (looking up only when scored):
 /// the fold of every [`FoldKernel`] variant but `TwoLevel`, of borrowed
 /// predictors, and of every two-level chunk that takes no batched pass.
-/// The probe-free path is branch-light; the probed path follows the probe
-/// layer's per-event protocol.
+/// A probed fold reads [`Predictor::probe_key_fingerprint`] before each
+/// step when its sink wants fingerprints.
 pub fn fold_dyn_chunk(
     p: &mut (dyn Predictor + 'static),
     events: &[TraceEvent],
     scorer: &mut ChunkScorer<'_>,
 ) {
-    let ChunkScorer {
-        to_warm,
-        scored_seen,
-        indirect,
-        mispredicted,
-        probe,
-    } = scorer;
-    match probe {
-        None => {
-            for event in events {
-                match event {
-                    TraceEvent::Indirect(b) => {
-                        let scored = take_scored(to_warm);
-                        let predicted = p.step(b.pc, b.target, scored);
-                        if scored {
-                            *indirect += 1;
-                            if predicted != Some(b.target) {
-                                *mispredicted += 1;
-                            }
-                        }
-                    }
-                    TraceEvent::Cond(b) => p.observe_cond(b.pc, b.outcome()),
-                }
+    for event in events {
+        match event {
+            TraceEvent::Indirect(b) => {
+                let scored = scorer.take_scored();
+                let fp = scorer
+                    .fingerprints
+                    .then(|| p.probe_key_fingerprint(b.pc))
+                    .flatten();
+                let predicted = p.step(b.pc, b.target, scored);
+                scorer.record(b.pc, b.target, scored, predicted, fp);
             }
-        }
-        Some(probe) => {
-            for event in events {
-                match event {
-                    TraceEvent::Indirect(b) => {
-                        let scored = take_scored(to_warm);
-                        // This event exhausts the warmup prefix.
-                        let crossed = !scored && *to_warm == 0;
-                        let fp = if probe.fingerprints {
-                            p.probe_key_fingerprint(b.pc)
-                        } else {
-                            None
-                        };
-                        let predicted = p.step(b.pc, b.target, scored);
-                        if scored {
-                            *scored_seen += 1;
-                            *indirect += 1;
-                            if predicted != Some(b.target) {
-                                *mispredicted += 1;
-                            }
-                            probe.sink.score(b.pc, predicted, b.target, fp);
-                        }
-                        probe.sink.note_trained(fp);
-                        if crossed {
-                            probe.sink.sample("warm", p);
-                        } else if scored {
-                            if let Some(n) = probe.interval {
-                                if scored_seen.is_multiple_of(n) {
-                                    probe.sink.sample("interval", p);
-                                }
-                            }
-                        }
-                    }
-                    TraceEvent::Cond(b) => p.observe_cond(b.pc, b.outcome()),
-                }
-            }
+            TraceEvent::Cond(b) => p.observe_cond(b.pc, b.outcome()),
         }
     }
 }
 
-/// The probe-free fold skeleton over indirect branches whose keys (or
-/// lookups) were built ahead: `branches` yields each indirect event's
-/// address and target, and `step` gets the event's index among them (the
-/// index of its key or record), its address and target, and whether it is
-/// scored, and returns the prediction. Conditional events never reach it:
-/// whoever built the keys ran the history over them.
-///
-/// # Panics
-///
-/// Panics if `scorer` carries a probe, whose samples read the live
-/// history mid-chunk.
-pub(crate) fn fold_prekeyed<F>(
+/// The fold skeleton over indirect branches whose keys (or lookups) were
+/// built ahead: `branches` yields each indirect event's address and
+/// target, `fingerprint` gets the event's index among them (the index of
+/// its key or record) and returns its key fingerprint, asked for only when
+/// the scorer's sink wants one, and `step` gets the event's index, its
+/// address and target, and whether it is scored, and returns the
+/// prediction. Conditional events never reach it: whoever built the keys
+/// ran the history over them.
+pub(crate) fn fold_prekeyed<K, F>(
     branches: impl Iterator<Item = (Addr, Addr)>,
     scorer: &mut ChunkScorer<'_>,
+    fingerprint: K,
     mut step: F,
 ) where
+    K: Fn(usize) -> Option<u64>,
     F: FnMut(usize, Addr, Addr, bool) -> Option<Addr>,
 {
-    assert!(
-        scorer.probe.is_none(),
-        "a probed fold reads the live history"
-    );
     for (i, (pc, actual)) in branches.enumerate() {
-        let scored = take_scored(&mut scorer.to_warm);
+        let scored = scorer.take_scored();
+        let fp = scorer.fingerprints.then(|| fingerprint(i)).flatten();
         let predicted = step(i, pc, actual, scored);
-        if scored {
-            scorer.indirect += 1;
-            if predicted != Some(actual) {
-                scorer.mispredicted += 1;
-            }
-        }
+        scorer.record(pc, actual, scored, predicted, fp);
     }
+}
+
+/// No key fingerprint: a composite has no single key.
+pub(crate) fn no_fingerprint(_: usize) -> Option<u64> {
+    None
 }
 
 /// The address and target of each indirect event in `events`, in order.
@@ -268,30 +225,32 @@ pub(crate) fn indirect_branches(events: &[TraceEvent]) -> impl Iterator<Item = (
 /// classification, pattern censuses) that keep ownership of their
 /// predictor instead of wrapping it in a [`FoldKernel`].
 ///
-/// Over a full-key unbounded table an unprobed fold runs in two passes:
-/// first the key and hash tag of every indirect event in the chunk, then
-/// the probes and training over those keys. The history depends only on
-/// the events, so the keys are exactly what the per-event step would
-/// compute. Every other chunk takes [`fold_dyn_chunk`]'s per-event
-/// [`Predictor::step`]: a probed fold, whose mid-chunk samples read the
-/// live history, and a compressed key, which a pass shares through
-/// [`KeyStreams`](crate::KeyStreams) instead.
+/// Over a full-key unbounded table the fold runs in two passes: first the
+/// key and hash tag of every indirect event in the chunk, then the probes
+/// and training over those keys. The history depends only on the events,
+/// so the keys are exactly what the per-event step would compute, and so
+/// is each key's fingerprint. A compressed key, which a pass shares
+/// through [`KeyStreams`](crate::KeyStreams) instead, takes
+/// [`fold_dyn_chunk`]'s per-event [`Predictor::step`].
 pub fn fold_two_level_chunk(
     p: &mut TwoLevelPredictor,
     events: &[TraceEvent],
     scorer: &mut ChunkScorer<'_>,
 ) {
-    if scorer.probe.is_none() {
-        if let Some((table, batch, rule)) = p.batch_keys(events) {
-            let width = table.key_words();
-            fold_prekeyed(indirect_branches(events), scorer, |i, _, actual, scored| {
+    if let Some((table, batch, rule)) = p.batch_keys(events) {
+        let width = table.key_words();
+        fold_prekeyed(
+            indirect_branches(events),
+            scorer,
+            |i| Some(full_key_fingerprint(batch.key(i, width).0)),
+            |i, _, actual, scored| {
                 let (key, tag) = batch.key(i, width);
                 table
                     .lookup_update_tagged(key, tag, actual, rule, scored)
                     .map(|h| h.target)
-            });
-            return;
-        }
+            },
+        );
+        return;
     }
     fold_dyn_chunk(p, events, scorer);
 }

@@ -72,6 +72,7 @@ pub use config::{
     Associativity, ConfigError, Decomposition, PredictorConfig, PredictorKind, ShardRouting,
 };
 pub use counter::SaturatingCounter;
+pub use hash::{WordHasher, WordMap};
 pub use history::{Histories, HistoryElement, HistoryRegister, HistorySharing, MAX_PATH};
 pub use hybrid::HybridPredictor;
 pub use interleave::Interleaving;

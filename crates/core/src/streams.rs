@@ -26,18 +26,22 @@
 //!
 //! A component that one lane alone holds records and replays the same
 //! way. A shared-table hybrid reads its components' key streams and keeps
-//! its own table step. After the pass, [`restore`](KeyStreams::restore)
-//! gives every holder its component's final table and its recipe's
-//! history, so every kernel ends exactly as its own fold would have left
-//! it.
+//! its own table step. [`sync`](KeyStreams::sync) gives every holder its
+//! component's current table and its recipe's history, so every kernel
+//! stands exactly where its own fold would have left it. A lane may report
+//! into a [`ProbeSink`] as its own fold would, a single-table lane with
+//! its stream's key as the key fingerprint.
 
 use ibp_trace::{Addr, TraceEvent};
 
 use crate::ext::{CascadePredictor, MultiHybridPredictor, SharedTableHybrid};
 use crate::history::{Histories, HistoryElement, HistorySharing};
 use crate::hybrid::HybridPredictor;
-use crate::kernel::{fold_prekeyed, indirect_branches, ChunkScorer, FoldKernel};
+use crate::kernel::{
+    fold_prekeyed, indirect_branches, no_fingerprint, ChunkScorer, FoldKernel, ProbeSink,
+};
 use crate::key::CompressedKeySpec;
+use crate::predictor::Predictor;
 use crate::table::TableHit;
 use crate::two_level::{TableShape, TwoLevelPredictor};
 
@@ -173,7 +177,7 @@ struct BankLane<'k> {
     kernel: &'k mut FoldKernel,
     reads: Vec<usize>,
     fold: LaneFold,
-    scorer: ChunkScorer<'static>,
+    scorer: ChunkScorer<'k>,
 }
 
 /// The handle of a kernel attached to a [`KeyStreams`].
@@ -211,12 +215,11 @@ fn part_mut(kernel: &mut FoldKernel, part: usize) -> &mut TwoLevelPredictor {
 /// distinct recipe, and one table and one block of lookups per distinct
 /// component among the attached kernels.
 ///
-/// [`attach`](KeyStreams::attach) every kernel before the first chunk,
-/// then [`fold_chunk`](KeyStreams::fold_chunk) each chunk, and read each
-/// lane's score off [`scorer`](KeyStreams::scorer). After the last chunk,
-/// [`restore`](KeyStreams::restore). The folds take no
-/// [`ProbeSink`](crate::ProbeSink): a probed fold samples the live history
-/// and tables mid-chunk, so it keeps the kernel's own fold.
+/// [`attach`](KeyStreams::attach) (and [`probe`](KeyStreams::probe))
+/// every kernel before the first chunk, then
+/// [`fold_chunk`](KeyStreams::fold_chunk) each chunk, or each piece of one,
+/// and read each lane's score off [`scorer`](KeyStreams::scorer). Between
+/// two folds, [`sync`](KeyStreams::sync) brings every kernel up to date.
 pub struct KeyStreams<'k> {
     streams: Vec<Stream>,
     components: Vec<Component>,
@@ -306,6 +309,16 @@ impl<'k> KeyStreams<'k> {
         Ok(KeyedLane(lane))
     }
 
+    /// Reports the events of `lane` into `sink` from the first chunk on.
+    ///
+    /// # Panics
+    ///
+    /// Panics once a chunk has been folded.
+    pub fn probe(&mut self, lane: KeyedLane, sink: &'k mut dyn ProbeSink) {
+        assert!(!self.started, "probe every lane before the first chunk");
+        self.lanes[lane.0].scorer = ChunkScorer::probed(self.warmup, sink);
+    }
+
     fn stream(&mut self, recipe: KeyRecipe) -> usize {
         let found = self.streams.iter().position(|s| s.recipe == recipe);
         found.unwrap_or_else(|| {
@@ -377,8 +390,15 @@ impl<'k> KeyStreams<'k> {
 
     /// The score of `lane` over the chunks folded so far.
     #[must_use]
-    pub fn scorer(&self, lane: KeyedLane) -> &ChunkScorer<'static> {
+    pub fn scorer(&self, lane: KeyedLane) -> &ChunkScorer<'k> {
         &self.lanes[lane.0].scorer
+    }
+
+    /// The kernel of `lane` as a predictor, current after a
+    /// [`sync`](KeyStreams::sync).
+    #[must_use]
+    pub fn predictor(&self, lane: KeyedLane) -> &dyn Predictor {
+        self.lanes[lane.0].kernel.as_predictor()
     }
 
     /// Folds the next chunk through every attached lane: builds each
@@ -425,24 +445,24 @@ impl<'k> KeyStreams<'k> {
             }
             let (pcs, targets) = (&pcs[span.clone()], &targets[span.clone()]);
             for lane in lanes.iter_mut().filter(|l| l.fold == LaneFold::Replay) {
-                replay(lane, components, pcs, targets);
+                replay(lane, streams, components, pcs, targets, span.start);
             }
             start = span.end;
         }
     }
 
-    /// Ends the pass: copies each component's table from its first holder
-    /// into the others, and each stream's history into every predictor
-    /// that read it, so every attached kernel leaves the pass exactly as
-    /// its own fold would have left it.
-    pub fn restore(self) {
+    /// Copies each component's table from its first holder into the
+    /// others, and each stream's history into every predictor that reads
+    /// it, so every attached kernel stands exactly where its own fold
+    /// would.
+    pub fn sync(&mut self) {
         let KeyStreams {
             streams,
             components,
-            mut lanes,
+            lanes,
             ..
         } = self;
-        for c in &components {
+        for c in components.iter() {
             let history = &streams[c.stream].histories;
             let (first, rest) = c.holders.split_first().expect("a component has a holder");
             let trained = part_mut(lanes[first.lane].kernel, first.part);
@@ -457,7 +477,7 @@ impl<'k> KeyStreams<'k> {
                 holder.adopt_histories(history);
             }
         }
-        for lane in &mut lanes {
+        for lane in lanes.iter_mut() {
             if let FoldKernel::SharedTable(s) = lane.kernel {
                 // The deepest component's stream ran the hybrid's history.
                 let deepest = lane
@@ -486,19 +506,32 @@ fn fold_shared_table(lane: &mut BankLane<'_>, streams: &[Stream], events: &[Trac
     };
     let mut keys = [0; SharedTableHybrid::MAX_COMPONENTS];
     let keys = &mut keys[..reads.len()];
-    fold_prekeyed(indirect_branches(events), scorer, |i, _, actual, scored| {
-        for (key, &stream) in keys.iter_mut().zip(reads.iter()) {
-            *key = streams[stream].keys[i];
-        }
-        s.keyed_step(keys, actual, scored)
-    });
+    fold_prekeyed(
+        indirect_branches(events),
+        scorer,
+        no_fingerprint,
+        |i, _, actual, scored| {
+            for (key, &stream) in keys.iter_mut().zip(reads.iter()) {
+                *key = streams[stream].keys[i];
+            }
+            s.keyed_step(keys, actual, scored)
+        },
+    );
 }
 
-/// Scores one block of a replaying lane, whose indirect branches have the
-/// addresses `pcs` and the targets `targets`: per branch, its arbitration
-/// over its components' recorded lookups — the confidence rule, the
-/// cascade's first hit, or [`MetaState::replay`](crate::MetaState::replay).
-fn replay(lane: &mut BankLane<'_>, components: &[Component], pcs: &[Addr], targets: &[Addr]) {
+/// Scores one block of a replaying lane, whose indirect branches, from
+/// the chunk's `start`-th on, have the addresses `pcs` and the targets
+/// `targets`: per branch, its arbitration over its components' recorded
+/// lookups — the confidence rule, the cascade's first hit, or
+/// [`MetaState::replay`](crate::MetaState::replay).
+fn replay(
+    lane: &mut BankLane<'_>,
+    streams: &[Stream],
+    components: &[Component],
+    pcs: &[Addr],
+    targets: &[Addr],
+    start: usize,
+) {
     let BankLane {
         kernel,
         reads,
@@ -516,11 +549,17 @@ fn replay(lane: &mut BankLane<'_>, components: &[Component], pcs: &[Addr], targe
     match kernel {
         FoldKernel::TwoLevel(_) => {
             let only = records(0);
-            fold_prekeyed(block(), scorer, |i, _, _, _| target(only[i].unpack()));
+            let keys = &streams[components[reads[0]].stream].keys[start..];
+            fold_prekeyed(
+                block(),
+                scorer,
+                |i| Some(keys[i]),
+                |i, _, _, _| target(only[i].unpack()),
+            );
         }
         FoldKernel::Hybrid(_) => {
             let (first, second) = (records(0), records(1));
-            fold_prekeyed(block(), scorer, |i, _, _, _| {
+            fold_prekeyed(block(), scorer, no_fingerprint, |i, _, _, _| {
                 target(HybridPredictor::select(
                     first[i].unpack(),
                     second[i].unpack(),
@@ -530,14 +569,14 @@ fn replay(lane: &mut BankLane<'_>, components: &[Component], pcs: &[Addr], targe
         FoldKernel::Bpst(b) => {
             let (first, second) = (records(0), records(1));
             let meta = b.meta_mut();
-            fold_prekeyed(block(), scorer, |i, pc, actual, _| {
+            fold_prekeyed(block(), scorer, no_fingerprint, |i, pc, actual, _| {
                 meta.replay(pc, first[i].unpack(), second[i].unpack(), actual)
             });
         }
-        FoldKernel::Multi(_) => fold_prekeyed(block(), scorer, |i, _, _, _| {
+        FoldKernel::Multi(_) => fold_prekeyed(block(), scorer, no_fingerprint, |i, _, _, _| {
             target(MultiHybridPredictor::select(all(i)))
         }),
-        FoldKernel::Cascade(_) => fold_prekeyed(block(), scorer, |i, _, _, _| {
+        FoldKernel::Cascade(_) => fold_prekeyed(block(), scorer, no_fingerprint, |i, _, _, _| {
             target(CascadePredictor::select(all(i)))
         }),
         FoldKernel::SharedTable(_) | FoldKernel::Dyn(_) => {

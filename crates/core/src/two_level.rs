@@ -14,6 +14,15 @@ fn key_words(key: u64) -> [u32; 2] {
     [key as u32, (key >> 32) as u32]
 }
 
+/// The fingerprint of a full-precision key: a hash of its words. A
+/// compressed key is its own fingerprint.
+pub(crate) fn full_key_fingerprint(words: &[u32]) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    words.hash(&mut h);
+    h.finish()
+}
+
 /// Runs `f` on the full-precision key of a branch at `pc`, built on the
 /// stack.
 fn with_full_key<R>(
@@ -406,14 +415,9 @@ impl TwoLevelPredictor {
     /// misses (key trained before but evicted since).
     #[must_use]
     pub fn key_fingerprint(&self, pc: Addr) -> u64 {
-        use std::hash::{Hash, Hasher};
         let register = self.histories.register(pc);
         match &self.mode {
-            Mode::Full { key, .. } => with_full_key(key, pc, register, |words| {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                words.hash(&mut h);
-                h.finish()
-            }),
+            Mode::Full { key, .. } => with_full_key(key, pc, register, full_key_fingerprint),
             Mode::Compressed { spec, backend: _ } => spec.key(pc, register),
         }
     }

@@ -12,7 +12,7 @@
 //! each is memoized and persisted like a predictor cell: [`MissLane`],
 //! [`CensusLane`], [`AheadLane`] and [`TraceLane`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use ibp_core::ext::{AheadPrediction, AheadPredictor};
 use ibp_core::{
@@ -25,6 +25,7 @@ use ibp_trace::{
     TraceStatsBuilder,
 };
 
+use crate::probe::MissClassifier;
 use crate::run::{MeasureLane, Measurement};
 
 /// Misprediction breakdown by cause for a two-level predictor.
@@ -94,10 +95,10 @@ impl MissBreakdown {
 
 /// Simulates a two-level predictor while classifying every misprediction.
 ///
-/// The classifier shadows the predictor with an ever-seen key set (via
-/// [`TwoLevelPredictor::key_fingerprint`]): a missing key that *was* seen
-/// is a capacity/conflict miss, a missing key never seen is a cold miss.
-/// For unbounded tables the capacity class is structurally zero.
+/// The [`MissClassifier`] shadows the predictor with an ever-seen key set
+/// (over [`TwoLevelPredictor::key_fingerprint`]): a missing key that *was*
+/// seen is a capacity/conflict miss, a missing key never seen is a cold
+/// miss. For unbounded tables the capacity class is structurally zero.
 pub fn simulate_classified(trace: &Trace, predictor: &mut TwoLevelPredictor) -> MissBreakdown {
     simulate_classified_source(&mut trace.cursor(), std::slice::from_mut(predictor))
         .expect("in-memory source cannot fail")
@@ -121,57 +122,31 @@ pub fn simulate_classified_source<S: EventSource + ?Sized>(
     source: &mut S,
     predictors: &mut [TwoLevelPredictor],
 ) -> Result<Vec<MissBreakdown>, TraceIoError> {
-    // The kernel fold computes the key fingerprint before each fused
-    // lookup+train step and reports score-then-note_trained — the same
-    // order the old hand-rolled loop classified in.
-    let mut sinks: Vec<ClassifySink> = predictors.iter().map(|_| ClassifySink::default()).collect();
-    let mut scorers: Vec<ChunkScorer<'_>> = sinks
-        .iter_mut()
-        .map(|sink| ChunkScorer::probed(0, sink, None))
+    let mut sinks: Vec<MissClassifier> = predictors
+        .iter()
+        .map(|_| MissClassifier::new(true))
         .collect();
     let mut chunk = TraceChunk::default();
     loop {
         let more = source.fill(&mut chunk, chunk_events())?;
-        for (predictor, scorer) in predictors.iter_mut().zip(&mut scorers) {
-            fold_two_level_chunk(predictor, chunk.events(), scorer);
+        for (predictor, sink) in predictors.iter_mut().zip(&mut sinks) {
+            classify_chunk(predictor, sink, chunk.events());
         }
         if !more {
-            break;
+            return Ok(sinks.iter().map(MissClassifier::breakdown).collect());
         }
     }
-    drop(scorers);
-    Ok(sinks.into_iter().map(|sink| sink.breakdown).collect())
 }
 
-/// A [`ProbeSink`] that classifies every scored event into the
-/// [`MissBreakdown`] taxonomy via the ever-seen fingerprint set.
-#[derive(Debug, Default)]
-struct ClassifySink {
-    seen: HashSet<u64>,
-    breakdown: MissBreakdown,
-}
-
-impl ProbeSink for ClassifySink {
-    fn wants_fingerprint(&self) -> bool {
-        true
-    }
-
-    fn score(&mut self, _pc: Addr, predicted: Option<Addr>, actual: Addr, fp: Option<u64>) {
-        match predicted {
-            Some(p) if p == actual => self.breakdown.hits += 1,
-            Some(_) => self.breakdown.wrong_target += 1,
-            None if fp.is_some_and(|key| self.seen.contains(&key)) => self.breakdown.capacity += 1,
-            None => self.breakdown.cold += 1,
-        }
-    }
-
-    fn note_trained(&mut self, fp: Option<u64>) {
-        if let Some(key) = fp {
-            self.seen.insert(key);
-        }
-    }
-
-    fn sample(&mut self, _point: &str, _predictor: &dyn Predictor) {}
+/// Folds one chunk of `predictor`'s events, classifying each miss into
+/// `sink`. Unwarmed, so a scorer per chunk folds exactly like one kept
+/// across the pass.
+fn classify_chunk(
+    predictor: &mut TwoLevelPredictor,
+    sink: &mut MissClassifier,
+    events: &[TraceEvent],
+) {
+    fold_two_level_chunk(predictor, events, &mut ChunkScorer::probed(0, sink));
 }
 
 /// Per-site misprediction statistics from one run.
@@ -214,7 +189,7 @@ pub fn simulate_per_site<S: EventSource + ?Sized>(
     kernel: &mut FoldKernel,
 ) -> Result<Vec<SiteMisses>, TraceIoError> {
     let mut sink = SiteSink::default();
-    let mut scorer = ChunkScorer::probed(0, &mut sink, None);
+    let mut scorer = ChunkScorer::probed(0, &mut sink);
     let mut chunk = TraceChunk::default();
     loop {
         let more = source.fill(&mut chunk, chunk_events())?;
@@ -254,10 +229,6 @@ impl ProbeSink for SiteSink {
             entry.1 += 1;
         }
     }
-
-    fn note_trained(&mut self, _fp: Option<u64>) {}
-
-    fn sample(&mut self, _point: &str, _predictor: &dyn Predictor) {}
 }
 
 /// Counts the distinct `(branch, path)` patterns a trace generates at a
@@ -313,7 +284,7 @@ pub fn pattern_census_source<S: EventSource + ?Sized>(
 /// [`Measurement::Misses`].
 pub struct MissLane {
     predictor: TwoLevelPredictor,
-    sink: ClassifySink,
+    sink: MissClassifier,
 }
 
 impl MissLane {
@@ -329,7 +300,7 @@ impl MissLane {
             predictor: cfg
                 .try_build_two_level()
                 .expect("miss classification needs a two-level predictor"),
-            sink: ClassifySink::default(),
+            sink: MissClassifier::new(true),
         }
     }
 
@@ -343,14 +314,11 @@ impl MissLane {
 
 impl MeasureLane for MissLane {
     fn fold_chunk(&mut self, chunk: &TraceChunk) {
-        // Unwarmed and never sampled, so a scorer per chunk folds exactly
-        // like one kept across the pass.
-        let mut scorer = ChunkScorer::probed(0, &mut self.sink, None);
-        fold_two_level_chunk(&mut self.predictor, chunk.events(), &mut scorer);
+        classify_chunk(&mut self.predictor, &mut self.sink, chunk.events());
     }
 
     fn finish(self: Box<Self>) -> Measurement {
-        Measurement::Misses(self.sink.breakdown)
+        Measurement::Misses(self.sink.breakdown())
     }
 }
 

@@ -1,17 +1,17 @@
 //! The persistent cross-process result cache.
 //!
 //! The engine's memo cache (see [`crate::engine`]) already guarantees a
-//! `(config, benchmark, events, warmup)` pair is simulated at most once
-//! *per process*. This module extends that guarantee across processes: on
+//! `(config, benchmark, events)` cell is simulated at most once *per
+//! process*. This module extends that guarantee across processes: on
 //! first use the engine loads previously published results from
 //! `results/.cache/v<schema>/engine.tsv`, and measurement binaries persist
 //! the merged cache back on exit. A second `repro_all` run then folds
 //! nothing at all — every lookup is a persistent hit, and no trace is read.
 //!
 //! The file is key-major, like the memo cache and like a sweep's lookups:
-//! each [`Row`] holds one key's cells at one `(events, warmup)`. A line
-//! holds the key, events and warmup, the [`Measurement::kind`] every cell
-//! of the key shares, then one `benchmark=count,count…` field per stored
+//! each [`Row`] holds one key's cells at one trace length. A line holds
+//! the key, the events, the [`Measurement::kind`] every cell of the key
+//! shares, then one `benchmark=count,count…` field per stored
 //! benchmark in [`Benchmark::ALL`] order, with that kind's counts (two for
 //! run stats, four for a miss breakdown, one for a pattern count, five for
 //! ahead hits, eight for trace characteristics). Lines are sorted by key.
@@ -55,8 +55,8 @@ pub(crate) fn slot(b: Benchmark) -> usize {
     b as usize
 }
 
-/// One row of the cache: a key's cells at one trace length and warmup,
-/// indexed by [`slot`]. Under one generator the trace is a pure function
+/// One row of the cache: a key's cells at one trace length, indexed by
+/// [`slot`]. Under one generator the trace is a pure function
 /// of `(benchmark, events)`, and the lane a pure function of the key, so
 /// the row's identity and a cell's benchmark determine its
 /// [`Measurement`] exactly; the file header pins the generator.
@@ -64,13 +64,12 @@ pub(crate) fn slot(b: Benchmark) -> usize {
 pub(crate) struct Row {
     pub(crate) key: String,
     pub(crate) events: u64,
-    pub(crate) warmup: u64,
     pub(crate) cells: [Option<Measurement>; SLOTS],
 }
 
 /// Bump when the TSV layout (or the meaning of any field) changes; older
 /// version directories are deleted on load.
-const SCHEMA_VERSION: u32 = 4;
+const SCHEMA_VERSION: u32 = 5;
 
 /// The most counts any [`Measurement`] kind stores.
 const MAX_COUNTS: usize = 8;
@@ -91,7 +90,7 @@ fn generator_fingerprint() -> u64 {
 fn file_header() -> String {
     format!(
         "# ibp engine cache, generator {:016x}: \
-         key\tevents\twarmup\tkind\tbenchmark=count,...",
+         key\tevents\tkind\tbenchmark=count,...",
         generator_fingerprint()
     )
 }
@@ -194,7 +193,6 @@ fn parse_row(line: &str) -> Option<Row> {
     let mut fields = line.split('\t');
     let key = fields.next()?;
     let events = fields.next()?.parse().ok()?;
-    let warmup = fields.next()?.parse().ok()?;
     let kind = fields.next()?;
     let mut cells = [None; SLOTS];
     for field in fields {
@@ -204,7 +202,6 @@ fn parse_row(line: &str) -> Option<Row> {
     cells.iter().any(Option::is_some).then(|| Row {
         key: key.to_string(),
         events,
-        warmup,
         cells,
     })
 }
@@ -218,7 +215,7 @@ fn format_row(row: &Row) -> Option<String> {
         return None;
     }
     let kind = row.cells.iter().flatten().next()?.kind();
-    let mut line = format!("{}\t{}\t{}\t{kind}", row.key, row.events, row.warmup);
+    let mut line = format!("{}\t{}\t{kind}", row.key, row.events);
     for (b, value) in Benchmark::ALL.iter().zip(&row.cells) {
         let Some(value) = value.filter(|v| v.kind() == kind) else {
             continue;
@@ -268,13 +265,13 @@ pub(crate) fn load() -> Vec<Row> {
 fn save_to(root: &Path, rows: &[Row]) -> io::Result<usize> {
     let dir = version_dir(root);
     fs::create_dir_all(&dir)?;
-    let mut merged: BTreeMap<(String, u64, u64), [Option<Measurement>; SLOTS]> = load_from(root)
+    let mut merged: BTreeMap<(String, u64), [Option<Measurement>; SLOTS]> = load_from(root)
         .into_iter()
-        .map(|row| ((row.key, row.events, row.warmup), row.cells))
+        .map(|row| ((row.key, row.events), row.cells))
         .collect();
     for row in rows {
         let cells = merged
-            .entry((row.key.clone(), row.events, row.warmup))
+            .entry((row.key.clone(), row.events))
             .or_insert([None; SLOTS]);
         for (cell, ours) in cells.iter_mut().zip(&row.cells) {
             if ours.is_some() {
@@ -284,14 +281,7 @@ fn save_to(root: &Path, rows: &[Row]) -> io::Result<usize> {
     }
     let lines: Vec<String> = merged
         .into_iter()
-        .filter_map(|((key, events, warmup), cells)| {
-            format_row(&Row {
-                key,
-                events,
-                warmup,
-                cells,
-            })
-        })
+        .filter_map(|((key, events), cells)| format_row(&Row { key, events, cells }))
         .collect();
     let tmp = dir.join("engine.tsv.tmp");
     let published = write_and_publish(&tmp, &dir, &lines);
@@ -350,12 +340,11 @@ mod tests {
         dir
     }
 
-    /// A row of `key` at `(events, warmup)` holding `cells`.
-    fn row(key: &str, events: u64, warmup: u64, cells: &[(Benchmark, Measurement)]) -> Row {
+    /// A row of `key` at `events` holding `cells`.
+    fn row(key: &str, events: u64, cells: &[(Benchmark, Measurement)]) -> Row {
         let mut row = Row {
             key: key.to_string(),
             events,
-            warmup,
             cells: [None; SLOTS],
         };
         for &(b, value) in cells {
@@ -376,7 +365,6 @@ mod tests {
             row(
                 "btb-2bc",
                 6_000,
-                0,
                 &[
                     (Benchmark::Ixx, run(6_000, 1_234)),
                     (Benchmark::Gcc, run(6_000, 99)),
@@ -385,7 +373,6 @@ mod tests {
             row(
                 "two-level|p=4",
                 6_000,
-                500,
                 &[(Benchmark::Xlisp, run(5_500, 321))],
             ),
         ]
@@ -442,7 +429,7 @@ mod tests {
         let text = fs::read_to_string(version_dir(&root).join("engine.tsv")).expect("read");
         assert_eq!(
             text.lines().nth(1),
-            Some("btb-2bc\t6000\t0\trun\tixx=6000,1234\tgcc=6000,99"),
+            Some("btb-2bc\t6000\trun\tixx=6000,1234\tgcc=6000,99"),
             "one line per key, its benchmarks in Benchmark::ALL order"
         );
         let _ = fs::remove_dir_all(&root);
@@ -458,7 +445,6 @@ mod tests {
                 row(
                     &key,
                     6_000,
-                    0,
                     &[(Benchmark::Gcc, value), (Benchmark::Go, value)],
                 )
             })
@@ -474,34 +460,32 @@ mod tests {
 
     proptest! {
         /// Any set of rows, of every kind, over any benchmarks, at several
-        /// `(events, warmup)` per key, and under keys that hold the
-        /// characters the line's fields are split on, loads back as saved.
+        /// trace lengths per key, and under keys that hold the characters
+        /// the line's fields are split on, loads back as saved.
         #[test]
         fn rows_round_trip_through_disk(
             keys in proptest::collection::vec("[a-z0-9|=,: {}()]{0,24}", 1..6),
             cells in proptest::collection::vec(
-                (0usize..6, 0u64..3, 0u64..3, 0usize..SLOTS, any::<u64>(), any::<u64>()),
+                (0usize..6, 0u64..3, 0usize..SLOTS, any::<u64>(), any::<u64>()),
                 1..40,
             )
         ) {
-            let mut expected: BTreeMap<(String, u64, u64), [Option<Measurement>; SLOTS]> =
+            let mut expected: BTreeMap<(String, u64), [Option<Measurement>; SLOTS]> =
                 BTreeMap::new();
-            for (k, events, warmup, b, x, y) in cells {
+            for (k, events, b, x, y) in cells {
                 // Each key stores one kind, as the engine's keys do, and
                 // the six keys cover all five.
                 let key = format!("{}{}", keys[k % keys.len()], k);
                 let kind = k % 5;
                 let counts = [x, y, x ^ y, x / 3, y / 5, x.rotate_left(7), 7, 0];
                 let value = one_of_each_kind(counts)[kind];
-                expected.entry((key, events * 60_000, warmup * 500)).or_insert([None; SLOTS])
-                    [b] = Some(value);
+                expected.entry((key, events * 60_000)).or_insert([None; SLOTS])[b] = Some(value);
             }
             let rows: Vec<Row> = expected
                 .iter()
-                .map(|((key, events, warmup), cells)| Row {
+                .map(|((key, events), cells)| Row {
                     key: key.clone(),
                     events: *events,
-                    warmup: *warmup,
                     cells: *cells,
                 })
                 .collect();
@@ -518,18 +502,17 @@ mod tests {
         let root = scratch_root("arity");
         write_cache(
             &root,
-            "short\t100\t0\tmisses\tixx=1,2,3\n\
-             long\t100\t0\trun\tixx=100,7,1\n\
-             overlong\t100\t0\ttrace\tixx=1,2,3,4,5,6,7,8,9\n\
-             unknown\t100\t0\tnoise\tixx=1\n\
-             patterns|p=1\t100\t0\tpatterns\tixx=42\n",
+            "short\t100\tmisses\tixx=1,2,3\n\
+             long\t100\trun\tixx=100,7,1\n\
+             overlong\t100\ttrace\tixx=1,2,3,4,5,6,7,8,9\n\
+             unknown\t100\tnoise\tixx=1\n\
+             patterns|p=1\t100\tpatterns\tixx=42\n",
         );
         assert_eq!(
             load_from(&root),
             vec![row(
                 "patterns|p=1",
                 100,
-                0,
                 &[(Benchmark::Ixx, Measurement::Patterns(42))]
             )],
             "only the row whose counts match its kind survives"
@@ -581,7 +564,6 @@ mod tests {
         let first = row(
             "btb",
             6_000,
-            0,
             &[
                 (Benchmark::Ixx, run(6_000, 10)),
                 (Benchmark::Gcc, run(6_000, 11)),
@@ -593,7 +575,6 @@ mod tests {
         let second = row(
             "btb",
             6_000,
-            0,
             &[
                 (Benchmark::Idl, run(6_000, 12)),
                 (Benchmark::Gcc, run(6_000, 11)),
@@ -607,7 +588,6 @@ mod tests {
         let merged = row(
             "btb",
             6_000,
-            0,
             &[
                 (Benchmark::Idl, run(6_000, 12)),
                 (Benchmark::Ixx, run(6_000, 10)),
@@ -621,12 +601,12 @@ mod tests {
     #[test]
     fn stale_schema_directories_are_evicted() {
         let root = scratch_root("evict");
-        let stale = [root.join("v0"), root.join("v2"), root.join("v3")];
+        let stale = [root.join("v0"), root.join("v3"), root.join("v4")];
         for dir in &stale {
             fs::create_dir_all(dir).expect("mk stale");
             fs::write(dir.join("engine.tsv"), "junk\n").expect("stale file");
         }
-        assert!(load_from(&root).is_empty(), "no v4 file yet");
+        assert!(load_from(&root).is_empty(), "no v5 file yet");
         for dir in &stale {
             assert!(!dir.exists(), "{} evicted on first load", dir.display());
         }
@@ -686,20 +666,19 @@ mod tests {
         write_cache(
             &root,
             "not-enough-fields\t3\n\
-             no-cell\t100\t0\trun\n\
-             a\t100\t0\trun\tixx=100,7\tno-such-benchmark=1,0\n\
-             b\t100\t0\trun\tixx=100,7\tgcc=1,not-a-count\n\
-             c\t100\t0\trun\tixx=100,7\tgcc=1,0,\n\
-             d\t100\t0\trun\tixx=100,7\tgcc\n\
-             e\tmany\t0\trun\tixx=100,7\n\
-             btb\t100\t0\trun\tixx=100,7\tgcc=100,9\n",
+             no-cell\t100\trun\n\
+             a\t100\trun\tixx=100,7\tno-such-benchmark=1,0\n\
+             b\t100\trun\tixx=100,7\tgcc=1,not-a-count\n\
+             c\t100\trun\tixx=100,7\tgcc=1,0,\n\
+             d\t100\trun\tixx=100,7\tgcc\n\
+             e\tmany\trun\tixx=100,7\n\
+             btb\t100\trun\tixx=100,7\tgcc=100,9\n",
         );
         assert_eq!(
             load_from(&root),
             vec![row(
                 "btb",
                 100,
-                0,
                 &[(Benchmark::Ixx, run(100, 7)), (Benchmark::Gcc, run(100, 9))]
             )],
             "only the well-formed row survives, and each bad one goes whole"
@@ -714,13 +693,11 @@ mod tests {
         rows.push(row(
             "split\there",
             6_000,
-            0,
             &[(Benchmark::Ixx, run(6_000, 1))],
         ));
         rows.push(row(
             "split\nhere",
             6_000,
-            0,
             &[(Benchmark::Ixx, run(6_000, 2))],
         ));
         assert_eq!(

@@ -15,19 +15,20 @@
 //!   most one trace pass per benchmark, and none when every cell hits;
 //! * within a pass, the unbounded full-key configs of one path-length
 //!   family ([`PredictorConfig::path_family`]) fold as one [`PathTrie`]
-//!   lane when the family is dense enough for the trie to pay; every
-//!   other cell folds on its own lane, and so does every config of a
-//!   probed pass; in an unprobed pass the compressed-key lanes fold through
-//!   one component bank ([`KeyStreams`](ibp_core::KeyStreams)): one key
-//!   stream per key recipe and one table per distinct component, which
-//!   every lane holding it reads;
+//!   lane when the family is dense enough for the trie to pay, except in
+//!   a probed pass: a trie folds depth by depth after the pass, so it has
+//!   no table to sample mid-pass. The compressed-key lanes fold through
+//!   one component bank ([`KeyStreams`](ibp_core::KeyStreams)), probed or
+//!   not: one key stream per key recipe and one table per distinct
+//!   component, which every lane holding it reads. Every other cell folds
+//!   on its own lane;
 //! * a cell's value is a [`Measurement`]: a predictor's
 //!   [`RunStats`](crate::RunStats), or
 //!   what a measure lane found (a miss breakdown, a pattern count,
 //!   ahead-prediction hits, a trace's characteristics);
 //! * values are memoized in one process-wide map keyed by the job's key
 //!   ([`PredictorConfig::cache_key`], a `custom` key, or a measurement's
-//!   `<kind>|…` key), which holds per `(events, warmup)` one slot per
+//!   `<kind>|…` key), which holds per trace length one slot per
 //!   benchmark — traces are pure functions of `(benchmark, events)`, so a
 //!   repeated cell is guaranteed to reproduce the same value and is never
 //!   folded twice, within or across experiments, and a sweep looks up all
@@ -84,37 +85,34 @@ struct Memo {
     from_disk: bool,
 }
 
-/// One key's memoized cells at one trace length and warmup, indexed by
-/// the benchmark's position in [`Benchmark::ALL`].
+/// One key's memoized cells at one trace length, indexed by the
+/// benchmark's position in [`Benchmark::ALL`].
 struct Slots {
     events: u64,
-    warmup: u64,
     cells: [Option<Memo>; SLOTS],
 }
 
-/// The memo cache: each key's [`Slots`], one per `(events, warmup)` it
-/// holds cells at.
+/// The memo cache: each key's [`Slots`], one per trace length it holds
+/// cells at.
 #[derive(Default)]
 struct MemoMap(HashMap<String, Vec<Slots>>);
 
 impl MemoMap {
-    /// The cells of `key` at `(events, warmup)`, if it holds any: one
-    /// probe of the map, with the key borrowed.
-    fn get(&self, key: &str, events: u64, warmup: u64) -> Option<&[Option<Memo>; SLOTS]> {
+    /// The cells of `key` at `events`, if it holds any: one probe of the
+    /// map, with the key borrowed.
+    fn get(&self, key: &str, events: u64) -> Option<&[Option<Memo>; SLOTS]> {
         let slots = self.0.get(key)?;
-        let found = slots
-            .iter()
-            .find(|s| (s.events, s.warmup) == (events, warmup));
+        let found = slots.iter().find(|s| s.events == events);
         found.map(|s| &s.cells)
     }
 
-    /// The cells of `key` at `(events, warmup)`, created empty when absent;
-    /// the key is copied only then.
-    fn cells_mut(&mut self, key: &str, events: u64, warmup: u64) -> &mut [Option<Memo>; SLOTS] {
+    /// The cells of `key` at `events`, created empty when absent; the key
+    /// is copied only then.
+    fn cells_mut(&mut self, key: &str, events: u64) -> &mut [Option<Memo>; SLOTS] {
         if !self.0.contains_key(key) {
             self.0.insert(key.to_owned(), Vec::new());
         }
-        cells_at(self.0.get_mut(key).expect("inserted above"), events, warmup)
+        cells_at(self.0.get_mut(key).expect("inserted above"), events)
     }
 
     /// Every key's cells, as the persistent cache's rows.
@@ -125,7 +123,6 @@ impl MemoMap {
                 rows.push(Row {
                     key: key.clone(),
                     events: s.events,
-                    warmup: s.warmup,
                     cells: s.cells.map(|cell| cell.map(|memo| memo.value)),
                 });
             }
@@ -134,18 +131,14 @@ impl MemoMap {
     }
 }
 
-/// The cells at `(events, warmup)` among one key's `slots`, created empty
-/// when absent.
-fn cells_at(slots: &mut Vec<Slots>, events: u64, warmup: u64) -> &mut [Option<Memo>; SLOTS] {
-    let at = match slots
-        .iter()
-        .position(|s| (s.events, s.warmup) == (events, warmup))
-    {
+/// The cells at `events` among one key's `slots`, created empty when
+/// absent.
+fn cells_at(slots: &mut Vec<Slots>, events: u64) -> &mut [Option<Memo>; SLOTS] {
+    let at = match slots.iter().position(|s| s.events == events) {
         Some(at) => at,
         None => {
             slots.push(Slots {
                 events,
-                warmup,
                 cells: [None; SLOTS],
             });
             slots.len() - 1
@@ -162,10 +155,7 @@ fn cache() -> MutexGuard<'static, MemoMap> {
             let (mut rows, mut cells) = (0, 0);
             for row in crate::cache::load() {
                 let slots = memo.0.entry(row.key).or_default();
-                for (cell, value) in cells_at(slots, row.events, row.warmup)
-                    .iter_mut()
-                    .zip(row.cells)
-                {
+                for (cell, value) in cells_at(slots, row.events).iter_mut().zip(row.cells) {
                     if let Some(value) = value {
                         *cell = Some(Memo {
                             value,
@@ -233,9 +223,8 @@ pub struct EngineStats {
     /// (the persistent cross-process cache) rather than computed earlier
     /// in this process.
     pub persistent_hits: u64,
-    /// Indirect-branch events processed by live simulation (warmup
-    /// included), one trace length per folded cell; cache hits contribute
-    /// nothing.
+    /// Indirect-branch events processed by live simulation, one trace
+    /// length per folded cell; cache hits contribute nothing.
     pub simulated_events: u64,
     /// Always 0: the engine routes no cell to the sharded pipeline
     /// ([`crate::shard`]). Kept for callers that still read it.
@@ -420,7 +409,6 @@ fn describe_depths(depths: &[usize]) -> String {
 /// measurements.
 pub struct Sweep<'a> {
     suite: &'a Suite,
-    warmup: u64,
     jobs: Vec<Job<'a>>,
 }
 
@@ -430,16 +418,8 @@ impl<'a> Sweep<'a> {
     pub fn new(suite: &'a Suite) -> Self {
         Sweep {
             suite,
-            warmup: 0,
             jobs: Vec::new(),
         }
-    }
-
-    /// Trains each predictor on the first `warmup` indirect branches of a
-    /// trace without scoring them (cached separately per warmup value).
-    pub fn warmup(&mut self, warmup: u64) -> &mut Self {
-        self.warmup = warmup;
-        self
     }
 
     /// Queues a predictor configuration; its memo key is
@@ -563,7 +543,7 @@ impl<'a> Sweep<'a> {
             let cache = cache();
             let mut claimed: HashSet<(&str, Benchmark)> = HashSet::new();
             for (j, job) in self.jobs.iter().enumerate() {
-                let memoized = cache.get(&job.key, events, self.warmup);
+                let memoized = cache.get(&job.key, events);
                 for (cell, &b) in job.cells(&suite_benchmarks).iter().enumerate() {
                     if let Some(memo) = memoized.and_then(|cells| cells[slot(b)].as_ref()) {
                         results[j][cell] = Some(memo.value);
@@ -600,7 +580,7 @@ impl<'a> Sweep<'a> {
                     value.kind()
                 );
                 results[unit.job][unit.cell] = Some(value);
-                cache.cells_mut(&job.key, events, self.warmup)[slot(unit.benchmark)] = Some(Memo {
+                cache.cells_mut(&job.key, events)[slot(unit.benchmark)] = Some(Memo {
                     value,
                     from_disk: false,
                 });
@@ -612,7 +592,7 @@ impl<'a> Sweep<'a> {
                 if results[j].iter().all(Option::is_some) {
                     continue;
                 }
-                let memoized = cache.get(&job.key, events, self.warmup);
+                let memoized = cache.get(&job.key, events);
                 for (cell, &b) in job.cells(&suite_benchmarks).iter().enumerate() {
                     if results[j][cell].is_none() {
                         let memo = memoized
@@ -721,7 +701,6 @@ impl<'a> Sweep<'a> {
                 &mut plan.kernels,
                 &mut plan.tries,
                 plan.measures,
-                self.warmup,
             )
             .expect("suite sources cannot fail");
             if pass.keys > 0 {
@@ -778,7 +757,8 @@ impl<'a> Sweep<'a> {
     /// `units`): one [`PathTrie`] per path-length family the trie pays for
     /// ([`trie_pays`]), one kernel lane per other config or custom job,
     /// and each measurement's lane. A probed pass routes no family to a
-    /// trie, since the probe layer samples kernel lanes only.
+    /// trie: the probe layer samples each predictor's tables, and a trie
+    /// holds one depth's table at a time, and only after the pass.
     fn plan_pass(&self, units: &[Unit], members: &[usize]) -> PassPlan {
         let mut families: Vec<(PathFamily, Vec<(usize, usize)>)> = Vec::new();
         if !probe::active_policy().on() {
@@ -803,7 +783,7 @@ impl<'a> Sweep<'a> {
                 for (m, &(i, _)) in found.iter().enumerate() {
                     routes[i] = Some(Route::Trie(tries.len(), m));
                 }
-                tries.push(PathTrie::new(family, &depths, self.warmup));
+                tries.push(PathTrie::new(family, &depths, 0));
             }
         }
         let mut kernels = Vec::new();
@@ -991,21 +971,6 @@ mod tests {
         assert_eq!(delta.hits, 4, "the two duplicates are cache-filled");
         assert_eq!(results[0].rates(), results[1].rates());
         assert_eq!(results[0].rates(), results[2].rates());
-    }
-
-    #[test]
-    fn warmup_is_part_of_the_key() {
-        let _guard = serial();
-        let suite = tiny_suite();
-        let cfg = PredictorConfig::unconstrained(2).with_pattern_budget(21);
-        let cold = run_config(&suite, cfg.clone());
-        let mut sweep = Sweep::new(&suite);
-        sweep.warmup(1_000).config(cfg);
-        let warm = sweep.run().pop().expect("one result");
-        let b = Benchmark::Ixx;
-        assert!(
-            warm.stats(b).expect("present").indirect < cold.stats(b).expect("present").indirect
-        );
     }
 
     #[test]

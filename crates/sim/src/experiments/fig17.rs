@@ -13,6 +13,24 @@ pub const COMPONENT_SIZES: [usize; 2] = [2048, 8192];
 /// Largest path length in the surface.
 pub const MAX_P: usize = 12;
 
+/// The configs of one panel, row-major over `(p1, p2)`: the hybrid of two
+/// `size`-entry 4-way components off the diagonal, and on it the
+/// non-hybrid of twice the component size.
+#[must_use]
+pub fn surface(size: usize) -> Vec<PredictorConfig> {
+    (0..=MAX_P)
+        .flat_map(|p1| {
+            (0..=MAX_P).map(move |p2| {
+                if p1 == p2 {
+                    PredictorConfig::practical(p1, 2 * size, 4)
+                } else {
+                    PredictorConfig::hybrid(p1, p2, size, 4)
+                }
+            })
+        })
+        .collect()
+}
+
 /// Computes the AVG *hit rate* surface over all `(p1, p2)` combinations
 /// for 4-way associative components with 2-bit confidence counters. The
 /// diagonal (`p1 = p2`) shows a non-hybrid predictor of twice the
@@ -31,20 +49,8 @@ pub fn run(suite: &Suite) -> Vec<Table> {
             format!("Figure 17: hybrid AVG hit rate, {size}-entry 4-way components"),
             headers,
         );
-        // The whole (p1 x p2) surface as one flat engine sweep; the
-        // diagonal is a non-hybrid of twice the component size.
-        let configs = (0..=MAX_P)
-            .flat_map(|p1| {
-                (0..=MAX_P).map(move |p2| {
-                    if p1 == p2 {
-                        PredictorConfig::practical(p1, 2 * size, 4)
-                    } else {
-                        PredictorConfig::hybrid(p1, p2, size, 4)
-                    }
-                })
-            })
-            .collect();
-        let mut results = engine::run_configs(suite, configs).into_iter();
+        // The whole (p1 x p2) surface as one flat engine sweep.
+        let mut results = engine::run_configs(suite, surface(size)).into_iter();
         for p1 in 0..=MAX_P {
             let mut row = vec![Cell::Count(p1 as u64)];
             for _ in 0..=MAX_P {

@@ -12,13 +12,13 @@
 //!   conflicts, confidence and LRU-depth histograms, history-register
 //!   entropy);
 //! * a run samples one snapshot at end-of-warmup (`point = "warm"`) and
-//!   one at end-of-run (`point = "end"`), plus periodic `interval`
-//!   samples under `IBP_PROBE=deep`;
+//!   one at end-of-run (`point = "end"`), plus an `interval` sample every
+//!   8,192 scored events under `IBP_PROBE=deep`;
 //! * scored events are attributed per site: correct, wrong-target
 //!   (pattern present, different target) or no-entry (table miss); deep
 //!   mode splits no-entry into cold vs. capacity with an ever-seen key
-//!   set over [`ibp_core::Predictor::probe_key_fingerprint`], the same
-//!   classification [`crate::analysis::simulate_classified`] performs;
+//!   set over each event's key fingerprint — the [`MissClassifier`] that
+//!   [`crate::analysis::simulate_classified`] runs too;
 //! * everything lands in compact `probe` journal records
 //!   ([`ibp_obs::probe`]), rendered by `obs_report --internals`.
 //!
@@ -32,18 +32,24 @@
 //!
 //! Only the sequential fold behind [`crate::simulate_source`],
 //! [`crate::simulate_kernel`] and the sweep engine's passes probes, one
-//! `ProbeRun` per predictor lane, through the kernel layer's
-//! [`ibp_core::ProbeSink`] protocol. The library pipelines ([`crate::shard`],
+//! [`ProbeRun`] per predictor lane. A probed pass folds like a plain one,
+//! its compressed-key kernels through the component bank: each lane's
+//! fold reports every event into its run's [`Attribution`] through the
+//! kernel layer's [`ibp_core::ProbeSink`] protocol, and the pass driver
+//! takes the run's [`Samples`] between two folds, at the events where
+//! every lane samples. The library pipelines ([`crate::shard`],
 //! [`crate::component`]) fold unprobed whatever the policy says.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Mutex;
 
 use ibp_core::snapshot::{HistorySnapshot, Snapshot, TableSnapshot};
-use ibp_core::Predictor;
+use ibp_core::{Predictor, ProbeSink, WordMap};
 use ibp_obs as obs;
 use ibp_obs::json::Json;
 use ibp_trace::Addr;
+
+use crate::analysis::MissBreakdown;
 
 pub use ibp_obs::ProbePolicy;
 
@@ -93,6 +99,61 @@ pub fn active_policy() -> ProbePolicy {
     policy
 }
 
+/// The one miss classifier, of the §5.1 miss measurements
+/// ([`MissLane`](crate::analysis::MissLane)) and of every probed run's
+/// [`Attribution`]: every scored event is a hit, a wrong-target miss (the
+/// pattern held another target) or a no-entry miss (the pattern was
+/// absent). A no-entry miss whose key fingerprint was trained before,
+/// warmup included, is a capacity miss and one never trained a cold miss;
+/// without a fingerprint it stays unsplit.
+#[derive(Debug, Default)]
+pub struct MissClassifier {
+    fingerprints: bool,
+    seen: HashSet<u64>,
+    breakdown: MissBreakdown,
+    unsplit: u64,
+}
+
+impl MissClassifier {
+    /// A classifier that asks its fold for key fingerprints when
+    /// `fingerprints`, and otherwise leaves every no-entry miss unsplit.
+    #[must_use]
+    pub fn new(fingerprints: bool) -> Self {
+        MissClassifier {
+            fingerprints,
+            ..MissClassifier::default()
+        }
+    }
+
+    /// The scored events by class; unsplit no-entry misses are in no
+    /// class.
+    #[must_use]
+    pub fn breakdown(&self) -> MissBreakdown {
+        self.breakdown
+    }
+}
+
+impl ProbeSink for MissClassifier {
+    fn wants_fingerprint(&self) -> bool {
+        self.fingerprints
+    }
+
+    fn score(&mut self, _pc: Addr, predicted: Option<Addr>, actual: Addr, fp: Option<u64>) {
+        let b = &mut self.breakdown;
+        match (predicted, fp) {
+            (Some(p), _) if p == actual => b.hits += 1,
+            (Some(_), _) => b.wrong_target += 1,
+            (None, Some(key)) if self.seen.contains(&key) => b.capacity += 1,
+            (None, Some(_)) => b.cold += 1,
+            (None, None) => self.unsplit += 1,
+        }
+    }
+
+    fn note_trained(&mut self, fp: u64) {
+        self.seen.insert(fp);
+    }
+}
+
 /// Per-site misprediction split for one probed run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SiteAttribution {
@@ -108,55 +169,24 @@ impl SiteAttribution {
     }
 }
 
-/// Miss attribution over the scored events of one run: every scored event
-/// is a hit, a wrong-target miss or a no-entry miss; under `deep`,
-/// no-entry splits into cold (pattern never trained) and capacity
-/// (trained, then evicted) when the predictor exposes a key fingerprint.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Miss attribution over the scored events of one probed run: the
+/// [`MissClassifier`]'s split, whose no-entry misses split into cold and
+/// capacity under `deep` when the predictor has a key fingerprint, plus
+/// each site's misses. It is the sink a probed lane's fold reports into.
+#[derive(Debug, Default)]
 pub struct Attribution {
-    /// Correct scored predictions.
-    pub hits: u64,
-    /// The pattern was resident but held another target.
-    pub wrong_target: u64,
-    /// The pattern was absent from the table.
-    pub no_entry: u64,
-    /// Of `no_entry`: the pattern had never been trained (deep only).
-    pub cold: u64,
-    /// Of `no_entry`: the pattern was trained earlier and evicted (deep
-    /// only; structurally zero for unbounded tables).
-    pub capacity: u64,
+    classifier: MissClassifier,
     /// Per-site miss counts, updated only on misses (a hot, well-predicted
     /// site costs no memory).
-    pub sites: BTreeMap<u32, SiteAttribution>,
+    sites: WordMap<SiteAttribution>,
 }
 
 impl Attribution {
-    /// Attributes one scored event. `key_seen` says whether the pattern's
-    /// key fingerprint had been trained before (deep mode; `None` skips
-    /// the cold/capacity split).
-    pub fn score(
-        &mut self,
-        pc: Addr,
-        predicted: Option<Addr>,
-        actual: Addr,
-        key_seen: Option<bool>,
-    ) {
-        match predicted {
-            Some(p) if p == actual => self.hits += 1,
-            Some(_) => {
-                self.wrong_target += 1;
-                self.sites.entry(pc.raw()).or_default().wrong_target += 1;
-            }
-            None => {
-                self.no_entry += 1;
-                match key_seen {
-                    Some(true) => self.capacity += 1,
-                    Some(false) => self.cold += 1,
-                    None => {}
-                }
-                self.sites.entry(pc.raw()).or_default().no_entry += 1;
-            }
-        }
+    /// Scored events with the pattern absent from the table: cold,
+    /// capacity and unsplit.
+    fn no_entry(&self) -> u64 {
+        let b = self.classifier.breakdown;
+        b.cold + b.capacity + self.classifier.unsplit
     }
 
     /// The aliasing-heaviest sites, by descending miss volume.
@@ -170,91 +200,75 @@ impl Attribution {
     }
 }
 
-/// Probe state for one predictor over one run: attribution plus the
-/// snapshots taken so far. Owned by the sequential fold, one per lane.
+impl ProbeSink for Attribution {
+    fn wants_fingerprint(&self) -> bool {
+        self.classifier.wants_fingerprint()
+    }
+
+    fn score(&mut self, pc: Addr, predicted: Option<Addr>, actual: Addr, fp: Option<u64>) {
+        self.classifier.score(pc, predicted, actual, fp);
+        match predicted {
+            Some(p) if p == actual => {}
+            Some(_) => self.sites.entry(pc.raw()).or_default().wrong_target += 1,
+            None => self.sites.entry(pc.raw()).or_default().no_entry += 1,
+        }
+    }
+
+    fn note_trained(&mut self, fp: u64) {
+        self.classifier.note_trained(fp);
+    }
+}
+
+/// The structural snapshots of one probed run, in the order taken.
+#[derive(Debug, Default)]
+pub struct Samples(Vec<(&'static str, Snapshot)>);
+
+impl Samples {
+    /// Takes a structural snapshot labelled `point` ("warm", "interval" or
+    /// "end"), if the predictor exposes one.
+    pub fn sample(&mut self, point: &'static str, predictor: &dyn Predictor) {
+        if let Some(snapshot) = predictor.snapshot() {
+            self.0.push((point, snapshot));
+        }
+    }
+}
+
+/// Probe state for one predictor over one run: the attribution its fold
+/// reports into, and the snapshots its pass driver takes. One per lane of
+/// a probed pass.
 #[derive(Debug, Default)]
 pub struct ProbeRun {
-    deep: bool,
     attribution: Attribution,
-    seen_keys: HashSet<u64>,
-    samples: Vec<(String, Snapshot)>,
+    samples: Samples,
 }
 
 impl ProbeRun {
-    /// Fresh probe state under `policy` (which must be on).
+    /// Fresh probe state under `policy` (which must be on): key
+    /// fingerprints, and so the cold/capacity split, under `deep` only.
     #[must_use]
     pub fn new(policy: ProbePolicy) -> ProbeRun {
         ProbeRun {
-            deep: policy.deep(),
-            ..ProbeRun::default()
+            attribution: Attribution {
+                classifier: MissClassifier::new(policy.deep()),
+                ..Attribution::default()
+            },
+            samples: Samples::default(),
         }
     }
 
-    /// Whether this run wants key fingerprints (deep mode).
-    #[must_use]
-    pub fn deep(&self) -> bool {
-        self.deep
-    }
-
-    /// Attributes one scored event. `fingerprint` is the pre-update key
-    /// fingerprint under deep mode (`None` otherwise, or when the
-    /// predictor exposes none — no cold/capacity split then).
-    pub fn score(
-        &mut self,
-        pc: Addr,
-        predicted: Option<Addr>,
-        actual: Addr,
-        fingerprint: Option<u64>,
-    ) {
-        let key_seen = fingerprint.map(|key| self.seen_keys.contains(&key));
-        self.attribution.score(pc, predicted, actual, key_seen);
-    }
-
-    /// Records a trained key fingerprint (call after the update; warmup
-    /// events included — they train the table, so a later miss on their
-    /// pattern is capacity, not cold).
-    pub fn note_trained(&mut self, fingerprint: Option<u64>) {
-        if let Some(key) = fingerprint {
-            self.seen_keys.insert(key);
-        }
-    }
-
-    /// Takes a structural snapshot labelled `point`, if the predictor
-    /// exposes one.
-    pub fn sample(&mut self, point: &str, predictor: &dyn Predictor) {
-        if let Some(snapshot) = predictor.snapshot() {
-            self.samples.push((point.to_string(), snapshot));
-        }
+    /// The run's two halves during a pass: the sink its fold reports every
+    /// event into, and the samples its driver takes between two folds.
+    pub fn split(&mut self) -> (&mut Attribution, &mut Samples) {
+        (&mut self.attribution, &mut self.samples)
     }
 
     /// Emits one `probe` journal record per sample; the `end` sample
     /// carries the attribution and top-site payload.
     pub fn emit(&self, trace: &str, predictor: &str) {
-        for (point, snapshot) in &self.samples {
-            let attribution = (point == "end").then_some(&self.attribution);
+        for (point, snapshot) in &self.samples.0 {
+            let attribution = (*point == "end").then_some(&self.attribution);
             emit_record(trace, predictor, point, snapshot, attribution);
         }
-    }
-}
-
-/// The chunk-fold kernels report through this sink exactly as the legacy
-/// per-event fold called these methods directly: fingerprints only under
-/// deep, `score` before `note_trained`, read-only samples.
-impl ibp_core::ProbeSink for ProbeRun {
-    fn wants_fingerprint(&self) -> bool {
-        self.deep()
-    }
-
-    fn score(&mut self, pc: Addr, predicted: Option<Addr>, actual: Addr, fp: Option<u64>) {
-        ProbeRun::score(self, pc, predicted, actual, fp);
-    }
-
-    fn note_trained(&mut self, fp: Option<u64>) {
-        ProbeRun::note_trained(self, fp);
-    }
-
-    fn sample(&mut self, point: &str, predictor: &dyn Predictor) {
-        ProbeRun::sample(self, point, predictor);
     }
 }
 
@@ -316,12 +330,16 @@ pub fn snapshot_json(snapshot: &Snapshot) -> (Json, Json) {
 }
 
 fn attribution_json(a: &Attribution) -> Json {
+    let misses = a.classifier.breakdown;
     Json::Obj(vec![
-        ("hits".to_string(), Json::Num(a.hits as f64)),
-        ("wrong_target".to_string(), Json::Num(a.wrong_target as f64)),
-        ("no_entry".to_string(), Json::Num(a.no_entry as f64)),
-        ("cold".to_string(), Json::Num(a.cold as f64)),
-        ("capacity".to_string(), Json::Num(a.capacity as f64)),
+        ("hits".to_string(), Json::Num(misses.hits as f64)),
+        (
+            "wrong_target".to_string(),
+            Json::Num(misses.wrong_target as f64),
+        ),
+        ("no_entry".to_string(), Json::Num(a.no_entry() as f64)),
+        ("cold".to_string(), Json::Num(misses.cold as f64)),
+        ("capacity".to_string(), Json::Num(misses.capacity as f64)),
     ])
 }
 
@@ -400,32 +418,34 @@ mod tests {
     #[test]
     fn attribution_classifies_and_splits() {
         let mut run = ProbeRun::new(ProbePolicy::Deep);
-        assert!(run.deep());
+        let (attr, _) = run.split();
+        assert!(attr.wants_fingerprint());
         // Hit.
-        run.score(a(0x100), Some(a(0x900)), a(0x900), Some(1));
-        run.note_trained(Some(1));
+        attr.score(a(0x100), Some(a(0x900)), a(0x900), Some(1));
+        attr.note_trained(1);
         // Wrong target.
-        run.score(a(0x100), Some(a(0x900)), a(0xA00), Some(1));
-        run.note_trained(Some(1));
+        attr.score(a(0x100), Some(a(0x900)), a(0xA00), Some(1));
+        attr.note_trained(1);
         // Cold no-entry (key 2 never trained).
-        run.score(a(0x200), None, a(0xB00), Some(2));
-        run.note_trained(Some(2));
+        attr.score(a(0x200), None, a(0xB00), Some(2));
+        attr.note_trained(2);
         // Capacity no-entry (key 2 trained above, now absent).
-        run.score(a(0x200), None, a(0xB00), Some(2));
+        attr.score(a(0x200), None, a(0xB00), Some(2));
         // No fingerprint: no split.
-        run.score(a(0x300), None, a(0xC00), None);
-        let attr = &run.attribution;
-        assert_eq!(attr.hits, 1);
-        assert_eq!(attr.wrong_target, 1);
-        assert_eq!(attr.no_entry, 3);
-        assert_eq!(attr.cold, 1);
-        assert_eq!(attr.capacity, 1);
+        attr.score(a(0x300), None, a(0xC00), None);
+        let misses = attr.classifier.breakdown;
+        assert_eq!(misses.hits, 1);
+        assert_eq!(misses.wrong_target, 1);
+        assert_eq!(attr.no_entry(), 3);
+        assert_eq!(misses.cold, 1);
+        assert_eq!(misses.capacity, 1);
         assert_eq!(attr.sites.len(), 3);
         assert_eq!(attr.sites[&0x100].wrong_target, 1);
         assert_eq!(attr.sites[&0x200].no_entry, 2);
         let top = attr.top_sites(2);
         assert_eq!(top[0].0, 0x200);
         assert_eq!(top.len(), 2);
+        assert!(!ProbeRun::new(ProbePolicy::On).split().0.wants_fingerprint());
     }
 
     #[test]

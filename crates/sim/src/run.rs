@@ -8,18 +8,23 @@
 //! each folding a whole path-length family of unbounded predictors one
 //! depth at a time over the pass's buffered branches, and
 //! [`MeasureLane`]s: folds that measure the trace, or a predictor's misses
-//! by cause, rather than score a prediction. In an unprobed pass every
-//! compressed-key kernel folds through one component bank
-//! ([`KeyStreams`]): one key stream per distinct key recipe and one table
-//! per distinct component, each folded once for all the lanes that read
-//! it, and a lane that shares a table replays its arbitration over its
-//! components' recorded lookups.
+//! by cause, rather than score a prediction. Every compressed-key kernel
+//! folds through one component bank ([`KeyStreams`]): one key stream per
+//! distinct key recipe and one table per distinct component, each folded
+//! once for all the lanes that read it, and a lane that shares a table
+//! replays its arbitration over its components' recorded lookups.
+//!
+//! A probed pass folds the same way. Each predictor lane reports its
+//! events into its own [`ProbeRun`], and the driver cuts the chunks right
+//! after the events at which every lane samples its structure (the one
+//! that ends the warmup and, under `deep`, every 8,192nd scored one),
+//! brings the bank's kernels up to date there and samples every lane.
 
 use ibp_core::{
     fold_dyn_chunk, ChunkScorer, FoldKernel, KeyStreams, KeyedLane, PathTrie, Predictor,
 };
 use ibp_trace::io::TraceIoError;
-use ibp_trace::{chunk_events, EventSource, Trace, TraceChunk};
+use ibp_trace::{chunk_events, EventSource, Trace, TraceChunk, TraceEvent};
 
 use crate::analysis::{AheadHits, MissBreakdown, TraceCounts};
 use crate::probe::{self, ProbeRun};
@@ -36,7 +41,7 @@ enum Lane<'a> {
 impl Lane<'_> {
     /// Folds a chunk on the lane's own fold; a keyed lane folds through the
     /// bank instead.
-    fn fold_chunk(&mut self, events: &[ibp_trace::TraceEvent], scorer: &mut ChunkScorer<'_>) {
+    fn fold_chunk(&mut self, events: &[TraceEvent], scorer: &mut ChunkScorer<'_>) {
         match self {
             Lane::Kernel(k) => k.fold_chunk(events, scorer),
             Lane::Dyn(p) => fold_dyn_chunk(*p, events, scorer),
@@ -44,11 +49,11 @@ impl Lane<'_> {
         }
     }
 
-    fn predictor(&self) -> &dyn Predictor {
+    fn predictor<'s>(&'s self, bank: &'s KeyStreams<'_>) -> &'s dyn Predictor {
         match self {
             Lane::Kernel(k) => k.as_predictor(),
             Lane::Dyn(p) => *p,
-            Lane::Keyed(_) => unreachable!("a probed pass attaches no lane to the bank"),
+            Lane::Keyed(keyed) => bank.predictor(*keyed),
         }
     }
 }
@@ -173,9 +178,9 @@ pub fn simulate(trace: &Trace, predictor: &mut (dyn Predictor + 'static)) -> Run
 /// predictor without being scored.
 ///
 /// The paper skips initialisation phases for two benchmarks (jhm, self) at
-/// the *trace* level; this knob lets experiments separate cold-start misses
-/// from steady-state behaviour (used by the capacity-miss analysis of
-/// Figure 11).
+/// the *trace* level; a warmup separates cold-start misses from
+/// steady-state behaviour. No experiment uses one: every figure scores
+/// its traces from the first branch, as the paper does.
 ///
 /// With tracing on (`IBP_TRACE`), each run emits a `simulate` span carrying
 /// the warmup/scored split and the achieved events/sec.
@@ -268,13 +273,13 @@ pub(crate) fn fold_kernel_unprobed<S: EventSource + ?Sized>(
 }
 
 /// Folds several kernels over **one** pass of a streaming source — the
-/// kernel counterpart of [`simulate_source_multi`], used by the sweep
-/// engine's per-benchmark passes. Within each chunk the lanes fold one after
-/// another, which yields per-lane results identical to the legacy
-/// event-interleaved order: lanes share no state, and each lane sees the
-/// same events in the same order either way. Unprobed, the compressed-key
-/// kernels fold through one component bank ([`KeyStreams`]) and end the
-/// pass holding the tables and histories their own folds would have left.
+/// kernel counterpart of [`simulate_source_multi`]. Within each chunk the
+/// lanes fold one after another, which yields per-lane results identical
+/// to the legacy event-interleaved order: lanes share no state, and each
+/// lane sees the same events in the same order either way. The
+/// compressed-key kernels fold through one component bank
+/// ([`KeyStreams`]) and end the pass holding the tables and histories
+/// their own folds would have left.
 ///
 /// # Errors
 ///
@@ -289,13 +294,12 @@ pub fn simulate_source_kernels<S: EventSource + ?Sized>(
 }
 
 /// The sweep engine's grouped pass: folds `kernels`, `tries` and
-/// `measures` over **one** pass of a streaming source. Returns one
-/// [`RunStats`] per kernel and one [`Measurement`] per measure lane, each
-/// in input order, and which kernels folded through the component bank; each
-/// trie's members are read off the trie afterwards ([`trie_stats`]). The
-/// warmup applies to the kernels, and a trie carries its own; a measure
-/// lane sees every event. The kernels end the pass unrestored: the engine
-/// drops them, so their components' final tables are not copied back.
+/// `measures` over **one** pass of a streaming source, scoring every
+/// event. Returns one [`RunStats`] per kernel and one [`Measurement`] per
+/// measure lane, each in input order, and which kernels folded through the
+/// component bank; each trie's members are read off the trie afterwards
+/// ([`trie_stats`]). The kernels end the pass unrestored: the engine drops
+/// them, so their components' final tables are not copied back.
 ///
 /// # Errors
 ///
@@ -305,10 +309,9 @@ pub(crate) fn simulate_source_cells<S: EventSource + ?Sized>(
     kernels: &mut [FoldKernel],
     tries: &mut [PathTrie],
     mut measures: Vec<Box<dyn MeasureLane>>,
-    warmup: u64,
 ) -> Result<PassFold, TraceIoError> {
     let lanes: Vec<Lane<'_>> = kernels.iter_mut().map(Lane::Kernel).collect();
-    let mut pass = fold_source_lanes(source, lanes, tries, &mut measures, warmup, false)?;
+    let mut pass = fold_source_lanes(source, lanes, tries, &mut measures, 0, false)?;
     pass.measured = measures.into_iter().map(MeasureLane::finish).collect();
     Ok(pass)
 }
@@ -327,18 +330,17 @@ pub fn trie_stats(trie: &PathTrie) -> Vec<RunStats> {
 }
 
 /// The one fold driver behind every sequential simulation: reads chunks,
-/// folds each lane over the chunk (one dispatch per lane per chunk), then
-/// buffers it in each trie, then hands the chunk to each measure lane;
-/// after the last chunk each trie folds what it buffered. It carries the
-/// journal span/chunk events and the probe layer's sampling protocol
-/// exactly as the per-event fold did. The probe layer samples the
-/// predictor lanes only: a probed pass folds every config on its own lane.
-/// An unprobed pass attaches its kernels to one component bank
-/// ([`KeyStreams`]), which folds every chunk through them with their keys
-/// and distinct component tables built once and keeps their scores; with
-/// `restore`, every keyed kernel then takes its components' final tables
-/// and histories, for a caller that reads its kernels after the pass. The
-/// measure lanes' values are left for the caller to finish.
+/// folds each through the component bank ([`KeyStreams`]), which every
+/// kernel it can fold attaches to, and each other lane (one dispatch per
+/// lane per chunk), buffers it in each trie and hands it to each measure
+/// lane; after the last chunk each trie folds what it buffered, and with
+/// `restore` every keyed kernel takes its components' final tables and
+/// histories. The measure lanes' values are left for the caller to finish.
+///
+/// Probed, every predictor lane reports its events into a [`ProbeRun`].
+/// The lanes share the warmup, so they all sample at the same events: the
+/// driver folds each chunk in segments that end right after those events,
+/// and at each cut syncs the bank and samples every lane.
 fn fold_source_lanes<S: EventSource + ?Sized>(
     source: &mut S,
     lanes: Vec<Lane<'_>>,
@@ -350,31 +352,44 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
     let mut span = ibp_obs::span("simulate");
     let timer = span.armed().then(std::time::Instant::now);
     let policy = probe::active_policy();
-    let mut bank = KeyStreams::new(warmup);
-    let mut lanes: Vec<Lane<'_>> = if policy.on() {
-        lanes
-    } else {
-        lanes
-            .into_iter()
-            .map(|lane| match lane {
-                Lane::Kernel(k) => bank.attach(k).map_or_else(Lane::Kernel, Lane::Keyed),
-                other => other,
-            })
-            .collect()
-    };
     let mut probes: Vec<ProbeRun> = if policy.on() {
         lanes.iter().map(|_| ProbeRun::new(policy)).collect()
     } else {
         Vec::new()
     };
+    let (sinks, mut samples): (Vec<_>, Vec<_>) = probes.iter_mut().map(ProbeRun::split).unzip();
+    let mut sinks = sinks.into_iter();
+    let mut bank = KeyStreams::new(warmup);
+    let mut scorers: Vec<ChunkScorer<'_>> = Vec::new();
+    let mut lanes: Vec<Lane<'_>> = lanes
+        .into_iter()
+        .map(|lane| {
+            let mut sink = sinks.next();
+            let lane = match lane {
+                Lane::Kernel(k) => match bank.attach(k) {
+                    Ok(keyed) => {
+                        if let Some(sink) = sink.take() {
+                            bank.probe(keyed, sink);
+                        }
+                        Lane::Keyed(keyed)
+                    }
+                    Err(k) => Lane::Kernel(k),
+                },
+                other => other,
+            };
+            scorers.push(match sink {
+                Some(sink) => ChunkScorer::probed(warmup, sink),
+                None => ChunkScorer::new(warmup),
+            });
+            lane
+        })
+        .collect();
+    // The next sample: the indirect events folded by then, and its point.
     let interval = policy.deep().then_some(probe::DEEP_INTERVAL);
-    let mut scorers: Vec<ChunkScorer<'_>> = if probes.is_empty() {
-        lanes.iter().map(|_| ChunkScorer::new(warmup)).collect()
-    } else {
-        probes
-            .iter_mut()
-            .map(|p| ChunkScorer::probed(warmup, p, interval))
-            .collect()
+    let mut next_sample = match (policy.on(), warmup) {
+        (false, _) => None,
+        (true, 0) => interval.map(|n| (n, "interval")),
+        (true, w) => Some((w, "warm")),
     };
     let mut seen = 0u64;
     let mut chunks = 0u64;
@@ -382,13 +397,31 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
     loop {
         let chunk_timer = timer.map(|_| std::time::Instant::now());
         let more = source.fill(&mut chunk, chunk_events())?;
+        let mut folded = seen;
         seen += chunk.indirect_count();
-        bank.fold_chunk(chunk.events());
-        for (lane, scorer) in lanes.iter_mut().zip(&mut scorers) {
-            lane.fold_chunk(chunk.events(), scorer);
-        }
-        for trie in tries.iter_mut() {
-            trie.fold_chunk(chunk.events());
+        let mut rest = chunk.events();
+        loop {
+            let cut = next_sample.and_then(|(at, _)| after_indirect(rest, at - folded));
+            let (segment, tail) = rest.split_at(cut.unwrap_or(rest.len()));
+            bank.fold_chunk(segment);
+            for (lane, scorer) in lanes.iter_mut().zip(&mut scorers) {
+                lane.fold_chunk(segment, scorer);
+            }
+            for trie in tries.iter_mut() {
+                trie.fold_chunk(segment);
+            }
+            let Some((at, point)) = next_sample.filter(|_| cut.is_some()) else {
+                break;
+            };
+            bank.sync();
+            for (lane, samples) in lanes.iter().zip(&mut samples) {
+                samples.sample(point, lane.predictor(&bank));
+            }
+            folded = at;
+            next_sample = interval
+                .and_then(|n| at.checked_add(n))
+                .map(|at| (at, "interval"));
+            rest = tail;
         }
         for measure in measures.iter_mut() {
             measure.fold_chunk(&chunk);
@@ -420,14 +453,23 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
             _ => RunStats::scored(s),
         })
         .collect();
-    drop(scorers);
-    let (keys, components) = (bank.len(), bank.components());
-    if restore {
-        bank.restore();
+    if restore || policy.on() {
+        bank.sync();
     }
-    for (lane, probe) in lanes.iter().zip(&mut probes) {
-        probe.sample("end", lane.predictor());
-        probe.emit(source.name(), &lane.predictor().name());
+    let mut names = Vec::new();
+    for (lane, samples) in lanes.iter().zip(&mut samples) {
+        let predictor = lane.predictor(&bank);
+        samples.sample("end", predictor);
+        names.push(predictor.name());
+    }
+    let keyed = lanes
+        .iter()
+        .map(|lane| matches!(lane, Lane::Keyed(_)))
+        .collect();
+    let (keys, components, predictors) = (bank.len(), bank.components(), lanes.len());
+    drop((bank, scorers, samples, lanes));
+    for (probe, name) in probes.iter().zip(&names) {
+        probe.emit(source.name(), name);
     }
     if let Some(t0) = timer {
         span.note("trace", source.name());
@@ -438,7 +480,7 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
             "scored",
             scored.or(tries.first().map(PathTrie::scored)).unwrap_or(0),
         );
-        span.note("predictors", lanes.len());
+        span.note("predictors", predictors);
         span.note("tries", tries.len());
         span.note("measures", measures.len());
         span.note("chunks", chunks);
@@ -450,13 +492,22 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
     Ok(PassFold {
         stats,
         measured: Vec::new(),
-        keyed: lanes
-            .iter()
-            .map(|lane| matches!(lane, Lane::Keyed(_)))
-            .collect(),
+        keyed,
         keys,
         components,
     })
+}
+
+/// The index just past the `n`-th indirect event of `events` (`n` ≥ 1),
+/// or `None` when `events` holds fewer.
+fn after_indirect(events: &[TraceEvent], n: u64) -> Option<usize> {
+    let n = usize::try_from(n).ok()?;
+    events
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.as_indirect().is_some())
+        .nth(n.checked_sub(1)?)
+        .map(|(i, _)| i + 1)
 }
 
 #[cfg(test)]

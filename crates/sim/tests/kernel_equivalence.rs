@@ -23,13 +23,13 @@ use ibp_core::ext::{CascadePredictor, MultiHybridPredictor, TargetCache};
 use ibp_core::snapshot::Snapshot;
 use ibp_core::{
     ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing, KeyScheme,
-    KeyStreams, PathTrie, PatternCompressor, Predictor, PredictorConfig, TableSharing,
+    KeyStreams, KeyedLane, PathTrie, PatternCompressor, Predictor, PredictorConfig, TableSharing,
     TwoLevelPredictor, UpdateRule,
 };
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
 use ibp_sim::component::simulate_source_components;
-use ibp_sim::experiments::ext;
+use ibp_sim::experiments::{ext, fig17};
 use ibp_sim::probe::{self, ProbePolicy};
 use ibp_sim::shard::simulate_source_sharded;
 use ibp_sim::{simulate_kernel, simulate_source, simulate_source_kernels, trie_stats, RunStats};
@@ -602,7 +602,7 @@ fn keyed_pass(
             Err(_) => scorer_stats(scorer),
         })
         .collect();
-    bank.restore();
+    bank.sync();
     stats
 }
 
@@ -686,6 +686,49 @@ fn keyed_pass_matches_each_lanes_legacy_fold_at_every_chunk_fill() {
             let stats = simulate_source_kernels(&mut trace.cursor(), &mut kernels, warmup)
                 .expect("in-memory source");
             check(&kernels, &stats, "simulate_source_kernels");
+        }
+    }
+}
+
+/// Every fig17 config, both panels with their diagonals, on all 17
+/// presets: one bank pass per (panel, benchmark) folds the 169 configs from
+/// 26 component tables — the 13 path lengths' hybrid components and the 13
+/// diagonal tables — with a warmup that ends mid-trace, and scores each
+/// config exactly as its legacy predict-then-update fold.
+#[test]
+fn fig17_grid_on_the_bank_matches_each_configs_legacy_fold() {
+    let _guard = serial();
+    let warmup = 700;
+    for size in fig17::COMPONENT_SIZES {
+        let configs = fig17::surface(size);
+        for b in Benchmark::ALL {
+            let trace = b.trace_with_len(2_000);
+            let mut kernels: Vec<FoldKernel> =
+                configs.iter().map(PredictorConfig::build_kernel).collect();
+            let mut bank = KeyStreams::new(warmup);
+            let lanes: Vec<KeyedLane> = kernels
+                .iter_mut()
+                .map(|k| {
+                    bank.attach(k)
+                        .expect("test premise: every fig17 config is keyed")
+                })
+                .collect();
+            assert_eq!(
+                bank.components(),
+                26,
+                "test premise: one fig17 pass folds 26 component tables"
+            );
+            for chunk in trace.events().chunks(chunk_capacity()) {
+                bank.fold_chunk(chunk);
+            }
+            for (cfg, &lane) in configs.iter().zip(&lanes) {
+                assert_eq!(
+                    scorer_stats(bank.scorer(lane)),
+                    legacy(&trace, cfg.build().as_mut(), warmup),
+                    "{} on {b}, warmup {warmup}",
+                    cfg.cache_key()
+                );
+            }
         }
     }
 }
@@ -812,32 +855,98 @@ fn payload(r: &Record) -> (String, Vec<(String, Json)>) {
     (r.name.clone(), r.fields.clone())
 }
 
-/// `IBP_PROBE=deep`: the kernel fold must feed the probe layer the exact
-/// same samples, attribution splits and top sites as the `Dyn` lane over
-/// a [`DefaultStep`] wrapper, which runs the default predict-then-update
-/// `step` in place of these families' overrides — fingerprints,
-/// warm/interval/end points, everything in the payload.
+/// The deep probe records of the `Dyn` lane over a [`DefaultStep`] wrapper
+/// of `cfg`'s predictor, which runs the default predict-then-update `step`.
+fn dyn_probes(cfg: &PredictorConfig, trace: &Trace, warmup: u64) -> Vec<Record> {
+    probes_under(ProbePolicy::Deep, || {
+        dyn_lane(trace, &mut DefaultStep(cfg.build()), warmup);
+    })
+}
+
+/// How many of `records` sample `point`.
+fn samples_at(records: &[Record], point: &str) -> usize {
+    records
+        .iter()
+        .filter(|r| r.field_str("point") == Some(point))
+        .count()
+}
+
+/// `IBP_PROBE=deep`: the bank must feed the probe layer the exact same
+/// samples, attribution splits and top sites as the `Dyn` lane over a
+/// [`DefaultStep`] wrapper — fingerprints, warm/interval/end points,
+/// everything in the payload. Each config alone, at 6,000 events and at
+/// 20,000, where two interval samples follow the warmup; then one pass of
+/// three configs that share component tables, where each config's records
+/// must still equal its own fold's.
 #[test]
 fn deep_probe_payloads_identical_kernel_vs_dyn() {
     let _guard = serial();
-    let trace = Benchmark::Edg.trace_with_len(6_000);
-    for cfg in [
-        PredictorConfig::practical(2, 256, 4),
-        PredictorConfig::hybrid(5, 1, 256, 4),
-        PredictorConfig::bpst(3, 0, 128, 2),
-    ] {
-        let via_dyn = probes_under(ProbePolicy::Deep, || {
-            dyn_lane(&trace, &mut DefaultStep(cfg.build()), 500);
-        });
-        let via_kernel = probes_under(ProbePolicy::Deep, || {
-            let mut kernel = cfg.build_kernel();
-            simulate_kernel(&mut trace.cursor(), &mut kernel, 500).expect("in-memory source");
-        });
-        assert!(!via_dyn.is_empty(), "{}: no probe records", cfg.cache_key());
+    let warmup = 500;
+    for (events, intervals) in [(6_000, 0), (20_000, 2)] {
+        let trace = Benchmark::Edg.trace_with_len(events);
+        for cfg in [
+            PredictorConfig::practical(2, 256, 4),
+            PredictorConfig::hybrid(5, 1, 256, 4),
+            PredictorConfig::bpst(3, 0, 128, 2),
+        ] {
+            let via_dyn = dyn_probes(&cfg, &trace, warmup);
+            let via_kernel = probes_under(ProbePolicy::Deep, || {
+                let mut kernel = cfg.build_kernel();
+                simulate_kernel(&mut trace.cursor(), &mut kernel, warmup)
+                    .expect("in-memory source");
+            });
+            assert_eq!(
+                (
+                    samples_at(&via_dyn, "warm"),
+                    samples_at(&via_dyn, "interval")
+                ),
+                (1, intervals),
+                "test premise: {} samples the warmup and {intervals} intervals",
+                cfg.cache_key()
+            );
+            assert_eq!(
+                via_dyn.iter().map(payload).collect::<Vec<_>>(),
+                via_kernel.iter().map(payload).collect::<Vec<_>>(),
+                "{} at {events} events: deep probe payloads diverge between folds",
+                cfg.cache_key()
+            );
+        }
+    }
+
+    let trace = Benchmark::Edg.trace_with_len(20_000);
+    let shared = [
+        PredictorConfig::practical(3, 256, 4),
+        PredictorConfig::hybrid(3, 1, 256, 4),
+        PredictorConfig::bpst(3, 1, 256, 4),
+    ];
+    let mut kernels: Vec<FoldKernel> = shared.iter().map(PredictorConfig::build_kernel).collect();
+    let mut premise: Vec<FoldKernel> = shared.iter().map(PredictorConfig::build_kernel).collect();
+    let mut bank = KeyStreams::new(warmup);
+    for kernel in &mut premise {
+        bank.attach(kernel).expect("test premise: keyed");
+    }
+    assert_eq!(
+        bank.components(),
+        2,
+        "test premise: five parts share two component tables"
+    );
+    drop(bank);
+    let via_pass = probes_under(ProbePolicy::Deep, || {
+        simulate_source_kernels(&mut trace.cursor(), &mut kernels, warmup)
+            .expect("in-memory source");
+    });
+    for cfg in &shared {
+        let name = cfg.build().name();
+        let via_dyn = dyn_probes(cfg, &trace, warmup);
+        assert_eq!(samples_at(&via_dyn, "interval"), 2, "test premise");
         assert_eq!(
+            via_pass
+                .iter()
+                .filter(|r| r.name == name)
+                .map(payload)
+                .collect::<Vec<_>>(),
             via_dyn.iter().map(payload).collect::<Vec<_>>(),
-            via_kernel.iter().map(payload).collect::<Vec<_>>(),
-            "{}: deep probe payloads diverge between folds",
+            "{}: deep probe payloads of a shared pass diverge from its own fold",
             cfg.cache_key()
         );
     }
