@@ -7,7 +7,9 @@
 //! ```
 //!
 //! The summary opens with a `run:` line (the journal header's schema,
-//! core count and effective knobs), then covers where a run's time went:
+//! core count and effective knobs) and a `result cache:` line (the rows,
+//! cells and bytes the persistent result cache loaded and saved, and how
+//! long each took), then covers where a run's time went:
 //! per-experiment wall time and cache effectiveness (from the root
 //! `experiment` spans), the slowest benchmark passes with the cells each
 //! folded, the key streams and component tables it shared them over and
@@ -103,6 +105,42 @@ fn run_line(meta: Option<&Record>) -> String {
         show("threads"),
         show("knobs")
     )
+}
+
+/// The `result cache:` line: what the persistent result cache's load and
+/// save (the `cache_load` and `cache_save` spans) moved, and how long each
+/// took, summed over the journal.
+fn result_cache_line(records: &[Record]) -> String {
+    let spans = |name: &'static str| {
+        records
+            .iter()
+            .filter(move |r| r.kind == Kind::Span && r.name == name)
+    };
+    let sum = |name, field| -> u64 { spans(name).filter_map(|r| r.field_u64(field)).sum() };
+    let took = |name| fmt_us(spans(name).filter_map(|r| r.dur_us).sum());
+    let load = if spans("cache_load").next().is_some() {
+        format!(
+            "loaded {} rows ({} cells, {} bytes, {} dropped) in {}",
+            sum("cache_load", "rows"),
+            sum("cache_load", "cells"),
+            sum("cache_load", "bytes"),
+            sum("cache_load", "dropped"),
+            took("cache_load")
+        )
+    } else {
+        "not loaded".to_string()
+    };
+    let save = if spans("cache_save").next().is_some() {
+        format!(
+            "saved {} rows ({} bytes) in {}",
+            sum("cache_save", "rows"),
+            sum("cache_save", "bytes"),
+            took("cache_save")
+        )
+    } else {
+        "nothing saved".to_string()
+    };
+    format!("result cache: {load}; {save}")
 }
 
 fn print_experiments(records: &[Record]) {
@@ -684,7 +722,8 @@ fn run(opts: &Options) -> Result<(), String> {
         records.len(),
         fmt_us(wall_us)
     );
-    println!("{}\n", run_line(meta));
+    println!("{}", run_line(meta));
+    println!("{}\n", result_cache_line(&records));
 
     print_experiments(&records);
     print_trace_cache(&records);
@@ -890,6 +929,32 @@ mod tests {
         let old = Record::parse(r#"{"t":"meta","run_id":"x","ts":0}"#).unwrap();
         assert_eq!(run_line(Some(&old)), "run: schema ?, ? threads, knobs ?");
         assert_eq!(run_line(None), "run: schema ?, ? threads, knobs ?");
+    }
+
+    #[test]
+    fn the_result_cache_line_sums_the_load_and_save_spans() {
+        let load = Record::parse(
+            r#"{"t":"span","name":"cache_load","ts":1,"dur":6100,"tid":0,"depth":0,"f":{"rows":2374,"cells":39951,"bytes":1220282,"dropped":2}}"#,
+        )
+        .unwrap();
+        let save = Record::parse(
+            r#"{"t":"span","name":"cache_save","ts":9,"dur":12000,"tid":0,"depth":0,"f":{"rows":2375,"bytes":1220400}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            result_cache_line(std::slice::from_ref(&load)),
+            "result cache: loaded 2374 rows (39951 cells, 1220282 bytes, 2 dropped) in 6.1ms; \
+             nothing saved"
+        );
+        assert_eq!(
+            result_cache_line(&[load, save]),
+            "result cache: loaded 2374 rows (39951 cells, 1220282 bytes, 2 dropped) in 6.1ms; \
+             saved 2375 rows (1220400 bytes) in 12.0ms"
+        );
+        assert_eq!(
+            result_cache_line(&[]),
+            "result cache: not loaded; nothing saved"
+        );
     }
 
     #[test]

@@ -28,17 +28,18 @@
 //!   ahead-prediction hits, a trace's characteristics);
 //! * values are memoized in one process-wide map keyed by the job's key
 //!   ([`PredictorConfig::cache_key`], a `custom` key, or a measurement's
-//!   `<kind>|…` key), which holds per trace length one slot per
-//!   benchmark — traces are pure functions of `(benchmark, events)`, so a
-//!   repeated cell is guaranteed to reproduce the same value and is never
-//!   folded twice, within or across experiments, and a sweep looks up all
-//!   of a job's benchmarks with one probe of the map;
-//! * the memo map is seeded from the **persistent result cache**
-//!   (`results/.cache/`) on first use, each value marked as loaded from
-//!   disk, and measurement binaries publish it back via [`persist_cache`]
-//!   once they have folded something new — so the guarantee extends
-//!   across processes (`IBP_CACHE=0` opts out), and a second `repro_all`
-//!   folds nothing and reads no trace;
+//!   `<kind>|…` key), which holds per trace length one compact row of
+//!   counts over every benchmark — traces are pure functions of
+//!   `(benchmark, events)`, so a repeated cell is guaranteed to reproduce
+//!   the same value and is never folded twice, within or across
+//!   experiments, and a sweep looks up all of a job's benchmarks with one
+//!   probe of the map;
+//! * the memo map is the **persistent result cache**'s rows
+//!   (`results/.cache/`), loaded on first use with each cell marked as
+//!   loaded from disk, and measurement binaries publish it back via
+//!   [`persist_cache`] once they have folded something new — so the
+//!   guarantee extends across processes (`IBP_CACHE=0` opts out), and a
+//!   second `repro_all` folds nothing and reads no trace;
 //! * global hit/miss/event counters ([`stats`]) let callers report cache
 //!   effectiveness and simulation throughput — they live in the
 //!   [`ibp_obs::metrics`] registry (`engine.cache.hits`,
@@ -60,7 +61,7 @@
 //!
 //! With tracing on, each sweep also journals one progress line.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -70,107 +71,18 @@ use ibp_obs as obs;
 use ibp_obs::metrics::Counter;
 use ibp_workload::Benchmark;
 
-use crate::cache::{slot, Row, SLOTS};
+use crate::cache::Rows;
 use crate::parallel::parallel_map;
 use crate::probe;
 use crate::run::{simulate_source_cells, trie_stats, MeasureLane, Measurement};
 use crate::suite::{Suite, SuiteResult};
 
-/// A memoized cell value, and whether it entered the memo map from the
-/// persistent cache rather than a fold in this process: hits on it count
-/// as persistent (cross-process) hits.
-#[derive(Clone, Copy)]
-struct Memo {
-    value: Measurement,
-    from_disk: bool,
-}
-
-/// One key's memoized cells at one trace length, indexed by the
-/// benchmark's position in [`Benchmark::ALL`].
-struct Slots {
-    events: u64,
-    cells: [Option<Memo>; SLOTS],
-}
-
-/// The memo cache: each key's [`Slots`], one per trace length it holds
-/// cells at.
-#[derive(Default)]
-struct MemoMap(HashMap<String, Vec<Slots>>);
-
-impl MemoMap {
-    /// The cells of `key` at `events`, if it holds any: one probe of the
-    /// map, with the key borrowed.
-    fn get(&self, key: &str, events: u64) -> Option<&[Option<Memo>; SLOTS]> {
-        let slots = self.0.get(key)?;
-        let found = slots.iter().find(|s| s.events == events);
-        found.map(|s| &s.cells)
-    }
-
-    /// The cells of `key` at `events`, created empty when absent; the key
-    /// is copied only then.
-    fn cells_mut(&mut self, key: &str, events: u64) -> &mut [Option<Memo>; SLOTS] {
-        if !self.0.contains_key(key) {
-            self.0.insert(key.to_owned(), Vec::new());
-        }
-        cells_at(self.0.get_mut(key).expect("inserted above"), events)
-    }
-
-    /// Every key's cells, as the persistent cache's rows.
-    fn rows(&self) -> Vec<Row> {
-        let mut rows = Vec::new();
-        for (key, slots) in &self.0 {
-            for s in slots {
-                rows.push(Row {
-                    key: key.clone(),
-                    events: s.events,
-                    cells: s.cells.map(|cell| cell.map(|memo| memo.value)),
-                });
-            }
-        }
-        rows
-    }
-}
-
-/// The cells at `events` among one key's `slots`, created empty when
-/// absent.
-fn cells_at(slots: &mut Vec<Slots>, events: u64) -> &mut [Option<Memo>; SLOTS] {
-    let at = match slots.iter().position(|s| s.events == events) {
-        Some(at) => at,
-        None => {
-            slots.push(Slots {
-                events,
-                cells: [None; SLOTS],
-            });
-            slots.len() - 1
-        }
-    };
-    &mut slots[at].cells
-}
-
-fn cache() -> MutexGuard<'static, MemoMap> {
-    static CACHE: OnceLock<Mutex<MemoMap>> = OnceLock::new();
+/// The memo cache: the persistent cache's [`Rows`], loaded on first use,
+/// with the cells this process folds written into them in place.
+fn cache() -> MutexGuard<'static, Rows> {
+    static CACHE: OnceLock<Mutex<Rows>> = OnceLock::new();
     CACHE
-        .get_or_init(|| {
-            let mut memo = MemoMap::default();
-            let (mut rows, mut cells) = (0, 0);
-            for row in crate::cache::load() {
-                let slots = memo.0.entry(row.key).or_default();
-                for (cell, value) in cells_at(slots, row.events).iter_mut().zip(row.cells) {
-                    if let Some(value) = value {
-                        *cell = Some(Memo {
-                            value,
-                            from_disk: true,
-                        });
-                        cells += 1;
-                    }
-                }
-                rows += 1;
-            }
-            if rows > 0 {
-                obs::info!("[engine] persistent cache: {cells} cells in {rows} rows loaded");
-            }
-            Mutex::new(memo)
-        })
+        .get_or_init(|| Mutex::new(crate::cache::load()))
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -178,9 +90,9 @@ fn cache() -> MutexGuard<'static, MemoMap> {
 /// Whether the memo cache holds folded results the persistent cache has
 /// not saved: set where [`Sweep::run_all`] publishes folded units, cleared
 /// by a successful [`persist_cache`] and left set by a failed one. It is
-/// set, and cleared for a save, under the memo cache's lock, so a save's
-/// snapshot holds every unit published before the clear. It guards no
-/// data of its own, so relaxed ordering suffices.
+/// set, and cleared for a save, under the memo cache's lock, which the
+/// save holds, so the save writes every unit published before the clear.
+/// It guards no data of its own, so relaxed ordering suffices.
 static UNSAVED: AtomicBool = AtomicBool::new(false);
 
 fn hits() -> &'static Arc<Counter> {
@@ -205,9 +117,9 @@ fn simulated_events() -> &'static Arc<Counter> {
 
 /// Counts a memo-cache hit, attributing it to the persistent cache when
 /// the value was loaded from disk.
-fn count_hit(memo: &Memo) {
+fn count_hit(from_disk: bool) {
     hits().incr();
-    if memo.from_disk {
+    if from_disk {
         persistent_hits().incr();
     }
 }
@@ -271,25 +183,18 @@ pub fn stats() -> EngineStats {
 /// unless the process folded a cell since its last successful save, so a
 /// run served entirely from the caches leaves `engine.tsv` as it was.
 pub fn persist_cache() {
-    let rows = {
-        let cache = cache();
-        if !UNSAVED.swap(false, Ordering::Relaxed) {
-            return;
-        }
-        cache.rows()
-    };
-    match crate::cache::save(&rows) {
-        Ok(0) => {}
-        Ok(n) => obs::info!("[engine] persistent cache: {n} rows saved"),
-        Err(e) => {
-            // Losing the cache costs re-simulation time on the next run,
-            // never correctness — warn, journal, and leave the results
-            // unsaved so the next call retries.
-            UNSAVED.store(true, Ordering::Relaxed);
-            eprintln!("warning: could not persist the result cache: {e}");
-            let detail = e.to_string();
-            obs::event!("degraded", site = "cache.save", detail = detail.as_str());
-        }
+    let cache = cache();
+    if !UNSAVED.swap(false, Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = crate::cache::save(&cache) {
+        // Losing the cache costs re-simulation time on the next run,
+        // never correctness — warn, journal, and leave the results
+        // unsaved so the next call retries.
+        UNSAVED.store(true, Ordering::Relaxed);
+        eprintln!("warning: could not persist the result cache: {e}");
+        let detail = e.to_string();
+        obs::event!("degraded", site = "cache.save", detail = detail.as_str());
     }
 }
 
@@ -297,7 +202,7 @@ pub fn persist_cache() {
 /// measurement harnesses and tests that need to re-simulate work this
 /// process already saw — never needed for correctness.
 pub fn clear_memo_cache() {
-    cache().0.clear();
+    cache().clear();
 }
 
 /// How a job's missing cells fold in their benchmark's pass.
@@ -334,9 +239,9 @@ struct JobHits {
 }
 
 impl JobHits {
-    fn note(&mut self, benchmark: Benchmark, memo: &Memo) {
+    fn note(&mut self, benchmark: Benchmark, from_disk: bool) {
         self.benchmarks.push(benchmark.name());
-        self.from_disk += u64::from(memo.from_disk);
+        self.from_disk += u64::from(from_disk);
     }
 }
 
@@ -369,18 +274,20 @@ struct PassPlan {
 /// Whether a path-length family with members at path lengths `depths`
 /// folds faster as one [`PathTrie`] than as one lane per member. The
 /// trie folds every depth from 0 to the deepest member's, so it pays
-/// when there are at least two distinct lengths and they cover at least
-/// half of those depths: Figure 9's 0..=18 and Figure 10's 0..=12 route,
-/// as does the update-rule ablation's {0, 1, 3, 6, 8}; the sensitivity
-/// study's {3, 6, 9, 12} and the history variations' {3, 8} keep their
-/// lanes, where folding the unscored depths costs more than it saves
-/// (DESIGN §5p).
+/// when there are at least two distinct lengths and either they cover
+/// more than half of those depths or there are four of them or more:
+/// Figure 9's 0..=18, Figure 10's 0..=12, the update-rule ablation's
+/// always-update {0, 1, 3, 6, 8} and the sensitivity study's
+/// {3, 6, 9, 12} route; the history variations' {3, 8} keeps its lanes,
+/// where folding the unscored depths costs more than it saves, and so
+/// does the update rule's two-bit {0, 1, 6}, which folds as fast either
+/// way (DESIGN §5p).
 fn trie_pays(depths: &[usize]) -> bool {
     let mut distinct = depths.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
     let deepest = distinct.last().copied().unwrap_or(0);
-    distinct.len() >= 2 && 2 * distinct.len() > deepest
+    distinct.len() >= 2 && (2 * distinct.len() > deepest || distinct.len() >= 4)
 }
 
 /// A trie lane's depths for the pass span, e.g. `0..=18` or `0,1,3,6,8`.
@@ -543,13 +450,13 @@ impl<'a> Sweep<'a> {
             let cache = cache();
             let mut claimed: HashSet<(&str, Benchmark)> = HashSet::new();
             for (j, job) in self.jobs.iter().enumerate() {
-                let memoized = cache.get(&job.key, events);
+                let row = cache.get(&job.key, events);
                 for (cell, &b) in job.cells(&suite_benchmarks).iter().enumerate() {
-                    if let Some(memo) = memoized.and_then(|cells| cells[slot(b)].as_ref()) {
-                        results[j][cell] = Some(memo.value);
-                        count_hit(memo);
+                    if let Some((value, from_disk)) = row.and_then(|row| row.cell(b)) {
+                        results[j][cell] = Some(value);
+                        count_hit(from_disk);
                         if let Some(hits) = &mut journaled_hits {
-                            hits[j].note(b, memo);
+                            hits[j].note(b, from_disk);
                         }
                     } else if claimed.insert((job.key.as_str(), b)) {
                         units.push(Unit {
@@ -580,10 +487,7 @@ impl<'a> Sweep<'a> {
                     value.kind()
                 );
                 results[unit.job][unit.cell] = Some(value);
-                cache.cells_mut(&job.key, events)[slot(unit.benchmark)] = Some(Memo {
-                    value,
-                    from_disk: false,
-                });
+                cache.set(&job.key, events, unit.benchmark, &value);
             }
             if !units.is_empty() {
                 UNSAVED.store(true, Ordering::Relaxed);
@@ -592,16 +496,16 @@ impl<'a> Sweep<'a> {
                 if results[j].iter().all(Option::is_some) {
                     continue;
                 }
-                let memoized = cache.get(&job.key, events);
+                let row = cache.get(&job.key, events);
                 for (cell, &b) in job.cells(&suite_benchmarks).iter().enumerate() {
                     if results[j][cell].is_none() {
-                        let memo = memoized
-                            .and_then(|cells| cells[slot(b)].as_ref())
+                        let (value, from_disk) = row
+                            .and_then(|row| row.cell(b))
                             .expect("duplicate-key slot filled by its representative");
-                        results[j][cell] = Some(memo.value);
-                        count_hit(memo);
+                        results[j][cell] = Some(value);
+                        count_hit(from_disk);
                         if let Some(hits) = &mut journaled_hits {
-                            hits[j].note(b, memo);
+                            hits[j].note(b, from_disk);
                         }
                     }
                 }
@@ -919,18 +823,21 @@ mod tests {
 
     #[test]
     fn dense_families_route_to_the_trie_and_sparse_ones_keep_their_lanes() {
-        let routed: [&[usize]; 4] = [
+        let routed: [&[usize]; 7] = [
             &[
                 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18,
             ],
             &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
             &[0, 1, 3, 6, 8],
             &[8, 6, 3, 1, 0, 8],
+            &[3, 6, 9, 12],
+            &[0, 1],
+            &[2, 3, 4],
         ];
         for depths in routed {
             assert!(trie_pays(depths), "{depths:?}");
         }
-        let kept: [&[usize]; 5] = [&[3, 6, 9, 12], &[3, 8], &[5], &[0, 0], &[0, 1, 6]];
+        let kept: [&[usize]; 5] = [&[3, 8], &[5], &[0, 0], &[0, 1, 6], &[8, 3, 3]];
         for depths in kept {
             assert!(!trie_pays(depths), "{depths:?}");
         }

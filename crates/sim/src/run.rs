@@ -142,13 +142,7 @@ impl Measurement {
     /// keyed by their predictor alone.
     #[must_use]
     pub fn kind(&self) -> &'static str {
-        match self {
-            Measurement::Run(_) => "run",
-            Measurement::Misses(_) => "misses",
-            Measurement::Patterns(_) => "patterns",
-            Measurement::Ahead(_) => "ahead",
-            Measurement::Trace(_) => "trace",
-        }
+        crate::cache::Kind::of(self).name()
     }
 }
 

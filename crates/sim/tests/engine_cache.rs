@@ -258,3 +258,92 @@ fn a_warm_traced_sweep_journals_one_hit_record_per_job() {
         }
     }
 }
+
+/// The `name` spans of a journal.
+fn spans<'r>(records: &'r [Record], name: &str) -> Vec<&'r Record> {
+    records
+        .iter()
+        .filter(|r| r.kind == Kind::Span && r.name == name)
+        .collect()
+}
+
+/// A warm traced sweep journals its load of the persistent cache as one
+/// `cache_load` span that holds every persisted row, and saves nothing.
+/// One traced process persists the sample sweep from a cold root; a
+/// fresh, traced one repeats the sweep, all hits, and calls
+/// `persist_cache`, which has nothing new to write.
+#[test]
+fn a_warm_traced_sweep_journals_one_cache_load_and_no_save() {
+    const EVENTS: u64 = 8_000;
+    let three = [Benchmark::Ixx, Benchmark::Porky, Benchmark::Gcc];
+    let configs = sample_configs();
+    match std::env::var(PHASE).as_deref() {
+        Ok("persist") => {
+            let suite = Suite::with_benchmarks_and_len(&three, EVENTS);
+            let _ = engine::run_configs(&suite, configs);
+            engine::persist_cache();
+        }
+        Ok("warm") => {
+            let suite = Suite::with_benchmarks_and_len(&three, EVENTS);
+            let before = engine::stats();
+            let _ = engine::run_configs(&suite, configs.clone());
+            let delta = engine::stats().since(before);
+            assert_eq!(delta.persistent_hits, 3 * configs.len() as u64);
+            assert_eq!(delta.misses, 0);
+            engine::persist_cache();
+        }
+        _ => {
+            let scratch = std::env::temp_dir().join(format!(
+                "ibp-engine-cache-load-itest-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&scratch);
+            let journal = |phase: &str| scratch.join(format!("{phase}.jsonl"));
+            let test = "a_warm_traced_sweep_journals_one_cache_load_and_no_save";
+            run_phase(test, "persist", &scratch, Some(&journal("persist")));
+            run_phase(test, "warm", &scratch, Some(&journal("warm")));
+            let persisted = ibp_obs::read_journal(&journal("persist")).expect("persist journal");
+            let warm = ibp_obs::read_journal(&journal("warm")).expect("the warm journal");
+            let version = std::fs::read_dir(scratch.join(".cache"))
+                .expect("the cache root")
+                .flatten()
+                .find(|entry| entry.file_name().to_string_lossy().starts_with('v'))
+                .expect("a schema version directory");
+            let text = std::fs::read_to_string(version.path().join("engine.tsv")).expect("file");
+            let _ = std::fs::remove_dir_all(&scratch);
+
+            let rows = text.lines().filter(|l| !l.starts_with('#')).count() as u64;
+            let bytes = text.len() as u64;
+            assert_eq!(rows, configs.len() as u64, "one row per key");
+            let fields = |r: &Record, names: &[&str]| -> Vec<Option<u64>> {
+                names.iter().map(|&name| r.field_u64(name)).collect()
+            };
+            let load = ["rows", "cells", "bytes", "dropped"];
+            let cold_load = spans(&persisted, "cache_load");
+            assert_eq!(cold_load.len(), 1, "one load per process");
+            assert_eq!(
+                fields(cold_load[0], &load),
+                [Some(0), Some(0), Some(0), Some(0)],
+                "a cold root loads nothing"
+            );
+            let save = spans(&persisted, "cache_save");
+            assert_eq!(save.len(), 1, "the cold process saves once");
+            assert_eq!(
+                fields(save[0], &["rows", "bytes"]),
+                [Some(rows), Some(bytes)]
+            );
+
+            let warm_load = spans(&warm, "cache_load");
+            assert_eq!(warm_load.len(), 1, "one load per process");
+            assert_eq!(
+                fields(warm_load[0], &load),
+                [Some(rows), Some(3 * rows), Some(bytes), Some(0)],
+                "the warm load holds every persisted row"
+            );
+            assert!(
+                spans(&warm, "cache_save").is_empty(),
+                "a run that folded nothing saves nothing"
+            );
+        }
+    }
+}
