@@ -229,10 +229,10 @@ fn each_simulated_cell_names_its_fold() {
 /// Runs `ablations` traced at 2,000 events under `IBP_PROBE=probe` and
 /// checks the fold each simulated cell names: the confidence-width hybrids
 /// and the BPSTs read shared key streams, two per pass (`p = 3` and `p = 1`
-/// keys); the always-update family `{0, 1, 3, 6, 8}` folds on `always`;
-/// and the full-key history variations, like the two-bit-counter members
-/// left over from them, fold on their own lanes.
-fn check_ablations_folds(probe: &str, always: &str) {
+/// keys); and every full-key family folds on `full_key`: the always-update
+/// `{0, 1, 3, 6, 8}`, the three history variations' `{3, 8}` and the
+/// two-bit-counter members left over from them, `{0, 1, 6}`.
+fn check_ablations_folds(probe: &str, full_key: &str) {
     let tmp =
         std::env::temp_dir().join(format!("ibp-ablation-folds-{probe}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
@@ -262,16 +262,13 @@ fn check_ablations_folds(probe: &str, always: &str) {
         let config = cell.field_str("config").expect("a cell names its config");
         let expected = if config.starts_with("Hybrid|") || config.starts_with("Bpst|") {
             "keyed"
-        } else if config.contains("|rule=Always|") {
-            always
         } else {
-            "lane"
+            full_key
         };
         assert_eq!(cell.field_str("fold"), Some(expected), "{cell:?}");
         folds.insert(expected);
     }
-    let mut every = std::collections::BTreeSet::from(["keyed", "lane"]);
-    every.insert(always);
+    let every = std::collections::BTreeSet::from(["keyed", full_key]);
     assert_eq!(folds, every, "every fold simulates some cell");
     let keys: Vec<Option<u64>> = records
         .iter()
@@ -284,15 +281,15 @@ fn check_ablations_folds(probe: &str, always: &str) {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
-/// Unprobed, the ablations fold all three ways, the always-update family
-/// as one trie.
+/// Unprobed, the ablations fold two ways: the hybrids through the
+/// component bank, and each full-key family as one trie.
 #[test]
-fn ablations_cells_name_keyed_trie_and_lane_folds() {
+fn ablations_cells_name_keyed_and_trie_folds() {
     check_ablations_folds("0", "trie");
 }
 
 /// Probed, the hybrids and BPSTs still fold through the component bank;
-/// only the always-update family leaves its trie for lanes, since a
+/// only the full-key families leave their tries for lanes, since a
 /// probed pass samples tables that a trie never holds mid-pass.
 #[test]
 fn probed_ablations_fold_through_the_bank() {
@@ -426,13 +423,18 @@ fn the_component_bank_folds_each_distinct_table_once() {
 
 /// Figure 9's node probes over its 17 trie passes at 2,000 events.
 const TRIE_PROBES: u64 = 509_641;
+/// Of those probes, the ones that missed their parent's first child and
+/// looked the node up by hash. Of the rest, 323,519 matched the first
+/// child and 80,411 created it.
+const TRIE_HASHED: u64 = 105_711;
 /// The branches those passes pruned before the deepest depth.
 const TRIE_PRUNED: u64 = 14_374;
 
-/// The trie's work is counted exactly, so turning its pruning off, or
-/// routing Figure 9 away from it, changes these totals and fails here
-/// rather than only in a timing. At 2,000 events on 17 benchmarks a fold
-/// without pruning would make 17 × 2,000 × 19 = 646,000 probes.
+/// The trie's work is counted exactly, so turning its pruning off, its
+/// inline first children off, or routing Figure 9 away from it, changes
+/// these totals and fails here rather than only in a timing. At 2,000
+/// events on 17 benchmarks a fold without pruning would make
+/// 17 × 2,000 × 19 = 646,000 probes.
 #[test]
 fn fig9_trie_probes_and_pruned_branches_are_pinned() {
     let tmp = std::env::temp_dir().join(format!("ibp-trie-work-{}", std::process::id()));
@@ -453,8 +455,12 @@ fn fig9_trie_probes_and_pruned_branches_are_pinned() {
             .sum()
     };
     assert_eq!(
-        (total("trie_probes"), total("trie_pruned")),
-        (TRIE_PROBES, TRIE_PRUNED)
+        (
+            total("trie_probes"),
+            total("trie_hashed"),
+            total("trie_pruned")
+        ),
+        (TRIE_PROBES, TRIE_HASHED, TRIE_PRUNED)
     );
     std::fs::remove_dir_all(&tmp).ok();
 }

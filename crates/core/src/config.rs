@@ -27,6 +27,27 @@ pub enum Associativity {
     Full,
 }
 
+impl Associativity {
+    /// The storage, in bits, of an `entries`-entry table of this
+    /// organisation over `key_width`-bit keys (§5.2.2's cost argument).
+    /// Each entry holds a 30-bit target word, a hysteresis bit and a 2-bit
+    /// confidence counter; a tagged entry adds a valid bit and a tag of
+    /// the key bits its set index does not supply, all of them when fully
+    /// associative.
+    pub(crate) fn table_bits(self, entries: usize, key_width: u32) -> u64 {
+        const PAYLOAD_BITS: u64 = 30 + 1 + 2;
+        let tag_bits = match self {
+            Associativity::Tagless => 0,
+            Associativity::Ways(ways) => {
+                let index_bits = (entries / ways).trailing_zeros();
+                u64::from(key_width.saturating_sub(index_bits)) + 1
+            }
+            Associativity::Full => u64::from(key_width) + 1,
+        };
+        entries as u64 * (PAYLOAD_BITS + tag_bits)
+    }
+}
+
 impl fmt::Display for Associativity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -602,6 +623,24 @@ impl PredictorConfig {
         }
     }
 
+    /// The hardware storage, in bits, of the predictor this configuration
+    /// builds, computed without building it: what its
+    /// [`Predictor::storage_bits`] reports. `None` for an unbounded table,
+    /// and for a BPST hybrid, whose selector has no cost model.
+    #[must_use]
+    pub fn storage_bits(&self) -> Option<u64> {
+        let entries = self.entries?;
+        let table = |path_len| {
+            let key_width = self.compressed_spec(path_len).key_width();
+            self.assoc.table_bits(entries, key_width)
+        };
+        match self.kind {
+            PredictorKind::Btb | PredictorKind::TwoLevel => Some(table(self.path_len)),
+            PredictorKind::Hybrid => Some(table(self.path_len) + table(self.path_len2)),
+            PredictorKind::Bpst => None,
+        }
+    }
+
     /// Builds the chunk-fold kernel for this configuration: every kind
     /// maps to a concrete [`FoldKernel`] variant (BTBs are two-level
     /// predictors with path length zero), which a pass's component bank
@@ -687,14 +726,7 @@ impl PredictorConfig {
                 precision,
             ),
             None => {
-                let spec = CompressedKeySpec::new(
-                    path_len,
-                    self.pattern_budget,
-                    self.compressor,
-                    self.interleaving,
-                    self.scheme,
-                )
-                .with_table_sharing(self.table_sharing);
+                let spec = self.compressed_spec(path_len);
                 let base = match (self.entries, self.assoc) {
                     (None, _) => TwoLevelPredictor::compressed_unbounded(spec),
                     (Some(n), Associativity::Tagless) => TwoLevelPredictor::tagless(spec, n),
@@ -708,6 +740,19 @@ impl PredictorConfig {
             .with_update_rule(self.rule)
             .with_confidence_bits(self.confidence_bits)
             .with_cond_targets(self.include_cond))
+    }
+
+    /// The compressed-key recipe of this configuration's component at
+    /// `path_len`.
+    fn compressed_spec(&self, path_len: usize) -> CompressedKeySpec {
+        CompressedKeySpec::new(
+            path_len,
+            self.pattern_budget,
+            self.compressor,
+            self.interleaving,
+            self.scheme,
+        )
+        .with_table_sharing(self.table_sharing)
     }
 }
 
@@ -808,6 +853,33 @@ mod tests {
         assert_eq!(p.storage_entries(), Some(1024));
         let h = PredictorConfig::hybrid(3, 1, 1024, 4).build();
         assert_eq!(h.storage_entries(), Some(2048));
+    }
+
+    /// A configuration's storage, read without building it, is its built
+    /// predictor's, for every kind and organisation.
+    #[test]
+    fn storage_bits_are_read_off_the_configuration() {
+        let configs = [
+            PredictorConfig::practical(3, 1024, 4),
+            PredictorConfig::practical(0, 64, 1),
+            PredictorConfig::tagless(12, 4096),
+            PredictorConfig::full_assoc(2, 256),
+            PredictorConfig::practical(6, 512, 2).with_key_scheme(KeyScheme::Concat),
+            PredictorConfig::btb_bounded(128),
+            PredictorConfig::hybrid(3, 1, 1024, 4),
+            PredictorConfig::hybrid_tagless(6, 0, 2048),
+            PredictorConfig::bpst(3, 1, 1024, 4),
+            PredictorConfig::compressed_unbounded(3),
+            PredictorConfig::unconstrained(3),
+            PredictorConfig::btb_2bc(),
+        ];
+        for config in configs {
+            assert_eq!(
+                config.storage_bits(),
+                config.build().storage_bits(),
+                "{config:?}"
+            );
+        }
     }
 
     #[test]

@@ -93,17 +93,11 @@ impl UnboundedTable {
         &self.keys[id * self.width..(id + 1) * self.width]
     }
 
-    /// The entry id holding `key`, or the empty bucket where it would go.
+    /// The entry id holding `key`, or the empty bucket where it would go:
+    /// walks forward from `tag`'s home bucket, and only a bucket whose tag
+    /// matches costs a key comparison.
     fn find(&self, key: &[u32], tag: u32) -> Result<usize, usize> {
         debug_assert_eq!(key.len(), self.width, "key width");
-        self.probe(tag, |stored| stored == key)
-    }
-
-    /// The probe behind every lookup: walks forward from `tag`'s home
-    /// bucket to the entry whose key `matches` (its id), or to the empty
-    /// bucket where that key would go. Only a bucket whose tag matches
-    /// costs a key comparison.
-    fn probe(&self, tag: u32, matches: impl Fn(&[u32]) -> bool) -> Result<usize, usize> {
         let mask = self.index.len() - 1;
         let mut at = tag as usize & mask;
         loop {
@@ -113,7 +107,7 @@ impl UnboundedTable {
             }
             if (bucket >> 32) as u32 == tag {
                 let id = (bucket as u32 - 1) as usize;
-                if matches(self.key(id)) {
+                if self.key(id) == key {
                     return Ok(id);
                 }
             }
@@ -121,9 +115,9 @@ impl UnboundedTable {
         }
     }
 
-    /// Appends a fresh entry for `key`, points the empty bucket `at` at it,
-    /// and returns its id.
-    fn insert(&mut self, at: usize, key: &[u32], tag: u32, actual: Addr) -> u32 {
+    /// Appends a fresh entry for `key` and points the empty bucket `at` at
+    /// it.
+    fn insert(&mut self, at: usize, key: &[u32], tag: u32, actual: Addr) {
         let id = u32::try_from(self.slots.len() + 1).expect("fewer than 2^32 entries");
         self.keys.extend_from_slice(key);
         self.slots.push(Slot::new(actual, self.confidence_bits));
@@ -131,7 +125,6 @@ impl UnboundedTable {
         if self.slots.len() * 4 > self.index.len() * 3 {
             self.grow();
         }
-        id - 1
     }
 
     fn grow(&mut self) {
@@ -197,29 +190,6 @@ impl UnboundedTable {
                 self.insert(at, key, tag, actual);
                 None
             }
-        }
-    }
-
-    /// The entry id of `key`, found from `tag`, with the entry itself when
-    /// it was already stored. A key not yet stored gets a fresh entry for
-    /// `actual`, and `None` in place of the entry. Ids count entries in
-    /// insertion order from zero, so a caller can key further entries by
-    /// this one's id, as a path trie keys a node by its parent's. The tag
-    /// may be any function of the key, as long as the same key always
-    /// comes with the same tag.
-    pub(crate) fn entry<const N: usize>(
-        &mut self,
-        key: [u32; N],
-        tag: u32,
-        actual: Addr,
-    ) -> (u32, Option<&mut Slot>) {
-        debug_assert_eq!(N, self.width, "key width");
-        // A fixed-width comparison, unrolled, where `find` compares slices
-        // of run-time width.
-        let matches = |stored: &[u32]| stored.iter().zip(&key).all(|(a, b)| a == b);
-        match self.probe(tag, matches) {
-            Ok(id) => (id as u32, Some(&mut self.slots[id])),
-            Err(at) => (self.insert(at, &key, tag, actual), None),
         }
     }
 

@@ -8,15 +8,18 @@
 //! distinct key prefix by a node, keyed by its parent node's id and its
 //! last word, and folds every path length of a family over one buffered
 //! trace, one depth at a time: depth `d`'s nodes need only depth
-//! `d − 1`'s ids, so only one depth's table is ever live.
+//! `d − 1`'s ids, so only one depth's nodes are ever live.
+
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use ibp_trace::{Addr, TraceEvent};
 
-use crate::hash::WordMap;
+use crate::hash::{WordHasher, WordMap};
 use crate::history::{HistoryElement, HistorySharing, MAX_PATH};
 use crate::key::{FullKeySpec, TableSharing};
 use crate::predictor::UpdateRule;
-use crate::table::UnboundedTable;
+use crate::table::Slot;
 
 /// What the members of a *path-length family* share: every parameter of a
 /// full-precision, unbounded two-level configuration except its path
@@ -69,6 +72,26 @@ struct Walker {
     next: u32,
 }
 
+/// A node's first child at the next depth: the child's last key word and
+/// its id.
+#[derive(Clone, Copy)]
+struct FirstChild {
+    word: u32,
+    node: u32,
+}
+
+impl FirstChild {
+    /// A node with no child yet.
+    const NONE: FirstChild = FirstChild {
+        word: 0,
+        node: u32::MAX,
+    };
+}
+
+/// The children of a depth's nodes after each node's first, keyed by
+/// `parent << 32 | word`.
+type ChildMap = HashMap<u64, u32, BuildHasherDefault<WordHasher>>;
+
 /// A path-length family folded as one lane: the unconstrained two-level
 /// predictors of one [`PathFamily`] at several path lengths, over one
 /// buffered trace and one prefix trie.
@@ -85,15 +108,19 @@ struct Walker {
 /// deeper follows one link.
 ///
 /// [`finish`](PathTrie::finish) then folds depth 0, depth 1 and so on to
-/// the deepest member's, each over the whole buffer in trace order, with
-/// one [`UnboundedTable`] of 2-word keys cleared between depths. Depth
-/// `d`'s node for key words `w0..=wd` is keyed by `[parent, wd]`, where
-/// `parent` is the id of the branch's node at depth `d − 1` (0 at depth
-/// 0), and it holds depth `d`'s entry. A node id names its whole prefix,
-/// so depth `d`'s nodes correspond one to one with the distinct keys of
-/// the path length `d` predictor, and each entry trains on its own
-/// branches in trace order, exactly as that predictor's does: per-member
-/// results are exact.
+/// the deepest member's, each over the whole buffer in trace order. Depth
+/// `d`'s node for key words `w0..=wd` is the child of the branch's node
+/// at depth `d − 1` (of one root at depth 0) by the word `wd`, and it
+/// holds depth `d`'s entry. Nodes are numbered in order of creation,
+/// from 0 at each depth. Each node of the depth before keeps its first
+/// child inline, in an array indexed by its id, so a probe that matches
+/// it hashes nothing; only later children are found in a map keyed by
+/// `parent << 32 | wd` ([`hashed`](PathTrie::hashed) counts those
+/// probes). Past the shallowest depths most probes match the first
+/// child. A node id names its whole prefix, so depth `d`'s nodes
+/// correspond one to one with the distinct keys of the path length `d`
+/// predictor, and each entry trains on its own branches in trace order,
+/// exactly as that predictor's does: per-member results are exact.
 ///
 /// A branch whose depth-`d` node no other branch visits leaves the fold:
 /// each of its deeper nodes is new on its one visit, so it stores one key
@@ -147,6 +174,7 @@ pub struct PathTrie {
     mispredicted: [u64; MAX_PATH + 1],
     patterns: [u64; MAX_PATH + 1],
     probes: u64,
+    hashed: u64,
     pruned: u64,
 }
 
@@ -184,6 +212,7 @@ impl PathTrie {
             mispredicted: [0; MAX_PATH + 1],
             patterns: [0; MAX_PATH + 1],
             probes: 0,
+            hashed: 0,
             pruned: 0,
         }
     }
@@ -248,13 +277,6 @@ impl PathTrie {
     /// the results stand; called before any chunk, it folds an empty
     /// trace, which scores nothing and stores no key.
     pub fn finish(&mut self) {
-        self.finish_with(|tag| tag);
-    }
-
-    /// [`finish`](PathTrie::finish) with every probe's tag passed through
-    /// `narrow`. Tests narrow the tags to force collisions, which the node
-    /// comparison alone must then resolve.
-    fn finish_with(&mut self, narrow: impl Fn(u32) -> u32) {
         if self.finished {
             return;
         }
@@ -263,6 +285,7 @@ impl PathTrie {
         let elements = std::mem::take(&mut self.elements);
         self.per_set = WordMap::default();
         let (warmup, rule) = (self.warmup, self.family.rule);
+        let confidence_bits = self.family.confidence_bits;
         self.scored = (branches.len() as u64).saturating_sub(warmup);
         let cold = self.key.element_word(Addr::ZERO);
         let mut walkers: Vec<Walker> = (0..)
@@ -273,18 +296,26 @@ impl PathTrie {
                 next: b.newest,
             })
             .collect();
-        let mut table = UnboundedTable::new(2, self.family.confidence_bits);
-        // Whether a node of the depth being folded has had a second visit.
+        // The nodes of the depth being folded, by id, and whether each has
+        // had a second visit.
+        let mut slots: Vec<Slot> = Vec::new();
         let mut shared: Vec<bool> = Vec::new();
+        // Each node of the depth before's first child, by the node's id
+        // (depth 0 hangs off one root, id 0), and its later children.
+        let mut first: Vec<FirstChild> = Vec::new();
+        let mut later: ChildMap = ChildMap::default();
         // Branches that left the fold at a shallower depth, and how many
         // of them are scored.
         let (mut left, mut left_scored) = (0u64, 0u64);
         let words = self.key.words();
         for d in 0..words {
-            table.clear();
+            first.clear();
+            first.resize(slots.len().max(1), FirstChild::NONE);
+            later.clear();
+            slots.clear();
             shared.clear();
             let member = self.member_at[d];
-            let mut misses = 0u64;
+            let (mut misses, mut hashed) = (0u64, 0u64);
             for w in &mut walkers {
                 let branch = branches[w.branch as usize];
                 let word = if d == 0 {
@@ -295,24 +326,35 @@ impl PathTrie {
                 } else {
                     cold
                 };
-                let key = [w.node, word];
-                let (node, slot) =
-                    table.entry(key, narrow(UnboundedTable::tag(&key)), branch.target);
-                let correct = match slot {
-                    Some(slot) => {
-                        shared[node as usize] = true;
-                        member && slot.train(branch.target, rule)
-                    }
-                    None => {
-                        shared.push(false);
-                        false
-                    }
+                // Every branch records an element, so there are fewer
+                // than 2^32 - 1 branches, and no node id reaches NONE's.
+                let fresh = slots.len() as u32;
+                let parent = &mut first[w.node as usize];
+                let node = if parent.node == FirstChild::NONE.node {
+                    *parent = FirstChild { word, node: fresh };
+                    fresh
+                } else if parent.word == word {
+                    parent.node
+                } else {
+                    hashed += 1;
+                    *later
+                        .entry(u64::from(w.node) << 32 | u64::from(word))
+                        .or_insert(fresh)
+                };
+                let correct = if node == fresh {
+                    slots.push(Slot::new(branch.target, confidence_bits));
+                    shared.push(false);
+                    false
+                } else {
+                    shared[node as usize] = true;
+                    member && slots[node as usize].train(branch.target, rule)
                 };
                 misses += u64::from(!correct && u64::from(w.branch) >= warmup);
                 w.node = node;
             }
             self.probes += walkers.len() as u64;
-            self.patterns[d] = table.len() as u64 + left;
+            self.hashed += hashed;
+            self.patterns[d] = slots.len() as u64 + left;
             if member {
                 self.mispredicted[d] = misses + left_scored;
             }
@@ -389,6 +431,14 @@ impl PathTrie {
     #[must_use]
     pub fn probes(&self) -> u64 {
         self.probes
+    }
+
+    /// Of the [`probes`](PathTrie::probes), those that looked a node up
+    /// in the map of later children: its parent's first child had another
+    /// word.
+    #[must_use]
+    pub fn hashed(&self) -> u64 {
+        self.hashed
     }
 
     /// Branches that left the fold before the deepest depth, their node
@@ -499,25 +549,34 @@ mod tests {
         trie
     }
 
-    /// With tags narrowed to a few bits, most nodes share their tag with
-    /// nodes of other prefixes at the same depth, and only the comparison
-    /// of the parent id and the last word tells them apart: results must
-    /// stay exact.
+    /// One site cycling through six targets gives a node many children at
+    /// one depth and one child at others. Depth 0's one node has seven
+    /// children at depth 1, the cold register and each target before, so
+    /// depth 1 has more nodes than depth 0, and every probe there after
+    /// the first is hashed: 599. From depth 2 on, a lap fixes each
+    /// target's predecessor, so five of the six nodes a branch can probe
+    /// from have one child and match it inline. The sixth's first child
+    /// is the cold one that the walker starting the cycle reads, so its
+    /// later visits, 99 at depths 2–6 and 98 at 7 and 8, are hashed.
     #[test]
-    fn colliding_tags_leave_results_exact() {
+    fn first_children_match_inline_and_later_ones_through_the_map() {
+        let lap: Vec<Addr> = (0..6).map(|i| Addr::from_word(0x1000 + i)).collect();
+        let trace = one_site(lap.iter().copied().cycle().take(600));
+        let trie = exact(plain, &[0, 1, 2, 4, 8], &trace, 0);
+        assert_eq!((trie.stored_patterns(0), trie.stored_patterns(1)), (1, 7));
+        assert_eq!(trie.hashed(), 599 + 5 * 99 + 2 * 98);
+        assert_eq!(trie.pruned(), 7, "each depth's cold walker leaves");
+        assert_eq!(trie.probes(), 600 + 600 + (593..=599).sum::<u64>());
+
         let trace = lcg_trace(3_000);
         let families: [fn(usize) -> PredictorConfig; 2] = [plain, |p| {
             PredictorConfig::unconstrained(p)
                 .with_table_sharing(crate::TableSharing::GLOBAL)
                 .with_cond_targets(true)
         }];
-        let depths = [0, 1, 2, 3, 4, 6];
         for config in families {
-            for bits in [2u32, 8, 32] {
-                let mut trie = buffered(config, &depths, &trace, 0);
-                trie.finish_with(|tag| tag & (u32::MAX >> (32 - bits)));
-                assert_matches_kernels(&trie, config, &trace, 0);
-            }
+            let trie = exact(config, &[0, 1, 2, 3, 4, 6], &trace, 0);
+            assert!(0 < trie.hashed() && trie.hashed() < trie.probes());
         }
     }
 

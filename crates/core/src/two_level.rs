@@ -2,6 +2,7 @@
 
 use ibp_trace::{Addr, TraceEvent};
 
+use crate::config::Associativity;
 use crate::history::{Histories, HistoryElement, HistoryRegister, HistorySharing, MAX_PATH};
 use crate::key::{CompressedKeySpec, FullKeySpec, TableSharing};
 use crate::predictor::{Predictor, UpdateRule};
@@ -715,22 +716,16 @@ impl Predictor for TwoLevelPredictor {
     }
 
     fn storage_bits(&self) -> Option<u64> {
-        // Per-entry payload: 30-bit target word + 1 hysteresis bit +
-        // 2-bit confidence counter.
-        const PAYLOAD_BITS: u64 = 30 + 1 + 2;
         let Mode::Compressed { spec, backend } = &self.mode else {
             return None;
         };
-        let entries = backend.capacity()? as u64;
-        let tag_bits = match backend {
+        let (entries, assoc) = match backend {
             Backend::Unbounded(_) => return None,
-            Backend::Tagless(_) => 0,
-            Backend::SetAssoc(t) => {
-                u64::from(spec.key_width().saturating_sub(t.index_bits())) + 1 // +valid
-            }
-            Backend::FullAssoc(_) => u64::from(spec.key_width()) + 1,
+            Backend::Tagless(t) => (t.capacity(), Associativity::Tagless),
+            Backend::SetAssoc(t) => (t.capacity(), Associativity::Ways(t.ways())),
+            Backend::FullAssoc(t) => (t.capacity(), Associativity::Full),
         };
-        Some(entries * (PAYLOAD_BITS + tag_bits))
+        Some(assoc.table_bits(entries, spec.key_width()))
     }
 
     fn snapshot(&self) -> Option<Snapshot> {

@@ -50,8 +50,9 @@
 //!   `degraded` event — a fault costs wall time, never correctness;
 //! * with tracing on (`IBP_TRACE`), every benchmark pass emits a `cell`
 //!   span (benchmark, config count, queue wait vs. run time, the depths
-//!   of its trie families, their node probes and pruned branches as
-//!   `trie_probes` and `trie_pruned`, its number of key streams as `keys`
+//!   of its trie families, their node probes, the probes that hashed and
+//!   pruned branches as `trie_probes`, `trie_hashed` and `trie_pruned`,
+//!   its number of key streams as `keys`
 //!   and of distinct component tables as `components`),
 //!   every folded cell a `cell` event with `outcome = "miss"` and the
 //!   `fold` that made it (`"trie"`, `"keyed"` or `"lane"`), and every job
@@ -274,20 +275,20 @@ struct PassPlan {
 /// Whether a path-length family with members at path lengths `depths`
 /// folds faster as one [`PathTrie`] than as one lane per member. The
 /// trie folds every depth from 0 to the deepest member's, so it pays
-/// when there are at least two distinct lengths and either they cover
-/// more than half of those depths or there are four of them or more:
+/// when there are at least two distinct lengths and either there is one
+/// for every four depths past depth 0 or there are four of them or more:
 /// Figure 9's 0..=18, Figure 10's 0..=12, the update-rule ablation's
-/// always-update {0, 1, 3, 6, 8} and the sensitivity study's
-/// {3, 6, 9, 12} route; the history variations' {3, 8} keeps its lanes,
-/// where folding the unscored depths costs more than it saves, and so
-/// does the update rule's two-bit {0, 1, 6}, which folds as fast either
-/// way (DESIGN §5p).
+/// always-update {0, 1, 3, 6, 8} and two-bit {0, 1, 6}, the history
+/// variations' {3, 8} and the sensitivity study's {3, 6, 9, 12} route;
+/// two lengths as far apart as {0, 12} or {3, 12} keep their lanes,
+/// where folding the unscored depths costs as much as it saves or more
+/// (DESIGN §5p).
 fn trie_pays(depths: &[usize]) -> bool {
     let mut distinct = depths.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
     let deepest = distinct.last().copied().unwrap_or(0);
-    distinct.len() >= 2 && (2 * distinct.len() > deepest || distinct.len() >= 4)
+    distinct.len() >= 2 && (4 * distinct.len() >= deepest || distinct.len() >= 4)
 }
 
 /// A trie lane's depths for the pass span, e.g. `0..=18` or `0,1,3,6,8`.
@@ -614,10 +615,10 @@ impl<'a> Sweep<'a> {
                 cell.note("components", pass.components);
             }
             if !plan.tries.is_empty() {
-                let probes: u64 = plan.tries.iter().map(PathTrie::probes).sum();
-                let pruned: u64 = plan.tries.iter().map(PathTrie::pruned).sum();
-                cell.note("trie_probes", probes);
-                cell.note("trie_pruned", pruned);
+                let total = |count: fn(&PathTrie) -> u64| plan.tries.iter().map(count).sum::<u64>();
+                cell.note("trie_probes", total(PathTrie::probes));
+                cell.note("trie_hashed", total(PathTrie::hashed));
+                cell.note("trie_pruned", total(PathTrie::pruned));
             }
             let trie_runs: Vec<_> = plan.tries.iter().map(trie_stats).collect();
             members
@@ -823,7 +824,7 @@ mod tests {
 
     #[test]
     fn dense_families_route_to_the_trie_and_sparse_ones_keep_their_lanes() {
-        let routed: [&[usize]; 7] = [
+        let routed: [&[usize]; 10] = [
             &[
                 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18,
             ],
@@ -833,11 +834,14 @@ mod tests {
             &[3, 6, 9, 12],
             &[0, 1],
             &[2, 3, 4],
+            &[0, 1, 6],
+            &[3, 8],
+            &[8, 3, 3],
         ];
         for depths in routed {
             assert!(trie_pays(depths), "{depths:?}");
         }
-        let kept: [&[usize]; 5] = [&[3, 8], &[5], &[0, 0], &[0, 1, 6], &[8, 3, 3]];
+        let kept: [&[usize]; 4] = [&[5], &[0, 0], &[0, 12], &[12, 3, 3]];
         for depths in kept {
             assert!(!trie_pays(depths), "{depths:?}");
         }

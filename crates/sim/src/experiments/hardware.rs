@@ -28,16 +28,18 @@ const ORGS: [(&str, Associativity); 3] = [
     ("4-way", Associativity::Ways(4)),
 ];
 
+/// The entry counts probed for each budget: powers of two from 32 to 128K.
+const PROBED_LOG2_ENTRIES: std::ops::RangeInclusive<u32> = 5..=17;
+
 /// The largest power-of-two entry count whose storage fits `budget_bits`
-/// for the given organisation, probed via the cost model itself.
+/// for the given organisation, probed via the cost model itself, read off
+/// each configuration without building its tables.
 fn entries_for_budget(assoc: Associativity, budget_bits: u64) -> Option<usize> {
     let mut best = None;
-    for log2 in 5..=17u32 {
+    for log2 in PROBED_LOG2_ENTRIES {
         let entries = 1usize << log2;
-        let p = PredictorConfig::practical(3, entries, 1)
-            .with_associativity(assoc)
-            .build();
-        match p.storage_bits() {
+        let config = PredictorConfig::practical(3, entries, 1).with_associativity(assoc);
+        match config.storage_bits() {
             Some(bits) if bits <= budget_bits => best = Some(entries),
             Some(_) => break,
             None => return None,
@@ -118,6 +120,20 @@ mod tests {
             tagless >= four_way,
             "tagless {tagless} vs 4-way {four_way} at equal bits"
         );
+    }
+
+    /// The storage a configuration reports is what the predictor it builds
+    /// reports, for every organisation and size the budgets probe.
+    #[test]
+    fn configured_storage_is_the_built_predictors() {
+        for (_, assoc) in ORGS {
+            for log2 in PROBED_LOG2_ENTRIES {
+                let config = PredictorConfig::practical(3, 1 << log2, 1).with_associativity(assoc);
+                let bits = config.storage_bits();
+                assert!(bits.is_some(), "{assoc} at 2^{log2} entries");
+                assert_eq!(bits, config.build().storage_bits(), "{assoc} at 2^{log2}");
+            }
+        }
     }
 
     #[test]
