@@ -102,10 +102,6 @@ impl Predictor for Btb {
         self.inner.step(pc, actual, want_lookup)
     }
 
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-
     fn name(&self) -> String {
         match self.inner.storage_entries() {
             None => format!("btb ({})", self.rule),
@@ -191,12 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn names_and_reset() {
-        let mut b = Btb::full_assoc(64, UpdateRule::TwoBitCounter);
+    fn names() {
+        let b = Btb::full_assoc(64, UpdateRule::TwoBitCounter);
         assert!(b.name().contains("64-entry"));
         assert_eq!(b.rule(), UpdateRule::TwoBitCounter);
-        b.update(a(0x100), a(0x900));
-        b.reset();
-        assert_eq!(b.predict(a(0x100)), None);
     }
 }

@@ -9,7 +9,7 @@ use crate::hybrid::HybridPredictor;
 use crate::interleave::Interleaving;
 use crate::kernel::FoldKernel;
 use crate::key::{CompressedKeySpec, KeyScheme, TableSharing};
-use crate::meta::{BpstMetaPredictor, MetaSpec};
+use crate::meta::MetaSpec;
 use crate::pattern::PatternCompressor;
 use crate::predictor::{Predictor, UpdateRule};
 use crate::trie::PathFamily;
@@ -513,13 +513,7 @@ impl PredictorConfig {
     /// the same arbitration.
     #[must_use]
     pub fn decompose(&self) -> Option<Decomposition> {
-        let meta = match self.kind {
-            PredictorKind::Hybrid => MetaSpec::Confidence,
-            // The BPST selector width is not a config knob; `try_build`
-            // always constructs the default 2-bit selectors.
-            PredictorKind::Bpst => MetaSpec::Bpst { selector_bits: 2 },
-            PredictorKind::Btb | PredictorKind::TwoLevel => return None,
-        };
+        let meta = self.meta_spec()?;
         self.validate().ok()?;
         let component = |path_len: usize| {
             let mut c = self.clone();
@@ -605,22 +599,13 @@ impl PredictorConfig {
     /// Returns a [`ConfigError`] describing the first invalid parameter
     /// combination found.
     pub fn try_build(&self) -> Result<Box<dyn Predictor>, ConfigError> {
-        self.validate()?;
-        match self.kind {
-            PredictorKind::Btb | PredictorKind::TwoLevel => {
-                Ok(Box::new(self.build_component(self.path_len)?))
+        Ok(match self.try_build_kernel()? {
+            FoldKernel::TwoLevel(p) => Box::new(p),
+            FoldKernel::Hybrid(h) => Box::new(h),
+            FoldKernel::SharedTable(_) | FoldKernel::Dyn(_) => {
+                unreachable!("a configuration builds a two-level or hybrid kernel")
             }
-            PredictorKind::Hybrid => {
-                let first = self.build_component(self.path_len)?;
-                let second = self.build_component(self.path_len2)?;
-                Ok(Box::new(HybridPredictor::new(first, second)))
-            }
-            PredictorKind::Bpst => {
-                let first = self.build_component(self.path_len)?;
-                let second = self.build_component(self.path_len2)?;
-                Ok(Box::new(BpstMetaPredictor::new(first, second)))
-            }
-        }
+        })
     }
 
     /// The hardware storage, in bits, of the predictor this configuration
@@ -667,20 +652,25 @@ impl PredictorConfig {
     /// combination found.
     pub fn try_build_kernel(&self) -> Result<FoldKernel, ConfigError> {
         self.validate()?;
+        let first = self.build_component(self.path_len)?;
+        Ok(match self.meta_spec() {
+            None => FoldKernel::TwoLevel(first),
+            Some(meta) => {
+                let second = self.build_component(self.path_len2)?;
+                FoldKernel::Hybrid(HybridPredictor::new(vec![first, second], meta))
+            }
+        })
+    }
+
+    /// The rule a hybrid kind's two components are arbitrated by, or
+    /// `None` for a single two-level predictor.
+    fn meta_spec(&self) -> Option<MetaSpec> {
         match self.kind {
-            PredictorKind::Btb | PredictorKind::TwoLevel => {
-                Ok(FoldKernel::TwoLevel(self.build_component(self.path_len)?))
-            }
-            PredictorKind::Hybrid => {
-                let first = self.build_component(self.path_len)?;
-                let second = self.build_component(self.path_len2)?;
-                Ok(FoldKernel::Hybrid(HybridPredictor::new(first, second)))
-            }
-            PredictorKind::Bpst => {
-                let first = self.build_component(self.path_len)?;
-                let second = self.build_component(self.path_len2)?;
-                Ok(FoldKernel::Bpst(BpstMetaPredictor::new(first, second)))
-            }
+            PredictorKind::Hybrid => Some(MetaSpec::Confidence),
+            // The BPST selector width is not a config knob: always the
+            // default 2-bit selectors.
+            PredictorKind::Bpst => Some(MetaSpec::Bpst { selector_bits: 2 }),
+            PredictorKind::Btb | PredictorKind::TwoLevel => None,
         }
     }
 
@@ -990,7 +980,10 @@ mod tests {
         // Rebuilding the hybrid from the decomposed components reproduces
         // the sequential predictor exactly (name covers every knob the
         // component builder reads).
-        assert_eq!(HybridPredictor::new(first, second).name(), hybrid.name());
+        assert_eq!(
+            HybridPredictor::new(vec![first, second], d.meta).name(),
+            hybrid.name()
+        );
         assert!(cfg.try_build_two_level().is_err());
     }
 

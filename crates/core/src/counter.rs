@@ -96,12 +96,6 @@ impl SaturatingCounter {
         }
     }
 
-    /// Resets to zero (the paper resets confidence when an entry is
-    /// replaced).
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-
     /// Applies an outcome: increment when `correct`, decrement otherwise.
     pub fn record(&mut self, correct: bool) {
         if correct {
@@ -159,13 +153,6 @@ mod tests {
         assert_eq!(c.value(), 3);
         let c = SaturatingCounter::with_value(4, 5);
         assert_eq!(c.value(), 5);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut c = SaturatingCounter::with_value(2, 3);
-        c.reset();
-        assert_eq!(c.value(), 0);
     }
 
     #[test]

@@ -196,12 +196,6 @@ impl Predictor for AheadPredictor {
         self.last_pc = pc;
     }
 
-    fn reset(&mut self) {
-        self.history.clear();
-        self.last_pc = Addr::ZERO;
-        self.table.clear();
-    }
-
     fn name(&self) -> String {
         format!("ahead p={} (next-branch + target)", self.path_len)
     }
@@ -324,12 +318,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_name() {
+    fn stores_patterns_and_names() {
         let mut p = AheadPredictor::new(4);
         train(&mut p, 3);
         assert!(p.stored_patterns() > 0);
-        p.reset();
-        assert_eq!(p.stored_patterns(), 0);
         assert!(p.name().contains("ahead p=4"));
     }
 

@@ -275,16 +275,6 @@ impl Predictor for IttageLite {
         predicted.filter(|_| want_lookup)
     }
 
-    fn reset(&mut self) {
-        self.base.reset();
-        for t in &mut self.tables {
-            t.entries.iter_mut().for_each(|e| *e = None);
-            t.evictions = 0;
-        }
-        self.history.clear();
-        self.alloc_seed = 0x9E37_79B9;
-    }
-
     fn name(&self) -> String {
         let lens: Vec<String> = self
             .history_lengths()
@@ -400,14 +390,6 @@ mod tests {
             late_misses < total_late / 4,
             "late misses {late_misses}/{total_late}"
         );
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let mut p = IttageLite::new(64, 3, 2);
-        p.update(a(0x100), a(0x900));
-        p.reset();
-        assert_eq!(p.predict(a(0x100)), None);
     }
 
     #[test]

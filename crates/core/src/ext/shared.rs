@@ -296,13 +296,6 @@ impl Predictor for SharedTableHybrid {
         predicted
     }
 
-    fn reset(&mut self) {
-        self.histories.clear();
-        self.ways_store.iter_mut().for_each(|w| *w = None);
-        self.tick = 0;
-        self.evictions = 0;
-    }
-
     fn name(&self) -> String {
         let paths: Vec<String> = self
             .specs
@@ -419,12 +412,9 @@ mod tests {
     }
 
     #[test]
-    fn name_and_reset() {
-        let mut h = hybrid(3, 1, 64, 2);
+    fn name_lists_paths() {
+        let h = hybrid(3, 1, 64, 2);
         assert!(h.name().contains("p=3.1"));
-        h.update(a(0x100), a(0x900));
-        h.reset();
-        assert_eq!(h.predict(a(0x100)), None);
     }
 
     #[test]

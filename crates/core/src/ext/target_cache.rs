@@ -99,11 +99,6 @@ impl Predictor for TargetCache {
         self.cond_history = ((self.cond_history << 1) | u32::from(taken)) & self.mask();
     }
 
-    fn reset(&mut self) {
-        self.cond_history = 0;
-        self.table.clear();
-    }
-
     fn name(&self) -> String {
         format!(
             "target cache gshare({}) {}-entry tagless",
@@ -205,14 +200,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_reporting() {
+    fn reporting() {
         let mut tc = TargetCache::new(9, 512);
         tc.update(a(0x1000), a(0x9000));
         assert_eq!(tc.storage_entries(), Some(512));
         assert_eq!(tc.storage_bits(), Some(512 * 33));
         assert!(tc.name().contains("gshare(9)"));
-        tc.reset();
-        assert_eq!(tc.predict(a(0x1000)), None);
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl HistoryRegister {
     pub fn snapshot(&self) -> Vec<Addr> {
         self.path().to_vec()
     }
-
-    /// Clears the register to the cold state.
-    pub fn clear(&mut self) {
-        self.elems = [Addr::ZERO; MAX_PATH];
-    }
 }
 
 /// First-level history sharing (§3.2.1).
@@ -317,12 +312,6 @@ impl Histories {
             self.per_set.len()
         }
     }
-
-    /// Clears all registers to the cold state.
-    pub fn clear(&mut self) {
-        self.global.clear();
-        self.per_set.clear();
-    }
 }
 
 #[cfg(test)]
@@ -367,14 +356,6 @@ mod tests {
     fn recent_out_of_depth_panics() {
         let h = HistoryRegister::new(2);
         let _ = h.recent(2);
-    }
-
-    #[test]
-    fn clear_resets_to_cold() {
-        let mut h = HistoryRegister::new(2);
-        h.push(a(0x10));
-        h.clear();
-        assert_eq!(h.recent(0), Addr::ZERO);
     }
 
     #[test]
@@ -439,21 +420,10 @@ mod tests {
             assert!(hs.is_cold());
             hs.record(a(0x100), a(0x900));
             assert!(!hs.is_cold());
-            hs.clear();
-            assert!(hs.is_cold());
         }
         // Without a path there is nothing to warm.
         let mut flat = Histories::new(HistorySharing::GLOBAL, HistoryElement::Target, 0);
         flat.record(a(0x100), a(0x900));
         assert!(flat.is_cold());
-    }
-
-    #[test]
-    fn histories_clear() {
-        let mut hs = Histories::new(HistorySharing::PER_ADDRESS, HistoryElement::Target, 1);
-        hs.record(a(0x100), a(0x900));
-        hs.clear();
-        assert_eq!(hs.register(a(0x100)).recent(0), Addr::ZERO);
-        assert_eq!(hs.register_count(), 0);
     }
 }

@@ -10,7 +10,7 @@
 //! * [`fold_dyn_chunk`], every other variant's and every borrowed
 //!   predictor's: one [`Predictor::step`] per indirect event. By default
 //!   `step` is the predict-then-update pair. The two-level predictor, the
-//!   §6 hybrids and the §8.1 composites override it to build each key once
+//!   hybrid and the shared-table hybrid override it to build each key once
 //!   and probe each table once, looking up and training in one pass.
 //!
 //! A grouped pass goes further for compressed keys: its component bank
@@ -30,9 +30,8 @@
 
 use ibp_trace::{Addr, TraceEvent};
 
-use crate::ext::{CascadePredictor, MultiHybridPredictor, SharedTableHybrid};
+use crate::ext::SharedTableHybrid;
 use crate::hybrid::HybridPredictor;
-use crate::meta::BpstMetaPredictor;
 use crate::predictor::Predictor;
 use crate::two_level::{full_key_fingerprint, TwoLevelPredictor};
 
@@ -258,8 +257,9 @@ pub fn fold_two_level_chunk(
 /// An enum-dispatched simulation kernel: the hot predictor families as
 /// concrete variants (BTB configurations build [`TwoLevelPredictor`]s with
 /// path length zero, so `TwoLevel` covers them and every §3–§5 table
-/// organisation; `Hybrid`/`Bpst` cover the fig17 metapredictors, and
-/// `Multi`/`Cascade`/`SharedTable` the §8.1 composites), plus a
+/// organisation; `Hybrid` covers every metaprediction rule — the fig17
+/// hybrids, the BPST, and §8.1's multi-hybrid and cascade — and
+/// `SharedTable` the shared-table hybrid), plus a
 /// [`Dyn`](FoldKernel::Dyn) fallback for everything else. A pass's
 /// component bank attaches to the concrete variants. Build one from a
 /// configuration with
@@ -268,14 +268,8 @@ pub fn fold_two_level_chunk(
 pub enum FoldKernel {
     /// A two-level predictor (BTBs included: path length 0).
     TwoLevel(TwoLevelPredictor),
-    /// A confidence-arbitrated hybrid (§6).
+    /// A hybrid under any metaprediction rule (§6, §6.1, §7, §8.1).
     Hybrid(HybridPredictor),
-    /// A BPST-arbitrated hybrid (§6.1 alternative).
-    Bpst(BpstMetaPredictor),
-    /// A hybrid of three or more components (§8.1).
-    Multi(MultiHybridPredictor),
-    /// A PPM-style cascade (§7, §8.1).
-    Cascade(CascadePredictor),
     /// A shared-table hybrid (§8.1).
     SharedTable(SharedTableHybrid),
     /// Fallback: any other predictor.
@@ -295,22 +289,16 @@ impl FoldKernel {
         match self {
             FoldKernel::TwoLevel(p) => p,
             FoldKernel::Hybrid(p) => p,
-            FoldKernel::Bpst(p) => p,
-            FoldKernel::Multi(p) => p,
-            FoldKernel::Cascade(p) => p,
             FoldKernel::SharedTable(p) => p,
             FoldKernel::Dyn(p) => &**p,
         }
     }
 
-    /// Mutable predictor view (for `reset`, direct training in tests).
+    /// Mutable predictor view (for direct training in tests).
     pub fn as_predictor_mut(&mut self) -> &mut (dyn Predictor + 'static) {
         match self {
             FoldKernel::TwoLevel(p) => p,
             FoldKernel::Hybrid(p) => p,
-            FoldKernel::Bpst(p) => p,
-            FoldKernel::Multi(p) => p,
-            FoldKernel::Cascade(p) => p,
             FoldKernel::SharedTable(p) => p,
             FoldKernel::Dyn(p) => &mut **p,
         }
@@ -332,9 +320,6 @@ impl std::fmt::Debug for FoldKernel {
         let variant = match self {
             FoldKernel::TwoLevel(_) => "TwoLevel",
             FoldKernel::Hybrid(_) => "Hybrid",
-            FoldKernel::Bpst(_) => "Bpst",
-            FoldKernel::Multi(_) => "Multi",
-            FoldKernel::Cascade(_) => "Cascade",
             FoldKernel::SharedTable(_) => "SharedTable",
             FoldKernel::Dyn(_) => "Dyn",
         };
@@ -389,10 +374,6 @@ mod tests {
 
         fn observe_cond(&mut self, pc: Addr, target: Addr) {
             self.0.observe_cond(pc, target);
-        }
-
-        fn reset(&mut self) {
-            self.0.reset();
         }
 
         fn name(&self) -> String {

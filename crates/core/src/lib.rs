@@ -18,12 +18,13 @@
 //!   tables, 1/2/4-way set-associative tables, and tagless tables, with
 //!   concatenated or interleaved (straight / reverse / ping-pong) index
 //!   bits;
-//! * **hybrid predictors** (§6) — two components of different path lengths
-//!   arbitrated by per-entry n-bit confidence counters, plus a
-//!   branch-predictor-selection-table (BPST) metapredictor for comparison;
-//! * **future-work extensions** (§8.1) — multi-component hybrids, a
-//!   PPM-style cascade predictor, and a shared-table hybrid with "chosen"
-//!   counters.
+//! * **hybrid predictors** (§6) — components of different path lengths
+//!   arbitrated by per-entry n-bit confidence counters, by a
+//!   branch-predictor-selection-table (BPST) metapredictor for comparison,
+//!   or by a PPM-style first hit (a cascade, §7); one type, with any number
+//!   of components under the confidence and first-hit rules (§8.1);
+//! * **future-work extensions** (§8.1) — a shared-table hybrid with
+//!   "chosen" counters, an ahead predictor, and more.
 //!
 //! Every predictor implements the object-safe [`Predictor`] trait and can be
 //! built through [`PredictorConfig`], which validates parameter
@@ -78,7 +79,7 @@ pub use hybrid::HybridPredictor;
 pub use interleave::Interleaving;
 pub use kernel::{fold_dyn_chunk, fold_two_level_chunk, ChunkScorer, FoldKernel, ProbeSink};
 pub use key::{CompressedKeySpec, KeyScheme, TableSharing};
-pub use meta::{BpstMetaPredictor, MetaSpec, MetaState};
+pub use meta::{MetaSpec, MetaState};
 pub use pattern::PatternCompressor;
 pub use predictor::{Predictor, UpdateRule};
 pub use snapshot::{

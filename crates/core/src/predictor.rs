@@ -71,9 +71,6 @@ pub trait Predictor: Send {
         let _ = (pc, target);
     }
 
-    /// Clears all dynamic state (tables and histories) back to cold.
-    fn reset(&mut self);
-
     /// A short human-readable description, used in reports.
     fn name(&self) -> String;
 
@@ -86,7 +83,8 @@ pub trait Predictor: Send {
     /// Estimated hardware storage in bits, or `None` for unbounded
     /// predictors — the paper's §5.2.2 cost argument: tagged organisations
     /// pay tag bits per entry, tagless ones only store targets and
-    /// counters. Hybrids report the sum over components.
+    /// counters. Hybrids report the sum over components, but a BPST, whose
+    /// selector table has no cost model, reports `None`.
     fn storage_bits(&self) -> Option<u64> {
         None
     }

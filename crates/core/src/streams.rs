@@ -8,21 +8,20 @@
 //! see the same key for every event. A [`KeyStreams`] runs one history per
 //! such recipe and writes each indirect event's key.
 //!
-//! The §6 hybrids and the §8.1 composites go one level further: their
-//! components share no state, so a component's pre-update lookups depend
-//! on the trace alone as well. A *component* is one compressed-key table a
-//! lane reads: a single two-level kernel, a hybrid's or BPST's component,
-//! or a multi-hybrid's or cascade's stage. Two components with equal
-//! recipes and equal [`TableShape`]s (organisation, size, update rule and
-//! confidence width), both with an empty table, answer and train
+//! A hybrid goes one level further: its components share no state, so a
+//! component's pre-update lookups depend on the trace alone as well. A
+//! *component* is one compressed-key table a lane reads: a single
+//! two-level kernel, or one of a hybrid's components. Two components with
+//! equal recipes and equal [`TableShape`]s (organisation, size, update rule
+//! and confidence width), both with an empty table, answer and train
 //! identically on every event, so the bank folds them as one: it trains
 //! the table of the component's first holder in place and records every
-//! lookup as a [`PredRecord`]. Each lane then replays its arbitration over
-//! its components' records — the confidence rule, the cascade's first
-//! hit, or the BPST selector — and scores the result. The records are
-//! folded and replayed in blocks of at most [`BLOCK_EVENTS`] indirect
-//! events, so the record buffers stay small however many components a
-//! pass holds.
+//! lookup as a [`PredRecord`]. Each hybrid lane then replays its
+//! [`MetaState`] rule over its components' records — the confidence rule,
+//! the cascade's first hit, or the BPST selector — and scores the result.
+//! The records are folded and replayed in blocks of at most
+//! [`BLOCK_EVENTS`] indirect events, so the record buffers stay small
+//! however many components a pass holds.
 //!
 //! A component that one lane alone holds records and replays the same
 //! way. A shared-table hybrid reads its components' key streams and keeps
@@ -34,13 +33,13 @@
 
 use ibp_trace::{Addr, TraceEvent};
 
-use crate::ext::{CascadePredictor, MultiHybridPredictor, SharedTableHybrid};
+use crate::ext::SharedTableHybrid;
 use crate::history::{Histories, HistoryElement, HistorySharing};
-use crate::hybrid::HybridPredictor;
 use crate::kernel::{
     fold_prekeyed, indirect_branches, no_fingerprint, ChunkScorer, FoldKernel, ProbeSink,
 };
 use crate::key::CompressedKeySpec;
+use crate::meta::{MetaSpec, MetaState};
 use crate::predictor::Predictor;
 use crate::table::TableHit;
 use crate::two_level::{TableShape, TwoLevelPredictor};
@@ -189,10 +188,7 @@ pub struct KeyedLane(usize);
 fn parts(kernel: &FoldKernel) -> Option<Vec<&TwoLevelPredictor>> {
     Some(match kernel {
         FoldKernel::TwoLevel(p) => vec![p],
-        FoldKernel::Hybrid(h) => vec![h.first(), h.second()],
-        FoldKernel::Bpst(b) => b.components().to_vec(),
-        FoldKernel::Multi(m) => m.components().iter().collect(),
-        FoldKernel::Cascade(c) => c.stages().iter().collect(),
+        FoldKernel::Hybrid(h) => h.components().iter().collect(),
         FoldKernel::SharedTable(_) | FoldKernel::Dyn(_) => return None,
     })
 }
@@ -201,10 +197,7 @@ fn parts(kernel: &FoldKernel) -> Option<Vec<&TwoLevelPredictor>> {
 fn part_mut(kernel: &mut FoldKernel, part: usize) -> &mut TwoLevelPredictor {
     match kernel {
         FoldKernel::TwoLevel(p) => p,
-        FoldKernel::Hybrid(h) => h.components_mut().into_iter().nth(part).expect("two parts"),
-        FoldKernel::Bpst(b) => b.components_mut().into_iter().nth(part).expect("two parts"),
-        FoldKernel::Multi(m) => &mut m.components_mut()[part],
-        FoldKernel::Cascade(c) => &mut c.stages_mut()[part],
+        FoldKernel::Hybrid(h) => &mut h.components_mut()[part],
         FoldKernel::SharedTable(_) | FoldKernel::Dyn(_) => {
             unreachable!("the bank folds no part of this kernel")
         }
@@ -521,9 +514,9 @@ fn fold_shared_table(lane: &mut BankLane<'_>, streams: &[Stream], events: &[Trac
 
 /// Scores one block of a replaying lane, whose indirect branches, from
 /// the chunk's `start`-th on, have the addresses `pcs` and the targets
-/// `targets`: per branch, its arbitration over its components' recorded
-/// lookups — the confidence rule, the cascade's first hit, or
-/// [`MetaState::replay`](crate::MetaState::replay).
+/// `targets`: per branch, a single table's recorded lookup, or a hybrid's
+/// [`MetaState`] rule over its components' recorded lookups. A lane's rule
+/// is fixed, so the block matches on it once.
 fn replay(
     lane: &mut BankLane<'_>,
     streams: &[Stream],
@@ -539,11 +532,6 @@ fn replay(
         ..
     } = lane;
     let records = |part: usize| components[reads[part]].records.as_slice();
-    let all = |i: usize| {
-        reads
-            .iter()
-            .map(move |&c| components[c].records[i].unpack())
-    };
     let target = |hit: Option<TableHit>| hit.map(|h| h.target);
     let block = || pcs.iter().copied().zip(targets.iter().copied());
     match kernel {
@@ -557,28 +545,40 @@ fn replay(
                 |i, _, _, _| target(only[i].unpack()),
             );
         }
-        FoldKernel::Hybrid(_) => {
-            let (first, second) = (records(0), records(1));
-            fold_prekeyed(block(), scorer, no_fingerprint, |i, _, _, _| {
-                target(HybridPredictor::select(
-                    first[i].unpack(),
-                    second[i].unpack(),
-                ))
-            });
+        FoldKernel::Hybrid(h) => {
+            let parts: Vec<&[PredRecord]> = (0..reads.len()).map(records).collect();
+            let hits = |i: usize| parts.iter().map(move |r| r[i].unpack());
+            // Two confidence components, every configured hybrid, read
+            // their two records directly: the loop over the parts cost
+            // cold `ablations` and `summary` about 7 % more CPU.
+            match (h.meta().spec(), parts.as_slice()) {
+                (MetaSpec::Confidence, [first, second]) => {
+                    fold_prekeyed(block(), scorer, no_fingerprint, |i, _, _, _| {
+                        target(MetaState::most_confident([
+                            first[i].unpack(),
+                            second[i].unpack(),
+                        ]))
+                    });
+                }
+                (MetaSpec::Confidence, _) => {
+                    fold_prekeyed(block(), scorer, no_fingerprint, |i, _, _, _| {
+                        target(MetaState::most_confident(hits(i)))
+                    });
+                }
+                (MetaSpec::FirstHit, _) => {
+                    fold_prekeyed(block(), scorer, no_fingerprint, |i, _, _, _| {
+                        target(MetaState::first_hit(hits(i)))
+                    });
+                }
+                (MetaSpec::Bpst { .. }, _) => {
+                    let (first, second) = (parts[0], parts[1]);
+                    let meta = h.meta_mut();
+                    fold_prekeyed(block(), scorer, no_fingerprint, |i, pc, actual, _| {
+                        meta.bpst(pc, first[i].unpack(), second[i].unpack(), actual)
+                    });
+                }
+            }
         }
-        FoldKernel::Bpst(b) => {
-            let (first, second) = (records(0), records(1));
-            let meta = b.meta_mut();
-            fold_prekeyed(block(), scorer, no_fingerprint, |i, pc, actual, _| {
-                meta.replay(pc, first[i].unpack(), second[i].unpack(), actual)
-            });
-        }
-        FoldKernel::Multi(_) => fold_prekeyed(block(), scorer, no_fingerprint, |i, _, _, _| {
-            target(MultiHybridPredictor::select(all(i)))
-        }),
-        FoldKernel::Cascade(_) => fold_prekeyed(block(), scorer, no_fingerprint, |i, _, _, _| {
-            target(CascadePredictor::select(all(i)))
-        }),
         FoldKernel::SharedTable(_) | FoldKernel::Dyn(_) => {
             unreachable!("a replaying lane reads component records")
         }

@@ -137,14 +137,6 @@ impl FullyAssocTable {
         self.entries.is_empty()
     }
 
-    /// Removes all entries (probe counters included).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.evictions = 0;
-        self.depth_hist = [0; LRU_DEPTH_BUCKETS];
-        self.probe_tick = 0;
-    }
-
     /// The table's structure for the probe layer.
     #[must_use]
     pub fn table_snapshot(&self) -> TableSnapshot {
@@ -232,13 +224,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_rejected() {
         let _ = FullyAssocTable::new(3, 2);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t = FullyAssocTable::new(2, 2);
-        t.update(1, a(0x100), UpdateRule::TwoBitCounter);
-        t.clear();
-        assert!(t.is_empty());
     }
 }

@@ -197,15 +197,6 @@ impl<K: Hash + Eq + Clone, V> LruMap<K, V> {
         }
     }
 
-    /// Removes all entries.
-    pub fn clear(&mut self) {
-        self.index.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     fn unlink(&mut self, i: usize) {
         let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
         if prev != NIL {
@@ -362,17 +353,6 @@ mod tests {
         // Map still usable after removals.
         m.insert(9, 90);
         assert_eq!(m.peek(&9), Some(&90));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut m = LruMap::new(2);
-        m.insert(1, "a");
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.lru_key(), None);
-        m.insert(2, "b");
-        assert_eq!(m.peek(&2), Some(&"b"));
     }
 
     #[test]

@@ -231,16 +231,6 @@ impl SetAssocTable {
         None
     }
 
-    /// Removes all entries (probe counters included).
-    pub fn clear(&mut self) {
-        self.ways_store.iter_mut().for_each(|w| *w = None);
-        self.tick = 0;
-        self.occupied = 0;
-        self.evictions = 0;
-        self.tag_conflicts = 0;
-        self.depth_hist = [0; LRU_DEPTH_BUCKETS];
-    }
-
     /// The table's structure for the probe layer.
     #[must_use]
     pub fn table_snapshot(&self) -> TableSnapshot {
@@ -363,14 +353,5 @@ mod tests {
     #[should_panic(expected = "ways")]
     fn ways_exceeding_entries_rejected() {
         let _ = SetAssocTable::new(2, 4, 2);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t = SetAssocTable::new(4, 2, 2);
-        t.update(0, a(0x100), R);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.lookup(0), None);
     }
 }

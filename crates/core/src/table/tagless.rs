@@ -122,14 +122,6 @@ impl TaglessTable {
         self.occupied == 0
     }
 
-    /// Removes all entries (probe state included).
-    pub fn clear(&mut self) {
-        self.entries.iter_mut().for_each(|e| *e = None);
-        self.occupied = 0;
-        self.shadow = None;
-        self.tag_conflicts = 0;
-    }
-
     /// The table's structure for the probe layer. `tag_conflicts` counts
     /// aliasing writes (a live slot overwritten-or-trained by a different
     /// key than the one that last wrote it) — the paper's interference.
@@ -204,15 +196,6 @@ mod tests {
         t.update(4, a(0x100), R); // aliases slot 0
         assert_eq!(t.len(), 2);
         assert_eq!(t.capacity(), 4);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t = TaglessTable::new(4, 2);
-        t.update(0, a(0x100), R);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.lookup(0), None);
     }
 
     #[test]

@@ -207,13 +207,6 @@ impl UnboundedTable {
         self.slots.is_empty()
     }
 
-    /// Removes all entries, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.keys.clear();
-        self.slots.clear();
-        self.index.fill(0);
-    }
-
     /// Histogram of stored confidence-counter values, indexed by value.
     #[must_use]
     pub fn confidence_histogram(&self) -> Vec<u64> {
@@ -281,15 +274,6 @@ mod tests {
         assert_eq!(t.lookup(&[1]).unwrap().target, a(0x100));
         t.update(&[1], a(0x200), UpdateRule::TwoBitCounter);
         assert_eq!(t.lookup(&[1]).unwrap().target, a(0x200));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut t = UnboundedTable::new(1, 2);
-        t.update(&[1], a(0x100), UpdateRule::Always);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.lookup(&[1]), None);
     }
 
     #[test]

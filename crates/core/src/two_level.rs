@@ -117,15 +117,6 @@ impl Backend {
         }
     }
 
-    fn clear(&mut self) {
-        match self {
-            Backend::Unbounded(t) => t.clear(),
-            Backend::FullAssoc(t) => t.clear(),
-            Backend::SetAssoc(t) => t.clear(),
-            Backend::Tagless(t) => t.clear(),
-        }
-    }
-
     fn describe(&self) -> String {
         match self {
             Backend::Unbounded(_) => "unbounded".to_string(),
@@ -672,14 +663,6 @@ impl Predictor for TwoLevelPredictor {
         }
     }
 
-    fn reset(&mut self) {
-        self.histories.clear();
-        match &mut self.mode {
-            Mode::Full { table, .. } => table.clear(),
-            Mode::Compressed { backend, .. } => backend.clear(),
-        }
-    }
-
     fn name(&self) -> String {
         let sharing = if self.histories.sharing().is_global() {
             "global".to_string()
@@ -864,15 +847,6 @@ mod tests {
         noisy.observe_cond(a(0x200), a(0x300));
         assert_eq!(plain.predict(site), Some(a(0x900)));
         assert_eq!(noisy.predict(site), None);
-    }
-
-    #[test]
-    fn reset_returns_to_cold() {
-        let mut p = TwoLevelPredictor::unconstrained(2, HistorySharing::GLOBAL);
-        p.update(a(0x100), a(0x900));
-        p.reset();
-        assert_eq!(p.predict(a(0x100)), None);
-        assert_eq!(p.stored_patterns(), 0);
     }
 
     #[test]

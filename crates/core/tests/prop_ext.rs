@@ -1,10 +1,9 @@
 //! Property-based tests for the §8.1 / §7 extension predictors.
 
-use ibp_core::ext::{
-    AheadPredictor, CascadePredictor, IttageLite, MultiHybridPredictor, SharedTableHybrid,
-    TargetCache,
+use ibp_core::ext::{AheadPredictor, IttageLite, SharedTableHybrid, TargetCache};
+use ibp_core::{
+    CompressedKeySpec, HistorySharing, HybridPredictor, MetaSpec, Predictor, TwoLevelPredictor,
 };
-use ibp_core::{CompressedKeySpec, HistorySharing, Predictor, TwoLevelPredictor};
 use ibp_trace::Addr;
 use proptest::prelude::*;
 
@@ -30,15 +29,21 @@ fn drive(p: &mut dyn Predictor, events: &[(u32, u32)]) -> u64 {
 
 fn all_ext_predictors() -> Vec<Box<dyn Predictor>> {
     vec![
-        Box::new(CascadePredictor::new(vec![
-            TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(4), 64, 2),
-            TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), 64, 2),
-        ])),
-        Box::new(MultiHybridPredictor::new(vec![
-            TwoLevelPredictor::unconstrained(3, HistorySharing::GLOBAL),
-            TwoLevelPredictor::unconstrained(1, HistorySharing::GLOBAL),
-            TwoLevelPredictor::unconstrained(0, HistorySharing::GLOBAL),
-        ])),
+        Box::new(HybridPredictor::new(
+            vec![
+                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(4), 64, 2),
+                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), 64, 2),
+            ],
+            MetaSpec::FirstHit,
+        )),
+        Box::new(HybridPredictor::new(
+            vec![
+                TwoLevelPredictor::unconstrained(3, HistorySharing::GLOBAL),
+                TwoLevelPredictor::unconstrained(1, HistorySharing::GLOBAL),
+                TwoLevelPredictor::unconstrained(0, HistorySharing::GLOBAL),
+            ],
+            MetaSpec::Confidence,
+        )),
         Box::new(SharedTableHybrid::new(
             vec![
                 CompressedKeySpec::practical(3),
@@ -56,17 +61,14 @@ fn all_ext_predictors() -> Vec<Box<dyn Predictor>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every extension predictor is deterministic and resettable.
+    /// Every extension predictor is deterministic.
     #[test]
-    fn ext_predictors_deterministic_and_resettable(events in events()) {
+    fn ext_predictors_are_deterministic(events in events()) {
         for (a, b) in all_ext_predictors().into_iter().zip(all_ext_predictors()) {
             let (mut a, mut b) = (a, b);
             let first = drive(a.as_mut(), &events);
             let other = drive(b.as_mut(), &events);
             prop_assert_eq!(first, other, "{}", a.name());
-            a.reset();
-            let after_reset = drive(a.as_mut(), &events);
-            prop_assert_eq!(first, after_reset, "reset of {}", a.name());
         }
     }
 

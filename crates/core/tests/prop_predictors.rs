@@ -2,8 +2,8 @@
 //! traces.
 
 use ibp_core::{
-    Btb, HistoryElement, HistorySharing, HybridPredictor, Predictor, PredictorConfig, TableSharing,
-    TwoLevelPredictor, UpdateRule, MAX_PATH,
+    Btb, HistoryElement, HistorySharing, HybridPredictor, MetaSpec, Predictor, PredictorConfig,
+    TableSharing, TwoLevelPredictor, UpdateRule, MAX_PATH,
 };
 use ibp_trace::Addr;
 use proptest::prelude::*;
@@ -146,16 +146,6 @@ proptest! {
         }
     }
 
-    /// Reset restores the exact cold-start behaviour.
-    #[test]
-    fn reset_equals_fresh(events in events()) {
-        let mut p = PredictorConfig::practical(2, 64, 2).build();
-        let first = drive(p.as_mut(), &events);
-        p.reset();
-        let after_reset = drive(p.as_mut(), &events);
-        prop_assert_eq!(first, after_reset);
-    }
-
     /// A bounded fully-associative table large enough to never evict is
     /// observationally identical to the unbounded table: capacity is the
     /// *only* difference between the two organisations.
@@ -185,7 +175,7 @@ proptest! {
     fn hybrid_respects_component_agreement(events in events()) {
         let mut c1 = TwoLevelPredictor::unconstrained(3, HistorySharing::GLOBAL);
         let mut c2 = TwoLevelPredictor::unconstrained(1, HistorySharing::GLOBAL);
-        let mut hybrid = HybridPredictor::new(c1.clone(), c2.clone());
+        let mut hybrid = HybridPredictor::new(vec![c1.clone(), c2.clone()], MetaSpec::Confidence);
         for &(pc, target) in &events {
             let (pc, target) = (Addr::new(pc), Addr::new(target));
             let p1 = c1.predict(pc);

@@ -57,13 +57,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// One operation on an unbounded table. Keys are drawn from a few hundred
-/// seeds, so they repeat, and clears are rare enough that a run stores
-/// hundreds of keys, growing the index from 16 buckets several times.
+/// seeds, so they repeat, and a run stores hundreds of keys, growing the
+/// index from 16 buckets several times.
 #[derive(Debug, Clone)]
 enum FlatOp {
     Lookup(u16),
     LookupUpdate(u16, u32, bool),
-    Clear,
 }
 
 fn flat_op_strategy() -> impl Strategy<Value = FlatOp> {
@@ -71,7 +70,6 @@ fn flat_op_strategy() -> impl Strategy<Value = FlatOp> {
         250 => (0u16..600).prop_map(FlatOp::Lookup),
         750 => (0u16..600, 0u32..4, any::<bool>())
             .prop_map(|(k, t, want)| FlatOp::LookupUpdate(k, t, want)),
-        1 => Just(FlatOp::Clear),
     ]
 }
 
@@ -120,7 +118,7 @@ proptest! {
     }
 
     /// The flat unbounded table agrees with a `HashMap` model on every
-    /// sequence of lookups, fused lookup-updates and clears: same hits,
+    /// sequence of lookups and fused lookup-updates: same hits,
     /// same occupancy, same confidence histogram.
     #[test]
     fn unbounded_table_matches_hash_map_model(
@@ -152,10 +150,6 @@ proptest! {
                     };
                     let got = table.lookup_update(&key, target, UpdateRule::TwoBitCounter, want);
                     prop_assert_eq!(got, expect);
-                }
-                FlatOp::Clear => {
-                    table.clear();
-                    model.clear();
                 }
             }
             prop_assert_eq!(table.len(), model.len());

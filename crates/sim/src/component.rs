@@ -21,10 +21,9 @@
 //!   predicted target and its confidence, captured *before* the update —
 //!   precisely what the sequential predictor's `predict` would have seen;
 //! * the **merge fold** (the router again, with a bounded in-flight
-//!   window) replays the paired record streams through a [`MetaState`]:
-//!   the confidence rule is literally `HybridPredictor::select` and the
-//!   BPST selector table is the one `BpstMetaPredictor` owns, consulted
-//!   and trained in the sequential `predict`-then-`update` order. The
+//!   window) replays the paired record streams through a [`MetaState`],
+//!   the very rule and selector table the sequential hybrid steps through,
+//!   consulted and trained in the sequential `predict`-then-`update` order. The
 //!   produced [`RunStats`] is therefore byte-identical to the sequential
 //!   hybrid fold — not statistically close, identical.
 //!
@@ -55,8 +54,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use ibp_core::{
-    BpstMetaPredictor, Decomposition, FoldKernel, HybridPredictor, MetaSpec, MetaState, PredRecord,
-    Predictor,
+    Decomposition, FoldKernel, HybridPredictor, MetaSpec, MetaState, PredRecord, Predictor,
 };
 use ibp_obs as obs;
 use ibp_obs::metrics::{Counter, Histogram, WorkClock};
@@ -99,20 +97,11 @@ fn occupancy_histogram() -> &'static Arc<Histogram> {
 /// Rebuilds the sequential hybrid from its decomposition as a chunk-fold
 /// kernel — the fallback when the budget grants no parallelism.
 fn build_sequential(d: &Decomposition) -> FoldKernel {
-    let first = d
-        .first
-        .try_build_two_level()
-        .expect("decomposed component config builds");
-    let second = d
-        .second
-        .try_build_two_level()
-        .expect("decomposed component config builds");
-    match d.meta {
-        MetaSpec::Confidence => FoldKernel::Hybrid(HybridPredictor::new(first, second)),
-        MetaSpec::Bpst { selector_bits } => FoldKernel::Bpst(
-            BpstMetaPredictor::with_selector_bits(first, second, selector_bits),
-        ),
-    }
+    let components = [&d.first, &d.second].map(|c| {
+        c.try_build_two_level()
+            .expect("decomposed component config builds")
+    });
+    FoldKernel::Hybrid(HybridPredictor::new(components.into(), d.meta))
 }
 
 /// Replays one broadcast chunk's paired record streams through the
@@ -137,7 +126,7 @@ fn merge_chunk(
     debug_assert_eq!(second.len() as u64, chunk.indirect_count());
     for ((b, f), s) in chunk.indirect().zip(first).zip(second) {
         *fold.seen += 1;
-        let predicted = fold.meta.replay(b.pc, f.unpack(), s.unpack(), b.target);
+        let predicted = fold.meta.replay(b.pc, [f.unpack(), s.unpack()], b.target);
         if *fold.seen > fold.warmup {
             fold.stats.indirect += 1;
             if predicted != Some(b.target) {
@@ -270,6 +259,7 @@ pub fn simulate_source_components_with_chunk<S: EventSource + ?Sized>(
     }
     let meta_name = match decomposition.meta {
         MetaSpec::Confidence => "confidence",
+        MetaSpec::FirstHit => "first-hit",
         MetaSpec::Bpst { .. } => "bpst",
     };
     let mut span = obs::span!(

@@ -347,10 +347,11 @@ impl<'a> Sweep<'a> {
     /// (it plays the role [`PredictorConfig::cache_key`] plays for
     /// `config`); two `custom` jobs with equal keys are assumed
     /// interchangeable and only one of them is simulated. A concrete kernel
-    /// variant, such as a §8.1 composite, folds through the pass's component
-    /// bank like a config; a predictor wrapped by
-    /// [`FoldKernel::from_boxed`] folds through one virtual `step` per
-    /// event.
+    /// variant — a [`HybridPredictor`](ibp_core::HybridPredictor) of any
+    /// rule, such as §8.1's multi-hybrid or cascade, or a shared-table
+    /// hybrid — folds through the pass's component bank like a config; a
+    /// predictor wrapped by [`FoldKernel::from_boxed`] folds through one
+    /// virtual `step` per event.
     pub fn custom<F>(&mut self, key: impl Into<String>, make: F) -> &mut Self
     where
         F: Fn() -> FoldKernel + Sync + 'a,

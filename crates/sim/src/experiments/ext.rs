@@ -1,7 +1,9 @@
 //! §8.1 future-work predictors, evaluated at equal storage budgets.
 
-use ibp_core::ext::{CascadePredictor, IttageLite, MultiHybridPredictor, SharedTableHybrid};
-use ibp_core::{CompressedKeySpec, FoldKernel, PredictorConfig, TwoLevelPredictor};
+use ibp_core::ext::{IttageLite, SharedTableHybrid};
+use ibp_core::{
+    CompressedKeySpec, FoldKernel, HybridPredictor, MetaSpec, PredictorConfig, TwoLevelPredictor,
+};
 use ibp_workload::{Benchmark, BenchmarkGroup};
 
 use crate::analysis::{AheadHits, AheadLane, AHEAD_DEPTHS};
@@ -37,10 +39,10 @@ pub fn run(suite: &Suite) -> Vec<Table> {
         sweep.config(PredictorConfig::hybrid(5, 1, total / 2, 4));
         sweep.custom(
             format!("ext::MultiHybrid[6,3,1]({total}, 4-way)"),
-            move || FoldKernel::Multi(multi_hybrid(total)),
+            move || FoldKernel::Hybrid(multi_hybrid(total)),
         );
         sweep.custom(format!("ext::Cascade[6,3,1]({total}, 4-way)"), move || {
-            FoldKernel::Cascade(cascade(total))
+            FoldKernel::Hybrid(cascade(total))
         });
         sweep.custom(
             format!("ext::SharedTable[5,1]({total}, 4-way)"),
@@ -104,17 +106,17 @@ fn budget_table(results: Vec<SuiteResult>) -> Table {
 }
 
 /// The 3-component hybrid `6.3.1` at `total` entries: quarter, quarter and
-/// half, 4-way.
+/// half, 4-way, under the confidence rule.
 #[must_use]
-pub fn multi_hybrid(total: usize) -> MultiHybridPredictor {
-    MultiHybridPredictor::new(stages_631(total))
+pub fn multi_hybrid(total: usize) -> HybridPredictor {
+    HybridPredictor::new(stages_631(total), MetaSpec::Confidence)
 }
 
 /// The PPM-style cascade `6>3>1` at `total` entries, split like
-/// [`multi_hybrid`].
+/// [`multi_hybrid`]: the same components under the first-hit rule.
 #[must_use]
-pub fn cascade(total: usize) -> CascadePredictor {
-    CascadePredictor::new(stages_631(total))
+pub fn cascade(total: usize) -> HybridPredictor {
+    HybridPredictor::new(stages_631(total), MetaSpec::FirstHit)
 }
 
 fn stages_631(total: usize) -> Vec<TwoLevelPredictor> {
@@ -266,6 +268,38 @@ mod tests {
                     swept[1].to_csv(),
                     oracle.to_csv(),
                     "{round} at {events} events"
+                );
+            }
+        }
+    }
+
+    /// The budget table's header promises equal total entries: at every
+    /// budget, the snapshot of each composite the bank folds holds only
+    /// bounded tables, whose capacities sum to exactly the column's total.
+    /// (ITTAGE-lite's base BTB is unbounded.)
+    #[test]
+    fn bank_composites_hold_exactly_the_budget() {
+        for total in BUDGETS {
+            let composites: [Box<dyn Predictor>; 4] = [
+                PredictorConfig::hybrid(5, 1, total / 2, 4).build(),
+                Box::new(multi_hybrid(total)),
+                Box::new(cascade(total)),
+                Box::new(shared_table(total)),
+            ];
+            for p in composites {
+                let snapshot = p.snapshot().expect("a composite snapshots");
+                let capacities: Option<Vec<u64>> = snapshot
+                    .components
+                    .iter()
+                    .map(|c| c.table.capacity)
+                    .collect();
+                let capacities =
+                    capacities.unwrap_or_else(|| panic!("{}: an unbounded table", p.name()));
+                assert_eq!(
+                    capacities.iter().sum::<u64>(),
+                    total as u64,
+                    "{} at {total}",
+                    p.name()
                 );
             }
         }

@@ -83,9 +83,8 @@ fn component_fold_matches_sequential_for_bpst() {
         let d = cfg.decompose().expect("bpst decomposes");
         for b in Benchmark::ALL {
             let trace = b.trace_with_len(1_500);
-            let mut p = cfg.build();
             for warmup in [0u64, 120] {
-                p.reset();
+                let mut p = cfg.build();
                 let expected = simulate_warm(&trace, p.as_mut(), warmup);
                 for workers in [1usize, 2] {
                     let got = simulate_source_components(&mut trace.cursor(), &d, workers, warmup)

@@ -19,12 +19,12 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ibp_core::ext::{CascadePredictor, MultiHybridPredictor, TargetCache};
+use ibp_core::ext::TargetCache;
 use ibp_core::snapshot::Snapshot;
 use ibp_core::{
-    ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing, KeyScheme,
-    KeyStreams, KeyedLane, PathTrie, PatternCompressor, Predictor, PredictorConfig, TableSharing,
-    TwoLevelPredictor, UpdateRule,
+    ChunkScorer, CompressedKeySpec, FoldKernel, HistoryElement, HistorySharing, HybridPredictor,
+    KeyScheme, KeyStreams, KeyedLane, MetaSpec, PathTrie, PatternCompressor, Predictor,
+    PredictorConfig, TableSharing, TwoLevelPredictor, UpdateRule,
 };
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
@@ -58,11 +58,14 @@ fn kernel_configs() -> Vec<PredictorConfig> {
 /// A three-stage cascade from the extension zoo: no config kind maps to
 /// it, so it exercises the boxed `Dyn` fallback arm end to end.
 fn dyn_fallback() -> Box<dyn Predictor> {
-    Box::new(CascadePredictor::new(vec![
-        TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(6), 128, 4),
-        TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(3), 128, 4),
-        TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), 256, 4),
-    ]))
+    Box::new(HybridPredictor::new(
+        vec![
+            TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(6), 128, 4),
+            TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(3), 128, 4),
+            TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), 256, 4),
+        ],
+        MetaSpec::FirstHit,
+    ))
 }
 
 /// The journal sink and the probe override are process-global: a fold in
@@ -127,10 +130,6 @@ impl Predictor for DefaultStep {
 
     fn observe_cond(&mut self, pc: Addr, target: Addr) {
         self.0.observe_cond(pc, target);
-    }
-
-    fn reset(&mut self) {
-        self.0.reset();
     }
 
     fn name(&self) -> String {
@@ -494,13 +493,16 @@ fn keyed_pass_cases(prefix: &[TraceEvent]) -> Vec<KeyedCase> {
     cases.push(KeyedCase::custom(
         "multi-hybrid over the p = 3 and p = 1 256-entry tables".to_string(),
         || {
-            MultiHybridPredictor::new(vec![
-                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(3), 256, 4),
-                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), 256, 4),
-                TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), 512, 4),
-            ])
+            HybridPredictor::new(
+                vec![
+                    TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(3), 256, 4),
+                    TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), 256, 4),
+                    TwoLevelPredictor::set_assoc(CompressedKeySpec::practical(1), 512, 4),
+                ],
+                MetaSpec::Confidence,
+            )
         },
-        FoldKernel::Multi,
+        FoldKernel::Hybrid,
     ));
     for total in ext::BUDGETS {
         let hybrid = PredictorConfig::hybrid(5, 1, total / 2, 4);
@@ -508,12 +510,12 @@ fn keyed_pass_cases(prefix: &[TraceEvent]) -> Vec<KeyedCase> {
         cases.push(KeyedCase::custom(
             format!("ext multi-hybrid {total}"),
             move || ext::multi_hybrid(total),
-            FoldKernel::Multi,
+            FoldKernel::Hybrid,
         ));
         cases.push(KeyedCase::custom(
             format!("ext cascade {total}"),
             move || ext::cascade(total),
-            FoldKernel::Cascade,
+            FoldKernel::Hybrid,
         ));
         cases.push(KeyedCase::custom(
             format!("ext shared-table {total}"),

@@ -98,16 +98,3 @@ fn group_membership_is_consistent_with_benchmarks() {
         assert_eq!(freq, 1, "{b}: {groups:?}");
     }
 }
-
-#[test]
-fn reset_matches_fresh_predictor() {
-    let trace = Benchmark::Eqn.trace_with_len(3_000);
-    let mut reused = PredictorConfig::practical(3, 256, 4).build();
-    let first = simulate(&trace, reused.as_mut());
-    reused.reset();
-    let again = simulate(&trace, reused.as_mut());
-    let mut fresh = PredictorConfig::practical(3, 256, 4).build();
-    let fresh_run = simulate(&trace, fresh.as_mut());
-    assert_eq!(again, fresh_run);
-    assert_eq!(first, fresh_run);
-}
