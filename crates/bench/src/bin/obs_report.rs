@@ -10,13 +10,13 @@
 //! core count and effective knobs) and a `result cache:` line (the rows,
 //! cells and bytes the persistent result cache loaded and saved, and how
 //! long each took), then covers where a run's time went:
-//! per-experiment wall time and cache effectiveness (from the root
-//! `experiment` spans), the slowest benchmark passes with the cells each
-//! folded, the key streams and component tables it shared them over and
-//! its trie families' node probes (and of them, those that hashed) and
-//! pruned branches, per-worker busy/idle utilization, and the final
-//! metrics-registry snapshot. `--internals`
-//! renders the `IBP_PROBE` probe records: per-run
+//! per-experiment wall time, cache effectiveness and peak RSS (from the
+//! root `experiment` spans and the `peak_rss` events), the slowest
+//! benchmark passes with the cells each folded, the key streams and
+//! component tables it shared them over and its trie families' node
+//! probes (and of them, those that hashed) and pruned branches,
+//! per-worker busy/idle utilization, and the final metrics-registry
+//! snapshot. `--internals` renders the `IBP_PROBE` probe records: per-run
 //! occupancy/eviction/conflict tables, selector-usage breakdowns for
 //! hybrids, miss attribution and the aliasing-heaviest sites.
 //!
@@ -145,7 +145,7 @@ fn result_cache_line(records: &[Record]) -> String {
 }
 
 fn print_experiments(records: &[Record]) {
-    let roots: Vec<&Record> = records
+    let mut roots: Vec<&Record> = records
         .iter()
         .filter(|r| r.kind == Kind::Span && r.name == "experiment")
         .collect();
@@ -155,39 +155,47 @@ fn print_experiments(records: &[Record]) {
     }
     println!("experiments ({}):", roots.len());
     println!(
-        "  {:<14} {:>9} {:>8} {:>8} {:>6} {:>12} {:>11}",
-        "id", "wall", "hits", "misses", "hit%", "sim events", "events/s"
+        "  {:<14} {:>9} {:>8} {:>8} {:>6} {:>12} {:>11} {:>9}",
+        "id", "wall", "hits", "misses", "hit%", "sim events", "events/s", "peak rss"
     );
-    let mut sorted = roots.clone();
-    sorted.sort_by_key(|r| std::cmp::Reverse(r.dur_us.unwrap_or(0)));
-    for r in sorted {
-        let dur = r.dur_us.unwrap_or(0);
-        let hits = r.field_u64("cache_hits").unwrap_or(0);
-        let misses = r.field_u64("cache_misses").unwrap_or(0);
-        let events = r.field_u64("simulated_events").unwrap_or(0);
-        let lookups = hits + misses;
-        let hit_pct = if lookups > 0 {
-            100.0 * hits as f64 / lookups as f64
-        } else {
-            0.0
-        };
-        let rate = if dur > 0 {
-            events as f64 / (dur as f64 / 1e6)
-        } else {
-            0.0
-        };
-        println!(
-            "  {:<14} {:>9} {:>8} {:>8} {:>5.1} {:>12} {:>11.0}",
-            r.field_str("id").unwrap_or("?"),
-            fmt_us(dur),
-            hits,
-            misses,
-            hit_pct,
-            events,
-            rate,
-        );
+    roots.sort_by_key(|r| std::cmp::Reverse(r.dur_us.unwrap_or(0)));
+    for r in roots {
+        println!("{}", experiment_row(r, records));
     }
     println!();
+}
+
+/// One experiment span's row of the experiments table. Its peak RSS is
+/// the `peak_rss` event journaled for its id, or `-`.
+fn experiment_row(r: &Record, records: &[Record]) -> String {
+    let id = r.field_str("id").unwrap_or("?");
+    let dur = r.dur_us.unwrap_or(0);
+    let hits = r.field_u64("cache_hits").unwrap_or(0);
+    let misses = r.field_u64("cache_misses").unwrap_or(0);
+    let events = r.field_u64("simulated_events").unwrap_or(0);
+    let lookups = hits + misses;
+    let hit_pct = if lookups > 0 {
+        100.0 * hits as f64 / lookups as f64
+    } else {
+        0.0
+    };
+    let rate = if dur > 0 {
+        events as f64 / (dur as f64 / 1e6)
+    } else {
+        0.0
+    };
+    let rss = records
+        .iter()
+        .filter(|e| e.kind == Kind::Event && e.name == "peak_rss")
+        .find(|e| e.field_str("experiment") == Some(id))
+        .and_then(|e| e.field_u64("bytes"))
+        .map_or("-".to_string(), |b| {
+            format!("{:.1}MB", b as f64 / (1 << 20) as f64)
+        });
+    format!(
+        "  {id:<14} {:>9} {hits:>8} {misses:>8} {hit_pct:>5.1} {events:>12} {rate:>11.0} {rss:>9}",
+        fmt_us(dur)
+    )
 }
 
 /// Cells with the given `outcome` (`"hit"` or `"miss"`): one per `miss`
@@ -923,6 +931,38 @@ mod tests {
         assert_eq!(
             pass_row(&trie),
             "  9us             0us gcc            19     -          -       28917      6034       812  0..=18"
+        );
+    }
+
+    #[test]
+    fn an_experiment_row_shows_the_peak_rss_journaled_for_it() {
+        let span = |id: &str| {
+            Record::parse(&format!(
+                r#"{{"t":"span","name":"experiment","ts":0,"dur":2000000,"tid":0,"depth":0,"f":{{"id":"{id}","cache_hits":1,"cache_misses":3,"simulated_events":4000000}}}}"#
+            ))
+            .unwrap()
+        };
+        let peak_rss = |id: &str, bytes: u64| {
+            Record::parse(&format!(
+                r#"{{"t":"event","name":"peak_rss","ts":1,"tid":0,"f":{{"experiment":"{id}","bytes":{bytes}}}}}"#
+            ))
+            .unwrap()
+        };
+        let records = [
+            span("fig2"),
+            peak_rss("fig2", 20 << 20),
+            span("fig9"),
+            peak_rss("fig9", 53_162_803),
+            span("fig10"),
+        ];
+        assert_eq!(
+            experiment_row(&records[2], &records),
+            "  fig9               2.00s        1        3  25.0      4000000     2000000    50.7MB"
+        );
+        assert!(experiment_row(&records[0], &records).ends_with("    20.0MB"));
+        assert!(
+            experiment_row(&records[4], &records).ends_with(" 2000000         -"),
+            "no peak_rss event names fig10"
         );
     }
 

@@ -42,17 +42,6 @@ pub struct PathFamily {
 /// that far reads [`Addr::ZERO`], as from a cold register.
 const COLD: u32 = u32::MAX;
 
-/// One buffered indirect branch.
-#[derive(Debug, Clone, Copy)]
-struct Branch {
-    /// The key's first word, `pc >> h`.
-    table_word: u32,
-    target: Addr,
-    /// The newest element of the branch's history register when the branch
-    /// executed: an index into the element stream, or [`COLD`].
-    newest: u32,
-}
-
 /// One recorded history element, linked to the next older element of the
 /// same register.
 #[derive(Debug, Clone, Copy)]
@@ -63,12 +52,14 @@ struct Element {
     older: u32,
 }
 
-/// A buffered branch still in the fold: its node at the depth last folded,
-/// and the element its key reads at the next depth.
-#[derive(Clone, Copy)]
+/// A buffered indirect branch, folded in place: its target, its node at
+/// the depth last folded, and the element its key reads at the next depth.
+#[derive(Debug, Clone, Copy)]
 struct Walker {
-    branch: u32,
+    target: Addr,
+    /// Until depth 0 is folded, the key's first word, `pc >> h`.
     node: u32,
+    /// An index into the element stream, or [`COLD`].
     next: u32,
 }
 
@@ -99,18 +90,23 @@ type ChildMap = HashMap<u64, u32, BuildHasherDefault<WordHasher>>;
 /// # Layout
 ///
 /// [`fold_chunk`](PathTrie::fold_chunk) only buffers. Each indirect
-/// branch appends its table word, its target and a link to the newest
-/// element of its history register (12 bytes); each element the branch,
-/// or a conditional branch when the family records conditional targets,
-/// shifts into a register appends its key word and a link to that
-/// register's previous element (8 bytes). Every register, global or per
-/// set, is a chain of these links, so reading a branch's key one word
-/// deeper follows one link.
+/// branch appends one walker: its target, its table word and a link to
+/// the newest element of its history register (12 bytes). Each element
+/// the branch, or a conditional branch when the family records
+/// conditional targets, shifts into a register appends its key word and a
+/// link to that register's previous element (8 bytes). Every register,
+/// global or per set, is a chain of these links, so reading a branch's
+/// key one word deeper follows one link. The walkers and the elements are
+/// the trie's only per-branch arrays: 20 bytes a branch, plus 8 a
+/// conditional branch with conditional targets, from the first chunk to
+/// the end of `finish`.
 ///
-/// [`finish`](PathTrie::finish) then folds depth 0, depth 1 and so on to
-/// the deepest member's, each over the whole buffer in trace order. Depth
-/// `d`'s node for key words `w0..=wd` is the child of the branch's node
-/// at depth `d − 1` (of one root at depth 0) by the word `wd`, and it
+/// [`finish`](PathTrie::finish) then folds the walkers in place, in trace
+/// order, at depth 0, depth 1 and so on to the deepest member's: depth 0
+/// replaces each walker's table word by its node, and each deeper depth
+/// replaces its node by its child's and moves its link one element older.
+/// Depth `d`'s node for key words `w0..=wd` is the child of the branch's
+/// node at depth `d − 1` (of one root at depth 0) by the word `wd`, and it
 /// holds depth `d`'s entry. Nodes are numbered in order of creation,
 /// from 0 at each depth. Each node of the depth before keeps its first
 /// child inline, in an array indexed by its id, so a probe that matches
@@ -162,7 +158,7 @@ pub struct PathTrie {
     /// Indirect branches that train every member unscored.
     warmup: u64,
     /// The indirect branches buffered so far, in trace order.
-    branches: Vec<Branch>,
+    walkers: Vec<Walker>,
     /// Every history element recorded so far, in trace order.
     elements: Vec<Element>,
     /// The newest element of the global register.
@@ -203,7 +199,7 @@ impl PathTrie {
             depths: depths.to_vec(),
             member_at,
             warmup,
-            branches: Vec::new(),
+            walkers: Vec::new(),
             elements: Vec::new(),
             global: COLD,
             per_set: WordMap::default(),
@@ -235,11 +231,11 @@ impl PathTrie {
         for event in events {
             match event {
                 TraceEvent::Indirect(b) => {
-                    let newest = self.record(b.pc, b.target);
-                    self.branches.push(Branch {
-                        table_word: self.family.table_sharing.address_component(b.pc),
+                    let next = self.record(b.pc, b.target);
+                    self.walkers.push(Walker {
                         target: b.target,
-                        newest,
+                        node: self.family.table_sharing.address_component(b.pc),
+                        next,
                     });
                 }
                 TraceEvent::Cond(b) => {
@@ -281,21 +277,15 @@ impl PathTrie {
             return;
         }
         self.finished = true;
-        let branches = std::mem::take(&mut self.branches);
+        let mut walkers = std::mem::take(&mut self.walkers);
         let elements = std::mem::take(&mut self.elements);
         self.per_set = WordMap::default();
-        let (warmup, rule) = (self.warmup, self.family.rule);
-        let confidence_bits = self.family.confidence_bits;
-        self.scored = (branches.len() as u64).saturating_sub(warmup);
+        let (rule, confidence_bits) = (self.family.rule, self.family.confidence_bits);
+        self.scored = (walkers.len() as u64).saturating_sub(self.warmup);
+        // The walkers still in the fold that train unscored. Pruning keeps
+        // the walkers' order, so these are their first `warm`.
+        let mut warm = self.warmup;
         let cold = self.key.element_word(Addr::ZERO);
-        let mut walkers: Vec<Walker> = (0..)
-            .zip(&branches)
-            .map(|(branch, b)| Walker {
-                branch,
-                node: 0,
-                next: b.newest,
-            })
-            .collect();
         // The nodes of the depth being folded, by id, and whether each has
         // had a second visit.
         let mut slots: Vec<Slot> = Vec::new();
@@ -316,40 +306,39 @@ impl PathTrie {
             shared.clear();
             let member = self.member_at[d];
             let (mut misses, mut hashed) = (0u64, 0u64);
-            for w in &mut walkers {
-                let branch = branches[w.branch as usize];
-                let word = if d == 0 {
-                    branch.table_word
+            for (i, w) in (0u64..).zip(&mut walkers) {
+                let (parent, word) = if d == 0 {
+                    (0, w.node)
                 } else if let Some(element) = elements.get(w.next as usize) {
                     w.next = element.older;
-                    element.word
+                    (w.node, element.word)
                 } else {
-                    cold
+                    (w.node, cold)
                 };
                 // Every branch records an element, so there are fewer
                 // than 2^32 - 1 branches, and no node id reaches NONE's.
                 let fresh = slots.len() as u32;
-                let parent = &mut first[w.node as usize];
-                let node = if parent.node == FirstChild::NONE.node {
-                    *parent = FirstChild { word, node: fresh };
+                let child = &mut first[parent as usize];
+                let node = if child.node == FirstChild::NONE.node {
+                    *child = FirstChild { word, node: fresh };
                     fresh
-                } else if parent.word == word {
-                    parent.node
+                } else if child.word == word {
+                    child.node
                 } else {
                     hashed += 1;
                     *later
-                        .entry(u64::from(w.node) << 32 | u64::from(word))
+                        .entry(u64::from(parent) << 32 | u64::from(word))
                         .or_insert(fresh)
                 };
                 let correct = if node == fresh {
-                    slots.push(Slot::new(branch.target, confidence_bits));
+                    slots.push(Slot::new(w.target, confidence_bits));
                     shared.push(false);
                     false
                 } else {
                     shared[node as usize] = true;
-                    member && slots[node as usize].train(branch.target, rule)
+                    member && slots[node as usize].train(w.target, rule)
                 };
-                misses += u64::from(!correct && u64::from(w.branch) >= warmup);
+                misses += u64::from(!correct && i >= warm);
                 w.node = node;
             }
             self.probes += walkers.len() as u64;
@@ -359,14 +348,16 @@ impl PathTrie {
                 self.mispredicted[d] = misses + left_scored;
             }
             if d + 1 < words {
+                let (mut i, mut kept_warm) = (0u64, 0u64);
                 walkers.retain(|w| {
-                    let stays = shared[w.node as usize];
-                    if !stays {
-                        left += 1;
-                        left_scored += u64::from(u64::from(w.branch) >= warmup);
-                    }
+                    let (stays, scored) = (shared[w.node as usize], i >= warm);
+                    i += 1;
+                    kept_warm += u64::from(stays && !scored);
+                    left += u64::from(!stays);
+                    left_scored += u64::from(!stays && scored);
                     stays
                 });
+                warm = kept_warm;
             }
         }
         self.pruned = left;
@@ -580,12 +571,26 @@ mod tests {
         }
     }
 
+    /// The buffer the docs quote: 12 bytes a walker and 8 an element, so
+    /// 20 bytes an indirect branch.
+    #[test]
+    fn a_branch_buffers_twenty_bytes() {
+        assert_eq!(std::mem::size_of::<Walker>(), 12);
+        assert_eq!(std::mem::size_of::<Element>(), 8);
+    }
+
+    /// Depths 0 and 2 are no member's. Most branches leave the fold at
+    /// depth 1 or 2, so each warmup ends among branches that stay in it
+    /// after earlier ones left: fewer walkers than the warmup are still
+    /// warming at depths 2 and 3.
     #[test]
     fn unscored_depths_keep_nodes_but_score_nothing() {
         let trace = lcg_trace(500);
-        let trie = exact(plain, &[3, 1, 3], &trace, 100);
-        assert_eq!(trie.depths(), [3, 1, 3]);
-        assert_eq!(trie.scored(), 400);
+        for warmup in [100, 233, 377, 499] {
+            let trie = exact(plain, &[3, 1, 3], &trace, warmup);
+            assert_eq!(trie.depths(), [3, 1, 3]);
+            assert_eq!(trie.scored(), 500 - warmup);
+        }
     }
 
     #[test]
