@@ -14,7 +14,8 @@
 //! root `experiment` spans and the `peak_rss` events), the slowest
 //! benchmark passes with the cells each folded, the key streams and
 //! component tables it shared them over and its trie families' node
-//! probes (and of them, those that hashed) and pruned branches,
+//! probes (and of them, those that hashed), pruned branches and buffer
+//! bytes,
 //! per-worker busy/idle utilization, and the final metrics-registry
 //! snapshot. `--internals` renders the `IBP_PROBE` probe records: per-run
 //! occupancy/eviction/conflict tables, selector-usage breakdowns for
@@ -225,7 +226,7 @@ fn count_folds(records: &[Record], fold: &str) -> usize {
 /// Ranks the engine's benchmark passes (the `cell` spans) by run time,
 /// with the number of cells each folded, its key streams and distinct
 /// component tables, its trie families' node probes, the probes that
-/// hashed and pruned branches, and their depths.
+/// hashed, pruned branches and buffer bytes, and their depths.
 fn print_slowest_passes(records: &[Record], top: usize) {
     let mut passes: Vec<&Record> = records
         .iter()
@@ -252,7 +253,7 @@ fn print_slowest_passes(records: &[Record], top: usize) {
         count_folds(records, "lane")
     );
     println!(
-        "  {:<9} {:>9} {:<10} {:>6} {:>5} {:>10} {:>11} {:>9} {:>9}  tries",
+        "  {:<9} {:>9} {:<10} {:>6} {:>5} {:>10} {:>11} {:>9} {:>9} {:>10}  tries",
         "run",
         "wait",
         "benchmark",
@@ -261,7 +262,8 @@ fn print_slowest_passes(records: &[Record], top: usize) {
         "components",
         "trie probes",
         "hashed",
-        "pruned"
+        "pruned",
+        "bytes"
     );
     for r in passes.iter().take(top) {
         println!("{}", pass_row(r));
@@ -271,14 +273,15 @@ fn print_slowest_passes(records: &[Record], top: usize) {
 
 /// One pass's row of the slowest-passes table. A pass that built no key
 /// stream notes neither `keys` nor `components`, and one without a trie
-/// none of `trie_probes`, `trie_hashed` and `trie_pruned`; each shows `-`.
+/// none of `trie_probes`, `trie_hashed`, `trie_pruned` and `trie_bytes`;
+/// each shows `-`.
 fn pass_row(r: &Record) -> String {
     let count = |field: &str| {
         r.field_u64(field)
             .map_or_else(|| "-".to_string(), |n| n.to_string())
     };
     format!(
-        "  {:<9} {:>9} {:<10} {:>6} {:>5} {:>10} {:>11} {:>9} {:>9}  {}",
+        "  {:<9} {:>9} {:<10} {:>6} {:>5} {:>10} {:>11} {:>9} {:>9} {:>10}  {}",
         fmt_us(r.dur_us.unwrap_or(0)),
         fmt_us(r.field_u64("wait_us").unwrap_or(0)),
         r.field_str("benchmark").unwrap_or("?"),
@@ -288,6 +291,7 @@ fn pass_row(r: &Record) -> String {
         count("trie_probes"),
         count("trie_hashed"),
         count("trie_pruned"),
+        count("trie_bytes"),
         r.field_str("tries").unwrap_or("-"),
     )
 }
@@ -922,15 +926,15 @@ mod tests {
         .unwrap();
         assert_eq!(
             pass_row(&keyed),
-            "  2.50s          12us ixx            15     5         12           -         -         -  -"
+            "  2.50s          12us ixx            15     5         12           -         -         -          -  -"
         );
         let trie = Record::parse(
-            r#"{"t":"span","name":"cell","ts":0,"dur":9,"tid":0,"depth":0,"f":{"benchmark":"gcc","configs":19,"tries":"0..=18","trie_probes":28917,"trie_hashed":6034,"trie_pruned":812}}"#,
+            r#"{"t":"span","name":"cell","ts":0,"dur":9,"tid":0,"depth":0,"f":{"benchmark":"gcc","configs":19,"tries":"0..=18","trie_probes":28917,"trie_hashed":6034,"trie_pruned":812,"trie_bytes":32000}}"#,
         )
         .unwrap();
         assert_eq!(
             pass_row(&trie),
-            "  9us             0us gcc            19     -          -       28917      6034       812  0..=18"
+            "  9us             0us gcc            19     -          -       28917      6034       812      32000  0..=18"
         );
     }
 

@@ -3,7 +3,9 @@
 //! workspace source defines — a function, type, trait, constant, static,
 //! module, enum variant or field. A path to a deleted or renamed item
 //! fails here; a note about a deleted item names it without its module
-//! path.
+//! path. The system inventories of DESIGN.md and PAPER.md are checked
+//! name by name: every backticked name in their "This repo" column, bare
+//! or not, is an item the workspace defines, or a workspace crate.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -107,12 +109,89 @@ fn last_item(path: &str) -> &str {
     last.split('.').next().unwrap_or_default()
 }
 
-#[test]
-fn every_doc_path_names_a_workspace_item() {
+/// Every name the workspace defines: its items, module files and the
+/// library names of its crates.
+fn workspace_names() -> BTreeSet<String> {
     let mut defined = BTreeSet::new();
     for dir in ["crates", "src", "tests", "examples", "vendor"] {
         collect_defined(&repo_file(dir), &mut defined);
     }
+    let crates = std::fs::read_dir(repo_file("crates")).expect("the crates directory");
+    let manifests = crates
+        .map(|entry| entry.expect("a directory entry").path().join("Cargo.toml"))
+        .chain([repo_file("Cargo.toml")]);
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest)
+            .unwrap_or_else(|e| panic!("{}: {e}", manifest.display()));
+        let name = text
+            .lines()
+            .find_map(|line| line.strip_prefix("name = \""))
+            .and_then(|rest| rest.strip_suffix('"'))
+            .unwrap_or_else(|| panic!("{} names no package", manifest.display()));
+        defined.insert(name.replace('-', "_"));
+    }
+    defined
+}
+
+/// The identifiers in the backticked spans of the "This repo" column of
+/// every Markdown table in `text` whose header row names that column.
+fn inventory_names(text: &str) -> Vec<String> {
+    let mut column = None;
+    let mut names = Vec::new();
+    for line in text.lines() {
+        let Some(row) = line.trim().strip_prefix('|') else {
+            column = None;
+            continue;
+        };
+        let cells: Vec<&str> = row.split('|').collect();
+        let Some(c) = column else {
+            column = cells.iter().position(|cell| cell.trim() == "This repo");
+            continue;
+        };
+        let spans = cells
+            .get(c)
+            .into_iter()
+            .flat_map(|cell| cell.split('`').skip(1).step_by(2));
+        names.extend(
+            spans
+                .flat_map(|span| span.split(|ch: char| !ch.is_ascii_alphanumeric() && ch != '_'))
+                .filter(|word| is_ident(word))
+                .map(str::to_string),
+        );
+    }
+    names
+}
+
+#[test]
+fn every_inventory_name_is_a_workspace_item() {
+    let defined = workspace_names();
+    let mut stale = Vec::new();
+    for doc in ["DESIGN.md", "PAPER.md"] {
+        let path = repo_file(doc);
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let names = inventory_names(&text);
+        assert!(
+            names.len() > 20,
+            "test premise: {doc}'s inventory names {names:?}"
+        );
+        stale.extend(
+            names
+                .iter()
+                .filter(|name| !defined.contains(*name))
+                .map(|name| format!("{doc}: `{name}`")),
+        );
+    }
+    assert!(
+        stale.is_empty(),
+        "inventory names the workspace does not define:\n{}",
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn every_doc_path_names_a_workspace_item() {
+    let defined = workspace_names();
     let mut checked = 0;
     let mut stale = Vec::new();
     for doc in ["DESIGN.md", "README.md"] {
@@ -157,4 +236,11 @@ fn the_scanners_read_paths_and_definitions() {
     }
     let names: Vec<&str> = names.iter().map(String::as_str).collect();
     assert_eq!(names, ["Bpst", "Confidence", "S", "f", "selectors"]);
+    let table = "| System | This repo | Crate |\n|---|---|---|\n\
+                 | A | `Btb`, `MetaSpec::{Confidence, Bpst}` (`simulate()`) | `crates/core` |\n\n\
+                 | `Gone` |";
+    assert_eq!(
+        inventory_names(table),
+        ["Btb", "MetaSpec", "Confidence", "Bpst", "simulate"]
+    );
 }

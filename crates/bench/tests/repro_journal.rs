@@ -429,12 +429,17 @@ const TRIE_PROBES: u64 = 509_641;
 const TRIE_HASHED: u64 = 105_711;
 /// The branches those passes pruned before the deepest depth.
 const TRIE_PRUNED: u64 = 14_374;
+/// The bytes those passes' tries buffered: each sized once for its 2,000
+/// branches at 16 bytes a branch, 17 × 2,000 × 16.
+const TRIE_BYTES: u64 = 544_000;
 
-/// The trie's work is counted exactly, so turning its pruning off, its
-/// inline first children off, or routing Figure 9 away from it, changes
-/// these totals and fails here rather than only in a timing. At 2,000
-/// events on 17 benchmarks a fold without pruning would make
-/// 17 × 2,000 × 19 = 646,000 probes.
+/// The trie's work and buffer are counted exactly, so turning its pruning
+/// off, its inline first children off, or routing Figure 9 away from it,
+/// changes these totals and fails here rather than only in a timing, and
+/// so does a wider branch record or a buffer grown by doubling instead of
+/// sized for the trace (17 × 2,048 × 16 = 557,056). At 2,000 events on 17
+/// benchmarks a fold without pruning would make 17 × 2,000 × 19 = 646,000
+/// probes.
 #[test]
 fn fig9_trie_probes_and_pruned_branches_are_pinned() {
     let tmp = std::env::temp_dir().join(format!("ibp-trie-work-{}", std::process::id()));
@@ -458,9 +463,10 @@ fn fig9_trie_probes_and_pruned_branches_are_pinned() {
         (
             total("trie_probes"),
             total("trie_hashed"),
-            total("trie_pruned")
+            total("trie_pruned"),
+            total("trie_bytes")
         ),
-        (TRIE_PROBES, TRIE_HASHED, TRIE_PRUNED)
+        (TRIE_PROBES, TRIE_HASHED, TRIE_PRUNED, TRIE_BYTES)
     );
     std::fs::remove_dir_all(&tmp).ok();
 }

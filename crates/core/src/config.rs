@@ -469,19 +469,23 @@ impl PredictorConfig {
     }
 
     /// The [`PathFamily`] and path length of a full-precision, unbounded,
-    /// single two-level configuration (a BTB kind included), or `None` for
-    /// any other configuration and for invalid ones. A
-    /// [`PathTrie`](crate::PathTrie) over the family at this path length
-    /// scores what [`build_kernel`](PredictorConfig::build_kernel) would.
+    /// single two-level configuration over global history (a BTB kind
+    /// included), or `None` for any other configuration, per-set history
+    /// included, and for invalid ones. A [`PathTrie`](crate::PathTrie) over
+    /// the family at this path length scores what
+    /// [`build_kernel`](PredictorConfig::build_kernel) would.
     #[must_use]
     pub fn path_family(&self) -> Option<(PathFamily, usize)> {
         let precision = self.full_precision?;
         let single = matches!(self.kind, PredictorKind::Btb | PredictorKind::TwoLevel);
-        if !single || self.entries.is_some() || self.validate().is_err() {
+        if !single
+            || self.entries.is_some()
+            || !self.history_sharing.is_global()
+            || self.validate().is_err()
+        {
             return None;
         }
         let family = PathFamily {
-            history_sharing: self.history_sharing,
             table_sharing: self.table_sharing,
             element: self.history_element,
             precision,
@@ -998,6 +1002,19 @@ mod tests {
         }
         assert_eq!(btb.predict(a(0x100)), Some(a(0xA00)));
         assert_eq!(btb2.predict(a(0x100)), Some(a(0x900)));
+    }
+
+    /// A path trie keeps one global history, so only global-history
+    /// configs form a path family; per-set ones fold on their own lanes.
+    #[test]
+    fn a_per_set_config_has_no_path_family() {
+        let global = PredictorConfig::unconstrained(3);
+        assert_eq!(global.path_family().map(|(_, p)| p), Some(3));
+        for sharing in [HistorySharing::per_set(8), HistorySharing::PER_ADDRESS] {
+            let cfg = global.clone().with_history_sharing(sharing);
+            assert!(cfg.path_family().is_none(), "{sharing:?}");
+            assert!(cfg.with_cond_targets(true).path_family().is_none());
+        }
     }
 
     #[test]

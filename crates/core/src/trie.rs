@@ -15,21 +15,23 @@ use std::hash::BuildHasherDefault;
 
 use ibp_trace::{Addr, TraceEvent};
 
-use crate::hash::{WordHasher, WordMap};
-use crate::history::{HistoryElement, HistorySharing, MAX_PATH};
+use crate::hash::WordHasher;
+use crate::history::{HistoryElement, MAX_PATH};
 use crate::key::{FullKeySpec, TableSharing};
 use crate::predictor::UpdateRule;
 use crate::table::Slot;
 
 /// What the members of a *path-length family* share: every parameter of a
-/// full-precision, unbounded two-level configuration except its path
-/// length. [`PredictorConfig::path_family`](crate::PredictorConfig::path_family)
+/// full-precision, unbounded two-level configuration over global history
+/// except its path length. Global history is the paper's setting for its
+/// path-length sweeps (§3, Figures 9 and 10), and the one history
+/// register a trie keeps.
+/// [`PredictorConfig::path_family`](crate::PredictorConfig::path_family)
 /// reads it off a configuration; two configurations with equal families
 /// build predictors that differ only in how many history elements their
 /// keys read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PathFamily {
-    pub(crate) history_sharing: HistorySharing,
     pub(crate) table_sharing: TableSharing,
     pub(crate) element: HistoryElement,
     pub(crate) precision: Option<u32>,
@@ -38,19 +40,9 @@ pub struct PathFamily {
     pub(crate) include_cond: bool,
 }
 
-/// The link past a history register's oldest element. A key that reads
-/// that far reads [`Addr::ZERO`], as from a cold register.
+/// The index before the history's oldest element, `0 − 1`. A key that
+/// reads that far reads [`Addr::ZERO`], as from a cold register.
 const COLD: u32 = u32::MAX;
-
-/// One recorded history element, linked to the next older element of the
-/// same register.
-#[derive(Debug, Clone, Copy)]
-struct Element {
-    /// The element as a key word.
-    word: u32,
-    /// The register's element before this one, or [`COLD`].
-    older: u32,
-}
 
 /// A buffered indirect branch, folded in place: its target, its node at
 /// the depth last folded, and the element its key reads at the next depth.
@@ -59,7 +51,7 @@ struct Walker {
     target: Addr,
     /// Until depth 0 is folded, the key's first word, `pc >> h`.
     node: u32,
-    /// An index into the element stream, or [`COLD`].
+    /// An index into the element chain, or [`COLD`].
     next: u32,
 }
 
@@ -90,21 +82,24 @@ type ChildMap = HashMap<u64, u32, BuildHasherDefault<WordHasher>>;
 /// # Layout
 ///
 /// [`fold_chunk`](PathTrie::fold_chunk) only buffers. Each indirect
-/// branch appends one walker: its target, its table word and a link to
-/// the newest element of its history register (12 bytes). Each element
-/// the branch, or a conditional branch when the family records
-/// conditional targets, shifts into a register appends its key word and a
-/// link to that register's previous element (8 bytes). Every register,
-/// global or per set, is a chain of these links, so reading a branch's
-/// key one word deeper follows one link. The walkers and the elements are
-/// the trie's only per-branch arrays: 20 bytes a branch, plus 8 a
-/// conditional branch with conditional targets, from the first chunk to
-/// the end of `finish`.
+/// branch appends one walker: its target, its table word and the index of
+/// the history's newest element (12 bytes). Each element the branch, or
+/// a conditional branch when the family records conditional targets,
+/// shifts into the history appends its key word (4 bytes). The history is
+/// one global register, so the elements form one chain in trace order:
+/// element `i`'s older neighbour is element `i − 1`, and reading a
+/// branch's key one word deeper steps its index down by one; past element
+/// 0 it reads the cold register's [`Addr::ZERO`]. The walkers and the
+/// elements are the trie's only per-branch arrays: 16 bytes a branch,
+/// plus 4 a conditional branch with conditional targets, from the first
+/// chunk to the end of `finish`.
+/// [`sized_for`](PathTrie::sized_for) allocates them once for the trace's
+/// length; unsized, they grow as they fill.
 ///
 /// [`finish`](PathTrie::finish) then folds the walkers in place, in trace
 /// order, at depth 0, depth 1 and so on to the deepest member's: depth 0
 /// replaces each walker's table word by its node, and each deeper depth
-/// replaces its node by its child's and moves its link one element older.
+/// replaces its node by its child's and steps its index one element older.
 /// Depth `d`'s node for key words `w0..=wd` is the child of the branch's
 /// node at depth `d − 1` (of one root at depth 0) by the word `wd`, and it
 /// holds depth `d`'s entry. Nodes are numbered in order of creation,
@@ -159,12 +154,11 @@ pub struct PathTrie {
     warmup: u64,
     /// The indirect branches buffered so far, in trace order.
     walkers: Vec<Walker>,
-    /// Every history element recorded so far, in trace order.
-    elements: Vec<Element>,
-    /// The newest element of the global register.
-    global: u32,
-    /// The newest element of each per-set register, by set.
-    per_set: WordMap<u32>,
+    /// Every history element recorded so far as its key word, in trace
+    /// order: the global history, oldest first.
+    elements: Vec<u32>,
+    /// The buffer's bytes when the fold began.
+    buffer_bytes: u64,
     finished: bool,
     scored: u64,
     mispredicted: [u64; MAX_PATH + 1],
@@ -201,8 +195,7 @@ impl PathTrie {
             warmup,
             walkers: Vec::new(),
             elements: Vec::new(),
-            global: COLD,
-            per_set: WordMap::default(),
+            buffer_bytes: 0,
             finished: false,
             scored: 0,
             mispredicted: [0; MAX_PATH + 1],
@@ -211,6 +204,21 @@ impl PathTrie {
             hashed: 0,
             pruned: 0,
         }
+    }
+
+    /// Sizes the buffer for a trace of `branches` indirect branches, so
+    /// that it is allocated once: the walkers, and the elements too when
+    /// the family takes no conditional targets (one element a branch). A
+    /// longer trace still folds, its buffer growing as it fills, and so
+    /// does any trace when the allocation fails.
+    #[must_use]
+    pub fn sized_for(mut self, branches: u64) -> Self {
+        let branches = usize::try_from(branches).unwrap_or(usize::MAX);
+        self.walkers.try_reserve_exact(branches).ok();
+        if !self.family.include_cond {
+            self.elements.try_reserve_exact(branches).ok();
+        }
+        self
     }
 
     /// The members' path lengths, in member order.
@@ -247,24 +255,16 @@ impl PathTrie {
         }
     }
 
-    /// Appends the element a branch at `pc` to `to` shifts into its
-    /// history register, and returns the element it displaces as the
-    /// register's newest.
+    /// Appends the element a branch at `pc` to `to` shifts into the
+    /// history, and returns the element it displaces as the newest.
     fn record(&mut self, pc: Addr, to: Addr) -> u32 {
-        let word = self.key.element_word(self.family.element.encode(pc, to));
         let id = u32::try_from(self.elements.len())
             .ok()
             .filter(|&id| id != COLD)
             .expect("fewer than 2^32 - 1 history elements");
-        let sharing = self.family.history_sharing;
-        let newest = if sharing.is_global() {
-            &mut self.global
-        } else {
-            self.per_set.entry(sharing.set_of(pc)).or_insert(COLD)
-        };
-        let older = std::mem::replace(newest, id);
-        self.elements.push(Element { word, older });
-        older
+        let word = self.key.element_word(self.family.element.encode(pc, to));
+        self.elements.push(word);
+        id.wrapping_sub(1)
     }
 
     /// Folds the buffered trace, one depth at a time from 0 to the deepest
@@ -279,7 +279,8 @@ impl PathTrie {
         self.finished = true;
         let mut walkers = std::mem::take(&mut self.walkers);
         let elements = std::mem::take(&mut self.elements);
-        self.per_set = WordMap::default();
+        self.buffer_bytes = (walkers.capacity() * std::mem::size_of::<Walker>()
+            + elements.capacity() * std::mem::size_of::<u32>()) as u64;
         let (rule, confidence_bits) = (self.family.rule, self.family.confidence_bits);
         self.scored = (walkers.len() as u64).saturating_sub(self.warmup);
         // The walkers still in the fold that train unscored. Pruning keeps
@@ -309,9 +310,9 @@ impl PathTrie {
             for (i, w) in (0u64..).zip(&mut walkers) {
                 let (parent, word) = if d == 0 {
                     (0, w.node)
-                } else if let Some(element) = elements.get(w.next as usize) {
-                    w.next = element.older;
-                    (w.node, element.word)
+                } else if let Some(&word) = elements.get(w.next as usize) {
+                    w.next = w.next.wrapping_sub(1);
+                    (w.node, word)
                 } else {
                     (w.node, cold)
                 };
@@ -437,6 +438,14 @@ impl PathTrie {
     #[must_use]
     pub fn pruned(&self) -> u64 {
         self.pruned
+    }
+
+    /// The bytes the buffer held when the fold began: its walkers' and
+    /// its elements' capacity. A trie [sized](PathTrie::sized_for) for a
+    /// trace without conditional targets holds 16 bytes a branch.
+    #[must_use]
+    pub fn buffer_bytes(&self) -> u64 {
+        self.buffer_bytes
     }
 }
 
@@ -571,12 +580,32 @@ mod tests {
         }
     }
 
-    /// The buffer the docs quote: 12 bytes a walker and 8 an element, so
-    /// 20 bytes an indirect branch.
+    /// The buffer the docs quote: 12 bytes a walker and 4 an element, so a
+    /// trie sized for its trace holds 16 bytes an indirect branch. With
+    /// conditional targets only the walkers are sized; the elements, one
+    /// per indirect and conditional branch, grow as they fill.
     #[test]
-    fn a_branch_buffers_twenty_bytes() {
+    fn a_branch_buffers_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Walker>(), 12);
-        assert_eq!(std::mem::size_of::<Element>(), 8);
+        let trace = lcg_trace(1_000);
+        let conds = (trace.events().len() - 1_000) as u64;
+        let sized = |config: fn(usize) -> PredictorConfig, branches: u64| {
+            let (family, _) = config(0).path_family().expect("a full-key family");
+            let mut trie = PathTrie::new(family, &[0, 1, 2], 0).sized_for(branches);
+            trie.fold_chunk(trace.events());
+            trie.finish();
+            assert_matches_kernels(&trie, config, &trace, 0);
+            trie.buffer_bytes()
+        };
+        assert_eq!(sized(plain, 1_000), 16 * 1_000);
+        let with_cond: fn(usize) -> PredictorConfig =
+            |p| PredictorConfig::unconstrained(p).with_cond_targets(true);
+        let bytes = sized(with_cond, 1_000);
+        assert!(bytes >= 12 * 1_000 + 4 * (1_000 + conds), "{bytes}");
+        assert!(
+            sized(plain, 600) > 16 * 1_000,
+            "a short size grows as it fills"
+        );
     }
 
     /// Depths 0 and 2 are no member's. Most branches leave the fold at
@@ -659,16 +688,13 @@ mod tests {
         assert_eq!(trie.mispredicted(4), 200 - 117);
     }
 
-    /// Per-set history and conditional targets: every register is a chain
-    /// of its own, and a chunk boundary falls anywhere in it.
+    /// Conditional targets interleave the chain's elements with the
+    /// walkers, and a chunk boundary falls anywhere in it.
     #[test]
-    fn per_set_chains_match_their_kernels_across_chunks() {
+    fn the_chain_matches_the_kernels_across_chunks() {
         let trace = lcg_trace(2_000);
-        let config: fn(usize) -> PredictorConfig = |p| {
-            PredictorConfig::unconstrained(p)
-                .with_history_sharing(crate::HistorySharing::per_set(8))
-                .with_cond_targets(true)
-        };
+        let config: fn(usize) -> PredictorConfig =
+            |p| PredictorConfig::unconstrained(p).with_cond_targets(true);
         let (family, _) = config(0).path_family().expect("a full-key family");
         let mut trie = PathTrie::new(family, &[0, 1, 2, 4, 7], 37);
         for chunk in trace.events().chunks(333) {

@@ -50,9 +50,9 @@
 //!   `degraded` event — a fault costs wall time, never correctness;
 //! * with tracing on (`IBP_TRACE`), every benchmark pass emits a `cell`
 //!   span (benchmark, config count, queue wait vs. run time, the depths
-//!   of its trie families, their node probes, the probes that hashed and
-//!   pruned branches as `trie_probes`, `trie_hashed` and `trie_pruned`,
-//!   its number of key streams as `keys`
+//!   of its trie families, their node probes, the probes that hashed,
+//!   pruned branches and buffer bytes as `trie_probes`, `trie_hashed`,
+//!   `trie_pruned` and `trie_bytes`, its number of key streams as `keys`
 //!   and of distinct component tables as `components`),
 //!   every folded cell a `cell` event with `outcome = "miss"` and the
 //!   `fold` that made it (`"trie"`, `"keyed"` or `"lane"`), and every job
@@ -620,6 +620,7 @@ impl<'a> Sweep<'a> {
                 cell.note("trie_probes", total(PathTrie::probes));
                 cell.note("trie_hashed", total(PathTrie::hashed));
                 cell.note("trie_pruned", total(PathTrie::pruned));
+                cell.note("trie_bytes", total(PathTrie::buffer_bytes));
             }
             let trie_runs: Vec<_> = plan.tries.iter().map(trie_stats).collect();
             members
@@ -661,10 +662,11 @@ impl<'a> Sweep<'a> {
 
     /// Builds the lanes of one benchmark pass over `members` (indices into
     /// `units`): one [`PathTrie`] per path-length family the trie pays for
-    /// ([`trie_pays`]), one kernel lane per other config or custom job,
-    /// and each measurement's lane. A probed pass routes no family to a
-    /// trie: the probe layer samples each predictor's tables, and a trie
-    /// holds one depth's table at a time, and only after the pass.
+    /// ([`trie_pays`]), its buffer sized for the suite's trace length, one
+    /// kernel lane per other config or custom job, and each measurement's
+    /// lane. A probed pass routes no family to a trie: the probe layer
+    /// samples each predictor's tables, and a trie holds one depth's table
+    /// at a time, and only after the pass.
     fn plan_pass(&self, units: &[Unit], members: &[usize]) -> PassPlan {
         let mut families: Vec<(PathFamily, Vec<(usize, usize)>)> = Vec::new();
         if !probe::active_policy().on() {
@@ -689,7 +691,7 @@ impl<'a> Sweep<'a> {
                 for (m, &(i, _)) in found.iter().enumerate() {
                     routes[i] = Some(Route::Trie(tries.len(), m));
                 }
-                tries.push(PathTrie::new(family, &depths, 0));
+                tries.push(PathTrie::new(family, &depths, 0).sized_for(self.suite.events()));
             }
         }
         let mut kernels = Vec::new();
@@ -848,6 +850,30 @@ mod tests {
         }
         assert_eq!(describe_depths(&[2, 0, 1]), "0..=2");
         assert_eq!(describe_depths(&[0, 1, 3, 6, 8]), "0,1,3,6,8");
+
+        // A trie keeps one global history: a dense per-set family forms no
+        // path family, so it keeps its lanes beside the global one's trie.
+        let suite = tiny_suite();
+        let mut sweep = Sweep::new(&suite);
+        for p in 0..3 {
+            sweep.config(PredictorConfig::unconstrained(p));
+            sweep.config(
+                PredictorConfig::unconstrained(p)
+                    .with_history_sharing(ibp_core::HistorySharing::per_set(8)),
+            );
+        }
+        let units: Vec<Unit> = (0..sweep.jobs.len())
+            .map(|job| Unit {
+                job,
+                cell: 0,
+                benchmark: Benchmark::Ixx,
+            })
+            .collect();
+        let members: Vec<usize> = (0..units.len()).collect();
+        let plan = sweep.plan_pass(&units, &members);
+        assert_eq!(plan.tries.len(), 1);
+        assert_eq!(plan.tries[0].depths(), [0, 1, 2]);
+        assert_eq!(plan.kernels.len(), 3, "the per-set family's lanes");
     }
 
     #[test]

@@ -285,18 +285,16 @@ fn batched_unbounded_fold_matches_dyn_fold_at_every_chunk_fill() {
 /// failure messages.
 type Family = (&'static str, fn(usize) -> PredictorConfig);
 
-/// One family per full-key parameter the trie must carry: history
-/// sharing, table sharing, precision, conditional targets, the history
-/// element and the update rule, then all of the non-default ones at once.
+/// One family per full-key parameter the trie must carry: table sharing,
+/// precision, conditional targets, the history element and the update
+/// rule, then all of the non-default ones at once. A trie keeps one
+/// global history, so every family is over global history.
 fn trie_families() -> Vec<Family> {
     vec![
         (
             "global history, per-address tables",
             PredictorConfig::unconstrained,
         ),
-        ("per-set history s=8", |p| {
-            PredictorConfig::unconstrained(p).with_history_sharing(HistorySharing::per_set(8))
-        }),
         ("per-set tables h=9", |p| {
             PredictorConfig::unconstrained(p).with_table_sharing(TableSharing::per_set(9))
         }),
@@ -318,9 +316,8 @@ fn trie_families() -> Vec<Family> {
         ("always-update", |p| {
             PredictorConfig::unconstrained(p).with_update_rule(UpdateRule::Always)
         }),
-        ("s=8, h=9, 8-bit, conditional targets, always-update", |p| {
+        ("h=9, 8-bit, conditional targets, always-update", |p| {
             PredictorConfig::unconstrained(p)
-                .with_history_sharing(HistorySharing::per_set(8))
                 .with_table_sharing(TableSharing::per_set(9))
                 .with_precision(8)
                 .with_cond_targets(true)
