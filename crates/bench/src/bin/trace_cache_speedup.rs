@@ -1,20 +1,25 @@
 //! Measures the persistent binary trace corpus cache: cold generation
 //! (generator pass teed into `.ibpb` segments) against warm replay
-//! (bulk-decode from disk), in one process.
+//! (bulk-decode from disk) and plain generation with the corpus off, in
+//! one process.
 //!
 //! Usage: `trace_cache_speedup [experiment...]` (default: `fig2`). The
 //! trace cache is purged, then the suite is built and the experiments run
-//! twice — a cold pass whose suite construction generates and publishes
-//! every segment, and a warm pass that replays them. The result-cache is
-//! disabled for the whole process (`IBP_CACHE=0`) and the in-process memo
-//! cache cleared before each pass, so neither can mask the trace work. The
-//! two table sets must be byte-identical and the warm pass must be 100 %
-//! trace-cache hits (the run aborts otherwise). Suites stream, so every
-//! replay happens inside the runs: the headline number is the end-to-end
+//! three times — a cold pass whose suite construction generates and
+//! publishes every segment, a warm pass that replays them, and a
+//! `generate` pass with the corpus off, which runs the generator in every
+//! pass as a process without a corpus would. The result-cache is disabled
+//! for the whole process (`IBP_CACHE=0`) and the in-process memo cache
+//! cleared before each pass, so neither can mask the trace work. The three
+//! table sets must be byte-identical, the warm pass must be 100 %
+//! trace-cache hits and the `generate` pass must not touch the corpus (the
+//! run aborts otherwise). Suites stream, so every replay happens inside
+//! the runs: the headline number is the end-to-end cold-over-warm
 //! speedup, with suite construction (the cold pass's corpus publish)
-//! reported alongside. Results go to stderr,
-//! `results/trace_cache_speedup.csv`, `results/manifest.csv` and, with
-//! `IBP_TRACE`, one `trace_cache_speedup` journal event per run.
+//! reported alongside, and the warm pass's time against the `generate`
+//! pass's says whether replay beats plain generation. Results go to
+//! stderr, `results/trace_cache_speedup.csv`, `results/manifest.csv` and,
+//! with `IBP_TRACE`, one `trace_cache_speedup` journal event per run.
 
 use std::fs;
 use std::time::{Duration, Instant};
@@ -58,17 +63,18 @@ fn main() {
         .collect();
 
     eprintln!(
-        "== trace-cache speedup: {} (cold generate vs warm replay) ==",
+        "== trace-cache speedup: {} (cold generate vs warm replay vs plain generation) ==",
         ids.join(", ")
     );
 
-    // Engage the cache regardless of the event threshold: this binary
-    // exists to measure it.
-    trace_cache::override_policy(Some(true));
     trace_cache::purge();
 
     let mut passes: Vec<Pass> = Vec::new();
-    for label in ["cold", "warm"] {
+    for (label, corpus) in [("cold", true), ("warm", true), ("generate", false)] {
+        // The cold and warm passes engage the corpus whatever the event
+        // threshold says, since this binary exists to measure it; the
+        // generate pass turns it off.
+        trace_cache::override_policy(Some(corpus));
         // Each pass must simulate from scratch; only the trace source may
         // differ between them.
         engine::clear_memo_cache();
@@ -98,7 +104,8 @@ fn main() {
             metrics,
         });
     }
-    let [cold, warm] = <[Pass; 2]>::try_from(passes).ok().expect("two passes");
+    trace_cache::override_policy(None);
+    let [cold, warm, generate] = <[Pass; 3]>::try_from(passes).ok().expect("three passes");
 
     for (i, experiment) in experiments.iter().enumerate() {
         assert_eq!(
@@ -106,8 +113,13 @@ fn main() {
             "{}: warm replay diverges from cold generation — equivalence bug",
             experiment.id
         );
+        assert_eq!(
+            generate.tables_csv[i], warm.tables_csv[i],
+            "{}: warm replay diverges from plain generation — equivalence bug",
+            experiment.id
+        );
     }
-    eprintln!("result tables identical across cold and warm passes");
+    eprintln!("result tables identical across cold, warm and generate passes");
     assert!(
         cold.trace.misses > 0,
         "cold pass generated no segments — purge or engagement is broken"
@@ -124,12 +136,23 @@ fn main() {
         "warm pass: 100.0% trace-cache hits ({} of {})",
         warm.trace.hits, warm.trace.hits
     );
+    assert_eq!(
+        generate.trace,
+        TraceCacheStats::default(),
+        "generate pass touched the trace cache — the policy override is broken"
+    );
 
-    let speedup = cold.total.as_secs_f64() / warm.total.as_secs_f64().max(1e-9);
+    let over = |pass: &Pass| cold.total.as_secs_f64() / pass.total.as_secs_f64().max(1e-9);
+    let speedup = over(&warm);
     eprintln!(
         "end-to-end speedup: {speedup:.2}x ({:.2?} -> {:.2?}); \
          suite construction {:.2?} -> {:.2?}",
         cold.total, warm.total, cold.construction, warm.construction,
+    );
+    let replay_over_generate = generate.total.as_secs_f64() / warm.total.as_secs_f64().max(1e-9);
+    eprintln!(
+        "warm replay against plain generation: {replay_over_generate:.2}x ({:.2?} -> {:.2?})",
+        generate.total, warm.total,
     );
     let mut failed = false;
     if speedup < 2.0 {
@@ -146,6 +169,7 @@ fn main() {
         warm_construction_us = u64::try_from(warm.construction.as_micros()).unwrap_or(u64::MAX),
         cold_total_us = u64::try_from(cold.total.as_micros()).unwrap_or(u64::MAX),
         warm_total_us = u64::try_from(warm.total.as_micros()).unwrap_or(u64::MAX),
+        generate_total_us = u64::try_from(generate.total.as_micros()).unwrap_or(u64::MAX),
         warm_hits = warm.trace.hits,
         bytes_written = cold.trace.bytes_written,
         speedup = speedup
@@ -155,7 +179,8 @@ fn main() {
         "pass,construction_seconds,total_seconds,trace_hits,trace_misses,\
          bytes_read,bytes_written,speedup\n",
     );
-    for (label, pass, ratio) in [("cold", &cold, 1.0), ("warm", &warm, speedup)] {
+    for (label, pass) in [("cold", &cold), ("warm", &warm), ("generate", &generate)] {
+        let ratio = over(pass);
         csv.push_str(&format!(
             "{label},{:.3},{:.3},{},{},{},{},{ratio:.2}\n",
             pass.construction.as_secs_f64(),
@@ -167,10 +192,10 @@ fn main() {
         ));
     }
 
-    trace_cache::override_policy(None);
-
-    let all_metrics: Vec<ExperimentMetrics> =
-        cold.metrics.into_iter().chain(warm.metrics).collect();
+    let all_metrics: Vec<ExperimentMetrics> = [cold.metrics, warm.metrics, generate.metrics]
+        .into_iter()
+        .flatten()
+        .collect();
     match ibp_bench::write_manifest(&all_metrics) {
         Ok(path) => eprintln!("runtime manifest written to {}", path.display()),
         Err(e) => obs::warn!("could not write manifest.csv: {e}"),

@@ -588,12 +588,18 @@ impl<'a> Sweep<'a> {
             cell.note("outcome", "miss");
             cell.note("configs", members.len());
             cell.note("wait_us", wait_us);
-            let mut source = self.suite.source(*b);
             // Event accounting stays per-unit even though a pass is
             // shared: each cell still folds one trace length of events.
             simulated_events().add(self.suite.events() * members.len() as u64);
             cell.note("events", self.suite.events());
-            let mut plan = self.plan_pass(units, members);
+            // A pass whose replay fails is planned and folded afresh.
+            let (plan, pass) = self.suite.pass(*b, |source| {
+                let mut plan = self.plan_pass(units, members);
+                let measures = std::mem::take(&mut plan.measures);
+                let pass =
+                    simulate_source_cells(source, &mut plan.kernels, &mut plan.tries, measures)?;
+                Ok((plan, pass))
+            });
             if !plan.tries.is_empty() {
                 let families: Vec<String> = plan
                     .tries
@@ -602,13 +608,6 @@ impl<'a> Sweep<'a> {
                     .collect();
                 cell.note("tries", families.join("; "));
             }
-            let pass = simulate_source_cells(
-                &mut *source,
-                &mut plan.kernels,
-                &mut plan.tries,
-                plan.measures,
-            )
-            .expect("suite sources cannot fail");
             if pass.keys > 0 {
                 cell.note("keys", pass.keys);
             }

@@ -172,19 +172,20 @@ mod tests {
     fn folded(suite: &Suite) -> Vec<Table> {
         let benchmarks = suite.benchmarks();
         let breakdowns: Vec<Vec<MissBreakdown>> = parallel_map(&benchmarks, |&b| {
-            let mut predictors: Vec<TwoLevelPredictor> = ATTRIBUTION_POINTS
-                .iter()
-                .map(|&(size, p)| {
-                    TwoLevelPredictor::full_assoc(CompressedKeySpec::practical(p), size)
-                })
-                .collect();
-            simulate_classified_source(&mut *suite.source(b), &mut predictors)
-                .expect("suite sources cannot fail")
+            suite.pass(b, |source| {
+                let mut predictors: Vec<TwoLevelPredictor> = ATTRIBUTION_POINTS
+                    .iter()
+                    .map(|&(size, p)| {
+                        TwoLevelPredictor::full_assoc(CompressedKeySpec::practical(p), size)
+                    })
+                    .collect();
+                simulate_classified_source(source, &mut predictors)
+            })
         });
         let census = census_benchmarks(suite);
         let paths: Vec<usize> = CENSUS_PATHS.collect();
         let counts: Vec<Vec<usize>> = parallel_map(&census, |&b| {
-            pattern_census_source(&mut *suite.source(b), &paths).expect("suite sources cannot fail")
+            suite.pass(b, |source| pattern_census_source(source, &paths))
         });
         // Transpose to the engine's [job][benchmark] order.
         let by_point: Vec<Vec<MissBreakdown>> = (0..ATTRIBUTION_POINTS.len())

@@ -203,53 +203,52 @@ mod tests {
         let depths: [usize; 4] = [1, 2, 4, 8];
         let present = ahead_benchmarks(suite);
         let per_bench: Vec<AheadHits> = parallel_map(&present, |&b| {
-            let mut source = suite.source(b);
-            let max_depth = *depths.last().expect("depths");
-            let mut predictor = AheadPredictor::new(4);
-            // pending[d] = predictions made d+1 branches ago at chain depth d.
-            let mut pending: Vec<std::collections::VecDeque<AheadPrediction>> =
-                vec![std::collections::VecDeque::new(); max_depth];
-            let mut correct = vec![0u64; max_depth];
-            let mut scored = 0u64;
-            let mut chunk = TraceChunk::default();
-            loop {
-                let more = source
-                    .fill(&mut chunk, chunk_events())
-                    .expect("suite sources cannot fail");
-                for event in chunk.events() {
-                    let TraceEvent::Indirect(br) = event else {
-                        continue;
-                    };
-                    scored += 1;
-                    for (d, queue) in pending.iter_mut().enumerate() {
-                        if queue.len() > d {
-                            if let Some(pred) = queue.pop_front() {
-                                if pred.pc == br.pc && pred.target == br.target {
-                                    correct[d] += 1;
+            suite.pass(b, |source| {
+                let max_depth = *depths.last().expect("depths");
+                let mut predictor = AheadPredictor::new(4);
+                // pending[d] = predictions made d+1 branches ago at chain depth d.
+                let mut pending: Vec<std::collections::VecDeque<AheadPrediction>> =
+                    vec![std::collections::VecDeque::new(); max_depth];
+                let mut correct = vec![0u64; max_depth];
+                let mut scored = 0u64;
+                let mut chunk = TraceChunk::default();
+                loop {
+                    let more = source.fill(&mut chunk, chunk_events())?;
+                    for event in chunk.events() {
+                        let TraceEvent::Indirect(br) = event else {
+                            continue;
+                        };
+                        scored += 1;
+                        for (d, queue) in pending.iter_mut().enumerate() {
+                            if queue.len() > d {
+                                if let Some(pred) = queue.pop_front() {
+                                    if pred.pc == br.pc && pred.target == br.target {
+                                        correct[d] += 1;
+                                    }
                                 }
                             }
                         }
-                    }
-                    predictor.update(br.pc, br.target);
-                    let chain = predictor.predict_chain(max_depth);
-                    for (d, queue) in pending.iter_mut().enumerate() {
-                        match chain.get(d) {
-                            Some(&p) => queue.push_back(p),
-                            None => queue.push_back(AheadPrediction {
-                                pc: ibp_trace::Addr::ZERO,
-                                target: ibp_trace::Addr::ZERO,
-                            }),
+                        predictor.update(br.pc, br.target);
+                        let chain = predictor.predict_chain(max_depth);
+                        for (d, queue) in pending.iter_mut().enumerate() {
+                            match chain.get(d) {
+                                Some(&p) => queue.push_back(p),
+                                None => queue.push_back(AheadPrediction {
+                                    pc: ibp_trace::Addr::ZERO,
+                                    target: ibp_trace::Addr::ZERO,
+                                }),
+                            }
                         }
                     }
+                    if !more {
+                        break;
+                    }
                 }
-                if !more {
-                    break;
-                }
-            }
-            AheadHits {
-                scored,
-                correct: depths.map(|d| correct[d - 1]),
-            }
+                Ok(AheadHits {
+                    scored,
+                    correct: depths.map(|d| correct[d - 1]),
+                })
+            })
         });
         ahead_table(&present, &per_bench)
     }

@@ -91,7 +91,7 @@ mod tests {
         let mut c = Table::new("Table 2: C benchmarks", headers);
         let benchmarks = suite.benchmarks();
         let all_stats = parallel_map(&benchmarks, |&b| {
-            TraceStats::from_source(&mut *suite.source(b)).expect("suite sources cannot fail")
+            suite.pass(b, |source| TraceStats::from_source(source))
         });
         for (b, stats) in benchmarks.into_iter().zip(all_stats) {
             let row = vec![

@@ -57,8 +57,9 @@
 //!   the pass falls back to direct generation.
 //! * `trace_cache.rename` (I/O): a trace segment's publish rename fails;
 //!   the temp file is removed and the pass generates directly.
-//! * `trace_cache.read` (I/O): a trace segment's verification reads
-//!   corrupt; the segment is evicted and regenerated.
+//! * `trace_cache.read` (I/O): a corpus replay's first fill fails as a
+//!   corrupt segment's would; the replay evicts its segment, and its pass
+//!   folds again on the generator.
 //! * `journal.write` (I/O): the journal sink's write fails; the journal
 //!   disables itself with a warning and the run continues.
 //!

@@ -1,6 +1,7 @@
 //! The benchmark suite: trace sources, per-benchmark rates, group averages.
 
 use ibp_core::Predictor;
+use ibp_trace::io::TraceIoError;
 use ibp_trace::EventSource;
 use ibp_workload::{Benchmark, BenchmarkGroup};
 
@@ -10,12 +11,13 @@ use crate::run::{simulate_source, RunStats};
 /// A set of benchmark traces replayed across predictor configurations.
 ///
 /// A suite holds no events: it names its benchmarks and their trace
-/// length, and every consumer pulls a fresh chunked pass through
-/// [`source`](Suite::source) — a verified replay of the benchmark's
-/// trace-corpus segment ([`crate::trace_cache`]), or a generator pass when
-/// the corpus is off or the traces are too short for it. Memory therefore
-/// stays constant in the trace length, and a suite whose cells are all
-/// cache hits reads no trace at all.
+/// length, and every consumer folds a fresh chunked pass through
+/// [`pass`](Suite::pass) — over a replay of the benchmark's trace-corpus
+/// segment ([`crate::trace_cache`]), which checks the segment as it
+/// streams, or over a generator pass when the corpus is off or the traces
+/// are too short for it. Memory therefore stays constant in the trace
+/// length, and a suite whose cells are all cache hits reads no trace at
+/// all.
 #[derive(Debug)]
 pub struct Suite {
     benchmarks: Vec<Benchmark>,
@@ -40,8 +42,8 @@ impl Suite {
     ///
     /// When the trace corpus engages at this length, every benchmark
     /// whose segment is not on disk yet has it generated and published
-    /// here, in parallel; segments already on disk are neither read nor
-    /// verified until a pass opens them.
+    /// here, in parallel; segments already on disk are not opened until a
+    /// pass replays them.
     #[must_use]
     pub fn with_benchmarks_and_len(benchmarks: &[Benchmark], events: u64) -> Self {
         crate::trace_cache::publish_missing(benchmarks, events);
@@ -72,22 +74,34 @@ impl Suite {
         self.benchmarks.clone()
     }
 
-    /// A fresh event source over the benchmark's trace: a replay of its
-    /// corpus segment, or a new generator pass.
+    /// Folds `pass` over a fresh source of the benchmark's trace and
+    /// returns what it computed: a replay of its corpus segment, or a new
+    /// generator pass. A replay checks its segment as it streams, so the
+    /// result of a pass over one counts only once the replay has drained
+    /// clean. If the replay fails instead, it has evicted its segment and
+    /// journaled the fault: the result is dropped, and `pass` runs once more
+    /// over a generator source. No panic is involved, so the retry holds
+    /// inside a `parallel_map` item that is itself a retry.
     ///
     /// # Panics
     ///
-    /// Panics if the benchmark is not part of this suite.
-    #[must_use]
-    pub fn source(&self, benchmark: Benchmark) -> Box<dyn EventSource + '_> {
+    /// Panics if the benchmark is not part of this suite, or if `pass`
+    /// fails over a generator source, which cannot fail.
+    pub fn pass<R>(
+        &self,
+        benchmark: Benchmark,
+        mut pass: impl FnMut(&mut dyn EventSource) -> Result<R, TraceIoError>,
+    ) -> R {
         assert!(
             self.benchmarks.contains(&benchmark),
             "benchmark {benchmark} not in suite"
         );
-        match crate::trace_cache::source_for(benchmark, self.events) {
-            Some(replay) => Box::new(replay),
-            None => Box::new(benchmark.source(self.events)),
+        if let Some(mut replay) = crate::trace_cache::source_for(benchmark, self.events) {
+            if let Ok(result) = pass(&mut replay).and_then(|r| replay.drain().map(|()| r)) {
+                return result;
+            }
         }
+        pass(&mut benchmark.source(self.events)).expect("generator sources cannot fail")
     }
 
     /// Runs a fresh predictor (from `make`) over every benchmark, in
@@ -98,9 +112,7 @@ impl Suite {
         F: Fn() -> Box<dyn Predictor> + Sync,
     {
         let rates = parallel_map(&self.benchmarks, |&b| {
-            let mut p = make();
-            let stats = simulate_source(&mut *self.source(b), p.as_mut(), 0)
-                .expect("suite sources cannot fail");
+            let stats = self.pass(b, |source| simulate_source(source, make().as_mut(), 0));
             (b, stats)
         });
         SuiteResult { runs: rates }
@@ -193,14 +205,15 @@ mod tests {
     fn suite_holds_requested_benchmarks() {
         let s = tiny_suite();
         assert_eq!(s.benchmarks(), vec![Benchmark::Ixx, Benchmark::Xlisp]);
-        assert_eq!(s.source(Benchmark::Ixx).remaining_indirect(), Some(5_000));
+        let remaining = s.pass(Benchmark::Ixx, |source| Ok(source.remaining_indirect()));
+        assert_eq!(remaining, Some(5_000));
     }
 
     #[test]
     #[should_panic(expected = "not in suite")]
     fn missing_benchmark_panics() {
         let s = tiny_suite();
-        let _ = s.source(Benchmark::Gcc);
+        s.pass(Benchmark::Gcc, |_| Ok(()));
     }
 
     #[test]
@@ -238,13 +251,14 @@ mod tests {
         let s = Suite::with_benchmarks_and_len(&[Benchmark::Ixx], LONG);
         assert!(s.streamed());
         assert_eq!(s.benchmarks(), vec![Benchmark::Ixx]);
-        let mut src = s.source(Benchmark::Ixx);
-        assert_eq!(src.remaining_indirect(), Some(LONG));
-        let mut chunk = ibp_trace::TraceChunk::default();
-        let more = src.fill(&mut chunk, 64).unwrap();
-        assert!(more);
-        assert_eq!(chunk.indirect_count(), 64);
-        drop(src);
+        s.pass(Benchmark::Ixx, |src| {
+            assert_eq!(src.remaining_indirect(), Some(LONG));
+            let mut chunk = ibp_trace::TraceChunk::default();
+            let more = src.fill(&mut chunk, 64)?;
+            assert!(more);
+            assert_eq!(chunk.indirect_count(), 64);
+            Ok(())
+        });
         crate::trace_cache::override_policy(None);
     }
 

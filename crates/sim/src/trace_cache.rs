@@ -29,12 +29,17 @@
 //! Replay is byte-identical by construction: the writer drains the very
 //! generator source the consumer would have used, the IBPB codec
 //! round-trips events and counters exactly, and chunk boundaries carry no
-//! meaning under the [`ibp_trace::EventSource`] contract. Segments are verified
-//! (length, counts, checksum, per-record structure) once per process
-//! before first use; corrupt files are evicted with a warning and
-//! regenerated — never a panic, never a silently wrong replay. If the
-//! cache directory is unusable the caller falls back to direct
-//! generation.
+//! meaning under the [`ibp_trace::EventSource`] contract. Opening a
+//! segment parses its header and checks the file's length against it, so
+//! a torn or truncated file is evicted with a warning and regenerated
+//! before any pass reads it. Each [`Replay`] then checks the rest as it
+//! streams: every record's tag and address alignment as it decodes, and
+//! the record and indirect counts, trailing bytes and payload checksum
+//! when it drains. A replay that fails evicts its segment and journals a
+//! `degraded` record, and [`crate::Suite::pass`] drops what the pass
+//! computed and folds it again on the generator: a corrupt file costs
+//! time, never a panic and never a silently wrong table. If the cache
+//! directory is unusable the caller falls back to direct generation.
 //!
 //! The cache engages for suites of [`MIN_CACHE_EVENTS`] events or more —
 //! below that, generation is cheaper than the I/O bookkeeping, and the
@@ -42,13 +47,16 @@
 //! directories. [`override_policy`] pins it on or off for tests and
 //! harnesses; no knob does.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use ibp_obs as obs;
-use ibp_trace::binary::{verify_binary, write_binary_source, BinarySource};
+use ibp_trace::binary::{write_binary_source, BinarySource};
+use ibp_trace::io::TraceIoError;
+use ibp_trace::{chunk_events, EventSource, TraceChunk};
 use ibp_workload::Benchmark;
 
 use crate::parallel::parallel_map;
@@ -120,16 +128,16 @@ fn counters() -> &'static Counters {
 }
 
 /// Snapshot of the process-wide trace-cache counters. A *hit* is a trace
-/// request served from a verified segment file; a *miss* generated (and
-/// published) the segment first. Byte counters cover segment I/O in both
-/// directions, verification reads included.
+/// request served from a segment on disk; a *miss* generated (and
+/// published) the segment first. `bytes_read` counts what replays read,
+/// as they fill; `bytes_written` what publishing wrote.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCacheStats {
-    /// Requests served from an existing verified segment.
+    /// Requests served from a segment already on disk.
     pub hits: u64,
     /// Requests that had to generate and publish the segment.
     pub misses: u64,
-    /// Bytes read from segment files (verification + replay).
+    /// Bytes replays read from segment files.
     pub bytes_read: u64,
     /// Bytes written publishing new segments.
     pub bytes_written: u64,
@@ -191,9 +199,9 @@ fn segment_file_name(benchmark: Benchmark, events: u64) -> String {
     format!("{}-{events}-{fingerprint:016x}.ibpb", benchmark.name())
 }
 
-/// Serialises generate/verify work per segment path: concurrent requests
-/// for the same trace block until the first one has published (instead of
-/// racing duplicate generator passes).
+/// Serialises open and generate work per segment path: concurrent
+/// requests for the same trace block until the first one has published
+/// (instead of racing duplicate generator passes).
 fn key_lock(path: &Path) -> Arc<Mutex<()>> {
     static LOCKS: OnceLock<Mutex<HashMap<PathBuf, Arc<Mutex<()>>>>> = OnceLock::new();
     LOCKS
@@ -205,23 +213,124 @@ fn key_lock(path: &Path) -> Arc<Mutex<()>> {
         .clone()
 }
 
-/// Segment files already verified (or written) by this process; replays
-/// of these skip the per-process verification pass.
-fn verified() -> &'static Mutex<HashSet<PathBuf>> {
-    static VERIFIED: OnceLock<Mutex<HashSet<PathBuf>>> = OnceLock::new();
-    VERIFIED.get_or_init(|| Mutex::new(HashSet::new()))
+/// Evicts the stale schema directories under `root` the first time this
+/// process opens a segment there.
+fn evict_stale_once(root: &Path) {
+    static SWEPT: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+    let mut swept = SWEPT.lock().unwrap_or_else(PoisonError::into_inner);
+    if !swept.iter().any(|r| r == root) {
+        crate::cache::evict_stale(root, TRACE_SCHEMA_VERSION, "trace cache");
+        swept.push(root.to_owned());
+    }
 }
 
-/// Full checksum + structure verification of one segment file; returns
-/// the file length on success.
-fn verify_file(path: &Path) -> Result<u64, String> {
-    if let Some(e) = crate::faults::io_error("trace_cache.read") {
-        return Err(e.to_string());
+/// Deletes a segment that failed a check, with a warning and one
+/// `degraded` journal record at `trace_cache.read`.
+fn evict(path: &Path, detail: &str) {
+    obs::warn!(
+        "trace cache: evicting corrupt segment {}: {detail}",
+        path.display()
+    );
+    obs::event!("degraded", site = "trace_cache.read", detail = detail);
+    let _ = fs::remove_file(path);
+}
+
+/// A segment file that counts the bytes read from it.
+struct Counted {
+    file: fs::File,
+    bytes: u64,
+}
+
+impl Read for Counted {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.file.read(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
     }
-    let file = fs::File::open(path).map_err(|e| e.to_string())?;
-    let len = file.metadata().map_err(|e| e.to_string())?.len();
-    verify_binary(file).map_err(|e| e.to_string())?;
-    Ok(len)
+}
+
+/// One pass's replay of a corpus segment: an [`EventSource`] event- and
+/// counter-identical to a generator pass over the same trace.
+///
+/// It checks the segment as it streams (see the module docs). When a fill
+/// fails, or its first fill meets an injected `trace_cache.read` fault, it
+/// evicts the segment and journals one `degraded` record before it returns
+/// the error. Each fill adds what the replay has read so far to
+/// `trace_cache.bytes_read`, the header included, so a drained replay adds
+/// its file's length and one dropped unread adds nothing.
+pub struct Replay {
+    path: PathBuf,
+    source: BinarySource<Counted>,
+    /// Bytes of the file already added to the counter.
+    counted: u64,
+}
+
+impl Replay {
+    /// Opens the segment at `path`: `Ok(None)` when there is none, and an
+    /// error when its header does not parse or the file's length is not
+    /// the one the header gives.
+    fn open(path: &Path) -> Result<Option<Replay>, String> {
+        let file = match fs::File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.to_string()),
+        };
+        let len = file.metadata().map_err(|e| e.to_string())?.len();
+        let source = BinarySource::new(Counted { file, bytes: 0 }).map_err(|e| e.to_string())?;
+        if len != source.encoded_len() {
+            return Err(format!(
+                "{len} bytes on disk where the header gives {}",
+                source.encoded_len()
+            ));
+        }
+        Ok(Some(Replay {
+            path: path.to_owned(),
+            source,
+            counted: 0,
+        }))
+    }
+
+    /// Reads what a pass left of the segment, so that its end-of-stream
+    /// checks have run when this returns `Ok`; over a drained replay it
+    /// reads nothing.
+    ///
+    /// # Errors
+    ///
+    /// The replay's failure, as [`EventSource::fill`] returns it.
+    pub(crate) fn drain(&mut self) -> Result<(), TraceIoError> {
+        let mut chunk = TraceChunk::default();
+        while self.fill(&mut chunk, chunk_events())? {}
+        Ok(())
+    }
+}
+
+impl EventSource for Replay {
+    fn name(&self) -> &str {
+        self.source.name()
+    }
+
+    fn fill(&mut self, chunk: &mut TraceChunk, max_indirect: u64) -> Result<bool, TraceIoError> {
+        // The fault site stands for a segment that reads corrupt, so each
+        // replay crosses it once: at its first fill, before it has counted
+        // any byte.
+        let fault = if self.counted == 0 {
+            crate::faults::io_error("trace_cache.read")
+        } else {
+            None
+        };
+        let filled = match fault {
+            Some(e) => Err(TraceIoError::Io(e)),
+            None => self.source.fill(chunk, max_indirect),
+        };
+        let read = self.source.get_ref().bytes;
+        counters().bytes_read.add(read - self.counted);
+        self.counted = read;
+        filled.inspect_err(|e| evict(&self.path, &e.to_string()))
+    }
+
+    fn remaining_indirect(&self) -> Option<u64> {
+        self.source.remaining_indirect()
+    }
 }
 
 /// Generates the benchmark trace into `tmp`, fsyncing before returning
@@ -261,67 +370,42 @@ fn remove_stale_fingerprints(dir: &Path, benchmark: Benchmark, events: u64, keep
     }
 }
 
-/// Ensures a verified segment for `(benchmark, events)` exists under
-/// `root`, generating it on a miss. Returns the segment, `None` when the
-/// cache directory is unusable (the caller falls back to direct
-/// generation), together with the counts this request added to the
-/// process-wide counters: a tally no other request can move.
-fn ensure_segment_at(
-    root: &Path,
-    benchmark: Benchmark,
-    events: u64,
-) -> (Option<PathBuf>, TraceCacheStats) {
+/// Opens the segment for `(benchmark, events)` under `root` for replay,
+/// generating and publishing it first when it is missing or fails its
+/// open checks. Returns the replay, `None` when the cache directory is
+/// unusable (the caller falls back to direct generation), together with
+/// the counts this request added to the process-wide counters: a tally no
+/// other request can move. A replay's reads are counted as it fills.
+fn replay_at(root: &Path, benchmark: Benchmark, events: u64) -> (Option<Replay>, TraceCacheStats) {
     let mut tally = TraceCacheStats::default();
-    let path = find_or_publish(root, benchmark, events, &mut tally);
+    let replay = find_or_publish(root, benchmark, events, &mut tally);
     let c = counters();
     c.hits.add(tally.hits);
     c.misses.add(tally.misses);
-    c.bytes_read.add(tally.bytes_read);
     c.bytes_written.add(tally.bytes_written);
-    (path, tally)
+    (replay, tally)
 }
 
-/// [`ensure_segment_at`]'s work, counting into `tally`.
+/// [`replay_at`]'s work, counting into `tally`.
 fn find_or_publish(
     root: &Path,
     benchmark: Benchmark,
     events: u64,
     tally: &mut TraceCacheStats,
-) -> Option<PathBuf> {
+) -> Option<Replay> {
     let dir = version_dir(root);
     let path = dir.join(segment_file_name(benchmark, events));
     let lock = key_lock(&path);
     let _guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
 
-    if verified()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .contains(&path)
-    {
-        tally.hits += 1;
-        return Some(path);
-    }
-    crate::cache::evict_stale(root, TRACE_SCHEMA_VERSION, "trace cache");
-    if path.exists() {
-        match verify_file(&path) {
-            Ok(len) => {
-                tally.hits += 1;
-                tally.bytes_read += len;
-                verified()
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(path.clone());
-                return Some(path);
-            }
-            Err(e) => {
-                obs::warn!(
-                    "trace cache: evicting corrupt segment {}: {e}",
-                    path.display()
-                );
-                obs::event!("degraded", site = "trace_cache.read", detail = e.as_str());
-                let _ = fs::remove_file(&path);
-            }
+    evict_stale_once(root);
+    match Replay::open(&path) {
+        Ok(Some(replay)) => {
+            tally.hits += 1;
+            return Some(replay);
         }
+        Ok(None) => {}
+        Err(e) => evict(&path, &e),
     }
 
     // Miss: run the generator once, teed through the binary writer, and
@@ -368,29 +452,18 @@ fn find_or_publish(
     span.note("bytes", bytes);
     remove_stale_fingerprints(&dir, benchmark, events, &path);
     tally.bytes_written += bytes;
-    // We wrote and fsynced it ourselves; no verification pass needed.
-    verified()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(path.clone());
-    Some(path)
-}
-
-fn open_segment(path: &Path) -> Result<BinarySource<fs::File>, String> {
-    let file = fs::File::open(path).map_err(|e| e.to_string())?;
-    let len = file.metadata().map_err(|e| e.to_string())?.len();
-    let source = BinarySource::new(file).map_err(|e| e.to_string())?;
-    counters().bytes_read.add(len);
-    Ok(source)
+    Replay::open(&path).unwrap_or_else(|e| {
+        obs::warn!("trace cache: cannot replay {}: {e}", path.display());
+        None
+    })
 }
 
 /// Publishes the segments of `benchmarks` at `events` that are not on disk
 /// yet, generating them on the [`parallel_map`] queue; does nothing when
 /// the cache is not engaged at this length. A segment already on disk is
-/// neither read nor verified here: that waits for the first
-/// [`source_for`] that opens it. So over a full corpus this moves no
-/// counter and starts no worker, and over an empty one it counts one miss
-/// per segment and reads nothing.
+/// not opened here: that waits for the first [`source_for`] of a pass. So
+/// over a full corpus this moves no counter and starts no worker, and
+/// over an empty one it counts one miss per segment and reads nothing.
 pub(crate) fn publish_missing(benchmarks: &[Benchmark], events: u64) {
     if !engaged(events) {
         return;
@@ -403,51 +476,26 @@ pub(crate) fn publish_missing(benchmarks: &[Benchmark], events: u64) {
         .filter(|&b| !dir.join(segment_file_name(b, events)).exists())
         .collect();
     parallel_map(&missing, |&b| {
-        ensure_segment_at(&root, b, events);
+        replay_at(&root, b, events);
     });
 }
 
-/// A fresh replay cursor over the cached segment for
-/// `(benchmark, events)` — an independent [`ibp_trace::EventSource`], event- and
-/// counter-identical to a generator pass. `None` when the cache is not
-/// engaged at this event count or is unusable; callers fall back to
-/// direct generation.
+/// A fresh replay of the cached segment for `(benchmark, events)`: an
+/// independent cursor over the file, whose checks finish when it drains.
+/// `None` when the cache is not engaged at this event count or is
+/// unusable; callers fall back to direct generation.
 #[must_use]
-pub fn source_for(benchmark: Benchmark, events: u64) -> Option<BinarySource<fs::File>> {
+pub fn source_for(benchmark: Benchmark, events: u64) -> Option<Replay> {
     if !engaged(events) {
         return None;
     }
-    let path = ensure_segment_at(&traces_root(), benchmark, events).0?;
-    match open_segment(&path) {
-        Ok(source) => Some(source),
-        Err(e) => {
-            obs::warn!("trace cache: cannot replay {}: {e}", path.display());
-            None
-        }
-    }
+    replay_at(&traces_root(), benchmark, events).0
 }
 
-/// Deletes the entire trace cache directory (and this process's
-/// verified-segment memory). Harness binaries use it to force a cold
-/// first pass.
+/// Deletes the entire trace cache directory. Harness binaries use it to
+/// force a cold first pass.
 pub fn purge() {
-    let root = traces_root();
-    let _ = fs::remove_dir_all(&root);
-    verified()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-}
-
-/// Forgets every segment this process has verified (or written), forcing
-/// the next request for each to re-verify the file on disk — what a fresh
-/// process would do. Fault harnesses use it to re-exercise the
-/// verification path without spawning a process.
-pub fn forget_verified() {
-    verified()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
+    let _ = fs::remove_dir_all(traces_root());
 }
 
 /// Serialises tests that flip the process-global policy/root overrides
@@ -475,79 +523,78 @@ mod tests {
         dir
     }
 
-    /// Forgets per-process verification state for `path`, simulating a
-    /// fresh process that must re-verify the file on disk.
-    fn forget(path: &Path) {
-        verified()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(path);
+    const EVENTS: u64 = 2_000;
+
+    fn segment(root: &Path, benchmark: Benchmark) -> PathBuf {
+        version_dir(root).join(segment_file_name(benchmark, EVENTS))
     }
 
-    const EVENTS: u64 = 2_000;
+    /// Drains a replay and checks it against the generator.
+    fn assert_replays_the_generator(replay: Option<Replay>, benchmark: Benchmark) {
+        let mut replay = replay.expect("segment");
+        let replayed = collect_source(&mut replay).expect("clean replay");
+        let direct = benchmark.trace_with_len(EVENTS);
+        assert_eq!(replayed.name(), direct.name());
+        assert_eq!(replayed.events(), direct.events());
+        assert_eq!(replayed.instructions(), direct.instructions());
+        assert_eq!(replayed.cond_count(), direct.cond_count());
+    }
 
     #[test]
     fn miss_generates_then_hit_replays_identically() {
         let root = scratch_root("roundtrip");
-        let (path, miss) = ensure_segment_at(&root, Benchmark::Ixx, EVENTS);
-        let path = path.expect("segment");
-        assert!(path.exists());
-        assert_eq!(miss.misses, 1);
+        let (replay, miss) = replay_at(&root, Benchmark::Ixx, EVENTS);
+        assert!(segment(&root, Benchmark::Ixx).exists());
+        assert_eq!((miss.hits, miss.misses), (0, 1));
         assert!(miss.bytes_written > 0);
+        drop(replay);
 
-        let (again, hit) = ensure_segment_at(&root, Benchmark::Ixx, EVENTS);
-        assert_eq!(again.expect("segment"), path);
-        assert_eq!(miss.hits + hit.hits, 1);
-
-        let mut source = open_segment(&path).expect("open");
-        let replay = collect_source(&mut source).expect("replay");
-        let direct = Benchmark::Ixx.trace_with_len(EVENTS);
-        assert_eq!(replay.name(), direct.name());
-        assert_eq!(replay.events(), direct.events());
-        assert_eq!(replay.instructions(), direct.instructions());
-        assert_eq!(replay.cond_count(), direct.cond_count());
+        let (again, hit) = replay_at(&root, Benchmark::Ixx, EVENTS);
+        assert_eq!((hit.hits, hit.misses, hit.bytes_written), (1, 0, 0));
+        assert_replays_the_generator(again, Benchmark::Ixx);
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn corrupt_segment_is_evicted_and_regenerated() {
         let root = scratch_root("corrupt");
-        let path = ensure_segment_at(&root, Benchmark::Gcc, EVENTS)
-            .0
-            .expect("segment");
-        // Garble one payload byte, then pretend we are a new process.
+        drop(replay_at(&root, Benchmark::Gcc, EVENTS));
+        let path = segment(&root, Benchmark::Gcc);
+        // Garble the last payload byte: the open checks pass, and only the
+        // drain's checksum sees it.
         let mut bytes = fs::read(&path).expect("read");
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(&path, &bytes).expect("garble");
-        forget(&path);
 
-        let (regenerated, tally) = ensure_segment_at(&root, Benchmark::Gcc, EVENTS);
-        assert_eq!(regenerated.expect("segment"), path);
-        assert_eq!(tally.misses, 1, "verify failed -> regenerate");
-        let mut source = open_segment(&path).expect("open");
-        let replay = collect_source(&mut source).expect("replay after regeneration");
-        assert_eq!(
-            replay.events(),
-            Benchmark::Gcc.trace_with_len(EVENTS).events()
-        );
+        let (replay, tally) = replay_at(&root, Benchmark::Gcc, EVENTS);
+        assert_eq!(tally.hits, 1, "the open checks pass");
+        let err = collect_source(&mut replay.expect("segment")).expect_err("checksum");
+        assert!(matches!(err, TraceIoError::Corrupt { .. }), "{err}");
+        assert!(!path.exists(), "the failed replay evicts its segment");
+
+        let (regenerated, tally) = replay_at(&root, Benchmark::Gcc, EVENTS);
+        assert_eq!(tally.misses, 1, "evicted -> regenerate");
+        assert_replays_the_generator(regenerated, Benchmark::Gcc);
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn truncated_segment_is_evicted_and_regenerated() {
         let root = scratch_root("truncated");
-        let path = ensure_segment_at(&root, Benchmark::Perl, EVENTS)
-            .0
-            .expect("segment");
+        drop(replay_at(&root, Benchmark::Perl, EVENTS));
+        let path = segment(&root, Benchmark::Perl);
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
-        forget(&path);
 
-        let (regenerated, tally) = ensure_segment_at(&root, Benchmark::Perl, EVENTS);
-        regenerated.expect("segment");
-        assert_eq!(tally.misses, 1);
-        verify_file(&path).expect("regenerated segment verifies");
+        // The length check at open catches it before any pass reads it.
+        let (regenerated, tally) = replay_at(&root, Benchmark::Perl, EVENTS);
+        assert_eq!((tally.hits, tally.misses), (0, 1));
+        assert_eq!(
+            fs::metadata(&path).expect("published").len(),
+            bytes.len() as u64
+        );
+        assert_replays_the_generator(regenerated, Benchmark::Perl);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -566,9 +613,7 @@ mod tests {
         ));
         fs::write(&stale_fp, b"old fingerprint").expect("stale fp");
 
-        ensure_segment_at(&root, Benchmark::Ixx, EVENTS)
-            .0
-            .expect("segment");
+        replay_at(&root, Benchmark::Ixx, EVENTS).0.expect("segment");
         assert!(!stale_dir.exists(), "v0 evicted");
         assert!(!stale_fp.exists(), "old fingerprint evicted");
         let _ = fs::remove_dir_all(&root);
@@ -577,13 +622,10 @@ mod tests {
     #[test]
     fn streamed_cursors_are_independent() {
         let root = scratch_root("cursors");
-        let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS)
-            .0
-            .expect("segment");
-        let mut a = open_segment(&path).expect("open a");
-        let mut b = open_segment(&path).expect("open b");
-        let ta = collect_source(&mut a).expect("a");
-        let tb = collect_source(&mut b).expect("b");
+        let (mut a, _) = replay_at(&root, Benchmark::Ixx, EVENTS);
+        let (mut b, _) = replay_at(&root, Benchmark::Ixx, EVENTS);
+        let ta = collect_source(a.as_mut().expect("a")).expect("a");
+        let tb = collect_source(b.as_mut().expect("b")).expect("b");
         assert_eq!(ta.events(), tb.events());
         let _ = fs::remove_dir_all(&root);
     }
@@ -592,16 +634,29 @@ mod tests {
     fn injected_read_fault_evicts_and_regenerates() {
         let _faults = crate::faults::test_guard();
         let root = scratch_root("read-fault");
-        let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS)
-            .0
-            .expect("segment");
-        forget(&path);
-        crate::faults::override_spec(Some("trace_cache.read@1")).unwrap();
-        let (again, tally) = ensure_segment_at(&root, Benchmark::Ixx, EVENTS);
+        drop(replay_at(&root, Benchmark::Ixx, EVENTS));
+        let path = segment(&root, Benchmark::Ixx);
+        crate::faults::override_spec(Some("trace_cache.read@2")).unwrap();
+        // A replay crosses the site once, at its first fill: the first
+        // drains clean in many fills, and the second fails at its first.
+        let mut clean = replay_at(&root, Benchmark::Ixx, EVENTS).0.expect("segment");
+        let mut chunk = TraceChunk::default();
+        while clean.fill(&mut chunk, 64).expect("clean fill") {}
+        let (replay, tally) = replay_at(&root, Benchmark::Ixx, EVENTS);
+        assert_eq!(tally.hits, 1, "the fault fires at a fill, not at open");
+        let failed = replay.expect("segment").drain();
+        let (seen, fired) = (
+            crate::faults::seen("trace_cache.read"),
+            crate::faults::fired("trace_cache.read"),
+        );
         crate::faults::override_spec(None).unwrap();
-        assert_eq!(again.expect("segment"), path);
+        assert_eq!((seen, fired), (2, 1));
+        assert!(matches!(failed, Err(TraceIoError::Io(_))), "{failed:?}");
+        assert!(!path.exists(), "the failed replay evicts its segment");
+
+        let (regenerated, tally) = replay_at(&root, Benchmark::Ixx, EVENTS);
         assert_eq!(tally.misses, 1, "read fault -> evict + regenerate");
-        verify_file(&path).expect("regenerated segment verifies");
+        assert_replays_the_generator(regenerated, Benchmark::Ixx);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -611,7 +666,7 @@ mod tests {
         let root = scratch_root("write-fault");
         crate::faults::override_spec(Some("trace_cache.write@1")).unwrap();
         assert!(
-            ensure_segment_at(&root, Benchmark::Ixx, EVENTS).0.is_none(),
+            replay_at(&root, Benchmark::Ixx, EVENTS).0.is_none(),
             "write fault -> caller falls back to direct generation"
         );
         crate::faults::override_spec(None).unwrap();
@@ -624,7 +679,7 @@ mod tests {
                 );
             }
         }
-        ensure_segment_at(&root, Benchmark::Ixx, EVENTS)
+        replay_at(&root, Benchmark::Ixx, EVENTS)
             .0
             .expect("clean retry publishes");
         let _ = fs::remove_dir_all(&root);
@@ -635,7 +690,7 @@ mod tests {
         let _faults = crate::faults::test_guard();
         let root = scratch_root("rename-fault");
         crate::faults::override_spec(Some("trace_cache.rename@1")).unwrap();
-        assert!(ensure_segment_at(&root, Benchmark::Ixx, EVENTS).0.is_none());
+        assert!(replay_at(&root, Benchmark::Ixx, EVENTS).0.is_none());
         crate::faults::override_spec(None).unwrap();
         if let Ok(entries) = fs::read_dir(version_dir(&root)) {
             for entry in entries.flatten() {
@@ -646,7 +701,7 @@ mod tests {
                 );
             }
         }
-        ensure_segment_at(&root, Benchmark::Ixx, EVENTS)
+        replay_at(&root, Benchmark::Ixx, EVENTS)
             .0
             .expect("clean retry publishes");
         let _ = fs::remove_dir_all(&root);

@@ -12,10 +12,18 @@
 //! a site registered in `faults::SITES` that this file does not arm fails
 //! it.
 //!
+//! A trace corpus damaged on disk costs time, never correctness, too: a
+//! payload byte flipped in one segment, which only its replay's checks
+//! see, and another segment truncated, which the length check at open
+//! sees, must end in the corpus-off tables with one `trace_cache.read`
+//! record per damaged segment; so must the same sweep when a
+//! `parallel.worker` fault's inline retry meets the corrupt replay.
+//!
 //! The tests serialise on a local mutex: fault arming, the memo cache and
 //! the journal sink are process-global.
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ibp_core::PredictorConfig;
@@ -64,13 +72,23 @@ impl Write for SharedBuf {
 }
 
 impl SharedBuf {
-    fn degraded_count(&self) -> usize {
+    /// The site of each journaled `degraded` record.
+    fn degraded_sites(&self) -> Vec<String> {
         let bytes = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         String::from_utf8_lossy(&bytes)
             .lines()
             .filter_map(|l| Record::parse(l).ok())
             .filter(|r| r.kind == Kind::Event && r.name == "degraded")
-            .count()
+            .map(|r| r.field_str("site").unwrap_or_default().to_string())
+            .collect()
+    }
+
+    fn degraded_count(&self) -> usize {
+        self.degraded_sites().len()
+    }
+
+    fn degraded_at(&self, site: &str) -> usize {
+        self.degraded_sites().iter().filter(|s| *s == site).count()
     }
 }
 
@@ -160,8 +178,8 @@ fn io_faults_warn_and_continue_without_divergence() {
     trace_cache::override_policy(Some(true));
 
     // The trace-cache write sites fire when suite construction publishes
-    // a missing segment, and the read site when a sweep first opens one,
-    // so every pass builds its suite fresh inside the armed window.
+    // a missing segment, and the read site when a replay fills, so every
+    // pass builds its suite fresh inside the armed window.
     engine::clear_memo_cache();
     let baseline = {
         let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);
@@ -171,13 +189,10 @@ fn io_faults_warn_and_continue_without_divergence() {
     };
 
     for site in IO_SITES {
-        match site {
-            // A hit segment skips the write/publish path; purge so the
-            // pass regenerates. Verification runs once per process per
-            // segment, so forget to re-reach the read path.
-            "trace_cache.write" | "trace_cache.rename" => trace_cache::purge(),
-            "trace_cache.read" => trace_cache::forget_verified(),
-            _ => {}
+        // A hit segment skips the write/publish path; purge so the pass
+        // regenerates. Every replay reaches the read site.
+        if matches!(site, "trace_cache.write" | "trace_cache.rename") {
+            trace_cache::purge();
         }
         faults::override_spec(Some(&format!("{site}@1"))).expect("valid spec");
         let buf = SharedBuf::default();
@@ -222,6 +237,106 @@ fn every_site_outside_the_library_pipelines_is_armed_here() {
         armed, registered,
         "each registered engine site needs a containment test in this file"
     );
+}
+
+/// The published trace segment of `benchmark` under a corpus root.
+fn segment(root: &Path, benchmark: Benchmark) -> PathBuf {
+    let prefix = format!("{}-{EVENTS}-", benchmark.name());
+    std::fs::read_dir(root)
+        .expect("corpus root")
+        .flatten()
+        .flat_map(|dir| std::fs::read_dir(dir.path()).expect("schema dir").flatten())
+        .map(|entry| entry.path())
+        .find(|path| {
+            path.file_name()
+                .is_some_and(|name| name.to_string_lossy().starts_with(&prefix))
+        })
+        .unwrap_or_else(|| panic!("no segment for {benchmark}"))
+}
+
+/// Publishes a corpus, flips a payload byte in the middle of the first
+/// benchmark's segment and truncates the second's, and sweeps it with
+/// `worker_fault` armed. The first benchmark's pass is the sweep's first
+/// `parallel_map` item, so `parallel.worker@1` lands on it, and its inline
+/// retry then replays the corrupt segment: a retry of a failed replay that
+/// went through a panic would panic twice on that item and abort.
+fn damaged_corpus_sweep(tag: &str, worker_fault: Option<&str>) {
+    let [flipped, truncated] = BENCHMARKS;
+    let root = std::env::temp_dir().join(format!("ibp-damage-itest-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    trace_cache::override_root(Some(root.clone()));
+    trace_cache::override_policy(Some(false));
+    engine::clear_memo_cache();
+    let baseline = run_sweep(&Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS));
+
+    trace_cache::override_policy(Some(true));
+    let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);
+    let flipped = segment(&root, flipped);
+    let mut bytes = std::fs::read(&flipped).expect("read");
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0xFF;
+    std::fs::write(&flipped, &bytes).expect("flip a byte");
+    let truncated = segment(&root, truncated);
+    let bytes = std::fs::read(&truncated).expect("read");
+    std::fs::write(&truncated, &bytes[..bytes.len() - 100]).expect("truncate");
+
+    if let Some(spec) = worker_fault {
+        faults::override_spec(Some(spec)).expect("valid spec");
+    }
+    let buf = SharedBuf::default();
+    obs::journal::install_writer(Box::new(buf.clone()));
+    engine::clear_memo_cache();
+    let before = trace_cache::stats();
+    let damaged = run_sweep(&suite);
+    let delta = trace_cache::stats().since(before);
+    obs::journal::uninstall();
+    let worker_fired = faults::fired(WORKER_SITE);
+    faults::override_spec(None).expect("disarm");
+
+    assert_eq!(damaged, baseline, "a damaged corpus changes no table");
+    assert_eq!(
+        buf.degraded_at("trace_cache.read"),
+        2,
+        "one trace_cache.read record per damaged segment"
+    );
+    // The truncated segment failed its length check at open and was
+    // regenerated; the flipped one opened as a hit, its replay failed
+    // mid-pass and evicted it, and its pass folded again on the generator.
+    assert_eq!((delta.hits, delta.misses), (1, 1));
+    assert!(!flipped.exists(), "the failed replay evicts its segment");
+    if worker_fault.is_some() {
+        assert_eq!(worker_fired, 1, "the worker fault fires once");
+        assert_eq!(buf.degraded_at(WORKER_SITE), 1);
+    }
+
+    // The next sweep regenerates the evicted segment and replays both
+    // clean.
+    let buf = SharedBuf::default();
+    obs::journal::install_writer(Box::new(buf.clone()));
+    engine::clear_memo_cache();
+    let before = trace_cache::stats();
+    let clean = run_sweep(&suite);
+    let delta = trace_cache::stats().since(before);
+    obs::journal::uninstall();
+    assert_eq!(clean, baseline);
+    assert_eq!((delta.hits, delta.misses), (1, 1));
+    assert_eq!(buf.degraded_count(), 0);
+
+    trace_cache::override_policy(None);
+    trace_cache::override_root(None);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_flipped_byte_and_a_truncated_segment_change_no_table() {
+    let _serial = serial();
+    damaged_corpus_sweep("plain", None);
+}
+
+#[test]
+fn a_worker_retry_that_meets_a_corrupt_replay_changes_no_table() {
+    let _serial = serial();
+    damaged_corpus_sweep("worker", Some("parallel.worker@1"));
 }
 
 /// The published result-cache file under a results root, whatever its

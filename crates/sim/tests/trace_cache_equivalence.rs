@@ -2,10 +2,11 @@
 //! be observationally identical to generating traces directly — for every
 //! benchmark, cold and warm. Also the suite contract: building a suite
 //! publishes missing segments and reads none, a sweep opens one source per
-//! benchmark, and a sweep whose cells all hit reads no trace — nor does a
-//! second run of the experiments that measure traces.
+//! benchmark and reads exactly its segments' bytes, and a sweep whose
+//! cells all hit reads no trace — nor does a second run of the experiments
+//! that measure traces.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ibp_core::PredictorConfig;
 use ibp_sim::analysis::TraceLane;
@@ -33,6 +34,17 @@ fn scratch_root(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The bytes of every segment file under a corpus root.
+fn corpus_bytes(root: &Path) -> u64 {
+    let mut bytes = 0;
+    for dir in std::fs::read_dir(root).expect("corpus root").flatten() {
+        for segment in std::fs::read_dir(dir.path()).expect("schema dir").flatten() {
+            bytes += segment.metadata().expect("segment").len();
+        }
+    }
+    bytes
 }
 
 /// A config sample over the kernel families: a BTB, a bounded two-level
@@ -158,20 +170,44 @@ fn building_a_suite_publishes_missing_segments_and_reads_none() {
         "publishing reads nothing"
     );
 
-    // Over a full corpus — verified by this process or, after forgetting,
-    // as a fresh process finds it — construction moves no counter.
-    for fresh_process in [false, true] {
-        if fresh_process {
-            trace_cache::forget_verified();
-        }
-        let before = trace_cache::stats();
-        let _warm = Suite::with_benchmarks_and_len(&Benchmark::ALL, EVENTS);
-        assert_eq!(
-            trace_cache::stats().since(before),
-            trace_cache::TraceCacheStats::default(),
-            "full corpus (fresh process: {fresh_process})"
-        );
-    }
+    // Over a full corpus, construction moves no counter.
+    let before = trace_cache::stats();
+    let _warm = Suite::with_benchmarks_and_len(&Benchmark::ALL, EVENTS);
+    assert_eq!(
+        trace_cache::stats().since(before),
+        trace_cache::TraceCacheStats::default(),
+        "full corpus"
+    );
+
+    trace_cache::override_policy(None);
+    trace_cache::override_root(None);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_replay_counts_the_bytes_it_reads_as_it_fills() {
+    let _guard = serial();
+    let root = scratch_root("bytes");
+    trace_cache::override_root(Some(root.clone()));
+    trace_cache::override_policy(Some(true));
+    drop(Suite::with_benchmarks_and_len(&[Benchmark::Gcc], EVENTS));
+
+    // Opening a replay reads its header, but a replay dropped unread
+    // counts none of it.
+    let before = trace_cache::stats();
+    drop(trace_cache::source_for(Benchmark::Gcc, EVENTS));
+    let dropped = trace_cache::stats().since(before);
+    assert_eq!((dropped.hits, dropped.bytes_read), (1, 0));
+
+    // A drained replay counts the file's whole length.
+    let before = trace_cache::stats();
+    let mut replay = trace_cache::source_for(Benchmark::Gcc, EVENTS).expect("segment");
+    collect_source(&mut replay).expect("clean replay");
+    drop(replay);
+    assert_eq!(
+        trace_cache::stats().since(before).bytes_read,
+        corpus_bytes(&root)
+    );
 
     trace_cache::override_policy(None);
     trace_cache::override_root(None);
@@ -209,6 +245,11 @@ fn a_sweep_opens_one_source_per_benchmark() {
         SWEEP_BENCHMARKS.len() as u64,
         "{} cells open one source per benchmark",
         (sample_configs().len() + 1) * SWEEP_BENCHMARKS.len()
+    );
+    assert_eq!(
+        delta.bytes_read,
+        corpus_bytes(&root),
+        "the sweep reads each segment it replays once, whole"
     );
 
     trace_cache::override_policy(None);

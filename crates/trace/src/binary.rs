@@ -45,9 +45,11 @@
 //! Decoding validates structure as it goes (magic, version, tags, address
 //! alignment, record counts, trailing bytes) and verifies the payload
 //! checksum when the stream is fully drained; a truncated or garbled file
-//! surfaces as [`TraceIoError::Corrupt`], never a panic. Consumers that
-//! must not see a wrong event even *before* the end-of-stream check (the
-//! trace corpus cache) run [`verify_binary`] over the file first.
+//! surfaces as [`TraceIoError::Corrupt`], never a panic. A consumer that
+//! must not act on a wrong event (the trace corpus cache) drains the
+//! source before it trusts what it computed from it, and compares the
+//! file's length with [`BinarySource::encoded_len`] to reject a truncated
+//! file before reading it.
 
 use std::io::{Read, Seek, SeekFrom, Write};
 
@@ -218,8 +220,8 @@ where
 ///
 /// Structural problems (bad tag, unaligned address, truncation, trailing
 /// bytes, count mismatches) error out the moment they are seen; the
-/// payload checksum is verified when the last record is consumed. Run
-/// [`verify_binary`] first when a wrong event must never be observed.
+/// payload checksum is verified when the last record is consumed, so a
+/// fill that returns `Ok(false)` has checked the whole stream.
 pub struct BinarySource<R: Read> {
     reader: R,
     name: String,
@@ -283,6 +285,21 @@ impl<R: Read> BinarySource<R> {
             len: 0,
             finished: false,
         })
+    }
+
+    /// The segment's length in bytes as its header gives it: the header,
+    /// the name and every record. A file of any other length is torn or
+    /// padded.
+    #[must_use]
+    pub fn encoded_len(&self) -> u64 {
+        let records = self.records_total.saturating_mul(RECORD_BYTES as u64);
+        records.saturating_add((HEADER_BYTES + self.name.len()) as u64)
+    }
+
+    /// The underlying reader.
+    #[must_use]
+    pub fn get_ref(&self) -> &R {
+        &self.reader
     }
 
     /// Buffered bytes not yet decoded.
@@ -409,22 +426,6 @@ impl<R: Read> EventSource for BinarySource<R> {
     }
 }
 
-/// Fully drains and validates an IBPB stream without keeping its events:
-/// header structure, every record's tag and address alignment, the record
-/// and indirect counts, trailing bytes, and the payload checksum. Memory
-/// stays bounded by the chunk size.
-///
-/// # Errors
-///
-/// [`TraceIoError::Corrupt`] on any validation failure,
-/// [`TraceIoError::Io`] on read failures.
-pub fn verify_binary<R: Read>(reader: R) -> Result<(), TraceIoError> {
-    let mut source = BinarySource::new(reader)?;
-    let mut chunk = TraceChunk::default();
-    while source.fill(&mut chunk, chunk_events())? {}
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,6 +457,14 @@ mod tests {
         let mut buf = Cursor::new(Vec::new());
         write_binary_source(&mut t.cursor(), &mut buf).expect("write");
         buf.into_inner()
+    }
+
+    /// Opens and drains a segment, as a replay does.
+    fn drain(bytes: &[u8]) -> Result<(), TraceIoError> {
+        let mut source = BinarySource::new(bytes)?;
+        let mut chunk = TraceChunk::default();
+        while source.fill(&mut chunk, chunk_events())? {}
+        Ok(())
     }
 
     #[test]
@@ -504,16 +513,18 @@ mod tests {
     }
 
     #[test]
-    fn verify_accepts_good_segments() {
+    fn a_clean_segment_drains_and_its_header_gives_its_length() {
         let buf = encode(&sample());
-        verify_binary(&buf[..]).expect("clean segment verifies");
+        drain(&buf[..]).expect("clean segment drains");
+        let source = BinarySource::new(&buf[..]).expect("header");
+        assert_eq!(source.encoded_len(), buf.len() as u64);
     }
 
     #[test]
     fn truncated_payload_is_corrupt_not_a_panic() {
         let buf = encode(&sample());
         for cut in [buf.len() - 1, buf.len() - RECORD_BYTES, HEADER_BYTES + 2, 3] {
-            let err = verify_binary(&buf[..cut]).expect_err("truncation detected");
+            let err = drain(&buf[..cut]).expect_err("truncation detected");
             assert!(
                 matches!(err, TraceIoError::Corrupt { .. }),
                 "cut at {cut}: {err}"
@@ -525,12 +536,12 @@ mod tests {
     fn bit_flips_fail_the_checksum() {
         let clean = encode(&sample());
         // Flip one bit in every payload byte position that keeps the
-        // record structurally valid or not — either way verify must fail.
+        // record structurally valid or not — either way the drain must fail.
         let mut corrupt_count = 0;
         for pos in HEADER_BYTES + "sample".len()..clean.len() {
             let mut buf = clean.clone();
             buf[pos] ^= 0x10;
-            if verify_binary(&buf[..]).is_err() {
+            if drain(&buf[..]).is_err() {
                 corrupt_count += 1;
             }
         }
@@ -553,7 +564,7 @@ mod tests {
         let mut bad_tag = clean.clone();
         let first_record = HEADER_BYTES + "sample".len();
         bad_tag[first_record] = 7;
-        assert!(verify_binary(&bad_tag[..]).is_err());
+        assert!(drain(&bad_tag[..]).is_err());
     }
 
     #[test]
@@ -563,16 +574,16 @@ mod tests {
         let mut fewer = clean.clone();
         let records = u64::from_le_bytes(clean[12..20].try_into().unwrap());
         fewer[12..20].copy_from_slice(&(records - 1).to_le_bytes());
-        assert!(verify_binary(&fewer[..]).is_err());
+        assert!(drain(&fewer[..]).is_err());
         // Overstate it: the payload runs out early.
         let mut more = clean.clone();
         more[12..20].copy_from_slice(&(records + 1).to_le_bytes());
-        assert!(verify_binary(&more[..]).is_err());
+        assert!(drain(&more[..]).is_err());
         // Wrong indirect count.
         let mut ind = clean;
         let indirect = u64::from_le_bytes(ind[20..28].try_into().unwrap());
         ind[20..28].copy_from_slice(&(indirect + 1).to_le_bytes());
-        assert!(verify_binary(&ind[..]).is_err());
+        assert!(drain(&ind[..]).is_err());
     }
 
     #[test]
@@ -587,7 +598,7 @@ mod tests {
             .find(|&p| clean[p] < 5)
             .expect("a branch record");
         buf[branch + 1] |= 1;
-        let err = verify_binary(&buf[..]).expect_err("unaligned");
+        let err = drain(&buf[..]).expect_err("unaligned");
         assert!(matches!(err, TraceIoError::Corrupt { .. }), "{err}");
     }
 

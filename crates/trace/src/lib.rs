@@ -39,7 +39,7 @@ mod stats;
 mod trace;
 
 pub use addr::{Addr, UnalignedAddrError};
-pub use binary::{looks_binary, verify_binary, write_binary_source, BinarySource};
+pub use binary::{looks_binary, write_binary_source, BinarySource};
 pub use event::{BranchKind, CondBranch, IndirectBranch, TraceEvent};
 pub use source::{
     chunk_events, collect_source, EventSource, TraceChunk, TraceCursor, CHUNK_EVENTS,

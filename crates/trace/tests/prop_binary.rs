@@ -2,9 +2,10 @@
 
 use std::io::Cursor;
 
+use ibp_trace::io::TraceIoError;
 use ibp_trace::{
-    collect_source, verify_binary, write_binary_source, Addr, BinarySource, BranchKind,
-    EventSource, Trace, TraceChunk,
+    chunk_events, collect_source, write_binary_source, Addr, BinarySource, BranchKind, EventSource,
+    Trace, TraceChunk,
 };
 use proptest::prelude::*;
 
@@ -83,6 +84,16 @@ fn drain(bytes: &[u8], budget: u64) -> Trace {
     out
 }
 
+/// Opens and drains a segment as a replay does, keeping no event: the
+/// drain ends with the checks of the record counts, trailing bytes and
+/// checksum.
+fn drain_checked(bytes: &[u8]) -> Result<(), TraceIoError> {
+    let mut src = BinarySource::new(Cursor::new(bytes))?;
+    let mut chunk = TraceChunk::default();
+    while src.fill(&mut chunk, chunk_events())? {}
+    Ok(())
+}
+
 proptest! {
     /// Encode → decode recovers the exact event sequence and all
     /// counters, for any chunk-fill budget around the record count
@@ -125,13 +136,13 @@ proptest! {
         if let Ok(mut src) = BinarySource::new(Cursor::new(&input[..])) {
             let _ = collect_source(&mut src);
         }
-        let _ = verify_binary(Cursor::new(&input[..]));
+        let _ = drain_checked(&input);
     }
 
     /// Any single-byte corruption of a payload is detected by the
     /// checksum or structural validation — never replayed silently.
     #[test]
-    fn corrupted_payload_never_verifies(
+    fn corrupted_payload_never_drains(
         records in proptest::collection::vec(record_strategy(), 1..60),
         flip in any::<u16>(),
         bit in 0u8..8u8,
@@ -144,7 +155,7 @@ proptest! {
         if bytes.len() > payload_start {
             let i = payload_start + usize::from(flip) % (bytes.len() - payload_start);
             bytes[i] ^= 1 << bit;
-            let verdict = verify_binary(Cursor::new(&bytes[..]));
+            let verdict = drain_checked(&bytes);
             prop_assert!(verdict.is_err(), "flipped byte {} went undetected", i);
         }
     }
